@@ -319,10 +319,10 @@ func (s *CASStore) Delete(ctx context.Context, name string) error {
 }
 
 // GetAt implements RandomAccessStore. A manifest entry yields a lazy
-// reader that faults referenced chunks on demand (with a small
-// per-handle cache), so a lazy restart over a CASStore fetches only
-// the chunks its shards actually touch; non-manifest entries delegate
-// to the backing.
+// reader that serves inline bytes from the manifest and reads chunk
+// bytes from the backing on demand, straight into the caller's buffer,
+// so a lazy restart over a CASStore fetches only the chunks its shards
+// actually touch; non-manifest entries delegate to the backing.
 func (s *CASStore) GetAt(ctx context.Context, name string) (ReaderAtCloser, int64, error) {
 	if err := validateImageName(name); err != nil {
 		return nil, 0, err
@@ -352,8 +352,7 @@ func (s *CASStore) GetAt(ctx context.Context, name string) (ReaderAtCloser, int6
 		return nil, 0, fmt.Errorf("%w: manifest %q: %v", ErrCorruptImage, name, err)
 	}
 	r := &casReaderAt{ctx: ctx, s: s, name: name, size: int64(man.Length),
-		segs: man.Segments, offs: make([]uint64, len(man.Segments)),
-		cache: make(map[string][]byte)}
+		segs: man.Segments, offs: make([]uint64, len(man.Segments))}
 	var off uint64
 	for i := range man.Segments {
 		r.offs[i] = off
@@ -362,13 +361,10 @@ func (s *CASStore) GetAt(ctx context.Context, name string) (ReaderAtCloser, int6
 	return r, r.size, nil
 }
 
-// casReaderCacheChunks bounds a handle's chunk cache: enough to serve
-// a prefetcher's sliding window without re-fetching, small enough that
-// a thousand concurrent lazy restores stay bounded.
-const casReaderCacheChunks = 8
-
-// casReaderAt serves random-access reads through a manifest. Safe for
-// concurrent ReadAt, like every store handle.
+// casReaderAt serves random-access reads through a manifest. It holds
+// no chunk bytes: the index scan reads inline segments only, and the
+// restorer above decodes every shard once, so nothing would hit a
+// cache. Safe for concurrent ReadAt, like every store handle.
 type casReaderAt struct {
 	ctx  context.Context
 	s    *CASStore
@@ -376,10 +372,6 @@ type casReaderAt struct {
 	segs []cas.Segment
 	offs []uint64 // start offset of each segment
 	size int64
-
-	mu    sync.Mutex
-	cache map[string][]byte
-	order []string
 }
 
 func (r *casReaderAt) ReadAt(p []byte, off int64) (int, error) {
@@ -398,15 +390,19 @@ func (r *casReaderAt) ReadAt(p []byte, off int64) (int, error) {
 		pos := uint64(off) + uint64(n)
 		i := sort.Search(len(r.offs), func(i int) bool { return r.offs[i] > pos }) - 1
 		seg := &r.segs[i]
-		src := seg.Inline
-		if seg.IsChunk() {
-			b, err := r.chunk(seg)
-			if err != nil {
-				return n, err
-			}
-			src = b
+		at := pos - r.offs[i]
+		if !seg.IsChunk() {
+			n += copy(p[n:], seg.Inline[at:])
+			continue
 		}
-		n += copy(p[n:], src[pos-r.offs[i]:])
+		dst := p[n:]
+		if rest := seg.Length - at; uint64(len(dst)) > rest {
+			dst = dst[:rest]
+		}
+		if err := r.readChunk(seg, at, dst); err != nil {
+			return n, err
+		}
+		n += len(dst)
 	}
 	if n < want {
 		return n, io.EOF
@@ -414,43 +410,63 @@ func (r *casReaderAt) ReadAt(p []byte, off int64) (int, error) {
 	return n, nil
 }
 
-// chunk fetches (and caches) one referenced chunk, under the GC fence.
-func (r *casReaderAt) chunk(seg *cas.Segment) ([]byte, error) {
+// readChunk fills dst with bytes [at, at+len(dst)) of one referenced
+// chunk, under the GC fence. A range short of the whole chunk is read
+// through the backing's GetAt when it has one; otherwise the chunk
+// streams through Get — one round trip — with the bytes before and
+// after the range discarded. Either way the stored length is checked
+// against the manifest.
+func (r *casReaderAt) readChunk(seg *cas.Segment, at uint64, dst []byte) error {
 	name := seg.ChunkName()
-	r.mu.Lock()
-	if b, ok := r.cache[name]; ok {
-		r.mu.Unlock()
-		return b, nil
+	missing := func(err error) error {
+		if errors.Is(err, ErrImageNotFound) {
+			return fmt.Errorf("%w: %q references missing chunk %s", ErrCorruptImage, r.name, name)
+		}
+		return err
 	}
-	r.mu.Unlock()
+	wrongLength := func(stored int64) error {
+		return fmt.Errorf("%w: chunk %s holds %d bytes, manifest %q expects %d",
+			ErrCorruptImage, name, stored, r.name, seg.Length)
+	}
 	r.s.gcMu.RLock()
+	defer r.s.gcMu.RUnlock()
+	if ras, ok := r.s.backing.(RandomAccessStore); ok && uint64(len(dst)) < seg.Length {
+		ra, size, err := ras.GetAt(r.ctx, name)
+		if err != nil {
+			return missing(err)
+		}
+		defer ra.Close()
+		if uint64(size) != seg.Length {
+			return wrongLength(size)
+		}
+		if n, err := ra.ReadAt(dst, int64(at)); n < len(dst) {
+			return err
+		}
+		return nil
+	}
 	rc, err := r.s.backing.Get(r.ctx, name)
 	if err != nil {
-		r.s.gcMu.RUnlock()
-		if errors.Is(err, ErrImageNotFound) {
-			return nil, fmt.Errorf("%w: %q references missing chunk %s", ErrCorruptImage, r.name, name)
-		}
-		return nil, err
+		return missing(err)
 	}
-	b, rerr := io.ReadAll(rc)
-	rc.Close()
-	r.s.gcMu.RUnlock()
-	if rerr != nil {
-		return nil, rerr
+	defer rc.Close()
+	stored, err := io.CopyN(io.Discard, rc, int64(at))
+	if err == nil {
+		var n int
+		n, err = io.ReadFull(rc, dst)
+		stored += int64(n)
 	}
-	if uint64(len(b)) != seg.Length {
-		return nil, fmt.Errorf("%w: chunk %s holds %d bytes, manifest %q expects %d",
-			ErrCorruptImage, name, len(b), r.name, seg.Length)
+	if err == nil {
+		var tail int64
+		tail, err = io.Copy(io.Discard, rc)
+		stored += tail
 	}
-	r.mu.Lock()
-	if len(r.order) >= casReaderCacheChunks {
-		delete(r.cache, r.order[0])
-		r.order = r.order[1:]
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return err
 	}
-	r.cache[name] = b
-	r.order = append(r.order, name)
-	r.mu.Unlock()
-	return b, nil
+	if uint64(stored) != seg.Length {
+		return wrongLength(stored)
+	}
+	return nil
 }
 
 func (r *casReaderAt) Close() error { return nil }

@@ -337,3 +337,212 @@ func TestCASPreexistingPlainImages(t *testing.T) {
 		t.Fatal("legacy entry differs through GetAt")
 	}
 }
+
+// plainStore hides every optional capability of the store it wraps: a
+// backing that is a Store and nothing more (no GetAt).
+type plainStore struct{ Store }
+
+// casReaderFixture checkpoints a small session through a CASStore over
+// backing and returns the image as Get reassembles it, the open
+// random-access handle, and the manifest's segments with their stream
+// offsets.
+func casReaderFixture(t *testing.T, backing Store, opts ...Option) ([]byte, ReaderAtCloser, []cas.Segment, []int64) {
+	t.Helper()
+	ctx := context.Background()
+	cstore := NewCASStore(backing)
+	s, err := New(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	newIncrWorkload(t, s.Runtime())
+	if _, err := s.CheckpointTo(ctx, cstore, "img"); err != nil {
+		t.Fatal(err)
+	}
+	whole := conformGet(t, cstore, "img")
+	man, err := cas.DecodeManifest(bytes.NewReader(conformGet(t, backing, "img")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	offs := make([]int64, len(man.Segments)+1)
+	for i := range man.Segments {
+		offs[i+1] = offs[i] + int64(man.Segments[i].Length)
+	}
+	ra, size, err := cstore.GetAt(ctx, "img")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ra.Close() })
+	if size != int64(len(whole)) || offs[len(offs)-1] != size {
+		t.Fatalf("GetAt size %d, Get size %d, manifest covers %d", size, len(whole), offs[len(offs)-1])
+	}
+	return whole, ra, man.Segments, offs
+}
+
+func checkReadAt(t *testing.T, ra io.ReaderAt, whole []byte, off, n int64) {
+	t.Helper()
+	buf := make([]byte, n)
+	if got, err := ra.ReadAt(buf, off); err != nil || int64(got) != n {
+		t.Fatalf("ReadAt(%d+%d) = (%d, %v)", off, n, got, err)
+	}
+	if !bytes.Equal(buf, whole[off:off+n]) {
+		t.Fatalf("ReadAt(%d+%d): bytes differ from Get", off, n)
+	}
+}
+
+// TestCASReaderAtEdges reads through a manifest where the segments meet:
+// across inline→chunk→inline, exactly one chunk, a few bytes at a chunk's
+// head and tail, and everything at once — over a backing with GetAt
+// (ranged chunk reads) and one without (whole-fetch fallback), for a v3
+// image (shard-framed: headers inline) and for v2 and v1 ones (raw
+// 256 KiB chunks, so headers sit inside chunks and shard reads straddle
+// them).
+func TestCASReaderAtEdges(t *testing.T) {
+	backings := []struct {
+		name  string
+		build func() Store
+	}{
+		{"ranged", func() Store { return NewMemStore() }},
+		{"whole-fetch", func() Store { return plainStore{NewMemStore()} }},
+	}
+	formats := []struct {
+		name string
+		opts []Option
+	}{
+		{"v3", []Option{WithShardSize(64 << 10), WithIncremental(8)}},
+		{"v2", []Option{WithShardSize(96 << 10)}},
+		{"v1", []Option{WithImageVersion(1)}},
+	}
+	for _, bk := range backings {
+		for _, f := range formats {
+			t.Run(bk.name+"/"+f.name, func(t *testing.T) {
+				whole, ra, segs, offs := casReaderFixture(t, bk.build(), f.opts...)
+				size := int64(len(whole))
+				chunks, inlineBetween := 0, false
+				for i := range segs {
+					if !segs[i].IsChunk() {
+						continue
+					}
+					chunks++
+					lo, hi := offs[i], offs[i+1]
+					checkReadAt(t, ra, whole, lo, hi-lo)         // exactly the chunk
+					checkReadAt(t, ra, whole, lo, min(7, hi-lo)) // its head
+					checkReadAt(t, ra, whole, max(lo, hi-7), hi-max(lo, hi-7))
+					if i > 0 && i+1 < len(segs) && !segs[i-1].IsChunk() && !segs[i+1].IsChunk() {
+						inlineBetween = true
+						checkReadAt(t, ra, whole, lo-3, hi-lo+6) // inline→chunk→inline
+					}
+					if i+2 < len(segs) {
+						// Tail of this segment through the head of the one
+						// after next: at least two boundaries.
+						checkReadAt(t, ra, whole, hi-5, offs[i+2]-hi+10)
+					}
+				}
+				if chunks < 4 {
+					t.Fatalf("fixture has %d chunks; want several", chunks)
+				}
+				if (f.name == "v3") != inlineBetween {
+					t.Fatalf("%s: chunk between inline segments seen = %v", f.name, inlineBetween)
+				}
+				checkReadAt(t, ra, whole, 0, size)
+				// Straddling the end: the available bytes with io.EOF.
+				buf := make([]byte, 64)
+				if n, err := ra.ReadAt(buf, size-10); n != 10 || err != io.EOF || !bytes.Equal(buf[:10], whole[size-10:]) {
+					t.Fatalf("ReadAt straddling EOF = (%d, %v)", n, err)
+				}
+			})
+		}
+	}
+}
+
+// TestCASLazyRestartLegacyFormats restarts lazily from v1 and v2 images
+// held by a CASStore: the raw chunking knows nothing of their frames, so
+// the index scan and every shard read go through partial chunk reads.
+func TestCASLazyRestartLegacyFormats(t *testing.T) {
+	for _, version := range []int{1, 2} {
+		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
+			ctx := context.Background()
+			opts := []Option{WithImageVersion(version), WithShardSize(96 << 10)}
+			cstore := NewCASStore(NewMemStore())
+			s, err := New(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			newIncrWorkload(t, s.Runtime())
+			if _, err := s.CheckpointTo(ctx, cstore, "img"); err != nil {
+				t.Fatal(err)
+			}
+			ref, err := RestoreFrom(ctx, cstore, "img", opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ref.Close()
+			p, err := s.RestartAsync(ctx, cstore, "img")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.Wait(); err != nil {
+				t.Fatalf("drain: %v", err)
+			}
+			if !bytes.Equal(sessionSnapshot(t, ref), sessionSnapshot(t, s)) {
+				t.Fatal("lazy restart through raw CAS chunks differs from the eager one")
+			}
+		})
+	}
+}
+
+// TestCASReaderAtCorruptChunk: a chunk that is missing, or whose stored
+// length is not the manifest's, is ErrCorruptImage whether the read
+// wants the whole chunk or a range of it, with or without GetAt on the
+// backing.
+func TestCASReaderAtCorruptChunk(t *testing.T) {
+	ctx := context.Background()
+	damage := []struct {
+		name string
+		do   func(t *testing.T, backing Store, chunk string, data []byte)
+	}{
+		{"missing", func(t *testing.T, backing Store, chunk string, _ []byte) {
+			if err := backing.Delete(ctx, chunk); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"short", func(t *testing.T, backing Store, chunk string, data []byte) {
+			conformPut(t, backing, chunk, data[:len(data)-1])
+		}},
+		{"long", func(t *testing.T, backing Store, chunk string, data []byte) {
+			conformPut(t, backing, chunk, append(append([]byte(nil), data...), 0))
+		}},
+	}
+	for _, ranged := range []bool{true, false} {
+		for _, d := range damage {
+			t.Run(fmt.Sprintf("ranged=%v/%s", ranged, d.name), func(t *testing.T) {
+				var backing Store = NewMemStore()
+				if !ranged {
+					backing = plainStore{backing}
+				}
+				whole, ra, segs, offs := casReaderFixture(t, backing, WithShardSize(64<<10), WithIncremental(8))
+				i := 0
+				for !segs[i].IsChunk() || segs[i].Length < 1024 {
+					i++
+				}
+				lo, hi := offs[i], offs[i+1]
+				d.do(t, backing, segs[i].ChunkName(), whole[lo:hi])
+				reads := map[string][2]int64{
+					"whole chunk": {lo, hi - lo},
+					"head":        {lo, 100},
+					"tail":        {hi - 100, 100},
+					"across":      {lo - 3, hi - lo + 6},
+				}
+				for what, r := range reads {
+					_, err := ra.ReadAt(make([]byte, r[1]), r[0])
+					if !errors.Is(err, ErrCorruptImage) {
+						t.Errorf("%s read of a %s chunk: %v, want ErrCorruptImage", what, d.name, err)
+					}
+				}
+				// Its neighbours still read.
+				checkReadAt(t, ra, whole, offs[i+1], offs[i+2]-offs[i+1])
+			})
+		}
+	}
+}

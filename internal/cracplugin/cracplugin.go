@@ -386,44 +386,71 @@ const (
 	maxDevMemTotalBytes = 1 << 33
 )
 
-func parseDevMem2(b []byte) ([]dm2Entry, error) {
-	r := bytes.NewReader(b)
-	var u32 [4]byte
-	if _, err := io.ReadFull(r, u32[:]); err != nil {
-		return nil, fmt.Errorf("devmem2 count: %w", err)
+// walkDevMem2 decodes the entry headers of a devmem2 section of
+// secSize bytes and calls fn once per entry with its address, size and
+// — for an entry that carries its payload — the payload's offset inside
+// the section (present false: the entry was skipped, its bytes live in
+// an ancestor). Only headers are read through src; the section bounds
+// every claim, so hostile counts and sizes fail without being believed.
+func walkDevMem2(src io.ReaderAt, secSize uint64, fn func(addr, size uint64, present bool, payloadOff uint64) error) error {
+	var hdr [devMem2EntryHdr]byte
+	if secSize < 4 {
+		return fmt.Errorf("devmem2 count: %w", io.ErrUnexpectedEOF)
 	}
-	n := binary.LittleEndian.Uint32(u32[:])
-	// The count is unverified input: cap the pre-allocation at what the
-	// section could physically hold.
-	capHint := uint64(n)
-	if maxEntries := uint64(len(b)) / devMem2EntryHdr; capHint > maxEntries {
-		capHint = maxEntries
+	if _, err := src.ReadAt(hdr[:4], 0); err != nil {
+		return fmt.Errorf("devmem2 count: %w", noEOF(err))
 	}
-	entries := make([]dm2Entry, 0, capHint)
-	off := 4
+	n := binary.LittleEndian.Uint32(hdr[:4])
+	off := uint64(4)
+	if uint64(n) > (secSize-off)/devMem2EntryHdr {
+		return fmt.Errorf("devmem2 count %d: %w", n, io.ErrUnexpectedEOF)
+	}
 	for i := uint32(0); i < n; i++ {
-		if off+devMem2EntryHdr > len(b) {
-			return nil, fmt.Errorf("devmem2 entry %d: %w", i, io.ErrUnexpectedEOF)
+		if secSize-off < devMem2EntryHdr {
+			return fmt.Errorf("devmem2 entry %d: %w", i, io.ErrUnexpectedEOF)
 		}
-		e := dm2Entry{
-			addr: binary.LittleEndian.Uint64(b[off:]),
-			size: binary.LittleEndian.Uint64(b[off+8:]),
+		if _, err := src.ReadAt(hdr[:], int64(off)); err != nil {
+			return fmt.Errorf("devmem2 entry %d: %w", i, noEOF(err))
 		}
-		if e.size > maxDevMemEntryBytes {
-			return nil, fmt.Errorf("devmem2 entry %d: oversized allocation (%d bytes)", i, e.size)
-		}
-		present := b[off+16]&1 != 0
 		off += devMem2EntryHdr
+		addr := binary.LittleEndian.Uint64(hdr[0:])
+		size := binary.LittleEndian.Uint64(hdr[8:])
+		if size > maxDevMemEntryBytes {
+			return fmt.Errorf("devmem2 entry %d: oversized allocation (%d bytes)", i, size)
+		}
+		present := hdr[16]&1 != 0
+		if present && secSize-off < size {
+			return fmt.Errorf("devmem2 entry %d data: %w", i, io.ErrUnexpectedEOF)
+		}
+		if err := fn(addr, size, present, off); err != nil {
+			return err
+		}
 		if present {
-			if uint64(len(b)-off) < e.size {
-				return nil, fmt.Errorf("devmem2 entry %d data: %w", i, io.ErrUnexpectedEOF)
-			}
-			e.payload = b[off : off+int(e.size)]
-			off += int(e.size)
+			off += size
+		}
+	}
+	return nil
+}
+
+// noEOF reports a read that ended inside a header as truncation.
+func noEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+func parseDevMem2(b []byte) ([]dm2Entry, error) {
+	var entries []dm2Entry
+	err := walkDevMem2(bytes.NewReader(b), uint64(len(b)), func(addr, size uint64, present bool, off uint64) error {
+		e := dm2Entry{addr: addr, size: size}
+		if present {
+			e.payload = b[off : off+size]
 		}
 		entries = append(entries, e)
-	}
-	return entries, nil
+		return nil
+	})
+	return entries, err
 }
 
 // MergeDevMem is the dmtcp.SectionMerger for SectionDevMem2: it

@@ -256,32 +256,12 @@ func TestIncrementalDrainSkipsCleanAllocations(t *testing.T) {
 
 // TestMergeDevMem pins chain materialization of the devmem2 section.
 func TestMergeDevMem(t *testing.T) {
-	mk := func(entries ...dm2Entry) []byte {
-		total := 4
-		for _, e := range entries {
-			total += devMem2EntryHdr + len(e.payload)
-		}
-		b := make([]byte, total)
-		binary.LittleEndian.PutUint32(b, uint32(len(entries)))
-		off := 4
-		for _, e := range entries {
-			binary.LittleEndian.PutUint64(b[off:], e.addr)
-			binary.LittleEndian.PutUint64(b[off+8:], e.size)
-			if e.payload != nil {
-				b[off+16] = 1
-			}
-			off += devMem2EntryHdr
-			copy(b[off:], e.payload)
-			off += len(e.payload)
-		}
-		return b
-	}
-	parent := mk(
+	parent := devMem2Bytes(
 		dm2Entry{addr: 0x1000, size: 4, payload: []byte("aaaa")},
 		dm2Entry{addr: 0x2000, size: 4, payload: []byte("bbbb")},
 	)
 	// Delta: 0x1000 skipped (inherit), 0x2000 freed, 0x3000 new.
-	delta := mk(
+	delta := devMem2Bytes(
 		dm2Entry{addr: 0x1000, size: 4},
 		dm2Entry{addr: 0x3000, size: 4, payload: []byte("cccc")},
 	)
@@ -297,12 +277,12 @@ func TestMergeDevMem(t *testing.T) {
 		t.Fatalf("merge result wrong: %+v", got)
 	}
 	// A skipped entry with no parent payload is a broken chain.
-	bad := mk(dm2Entry{addr: 0x9000, size: 4})
+	bad := devMem2Bytes(dm2Entry{addr: 0x9000, size: 4})
 	if _, err := MergeDevMem(parent, bad); err == nil {
 		t.Fatal("missing parent payload must fail the merge")
 	}
 	// Size mismatch against the parent payload also fails.
-	badSize := mk(dm2Entry{addr: 0x1000, size: 8})
+	badSize := devMem2Bytes(dm2Entry{addr: 0x1000, size: 8})
 	if _, err := MergeDevMem(parent, badSize); err == nil {
 		t.Fatal("size mismatch must fail the merge")
 	}

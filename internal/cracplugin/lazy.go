@@ -9,11 +9,12 @@
 // log (the same walk the emit performs), so for a v1/v2 image — and
 // for a v3 base, whose devmem2 entries are all present — every entry's
 // payload offset is computed without reading a single payload byte.
-// Only a delta's devmem2 must be decoded during planning: its flags
-// decide which entries carry payload (those bytes are the dirty set,
-// registered as in-memory plans), and entries it skips resolve to the
-// nearest ancestor that owns them, terminating at the base's computed
-// layout.
+// A delta's devmem2 is walked entry header by entry header during
+// planning — only the shards holding a header are decoded: the flags
+// decide which entries carry payload (the dirty set, bound to its
+// offset in that delta's section like any other plan), and entries it
+// skips resolve to the nearest ancestor that owns them, terminating at
+// the base's computed layout.
 //
 // Materialization writes through Space.FillCold, never through
 // uvm.Manager.Access: restoring a managed allocation's bytes is not an
@@ -112,17 +113,21 @@ func (p *Plugin) planDevMem2(r *dmtcp.LazyRestorer, active replaylog.ActiveSet) 
 		}
 		if !ix.Delta {
 			// A base's entries are all present, so the layout is a pure
-			// function of its own call log: compute every payload offset
-			// without touching the payload shards.
-			logBytes, err := r.ImageSectionBytes(img, SectionLog)
-			if err != nil {
-				return fmt.Errorf("cracplugin: base log: %w", err)
+			// function of its own call log — when the base is the tip, the
+			// log just replayed: compute every payload offset without
+			// touching the payload shards.
+			baseActive := active
+			if img > 0 {
+				logBytes, err := r.ImageSectionBytes(img, SectionLog)
+				if err != nil {
+					return fmt.Errorf("cracplugin: base log: %w", err)
+				}
+				baseLog, err := replaylog.Decode(bytes.NewReader(logBytes))
+				if err != nil {
+					return fmt.Errorf("%w: base log: %v", dmtcp.ErrBadImage, err)
+				}
+				baseActive = baseLog.Active()
 			}
-			baseLog, err := replaylog.Decode(bytes.NewReader(logBytes))
-			if err != nil {
-				return fmt.Errorf("%w: base log: %v", dmtcp.ErrBadImage, err)
-			}
-			baseActive := baseLog.Active()
 			secSize, ok := sectionSize(ix.Secs, SectionDevMem2)
 			if !ok {
 				return fmt.Errorf("cracplugin: %s vanished from section table", SectionDevMem2)
@@ -146,25 +151,23 @@ func (p *Plugin) planDevMem2(r *dmtcp.LazyRestorer, active replaylog.ActiveSet) 
 			break // the base ends every lineage
 		}
 		// A delta's devmem2 is opaque — emitted in full — so the flags
-		// (which entries carry payload) are local to this image. The
-		// decoded dirty payloads become in-memory plans; skipped entries
-		// stay pending for an older image.
-		secBytes, err := r.ImageSectionBytes(img, SectionDevMem2)
+		// (which entries carry payload) are local to this image, and so
+		// are the payloads: each binds to its offset in this image's
+		// section. Skipped entries stay pending for an older image.
+		sec, err := r.ImageSection(img, SectionDevMem2)
 		if err != nil {
 			return fmt.Errorf("cracplugin: delta devmem2: %w", err)
 		}
-		entries, err := parseDevMem2(secBytes)
+		err = walkDevMem2(sec, sec.Size(), func(addr, size uint64, present bool, off uint64) error {
+			tgt, ok := pending[addr]
+			if !present || !ok || tgt.size != size {
+				return nil
+			}
+			delete(pending, addr)
+			return r.PlanSection(addr, size, img, SectionDevMem2, off, tgt.class)
+		})
 		if err != nil {
 			return fmt.Errorf("cracplugin: delta devmem2: %w", err)
-		}
-		for _, e := range entries {
-			if e.payload == nil {
-				continue
-			}
-			if tgt, ok := pending[e.addr]; ok && tgt.size == e.size {
-				r.PlanMem(e.addr, e.payload, tgt.class)
-				delete(pending, e.addr)
-			}
 		}
 	}
 	for addr, tgt := range pending {

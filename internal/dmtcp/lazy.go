@@ -121,46 +121,59 @@ func (ix *ShardIndex) SetParent(p *ShardIndex) error {
 // v2, v3 base — or a delta whose chain is linked through SetParent).
 func (ix *ShardIndex) Complete() bool { return !ix.Delta || ix.parent != nil }
 
-// scanner is a buffered sequential reader over an io.ReaderAt whose
-// skip is a true seek: skipping a payload costs nothing, which is what
-// keeps the index scan O(headers) instead of O(image bytes) — a
-// bufio.Discard would stream every skipped byte through the buffer.
+// scanner is a sequential reader over an io.ReaderAt whose skip is a
+// true seek and whose reads are exact: a refill fetches what the caller
+// asked for, plus only as far as the parser has declared (expect) the
+// stream must still hold header bytes. The prologue tables therefore
+// arrive in a few buffered reads, while a frame or shard header between
+// two payloads costs exactly its own length — the scan never touches a
+// payload byte, which is what keeps it O(headers) when payloads live
+// in another store object (a CAS chunk, a remote range).
 type scanner struct {
 	src      io.ReaderAt
 	size     int64
-	pos      int64 // logical read position
-	buf      []byte
+	pos      int64  // logical read position
+	buf      []byte // read-ahead window: src[bufStart : bufStart+len(buf)]
 	bufStart int64
-	bufLen   int
+	known    int64 // header bytes are known to extend (at least) to here
 }
 
-// newScanner's buffer is small: between payload skips the scan reads
-// only frame/entry headers, and every skip invalidates the buffer — a
-// large buffer would re-read shard-sized payload prefixes for nothing.
+// scanAhead caps one refill's read-ahead into declared header bytes.
+const scanAhead = 8 << 10
+
 func newScanner(src io.ReaderAt, size int64) *scanner {
-	return &scanner{src: src, size: size, buf: make([]byte, 8<<10), bufStart: -1}
+	return &scanner{src: src, size: size}
+}
+
+// expect declares that at least n more header bytes follow the current
+// position (a lower bound computed from a count just parsed), allowing
+// the next refill to read that far ahead.
+func (sc *scanner) expect(n int64) {
+	if end := sc.pos + n; end > sc.known {
+		sc.known = end
+	}
 }
 
 func (sc *scanner) Read(p []byte) (int, error) {
 	if sc.pos >= sc.size {
 		return 0, io.EOF
 	}
-	if sc.pos < sc.bufStart || sc.pos >= sc.bufStart+int64(sc.bufLen) {
-		n := int64(len(sc.buf))
-		if rem := sc.size - sc.pos; rem < n {
-			n = rem
+	if o := sc.pos - sc.bufStart; o < 0 || o >= int64(len(sc.buf)) {
+		n := max(int64(len(p)), min(sc.known-sc.pos, scanAhead))
+		n = min(n, sc.size-sc.pos)
+		if int64(cap(sc.buf)) < n {
+			sc.buf = make([]byte, n)
 		}
 		m, err := sc.src.ReadAt(sc.buf[:n], sc.pos)
+		sc.buf, sc.bufStart = sc.buf[:m], sc.pos
 		if m == 0 {
 			if err == nil {
 				err = io.ErrUnexpectedEOF
 			}
 			return 0, err
 		}
-		sc.bufStart, sc.bufLen = sc.pos, m
 	}
-	o := int(sc.pos - sc.bufStart)
-	k := copy(p, sc.buf[o:sc.bufLen])
+	k := copy(p, sc.buf[sc.pos-sc.bufStart:])
 	sc.pos += int64(k)
 	return k, nil
 }
@@ -214,6 +227,8 @@ func le64(b []byte) uint64 {
 // v1 whole-body-gzip fallback, which has no random access).
 func OpenShardIndex(src io.ReaderAt, size int64) (*ShardIndex, error) {
 	sc := newScanner(src, size)
+	// Every format opens with magic, flags and at least one more u32.
+	sc.expect(16)
 	var magic [8]byte
 	if _, err := io.ReadFull(sc, magic[:]); err != nil {
 		return nil, fmt.Errorf("%w: magic: %v", ErrBadImage, err)
@@ -233,6 +248,13 @@ func OpenShardIndex(src io.ReaderAt, size int64) (*ShardIndex, error) {
 	}
 }
 
+// Minimum encoded sizes of one table entry (an empty label or name):
+// what expect may count on before the strings have been read.
+const (
+	regionHdrMin  = 8 + 8 + 1 + 2 // start, len, prot, label length
+	sectionHdrMin = 2 + 8         // name length, size (v3 adds a flags byte)
+)
+
 // scanRegionTable parses the shared region header table.
 func scanRegionTable(sc *scanner) ([]RegionData, uint64, error) {
 	n, err := sc.u32()
@@ -245,6 +267,8 @@ func scanRegionTable(sc *scanner) ([]RegionData, uint64, error) {
 	var total uint64
 	regions := make([]RegionData, 0, n)
 	for i := uint32(0); i < n; i++ {
+		// The rest of the table, labels aside, then the section count.
+		sc.expect(int64(n-i)*regionHdrMin + 4)
 		var rd RegionData
 		if rd.Start, err = sc.u64(); err != nil {
 			return nil, 0, fmt.Errorf("%w: region %d: %v", ErrBadImage, i, err)
@@ -288,6 +312,7 @@ func scanIndexV2(src io.ReaderAt, sc *scanner) (*ShardIndex, error) {
 		return nil, fmt.Errorf("%w: section count %d", ErrBadImage, nSec)
 	}
 	for i := uint32(0); i < nSec; i++ {
+		sc.expect(int64(nSec-i)*sectionHdrMin + 4) // then the shard size
 		name, err := readString(sc)
 		if err != nil {
 			return nil, fmt.Errorf("%w: section %d name: %v", ErrBadImage, i, err)
@@ -357,10 +382,13 @@ func scanIndexV3(src io.ReaderAt, sc *scanner) (*ShardIndex, error) {
 		return nil, fmt.Errorf("%w: flags: %v", ErrBadImage, err)
 	}
 	ix := &ShardIndex{Version: 3, Gzip: flags[0]&1 != 0, Delta: flags[0]&2 != 0, src: src}
+	const lineage = 4 + 8 + 8 + 4 // depth, image id, parent id, then the region count
+	sc.expect(2 + lineage)
 	var err error
 	if ix.Parent, err = readString(sc); err != nil {
 		return nil, fmt.Errorf("%w: parent: %v", ErrBadImage, err)
 	}
+	sc.expect(lineage)
 	depth, err := sc.u32()
 	if err != nil {
 		return nil, fmt.Errorf("%w: depth: %v", ErrBadImage, err)
@@ -391,6 +419,7 @@ func scanIndexV3(src io.ReaderAt, sc *scanner) (*ShardIndex, error) {
 		return nil, fmt.Errorf("%w: section count %d", ErrBadImage, nSec)
 	}
 	for i := uint32(0); i < nSec; i++ {
+		sc.expect(int64(nSec-i)*(sectionHdrMin+1) + 8) // then shard size and count
 		name, err := readString(sc)
 		if err != nil {
 			return nil, fmt.Errorf("%w: section %d name: %v", ErrBadImage, i, err)
@@ -537,6 +566,7 @@ func scanIndexV1(src io.ReaderAt, size int64, sc *scanner) (*ShardIndex, error) 
 	}
 	var pays []payload
 	for i := uint32(0); i < nReg; i++ {
+		sc.expect(regionHdrMin)
 		var rd RegionData
 		if rd.Start, err = sc.u64(); err != nil {
 			return nil, fmt.Errorf("%w: region %d: %v", ErrBadImage, i, err)
@@ -569,6 +599,7 @@ func scanIndexV1(src io.ReaderAt, size int64, sc *scanner) (*ShardIndex, error) 
 		return nil, fmt.Errorf("%w: section count %d", ErrBadImage, nSec)
 	}
 	for i := uint32(0); i < nSec; i++ {
+		sc.expect(sectionHdrMin)
 		name, err := readString(sc)
 		if err != nil {
 			return nil, fmt.Errorf("%w: section %d name: %v", ErrBadImage, i, err)
@@ -732,15 +763,83 @@ func (ix *ShardIndex) SectionBytes(name string) ([]byte, error) {
 		return nil, fmt.Errorf("%w: image has no section %q", ErrBadImage, name)
 	}
 	out := make([]byte, ix.Secs[si].Size)
-	if err := ix.readSectionRange(name, 0, out); err != nil {
+	if err := ix.readSectionRange(name, 0, out, new(shardCache)); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
+// shardCache holds the shard a ranged section read decoded last, so a
+// forward walk of small reads (entry headers between payloads) decodes
+// and hash-verifies each shard it touches once.
+type shardCache struct {
+	ix  *ShardIndex // nil: empty
+	idx int
+	buf []byte
+}
+
+func (c *shardCache) shard(ix *ShardIndex, idx int) ([]byte, error) {
+	if c.ix == ix && c.idx == idx {
+		return c.buf, nil
+	}
+	c.ix = nil
+	n := int(ix.shards[idx].rawLen)
+	if cap(c.buf) < n {
+		c.buf = make([]byte, n)
+	}
+	c.buf = c.buf[:n]
+	if err := ix.readShard(idx, c.buf); err != nil {
+		return nil, err
+	}
+	c.ix, c.idx = ix, idx
+	return c.buf, nil
+}
+
+// SectionReader reads byte ranges of one section of one image (chain-
+// resolved like SectionBytes). It is an io.ReaderAt for one goroutine:
+// the shard decoded last is kept between calls.
+type SectionReader struct {
+	ix    *ShardIndex
+	name  string
+	size  uint64
+	cache shardCache
+}
+
+// SectionReader opens the named section for ranged reads.
+func (ix *ShardIndex) SectionReader(name string) (*SectionReader, error) {
+	si := ix.sectionIndex(name)
+	if si < 0 {
+		return nil, fmt.Errorf("%w: image has no section %q", ErrBadImage, name)
+	}
+	return &SectionReader{ix: ix, name: name, size: ix.Secs[si].Size}, nil
+}
+
+// Size returns the section's length in bytes.
+func (sr *SectionReader) Size() uint64 { return sr.size }
+
+// ReadAt implements io.ReaderAt over the section's bytes.
+func (sr *SectionReader) ReadAt(p []byte, off int64) (int, error) {
+	if off < 0 || uint64(off) >= sr.size {
+		return 0, io.EOF
+	}
+	short := uint64(len(p)) > sr.size-uint64(off)
+	if short {
+		p = p[:sr.size-uint64(off)]
+	}
+	if err := sr.ix.readSectionRange(sr.name, uint64(off), p, &sr.cache); err != nil {
+		return 0, err
+	}
+	if short {
+		return len(p), io.EOF
+	}
+	return len(p), nil
+}
+
 // readSectionRange fills dst with section bytes [off, off+len(dst)),
 // walking the parent chain for ranges this image does not carry.
-func (ix *ShardIndex) readSectionRange(name string, off uint64, dst []byte) error {
+// Shards wanted whole decode straight into place; partly wanted ones
+// decode through cache.
+func (ix *ShardIndex) readSectionRange(name string, off uint64, dst []byte, cache *shardCache) error {
 	if len(dst) == 0 {
 		return nil
 	}
@@ -767,22 +866,16 @@ func (ix *ShardIndex) readSectionRange(name string, off uint64, dst []byte) erro
 			continue
 		}
 		if lo == sh.off && hi == sh.off+uint64(sh.rawLen) {
-			// Whole shard wanted: decode straight into place.
 			if err := ix.readShard(k, dst[lo-off:hi-off]); err != nil {
 				return err
 			}
 			continue
 		}
-		bp := defaultBudget.getShardBuf(int(sh.rawLen))
-		tmp := (*bp)[:sh.rawLen]
-		err := ix.readShard(k, tmp)
-		if err == nil {
-			copy(dst[lo-off:hi-off], tmp[lo-sh.off:hi-sh.off])
-		}
-		defaultBudget.putShardBuf(bp)
+		raw, err := cache.shard(ix, k)
 		if err != nil {
 			return err
 		}
+		copy(dst[lo-off:hi-off], raw[lo-sh.off:hi-sh.off])
 	}
 	for _, g := range gaps {
 		if ix.parent == nil {
@@ -793,7 +886,7 @@ func (ix *ShardIndex) readSectionRange(name string, off uint64, dst []byte) erro
 			// zero-size tail; leave dst zeroed.
 			continue
 		}
-		if err := ix.parent.readSectionRange(name, g.Off, dst[g.Off-off:g.Off-off+g.Len]); err != nil {
+		if err := ix.parent.readSectionRange(name, g.Off, dst[g.Off-off:g.Off-off+g.Len], cache); err != nil {
 			return err
 		}
 	}

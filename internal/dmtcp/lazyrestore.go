@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/addrspace"
+	"repro/internal/par"
 )
 
 // PrefetchClass orders the background drain: device memory first (a
@@ -44,19 +45,8 @@ type sectionSource struct {
 	off  uint64
 }
 
-// memSource pushes bytes already decoded during planning (a delta's
-// own devmem payload). The whole plan fills exactly once (two faults
-// overlapping one plan must not race same-byte writes), so the fill is
-// gated by a sync.Once — Do blocks concurrent callers until the first
-// fill completes, which is what makes the subsequent MarkWarm sound.
-type memSource struct {
-	data []byte
-	once *sync.Once
-}
-
 func (regionSource) isPlanSource()  {}
 func (sectionSource) isPlanSource() {}
-func (memSource) isPlanSource()     {}
 
 // fillPlan binds one target address range to its image bytes.
 type fillPlan struct {
@@ -87,6 +77,14 @@ type LazyRestorer struct {
 	// RunLazyRestartHooks (plugins that do not implement
 	// LazyRestartPlugin).
 	Mergers map[string]SectionMerger
+
+	// Workers is the restoring engine's worker setting (<=0: all CPUs);
+	// the Prefetch drain runs on half of it, at least one (drainWorkers).
+	// Budget is the domain its workers draw a slot from per chunk — the
+	// engine's own, so a pooled session's drain shares the machine with
+	// the pool's checkpoint pipelines.
+	Workers int
+	Budget  *WorkerBudget
 
 	plans    []fillPlan // sorted by addr once sealed
 	secPlans map[secKey][]int
@@ -153,13 +151,22 @@ func (r *LazyRestorer) SectionBytes(name string) ([]byte, error) {
 }
 
 // ImageSectionBytes materializes the named section as carried by chain
-// image img (the plugin uses it to read a delta's own devmem2 listing,
-// or an ancestor base's call log).
+// image img (the plugin uses it to read an ancestor base's call log).
 func (r *LazyRestorer) ImageSectionBytes(img int, name string) ([]byte, error) {
 	if img < 0 || img >= len(r.chain) {
 		return nil, fmt.Errorf("%w: no chain image %d", ErrDeltaChain, img)
 	}
 	return r.chain[img].SectionBytes(name)
+}
+
+// ImageSection opens the named section of chain image img for ranged
+// reads: the plugin walks a delta's devmem2 entry headers through it,
+// decoding only the shards that hold a header.
+func (r *LazyRestorer) ImageSection(img int, name string) (*SectionReader, error) {
+	if img < 0 || img >= len(r.chain) {
+		return nil, fmt.Errorf("%w: no chain image %d", ErrDeltaChain, img)
+	}
+	return r.chain[img].SectionReader(name)
 }
 
 // PlanRegions registers one fill plan per tip region: the whole
@@ -189,12 +196,6 @@ func (r *LazyRestorer) PlanSection(addr, length uint64, img int, name string, of
 	key := secKey{img: img, name: name}
 	r.secPlans[key] = append(r.secPlans[key], idx)
 	return nil
-}
-
-// PlanMem binds [addr, addr+len(data)) to bytes already in memory.
-func (r *LazyRestorer) PlanMem(addr uint64, data []byte, class PrefetchClass) {
-	r.addPlan(fillPlan{addr: addr, length: uint64(len(data)), class: class,
-		src: memSource{data: data, once: new(sync.Once)}})
 }
 
 func (r *LazyRestorer) addPlan(p fillPlan) {
@@ -344,7 +345,6 @@ func (r *LazyRestorer) MaterializeRange(addr, length uint64) error {
 
 func (r *LazyRestorer) materialize(addr, length uint64) error {
 	refs := make(map[shardRef]struct{})
-	var mems []*fillPlan
 	err := r.plansOverlapping(addr, length, func(p *fillPlan, lo, hi uint64) error {
 		switch src := p.src.(type) {
 		case regionSource:
@@ -364,9 +364,6 @@ func (r *LazyRestorer) materialize(addr, length uint64) error {
 			for _, k := range idxs {
 				refs[shardRef{img: src.img, idx: k}] = struct{}{}
 			}
-			return nil
-		case memSource:
-			mems = append(mems, p)
 			return nil
 		default:
 			return fmt.Errorf("dmtcp: unknown plan source %T", src)
@@ -391,16 +388,6 @@ func (r *LazyRestorer) materialize(addr, length uint64) error {
 		if err := r.ensureShard(ref); err != nil {
 			return err
 		}
-	}
-	for _, m := range mems {
-		src := m.src.(memSource)
-		addr := m.addr
-		// Whole-plan fill, exactly once: Do blocks concurrent callers
-		// until the bytes are in place.
-		src.once.Do(func() {
-			r.space.FillCold(addr, src.data)
-			r.filledBytes.Add(uint64(len(src.data)))
-		})
 	}
 	r.space.MarkWarm(addr, length)
 	return nil
@@ -560,20 +547,23 @@ func subtractSpans(part addrspace.Span, cover []addrspace.Span) []addrspace.Span
 }
 
 // prefetchChunk is the page-aligned granularity of the background
-// drain: roughly one shard, so the prefetcher reaches a yield point —
+// drain: roughly one shard, so a drain worker reaches a yield point —
 // where it defers to foreground faults and lets the scheduler run the
 // application — at sub-millisecond intervals even on a single core.
 const prefetchChunk = 1 << 20
 
 // Prefetch drains every plan, class by class in PrefetchClass order,
-// until the whole image is materialized or ctx is cancelled. Faults
-// racing the prefetcher deduplicate on the single-flight shard calls,
-// and foreground materializations (faults, DrainLazy barriers) take
-// strict priority: the drain pauses while any is in flight, so a
-// restarted request never queues behind background prefetching. A
-// cancelled prefetch leaves the remaining cold pages materializable on
-// demand — the session stays fully usable.
+// until the whole image is materialized or ctx is cancelled: the
+// chunks are handed out in that order to drainWorkers goroutines, each
+// holding one Budget slot per chunk. Faults racing the drain
+// deduplicate on the single-flight shard calls, and foreground
+// materializations (faults, DrainLazy barriers) take strict priority:
+// every worker pauses while any is in flight, so a restarted request
+// never queues behind background prefetching. The first error ends the
+// drain. A failed or cancelled prefetch leaves the remaining cold pages
+// materializable on demand — the session stays fully usable.
 func (r *LazyRestorer) Prefetch(ctx context.Context) error {
+	var chunks []addrspace.Span
 	for _, class := range []PrefetchClass{ClassDevice, ClassPinned, ClassRegion, ClassManaged} {
 		for i := range r.plans {
 			p := &r.plans[i]
@@ -583,30 +573,56 @@ func (r *LazyRestorer) Prefetch(ctx context.Context) error {
 			start := p.addr &^ (addrspace.PageSize - 1)
 			end := (p.addr + p.length + addrspace.PageSize - 1) &^ (addrspace.PageSize - 1)
 			for at := start; at < end; at += prefetchChunk {
-				for r.fg.Load() != 0 {
-					if err := ctx.Err(); err != nil {
-						return err
-					}
-					time.Sleep(50 * time.Microsecond)
-				}
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				hi := at + prefetchChunk
-				if hi > end {
-					hi = end
-				}
-				if err := r.materialize(at, hi-at); err != nil {
-					return err
-				}
-				// A scheduling point per chunk: on saturated cores the
-				// application (and its faults) get the processor between
-				// every decoded shard.
-				runtime.Gosched()
+				chunks = append(chunks, addrspace.Span{Off: at, Len: min(prefetchChunk, end-at)})
 			}
 		}
 	}
-	return nil
+	ctx, stop := context.WithCancel(ctx)
+	defer stop()
+	var (
+		once  sync.Once
+		first error
+	)
+	cancelled := par.ForErrCtx(ctx, r.drainWorkers(), len(chunks), func(i int) error {
+		if err := r.prefetchOne(ctx, chunks[i]); err != nil {
+			once.Do(func() { first = err; stop() })
+		}
+		return nil
+	})
+	if first != nil {
+		return first
+	}
+	return cancelled
+}
+
+// drainWorkers is the width of the background drain: half the engine's
+// workers, at least one. The drain runs beside the application the
+// restart just resumed, and its chunks are pure CPU (hash, copy); at
+// full width on a saturated machine it and the application's own
+// threads take turns on every core, and both the application's first
+// requests and the drain's finishing time move with the scheduler.
+func (r *LazyRestorer) drainWorkers() int {
+	return max(1, par.Workers(r.Workers)/2)
+}
+
+// prefetchOne materializes one drain chunk once no foreground
+// materialization is in flight.
+func (r *LazyRestorer) prefetchOne(ctx context.Context, c addrspace.Span) error {
+	for r.fg.Load() != 0 {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	if err := r.Budget.acquire(ctx); err != nil {
+		return err
+	}
+	err := r.materialize(c.Off, c.Len)
+	r.Budget.release()
+	// A scheduling point per chunk: on saturated cores the application
+	// (and its faults) get the processor between every decoded shard.
+	runtime.Gosched()
+	return err
 }
 
 // Span overlap note: plans never overlap each other (regions are

@@ -10,6 +10,7 @@
 package spin
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,20 +33,34 @@ func spin(iters int) uint64 {
 	return acc
 }
 
-func calibrate() {
-	const probe = 1 << 16
-	start := time.Now()
-	sink.Store(spin(probe))
-	elapsed := time.Since(start)
-	perIterNs = float64(elapsed.Nanoseconds()) / probe
-	if perIterNs <= 0 {
-		perIterNs = 1
+// calibrate keeps the fastest of a run of probes, and goes on probing
+// until the fastest has stood for `settle` probes in a row: a shared
+// host clocks its cores at more than one speed, a fresh process starts
+// on a cold one, and a single probe that lands on a slow stretch would
+// make every modelled latency too short for the life of the process.
+func calibrate() float64 {
+	const probe, settle, maxProbes = 1 << 16, 64, 512
+	best := time.Duration(math.MaxInt64)
+	for i, stood := 0, 0; i < maxProbes && stood < settle; i++ {
+		start := time.Now()
+		sink.Store(spin(probe))
+		el := time.Since(start)
+		if el < best-best/100 {
+			stood = 0
+		} else {
+			stood++
+		}
+		best = min(best, el)
 	}
+	if best <= 0 {
+		return 1
+	}
+	return float64(best.Nanoseconds()) / probe
 }
 
 // Iters returns the spin iteration count approximating ns nanoseconds.
 func Iters(ns int) int {
-	once.Do(calibrate)
+	once.Do(func() { perIterNs = calibrate() })
 	n := int(float64(ns) / perIterNs)
 	if n < 1 {
 		n = 1

@@ -1,0 +1,361 @@
+package crac
+
+// Count-based tests for "a lazy restart reads each image byte once"
+// (ISSUE 13): what the backing store is asked for, by name and in
+// bytes, while a depth-15 delta chain behind a CASStore is indexed,
+// restarted from lazily, and drained. Counts, not timings: they repeat
+// exactly.
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"io"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"repro/internal/cas"
+	"repro/internal/cracplugin"
+	"repro/internal/dmtcp"
+)
+
+// countingStore is a MemStore that tallies, per stored name, the bytes
+// fetched from it: a Get counts the whole object (and as one whole
+// fetch), a GetAt handle counts what each ReadAt returned.
+type countingStore struct {
+	*MemStore
+	mu    sync.Mutex
+	whole map[string]int   // Get calls
+	bytes map[string]int64 // bytes fetched, either way
+}
+
+func newCountingStore() *countingStore {
+	return &countingStore{MemStore: NewMemStore(), whole: map[string]int{}, bytes: map[string]int64{}}
+}
+
+func (c *countingStore) add(name string, n int64, whole bool) {
+	c.mu.Lock()
+	c.bytes[name] += n
+	if whole {
+		c.whole[name]++
+	}
+	c.mu.Unlock()
+}
+
+func (c *countingStore) Get(ctx context.Context, name string) (io.ReadCloser, error) {
+	rc, err := c.MemStore.Get(ctx, name)
+	if err != nil {
+		return nil, err
+	}
+	data, err := io.ReadAll(rc)
+	rc.Close()
+	if err != nil {
+		return nil, err
+	}
+	c.add(name, int64(len(data)), true)
+	return io.NopCloser(bytes.NewReader(data)), nil
+}
+
+type countingReaderAt struct {
+	ReaderAtCloser
+	c    *countingStore
+	name string
+}
+
+func (r countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	n, err := r.ReaderAtCloser.ReadAt(p, off)
+	r.c.add(r.name, int64(n), false)
+	return n, err
+}
+
+func (c *countingStore) GetAt(ctx context.Context, name string) (ReaderAtCloser, int64, error) {
+	ra, size, err := c.MemStore.GetAt(ctx, name)
+	if err != nil {
+		return nil, 0, err
+	}
+	return countingReaderAt{ra, c, name}, size, nil
+}
+
+// reset clears the tallies; total sums the bytes fetched, chunks only
+// or everything.
+func (c *countingStore) reset() {
+	c.mu.Lock()
+	c.whole, c.bytes = map[string]int{}, map[string]int64{}
+	c.mu.Unlock()
+}
+
+func (c *countingStore) total(chunksOnly bool) (bytes int64, wholeChunks int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for name, n := range c.bytes {
+		if cas.IsChunkName(name) {
+			wholeChunks += c.whole[name]
+		} else if chunksOnly {
+			continue
+		}
+		bytes += n
+	}
+	return bytes, wholeChunks
+}
+
+// onceWorkload fills every buffer with bytes no two shards share, so a
+// chunk name stands for one place in one image and a second fetch of
+// it is a second read of the same bytes.
+type onceWorkload struct {
+	s    *Session
+	rng  *rand.Rand
+	host []uint64
+	dev  []uint64
+}
+
+const (
+	onceBufSize = 256 << 10
+	onceShard   = 64 << 10
+	onceDepth   = 15
+)
+
+func (w *onceWorkload) scribble(t testing.TB, addr, n uint64) {
+	t.Helper()
+	data := make([]byte, n)
+	w.rng.Read(data)
+	if err := w.s.Space().WriteAt(addr, data); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func newOnceWorkload(t testing.TB, s *Session) *onceWorkload {
+	t.Helper()
+	w := &onceWorkload{s: s, rng: rand.New(rand.NewSource(13))}
+	rt := s.Runtime()
+	alloc := func(n int, f func(uint64) (uint64, error)) []uint64 {
+		var out []uint64
+		for i := 0; i < n; i++ {
+			a, err := f(onceBufSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.scribble(t, a, onceBufSize)
+			out = append(out, a)
+		}
+		return out
+	}
+	w.host = alloc(8, rt.HostAlloc)
+	w.dev = alloc(8, rt.Malloc)
+	alloc(1, rt.MallocManaged)
+	return w
+}
+
+// step dirties part of one host buffer and all of one device buffer.
+func (w *onceWorkload) step(t testing.TB, round int) {
+	w.scribble(t, w.host[round%len(w.host)]+4096, onceShard)
+	w.scribble(t, w.dev[round%len(w.dev)], onceBufSize)
+}
+
+// sectionShardNames returns the chunk names of the shards of sec (laid
+// on the shard grid from offset 0) that overlap any of the byte ranges
+// [off, off+n) in at.
+func sectionShardNames(sec []byte, at [][2]int) map[string]bool {
+	names := map[string]bool{}
+	for _, r := range at {
+		for k := r[0] / onceShard; k*onceShard < r[0]+r[1] && k*onceShard < len(sec); k++ {
+			names[cas.ChunkName(sha256.Sum256(sec[k*onceShard:min((k+1)*onceShard, len(sec))]))] = true
+		}
+	}
+	return names
+}
+
+// devMem2HeaderRanges lists where the count and the entry headers of a
+// devmem2 section sit.
+func devMem2HeaderRanges(t testing.TB, sec []byte) [][2]int {
+	t.Helper()
+	out := [][2]int{{0, 4}}
+	off := 4
+	for i := binary.LittleEndian.Uint32(sec); i > 0; i-- {
+		out = append(out, [2]int{off, 17})
+		size := int(binary.LittleEndian.Uint64(sec[off+8:]))
+		present := sec[off+16]&1 != 0
+		off += 17
+		if present {
+			off += size
+		}
+	}
+	if off != len(sec) {
+		t.Fatalf("devmem2 walk ended at %d of %d", off, len(sec))
+	}
+	return out
+}
+
+// storedSection reads name back whole and returns one section as that
+// image carries it (an opaque section of a delta is carried in full).
+func storedSection(t *testing.T, store Store, name, section string) []byte {
+	t.Helper()
+	data := conformGet(t, store, name)
+	ix, err := dmtcp.OpenShardIndex(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sec, err := ix.SectionBytes(section)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return sec
+}
+
+func TestLazyRestartReadsEachByteOnce(t *testing.T) {
+	for _, workers := range []int{1, 4} { // the drain takes half: one worker, then two
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			ctx := context.Background()
+			opts := []Option{WithWorkers(workers), WithIncremental(onceDepth), WithShardSize(onceShard)}
+			s, err := New(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			w := newOnceWorkload(t, s)
+			backing := newCountingStore()
+			store := NewCASStore(backing)
+
+			var names []string
+			var live int64
+			for gen := 0; gen <= onceDepth; gen++ {
+				if gen > 0 {
+					w.step(t, gen)
+				}
+				name := fmt.Sprintf("gen%02d", gen)
+				st, err := s.CheckpointTo(ctx, store, name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.Delta != (gen > 0) {
+					t.Fatalf("%s: delta=%v", name, st.Delta)
+				}
+				if gen == 0 {
+					live = int64(st.PayloadTotal)
+				}
+				names = append(names, name)
+			}
+			tip := names[onceDepth]
+
+			// What may legitimately be fetched how often. A chunk is
+			// fetched once per place that references it; the shards of a
+			// delta's devmem2 section that hold the count or an entry
+			// header are fetched once more, by the planning walk, before
+			// the drain reads them for their payload. So is the base's
+			// call log here: no CUDA call is logged after the base, so
+			// the tip's log resolves to the base's shard, which the
+			// replay reads as the tip's log and the layout computation
+			// as the base's.
+			refs := map[string]int64{}
+			length := map[string]int64{}
+			for _, name := range names {
+				rc, err := backing.MemStore.Get(ctx, name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				man, err := cas.DecodeManifest(rc)
+				rc.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range man.Segments {
+					if seg := &man.Segments[i]; seg.IsChunk() {
+						refs[seg.ChunkName()]++
+						length[seg.ChunkName()] = int64(seg.Length)
+					}
+				}
+			}
+			twice := map[string]bool{}
+			headerShards := 0
+			for i, name := range names {
+				if i == 0 {
+					log := storedSection(t, store, name, cracplugin.SectionLog)
+					for n := range sectionShardNames(log, [][2]int{{0, len(log)}}) {
+						twice[n] = true
+					}
+					continue
+				}
+				sec := storedSection(t, store, name, cracplugin.SectionDevMem2)
+				hs := sectionShardNames(sec, devMem2HeaderRanges(t, sec))
+				headerShards += len(hs)
+				for n := range hs {
+					twice[n] = true
+				}
+			}
+			backing.reset()
+
+			// (a) The index scan of every chain member reads the
+			// manifest's inline bytes only: no chunk is touched at all.
+			for _, name := range names {
+				src, size, err := store.GetAt(ctx, name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := dmtcp.OpenShardIndex(src, size); err != nil {
+					t.Fatalf("OpenShardIndex(%s): %v", name, err)
+				}
+				src.Close()
+			}
+			if n, whole := backing.total(true); n != 0 || whole != 0 {
+				t.Fatalf("index scan of the chain fetched %d chunk bytes (%d whole chunks), want none", n, whole)
+			}
+			backing.reset()
+
+			// (b) The visible phase. The drain starts as RestartAsync
+			// returns, so the tally read here can only be too high.
+			p, err := s.RestartAsync(ctx, store, tip)
+			if err != nil {
+				t.Fatal(err)
+			}
+			visible, _ := backing.total(false)
+			if visible*2 >= live {
+				t.Fatalf("visible phase fetched %d bytes, want < 50%% of the %d live", visible, live)
+			}
+			if _, err := p.Wait(); err != nil {
+				t.Fatalf("drain: %v", err)
+			}
+			if cold := s.Space().ColdBytes(); cold != 0 {
+				t.Fatalf("%d bytes still cold after drain", cold)
+			}
+
+			// (c) Visible + drain: nothing beyond its allowance, and
+			// all of it within 1.5× the live state.
+			total, _ := backing.total(false)
+			if 2*total > 3*live {
+				t.Fatalf("restart fetched %d bytes in all, want <= 1.5x the %d live", total, live)
+			}
+			refetched := 0
+			backing.mu.Lock()
+			for name, got := range backing.bytes {
+				if !cas.IsChunkName(name) {
+					continue
+				}
+				allowed := refs[name] * length[name]
+				if got > allowed {
+					refetched++
+					if !twice[name] || got > allowed+length[name] {
+						t.Errorf("chunk %s (%d bytes, %d references): %d bytes fetched", name, length[name], refs[name], got)
+					}
+				}
+			}
+			backing.mu.Unlock()
+			if refetched == 0 || refetched > len(twice) {
+				t.Errorf("%d chunks fetched twice, want 1..%d (%d header-bearing devmem2 shards)", refetched, len(twice), headerShards)
+			}
+			t.Logf("live %d: visible %d (%.0f%%), total %d (%.0f%%), %d chunks read twice of %d allowed",
+				live, visible, 100*float64(visible)/float64(live), total, 100*float64(total)/float64(live), refetched, len(twice))
+
+			// Invariant 11: drained memory equals an eager restart's.
+			ref, err := RestoreFrom(ctx, store, tip, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ref.Close()
+			if !bytes.Equal(sessionSnapshot(t, ref), sessionSnapshot(t, s)) {
+				t.Fatal("lazy-restored memory differs from an eager restart of the same tip")
+			}
+		})
+	}
+}

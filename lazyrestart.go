@@ -222,6 +222,7 @@ func (s *Session) RestartAsync(ctx context.Context, store Store, name string) (*
 		return abort(err)
 	}
 	restorer.Mergers = sectionMergers
+	restorer.Workers, restorer.Budget = s.engine.Workers, s.engine.Budget
 	restorer.PlanRegions()
 
 	// Replay the log into the fresh library (recreating every

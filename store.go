@@ -313,7 +313,11 @@ func (s *DirStore) Put(ctx context.Context, name string, write func(io.Writer) e
 	if err := atomicWriteFile(s.Dir, s.path(name), !s.NoSync, write); err != nil {
 		return err
 	}
-	s.prune(name)
+	// A chunk is not an image: writing one cannot change what retention
+	// would keep, and the manifest Put that follows prunes anyway.
+	if !cas.IsChunkName(name) {
+		s.prune(name)
+	}
 	return nil
 }
 

@@ -191,6 +191,40 @@ func TestDirStoreRetention(t *testing.T) {
 	}
 }
 
+// TestDirStoreChunkPutSkipsRetention: a content-addressed chunk is not
+// an image, so writing one neither counts toward Keep nor triggers a
+// retention pass (a directory listing per chunk); the image Put that
+// follows prunes as ever.
+func TestDirStoreChunkPutSkipsRetention(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	s, err := NewDirStore(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		storePutBytes(t, s, fmt.Sprintf("gen%03d", i), []byte{byte(i)})
+		tm := time.Now().Add(time.Duration(i-4) * time.Second)
+		os.Chtimes(filepath.Join(dir, fmt.Sprintf("gen%03d.img", i)), tm, tm)
+	}
+	// Retention switched on with images already over the limit: only a
+	// retention pass can remove them.
+	s.Keep = 1
+	chunk := "cas-" + strings.Repeat("ab", 32)
+	storePutBytes(t, s, chunk, []byte("chunk"))
+	if names, _ := s.List(ctx); len(names) != 4 {
+		t.Fatalf("List after a chunk Put = %v, want the three images and the chunk", names)
+	}
+	storePutBytes(t, s, "gen003", []byte{3})
+	names, err := s.List(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) != 2 || names[0] != chunk || names[1] != "gen003" {
+		t.Fatalf("List after the image Put = %v, want [%s gen003]", names, chunk)
+	}
+}
+
 func TestDirStoreRejectsHostileNames(t *testing.T) {
 	s, err := NewDirStore(t.TempDir(), 0)
 	if err != nil {
