@@ -553,12 +553,10 @@ func BenchmarkCheckpointIncremental(b *testing.B) {
 
 // BenchmarkCheckpointPause measures the application-visible pause of a
 // checkpoint — the stop-the-world window — on the standard ~69 MiB
-// sparse-update workload, across the policy matrix: blocking vs
-// concurrent (snapshot-and-release), full images vs incremental deltas.
-// ns/op is the full checkpoint latency; the pauseMs/op metric is what a
-// serving application actually freezes for. The concurrent rows are
-// expected to pause ≥5× less than their blocking counterparts (pinned
-// by TestConcurrentPauseReduction in concurrent_test.go).
+// sparse-update workload, for full images and incremental deltas. ns/op
+// is the full checkpoint latency; the pauseMs/op metric is what a
+// serving application actually freezes for — at most a fifth of the
+// total (pinned by TestConcurrentPauseReduction in concurrent_test.go).
 func BenchmarkCheckpointPause(b *testing.B) {
 	const (
 		hostBufs  = 16
@@ -569,10 +567,8 @@ func BenchmarkCheckpointPause(b *testing.B) {
 		name string
 		opts []crac.Option
 	}{
-		{"blocking/full", nil},
-		{"blocking/delta", []crac.Option{crac.WithIncremental(64)}},
-		{"concurrent/full", []crac.Option{crac.WithConcurrentCheckpoint()}},
-		{"concurrent/delta", []crac.Option{crac.WithConcurrentCheckpoint(), crac.WithIncremental(64)}},
+		{"full", nil},
+		{"delta", []crac.Option{crac.WithIncremental(64)}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			opts := append([]crac.Option{crac.WithWorkers(0), crac.WithShardSize(256 << 10)}, bc.opts...)

@@ -154,8 +154,8 @@ func (s *CASStore) Put(ctx context.Context, name string, write func(w io.Writer)
 				unknown = append(unknown, pc.name)
 			}
 		}
-		if be, ok := s.backing.(BatchExister); ok && len(unknown) > 0 {
-			if have, err := be.ExistsBatch(ctx, unknown); err == nil {
+		if len(unknown) > 0 {
+			if have, err := existsBatch(ctx, s.backing, unknown); err == nil {
 				for n, ok := range have {
 					if ok {
 						s.markPresent(n)
@@ -311,6 +311,12 @@ func (s *CASStore) List(ctx context.Context) ([]string, error) {
 	}
 	return out, nil
 }
+
+// SingleImage passes the backing's one-slot property through: a chain
+// cannot live where every manifest lands in the same slot. (Len and
+// ExistsBatch are deliberately not forwarded — the backing counts and
+// answers for chunks too; StoreLen's List fallback counts images.)
+func (s *CASStore) SingleImage() bool { return singleImageStore(s.backing) }
 
 // Delete implements Store: it removes the manifest only. Chunks the
 // image referenced stay until GC proves nothing else references them.

@@ -10,8 +10,9 @@
 //
 // Each experiment prints the paper-style table to stdout; with -out, a
 // CSV per table is written as well; with -benchjson, every result row
-// is also written to one JSON file for machine consumption (CI tracks
-// the checkpoint/restart perf trajectory this way).
+// is also written to one JSON file for machine consumption (CI uploads
+// it as an artifact: tables, not a gate — the regression signal is the
+// repository benchmark under benchmark/).
 package main
 
 import (
@@ -52,11 +53,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		expID     = fs.String("exp", "all", "experiment id (see -list) or \"all\"")
 		list      = fs.Bool("list", false, "list experiments and exit")
-		compare   = fs.String("compare", "", "baseline -benchjson file: compare it against the new file given as the positional argument and fail on timing regressions")
-		gateTol   = fs.Float64("gate-threshold", 0.25, "with -compare: maximum allowed slowdown (0.25 = 25%)")
-		gateMinMS = fs.Float64("gate-min-ms", 2.0, "with -compare: ignore baseline timings below this many milliseconds (noise floor)")
-		gateSlack = fs.Float64("gate-slack-ms", 10.0, "with -compare: additionally require the slowdown to exceed this many milliseconds")
-		gateMD    = fs.String("summary", "", "with -compare: append a markdown summary table to this file (e.g. $GITHUB_STEP_SUMMARY)")
 		scale     = fs.Float64("scale", 1.0, "workload scale factor (1.0 = repository default)")
 		iters     = fs.Int("iters", 3, "timed repetitions per data point (paper: 10)")
 		quick     = fs.Bool("quick", false, "shrink workloads for a fast smoke run")
@@ -70,14 +66,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 0
 		}
 		return 2
-	}
-
-	if *compare != "" {
-		if fs.NArg() != 1 {
-			fmt.Fprintln(stderr, "cracbench: -compare needs exactly one positional argument: cracbench -compare old.json new.json")
-			return 2
-		}
-		return runCompare(*compare, fs.Arg(0), *gateTol, *gateMinMS, *gateSlack, *gateMD, stdout, stderr)
 	}
 
 	if *list {

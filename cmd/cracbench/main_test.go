@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -76,84 +75,5 @@ func TestQuickExperimentWithArtifacts(t *testing.T) {
 	csvs, _ := filepath.Glob(filepath.Join(dir, "*.csv"))
 	if len(csvs) == 0 {
 		t.Fatalf("no CSV artifacts in %s", dir)
-	}
-}
-
-// gateReport builds a minimal -benchjson document with one timing
-// metric per row.
-func gateReport(t *testing.T, path string, restartMS, ttfkMS float64) {
-	t.Helper()
-	doc := fmt.Sprintf(`{"experiments":[{"id":"restart","title":"t","elapsed_ms":1,"tables":[
-		{"ID":"restart","Title":"Restart time-to-first-kernel (eager vs lazy)",
-		 "Columns":["Path","Visible (ms)","TTFK (ms)"],
-		 "Rows":[["eager","%.2f","%.2f"],["lazy","1.50","%.2f"]]}]}]}`,
-		restartMS, restartMS, ttfkMS)
-	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestCompareGate checks the bench-gate's verdicts: equal reports
-// pass, a >25%+slack slowdown fails, and a below-noise-floor metric is
-// ignored.
-func TestCompareGate(t *testing.T) {
-	dir := t.TempDir()
-	oldP := filepath.Join(dir, "old.json")
-	newP := filepath.Join(dir, "new.json")
-
-	gateReport(t, oldP, 60, 4)
-	gateReport(t, newP, 62, 4.2) // within threshold
-	code, out, errOut := runBench(t, "-compare", oldP, newP)
-	if code != 0 {
-		t.Fatalf("within-threshold compare failed (%d):\n%s\n%s", code, out, errOut)
-	}
-	if !strings.Contains(out, "0 regressions") {
-		t.Fatalf("missing summary:\n%s", out)
-	}
-
-	// -summary appends the markdown table CI drops into
-	// $GITHUB_STEP_SUMMARY (appends: the file accumulates sections).
-	sumP := filepath.Join(dir, "summary.md")
-	if err := os.WriteFile(sumP, []byte("prior step\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if code, out, errOut = runBench(t, "-compare", oldP, "-summary", sumP, newP); code != 0 {
-		t.Fatalf("compare with -summary failed (%d):\n%s\n%s", code, out, errOut)
-	}
-	md, err := os.ReadFile(sumP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"prior step", "### Bench gate", "no regressions", "| Metric |", "eager / Visible (ms)"} {
-		if !strings.Contains(string(md), want) {
-			t.Fatalf("summary missing %q:\n%s", want, md)
-		}
-	}
-
-	gateReport(t, newP, 130, 25) // 2x and 6x slowdowns
-	code, out, errOut = runBench(t, "-compare", oldP, "-summary", sumP, newP)
-	if code != 1 {
-		t.Fatalf("regression not flagged (exit %d):\n%s", code, out)
-	}
-	if !strings.Contains(errOut, "regressed") || !strings.Contains(out, "REGRESSION") {
-		t.Fatalf("missing regression report:\n%s\n%s", out, errOut)
-	}
-	if md, err = os.ReadFile(sumP); err != nil || !strings.Contains(string(md), "**REGRESSION**") {
-		t.Fatalf("summary missing regression marker (%v):\n%s", err, md)
-	}
-
-	// A big relative jump on a sub-noise-floor metric passes.
-	gateReport(t, oldP, 0.5, 0.4)
-	gateReport(t, newP, 1.5, 1.2)
-	if code, out, _ = runBench(t, "-compare", oldP, newP); code != 0 {
-		t.Fatalf("noise-floor metric flagged (exit %d):\n%s", code, out)
-	}
-
-	// Usage errors: missing positional, unreadable files.
-	if code, _, _ = runBench(t, "-compare", oldP); code != 2 {
-		t.Fatalf("missing positional: exit %d", code)
-	}
-	if code, _, _ = runBench(t, "-compare", filepath.Join(dir, "absent.json"), newP); code != 2 {
-		t.Fatalf("missing baseline: exit %d", code)
 	}
 }

@@ -95,7 +95,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		timeout  = fs.Duration("timeout", 0, "checkpoint/restart deadline (0 = none)")
 		incr     = fs.Int("incremental", 0, "incremental checkpointing: up to N delta images per full base (requires -ckpt-dir; 0 = off)")
 		lazy     = fs.Bool("lazy", false, "lazy on-demand restart: resume execution after metadata + log replay, fault shards in on access, drain in the background (reports time-to-first-kernel)")
-		conc     = fs.Bool("concurrent", false, "snapshot-and-release checkpoints: pause only for the epoch cut, write the image concurrently")
 		profile  = fs.Bool("profile", false, "print an nvprof-style per-API call summary")
 		verify   = fs.Bool("verify", false, "verify each checkpoint's chain end to end after it commits")
 		scrub    = fs.Bool("scrub", false, "scrub the store before running: quarantine corrupt images and condemned deltas")
@@ -144,9 +143,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		sessionOpts = append(sessionOpts, crac.WithIncremental(*incr))
-	}
-	if *conc {
-		sessionOpts = append(sessionOpts, crac.WithConcurrentCheckpoint())
 	}
 	runner, err := harness.NewRunner(mode, prop, sessionOpts...)
 	if err != nil {
@@ -225,8 +221,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if err != nil {
 				return err
 			}
-			// The application-visible pause: with -concurrent this is just
-			// the drain + copy-on-write arming, far below the total.
+			// The application-visible pause is just the drain +
+			// copy-on-write arming, far below the total.
 			pause := st.PauseDuration.Round(time.Microsecond)
 			if st.Delta {
 				fmt.Fprintf(stdout, "checkpoint: %s delta (depth %d, %.1f%% dirty: %s of %s payload) in %v (paused %v)\n",

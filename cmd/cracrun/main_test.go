@@ -123,32 +123,36 @@ func TestIncrementalRequiresDirStore(t *testing.T) {
 	}
 }
 
-// TestConcurrentCheckpointFlag exercises -concurrent: the run must
-// checkpoint through the snapshot-and-release path, report the
-// application-visible pause, and still restart from the image.
+// TestConcurrentCheckpointFlag: every checkpoint is snapshot-and-release
+// — the run reports the application-visible pause and still restarts
+// from the image — and the -concurrent flag that used to select that
+// is gone.
 func TestConcurrentCheckpointFlag(t *testing.T) {
 	dir := t.TempDir()
+	if code, _, _ := runCmd(t, "-app", "Hotspot", "-ckpt-dir", dir, "-concurrent"); code != 2 {
+		t.Fatalf("-concurrent exit = %d, want 2 (unknown flag)", code)
+	}
 	code, out, errOut := runCmd(t,
 		"-app", "Hotspot", "-mode", "crac", "-scale", "0.1",
-		"-ckpt-dir", dir, "-ckpt-step", "1", "-concurrent")
+		"-ckpt-dir", dir, "-ckpt-step", "1")
 	if code != 0 {
 		t.Fatalf("exit = %d, stderr:\n%s", code, errOut)
 	}
 	if !strings.Contains(out, "checkpoint: gen000") || !strings.Contains(out, "(paused ") {
-		t.Fatalf("missing concurrent checkpoint/pause lines:\n%s", out)
+		t.Fatalf("missing checkpoint/pause lines:\n%s", out)
 	}
 	if !strings.Contains(out, "restart:") {
 		t.Fatalf("missing restart line:\n%s", out)
 	}
 }
 
-// TestConcurrentIncrementalChain combines -concurrent with
-// -incremental: overlapped delta checkpoints, chain-tip restore.
+// TestConcurrentIncrementalChain: overlapped delta checkpoints report
+// their pause too, and the chain tip restores.
 func TestConcurrentIncrementalChain(t *testing.T) {
 	dir := t.TempDir()
 	code, out, errOut := runCmd(t,
 		"-app", "Hotspot", "-mode", "crac", "-scale", "0.1",
-		"-ckpt-dir", dir, "-ckpt-step", "1", "-incremental", "4", "-concurrent")
+		"-ckpt-dir", dir, "-ckpt-step", "1", "-incremental", "4")
 	if code != 0 {
 		t.Fatalf("exit = %d, stderr:\n%s", code, errOut)
 	}

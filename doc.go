@@ -92,12 +92,14 @@
 //
 // # Concurrent checkpoints
 //
-// CheckpointAsync shrinks the application-visible pause to the epoch
-// cut: the session stops only for the stream drain and the arming of a
-// copy-on-write snapshot (O(metadata)), then the image write and the
-// Store commit overlap with further execution. The committed image is
-// byte-identical to a blocking checkpoint taken at the cut, no matter
-// how hard the application mutates memory during the overlap:
+// Every checkpoint pauses the application only for the epoch cut: the
+// session stops for the stream drain and the arming of a copy-on-write
+// snapshot (O(metadata)), then the image write and the Store commit
+// overlap with further execution. The committed image is the state at
+// the cut, byte for byte, no matter how hard the application mutates
+// memory during the overlap. CheckpointTo and Checkpoint block their
+// caller until the commit; CheckpointAsync returns once the pause is
+// over:
 //
 //	p, err := s.CheckpointAsync(ctx, store, "gen042")
 //	if err != nil { ... }           // pause is already over here
@@ -110,13 +112,9 @@
 // partial image and releases every retained copy-on-write page. The
 // ctx passed to CheckpointAsync governs the overlapped write too — keep
 // it live until Wait reports completion (cancelling it aborts the
-// in-flight image).
-// WithConcurrentCheckpoint reroutes the blocking Checkpoint and
-// CheckpointTo onto the same path, so existing checkpoint loops get
-// the short pause without code changes, and Stats.PauseDuration splits
-// the stop-the-world window from the overlapped WriteDuration. For a
-// precise cut, bracket the arming with the (now real) Quiesce/Resume
-// pair, which gates kernel launches and memory writes until resumed.
+// in-flight image). For a precise cut, bracket the arming with the
+// Quiesce/Resume pair, which gates kernel launches and memory writes
+// until resumed.
 //
 // # Lazy restart
 //
@@ -169,8 +167,8 @@
 //	err = m.Wait()                           // post-copy tail drained:
 //	                                         // dst holds the whole chain
 //
-// The migrated session's memory is byte-identical to a blocking
-// checkpoint taken at the final cut. The source is left quiesced —
+// The migrated session's memory is byte-identical to a checkpoint
+// taken at the final cut. The source is left quiesced —
 // resume it to fail back, close it to complete the handoff
 // (WithMigrateCloseSource does the latter automatically). Network
 // failures classify through Transient, so WithRetry composes around
@@ -285,12 +283,6 @@
 // fan the refills out the same way. WithWorkers, WithShardSize and
 // WithGzip tune it; WithWorkers(1) selects the serial reference path,
 // which produces byte-identical images.
-//
-// # Legacy surface
-//
-// Config and NewSession (plus CheckpointFile/RestartFile) survive as
-// deprecated shims over the option/store surface and will not grow new
-// fields; see DESIGN.md's migration table.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // reproduction of every table and figure in the paper's evaluation.

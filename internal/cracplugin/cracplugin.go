@@ -28,6 +28,7 @@ import (
 	"repro/internal/dmtcp"
 	"repro/internal/par"
 	"repro/internal/replaylog"
+	"repro/internal/uvm"
 )
 
 // Section names inside the checkpoint image.
@@ -52,7 +53,7 @@ const devMemEntryHdr = 16
 // u64 size, u8 flags (bit0: payload follows).
 const devMem2EntryHdr = 17
 
-// Plugin implements dmtcp.Plugin (and dmtcp.DeltaPlugin) for CUDA state.
+// Plugin implements dmtcp.Plugin for CUDA state.
 type Plugin struct {
 	rt *cracrt.Runtime
 
@@ -66,7 +67,7 @@ type Plugin struct {
 	// Incremental drain state. prevEntries holds the (addr → size) set
 	// of allocations whose payload the committed chain tip can supply;
 	// prevUVMCut is the UVM touch cut taken at that checkpoint. The
-	// staged pair is written by PreCheckpointDelta and promoted by
+	// staged pair is written by an incremental emit and promoted by
 	// CommitIncremental only once the image durably landed — a failed
 	// or abandoned checkpoint must not advance the skip baseline, or
 	// the next delta would skip allocations whose payload no chain
@@ -99,19 +100,9 @@ func (p *Plugin) RootBlob() []byte {
 	return append([]byte(nil), p.root...)
 }
 
-// uvmCleanChecker answers the managed-allocation skip question. The
-// live *uvm.Manager serves the blocking path (the emit runs inside the
-// pause, and a page's dirtiness is monotone past a cut, so live answers
-// are never less conservative); the frozen *uvm.Snapshot serves the
-// concurrent path, where overlapped faulting must not change what this
-// image skips.
-type uvmCleanChecker interface {
-	CleanSince(addr, length, cut uint64) bool
-}
-
-// freezeCap is the non-memory state FreezeCheckpoint captures inside
-// the stop-the-world window: everything the later emit needs except the
-// payload bytes themselves, which it reads through the snapshot view.
+// freezeCap is the non-memory state Freeze captures inside the
+// stop-the-world window: everything the later emit needs except the
+// payload bytes themselves, which it reads through the engine's view.
 type freezeCap struct {
 	entries     []replaylog.Entry // immutable call-log prefix at the cut
 	root        []byte
@@ -120,23 +111,18 @@ type freezeCap struct {
 	prevEntries map[uint64]uint64
 	prevUVMCut  uint64
 	uvmCut      uint64
-	uvm         uvmCleanChecker
+	// uvm is the managed page state frozen at the cut: overlapped
+	// faulting must not change what this image skips.
+	uvm *uvm.Snapshot
 }
 
-// FreezeCheckpoint implements dmtcp.SnapshotPlugin: drain the queue of
-// pending CUDA kernels, then capture the call-log prefix, the UVM cut
-// and page-state view, and the incremental skip baseline — all
-// O(metadata). The returned emit runs later (possibly concurrently with
-// the application) and builds the sections from the capture, reading
-// allocation payloads only through the engine's view.
-func (p *Plugin) FreezeCheckpoint(since uint64, incremental bool) (dmtcp.EmitFunc, error) {
-	return p.freeze(since, incremental, true)
-}
-
-// freeze is the shared capture. frozenUVM selects the frozen UVM view
-// (needed only when the emit overlaps execution — the blocking hooks
-// skip the page-table copy).
-func (p *Plugin) freeze(since uint64, incremental, frozenUVM bool) (dmtcp.EmitFunc, error) {
+// Freeze implements dmtcp.Plugin: drain the queue of pending CUDA
+// kernels, then capture the call-log prefix, the UVM cut and page-state
+// view, and the incremental skip baseline — all O(metadata). The
+// returned emit runs later (possibly concurrently with the application)
+// and builds the sections from the capture, reading allocation payloads
+// only through the engine's view.
+func (p *Plugin) Freeze(since uint64, incremental bool) (dmtcp.EmitFunc, error) {
 	lib := p.rt.Library()
 
 	// Step (a) of the classic sequence: drain the queue
@@ -155,11 +141,7 @@ func (p *Plugin) freeze(since uint64, incremental, frozenUVM bool) (dmtcp.EmitFu
 		// is captured by the emit; accesses racing the drain re-emit next
 		// time.
 		fc.uvmCut = lib.UVM().CutEpoch()
-		if frozenUVM {
-			fc.uvm = lib.UVM().Snapshot()
-		} else {
-			fc.uvm = lib.UVM()
-		}
+		fc.uvm = lib.UVM().Snapshot()
 	}
 	p.mu.Lock()
 	fc.prevEntries = p.prevEntries
@@ -171,30 +153,9 @@ func (p *Plugin) freeze(since uint64, incremental, frozenUVM bool) (dmtcp.EmitFu
 	}, nil
 }
 
-// PreCheckpoint implements dmtcp.Plugin: the blocking lifecycle is
-// freeze + emit back to back, reading through the live space — the same
-// code path as a concurrent checkpoint, hence byte-identical images.
-func (p *Plugin) PreCheckpoint(ctx context.Context, sections *dmtcp.SectionMap) error {
-	emit, err := p.freeze(0, false, false)
-	if err != nil {
-		return err
-	}
-	return emit(ctx, p.rt.Library().Space(), sections)
-}
-
 // Resume implements dmtcp.Plugin: nothing to undo — the device was only
 // drained, not torn down, so execution simply continues.
 func (p *Plugin) Resume() error { return nil }
-
-// PreCheckpointDelta implements dmtcp.DeltaPlugin: freeze + emit with
-// the incremental (devmem2) encoding, reading through the live space.
-func (p *Plugin) PreCheckpointDelta(ctx context.Context, sections *dmtcp.SectionMap, since uint64) error {
-	emit, err := p.freeze(since, true, false)
-	if err != nil {
-		return err
-	}
-	return emit(ctx, p.rt.Library().Space(), sections)
-}
 
 // emit builds the log, devmem, and root sections from a freeze capture.
 // The allocation drain honors ctx: a cancelled checkpoint stops copying
@@ -346,7 +307,7 @@ func (p *Plugin) emit(ctx context.Context, view addrspace.View, sections *dmtcp.
 }
 
 // CommitIncremental promotes the drain state staged by the last
-// PreCheckpointDelta to the skip baseline. The caller invokes it once
+// incremental emit to the skip baseline. The caller invokes it once
 // the image has durably landed (e.g. the Store.Put committed); without
 // the call the baseline stays at the previous successful checkpoint.
 func (p *Plugin) CommitIncremental() {
@@ -585,8 +546,4 @@ func (p *Plugin) refill(ctx context.Context, space *addrspace.Space, jobs []refi
 	return nil
 }
 
-var (
-	_ dmtcp.Plugin         = (*Plugin)(nil)
-	_ dmtcp.DeltaPlugin    = (*Plugin)(nil)
-	_ dmtcp.SnapshotPlugin = (*Plugin)(nil)
-)
+var _ dmtcp.Plugin = (*Plugin)(nil)

@@ -36,6 +36,21 @@ func buildRT(t *testing.T) (*cracrt.Runtime, *cuda.Library) {
 	return cracrt.New(lib, entries, fsgs.None{}), lib
 }
 
+// freezeEmit runs the plugin's whole checkpoint hook — Freeze, then the
+// emit it returns — over the live space.
+func freezeEmit(t *testing.T, p *Plugin, since uint64, incremental bool) *dmtcp.SectionMap {
+	t.Helper()
+	emit, err := p.Freeze(since, incremental)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections := dmtcp.NewSectionMap()
+	if err := emit(context.Background(), p.rt.Library().Space(), sections); err != nil {
+		t.Fatal(err)
+	}
+	return sections
+}
+
 func TestPreCheckpointSectionsAndDrain(t *testing.T) {
 	rt, lib := buildRT(t)
 	d, err := rt.Malloc(8192)
@@ -53,12 +68,9 @@ func TestPreCheckpointSectionsAndDrain(t *testing.T) {
 	p := New(rt)
 	p.SetRootBlob([]byte("root!"))
 
-	sections := dmtcp.NewSectionMap()
-	if err := p.PreCheckpoint(context.Background(), sections); err != nil {
-		t.Fatal(err)
-	}
+	sections := freezeEmit(t, p, 0, false)
 	if !lib.Device().Drained() {
-		t.Fatal("device not drained by PreCheckpoint")
+		t.Fatal("device not drained by Freeze")
 	}
 	for _, name := range []string{SectionLog, SectionDevMem, SectionRoot} {
 		if _, ok := sections.Get(name); !ok {
@@ -94,10 +106,7 @@ func TestRestartRefills(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := New(rt)
-	sections := dmtcp.NewSectionMap()
-	if err := p.PreCheckpoint(context.Background(), sections); err != nil {
-		t.Fatal(err)
-	}
+	sections := freezeEmit(t, p, 0, false)
 
 	// Fresh process: new space/library, replay the log, then refill.
 	space2 := addrspace.New()
@@ -156,10 +165,7 @@ func TestRootBlobCopySemantics(t *testing.T) {
 // entries keyed by address (payload nil when skipped).
 func drainDelta(t *testing.T, p *Plugin, space *addrspace.Space, since uint64) map[uint64][]byte {
 	t.Helper()
-	sections := dmtcp.NewSectionMap()
-	if err := p.PreCheckpointDelta(context.Background(), sections, since); err != nil {
-		t.Fatal(err)
-	}
+	sections := freezeEmit(t, p, since, true)
 	if !sections.Opaque(SectionDevMem2) {
 		t.Fatal("devmem2 must be marked opaque")
 	}

@@ -1,6 +1,7 @@
 package dmtcp
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -128,8 +129,9 @@ func (c *Coordinator) CheckpointAll(sink func(rank int) (io.WriteCloser, error))
 // coordinated checkpoint instead of merely resuming.
 type Restarter interface {
 	Member
-	// RestartCheckpoint rebuilds the rank's state from the image in r.
-	RestartCheckpoint(r io.Reader) error
+	// Restart rebuilds the rank's state from the image in r (a
+	// crac.Session's own Restart).
+	Restart(ctx context.Context, r io.Reader) error
 }
 
 // RestartAll restarts every registered rank from the image source(rank)
@@ -162,7 +164,7 @@ func (c *Coordinator) RestartAll(source func(rank int) (io.ReadCloser, error)) e
 				errs <- fmt.Errorf("rank %d: %w", r, err)
 				return
 			}
-			err = rs.RestartCheckpoint(src)
+			err = rs.Restart(context.TODO(), src)
 			if cerr := src.Close(); err == nil {
 				err = cerr
 			}

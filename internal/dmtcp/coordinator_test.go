@@ -1,6 +1,7 @@
 package dmtcp
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -17,7 +18,7 @@ type restartMember struct {
 	failR    bool
 }
 
-func (m *restartMember) RestartCheckpoint(r io.Reader) error {
+func (m *restartMember) Restart(_ context.Context, r io.Reader) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.failR {

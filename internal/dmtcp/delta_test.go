@@ -212,9 +212,12 @@ type growingSectionPlugin struct {
 }
 
 func (p *growingSectionPlugin) Name() string { return "grow" }
-func (p *growingSectionPlugin) PreCheckpoint(_ context.Context, s *SectionMap) error {
-	s.Add("grow.data", append([]byte(nil), p.data...))
-	return nil
+func (p *growingSectionPlugin) Freeze(uint64, bool) (EmitFunc, error) {
+	data := append([]byte(nil), p.data...)
+	return func(_ context.Context, _ addrspace.View, s *SectionMap) error {
+		s.Add("grow.data", data)
+		return nil
+	}, nil
 }
 func (p *growingSectionPlugin) Resume() error                                  { return nil }
 func (p *growingSectionPlugin) Restart(_ context.Context, _ *SectionMap) error { return nil }
@@ -382,8 +385,7 @@ func TestV3ShardSizeChangeRotatesToBase(t *testing.T) {
 	}
 }
 
-// hookWriter is a DeltaPlugin whose pre-checkpoint hook itself writes
-// to the space — the drain-time mutation window that must never lose
+// hookWriter is a Plugin whose freeze hook itself writes to the space — the drain-time mutation window that must never lose
 // bytes across a chain.
 type hookWriter struct {
 	space *addrspace.Space
@@ -393,16 +395,13 @@ type hookWriter struct {
 }
 
 func (p *hookWriter) Name() string { return "hookwriter" }
-func (p *hookWriter) PreCheckpoint(_ context.Context, _ *SectionMap) error {
-	return p.PreCheckpointDelta(context.Background(), nil, 0)
-}
-func (p *hookWriter) PreCheckpointDelta(_ context.Context, _ *SectionMap, _ uint64) error {
+func (p *hookWriter) Freeze(uint64, bool) (EmitFunc, error) {
 	if p.write {
 		if err := p.space.WriteAt(p.addr, []byte{p.val}); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	return func(context.Context, addrspace.View, *SectionMap) error { return nil }, nil
 }
 func (p *hookWriter) Resume() error                                  { return nil }
 func (p *hookWriter) Restart(_ context.Context, _ *SectionMap) error { return nil }

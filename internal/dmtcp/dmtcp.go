@@ -1,7 +1,7 @@
 // Package dmtcp simulates the parts of DMTCP that CRAC delegates to: a
 // checkpoint engine that serializes the *upper half only* of a split
 // process to an image, a plugin interface with the
-// precheckpoint/resume/restart hook lifecycle (the DMTCP plugin model of
+// freeze → emit/resume/restart hook lifecycle (the DMTCP plugin model of
 // Arya et al. that CRAC builds on), and a coordinator for multi-rank
 // coordinated checkpoints (the MPI+CUDA proof of principle of Section 6).
 //
@@ -26,7 +26,6 @@
 package dmtcp
 
 import (
-	"bufio"
 	"bytes"
 	"compress/gzip"
 	"context"
@@ -124,11 +123,16 @@ func (w *SectionWriter) Close() error {
 type Plugin interface {
 	// Name identifies the plugin.
 	Name() string
-	// PreCheckpoint runs before the image is written: quiesce, then
-	// contribute payload sections. ctx cancellation should abort the
-	// drain early; the engine never proceeds to the image body after a
-	// hook error.
-	PreCheckpoint(ctx context.Context, sections *SectionMap) error
+	// Freeze runs inside the stop-the-world window: drain, then capture
+	// every non-memory input of the checkpoint (call-log prefix, active
+	// sets, epoch cuts) — quickly. The returned EmitFunc produces the
+	// plugin's sections later, from the capture plus the memory view it
+	// is handed. since is the parent checkpoint's epoch cut (0 for a
+	// base — everything is dirty), letting the plugin skip or
+	// delta-encode state it can prove unchanged; incremental selects the
+	// v3 section encoding. The engine never proceeds to the image body
+	// after a hook error.
+	Freeze(since uint64, incremental bool) (EmitFunc, error)
 	// Resume runs after a successful checkpoint, when the original
 	// process continues.
 	Resume() error
@@ -188,13 +192,13 @@ type Stats struct {
 	SectionBytes uint64
 	// Duration is the wall time of the whole checkpoint, including
 	// plugin hooks. WriteDuration covers only serializing the image
-	// body; HookDuration covers the PreCheckpoint and Resume hooks.
+	// body; HookDuration covers the plugin emits and Resume hooks.
 	// Benchmarks should attribute image-write cost to WriteDuration:
 	// the old single Duration silently folded hook time in.
-	// PauseDuration is the application-visible stop-the-world window: a
-	// blocking checkpoint pauses for its whole Duration, while a
-	// concurrent (snapshot-and-release) checkpoint pauses only for the
-	// drain + copy-on-write arming and overlaps the rest with execution.
+	// PauseDuration is the application-visible stop-the-world window: the
+	// drain + copy-on-write arming of a session checkpoint (the rest
+	// overlaps execution); the live-view reference pauses for its whole
+	// Duration.
 	Duration      time.Duration
 	WriteDuration time.Duration
 	HookDuration  time.Duration
@@ -279,7 +283,7 @@ type Engine struct {
 func NewEngine() *Engine { return &Engine{} }
 
 // Register appends a plugin. Hooks run in registration order for
-// PreCheckpoint/Restart and reverse order for Resume.
+// Freeze/emit/Restart and reverse order for Resume.
 func (e *Engine) Register(p Plugin) { e.plugins = append(e.plugins, p) }
 
 var (
@@ -320,90 +324,6 @@ func (e *Engine) shardSize() int {
 		return maxFrameBytes
 	}
 	return e.ShardSize
-}
-
-// Checkpoint runs the plugin PreCheckpoint hooks, writes the upper half
-// of space plus all plugin sections to w, then runs the Resume hooks.
-// Cancelling ctx aborts the operation between hooks and between payload
-// shards, returning the context's error; the image written so far is
-// abandoned where it stands (callers that need all-or-nothing semantics
-// write through an atomic sink, e.g. a Store).
-func (e *Engine) Checkpoint(ctx context.Context, w io.Writer, space *addrspace.Space) (Stats, error) {
-	if e.ImageVersion == 3 {
-		// The v3 path has its own hook lifecycle (delta-aware plugins);
-		// with no lineage this writes a standalone full base image.
-		st, _, err := e.CheckpointDelta(ctx, w, space, nil, "")
-		return st, err
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	start := time.Now()
-	sections := NewSectionMap()
-	for _, p := range e.plugins {
-		if err := ctx.Err(); err != nil {
-			return Stats{}, err
-		}
-		if err := p.PreCheckpoint(ctx, sections); err != nil {
-			return Stats{}, fmt.Errorf("dmtcp: plugin %s precheckpoint: %w", p.Name(), err)
-		}
-	}
-	hookDur := time.Since(start)
-
-	// Only upper-half regions enter the image. This relies on CRAC's own
-	// region attribution, not the merged maps view (Section 3.2.2).
-	regions := space.RegionsIn(addrspace.HalfUpper)
-	st := Stats{Regions: len(regions)}
-
-	writeStart := time.Now()
-	version := e.ImageVersion
-	if version == 0 {
-		version = 2
-	}
-	// Every format except v1+gzip gets the integrity trailer (the v1
-	// gzip body is read through a buffered inflater that may consume
-	// past the member's end, so trailing bytes cannot be located).
-	var tw *trailerWriter
-	sink := w
-	if version != 1 || !e.Gzip {
-		tw = newTrailerWriter(w)
-		sink = tw
-	}
-	// Buffer the image stream: header and frame writes are a few bytes
-	// each and must not hit the underlying writer (often a file)
-	// directly.
-	bw := bufio.NewWriterSize(sink, 256<<10)
-	var err error
-	switch version {
-	case 1:
-		err = e.writeImageV1(ctx, bw, space, regions, sections, &st)
-	case 2:
-		err = e.writeImageV2(ctx, bw, space, regions, sections, &st)
-	default:
-		err = fmt.Errorf("%w: cannot write version %d", ErrUnsupportedVersion, version)
-	}
-	if err == nil {
-		err = bw.Flush()
-	}
-	if err == nil && tw != nil {
-		err = tw.Finish()
-	}
-	st.WriteDuration = time.Since(writeStart)
-	if err != nil {
-		return st, err
-	}
-
-	resumeStart := time.Now()
-	for i := len(e.plugins) - 1; i >= 0; i-- {
-		if err := e.plugins[i].Resume(); err != nil {
-			return st, fmt.Errorf("dmtcp: plugin %s resume: %w", e.plugins[i].Name(), err)
-		}
-	}
-	st.HookDuration = hookDur + time.Since(resumeStart)
-	st.Duration = time.Since(start)
-	// A blocking checkpoint stops the world for its whole duration.
-	st.PauseDuration = st.Duration
-	return st, nil
 }
 
 // v1GzipPool recycles the whole-body gzip writer of the v1 serial

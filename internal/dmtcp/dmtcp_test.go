@@ -23,13 +23,15 @@ type testPlugin struct {
 }
 
 func (p *testPlugin) Name() string { return p.name }
-func (p *testPlugin) PreCheckpoint(_ context.Context, s *SectionMap) error {
+func (p *testPlugin) Freeze(uint64, bool) (EmitFunc, error) {
 	p.pre++
 	if p.failPre {
-		return errors.New("boom")
+		return nil, errors.New("boom")
 	}
-	s.Add(p.name+".data", []byte("payload-"+p.name))
-	return nil
+	return func(_ context.Context, _ addrspace.View, s *SectionMap) error {
+		s.Add(p.name+".data", []byte("payload-"+p.name))
+		return nil
+	}, nil
 }
 func (p *testPlugin) Resume() error { p.resume++; return nil }
 func (p *testPlugin) Restart(_ context.Context, s *SectionMap) error {

@@ -1,20 +1,19 @@
-// Snapshot-and-release checkpoints: the engine side of CRAC's
-// concurrent checkpoint path.
+// The checkpoint lifecycle: freeze → emit → write.
 //
-// A blocking checkpoint stops the application for drain + image write +
-// store commit. The frozen path splits that into two phases:
+//   - FreezeCheckpoint runs inside the stop-the-world window: the epoch
+//     cut, the plugin Freeze hooks (draining the device), and the
+//     copy-on-write arming of the address space — O(metadata), no
+//     payload copying;
+//   - WriteFrozen runs afterwards, possibly concurrently with the
+//     application: plugins emit their sections and the shard pipeline
+//     serializes the image, all reading memory through the frozen view.
 //
-//   - FreezeCheckpoint runs inside the stop-the-world window: plugin
-//     drains, epoch cuts, and the copy-on-write arming of the address
-//     space — O(metadata), no payload copying;
-//   - WriteFrozen runs afterwards, concurrently with the application:
-//     plugins emit their sections and the shard pipeline serializes the
-//     image, all reading memory through the armed snapshot.
-//
-// The image WriteFrozen produces is byte-identical to the image a
-// blocking checkpoint at the freeze point would have written, no matter
-// how hard the application mutates memory during the overlap (DESIGN.md
-// invariant 10).
+// The view is the only thing that varies. Sessions write from the armed
+// Snapshot; Engine.Checkpoint / Engine.CheckpointDelta run the same two
+// phases back to back over the live Space and exist only as the
+// reference the tests compare against: the image written from a snapshot
+// under arbitrary overlapped mutation is byte-identical to the live-view
+// image at the same cut (DESIGN.md invariant 10).
 package dmtcp
 
 import (
@@ -27,38 +26,11 @@ import (
 	"repro/internal/addrspace"
 )
 
-// EmitFunc contributes one frozen plugin's sections to a checkpoint
-// image. It runs outside the stop-the-world window, possibly
-// concurrently with the application, and must read memory only through
-// view — never through the live address space.
+// EmitFunc contributes one plugin's sections to a checkpoint image. It
+// runs outside the stop-the-world window, possibly concurrently with
+// the application, and must read memory only through view — never
+// through the live address space.
 type EmitFunc func(ctx context.Context, view addrspace.View, sections *SectionMap) error
-
-// SnapshotPlugin is the optional extension of Plugin for concurrent
-// checkpoints. FreezeCheckpoint replaces PreCheckpoint /
-// PreCheckpointDelta in the frozen lifecycle: it runs inside the
-// stop-the-world window and must capture every non-memory input of the
-// checkpoint (call-log prefix, active sets, epoch cuts) — quickly. The
-// returned EmitFunc produces the plugin's sections later, from the
-// capture plus the memory view. since is the parent checkpoint's epoch
-// cut (0 for a base); incremental selects the v3 section encoding.
-//
-// Plugins that do not implement SnapshotPlugin still work under
-// FreezeCheckpoint: their full PreCheckpoint hook runs inside the pause
-// window against the live space, which is correct but pays the drain
-// cost in the pause.
-type SnapshotPlugin interface {
-	Plugin
-	FreezeCheckpoint(since uint64, incremental bool) (EmitFunc, error)
-}
-
-// frozenEmit is one plugin's contribution to a frozen checkpoint:
-// either a deferred emit function, or sections already captured in the
-// pause window (non-SnapshotPlugin fallback).
-type frozenEmit struct {
-	plugin Plugin
-	emit   EmitFunc
-	pre    *SectionMap
-}
 
 // Frozen is a checkpoint captured in the stop-the-world window, ready
 // to be written while the application keeps executing. The caller must
@@ -66,24 +38,32 @@ type frozenEmit struct {
 // abandoning the checkpoint) — releasing drops every copy-on-write page
 // the snapshot retained.
 type Frozen struct {
-	snap     *addrspace.Snapshot
+	view     addrspace.View
+	snap     *addrspace.Snapshot // view when armed copy-on-write; nil for the live reference
 	cut      uint64
 	since    uint64
 	prev     *DeltaState
 	selfName string
 	version  int
-	emits    []frozenEmit
+	emits    []EmitFunc // one per engine plugin, in registration order
 	start    time.Time
 }
 
 // FreezeCheckpoint captures a checkpoint of space inside the
 // stop-the-world window: it takes the epoch cut (v3), runs the plugin
-// freeze hooks (draining the device), and arms the copy-on-write
+// Freeze hooks (draining the device), and arms the copy-on-write
 // snapshot. incremental forces the v3 format (a chain base when prev is
-// nil); prev and selfName carry the lineage exactly as in
-// CheckpointDelta. On return the application may resume: everything the
-// image needs is pinned.
+// nil). prev is the lineage state of the chain tip (nil: write a base)
+// and selfName the store name the image is being written under, recorded
+// as the parent of the next delta ("" for standalone images). On return
+// the application may resume: everything the image needs is pinned.
 func (e *Engine) FreezeCheckpoint(ctx context.Context, space *addrspace.Space, incremental bool, prev *DeltaState, selfName string) (*Frozen, error) {
+	return e.freeze(ctx, space, incremental, prev, selfName, false)
+}
+
+// freeze is the one capture. live hands WriteFrozen the Space itself
+// instead of an armed Snapshot — correct only while nothing mutates it.
+func (e *Engine) freeze(ctx context.Context, space *addrspace.Space, incremental bool, prev *DeltaState, selfName string, live bool) (*Frozen, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -99,16 +79,20 @@ func (e *Engine) FreezeCheckpoint(ctx context.Context, space *addrspace.Space, i
 	default:
 		return nil, fmt.Errorf("%w: cannot write version %d", ErrUnsupportedVersion, version)
 	}
-	// Same rotation guards as CheckpointDelta: a shard-size change or a
-	// chain at the depth cap rotates to a fresh base.
+	// A shard-size change breaks the chain's shard grid (hashes would
+	// compare different byte ranges), and a chain at the reader's depth
+	// cap could never be restored: both rotate to a fresh base.
 	if prev != nil && (prev.ShardSize != e.shardSize() || prev.Depth+1 >= maxChainDepth) {
 		prev = nil
 	}
 	fz := &Frozen{prev: prev, selfName: selfName, version: version, start: time.Now()}
 	if version == 3 {
-		// The cut precedes the drain hooks, exactly as in CheckpointDelta:
-		// writes racing the drain are stamped above the cut and re-emitted
-		// by the next delta.
+		// The cut is taken before the drain hooks, mirroring the plugin's
+		// UVM cut: any write that races the drain or the image write — even
+		// one the payload happens to capture — is stamped above the cut and
+		// re-emitted by the next delta. Taking it later would open a window
+		// (between a plugin's memory reads and the cut) whose writes are
+		// stamped at the cut value, reported clean next time, and lost.
 		fz.cut = space.CutEpoch()
 		if prev != nil {
 			fz.since = prev.Cut
@@ -118,34 +102,48 @@ func (e *Engine) FreezeCheckpoint(ctx context.Context, space *addrspace.Space, i
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if sp, ok := p.(SnapshotPlugin); ok {
-			emit, err := sp.FreezeCheckpoint(fz.since, version == 3)
-			if err != nil {
-				return nil, fmt.Errorf("dmtcp: plugin %s freeze: %w", p.Name(), err)
-			}
-			fz.emits = append(fz.emits, frozenEmit{plugin: p, emit: emit})
-			continue
-		}
-		// Fallback: the plugin cannot defer its work, so its whole
-		// precheckpoint hook runs here, in the pause, against the live
-		// space — its sections are frozen by construction.
-		pre := NewSectionMap()
-		var err error
-		if dp, ok := p.(DeltaPlugin); ok && version == 3 {
-			err = dp.PreCheckpointDelta(ctx, pre, fz.since)
-		} else {
-			err = p.PreCheckpoint(ctx, pre)
-		}
+		emit, err := p.Freeze(fz.since, version == 3)
 		if err != nil {
-			return nil, fmt.Errorf("dmtcp: plugin %s precheckpoint: %w", p.Name(), err)
+			return nil, fmt.Errorf("dmtcp: plugin %s freeze: %w", p.Name(), err)
 		}
-		fz.emits = append(fz.emits, frozenEmit{plugin: p, pre: pre})
+		fz.emits = append(fz.emits, emit)
 	}
 	// Arm the snapshot after the drain hooks, so the image includes the
-	// memory effects the drain flushed — the same ordering a blocking
-	// checkpoint observes.
-	fz.snap = space.Snapshot()
+	// memory effects the drain flushed.
+	if live {
+		fz.view = space
+	} else {
+		fz.snap = space.Snapshot()
+		fz.view = fz.snap
+	}
 	return fz, nil
+}
+
+// checkpointLive is freeze + WriteFrozen back to back over the live
+// space: the stop-the-world reference, whose pause is its whole duration.
+func (e *Engine) checkpointLive(ctx context.Context, w io.Writer, space *addrspace.Space, incremental bool, prev *DeltaState, selfName string) (Stats, *DeltaState, error) {
+	fz, err := e.freeze(ctx, space, incremental, prev, selfName, true)
+	if err != nil {
+		return Stats{}, nil, err
+	}
+	st, next, err := e.WriteFrozen(ctx, w, fz)
+	st.PauseDuration = st.Duration
+	return st, next, err
+}
+
+// Checkpoint writes a live-view image of space in the engine's
+// configured format. Nothing may mutate space meanwhile; sessions never
+// call it — it is the reference invariant 10 is tested against.
+func (e *Engine) Checkpoint(ctx context.Context, w io.Writer, space *addrspace.Space) (Stats, error) {
+	st, _, err := e.checkpointLive(ctx, w, space, false, nil, "")
+	return st, err
+}
+
+// CheckpointDelta is Checkpoint for the v3 chain: a base when prev is
+// nil, else a delta against the checkpoint prev describes. The returned
+// DeltaState must be committed only if the write durably succeeded.
+func (e *Engine) CheckpointDelta(ctx context.Context, w io.Writer, space *addrspace.Space, prev *DeltaState, selfName string) (Stats, *DeltaState, error) {
+	return e.checkpointLive(ctx, w, space, true, prev, selfName)
 }
 
 // Cut returns the address-space epoch cut the checkpoint was frozen at
@@ -165,12 +163,19 @@ func (fz *Frozen) StartedAt(t time.Time) {
 // Release drops every copy-on-write page the frozen checkpoint pinned.
 // Idempotent; must be called once the image write finished or was
 // abandoned.
-func (fz *Frozen) Release() { fz.snap.Release() }
+func (fz *Frozen) Release() {
+	if fz.snap != nil {
+		fz.snap.Release()
+	}
+}
 
 // WriteFrozen serializes a frozen checkpoint to w, reading all memory
-// through the snapshot armed at freeze time, then runs the Resume
-// hooks. It may run concurrently with the application. The returned
-// DeltaState (v3 only) follows the CheckpointDelta contract: commit it
+// through the view fixed at freeze time, then runs the Resume hooks. It
+// may run concurrently with the application. Cancelling ctx aborts the
+// operation between emits and between payload shards; the bytes written
+// so far are abandoned where they stand (callers that need
+// all-or-nothing semantics write through an atomic sink, e.g. a Store).
+// The returned DeltaState (v3 only) describes the new image: commit it
 // only once the image durably landed. Stats.PauseDuration is left zero —
 // the caller measured the pause and owns that split.
 func (e *Engine) WriteFrozen(ctx context.Context, w io.Writer, fz *Frozen) (Stats, *DeltaState, error) {
@@ -179,51 +184,47 @@ func (e *Engine) WriteFrozen(ctx context.Context, w io.Writer, fz *Frozen) (Stat
 	}
 	hookStart := time.Now()
 	sections := NewSectionMap()
-	for _, fe := range fz.emits {
+	for i, emit := range fz.emits {
 		if err := ctx.Err(); err != nil {
 			return Stats{}, nil, err
 		}
-		if fe.emit != nil {
-			if err := fe.emit(ctx, fz.snap, sections); err != nil {
-				return Stats{}, nil, fmt.Errorf("dmtcp: plugin %s emit: %w", fe.plugin.Name(), err)
-			}
-			continue
-		}
-		for _, name := range fe.pre.Names() {
-			data, _ := fe.pre.Get(name)
-			sections.Add(name, data)
-			if fe.pre.Opaque(name) {
-				sections.MarkOpaque(name)
-			}
+		if err := emit(ctx, fz.view, sections); err != nil {
+			return Stats{}, nil, fmt.Errorf("dmtcp: plugin %s emit: %w", e.plugins[i].Name(), err)
 		}
 	}
 	hookDur := time.Since(hookStart)
 
-	regions := fz.snap.RegionsIn(addrspace.HalfUpper)
+	// Only upper-half regions enter the image. This relies on CRAC's own
+	// region attribution, not the merged maps view (Section 3.2.2).
+	regions := fz.view.RegionsIn(addrspace.HalfUpper)
 	st := Stats{Regions: len(regions), Delta: fz.prev != nil}
 	if fz.prev != nil {
 		st.DeltaDepth = fz.prev.Depth + 1
 	}
 
 	writeStart := time.Now()
-	// Same trailer rule as the blocking writer: every format except the
-	// whole-body-gzip v1 layout carries the integrity trailer.
+	// Every format except v1+gzip gets the integrity trailer (the v1
+	// gzip body is read through a buffered inflater that may consume
+	// past the member's end, so trailing bytes cannot be located).
 	var tw *trailerWriter
 	sink := w
 	if fz.version != 1 || !e.Gzip {
 		tw = newTrailerWriter(w)
 		sink = tw
 	}
+	// Buffer the image stream: header and frame writes are a few bytes
+	// each and must not hit the underlying writer (often a file)
+	// directly.
 	bw := bufio.NewWriterSize(sink, 256<<10)
 	var state *DeltaState
 	var err error
 	switch fz.version {
 	case 1:
-		err = e.writeImageV1(ctx, bw, fz.snap, regions, sections, &st)
+		err = e.writeImageV1(ctx, bw, fz.view, regions, sections, &st)
 	case 2:
-		err = e.writeImageV2(ctx, bw, fz.snap, regions, sections, &st)
+		err = e.writeImageV2(ctx, bw, fz.view, regions, sections, &st)
 	case 3:
-		state, err = e.writeImageV3(ctx, bw, fz.snap, regions, sections, fz.prev, fz.selfName, fz.cut, fz.since, &st)
+		state, err = e.writeImageV3(ctx, bw, fz.view, regions, sections, fz.prev, fz.selfName, fz.cut, fz.since, &st)
 	}
 	if err == nil {
 		err = bw.Flush()

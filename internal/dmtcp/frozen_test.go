@@ -8,10 +8,10 @@ import (
 	"repro/internal/addrspace"
 )
 
-// TestFreezeWriteFrozenMatchesBlocking: the frozen lifecycle with a
-// plain (non-SnapshotPlugin) plugin — whose hooks then run in the pause
-// window — produces byte-identical images to the blocking Checkpoint,
-// for v1, v2, and a standalone v3 base, raw and gzip'd.
+// TestFreezeWriteFrozenMatchesBlocking (invariant 10, engine level): an
+// image written from the armed snapshot while the space is overwritten
+// is byte-identical to the live-view reference (Engine.Checkpoint) at
+// the same cut, for v1, v2, and a standalone v3 base, raw and gzip'd.
 func TestFreezeWriteFrozenMatchesBlocking(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -71,9 +71,9 @@ func TestFreezeWriteFrozenMatchesBlocking(t *testing.T) {
 	}
 }
 
-// TestFreezeDeltaChainMatchesBlocking: a frozen delta against a frozen
-// base equals the blocking CheckpointDelta chain byte for byte, and the
-// returned DeltaState carries the same lineage.
+// TestFreezeDeltaChainMatchesBlocking: a snapshot delta against a
+// snapshot base equals the live-view CheckpointDelta chain byte for
+// byte, and the returned DeltaState carries the same lineage.
 func TestFreezeDeltaChainMatchesBlocking(t *testing.T) {
 	mk := func() (*Engine, *addrspace.Space, uint64) {
 		space, up := buildSpace(t)

@@ -53,14 +53,16 @@ func writeTestImage(t *testing.T, space *addrspace.Space, mut func(e *Engine)) [
 type lazyTestPlugin struct{}
 
 func (p *lazyTestPlugin) Name() string { return "lazytest" }
-func (p *lazyTestPlugin) PreCheckpoint(_ context.Context, sections *SectionMap) error {
-	data := make([]byte, 3*DefaultShardSize/2)
-	for i := range data {
-		data[i] = byte(i*13 + 5)
-	}
-	sections.Add("test.payload", data)
-	sections.Add("test.small", []byte("hello"))
-	return nil
+func (p *lazyTestPlugin) Freeze(uint64, bool) (EmitFunc, error) {
+	return func(_ context.Context, _ addrspace.View, sections *SectionMap) error {
+		data := make([]byte, 3*DefaultShardSize/2)
+		for i := range data {
+			data[i] = byte(i*13 + 5)
+		}
+		sections.Add("test.payload", data)
+		sections.Add("test.small", []byte("hello"))
+		return nil
+	}, nil
 }
 func (p *lazyTestPlugin) Resume() error { return nil }
 func (p *lazyTestPlugin) Restart(_ context.Context, sections *SectionMap) error {

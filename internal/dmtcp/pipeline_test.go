@@ -65,12 +65,14 @@ func snapshotRegions(t testing.TB, s *addrspace.Space, regions []addrspace.Regio
 type sectionPlugin struct{ sizes []int }
 
 func (p *sectionPlugin) Name() string { return "sections" }
-func (p *sectionPlugin) PreCheckpoint(_ context.Context, s *SectionMap) error {
-	for i, n := range p.sizes {
-		b := s.AddZero(fmt.Sprintf("sec.%d", i), n)
-		fillPattern(b, uint64(100+i))
-	}
-	return nil
+func (p *sectionPlugin) Freeze(uint64, bool) (EmitFunc, error) {
+	return func(_ context.Context, _ addrspace.View, s *SectionMap) error {
+		for i, n := range p.sizes {
+			b := s.AddZero(fmt.Sprintf("sec.%d", i), n)
+			fillPattern(b, uint64(100+i))
+		}
+		return nil
+	}, nil
 }
 func (p *sectionPlugin) Resume() error                              { return nil }
 func (p *sectionPlugin) Restart(context.Context, *SectionMap) error { return nil }

@@ -22,20 +22,19 @@ func init() {
 	})
 }
 
-// loadSeed keeps the generated op mix identical across runs, so the
-// bench gate compares like with like.
+// loadSeed keeps the generated op mix identical across runs, so two
+// tables compare like with like.
 const loadSeed = 1
 
 // loadSessionOpts keeps each pooled session small enough that hundreds
 // of them fit one machine: serial per-session pipeline (the pool's
-// shared budget provides the parallelism), shrunken lower-half arenas,
-// and the snapshot-and-release checkpoint path so cuts genuinely
-// retain pages — which is what the pool's page budget governs.
+// shared budget provides the parallelism) and shrunken lower-half
+// arenas. Cuts genuinely retain copy-on-write pages — which is what the
+// pool's page budget governs.
 func loadSessionOpts() []crac.Option {
 	return []crac.Option{
 		crac.WithWorkers(1),
 		crac.WithArenaChunks(256<<10, 128<<10, 256<<10),
-		crac.WithConcurrentCheckpoint(),
 	}
 }
 

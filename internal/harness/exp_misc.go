@@ -32,22 +32,20 @@ func init() {
 	})
 	register(&Experiment{
 		ID:    "pause",
-		Title: "Application-visible checkpoint pause: blocking vs concurrent (CoW) × full vs delta",
+		Title: "Application-visible checkpoint pause vs total latency: full vs delta",
 		Paper: "beyond the paper: the stop-the-world pause shrinks to the epoch cut when the image write overlaps execution (PhoenixOS/CRIUgpu direction)",
 		Run:   runPause,
 	})
 }
 
-// runPause measures the stop-the-world window of every checkpoint
-// policy on the standard sparse-update workload: blocking full images,
-// blocking incremental deltas, and both again under the concurrent
-// snapshot-and-release path, where only the drain + epoch cut + CoW
-// arming pauses the application.
+// runPause measures the stop-the-world window of full and incremental
+// checkpoints on the standard sparse-update workload: only the drain +
+// epoch cut + CoW arming pauses the application.
 func runPause(opt Options) ([]*Table, error) {
 	t := &Table{
 		ID:    "pause",
 		Title: "Checkpoint pause vs total latency (sparse-update workload)",
-		Columns: []string{"Policy", "Image", "Total (ms)", "Pause (ms)", "Pause share",
+		Columns: []string{"Image", "Total (ms)", "Pause (ms)", "Pause share",
 			"Payload (MiB)"},
 	}
 	scale := opt.EffScale()
@@ -59,18 +57,15 @@ func runPause(opt Options) ([]*Table, error) {
 	iters := opt.EffIters()
 
 	type policy struct {
-		name string
 		kind string
 		opts []crac.Option
 	}
 	policies := []policy{
-		{"blocking", "full", nil},
-		{"blocking", "delta", []crac.Option{crac.WithIncremental(64)}},
-		{"concurrent", "full", []crac.Option{crac.WithConcurrentCheckpoint()}},
-		{"concurrent", "delta", []crac.Option{crac.WithConcurrentCheckpoint(), crac.WithIncremental(64)}},
+		{"full", nil},
+		{"delta", []crac.Option{crac.WithIncremental(64)}},
 	}
 	for _, p := range policies {
-		opt.logf("pause: measuring %s/%s", p.name, p.kind)
+		opt.logf("pause: measuring %s", p.kind)
 		var total, pause time.Duration
 		var payload uint64
 		err := func() error {
@@ -128,14 +123,15 @@ func runPause(opt Options) ([]*Table, error) {
 			return nil, err
 		}
 		n := time.Duration(iters)
-		t.AddRow(p.name, p.kind,
+		t.AddRow(p.kind,
 			fmt.Sprintf("%.2f", float64((total/n).Microseconds())/1000),
 			fmt.Sprintf("%.3f", float64((pause/n).Microseconds())/1000),
 			fmt.Sprintf("%.1f%%", 100*float64(pause)/float64(total)),
 			fmt.Sprintf("%.1f", float64(payload)/float64(iters)/(1<<20)))
 	}
-	t.Note("concurrent rows pause only for drain + epoch cut + copy-on-write arming; the image write and store commit overlap execution")
-	t.Note("images are byte-identical to blocking checkpoints at the same cut (DESIGN.md invariant 10)")
+	t.Note("the pause is drain + epoch cut + copy-on-write arming; the image write and store commit overlap execution")
+	t.Note("a stop-the-world checkpoint's pause is its total: the Total column is what the pause used to be")
+	t.Note("images are byte-identical to the live-view reference at the same cut (DESIGN.md invariant 10)")
 	return []*Table{t}, nil
 }
 

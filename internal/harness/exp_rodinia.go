@@ -177,8 +177,8 @@ func checkpointMidRun(prop gpusim.Properties, app *workloads.App, cfg workloads.
 		}
 		// Minimum of three timed repetitions per operation: single-shot
 		// checkpoint/restart timings jitter by whole milliseconds under
-		// GC and scheduler noise, and the CI bench-gate diffs these
-		// numbers — the minimum is the stable signal. Every repetition
+		// GC and scheduler noise — the minimum is the stable signal. Every
+		// repetition
 		// restores the identical state, so the application's checksum is
 		// unaffected.
 		for k := 0; k < 3; k++ {

@@ -11,9 +11,7 @@ import (
 // parallel data path using every CPU.
 type Option func(*settings)
 
-// settings is the resolved option set. The deprecated Config shim
-// lowers onto the same struct, which is what makes the equivalence
-// between the two surfaces exact (see compat.go).
+// settings is the resolved option set.
 type settings struct {
 	prop         gpusim.Properties
 	switcher     SwitcherKind
@@ -23,7 +21,6 @@ type settings struct {
 	shardSize    int
 	imageVersion int
 	incremental  int  // max deltas per base; 0 = incremental off
-	concurrent   bool // blocking entry points use the snapshot path
 	lazyRestart  bool // RestartFrom/RestoreFrom use the lazy fault-in path
 	aslr         bool
 	aslrSeed     int64
@@ -111,17 +108,12 @@ func WithDeltaEvery(n int) Option {
 	return func(s *settings) { s.incremental = n - 1 }
 }
 
-// WithConcurrentCheckpoint routes Checkpoint and CheckpointTo through
-// the snapshot-and-release (copy-on-write) path: the application is
-// stopped only for the stream drain, the epoch cut, and the snapshot
-// arming, while the shard pipeline, compression, and the Store commit
-// overlap with further execution. The resulting image is byte-identical
-// to a blocking checkpoint taken at the cut. CheckpointAsync uses the
-// snapshot path regardless of this option; the option moves the
-// blocking entry points onto it too, so existing checkpoint loops get
-// the short pause without code changes.
+// WithConcurrentCheckpoint does nothing: every checkpoint is a
+// snapshot-and-release checkpoint. The symbol remains only because the
+// repository benchmark (benchmark/fleet.go, which a code PR may not
+// edit) still names it; it goes with the next benchmark revision.
 func WithConcurrentCheckpoint() Option {
-	return func(s *settings) { s.concurrent = true }
+	return func(*settings) {}
 }
 
 // WithLazyRestart routes RestartFrom and RestoreFrom through the lazy

@@ -265,7 +265,7 @@ func (p *Pool) Open(tenant string, opts ...Option) (*PoolSession, error) {
 		return nil, err
 	}
 	ps := &PoolSession{p: p, t: t, s: s}
-	ps.store = wrapTenantStore(p, t, p.store)
+	ps.store = wrapTenantStore(t, p.store)
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -660,18 +660,12 @@ func (ps *PoolSession) Close() {
 // wrote; retention pruning inside a DirStore or an external GC is
 // credited only when the pool observes the Delete.
 type tenantStore struct {
-	t     *poolTenant
-	inner Store
+	storeCaps // lazy restarts need the shared store's GetAt, chains its SingleImage
+	t         *poolTenant
 }
 
-// wrapTenantStore preserves the RandomAccessStore capability of the
-// shared store (lazy restarts need GetAt), mirroring WithRetry.
-func wrapTenantStore(p *Pool, t *poolTenant, inner Store) Store {
-	ts := tenantStore{t: t, inner: inner}
-	if _, ok := inner.(RandomAccessStore); ok {
-		return &tenantStoreRA{ts}
-	}
-	return &ts
+func wrapTenantStore(t *poolTenant, inner Store) *tenantStore {
+	return &tenantStore{storeCaps: storeCaps{inner}, t: t}
 }
 
 func (ts *tenantStore) Put(ctx context.Context, name string, write func(io.Writer) error) error {
@@ -718,16 +712,7 @@ func (ts *tenantStore) Delete(ctx context.Context, name string) error {
 	return nil
 }
 
-type tenantStoreRA struct{ tenantStore }
-
-func (ts *tenantStoreRA) GetAt(ctx context.Context, name string) (ReaderAtCloser, int64, error) {
-	return ts.inner.(RandomAccessStore).GetAt(ctx, name)
-}
-
-var (
-	_ Store             = (*tenantStore)(nil)
-	_ RandomAccessStore = (*tenantStoreRA)(nil)
-)
+var _ Store = (*tenantStore)(nil)
 
 // quotaWriter meters an in-flight Put against the tenant's
 // stored-bytes budget: bytes are reserved (pending) before they hit

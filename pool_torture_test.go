@@ -47,7 +47,7 @@ func TestPoolTortureLoad(t *testing.T) {
 		opsPerW   = 30
 		fillBytes = 64 << 10
 	)
-	sessionOpts := append(poolTestOpts(), WithConcurrentCheckpoint())
+	sessionOpts := poolTestOpts()
 
 	// Probe one session's cut footprint so the budget can be expressed
 	// in session multiples: 2.5x admits at most two cuts at once, which

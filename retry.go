@@ -127,21 +127,31 @@ func (p RetryPolicy) run(ctx context.Context, op func() error) error {
 // have deleted the image before its acknowledgment was lost. Context
 // cancellation is never retried.
 //
-// The wrapper preserves the RandomAccessStore capability of the
-// underlying store: the returned Store also implements GetAt (with
-// retry on open) exactly when store does.
+// The wrapper forwards every optional capability of store
+// (RandomAccessStore, CountingStore, BatchExister, SingleImageStore),
+// retrying the ones that perform I/O.
 func WithRetry(store Store, policy RetryPolicy) Store {
-	p := policy.normalized()
-	rs := &retryStore{inner: store, policy: p}
-	if _, ok := store.(RandomAccessStore); ok {
-		return &retryStoreRA{retryStore: rs}
-	}
-	return rs
+	return &retryStore{storeCaps: storeCaps{store}, policy: policy.normalized()}
 }
 
 type retryStore struct {
-	inner  Store
+	storeCaps
 	policy RetryPolicy
+}
+
+// retry runs op under the policy and returns the successful attempt's
+// result (the zero value on failure).
+func retry[T any](ctx context.Context, p RetryPolicy, op func() (T, error)) (T, error) {
+	var v T
+	if err := p.run(ctx, func() error {
+		var err error
+		v, err = op()
+		return err
+	}); err != nil {
+		var zero T
+		return zero, err
+	}
+	return v, nil
 }
 
 func (s *retryStore) Put(ctx context.Context, name string, write func(io.Writer) error) error {
@@ -162,29 +172,11 @@ func (s *retryStore) Put(ctx context.Context, name string, write func(io.Writer)
 }
 
 func (s *retryStore) Get(ctx context.Context, name string) (io.ReadCloser, error) {
-	var rc io.ReadCloser
-	err := s.policy.run(ctx, func() error {
-		var err error
-		rc, err = s.inner.Get(ctx, name)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rc, nil
+	return retry(ctx, s.policy, func() (io.ReadCloser, error) { return s.inner.Get(ctx, name) })
 }
 
 func (s *retryStore) List(ctx context.Context) ([]string, error) {
-	var names []string
-	err := s.policy.run(ctx, func() error {
-		var err error
-		names, err = s.inner.List(ctx)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return names, nil
+	return retry(ctx, s.policy, func() ([]string, error) { return s.inner.List(ctx) })
 }
 
 func (s *retryStore) Delete(ctx context.Context, name string) error {
@@ -201,25 +193,13 @@ func (s *retryStore) Delete(ctx context.Context, name string) error {
 	})
 }
 
-// SingleImage passes the one-slot property through (see
-// SingleImageStore).
-func (s *retryStore) SingleImage() bool { return singleImageStore(s.inner) }
-
-// Unwrap returns the underlying store.
-func (s *retryStore) Unwrap() Store { return s.inner }
-
-// retryStoreRA adds the RandomAccessStore capability when the wrapped
-// store has it.
-type retryStoreRA struct{ *retryStore }
-
-func (s *retryStoreRA) GetAt(ctx context.Context, name string) (ReaderAtCloser, int64, error) {
-	ras := s.inner.(RandomAccessStore)
-	var rc ReaderAtCloser
+// GetAt retries the open (the reads on the returned handle are the
+// lazy restorer's to retry).
+func (s *retryStore) GetAt(ctx context.Context, name string) (ReaderAtCloser, int64, error) {
 	var size int64
-	err := s.policy.run(ctx, func() error {
-		var err error
-		rc, size, err = ras.GetAt(ctx, name)
-		return err
+	rc, err := retry(ctx, s.policy, func() (rc ReaderAtCloser, err error) {
+		rc, size, err = s.storeCaps.GetAt(ctx, name)
+		return rc, err
 	})
 	if err != nil {
 		return nil, 0, err
@@ -227,7 +207,18 @@ func (s *retryStoreRA) GetAt(ctx context.Context, name string) (ReaderAtCloser, 
 	return rc, size, nil
 }
 
+func (s *retryStore) ExistsBatch(ctx context.Context, names []string) (map[string]bool, error) {
+	return retry(ctx, s.policy, func() (map[string]bool, error) { return s.storeCaps.ExistsBatch(ctx, names) })
+}
+
+func (s *retryStore) Len(ctx context.Context) (int, error) {
+	return retry(ctx, s.policy, func() (int, error) { return s.storeCaps.Len(ctx) })
+}
+
 var (
 	_ Store             = (*retryStore)(nil)
-	_ RandomAccessStore = (*retryStoreRA)(nil)
+	_ RandomAccessStore = (*retryStore)(nil)
+	_ CountingStore     = (*retryStore)(nil)
+	_ BatchExister      = (*retryStore)(nil)
+	_ SingleImageStore  = (*retryStore)(nil)
 )

@@ -235,9 +235,20 @@ func TestRetryPreservesRandomAccess(t *testing.T) {
 	if _, ok := WithRetry(ds, RetryPolicy{}).(RandomAccessStore); !ok {
 		t.Fatal("WithRetry(DirStore) lost the RandomAccessStore capability")
 	}
-	plain := &flakyStore{inner: NewMemStore()} // no GetAt
-	if _, ok := WithRetry(plain, RetryPolicy{}).(RandomAccessStore); ok {
-		t.Fatal("WithRetry invented a RandomAccessStore capability on a plain Store")
+	// Over a store with no GetAt the wrapper's GetAt is the whole-image
+	// read every caller falls back to (and retries like one) — the full
+	// capability table is TestStoreWrappersForwardCapabilities.
+	plain := &flakyStore{inner: NewMemStore(), err: transientErr{}, failN: 1} // no GetAt
+	conformPut(t, plain.inner, "img", []byte("payload"))
+	p := DefaultRetryPolicy()
+	p.sleep = func(context.Context, time.Duration) error { return nil }
+	ra, size, err := WithRetry(plain, p).(RandomAccessStore).GetAt(context.Background(), "img")
+	if err != nil || size != int64(len("payload")) {
+		t.Fatalf("GetAt over a plain store = %d, %v", size, err)
+	}
+	ra.Close()
+	if plain.gets != 2 {
+		t.Fatalf("inner Get called %d times, want 2 (one transient failure, one whole-image read)", plain.gets)
 	}
 }
 

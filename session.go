@@ -224,19 +224,13 @@ func (s *Session) SetRootBlob(b []byte) { s.plugin.SetRootBlob(b) }
 // RootBlob returns the blob (after a restore, the one from the image).
 func (s *Session) RootBlob() []byte { return s.plugin.RootBlob() }
 
-// reserveCheckpoint claims the session's single checkpoint slot. Every
-// checkpoint path — blocking or concurrent — holds the slot for its
-// full duration, so two checkpoints can never interleave their epoch
-// cuts and plugin staging (which would corrupt the incremental skip
-// baseline). The caller must releaseCheckpoint (for async, the
-// background goroutine does, and the Pending doubles as the token).
-func (s *Session) reserveCheckpoint(name string) (*Pending, error) {
-	return s.reserveCheckpointSlot(name, false)
-}
-
-// reserveCheckpointSlot is reserveCheckpoint with the migration door:
-// while a migration holds the session, only its own rounds (migration
-// == true) may claim the slot.
+// reserveCheckpointSlot claims the session's single checkpoint slot.
+// Every checkpoint holds the slot from before its cut until its image
+// committed or failed, so two checkpoints can never interleave their
+// epoch cuts and plugin staging (which would corrupt the incremental
+// skip baseline). While a migration holds the session, only its own
+// rounds (migration == true) may claim the slot. The returned Pending
+// doubles as the token; releaseCheckpoint gives the slot back.
 func (s *Session) reserveCheckpointSlot(name string, migration bool) (*Pending, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -263,14 +257,14 @@ func (s *Session) releaseCheckpoint() {
 	s.mu.Unlock()
 }
 
-// armFrozen is the stop-the-world window of a concurrent checkpoint.
-// Unless the caller already holds a Quiesce, it micro-quiesces for the
-// duration of the arming — launch gate (waits out in-flight Memset/
-// Memcpy/launches, whose slice writes would otherwise span the arming
-// unpreserved), device drain, then memory freeze — so no writer that
-// resolved memory before the window can mutate it after the snapshot
-// arms. The gates reopen before armFrozen returns; only the returned
-// pause was application-visible.
+// armFrozen is the stop-the-world window of a checkpoint. Unless the
+// caller already holds a Quiesce, it micro-quiesces for the duration of
+// the arming — launch gate (waits out in-flight Memset/Memcpy/launches,
+// whose slice writes would otherwise span the arming unpreserved),
+// device drain, then memory freeze — so no writer that resolved memory
+// before the window can mutate it after the snapshot arms. The gates
+// reopen before armFrozen returns; only the returned pause was
+// application-visible.
 func (s *Session) armFrozen(ctx context.Context, space *addrspace.Space, incremental bool, prev *dmtcp.DeltaState, name string) (*dmtcp.Frozen, time.Duration, error) {
 	pauseStart := time.Now()
 	s.qmu.Lock()
@@ -309,73 +303,139 @@ func (s *Session) armFrozen(ctx context.Context, space *addrspace.Space, increme
 	return fz, time.Since(pauseStart), nil
 }
 
-// Checkpoint drains the device and writes a checkpoint image to w. The
-// session keeps running afterwards (DMTCP "checkpoint and continue").
-// Cancelling ctx aborts the shard pipeline mid-image and returns an
-// error matching both ErrCancelled and the context's own error; the
-// session remains fully usable, but whatever bytes already reached w
-// are not a valid image (checkpoint through a Store for all-or-nothing
-// semantics). With WithConcurrentCheckpoint the write runs from a CoW
-// snapshot: only the drain + arming pauses other goroutines.
-func (s *Session) Checkpoint(ctx context.Context, w io.Writer) (Stats, error) {
-	if _, err := s.reserveCheckpoint(""); err != nil {
-		return Stats{}, err
-	}
-	defer s.releaseCheckpoint()
-	s.mu.Lock()
-	space := s.space
-	s.mu.Unlock()
-	if s.cfg.concurrent {
-		// Snapshot-and-release: stop the world only for drain + CoW
-		// arming, then write from the snapshot. Goroutines other than
-		// this one keep executing through the whole write.
-		fz, pause, err := s.armFrozen(ctx, space, false, nil, "")
-		if err != nil {
-			return Stats{}, wrapCancelled(err)
-		}
-		defer fz.Release()
-		st, _, err := s.engine.WriteFrozen(ctx, w, fz)
-		st.PauseDuration = pause
-		return st, wrapCancelled(err)
-	}
-	st, err := s.engine.Checkpoint(ctx, w, space)
-	return st, wrapCancelled(err)
+// putFunc is where a checkpoint's image goes: it calls write once per
+// attempt with the destination and reports nil only when the image
+// committed. Store.Put is one; toWriter adapts a plain io.Writer.
+type putFunc func(ctx context.Context, name string, write func(io.Writer) error) error
+
+func toWriter(w io.Writer) putFunc {
+	return func(_ context.Context, _ string, write func(io.Writer) error) error { return write(w) }
 }
 
-// CheckpointTo checkpoints into a Store under name. The Put is atomic:
-// a failed or cancelled checkpoint leaves no image (and no partial
-// file) behind.
+// lineage is a checkpoint's prev-policy: which image, if any, it is a
+// delta against. The zero value writes a self-contained image in the
+// configured format and leaves the session's chain alone.
+type lineage struct {
+	// incremental writes v3 and stages the plugin's skip baseline, which
+	// is promoted when the image commits.
+	incremental bool
+	// chain, when set, is the store holding the session's own
+	// WithIncremental chain: the parent is resolved from s.incr under the
+	// rotation guards, and a commit makes this image the chain tip.
+	chain Store
+	// prev is the explicit parent used when chain is nil (migration
+	// rounds thread their own pre-copy lineage).
+	prev *dmtcp.DeltaState
+}
+
+// checkpoint is the one checkpoint lifecycle; every public entry point
+// supplies only a sink, a door and a lineage:
+//
+//	reserve slot → resolve parent → armFrozen (the pause) ─┐ caller's goroutine
+//	put(WriteFrozen) → Release → commit lineage → free slot ┘ background
+//
+// By the time it returns, the application may run: the image is written
+// from the copy-on-write snapshot. Chain state and the plugin's skip
+// baseline advance only after put reported the image committed; every
+// retained page is released whether it did or not.
+func (s *Session) checkpoint(ctx context.Context, put putFunc, name string, migration bool, lin lineage) (*Pending, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	p, err := s.reserveCheckpointSlot(name, migration)
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	space := s.space
+	prev := lin.prev
+	if lin.chain != nil {
+		prev = s.incrPrevLocked(lin.chain, name)
+	}
+	s.mu.Unlock()
+
+	fz, pause, err := s.armFrozen(ctx, space, lin.incremental, prev, name)
+	if err != nil {
+		s.releaseCheckpoint()
+		return nil, wrapCancelled(err)
+	}
+
+	go func() {
+		err := put(ctx, name, func(w io.Writer) error {
+			mw := &meterWriter{w: w}
+			var werr error
+			p.st, p.next, werr = s.engine.WriteFrozen(ctx, mw, fz)
+			p.imageBytes = mw.n
+			return werr
+		})
+		fz.Release()
+		p.st.PauseDuration = pause
+		if err != nil {
+			p.next = nil
+		} else if lin.incremental {
+			// The image is durable: advance the plugin's drain baseline and
+			// the chain together.
+			s.plugin.CommitIncremental()
+			if lin.chain != nil {
+				s.mu.Lock()
+				s.incr = p.next
+				s.mu.Unlock()
+			}
+		}
+		p.err = wrapCancelled(err)
+		s.releaseCheckpoint()
+		close(p.done)
+	}()
+	return p, nil
+}
+
+// meterWriter counts the bytes that actually crossed into the sink.
+type meterWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (m *meterWriter) Write(p []byte) (int, error) {
+	n, err := m.w.Write(p)
+	m.n += int64(n)
+	return n, err
+}
+
+// Checkpoint drains the device and writes a self-contained checkpoint
+// image to w. The session keeps running afterwards (DMTCP "checkpoint
+// and continue"); the calling goroutine blocks, but the application's
+// other goroutines are paused only for the drain + arming and run
+// through the image write. Cancelling ctx aborts the shard pipeline
+// mid-image and returns an error matching both ErrCancelled and the
+// context's own error; the session remains fully usable, but whatever
+// bytes already reached w are not a valid image (checkpoint through a
+// Store for all-or-nothing semantics).
+func (s *Session) Checkpoint(ctx context.Context, w io.Writer) (Stats, error) {
+	p, err := s.checkpoint(ctx, toWriter(w), "", false, lineage{})
+	if err != nil {
+		return Stats{}, err
+	}
+	return p.Wait()
+}
+
+// CheckpointTo checkpoints into a Store under name: CheckpointAsync,
+// waited on. The Put is atomic: a failed or cancelled checkpoint leaves
+// no image (and no partial file) behind.
 //
 // With WithIncremental enabled, CheckpointTo transparently writes
-// either a full v3 base or a delta against the previous CheckpointTo
-// on this session: the first checkpoint (and every restart, shard-size
-// change, or chain reaching its configured depth) produces a base;
-// the rest carry only state written since their parent. The chain
+// either a full v3 base or a delta against the previous store-bound
+// checkpoint of this session: the first checkpoint (and every restart,
+// shard-size change, or chain reaching its configured depth) produces a
+// base; the rest carry only state written since their parent. The chain
 // state advances only when the Put commits, so a failed or cancelled
 // checkpoint never leaves the lineage pointing at an image that does
 // not exist.
 func (s *Session) CheckpointTo(ctx context.Context, store Store, name string) (Stats, error) {
-	if s.cfg.concurrent {
-		// Same snapshot path as CheckpointAsync, waited on: the calling
-		// goroutine blocks, but the application's other goroutines run
-		// through the whole image write and store commit.
-		p, err := s.CheckpointAsync(ctx, store, name)
-		if err != nil {
-			return Stats{}, err
-		}
-		return p.Wait()
+	p, err := s.CheckpointAsync(ctx, store, name)
+	if err != nil {
+		return Stats{}, err
 	}
-	store = s.retryWrap(store)
-	if s.cfg.incremental > 0 {
-		return s.checkpointIncremental(ctx, store, name)
-	}
-	var st Stats
-	err := store.Put(ctx, name, func(w io.Writer) error {
-		var cerr error
-		st, cerr = s.Checkpoint(ctx, w)
-		return cerr
-	})
-	return st, wrapCancelled(err)
+	return p.Wait()
 }
 
 // retryWrap applies the session's WithCheckpointRetry policy to a
@@ -414,42 +474,19 @@ func (s *Session) incrPrevLocked(store Store, name string) *dmtcp.DeltaState {
 	return prev
 }
 
-func (s *Session) checkpointIncremental(ctx context.Context, store Store, name string) (Stats, error) {
-	if _, err := s.reserveCheckpoint(name); err != nil {
-		return Stats{}, err
-	}
-	defer s.releaseCheckpoint()
-	s.mu.Lock()
-	space := s.space
-	prev := s.incrPrevLocked(store, name)
-	s.mu.Unlock()
-	var st Stats
-	var next *dmtcp.DeltaState
-	err := store.Put(ctx, name, func(w io.Writer) error {
-		var cerr error
-		st, next, cerr = s.engine.CheckpointDelta(ctx, w, space, prev, name)
-		return cerr
-	})
-	if err != nil {
-		return st, wrapCancelled(err)
-	}
-	// The image is durable: advance the chain and the plugin's drain
-	// baseline together.
-	s.plugin.CommitIncremental()
-	s.mu.Lock()
-	s.incr = next
-	s.mu.Unlock()
-	return st, nil
-}
-
-// Pending is a concurrent checkpoint in flight: CheckpointAsync armed
-// its snapshot inside the stop-the-world window and the image is being
-// written in the background while the application executes.
+// Pending is a checkpoint in flight: its snapshot armed inside the
+// stop-the-world window and the image is being written in the
+// background while the application executes.
 type Pending struct {
 	name string
 	done chan struct{}
 	st   Stats
 	err  error
+
+	// For the migration rounds: the lineage state of the committed image
+	// and the bytes that crossed into the store.
+	next       *dmtcp.DeltaState
+	imageBytes int64
 }
 
 // Name returns the store name the checkpoint is being written under.
@@ -473,19 +510,18 @@ func (p *Pending) Wait() (Stats, error) {
 // the copy-on-write arming of the address space — all O(metadata) —
 // and by the time CheckpointAsync returns, execution may continue. The
 // shard pipeline, compression, and the Store commit run on a background
-// goroutine against the snapshot; the committed image is byte-identical
-// to a blocking CheckpointTo at the cut, no matter how hard the
-// application mutates memory during the overlap.
+// goroutine against the snapshot; the committed image is the state at
+// the cut, byte for byte, no matter how hard the application mutates
+// memory during the overlap.
 //
-// With WithIncremental, the checkpoint joins the session's delta chain
-// exactly as CheckpointTo does; the chain state and the plugin's skip
-// baseline advance only when the Put commits.
+// With WithIncremental, the checkpoint joins the session's delta chain;
+// the chain state and the plugin's skip baseline advance only when the
+// Put commits.
 //
-// Only one checkpoint may be in flight: a second CheckpointAsync (or a
-// blocking checkpoint, or a restart) while one is pending reports
-// ErrCheckpointInFlight. A failed or cancelled overlapped checkpoint
-// leaves no partial image in the Store and releases every retained
-// copy-on-write page.
+// Only one checkpoint may be in flight: a second checkpoint (or a
+// restart) while one is pending reports ErrCheckpointInFlight. A failed
+// or cancelled checkpoint leaves no partial image in the Store and
+// releases every retained copy-on-write page.
 //
 // ctx governs the overlapped write, not just the arming: it must stay
 // live until Pending.Wait (or Done) reports completion. In particular,
@@ -493,55 +529,12 @@ func (p *Pending) Wait() (Stats, error) {
 // CheckpointAsync cancels the background write and the checkpoint
 // surfaces ErrCancelled from Wait.
 func (s *Session) CheckpointAsync(ctx context.Context, store Store, name string) (*Pending, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	incremental := s.cfg.incremental > 0
 	store = s.retryWrap(store)
-	p, err := s.reserveCheckpoint(name)
-	if err != nil {
-		return nil, err
+	var lin lineage
+	if s.cfg.incremental > 0 {
+		lin = lineage{incremental: true, chain: store}
 	}
-	s.mu.Lock()
-	space := s.space
-	var prev *dmtcp.DeltaState
-	if incremental {
-		prev = s.incrPrevLocked(store, name)
-	}
-	s.mu.Unlock()
-
-	// The stop-the-world window: drain, cut, arm (micro-quiesced so no
-	// in-flight writer spans the arming). Everything after armFrozen
-	// returns overlaps with application execution.
-	fz, pause, err := s.armFrozen(ctx, space, incremental, prev, name)
-	if err != nil {
-		s.releaseCheckpoint()
-		return nil, wrapCancelled(err)
-	}
-
-	go func() {
-		var st Stats
-		var next *dmtcp.DeltaState
-		err := store.Put(ctx, name, func(w io.Writer) error {
-			var cerr error
-			st, next, cerr = s.engine.WriteFrozen(ctx, w, fz)
-			return cerr
-		})
-		// Success or not, every retained CoW page is dropped here.
-		fz.Release()
-		st.PauseDuration = pause
-		if err == nil && incremental {
-			s.plugin.CommitIncremental()
-			s.mu.Lock()
-			s.incr = next
-			s.mu.Unlock()
-		}
-		p.st = st
-		p.err = wrapCancelled(err)
-		s.releaseCheckpoint()
-		close(p.done)
-	}()
-	return p, nil
+	return s.checkpoint(ctx, store.Put, name, false, lin)
 }
 
 // Restart simulates killing the process and restarting it from the image
@@ -591,14 +584,6 @@ func (s *Session) RestartFrom(ctx context.Context, store Store, name string) err
 		return err
 	}
 	return s.RestartImage(ctx, img)
-}
-
-// RestartCheckpoint implements dmtcp.Restarter, making a Session a
-// restartable rank under a Coordinator's RestartAll: the rank is
-// rolled back to the coordinated checkpoint in r. Restart's contract
-// applies — a failure past teardown leaves the session closed.
-func (s *Session) RestartCheckpoint(r io.Reader) error {
-	return s.Restart(context.Background(), r)
 }
 
 // Rebase breaks the session's incremental lineage: the next store-
@@ -828,6 +813,10 @@ func (s *Session) WriteCheckpoint(w io.Writer) error {
 	_, err := s.Checkpoint(context.Background(), w)
 	return err
 }
+
+// A Session is a coordinated rank: Quiesce/WriteCheckpoint/Resume for
+// Coordinator.Checkpoint, Restart for RestartAll.
+var _ dmtcp.Restarter = (*Session)(nil)
 
 // Resume releases one level of Quiesce, unblocking memory writes and
 // kernel launches when the last level drops. An unbalanced Resume (no

@@ -14,7 +14,7 @@ import (
 )
 
 func TestMultipleCheckpointRestartGenerations(t *testing.T) {
-	s, err := NewSession(Config{})
+	s, err := New()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestMultipleCheckpointRestartGenerations(t *testing.T) {
 }
 
 func TestRestartFromCorruptedImageFails(t *testing.T) {
-	s, err := NewSession(Config{})
+	s, err := New()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestRestartFromCorruptedImageFails(t *testing.T) {
 func TestCheckpointFileAndRestartFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ckpt.img")
-	s, err := NewSession(Config{})
+	s, err := New()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,18 +109,17 @@ func TestCheckpointFileAndRestartFile(t *testing.T) {
 	if _, err := rt.AppAlloc(4096); err != nil {
 		t.Fatal(err)
 	}
-	size, stats, err := s.CheckpointFile(path)
+	ctx := context.Background()
+	store := NewFileStore(path)
+	stats, err := s.CheckpointTo(ctx, store, "ckpt.img")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if size <= 0 || stats.Regions == 0 {
-		t.Fatalf("size=%d stats=%+v", size, stats)
-	}
 	fi, err := os.Stat(path)
-	if err != nil || fi.Size() != size {
-		t.Fatalf("file size %v vs reported %d (%v)", fi.Size(), size, err)
+	if err != nil || fi.Size() <= 0 || stats.Regions == 0 {
+		t.Fatalf("file %v (%v) stats=%+v", fi, err, stats)
 	}
-	if err := s.RestartFile(path); err != nil {
+	if err := s.RestartFrom(ctx, store, "ckpt.img"); err != nil {
 		t.Fatal(err)
 	}
 	// Contents restored.
@@ -143,7 +142,7 @@ func TestSessionAsCoordinatorMember(t *testing.T) {
 	coord := dmtcp.NewCoordinator()
 	var sessions []*Session
 	for i := 0; i < 3; i++ {
-		s, err := NewSession(Config{})
+		s, err := New()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +184,7 @@ func TestLowerHalfExcludedFromImage(t *testing.T) {
 	// half includes the device arena; fill it with a marker and verify
 	// the marker only appears in the devmem payload section (the drained
 	// active mallocs), never as a region.
-	s, err := NewSession(Config{})
+	s, err := New()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 // the image format or the drain.)
 func TestQuickImageDeterminism(t *testing.T) {
 	f := func(ops []uint8) bool {
-		s, err := NewSession(Config{})
+		s, err := New()
 		if err != nil {
 			return false
 		}
@@ -62,7 +62,7 @@ func TestQuickImageDeterminism(t *testing.T) {
 // function of the image).
 func TestQuickRestartIdempotent(t *testing.T) {
 	f := func(sizes []uint16) bool {
-		s, err := NewSession(Config{})
+		s, err := New()
 		if err != nil {
 			return false
 		}
@@ -126,7 +126,7 @@ type cActive struct {
 // semantics through the trampoline exactly as natively — an async copy
 // enqueued after a kernel sees the kernel's output.
 func TestAsyncOrderingUnderCRAC(t *testing.T) {
-	s, err := NewSession(Config{})
+	s, err := New()
 	if err != nil {
 		t.Fatal(err)
 	}

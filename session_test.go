@@ -85,9 +85,9 @@ func TestSessionVectorAddNativeVsCRAC(t *testing.T) {
 				}
 				rt = n
 			} else {
-				s, err := NewSession(Config{})
+				s, err := New()
 				if err != nil {
-					t.Fatalf("NewSession: %v", err)
+					t.Fatalf("New: %v", err)
 				}
 				defer s.Close()
 				rt = s.Runtime()
@@ -118,9 +118,9 @@ func TestSessionVectorAddNativeVsCRAC(t *testing.T) {
 }
 
 func TestSessionCheckpointRestartTransparency(t *testing.T) {
-	s, err := NewSession(Config{})
+	s, err := New()
 	if err != nil {
-		t.Fatalf("NewSession: %v", err)
+		t.Fatalf("New: %v", err)
 	}
 	defer s.Close()
 	rt := s.Runtime()
@@ -175,9 +175,9 @@ func TestSessionCheckpointRestartTransparency(t *testing.T) {
 }
 
 func TestSessionRestartPreservesStreamsAndEvents(t *testing.T) {
-	s, err := NewSession(Config{})
+	s, err := New()
 	if err != nil {
-		t.Fatalf("NewSession: %v", err)
+		t.Fatalf("New: %v", err)
 	}
 	defer s.Close()
 	rt := s.Runtime()
@@ -238,9 +238,9 @@ func TestSessionRestartPreservesStreamsAndEvents(t *testing.T) {
 }
 
 func TestCrossProcessRestore(t *testing.T) {
-	s, err := NewSession(Config{})
+	s, err := New()
 	if err != nil {
-		t.Fatalf("NewSession: %v", err)
+		t.Fatalf("New: %v", err)
 	}
 	rt := s.Runtime()
 
@@ -295,9 +295,9 @@ func TestASLRBreaksReplayDeterminism(t *testing.T) {
 	// With ASLR on, the fresh lower half lands at different addresses
 	// and the replay detects the mismatch — the reason CRAC calls
 	// personality(ADDR_NO_RANDOMIZE) (Section 3.2.4).
-	s, err := NewSession(Config{ASLR: true, ASLRSeed: 42})
+	s, err := New(WithASLR(42))
 	if err != nil {
-		t.Fatalf("NewSession: %v", err)
+		t.Fatalf("New: %v", err)
 	}
 	defer s.Close()
 	rt := s.Runtime()
@@ -318,9 +318,9 @@ func TestASLRBreaksReplayDeterminism(t *testing.T) {
 }
 
 func TestGzipImageRoundTrip(t *testing.T) {
-	s, err := NewSession(Config{GzipImage: true})
+	s, err := New(WithGzip(0))
 	if err != nil {
-		t.Fatalf("NewSession: %v", err)
+		t.Fatalf("New: %v", err)
 	}
 	defer s.Close()
 	rt := s.Runtime()

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"io/fs"
@@ -118,8 +119,8 @@ func syncDir(dir string) error {
 // atomicWriteFile writes through a temp file in dir and renames it to
 // dest on success; on any failure — error or panic out of write — the
 // temp file is removed and dest is untouched. This is the atomic-write
-// path shared by FileStore and DirStore (and by the deprecated
-// CheckpointFile shim). Unless sync is false, the temp file is fsynced
+// path shared by FileStore and DirStore. Unless sync is false, the temp
+// file is fsynced
 // before the rename and the directory after it, so a Put that returned
 // success survives a machine crash: rename-without-sync can leave dest
 // pointing at a file whose blocks never reached disk.
@@ -769,3 +770,40 @@ func singleImageStore(store Store) bool {
 	si, ok := store.(SingleImageStore)
 	return ok && si.SingleImage()
 }
+
+// existsBatch probes store for names in one round trip. A store with
+// no such probe reports errors.ErrUnsupported; callers then proceed as
+// if nothing were known to exist.
+func existsBatch(ctx context.Context, store Store, names []string) (map[string]bool, error) {
+	if be, ok := store.(BatchExister); ok {
+		return be.ExistsBatch(ctx, names)
+	}
+	return nil, fmt.Errorf("crac: store has no batch-exists probe: %w", errors.ErrUnsupported)
+}
+
+// storeCaps forwards the optional capabilities of the store a wrapper
+// wraps. Method sets are static, so a wrapper embedding it always has
+// all four methods; each one answers as the inner store itself would —
+// through its own method when it has one, and otherwise through the
+// fallback every caller already applies to a store without it: a
+// whole-image read (openImageAt), a List count (StoreLen),
+// errors.ErrUnsupported (existsBatch), not single-image. A forgotten
+// forward silently turns a lazy restart into a full read, or a delta
+// into an overwrite of its own base; embedding this is how a wrapper
+// cannot forget.
+type storeCaps struct{ inner Store }
+
+func (c storeCaps) GetAt(ctx context.Context, name string) (ReaderAtCloser, int64, error) {
+	return openImageAt(ctx, c.inner, name)
+}
+
+func (c storeCaps) ExistsBatch(ctx context.Context, names []string) (map[string]bool, error) {
+	return existsBatch(ctx, c.inner, names)
+}
+
+func (c storeCaps) Len(ctx context.Context) (int, error) { return StoreLen(ctx, c.inner) }
+
+func (c storeCaps) SingleImage() bool { return singleImageStore(c.inner) }
+
+// Unwrap returns the wrapped store.
+func (c storeCaps) Unwrap() Store { return c.inner }

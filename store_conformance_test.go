@@ -484,3 +484,153 @@ func conformConcurrent(t *testing.T, fx storeFixture) {
 		}
 	}
 }
+
+// bareStore is an inner store with none of the optional capabilities;
+// capStore adds all four. Both count the calls that reach them, so the
+// capability table can tell a forwarded call from a fallback.
+type bareStore struct {
+	m     *MemStore
+	calls map[string]int
+}
+
+func newBareStore() *bareStore { return &bareStore{m: NewMemStore(), calls: map[string]int{}} }
+
+func (b *bareStore) Put(ctx context.Context, name string, write func(io.Writer) error) error {
+	b.calls["Put"]++
+	return b.m.Put(ctx, name, write)
+}
+func (b *bareStore) Get(ctx context.Context, name string) (io.ReadCloser, error) {
+	b.calls["Get"]++
+	return b.m.Get(ctx, name)
+}
+func (b *bareStore) List(ctx context.Context) ([]string, error) {
+	b.calls["List"]++
+	return b.m.List(ctx)
+}
+func (b *bareStore) Delete(ctx context.Context, name string) error {
+	b.calls["Delete"]++
+	return b.m.Delete(ctx, name)
+}
+
+type capStore struct{ *bareStore }
+
+func (c capStore) GetAt(ctx context.Context, name string) (ReaderAtCloser, int64, error) {
+	c.calls["GetAt"]++
+	return c.m.GetAt(ctx, name)
+}
+func (c capStore) Len(ctx context.Context) (int, error) {
+	c.calls["Len"]++
+	return c.m.Len(ctx)
+}
+func (c capStore) ExistsBatch(ctx context.Context, names []string) (map[string]bool, error) {
+	c.calls["ExistsBatch"]++
+	have := make(map[string]bool, len(names))
+	for _, n := range names {
+		if rc, err := c.m.Get(ctx, n); err == nil {
+			rc.Close()
+			have[n] = true
+		}
+	}
+	return have, nil
+}
+func (c capStore) SingleImage() bool {
+	c.calls["SingleImage"]++
+	return true
+}
+
+// TestStoreWrappersForwardCapabilities is the capability table: every
+// wrapper × every optional capability × an inner store that has / lacks
+// it. A capability the inner store has must reach the inner store's own
+// method through the wrapper; one it lacks must not be invented — the
+// wrapper answers through the same fallback a caller applies to a bare
+// store (whole-image read, List count, ErrUnsupported, not
+// single-image). Cells a wrapper cannot forward are named with the
+// reason: there the inner method must stay untouched and the fallback's
+// answer must still be exact.
+func TestStoreWrappersForwardCapabilities(t *testing.T) {
+	const randomAccess, counting, batchExists, singleImage = "GetAt", "Len", "ExistsBatch", "SingleImage"
+	all := map[string]bool{randomAccess: true, counting: true, batchExists: true, singleImage: true}
+	wrappers := []struct {
+		name     string
+		wrap     func(inner Store) Store
+		forwards map[string]bool
+	}{
+		{"WithRetry", func(inner Store) Store { return WithRetry(inner, DefaultRetryPolicy()) }, all},
+		{"NewFaultStore", func(inner Store) Store { return NewFaultStore(inner, faults.New(faults.Config{})) }, all},
+		{"wrapTenantStore", func(inner Store) Store {
+			return wrapTenantStore(&poolTenant{sizes: map[string]int64{}}, inner)
+		}, all},
+		// A read-side union view: counts and existence have no cheap
+		// union, and nothing is ever chained into it.
+		{"fallbackStore", func(inner Store) Store {
+			return &fallbackStore{primary: inner, fallback: NewMemStore()}
+		}, map[string]bool{randomAccess: true}},
+		// The backing counts (and answers existence for) chunks as well
+		// as images.
+		{"NewCASStore", func(inner Store) Store { return NewCASStore(inner) },
+			map[string]bool{randomAccess: true, singleImage: true}},
+	}
+	ctx := context.Background()
+	data := bytes.Repeat([]byte("capability"), 1000)
+	for _, wr := range wrappers {
+		for _, has := range []bool{true, false} {
+			inner := newBareStore()
+			var w Store
+			if has {
+				w = wr.wrap(capStore{inner})
+			} else {
+				w = wr.wrap(inner)
+			}
+			conformPut(t, w, "img", data)
+			for k := range inner.calls {
+				delete(inner.calls, k)
+			}
+			check := func(capability string, use func(t *testing.T, forwarded bool)) {
+				t.Run(fmt.Sprintf("%s/%s/inner-has=%v", wr.name, capability, has), func(t *testing.T) {
+					forwarded := has && wr.forwards[capability]
+					use(t, forwarded)
+					if got := inner.calls[capability] > 0; got != forwarded {
+						t.Fatalf("inner %s reached=%v, want %v", capability, got, forwarded)
+					}
+				})
+			}
+			check(randomAccess, func(t *testing.T, _ bool) {
+				ra, size, err := openImageAt(ctx, w, "img")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer ra.Close()
+				got := make([]byte, size)
+				if _, err := ra.ReadAt(got, 0); err != nil && err != io.EOF {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, data) {
+					t.Fatal("random-access read returned wrong bytes")
+				}
+			})
+			check(counting, func(t *testing.T, _ bool) {
+				n, err := StoreLen(ctx, w)
+				if err != nil || n != 1 {
+					t.Fatalf("StoreLen = %d, %v; want the one image", n, err)
+				}
+			})
+			check(batchExists, func(t *testing.T, forwarded bool) {
+				have, err := existsBatch(ctx, w, []string{"img", "absent"})
+				if !forwarded {
+					if !errors.Is(err, errors.ErrUnsupported) {
+						t.Fatalf("existsBatch = %v, %v; want ErrUnsupported, not an invented answer", have, err)
+					}
+					return
+				}
+				if err != nil || !have["img"] || have["absent"] {
+					t.Fatalf("existsBatch = %v, %v", have, err)
+				}
+			})
+			check(singleImage, func(t *testing.T, forwarded bool) {
+				if got := singleImageStore(w); got != forwarded {
+					t.Fatalf("singleImageStore = %v, want %v", got, forwarded)
+				}
+			})
+		}
+	}
+}
