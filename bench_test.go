@@ -339,19 +339,18 @@ func BenchmarkRestartParallel(b *testing.B) {
 
 // BenchmarkRestartLazy measures time-to-first-kernel on the standard
 // ~69 MiB workload: from the start of the restart until one kernel
-// launch + sync has completed on the restored session. The eager rows
-// pay the full image decode and refill before the kernel can run; the
-// lazy rows (RestartAsync) pay only the metadata scan and log replay,
-// faulting in just the pages the kernel touches, while the prefetcher
-// drains the rest in the background (outside the timed window). The
-// lazy time-to-first-kernel is expected to be ≥10× below the eager
-// one; drainMs/op reports the overlapped background drain.
+// launch + sync has completed on the restored session. The waited rows
+// (RestartFrom) materialize the whole image before the kernel can run;
+// the lazy rows (RestartAsync, unwaited) pay only the metadata scan and
+// log replay, faulting in just the pages the kernel touches, while the
+// prefetcher drains the rest in the background (outside the timed
+// window). drainMs/op reports the overlapped background drain.
 func BenchmarkRestartLazy(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		lazy bool
 	}{
-		{"eager", false},
+		{"waited", false},
 		{"lazy", true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {

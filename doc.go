@@ -20,10 +20,10 @@
 //
 // A checkpoint drains all CUDA streams, saves the memory of active
 // mallocs and the CUDA call log together with every upper-half memory
-// region, and omits the CUDA library itself. A restart loads a fresh
-// lower half, restores the upper half, and replays the log so all
-// allocations reappear at their original addresses (the paper's
-// log-and-replay design, Section 3).
+// region, and omits the CUDA library itself. A restart verifies the
+// image, loads a fresh lower half, restores the upper half, and replays
+// the log so all allocations reappear at their original addresses (the
+// paper's log-and-replay design, Section 3).
 //
 // Checkpoints land in a Store — a named-image destination with
 // all-or-nothing writes. FileStore holds one image at a fixed path,
@@ -116,16 +116,16 @@
 // Quiesce/Resume pair, which gates kernel launches and memory writes
 // until resumed.
 //
-// # Lazy restart
+// # Restart without waiting
 //
-// RestartAsync turns restore latency into time-to-first-kernel: the
-// visible phase reads only the image metadata and the replay log,
-// rebuilds the lower half, and maps every restored byte cold — the
-// application (and its kernels) run immediately, faulting image shards
-// in on first access, while a background prefetcher drains the rest of
-// the image concurrently (device memory first, managed UVM pages
-// last). On the standard workload this is an order of magnitude faster
-// to first kernel than an eager restart:
+// Every restart is one route; RestartFrom, Restart and the Restore
+// constructors wait for it, RestartAsync does not, turning restore
+// latency into time-to-first-kernel: the visible phase reads only the
+// image metadata and the replay log, rebuilds the lower half, and maps
+// every restored byte cold — the application (and its kernels) run
+// immediately, faulting image shards in on first access, while a
+// background prefetcher drains the rest of the image concurrently
+// (device memory first, managed UVM pages last):
 //
 //	p, err := s.RestartAsync(ctx, store, "gen042")
 //	if err != nil { ... }            // the session is already executing
@@ -133,14 +133,12 @@
 //	stats, err := p.Wait()           // background drain finished
 //	fmt.Println(stats.RestoreVisibleDuration, "visible of", stats.RestoreDuration)
 //
-// Once the drain completes, memory is byte-identical to an eager
-// restart of the same image (DESIGN.md invariant 11); before that,
-// every access sees the same bytes through the fault path. Delta
-// chains restore shard-by-shard from the nearest ancestor that owns
-// each shard. Cancelling ctx stops only the prefetcher — the session
-// stays fully usable (faults keep materializing) and restartable.
-// WithLazyRestart reroutes RestartFrom and RestoreFrom onto the same
-// path for existing code.
+// Once the drain completes, memory is byte-identical to the image
+// (DESIGN.md invariant 11); before that, every access sees the same
+// bytes through the fault path. Delta chains restore shard-by-shard
+// from the nearest ancestor that owns each shard. Cancelling ctx stops
+// only the prefetcher — the session stays fully usable (faults keep
+// materializing) and restartable.
 //
 // # Live migration
 //
@@ -280,7 +278,7 @@
 // The checkpoint/restart data path is parallel and pipelined: region
 // and allocation payloads are sharded across a worker pool while a
 // single writer streams the image in deterministic order, and restores
-// fan the refills out the same way. WithWorkers, WithShardSize and
+// drain the image with a worker group the same way. WithWorkers, WithShardSize and
 // WithGzip tune it; WithWorkers(1) selects the serial reference path,
 // which produces byte-identical images.
 //

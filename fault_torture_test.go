@@ -213,7 +213,7 @@ func TestTortureFaultyStore(t *testing.T) {
 				var s2 *Session
 				var rerr error
 				if mode.lazy {
-					s2, rerr = New(WithWorkers(2), WithLazyRestart(), WithCheckpointRetry(retry))
+					s2, rerr = New(WithWorkers(2), WithCheckpointRetry(retry))
 					if rerr == nil {
 						rs, aerr := s2.RestartAsync(ctx, vstore, name)
 						if aerr != nil {

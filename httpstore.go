@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 
+	"repro/internal/dmtcp"
 	"repro/internal/netstore"
 )
 
@@ -105,14 +106,15 @@ func (s *HTTPStore) Delete(ctx context.Context, name string) error {
 	return s.mapErr(s.c.Delete(ctx, name), name)
 }
 
-// GetAt implements RandomAccessStore: the returned handle resolves the
-// image size with one HEAD request and serves each ReadAt with an
-// independent Range request (safe for concurrent use).
+// GetAt implements RandomAccessStore: one ranged GET resolves the image
+// size and fetches its first dmtcp.PrefetchChunk bytes — all of any
+// image a waited restart reads in one request — and each ReadAt beyond
+// that is an independent Range request (safe for concurrent use).
 func (s *HTTPStore) GetAt(ctx context.Context, name string) (ReaderAtCloser, int64, error) {
 	if err := validateImageName(name); err != nil {
 		return nil, 0, err
 	}
-	src, size, err := s.c.GetAt(ctx, name)
+	src, size, err := s.c.GetAt(ctx, name, dmtcp.PrefetchChunk)
 	if err != nil {
 		return nil, 0, s.mapErr(err, name)
 	}

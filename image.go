@@ -71,8 +71,9 @@ func (r *KernelRegistry) clone() *KernelRegistry {
 
 // Image is a parsed checkpoint image, opened without restoring it:
 // a first-class, inspectable artifact. Use OpenImage / OpenImageFile /
-// OpenImageFrom to obtain one, Info and Log to inspect it, and
-// Session.RestartImage or RestoreImage to bring it back to life.
+// OpenImageFrom to obtain one and Info and Log to inspect it; restarts
+// read the image from its Store or bytes themselves (RestartFrom,
+// Restart).
 type Image struct {
 	img *dmtcp.Image
 }

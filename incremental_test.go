@@ -289,12 +289,8 @@ func TestBareDeltaRefusesRestore(t *testing.T) {
 	if _, err := s.CheckpointTo(ctx, store, "delta"); err != nil {
 		t.Fatal(err)
 	}
-	rc, err := store.Get(ctx, "delta")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
-	img, err := OpenImage(rc)
+	delta := conformGet(t, store, "delta")
+	img, err := OpenImage(bytes.NewReader(delta))
 	if err != nil {
 		t.Fatalf("a bare delta must still parse for inspection: %v", err)
 	}
@@ -302,8 +298,12 @@ func TestBareDeltaRefusesRestore(t *testing.T) {
 	if !info.Delta || info.Parent != "base" || info.Materialized {
 		t.Fatalf("bare delta info wrong: %+v", info)
 	}
-	if err := s.RestartImage(ctx, img); !errors.Is(err, ErrDeltaChain) {
+	if err := s.Restart(ctx, bytes.NewReader(delta)); !errors.Is(err, ErrDeltaChain) {
 		t.Fatalf("restoring a bare delta: got %v, want ErrDeltaChain", err)
+	}
+	// The parent is looked up before anything is torn down.
+	if _, err := s.Runtime().Malloc(4096); err != nil {
+		t.Fatalf("session unusable after a refused bare delta: %v", err)
 	}
 }
 

@@ -218,10 +218,11 @@ type Space struct {
 
 	// mmapBacked selects anonymous-mmap backing for large regions (see
 	// allocBacking): zero pages on demand instead of a heap memclr.
-	// Lazily-restored spaces set it — their content arrives through
-	// FillCold, so eagerly wiped backing would be paid for nothing —
-	// while ordinary spaces keep heap backing (eager restores touch
-	// every byte once anyway, and sequential memclr beats page faults).
+	// Spaces restored in the background set it — their content arrives
+	// through FillCold, so eagerly wiped backing would be paid for
+	// nothing — while the rest keep heap backing (a waited restart
+	// touches every byte before it returns, and sequential memclr beats
+	// page faults).
 	// backings pins every mapping the space ever allocated: a Slice
 	// view handed to a caller does not keep non-heap memory reachable
 	// on its own, so the mappings live exactly as long as the Space —

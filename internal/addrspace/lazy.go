@@ -1,9 +1,8 @@
-// Lazy materialization: the fault gate behind CRAC's lazy on-demand
-// restart.
+// Lazy materialization: the fault gate behind CRAC's restart.
 //
-// An eager restart fills every restored byte before the application
-// runs. The lazy path instead maps regions (and replayed allocations)
-// with their content *cold*: the pages are tracked in a cold interval
+// Instead of filling every restored byte before the application runs,
+// a restart maps regions (and replayed allocations) with their content
+// *cold*: the pages are tracked in a cold interval
 // set, and the first access through any data-plane operation — ReadAt,
 // WriteAt, Slice/ReadSlice — faults the page range in by calling a
 // registered Materializer, which decodes the backing image shards and
@@ -314,8 +313,8 @@ func (s *Space) DrainLazy() error {
 // protection (like the checkpointer's reads) and the Freeze/Thaw write
 // gate (the content logically predates the freeze: it is the restored
 // image's, not a new application write), and does not advance dirty
-// stamps (the pages keep their restart-time stamps, exactly as an
-// eager restore's bytes would be attributed). Writing only cold pages
+// stamps (the pages keep their restart-time stamps, exactly as bytes
+// written during the restart would be attributed). Writing only cold pages
 // makes the push idempotent and protects ranges that were unmapped (or
 // unmapped-and-remapped) since the plan was laid: their cold marks are
 // gone, so stale image bytes can never overwrite fresh mappings or

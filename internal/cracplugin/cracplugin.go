@@ -6,13 +6,13 @@
 // mallocs — and only active mallocs, not whole arenas — into image
 // sections alongside the serialized call log. At restart time (after the
 // session has replayed the log into the fresh lower half, recreating
-// every allocation at its original address) it refills those allocations
-// with the saved bytes.
+// every allocation at its original address) it binds those allocations
+// to their saved bytes, which the restorer then refills (lazy.go).
 //
-// The drain and the refill both fan out across CPUs: every allocation's
-// offset inside the devmem section is known up front, so workers copy
-// disjoint ranges with no intermediate buffers (see the addrspace
-// concurrency contract).
+// The drain fans out across CPUs: every allocation's offset inside the
+// devmem section is known up front, so workers copy disjoint ranges
+// with no intermediate buffers (see the addrspace concurrency
+// contract).
 package cracplugin
 
 import (
@@ -57,8 +57,8 @@ const devMem2EntryHdr = 17
 type Plugin struct {
 	rt *cracrt.Runtime
 
-	// Workers bounds the drain/refill fan-out: <=0 uses all CPUs, 1 is
-	// the serial reference path.
+	// Workers bounds the drain fan-out: <=0 uses all CPUs, 1 is the
+	// serial reference path.
 	Workers int
 
 	mu   sync.Mutex
@@ -463,87 +463,6 @@ func MergeDevMem(parent, delta []byte) ([]byte, error) {
 		off += int(e.size)
 	}
 	return out, nil
-}
-
-// Restart implements dmtcp.Plugin: refill the replayed allocations with
-// the saved bytes. The session must have rebound the runtime to the fresh
-// lower half (replaying the log) before the restart hooks run, so every
-// address written here is live again at its original value.
-//
-// The entry headers are walked serially; the refill writes fan out, one
-// WriteAt per allocation over disjoint target ranges, stopping early if
-// ctx is cancelled.
-func (p *Plugin) Restart(ctx context.Context, sections *dmtcp.SectionMap) error {
-	var jobs []refillJob
-	space := p.rt.Library().Space()
-	if memBytes, ok := sections.Get(SectionDevMem2); ok {
-		// v3 images: the incremental-capable layout. Every payload must
-		// be present — a bare delta's section reaches a Restart hook only
-		// if the chain was never materialized.
-		entries, err := parseDevMem2(memBytes)
-		if err != nil {
-			return fmt.Errorf("cracplugin: %w", err)
-		}
-		jobs = make([]refillJob, 0, len(entries))
-		for _, e := range entries {
-			if e.payload == nil {
-				return fmt.Errorf("cracplugin: devmem2 entry %#x+%d has no payload (unmaterialized delta chain)", e.addr, e.size)
-			}
-			jobs = append(jobs, refillJob{addr: e.addr, data: e.payload})
-		}
-		return p.refill(ctx, space, jobs, sections)
-	}
-	memBytes, ok := sections.Get(SectionDevMem)
-	if !ok {
-		return fmt.Errorf("cracplugin: image has no %s or %s section", SectionDevMem, SectionDevMem2)
-	}
-	r := bytes.NewReader(memBytes)
-	var u32 [4]byte
-	if _, err := io.ReadFull(r, u32[:]); err != nil {
-		return fmt.Errorf("cracplugin: devmem count: %w", err)
-	}
-	n := binary.LittleEndian.Uint32(u32[:])
-	jobs = make([]refillJob, 0, n)
-	off := 4
-	for i := uint32(0); i < n; i++ {
-		if off+devMemEntryHdr > len(memBytes) {
-			return fmt.Errorf("cracplugin: devmem entry %d: %w", i, io.ErrUnexpectedEOF)
-		}
-		addr := binary.LittleEndian.Uint64(memBytes[off:])
-		size := binary.LittleEndian.Uint64(memBytes[off+8:])
-		off += devMemEntryHdr
-		if uint64(len(memBytes)-off) < size {
-			return fmt.Errorf("cracplugin: devmem entry %d data: %w", i, io.ErrUnexpectedEOF)
-		}
-		jobs = append(jobs, refillJob{addr: addr, data: memBytes[off : off+int(size)]})
-		off += int(size)
-	}
-	return p.refill(ctx, space, jobs, sections)
-}
-
-// refillJob is one saved allocation to write back at restart.
-type refillJob struct {
-	addr uint64
-	data []byte
-}
-
-// refill writes the saved allocation bytes back and restores the root
-// blob, fanning the writes out over disjoint target ranges.
-func (p *Plugin) refill(ctx context.Context, space *addrspace.Space, jobs []refillJob, sections *dmtcp.SectionMap) error {
-	if err := par.ForErrCtx(ctx, p.Workers, len(jobs), func(i int) error {
-		if err := space.WriteAt(jobs[i].addr, jobs[i].data); err != nil {
-			return fmt.Errorf("cracplugin: refilling %#x+%d: %w", jobs[i].addr, len(jobs[i].data), err)
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-	if root, ok := sections.Get(SectionRoot); ok {
-		p.mu.Lock()
-		p.root = append([]byte(nil), root...)
-		p.mu.Unlock()
-	}
-	return nil
 }
 
 var _ dmtcp.Plugin = (*Plugin)(nil)

@@ -99,6 +99,31 @@ func TestPreCheckpointSectionsAndDrain(t *testing.T) {
 	}
 }
 
+// restoreIndex opens an image for the plugin's restart hook.
+func restoreIndex(t *testing.T, img []byte) *dmtcp.ShardIndex {
+	t.Helper()
+	ix, err := dmtcp.OpenShardIndex(bytes.NewReader(img), int64(len(img)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
+// checkpointImage writes a full image of the plugin's runtime through
+// an engine over the live space.
+func checkpointImage(t *testing.T, p *Plugin, plugins ...dmtcp.Plugin) []byte {
+	t.Helper()
+	e := dmtcp.NewEngine()
+	for _, pl := range plugins {
+		e.Register(pl)
+	}
+	var img bytes.Buffer
+	if _, err := e.Checkpoint(context.Background(), &img, p.rt.Library().Space()); err != nil {
+		t.Fatal(err)
+	}
+	return img.Bytes()
+}
+
 func TestRestartRefills(t *testing.T) {
 	rt, _ := buildRT(t)
 	d, _ := rt.Malloc(4096)
@@ -106,9 +131,10 @@ func TestRestartRefills(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := New(rt)
-	sections := freezeEmit(t, p, 0, false)
+	ix := restoreIndex(t, checkpointImage(t, p, p))
 
-	// Fresh process: new space/library, replay the log, then refill.
+	// Fresh process: new space/library, replay the log, then plan the
+	// refill and read it back through the fault path.
 	space2 := addrspace.New()
 	helper2, _ := loader.NewLower(space2).Load(loader.HelperSpec(cracrt.Symbols))
 	lib2, _ := cuda.NewLibrary(cuda.Config{Space: space2})
@@ -118,14 +144,23 @@ func TestRestartRefills(t *testing.T) {
 		a, _ := helper2.Entry(s)
 		entries2[s] = a
 	}
-	logBytes, _ := sections.Get(SectionLog)
+	logBytes, err := ix.SectionBytes(SectionLog)
+	if err != nil {
+		t.Fatal(err)
+	}
 	log, _ := replaylog.DecodeBytes(logBytes)
 	if err := rt.Rebind(lib2, entries2, log); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Restart(context.Background(), sections); err != nil {
+	r, err := dmtcp.NewLazyRestorer(space2, []*dmtcp.ShardIndex{ix})
+	if err != nil {
 		t.Fatal(err)
 	}
+	if err := p.LazyRestart(context.Background(), r); err != nil {
+		t.Fatal(err)
+	}
+	space2.BeginLazy(r.MaterializeRange)
+	r.Seal()
 	buf := make([]byte, 4096)
 	if err := space2.ReadAt(d, buf); err != nil {
 		t.Fatal(err)
@@ -140,7 +175,12 @@ func TestRestartRefills(t *testing.T) {
 func TestRestartWithoutDevMemSectionFails(t *testing.T) {
 	rt, _ := buildRT(t)
 	p := New(rt)
-	if err := p.Restart(context.Background(), dmtcp.NewSectionMap()); err == nil {
+	ix := restoreIndex(t, checkpointImage(t, p)) // no plugin: no sections
+	r, err := dmtcp.NewLazyRestorer(addrspace.New(), []*dmtcp.ShardIndex{ix})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.LazyRestart(context.Background(), r); err == nil {
 		t.Fatal("restart without devmem section succeeded")
 	}
 }

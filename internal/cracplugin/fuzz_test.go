@@ -24,8 +24,8 @@ func devMem2Bytes(entries ...dm2Entry) []byte {
 }
 
 // FuzzWalkDevMem2 feeds the devmem2 entry-header walk — the one decoder
-// behind parseDevMem2 (eager restart, chain merge) and the lazy restart
-// plan — arbitrary sections. It must fail with an error, never panic,
+// behind parseDevMem2 (chain merge) and the restart plan — arbitrary
+// sections. It must fail with an error, never panic,
 // never report a payload outside the section, and never allocate from a
 // size the input merely claims. The committed corpus
 // (testdata/fuzz/FuzzWalkDevMem2) holds the hostile shapes by name: a

@@ -1,5 +1,5 @@
-// Lazy restart: instead of refilling every active allocation eagerly,
-// the plugin binds each allocation's address range to its payload
+// Restart: instead of refilling every active allocation itself, the
+// plugin binds each allocation's address range to its payload
 // bytes inside the image (a fill plan on the dmtcp.LazyRestorer) and
 // lets the address-space fault gate materialize allocations on first
 // access, with the background prefetcher draining the rest — device
@@ -36,9 +36,9 @@ import (
 // to prefetch classes.
 var allocClasses = []dmtcp.PrefetchClass{dmtcp.ClassDevice, dmtcp.ClassPinned, dmtcp.ClassManaged}
 
-// LazyRestart implements dmtcp.LazyRestartPlugin: restore the root
-// blob eagerly (it is tiny) and register fill plans for every active
-// allocation instead of refilling them.
+// LazyRestart implements dmtcp.Plugin: restore the root blob eagerly
+// (it is tiny) and register fill plans for every active allocation
+// instead of refilling them.
 func (p *Plugin) LazyRestart(ctx context.Context, r *dmtcp.LazyRestorer) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -184,5 +184,3 @@ func sectionSize(secs []dmtcp.SectionHdr, name string) (uint64, bool) {
 	}
 	return 0, false
 }
-
-var _ dmtcp.LazyRestartPlugin = (*Plugin)(nil)

@@ -25,7 +25,7 @@
 // compress and write in parallel, in deterministic order, so a v3 image
 // is byte-identical for any worker count. Reading a delta back yields
 // an unmaterialized Image; ApplyDelta / ResolveChain fold a base plus
-// its deltas into the same complete Image that RestoreRegions consumes.
+// its deltas into the same complete Image a v2 image reads back as.
 package dmtcp
 
 import (
@@ -435,9 +435,9 @@ func (e *Engine) writeImageV3(ctx context.Context, w io.Writer, view addrspace.V
 // readImageV3 parses a v3 image. A base materializes immediately; a
 // delta parses its shards and waits for ApplyDelta/ResolveChain.
 func readImageV3(r io.Reader) (*Image, error) {
-	var flags [4]byte
-	if _, err := io.ReadFull(r, flags[:]); err != nil {
-		return nil, fmt.Errorf("%w: flags: %v", ErrBadImage, err)
+	flags, err := readFlags(r, 3)
+	if err != nil {
+		return nil, err
 	}
 	img := &Image{Version: 3, Gzip: flags[0]&1 != 0, Sections: NewSectionMap()}
 	delta := flags[0]&2 != 0

@@ -219,8 +219,8 @@ func (p *growingSectionPlugin) Freeze(uint64, bool) (EmitFunc, error) {
 		return nil
 	}, nil
 }
-func (p *growingSectionPlugin) Resume() error                                  { return nil }
-func (p *growingSectionPlugin) Restart(_ context.Context, _ *SectionMap) error { return nil }
+func (p *growingSectionPlugin) Resume() error                                    { return nil }
+func (p *growingSectionPlugin) LazyRestart(context.Context, *LazyRestorer) error { return nil }
 
 func TestV3WorkerCountDeterminism(t *testing.T) {
 	for _, gz := range []bool{false, true} {
@@ -282,8 +282,7 @@ func TestV3DeltaRestoreWithoutChainFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := addrspace.New()
-	if err := RestoreRegions(tip, fresh); !errors.Is(err, ErrDeltaChain) {
+	if err := restoreImage(nil, cs["d"], addrspace.New(), 0); !errors.Is(err, ErrDeltaChain) {
 		t.Fatalf("restoring an unmaterialized delta must fail with ErrDeltaChain, got %v", err)
 	}
 	// A broken lineage (missing parent) also classifies as ErrDeltaChain.
@@ -403,8 +402,8 @@ func (p *hookWriter) Freeze(uint64, bool) (EmitFunc, error) {
 	}
 	return func(context.Context, addrspace.View, *SectionMap) error { return nil }, nil
 }
-func (p *hookWriter) Resume() error                                  { return nil }
-func (p *hookWriter) Restart(_ context.Context, _ *SectionMap) error { return nil }
+func (p *hookWriter) Resume() error                                    { return nil }
+func (p *hookWriter) LazyRestart(context.Context, *LazyRestorer) error { return nil }
 
 // TestV3HookTimeWritesStampAboveCut pins the cut ordering: a write
 // performed during the checkpoint's own hooks (after the cut is taken)

@@ -1,9 +1,10 @@
 // Package dmtcp simulates the parts of DMTCP that CRAC delegates to: a
 // checkpoint engine that serializes the *upper half only* of a split
 // process to an image, a plugin interface with the
-// freeze → emit/resume/restart hook lifecycle (the DMTCP plugin model of
-// Arya et al. that CRAC builds on), and a coordinator for multi-rank
-// coordinated checkpoints (the MPI+CUDA proof of principle of Section 6).
+// freeze → emit/resume and restart hook lifecycle (the DMTCP plugin
+// model of Arya et al. that CRAC builds on), the restorer that brings an
+// image back (lazy.go), and a coordinator for multi-rank coordinated
+// checkpoints (the MPI+CUDA proof of principle of Section 6).
 //
 // The image deliberately excludes every lower-half region: the active
 // CUDA library and its arenas are *not* checkpointed; a fresh lower half
@@ -136,9 +137,12 @@ type Plugin interface {
 	// Resume runs after a successful checkpoint, when the original
 	// process continues.
 	Resume() error
-	// Restart runs in the restarted process after the upper-half regions
-	// have been restored.
-	Restart(ctx context.Context, sections *SectionMap) error
+	// LazyRestart runs in the restarted process after the upper-half
+	// regions are mapped: instead of refilling its state, the plugin
+	// registers fill plans on the restorer (reading small sections
+	// eagerly through it), and the restorer materializes them on first
+	// access or in its background drain.
+	LazyRestart(ctx context.Context, r *LazyRestorer) error
 }
 
 // RegionData is one serialized upper-half region.
@@ -204,13 +208,12 @@ type Stats struct {
 	HookDuration  time.Duration
 	PauseDuration time.Duration
 
-	// Lazy-restart timing split (Session.RestartAsync /
-	// WithLazyRestart). RestoreVisibleDuration is the application-
-	// blocking phase: index scan, metadata, lower-half rebuild, and log
-	// replay — everything before the first kernel can launch.
-	// RestoreBackgroundDuration is the overlapped prefetcher drain;
-	// RestoreDuration the total until the image was fully materialized.
-	// An eager restart is all-visible (the background split is zero).
+	// Restart timing split (Session.RestartAsync).
+	// RestoreVisibleDuration is the application-blocking phase: index
+	// scan, verification, lower-half rebuild, and log replay — everything
+	// before the first kernel can launch. RestoreBackgroundDuration is
+	// the prefetcher drain; RestoreDuration the total until the image
+	// was fully materialized.
 	RestoreDuration           time.Duration
 	RestoreVisibleDuration    time.Duration
 	RestoreBackgroundDuration time.Duration
@@ -283,7 +286,7 @@ type Engine struct {
 func NewEngine() *Engine { return &Engine{} }
 
 // Register appends a plugin. Hooks run in registration order for
-// Freeze/emit/Restart and reverse order for Resume.
+// Freeze/emit/LazyRestart and reverse order for Resume.
 func (e *Engine) Register(p Plugin) { e.plugins = append(e.plugins, p) }
 
 var (
@@ -330,6 +333,11 @@ func (e *Engine) shardSize() int {
 // format across checkpoints (Reset re-arms a closed writer); v1 always
 // compresses at the default level, so every pooled writer fits.
 var v1GzipPool sync.Pool
+
+// v1GzipHeader is the member header every v1+gzip image starts its
+// body with: the gzip magic, deflate, no flags, no mtime, default-level
+// XFL, and the Go writer's "unknown" OS byte.
+var v1GzipHeader = [10]byte{0x1f, 0x8b, 8, 0, 0, 0, 0, 0, 0, 0xff}
 
 // v1ChunkPool recycles the bounded payload chunk buffer of writeBodyV1.
 var v1ChunkPool sync.Pool
@@ -889,14 +897,21 @@ func ReadImage(r io.Reader) (*Image, error) {
 }
 
 func readImageV1(r io.Reader) (*Image, error) {
-	var flags [4]byte
-	if _, err := io.ReadFull(r, flags[:]); err != nil {
-		return nil, fmt.Errorf("%w: flags: %v", ErrBadImage, err)
+	flags, err := readFlags(r, 1)
+	if err != nil {
+		return nil, err
 	}
 	img := &Image{Version: 1, Gzip: flags[0]&1 != 0, Sections: NewSectionMap()}
 	body := r
 	if img.Gzip {
-		gz, err := gzip.NewReader(r)
+		// The member's CRC covers only the inflated body, and v1+gzip
+		// carries no trailer: accept nothing but the header the v1 writer
+		// emits, so damage to its unchecked bytes cannot pass.
+		var hdr [len(v1GzipHeader)]byte
+		if _, err := io.ReadFull(r, hdr[:]); err != nil || hdr != v1GzipHeader {
+			return nil, fmt.Errorf("%w: gzip header % x", ErrBadImage, hdr)
+		}
+		gz, err := gzip.NewReader(io.MultiReader(bytes.NewReader(hdr[:]), r))
 		if err != nil {
 			return nil, fmt.Errorf("%w: gzip: %v", ErrBadImage, err)
 		}
@@ -992,9 +1007,9 @@ type frame struct {
 }
 
 func readImageV2(r io.Reader) (*Image, error) {
-	var flags [4]byte
-	if _, err := io.ReadFull(r, flags[:]); err != nil {
-		return nil, fmt.Errorf("%w: flags: %v", ErrBadImage, err)
+	flags, err := readFlags(r, 1)
+	if err != nil {
+		return nil, err
 	}
 	img := &Image{Version: 2, Gzip: flags[0]&1 != 0, Sections: NewSectionMap()}
 
@@ -1199,77 +1214,6 @@ func readIntoSpans(r io.Reader, spans []destSpan, off uint64, n int) error {
 		}
 		off += uint64(k)
 		n -= k
-	}
-	return nil
-}
-
-// RestoreRegions recreates every image region in space (attributed to the
-// upper half, at the original addresses) and fills in the saved bytes,
-// fanning the fills out across all CPUs.
-func RestoreRegions(img *Image, space *addrspace.Space) error {
-	return RestoreRegionsN(context.Background(), img, space, 0)
-}
-
-// RestoreRegionsN is RestoreRegions with an explicit worker count
-// (workers<=0: all CPUs, 1: serial) and cancellation. The mappings are
-// created serially — they mutate the region list — then the fills run
-// concurrently over disjoint ranges (see the addrspace concurrency
-// contract), then read-only protections are applied.
-func RestoreRegionsN(ctx context.Context, img *Image, space *addrspace.Space, workers int) error {
-	if !img.Complete() {
-		return fmt.Errorf("%w: cannot restore regions from an unmaterialized delta", ErrDeltaChain)
-	}
-	for _, rd := range img.Regions {
-		if _, err := space.MMap(rd.Start, rd.Len, rd.Prot|addrspace.ProtWrite, addrspace.MapFixedNoReplace,
-			addrspace.HalfUpper, rd.Label); err != nil {
-			return fmt.Errorf("dmtcp: restoring region %#x+%d (%s): %w", rd.Start, rd.Len, rd.Label, err)
-		}
-	}
-	type fill struct {
-		addr uint64
-		data []byte
-	}
-	var fills []fill
-	for _, rd := range img.Regions {
-		for off := uint64(0); off < uint64(len(rd.Data)); off += DefaultShardSize {
-			end := off + DefaultShardSize
-			if end > uint64(len(rd.Data)) {
-				end = uint64(len(rd.Data))
-			}
-			fills = append(fills, fill{addr: rd.Start + off, data: rd.Data[off:end]})
-		}
-	}
-	if err := par.ForErrCtx(ctx, workers, len(fills), func(i int) error {
-		if err := space.WriteAt(fills[i].addr, fills[i].data); err != nil {
-			return fmt.Errorf("dmtcp: filling region %#x+%d: %w", fills[i].addr, len(fills[i].data), err)
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-	for _, rd := range img.Regions {
-		if rd.Prot&addrspace.ProtWrite == 0 {
-			if err := space.MProtect(rd.Start, rd.Len, rd.Prot); err != nil {
-				return fmt.Errorf("dmtcp: protecting region %#x+%d: %w", rd.Start, rd.Len, err)
-			}
-		}
-	}
-	return nil
-}
-
-// RunRestartHooks invokes every plugin's Restart hook with the image's
-// sections, in registration order.
-func (e *Engine) RunRestartHooks(ctx context.Context, img *Image) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	for _, p := range e.plugins {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := p.Restart(ctx, img.Sections); err != nil {
-			return fmt.Errorf("dmtcp: plugin %s restart: %w", p.Name(), err)
-		}
 	}
 	return nil
 }

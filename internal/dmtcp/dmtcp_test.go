@@ -34,10 +34,11 @@ func (p *testPlugin) Freeze(uint64, bool) (EmitFunc, error) {
 	}, nil
 }
 func (p *testPlugin) Resume() error { p.resume++; return nil }
-func (p *testPlugin) Restart(_ context.Context, s *SectionMap) error {
+func (p *testPlugin) LazyRestart(_ context.Context, r *LazyRestorer) error {
 	p.restart++
-	p.got, _ = s.Get(p.name + ".data")
-	return nil
+	var err error
+	p.got, err = r.SectionBytes(p.name + ".data")
+	return err
 }
 
 func buildSpace(t *testing.T) (*addrspace.Space, uint64) {
@@ -95,7 +96,7 @@ func TestCheckpointImageRoundTrip(t *testing.T) {
 
 	// Restore into a fresh space.
 	fresh := addrspace.New()
-	if err := RestoreRegions(parsed, fresh); err != nil {
+	if err := restoreImage(e, img.Bytes(), fresh, 0); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, 2*addrspace.PageSize)
@@ -104,9 +105,6 @@ func TestCheckpointImageRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(got, bytes.Repeat([]byte{0xCD}, 2*addrspace.PageSize)) {
 		t.Fatal("restored bytes differ")
-	}
-	if err := e.RunRestartHooks(context.Background(), parsed); err != nil {
-		t.Fatal(err)
 	}
 	if p.restart != 1 || string(p.got) != "payload-crac" {
 		t.Fatalf("restart hook: %d %q", p.restart, p.got)
@@ -177,10 +175,9 @@ func TestRestoreCollisionFails(t *testing.T) {
 	if _, err := e.Checkpoint(context.Background(), &img, space); err != nil {
 		t.Fatal(err)
 	}
-	parsed, _ := ReadImage(bytes.NewReader(img.Bytes()))
 	// Restoring over a space that already has the address mapped fails
 	// (MAP_FIXED_NOREPLACE semantics protect against corruption).
-	if err := RestoreRegions(parsed, space); err == nil {
+	if err := restoreImage(nil, img.Bytes(), space, 0); err == nil {
 		t.Fatal("restore over occupied space succeeded")
 	}
 }

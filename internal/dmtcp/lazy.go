@@ -37,23 +37,18 @@
 // each at most once (concurrent faults and the prefetcher wait on the
 // same in-flight call), scatters the decoded bytes through
 // Space.FillCold, and marks the range warm. Invariant 11 (DESIGN.md):
-// once the prefetcher drains, memory is byte-identical to an eager
-// restart of the same image.
+// once the prefetcher drains, memory is byte-identical to the image's
+// materialized content, whatever order faults and the drain took.
 package dmtcp
 
 import (
-	"errors"
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
 
 	"repro/internal/addrspace"
 )
-
-// ErrLazyUnsupported reports an image whose body cannot be served
-// lazily (e.g. a frame straddling span boundaries, which the writer
-// never produces).
-var ErrLazyUnsupported = errors.New("dmtcp: image layout not servable lazily")
 
 // ixShard is one indexed payload shard.
 type ixShard struct {
@@ -96,6 +91,13 @@ type ShardIndex struct {
 	spans  []ixSpan
 	src    io.ReaderAt
 
+	// size is the source's length and bodyLen where the scan found the
+	// body to end: whatever lies between is the integrity trailer.
+	size, bodyLen int64
+	// mem is the whole image when the index holds it in memory, so
+	// stored shards are used in place.
+	mem []byte
+
 	parent *ShardIndex
 }
 
@@ -116,10 +118,6 @@ func (ix *ShardIndex) SetParent(p *ShardIndex) error {
 	ix.parent = p
 	return nil
 }
-
-// Complete reports whether the index alone can serve every byte (v1,
-// v2, v3 base — or a delta whose chain is linked through SetParent).
-func (ix *ShardIndex) Complete() bool { return !ix.Delta || ix.parent != nil }
 
 // scanner is a sequential reader over an io.ReaderAt whose skip is a
 // true seek and whose reads are exact: a refill fetches what the caller
@@ -224,8 +222,43 @@ func le64(b []byte) uint64 {
 
 // OpenShardIndex scans the image headers in src and builds the
 // random-access shard index without decoding any payload (except the
-// v1 whole-body-gzip fallback, which has no random access).
+// v1 whole-body-gzip fallback, which has no random access). A source
+// holding the whole image in memory — one whose Bytes method returns
+// all size bytes — is indexed in place: the trailer pass and stored
+// shards read it without copying (InMemory).
 func OpenShardIndex(src io.ReaderAt, size int64) (*ShardIndex, error) {
+	return openShardIndex(src, size, memOf(src, size))
+}
+
+// OpenShardIndexWhole is OpenShardIndex for a caller that reads every
+// byte anyway (a waited restart): an image of at most PrefetchChunk
+// bytes not already in memory is read with one ReadAt and indexed in
+// memory, instead of header by header.
+func OpenShardIndexWhole(src io.ReaderAt, size int64) (*ShardIndex, error) {
+	mem := memOf(src, size)
+	if mem == nil && size <= PrefetchChunk {
+		mem = make([]byte, size)
+		if err := readFullAt(src, mem, 0); err != nil {
+			return nil, err
+		}
+		src = bytes.NewReader(mem)
+	}
+	return openShardIndex(src, size, mem)
+}
+
+// memOf returns the whole image when src holds it in memory, else nil.
+func memOf(src io.ReaderAt, size int64) []byte {
+	if m, ok := src.(interface{ Bytes() []byte }); ok && int64(len(m.Bytes())) == size {
+		return m.Bytes()
+	}
+	return nil
+}
+
+// InMemory reports whether the index holds its whole image in memory,
+// so that reading every byte again costs no I/O.
+func (ix *ShardIndex) InMemory() bool { return ix.mem != nil }
+
+func openShardIndex(src io.ReaderAt, size int64, mem []byte) (*ShardIndex, error) {
 	sc := newScanner(src, size)
 	// Every format opens with magic, flags and at least one more u32.
 	sc.expect(16)
@@ -233,19 +266,26 @@ func OpenShardIndex(src io.ReaderAt, size int64) (*ShardIndex, error) {
 	if _, err := io.ReadFull(sc, magic[:]); err != nil {
 		return nil, fmt.Errorf("%w: magic: %v", ErrBadImage, err)
 	}
+	var ix *ShardIndex
+	var err error
 	switch magic {
 	case imageMagicV1:
-		return scanIndexV1(src, size, sc)
+		ix, err = scanIndexV1(src, size, sc)
 	case imageMagicV2:
-		return scanIndexV2(src, sc)
+		ix, err = scanIndexV2(src, sc)
 	case imageMagicV3:
-		return scanIndexV3(src, sc)
+		ix, err = scanIndexV3(src, sc)
 	default:
 		if string(magic[:7]) == string(imageMagicV1[:7]) {
 			return nil, fmt.Errorf("%w: %q", ErrUnsupportedVersion, magic[:])
 		}
 		return nil, fmt.Errorf("%w: bad magic %q", ErrBadImage, magic[:])
 	}
+	if err != nil {
+		return nil, err
+	}
+	ix.size, ix.bodyLen, ix.mem = size, sc.offset(), mem
+	return ix, nil
 }
 
 // Minimum encoded sizes of one table entry (an empty label or name):
@@ -294,9 +334,9 @@ func scanRegionTable(sc *scanner) ([]RegionData, uint64, error) {
 }
 
 func scanIndexV2(src io.ReaderAt, sc *scanner) (*ShardIndex, error) {
-	var flags [4]byte
-	if _, err := io.ReadFull(sc, flags[:]); err != nil {
-		return nil, fmt.Errorf("%w: flags: %v", ErrBadImage, err)
+	flags, err := readFlags(sc, 1)
+	if err != nil {
+		return nil, err
 	}
 	ix := &ShardIndex{Version: 2, Gzip: flags[0]&1 != 0, src: src}
 	regions, totalRaw, err := scanRegionTable(sc)
@@ -364,7 +404,7 @@ func scanIndexV2(src io.ReaderAt, sc *scanner) (*ShardIndex, error) {
 		if !ok || spanOff+uint64(rawLen) > ix.spans[span].size {
 			// The format permits span-straddling frames but the writer
 			// never emits them; random access needs the writer layout.
-			return nil, fmt.Errorf("%w: frame at %d straddles spans", ErrLazyUnsupported, consumed)
+			return nil, fmt.Errorf("%w: frame at %d straddles spans", ErrBadImage, consumed)
 		}
 		ix.addShard(ixShard{span: span, off: spanOff, rawLen: rawLen, encLen: encLen,
 			fileOff: sc.offset(), gz: ix.Gzip})
@@ -377,14 +417,13 @@ func scanIndexV2(src io.ReaderAt, sc *scanner) (*ShardIndex, error) {
 }
 
 func scanIndexV3(src io.ReaderAt, sc *scanner) (*ShardIndex, error) {
-	var flags [4]byte
-	if _, err := io.ReadFull(sc, flags[:]); err != nil {
-		return nil, fmt.Errorf("%w: flags: %v", ErrBadImage, err)
+	flags, err := readFlags(sc, 3)
+	if err != nil {
+		return nil, err
 	}
 	ix := &ShardIndex{Version: 3, Gzip: flags[0]&1 != 0, Delta: flags[0]&2 != 0, src: src}
 	const lineage = 4 + 8 + 8 + 4 // depth, image id, parent id, then the region count
 	sc.expect(2 + lineage)
-	var err error
 	if ix.Parent, err = readString(sc); err != nil {
 		return nil, fmt.Errorf("%w: parent: %v", ErrBadImage, err)
 	}
@@ -508,9 +547,9 @@ func scanIndexV3(src io.ReaderAt, sc *scanner) (*ShardIndex, error) {
 // whole-body-gzip variant decodes once up front and serves shards from
 // memory.
 func scanIndexV1(src io.ReaderAt, size int64, sc *scanner) (*ShardIndex, error) {
-	var flags [4]byte
-	if _, err := io.ReadFull(sc, flags[:]); err != nil {
-		return nil, fmt.Errorf("%w: flags: %v", ErrBadImage, err)
+	flags, err := readFlags(sc, 1)
+	if err != nil {
+		return nil, err
 	}
 	if flags[0]&1 != 0 {
 		// One gzip stream over the whole body: no random access. Decode
@@ -719,6 +758,22 @@ func (ix *ShardIndex) readShard(i int, dst []byte) error {
 		return fmt.Errorf("%w: shard at %d: content hash mismatch", ErrCorruptImage, sh.fileOff)
 	}
 	return nil
+}
+
+// shardView returns shard i's raw bytes without copying when they lie
+// verbatim in memory — a stored shard of an in-memory image, or a
+// v1+gzip shard decoded up front — checking the content hash as
+// readShard would; nil when the shard must be decoded into a buffer.
+func (ix *ShardIndex) shardView(i int) ([]byte, error) {
+	sh := &ix.shards[i]
+	raw := sh.mem
+	if raw == nil && !sh.gz && ix.mem != nil {
+		raw = ix.mem[sh.fileOff : sh.fileOff+int64(sh.rawLen)]
+	}
+	if raw != nil && sh.hashed && fnvSum64(raw) != sh.hash {
+		return nil, fmt.Errorf("%w: shard at %d: content hash mismatch", ErrCorruptImage, sh.fileOff)
+	}
+	return raw, nil
 }
 
 // shardsCovering returns the indices of the span's shards overlapping

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"testing"
 
@@ -64,10 +65,8 @@ func (p *lazyTestPlugin) Freeze(uint64, bool) (EmitFunc, error) {
 		return nil
 	}, nil
 }
-func (p *lazyTestPlugin) Resume() error { return nil }
-func (p *lazyTestPlugin) Restart(_ context.Context, sections *SectionMap) error {
-	return nil
-}
+func (p *lazyTestPlugin) Resume() error                                    { return nil }
+func (p *lazyTestPlugin) LazyRestart(context.Context, *LazyRestorer) error { return nil }
 
 // TestShardIndexSectionBytes checks the index returns the same section
 // bytes as the eager reader, across formats.
@@ -191,20 +190,50 @@ func chainImages(t *testing.T, shard int) (base, delta []byte, space *addrspace.
 func lazyRestoreChain(t *testing.T, chain []*ShardIndex) (*addrspace.Space, *LazyRestorer) {
 	t.Helper()
 	space := addrspace.New()
-	for _, rd := range chain[0].Regions {
-		if _, err := space.MMap(rd.Start, rd.Len, rd.Prot, addrspace.MapFixedNoReplace,
-			addrspace.HalfUpper, rd.Label); err != nil {
-			t.Fatal(err)
-		}
-	}
 	r, err := NewLazyRestorer(space, chain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.PlanRegions()
+	if err := r.MapRegions(); err != nil {
+		t.Fatal(err)
+	}
 	space.BeginLazy(r.MaterializeRange)
 	r.Seal()
 	return space, r
+}
+
+// restoreImage runs the restart route over one self-contained image:
+// index and verify it, map its regions into space, run e's restart
+// hooks (when e is set), drain every plan with the given worker count,
+// and uninstall the fault gate.
+func restoreImage(e *Engine, data []byte, space *addrspace.Space, workers int) error {
+	ix, err := OpenShardIndex(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		return err
+	}
+	if err := ix.VerifyTrailer(); err != nil {
+		return err
+	}
+	r, err := NewLazyRestorer(space, []*ShardIndex{ix})
+	if err != nil {
+		return err
+	}
+	r.Workers = workers
+	if err := r.MapRegions(); err != nil {
+		return err
+	}
+	if e != nil {
+		if err := e.RunLazyRestartHooks(context.Background(), r); err != nil {
+			return err
+		}
+	}
+	space.BeginLazy(r.MaterializeRange)
+	r.Seal()
+	if err := r.Prefetch(context.Background()); err != nil {
+		return err
+	}
+	space.EndLazy()
+	return nil
 }
 
 // TestLazyChainBaseOwnedShards checks per-shard chain resolution: a
@@ -323,4 +352,82 @@ func TestLazyRestorerSingleFlight(t *testing.T) {
 	if r.ShardsDecoded() != decoded {
 		t.Fatalf("re-read decoded %d more shards", r.ShardsDecoded()-decoded)
 	}
+}
+
+// FuzzOpenShardIndex feeds the index scanner — the only parser every
+// restart runs over stored bytes — arbitrary images. It must fail with
+// a classified error, never panic, and never index a shard outside its
+// source or its span; whatever it accepts must verify and decode
+// without panicking. Seeds: v1, v2 (raw and gzip'd), a v3 base and a
+// v3 delta, whole and truncated.
+func FuzzOpenShardIndex(f *testing.F) {
+	space, regions := buildBigSpace(f, 3)
+	engine := func(version int, gz bool) *Engine {
+		e := NewEngine()
+		e.ImageVersion = version
+		e.Gzip = gz
+		e.ShardSize = 2 * addrspace.PageSize
+		e.Register(&sectionPlugin{sizes: []int{100, 3000}})
+		return e
+	}
+	add := func(img []byte) {
+		f.Add(img)
+		f.Add(img[:len(img)/2])
+	}
+	for _, cfg := range []struct {
+		version int
+		gz      bool
+	}{{1, false}, {1, true}, {2, false}, {2, true}} {
+		var img bytes.Buffer
+		if _, err := engine(cfg.version, cfg.gz).Checkpoint(context.Background(), &img, space); err != nil {
+			f.Fatal(err)
+		}
+		add(img.Bytes())
+	}
+	e := engine(3, false)
+	var base, delta bytes.Buffer
+	_, st, err := e.CheckpointDelta(context.Background(), &base, space, nil, "base")
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := space.WriteAt(regions[1].Start+addrspace.PageSize, []byte("dirty")); err != nil {
+		f.Fatal(err)
+	}
+	if _, _, err := e.CheckpointDelta(context.Background(), &delta, space, st, "delta"); err != nil {
+		f.Fatal(err)
+	}
+	add(base.Bytes())
+	add(delta.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// Read by offset, then held in memory (the waited restart's way).
+		for _, open := range []func(io.ReaderAt, int64) (*ShardIndex, error){OpenShardIndex, OpenShardIndexWhole} {
+			ix, err := open(bytes.NewReader(data), int64(len(data)))
+			if err != nil {
+				if !errors.Is(err, ErrBadImage) && !errors.Is(err, ErrUnsupportedVersion) &&
+					!errors.Is(err, ErrCorruptImage) {
+					t.Fatalf("unclassified scan error: %v", err)
+				}
+				return
+			}
+			if ix.bodyLen > ix.size {
+				t.Fatalf("body ends at %d of a %d-byte image", ix.bodyLen, ix.size)
+			}
+			if err := ix.VerifyTrailer(); err != nil && !errors.Is(err, ErrCorruptImage) {
+				t.Fatalf("unclassified trailer error: %v", err)
+			}
+			for i := range ix.shards {
+				sh := &ix.shards[i]
+				if sh.mem == nil && (sh.fileOff < 0 || sh.fileOff+int64(sh.encLen) > ix.bodyLen) {
+					t.Fatalf("shard %d: payload %d+%d outside the %d-byte body", i, sh.fileOff, sh.encLen, ix.bodyLen)
+				}
+				if sh.off+uint64(sh.rawLen) > ix.spans[sh.span].size {
+					t.Fatalf("shard %d: %d+%d outside its %d-byte span", i, sh.off, sh.rawLen, ix.spans[sh.span].size)
+				}
+				if sh.rawLen <= 1<<20 { // a hostile frame may claim up to 1 GiB
+					ix.readShard(i, make([]byte, sh.rawLen))
+					ix.shardView(i)
+				}
+			}
+		}
+	})
 }

@@ -1,5 +1,5 @@
 // The LazyRestorer: fill plans, single-flight shard decode, and the
-// background prefetcher of the lazy restart path (see lazy.go).
+// background prefetcher of the restart path (see lazy.go).
 package dmtcp
 
 import (
@@ -66,23 +66,19 @@ type shardCall struct {
 
 // LazyRestorer materializes a checkpoint image into an address space
 // on demand. Build it with NewLazyRestorer, register the fill plans
-// (PlanRegions + the plugin's section plans), Seal it, install
+// (MapRegions + the plugin's section plans), Seal it, install
 // MaterializeRange as the space's Materializer, and start Prefetch on
 // a background goroutine. Safe for concurrent use after Seal.
 type LazyRestorer struct {
 	space *addrspace.Space
 	chain []*ShardIndex // [0] = tip; chain[i].parent == chain[i+1]
 
-	// Mergers resolves opaque sections for the eager-fallback path of
-	// RunLazyRestartHooks (plugins that do not implement
-	// LazyRestartPlugin).
-	Mergers map[string]SectionMerger
-
 	// Workers is the restoring engine's worker setting (<=0: all CPUs);
 	// the Prefetch drain runs on half of it, at least one (drainWorkers).
-	// Budget is the domain its workers draw a slot from per chunk — the
-	// engine's own, so a pooled session's drain shares the machine with
-	// the pool's checkpoint pipelines.
+	// Budget, when set, is the domain its workers draw a slot from per
+	// chunk — for a background drain the engine's own, so a pooled
+	// session's drain shares the machine with the pool's checkpoint
+	// pipelines.
 	Workers int
 	Budget  *WorkerBudget
 
@@ -93,8 +89,7 @@ type LazyRestorer struct {
 	mu    sync.Mutex
 	calls map[shardRef]*shardCall
 
-	decoded     atomic.Int64 // shards actually decoded (single-flight observability)
-	filledBytes atomic.Uint64
+	decoded atomic.Int64 // shards actually decoded (single-flight observability)
 
 	// fg counts foreground materializations in flight (faults and
 	// DrainLazy barriers). The prefetcher defers to them: on a machine
@@ -142,9 +137,6 @@ func (r *LazyRestorer) Chain() []*ShardIndex { return r.chain }
 // how faults and the prefetcher race.
 func (r *LazyRestorer) ShardsDecoded() int64 { return r.decoded.Load() }
 
-// FilledBytes counts the payload bytes pushed into the space so far.
-func (r *LazyRestorer) FilledBytes() uint64 { return r.filledBytes.Load() }
-
 // SectionBytes materializes a tip section completely (chain-resolved).
 func (r *LazyRestorer) SectionBytes(name string) ([]byte, error) {
 	return r.chain[0].SectionBytes(name)
@@ -169,12 +161,21 @@ func (r *LazyRestorer) ImageSection(img int, name string) (*SectionReader, error
 	return r.chain[img].SectionReader(name)
 }
 
-// PlanRegions registers one fill plan per tip region: the whole
-// upper-half memory restores on demand.
-func (r *LazyRestorer) PlanRegions() {
+// MapRegions maps every tip region into the space — upper half, at its
+// original address and final protection (fills arrive through the
+// privileged FillCold push, so no write-then-protect dance is needed) —
+// and registers one fill plan per region: the whole upper-half memory
+// restores on demand. A region colliding with an existing mapping fails
+// (MAP_FIXED_NOREPLACE semantics).
+func (r *LazyRestorer) MapRegions() error {
 	for _, rd := range r.chain[0].Regions {
+		if _, err := r.space.MMap(rd.Start, rd.Len, rd.Prot, addrspace.MapFixedNoReplace,
+			addrspace.HalfUpper, rd.Label); err != nil {
+			return fmt.Errorf("dmtcp: restoring region %#x+%d (%s): %w", rd.Start, rd.Len, rd.Label, err)
+		}
 		r.addPlan(fillPlan{addr: rd.Start, length: rd.Len, class: ClassRegion, src: regionSource{}})
 	}
+	return nil
 }
 
 // PlanSection binds [addr, addr+length) to bytes [off, off+length) of
@@ -426,11 +427,17 @@ func (r *LazyRestorer) ensureShard(ref shardRef) error {
 func (r *LazyRestorer) decodeAndScatter(ref shardRef) error {
 	ix := r.chain[ref.img]
 	sh := &ix.shards[ref.idx]
-	bp := defaultBudget.getShardBuf(int(sh.rawLen))
-	defer defaultBudget.putShardBuf(bp)
-	buf := (*bp)[:sh.rawLen]
-	if err := ix.readShard(ref.idx, buf); err != nil {
+	buf, err := ix.shardView(ref.idx)
+	if err != nil {
 		return err
+	}
+	if buf == nil {
+		bp := defaultBudget.getShardBuf(int(sh.rawLen))
+		defer defaultBudget.putShardBuf(bp)
+		buf = (*bp)[:sh.rawLen]
+		if err := ix.readShard(ref.idx, buf); err != nil {
+			return err
+		}
 	}
 	r.decoded.Add(1)
 
@@ -451,7 +458,6 @@ func (r *LazyRestorer) decodeAndScatter(ref shardRef) error {
 		}
 		for _, sel := range selected {
 			r.space.FillCold(sel.Off, buf[sel.Off-base:sel.Off-base+sel.Len])
-			r.filledBytes.Add(sel.Len)
 		}
 		return nil
 	}
@@ -472,7 +478,6 @@ func (r *LazyRestorer) decodeAndScatter(ref shardRef) error {
 			continue
 		}
 		r.space.FillCold(p.addr+(lo-ss.off), buf[lo-sh.off:hi-sh.off])
-		r.filledBytes.Add(hi - lo)
 	}
 	return nil
 }
@@ -546,11 +551,14 @@ func subtractSpans(part addrspace.Span, cover []addrspace.Span) []addrspace.Span
 	return out
 }
 
-// prefetchChunk is the page-aligned granularity of the background
+// PrefetchChunk is the page-aligned granularity of the background
 // drain: roughly one shard, so a drain worker reaches a yield point —
 // where it defers to foreground faults and lets the scheduler run the
-// application — at sub-millisecond intervals even on a single core.
-const prefetchChunk = 1 << 20
+// application — at sub-millisecond intervals even on a single core. It
+// is also the largest image a waited restart reads in one request
+// instead of header by header (OpenShardIndexWhole), and so how much of
+// an image an HTTP store fetches while opening it.
+const PrefetchChunk = 1 << 20
 
 // Prefetch drains every plan, class by class in PrefetchClass order,
 // until the whole image is materialized or ctx is cancelled: the
@@ -572,8 +580,8 @@ func (r *LazyRestorer) Prefetch(ctx context.Context) error {
 			}
 			start := p.addr &^ (addrspace.PageSize - 1)
 			end := (p.addr + p.length + addrspace.PageSize - 1) &^ (addrspace.PageSize - 1)
-			for at := start; at < end; at += prefetchChunk {
-				chunks = append(chunks, addrspace.Span{Off: at, Len: min(prefetchChunk, end-at)})
+			for at := start; at < end; at += PrefetchChunk {
+				chunks = append(chunks, addrspace.Span{Off: at, Len: min(PrefetchChunk, end-at)})
 			}
 		}
 	}
@@ -630,91 +638,16 @@ func (r *LazyRestorer) prefetchOne(ctx context.Context, c addrspace.Span) error 
 // lower half), so a page belongs to at most one plan per byte and
 // MaterializeRange's per-plan fills are disjoint.
 
-// LazyRestartPlugin is the optional extension of Plugin for lazy
-// restarts: instead of refilling its state eagerly from materialized
-// sections, the plugin registers fill plans on the restorer (and may
-// read small sections eagerly through it). Plugins that do not
-// implement it fall back to their Restart hook over eagerly
-// materialized sections — regions still restore lazily.
-type LazyRestartPlugin interface {
-	Plugin
-	LazyRestart(ctx context.Context, r *LazyRestorer) error
-}
-
-// RunLazyRestartHooks invokes every plugin's lazy restart hook, in
-// registration order. Plugins without LazyRestart get their eager
-// Restart hook with a fully materialized SectionMap (opaque sections
-// resolved through r.Mergers), built at most once.
+// RunLazyRestartHooks invokes every plugin's LazyRestart hook, in
+// registration order.
 func (e *Engine) RunLazyRestartHooks(ctx context.Context, r *LazyRestorer) error {
-	var eager *SectionMap
 	for _, p := range e.plugins {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if lp, ok := p.(LazyRestartPlugin); ok {
-			if err := lp.LazyRestart(ctx, r); err != nil {
-				return fmt.Errorf("dmtcp: plugin %s lazy restart: %w", p.Name(), err)
-			}
-			continue
-		}
-		if eager == nil {
-			var err error
-			if eager, err = r.materializeSections(); err != nil {
-				return err
-			}
-		}
-		if err := p.Restart(ctx, eager); err != nil {
+		if err := p.LazyRestart(ctx, r); err != nil {
 			return fmt.Errorf("dmtcp: plugin %s restart: %w", p.Name(), err)
 		}
 	}
 	return nil
-}
-
-// materializeSections builds the tip's complete SectionMap: non-opaque
-// sections chain-resolve by name+offset, opaque ones merge through the
-// registered mergers (each chain image's opaque bytes are complete, so
-// the fold mirrors ApplyDelta's).
-func (r *LazyRestorer) materializeSections() (*SectionMap, error) {
-	out := NewSectionMap()
-	for _, sec := range r.chain[0].Secs {
-		var data []byte
-		var err error
-		if sec.Opaque {
-			data, err = r.opaqueSectionBytes(0, sec.Name)
-		} else {
-			data, err = r.chain[0].SectionBytes(sec.Name)
-		}
-		if err != nil {
-			return nil, err
-		}
-		out.Add(sec.Name, data)
-		if sec.Opaque {
-			out.MarkOpaque(sec.Name)
-		}
-	}
-	return out, nil
-}
-
-// opaqueSectionBytes folds an opaque section across the chain from the
-// base up to image img, through the registered merger.
-func (r *LazyRestorer) opaqueSectionBytes(img int, name string) ([]byte, error) {
-	ix := r.chain[img]
-	self, err := ix.SectionBytes(name)
-	if err != nil {
-		return nil, err
-	}
-	if !ix.Delta {
-		return self, nil
-	}
-	merger := r.Mergers[name]
-	if merger == nil {
-		return nil, fmt.Errorf("%w: opaque section %q has no merger", ErrDeltaChain, name)
-	}
-	var parent []byte
-	if img+1 < len(r.chain) && r.chain[img+1].HasSection(name) {
-		if parent, err = r.opaqueSectionBytes(img+1, name); err != nil {
-			return nil, err
-		}
-	}
-	return merger(parent, self)
 }

@@ -74,8 +74,8 @@ func (p *sectionPlugin) Freeze(uint64, bool) (EmitFunc, error) {
 		return nil
 	}, nil
 }
-func (p *sectionPlugin) Resume() error                              { return nil }
-func (p *sectionPlugin) Restart(context.Context, *SectionMap) error { return nil }
+func (p *sectionPlugin) Resume() error                                    { return nil }
+func (p *sectionPlugin) LazyRestart(context.Context, *LazyRestorer) error { return nil }
 
 // TestParallelSerialImagesIdentical: the v2 image is byte-identical for
 // any worker count (shard plan depends only on shard size), and the
@@ -113,7 +113,7 @@ func TestParallelSerialImagesIdentical(t *testing.T) {
 					t.Fatalf("version = %d", img.Version)
 				}
 				fresh := addrspace.New()
-				if err := RestoreRegionsN(context.Background(), img, fresh, workers); err != nil {
+				if err := restoreImage(nil, parallel, fresh, workers); err != nil {
 					t.Fatal(err)
 				}
 				got := snapshotRegions(t, fresh, regions)
@@ -161,7 +161,7 @@ func TestV1BackwardCompat(t *testing.T) {
 				t.Fatalf("version=%d gzip=%v", parsed.Version, parsed.Gzip)
 			}
 			fresh := addrspace.New()
-			if err := RestoreRegions(parsed, fresh); err != nil {
+			if err := restoreImage(nil, img.Bytes(), fresh, 0); err != nil {
 				t.Fatal(err)
 			}
 			got := snapshotRegions(t, fresh, regions)
@@ -187,12 +187,8 @@ func TestV1V2SameRestoredState(t *testing.T) {
 		if _, err := e.Checkpoint(context.Background(), &img, space); err != nil {
 			t.Fatal(err)
 		}
-		parsed, err := ReadImage(bytes.NewReader(img.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
 		fresh := addrspace.New()
-		if err := RestoreRegions(parsed, fresh); err != nil {
+		if err := restoreImage(nil, img.Bytes(), fresh, 0); err != nil {
 			t.Fatal(err)
 		}
 		return snapshotRegions(t, fresh, regions)
@@ -283,11 +279,7 @@ func TestConcurrentCheckpoint(t *testing.T) {
 			t.Fatalf("concurrent image %d differs", i)
 		}
 	}
-	img, err := ReadImage(bytes.NewReader(images[0]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := RestoreRegions(img, addrspace.New()); err != nil {
+	if err := restoreImage(nil, images[0], addrspace.New(), 0); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -94,38 +94,110 @@ func (hr *hashingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// verifyTrailer classifies whatever follows a fully-parsed image body:
-// nothing (a legacy, pre-trailer image: accepted, not verified), a
-// matching trailer followed by EOF (verified), or anything else — a
-// partial trailer, a checksum or length mismatch, bytes beyond the
-// trailer — which all report ErrCorruptImage. Strictness is safe
-// because every image occupies its own stream (a Store entry or file);
-// there is no valid reason for bytes past the trailer.
+// verifyTrailer applies checkTrailer to whatever follows the body the
+// parser just consumed through hr.
 func verifyTrailer(hr *hashingReader) (bool, error) {
 	bodyLen, bodySum := hr.n, hr.h.Sum64()
 	var tr [trailerSize + 1]byte
 	n, err := io.ReadFull(hr.r, tr[:])
-	switch {
-	case n == 0:
-		if err == io.EOF {
-			return false, nil // legacy image: body ends the stream
-		}
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
 		return false, err
-	case n == trailerSize && (err == io.EOF || err == io.ErrUnexpectedEOF):
-		if !bytes.Equal(tr[:8], trailerMagic[:]) {
-			return false, fmt.Errorf("%w: bad trailer magic %q", ErrCorruptImage, tr[:8])
-		}
-		if got := binary.LittleEndian.Uint64(tr[8:16]); got != bodyLen {
-			return false, fmt.Errorf("%w: trailer claims %d body bytes, read %d", ErrCorruptImage, got, bodyLen)
-		}
-		if got := binary.LittleEndian.Uint64(tr[16:24]); got != bodySum {
-			return false, fmt.Errorf("%w: image checksum mismatch", ErrCorruptImage)
-		}
-		return true, nil
-	case n < trailerSize:
-		return false, fmt.Errorf("%w: truncated trailer (%d of %d bytes)", ErrCorruptImage, n, trailerSize)
-	default:
+	}
+	return checkTrailer(tr[:n], bodyLen, bodySum)
+}
+
+// checkTrailer classifies tail, the bytes that follow a fully-parsed
+// image body (at most trailerSize+1 of them): nothing (a legacy,
+// pre-trailer image: accepted, not verified), a matching trailer
+// (verified), or anything else — a partial trailer, a checksum or
+// length mismatch, bytes beyond the trailer — which all report
+// ErrCorruptImage. Strictness is safe because every image occupies its
+// own stream (a Store entry or file); there is no valid reason for
+// bytes past the trailer.
+func checkTrailer(tail []byte, bodyLen, bodySum uint64) (bool, error) {
+	switch {
+	case len(tail) == 0:
+		return false, nil // legacy image: body ends the stream
+	case len(tail) < trailerSize:
+		return false, fmt.Errorf("%w: truncated trailer (%d of %d bytes)", ErrCorruptImage, len(tail), trailerSize)
+	case len(tail) > trailerSize:
 		return false, fmt.Errorf("%w: trailing bytes after image trailer", ErrCorruptImage)
+	}
+	if !bytes.Equal(tail[:8], trailerMagic[:]) {
+		return false, fmt.Errorf("%w: bad trailer magic %q", ErrCorruptImage, tail[:8])
+	}
+	if got := binary.LittleEndian.Uint64(tail[8:16]); got != bodyLen {
+		return false, fmt.Errorf("%w: trailer claims %d body bytes, read %d", ErrCorruptImage, got, bodyLen)
+	}
+	if binary.LittleEndian.Uint64(tail[16:24]) != bodySum {
+		return false, fmt.Errorf("%w: image checksum mismatch", ErrCorruptImage)
+	}
+	return true, nil
+}
+
+// readFlags reads an image's four flag bytes and rejects any bit
+// outside known: no writer sets one, so it can only be damage — which a
+// v1+gzip image, having no trailer, would otherwise let through.
+func readFlags(r io.Reader, known byte) ([4]byte, error) {
+	var flags [4]byte
+	if _, err := io.ReadFull(r, flags[:]); err != nil {
+		return flags, fmt.Errorf("%w: flags: %v", ErrBadImage, err)
+	}
+	if flags[0]&^known != 0 || flags[1]|flags[2]|flags[3] != 0 {
+		return flags, fmt.Errorf("%w: unknown flags %x", ErrBadImage, flags)
+	}
+	return flags, nil
+}
+
+// VerifyTrailer applies ReadImage's integrity rule to the indexed image
+// without parsing it again: the scan already delimited the body, so one
+// sequential CRC-32C pass over it settles the trailer. It reports nil
+// for a matching trailer and for a legacy trailerless image, and
+// ErrCorruptImage for anything else. A v1+gzip index was decoded whole
+// through ReadImage, which drained the gzip member to its CRC footer, so
+// there is nothing left to check. v3 shards carry their own content
+// hashes, checked on every decode, but those do not cover the header
+// tables: only this pass does.
+func (ix *ShardIndex) VerifyTrailer() error {
+	if ix.src == nil {
+		return nil
+	}
+	tail := make([]byte, min(ix.size-ix.bodyLen, trailerSize+1))
+	if err := readFullAt(ix.src, tail, ix.bodyLen); err != nil || len(tail) == 0 {
+		return err // a read failure, or a legacy image: nothing to check
+	}
+	var h bodyHash
+	if ix.mem != nil {
+		h.Write(ix.mem[:ix.bodyLen]) // in place
+	} else {
+		bp := readStagePool.Get().(*[]byte)
+		defer readStagePool.Put(bp)
+		for off := int64(0); off < ix.bodyLen; {
+			chunk := (*bp)[:min(int64(len(*bp)), ix.bodyLen-off)]
+			if err := readFullAt(ix.src, chunk, off); err != nil {
+				return err
+			}
+			h.Write(chunk)
+			off += int64(len(chunk))
+		}
+	}
+	_, err := checkTrailer(tail, uint64(ix.bodyLen), h.Sum64())
+	return err
+}
+
+// readFullAt fills p from an image source at off. A source that ends
+// early is a malformed image; any other failure is the source's own (a
+// transient store error stays retryable, a cancelled read stays a
+// cancellation).
+func readFullAt(src io.ReaderAt, p []byte, off int64) error {
+	n, err := src.ReadAt(p, off)
+	switch {
+	case n == len(p):
+		return nil
+	case err == nil || err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF):
+		return fmt.Errorf("%w: image ends at %d", ErrBadImage, off+int64(n))
+	default:
+		return err
 	}
 }
 

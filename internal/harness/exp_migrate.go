@@ -68,7 +68,7 @@ func migSession(bufSize uint64, bufs int) (*crac.Session, *crac.KernelRegistry, 
 }
 
 // runMigrate compares moving a running session to a second one via
-// stop-copy-restart (quiesce, full checkpoint, eager restore — the
+// stop-copy-restart (quiesce, full checkpoint, waited restore — the
 // whole image inside the outage) against Migrate's iterative pre-copy
 // (deltas stream while the source executes; only the final CoW cut and
 // the lazy activation sit in the outage). Mutators dirty memory
@@ -97,7 +97,7 @@ func runMigrate(opt Options) ([]*Table, error) {
 	}
 
 	// Baseline: stop-copy-restart. Everything — the full checkpoint and
-	// the eager restore — happens while the session is stopped.
+	// the waited restore — happens while the session is stopped.
 	var baseDown time.Duration
 	var baseBytes uint64
 	for i := 0; i < iters; i++ {

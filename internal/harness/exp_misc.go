@@ -311,14 +311,16 @@ func ablShadowConflict(t *Table, opt Options) error {
 			return err
 		}
 		n := uint64(1 << 14)
-		// Both streams write into the same managed buffer (disjoint
-		// elements, same pages).
+		// Both streams write into the same managed buffer: disjoint
+		// elements, split mid-page so the page holding the split is
+		// written from both.
+		split := n/2 - 512
 		if err := rt.LaunchKernel(fat, "fill", workloads.Launch1D(int(n)), s1,
-			mgd, kernels.F32Arg(1), n/2); err != nil {
+			mgd, kernels.F32Arg(1), split); err != nil {
 			return err
 		}
 		if err := rt.LaunchKernel(fat, "fill", workloads.Launch1D(int(n)), s2,
-			mgd, kernels.F32Arg(2), n/2); err != nil {
+			mgd+4*split, kernels.F32Arg(2), n-split); err != nil {
 			return err
 		}
 		return rt.DeviceSynchronize()

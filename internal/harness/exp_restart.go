@@ -15,7 +15,7 @@ import (
 func init() {
 	register(&Experiment{
 		ID:    "restart",
-		Title: "Time-to-first-kernel: eager vs lazy on-demand restart",
+		Title: "Time-to-first-kernel: waited vs unwaited restart",
 		Paper: "beyond the paper: restore latency dominates GPU C/R in serving (PhoenixOS/CRIUgpu); lazy restart shrinks it to metadata + replay",
 		Run:   runRestart,
 	})
@@ -23,13 +23,13 @@ func init() {
 
 // runRestart measures, on the standard sparse-update workload, how
 // long a restarted session takes to complete its first kernel: the
-// eager path decodes and refills the whole image first, while the lazy
-// path (RestartAsync) replays only the log, faults the kernel's pages
-// in, and drains the rest in the background.
+// waited restart (RestartFrom) materializes the whole image first,
+// while the unwaited one (RestartAsync) replays only the log, faults
+// the kernel's pages in, and drains the rest in the background.
 func runRestart(opt Options) ([]*Table, error) {
 	t := &Table{
 		ID:    "restart",
-		Title: "Restart time-to-first-kernel (eager vs lazy)",
+		Title: "Restart time-to-first-kernel (waited vs unwaited)",
 		Columns: []string{"Path", "Visible (ms)", "TTFK (ms)", "Drain (ms)",
 			"Image", "Speedup"},
 	}
@@ -101,9 +101,9 @@ func runRestart(opt Options) ([]*Table, error) {
 		return rt.DeviceSynchronize()
 	}
 
-	var eagerTTFK, lazyTTFK, lazyVisible, lazyDrain time.Duration
+	var waitedTTFK, lazyTTFK, lazyVisible, lazyDrain time.Duration
 	for i := 0; i < iters; i++ {
-		opt.logf("restart: eager iteration %d", i)
+		opt.logf("restart: waited iteration %d", i)
 		t0 := time.Now()
 		if err := s.RestartFrom(ctx, store, "img"); err != nil {
 			return nil, err
@@ -111,10 +111,10 @@ func runRestart(opt Options) ([]*Table, error) {
 		if err := firstKernel(); err != nil {
 			return nil, err
 		}
-		eagerTTFK += time.Since(t0)
+		waitedTTFK += time.Since(t0)
 	}
 	for i := 0; i < iters; i++ {
-		opt.logf("restart: lazy iteration %d", i)
+		opt.logf("restart: unwaited iteration %d", i)
 		t0 := time.Now()
 		p, err := s.RestartAsync(ctx, store, "img")
 		if err != nil {
@@ -138,12 +138,12 @@ func runRestart(opt Options) ([]*Table, error) {
 	}
 	speedup := 0.0
 	if lazyTTFK > 0 {
-		speedup = float64(eagerTTFK) / float64(lazyTTFK)
+		speedup = float64(waitedTTFK) / float64(lazyTTFK)
 	}
-	t.AddRow("eager", ms(eagerTTFK), ms(eagerTTFK), "0.00", FmtBytes(imgSize), "1.0x")
-	t.AddRow("lazy", ms(lazyVisible), ms(lazyTTFK), ms(lazyDrain), FmtBytes(imgSize),
+	t.AddRow("waited (RestartFrom)", ms(waitedTTFK), ms(waitedTTFK), "0.00", FmtBytes(imgSize), "1.0x")
+	t.AddRow("unwaited (RestartAsync)", ms(lazyVisible), ms(lazyTTFK), ms(lazyDrain), FmtBytes(imgSize),
 		fmt.Sprintf("%.1fx", speedup))
 	t.Note("TTFK = restart start until one kernel launch + sync completes on the restored session")
-	t.Note("lazy: metadata + log replay eagerly, shards fault in on access, prefetcher drains in the background (device first, managed last)")
+	t.Note("both rows are the one restart route; unwaited: execution resumes after metadata + log replay, shards fault in on access, the prefetcher drains in the background (device first, managed last)")
 	return []*Table{t}, nil
 }

@@ -40,6 +40,7 @@ import (
 	"net/http"
 	"net/url"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -501,33 +502,55 @@ func (c *Client) Delete(ctx context.Context, name string) error {
 	return nil
 }
 
-// GetAt opens the named image for random access: one HEAD resolves the
-// size, then every ReadAt issues an independent Range request, so
+// GetAt opens the named image for random access. One ranged GET
+// resolves the size (from Content-Range, with no separate HEAD) and
+// fetches the image's first head bytes (head > 0), so a small image —
+// or a large one's header tables — costs one round trip in all. Every
+// ReadAt beyond the head issues an independent Range request, so
 // concurrent shard faults across a lazy restart each fetch exactly the
 // bytes they need.
-func (c *Client) GetAt(ctx context.Context, name string) (ReaderAtCloser, int64, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodHead, c.imageURL(name), nil)
+func (c *Client) GetAt(ctx context.Context, name string, head int64) (ReaderAtCloser, int64, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.imageURL(name), nil)
 	if err != nil {
 		return nil, 0, err
 	}
+	req.Header.Set("Range", fmt.Sprintf("bytes=0-%d", head-1))
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return nil, 0, c.fail(ctx, "stat", name, err)
+		return nil, 0, c.fail(ctx, "open", name, err)
+	}
+	var buf []byte
+	size := int64(-1)
+	switch resp.StatusCode {
+	case http.StatusPartialContent, http.StatusRequestedRangeNotSatisfiable:
+		// 416 answers a range request on an empty image: "bytes */0".
+		cr := resp.Header.Get("Content-Range")
+		if i := strings.LastIndexByte(cr, '/'); i >= 0 {
+			if n, perr := strconv.ParseInt(cr[i+1:], 10, 64); perr == nil && n >= 0 {
+				size = n
+			}
+		}
+		if size >= 0 {
+			buf = make([]byte, min(size, head))
+			_, err = io.ReadFull(resp.Body, buf)
+		}
+	case http.StatusOK:
+		// A server without Range support sends the whole image: keep it.
+		buf, err = io.ReadAll(resp.Body)
+		size = int64(len(buf))
+	default:
+		return nil, 0, statusErr("open", name, resp)
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusNotFound:
-		return nil, 0, fmt.Errorf("%w: %q", ErrNotFound, name)
-	default:
-		return nil, 0, &StatusError{Op: "stat", Name: name, Code: resp.StatusCode}
+	if err != nil {
+		return nil, 0, c.fail(ctx, "open", name, err)
 	}
-	if resp.ContentLength < 0 {
-		return nil, 0, &TransportError{Op: "stat", Name: name,
-			Err: errors.New("server reported no Content-Length")}
+	if size < 0 {
+		return nil, 0, &TransportError{Op: "open", Name: name,
+			Err: fmt.Errorf("server reported no image size (Content-Range %q)", resp.Header.Get("Content-Range"))}
 	}
-	return &rangeReader{c: c, ctx: ctx, name: name, size: resp.ContentLength}, resp.ContentLength, nil
+	return &rangeReader{c: c, ctx: ctx, name: name, size: size, head: buf}, size, nil
 }
 
 // rangeReader is the ReaderAtCloser behind Client.GetAt. The context
@@ -539,6 +562,7 @@ type rangeReader struct {
 	ctx  context.Context
 	name string
 	size int64
+	head []byte // the image's first bytes, fetched by GetAt
 }
 
 func (r *rangeReader) ReadAt(p []byte, off int64) (int, error) {
@@ -554,6 +578,13 @@ func (r *rangeReader) ReadAt(p []byte, off int64) (int, error) {
 	}
 	if len(p) == 0 {
 		return 0, nil
+	}
+	if off+int64(len(p)) <= int64(len(r.head)) {
+		n := copy(p, r.head[off:])
+		if short {
+			return n, io.EOF
+		}
+		return n, nil
 	}
 	req, err := http.NewRequestWithContext(r.ctx, http.MethodGet, r.c.imageURL(r.name), nil)
 	if err != nil {
@@ -590,3 +621,12 @@ func (r *rangeReader) ReadAt(p []byte, off int64) (int, error) {
 }
 
 func (r *rangeReader) Close() error { return nil }
+
+// Bytes returns the whole image when the opening request brought all
+// of it, and nil otherwise.
+func (r *rangeReader) Bytes() []byte {
+	if int64(len(r.head)) == r.size {
+		return r.head
+	}
+	return nil
+}

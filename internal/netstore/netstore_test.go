@@ -149,7 +149,9 @@ func TestClientGetAtRanges(t *testing.T) {
 	}
 	clientPut(t, c, "img", data)
 
-	src, size, err := c.GetAt(ctx, "img")
+	// A 64 KiB head: the first reads come from the opening request, the
+	// rest are Range requests.
+	src, size, err := c.GetAt(ctx, "img", 64<<10)
 	if err != nil {
 		t.Fatalf("GetAt: %v", err)
 	}
@@ -172,7 +174,7 @@ func TestClientGetAtRanges(t *testing.T) {
 		t.Fatalf("ReadAt straddling EOF = (%d, %v), want (5, io.EOF)", n, err)
 	}
 
-	if _, _, err := c.GetAt(ctx, "absent"); !errors.Is(err, ErrNotFound) {
+	if _, _, err := c.GetAt(ctx, "absent", 64<<10); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("GetAt(absent) = %v, want ErrNotFound", err)
 	}
 }
@@ -193,7 +195,7 @@ func TestClientGetAtFullBodyFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, size, err := c.GetAt(context.Background(), "img")
+	src, size, err := c.GetAt(context.Background(), "img", 4)
 	if err != nil {
 		t.Fatalf("GetAt: %v", err)
 	}

@@ -1,9 +1,11 @@
 package crac
 
-// Acceptance tests for lazy on-demand restart (ISSUE 5): restart reads
-// only metadata and the replay log eagerly, faults shards in on first
-// access, and drains the rest in the background — with post-drain
-// memory byte-identical to an eager restart (DESIGN.md invariant 11).
+// Acceptance tests for the restart route: the visible phase reads only
+// metadata and the replay log, shards fault in on first access, and the
+// rest drains in the background — with post-drain memory byte-identical
+// to the source session's own state at the checkpoint's cut (DESIGN.md
+// invariant 11). The reference never runs through the restorer: it is
+// the source, snapshotted before it restarts.
 
 import (
 	"bytes"
@@ -26,10 +28,10 @@ func sessionSnapshot(t testing.TB, s *Session) []byte {
 	return buf.Bytes()
 }
 
-// TestLazyRestartByteIdentity checks that a lazy restart, once
-// drained, leaves the session byte-identical to an eager restart of
-// the same image — across formats (v2 raw and gzip'd, v1, and an
-// incremental v3 chain whose shards resolve from base and deltas).
+// TestLazyRestartByteIdentity checks that a restart, once drained,
+// leaves the session byte-identical to its own state at the cut —
+// across formats (v2 raw and gzip'd, v1, and an incremental v3 chain
+// whose shards resolve from base and deltas).
 func TestLazyRestartByteIdentity(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -67,15 +69,10 @@ func TestLazyRestartByteIdentity(t *testing.T) {
 				}
 			}
 
-			// Eager reference: a fresh session restored the classic way.
-			ref, err := RestoreFrom(ctx, store, tip, opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ref.Close()
-			want := sessionSnapshot(t, ref)
+			// Reference: the source itself, at the cut.
+			want := sessionSnapshot(t, s)
 
-			// Lazy: restart the original session in place.
+			// Restart the source in place.
 			p, err := s.RestartAsync(ctx, store, tip)
 			if err != nil {
 				t.Fatal(err)
@@ -99,18 +96,18 @@ func TestLazyRestartByteIdentity(t *testing.T) {
 			}
 			got := sessionSnapshot(t, s)
 			if !bytes.Equal(want, got) {
-				t.Fatalf("lazy-restored memory differs from eager (%d vs %d image bytes)", len(got), len(want))
+				t.Fatalf("restored memory differs from the state at the cut (%d vs %d image bytes)", len(got), len(want))
 			}
 		})
 	}
 }
 
 // TestLazyRestartTortureByteIdentity is the invariant-11 torture test:
-// after a lazy restart, deterministic mutations interleave with racing
+// after a restart, deterministic mutations interleave with racing
 // readers and the background prefetcher — every access goes through
 // the fault path while the drain is in flight. The drained state must
-// equal an eager restart followed by the same mutations. Run under
-// -race in CI.
+// equal the source's state at the cut followed by the same mutations.
+// Run under -race in CI.
 func TestLazyRestartTortureByteIdentity(t *testing.T) {
 	opts := []Option{WithWorkers(0), WithShardSize(128 << 10), WithGzip(1)}
 	s, err := New(opts...)
@@ -134,17 +131,12 @@ func TestLazyRestartTortureByteIdentity(t *testing.T) {
 		}
 	}
 
-	// Eager reference: restore, then the same deterministic mutations.
-	ref, err := RestoreFrom(ctx, store, "img", opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-	refW := &incrWorkload{rt: ref.Runtime(), host: w.host, dev: w.dev, managed: w.managed}
-	mutate(t, refW)
-	want := sessionSnapshot(t, ref)
+	// Reference: the source runs the deterministic mutations on from the
+	// cut, then restarts back to it.
+	mutate(t, w)
+	want := sessionSnapshot(t, s)
 
-	// Lazy: the same mutations run while the prefetcher drains, with
+	// The same mutations run again while the prefetcher drains, with
 	// reader goroutines pounding the fault path from the side.
 	p, err := s.RestartAsync(ctx, store, "img")
 	if err != nil {
@@ -195,7 +187,7 @@ func TestLazyRestartTortureByteIdentity(t *testing.T) {
 	}
 	got := sessionSnapshot(t, s)
 	if !bytes.Equal(want, got) {
-		t.Fatal("lazy-restored + mutated memory differs from eager + same mutations")
+		t.Fatal("restored + mutated memory differs from the cut + the same mutations")
 	}
 }
 
@@ -239,9 +231,9 @@ func TestLazyRestartManagedLeftCold(t *testing.T) {
 
 // TestLazyRestartCancelLeavesRestorable cancels the background drain
 // right after the visible phase: the remaining cold memory must keep
-// materializing on demand, the drained/faulted content must match an
-// eager restart, and the session must accept a fresh (eager) restart
-// afterwards.
+// materializing on demand, the drained/faulted content must match the
+// state at the cut, and the session must accept a fresh (waited)
+// restart afterwards. A Close mid-drain cancels it without hanging.
 func TestLazyRestartCancelLeavesRestorable(t *testing.T) {
 	// A workload big enough that the drain cannot win the race against
 	// the immediate cancel below.
@@ -269,12 +261,7 @@ func TestLazyRestartCancelLeavesRestorable(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ref, err := RestoreFrom(context.Background(), store, "img", opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-	want := sessionSnapshot(t, ref)
+	want := sessionSnapshot(t, s)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	p, err := s.RestartAsync(ctx, store, "img")
@@ -297,48 +284,92 @@ func TestLazyRestartCancelLeavesRestorable(t *testing.T) {
 	// did not reach: a full checkpoint reads every byte.
 	got := sessionSnapshot(t, s)
 	if !bytes.Equal(want, got) {
-		t.Fatal("post-cancel memory differs from eager restart")
+		t.Fatal("post-cancel memory differs from the state at the cut")
 	}
 	if cold := s.Space().ColdBytes(); cold != 0 {
 		t.Fatalf("%d bytes cold after a full read-through", cold)
 	}
-	// And the session restarts again, eagerly, from the same store.
+	// And the session restarts again, waited, from the same store.
 	if err := s.RestartFrom(context.Background(), store, "img"); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(want, sessionSnapshot(t, s)) {
-		t.Fatal("post-cancel eager restart differs")
+		t.Fatal("post-cancel waited restart differs")
 	}
-}
-
-// TestWithLazyRestartOption checks the option reroutes RestartFrom and
-// that a session close mid-drain cancels cleanly.
-func TestWithLazyRestartOption(t *testing.T) {
-	s, err := New(WithWorkers(0), WithLazyRestart())
+	// Close mid-drain must cancel and release without hanging.
+	p, err = s.RestartAsync(context.Background(), store, "img")
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := newIncrWorkload(t, s.Runtime())
+	s.Close()
+	<-p.Done()
+}
+
+// TestRacingRestartsOnOneSession races a waited restart against a
+// second restart of the same session, waited or not. Restarts
+// serialize: the waited ones succeed (an unwaited one's drain may be
+// cancelled by the restart after it), and the session ends open and
+// byte-identical to its state at the cut — a second restart never
+// cancels a waited one's drain into tearing down the state the second
+// one just built.
+func TestRacingRestartsOnOneSession(t *testing.T) {
+	s, err := New(WithWorkers(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rt := s.Runtime()
+	const allocs, allocSize = 8, 1 << 20
+	for i := 0; i < allocs; i++ {
+		d, err := rt.Malloc(allocSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.Memset(d, byte(i+1), allocSize); err != nil {
+			t.Fatal(err)
+		}
+	}
 	store := NewMemStore()
 	ctx := context.Background()
 	if _, err := s.CheckpointTo(ctx, store, "img"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RestartFrom(ctx, store, "img"); err != nil {
-		t.Fatal(err)
+	want := sessionSnapshot(t, s)
+
+	for _, second := range []struct {
+		name    string
+		restart func() error
+	}{
+		{"RestartFrom", func() error { return s.RestartFrom(ctx, store, "img") }},
+		{"RestartAsync", func() error {
+			p, err := s.RestartAsync(ctx, store, "img")
+			if err != nil {
+				return err
+			}
+			if _, err = p.Wait(); errors.Is(err, ErrCancelled) {
+				return nil // the racing RestartFrom came second
+			}
+			return err
+		}},
+	} {
+		t.Run(second.name, func(t *testing.T) {
+			for i := 0; i < 8; i++ {
+				var wg sync.WaitGroup
+				var errA, errB error
+				wg.Add(2)
+				go func() { defer wg.Done(); errA = s.RestartFrom(ctx, store, "img") }()
+				go func() { defer wg.Done(); errB = second.restart() }()
+				wg.Wait()
+				if errA != nil || errB != nil {
+					t.Fatalf("round %d: RestartFrom = %v, %s = %v; want both to succeed", i, errA, second.name, errB)
+				}
+				if s.Library() == nil {
+					t.Fatalf("round %d: both restarts succeeded on a closed session", i)
+				}
+			}
+			if !bytes.Equal(want, sessionSnapshot(t, s)) {
+				t.Fatal("memory after racing restarts differs from the state at the cut")
+			}
+		})
 	}
-	// The restart is lazy: reads still work (fault path), generation
-	// advanced.
-	if s.Generation() != 1 {
-		t.Fatalf("generation %d, want 1", s.Generation())
-	}
-	b, err := s.Runtime().HostAccess(w.host[0], 16, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b[0] != 1 {
-		t.Fatalf("host buffer byte %#x, want 0x01", b[0])
-	}
-	// Close mid-drain must cancel and release without hanging.
-	s.Close()
 }

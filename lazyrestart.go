@@ -7,17 +7,16 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/addrspace"
 	"repro/internal/cracplugin"
 	"repro/internal/dmtcp"
 	"repro/internal/replaylog"
 )
 
-// maxLazyChainDepth bounds how many parent links a lazy restart
-// follows, mirroring the eager resolver's cap.
+// maxLazyChainDepth bounds how many parent links a restart follows,
+// mirroring the chain resolver's cap.
 const maxLazyChainDepth = 512
 
-// Restarting is a lazy restart whose visible phase has completed: the
+// Restarting is a restart whose visible phase has completed: the
 // session is already executing (RestartAsync returned), while the
 // background prefetcher is still draining the image. Wait (or Done)
 // observes the drain; the Stats it returns split the restore into the
@@ -41,9 +40,9 @@ func (p *Restarting) Wait() (Stats, error) {
 	return p.h.st, p.h.err
 }
 
-// lazyHandle tracks one lazy restart's background state on the
-// session, so a later restart or Close can cancel the drain and close
-// the image sources.
+// lazyHandle tracks one restart's background state on the session, so
+// a later restart or Close can cancel the drain and close the image
+// sources.
 type lazyHandle struct {
 	cancel    context.CancelFunc
 	done      chan struct{}
@@ -76,8 +75,18 @@ func closeAll(closers []io.Closer) {
 }
 
 // openIndexChain opens the named image (and, for a delta, its whole
-// parent chain) for random access and links the shard indexes.
-func openIndexChain(ctx context.Context, store Store, name string) ([]*dmtcp.ShardIndex, []io.Closer, error) {
+// parent chain) for random access, verifies each member, and links the
+// shard indexes. A waited restart opens each member with
+// dmtcp.OpenShardIndexWhole, which reads a small one in one request:
+// with nobody running beside the restart there is no visible phase to
+// keep short, and header-exact reads would only multiply round trips.
+// Verification runs here, before anything is torn down: a member's
+// trailer is checked in one sequential pass when the restart is waited
+// (it reads every byte anyway), when the member is held in memory (the
+// pass costs no I/O), and when the member has no per-shard hashes (v1,
+// v2). Only an unwaited restart of a v3 member read by offset relies on
+// the shard hashes alone, checked as each shard decodes.
+func openIndexChain(ctx context.Context, store Store, name string, wait bool) ([]*dmtcp.ShardIndex, []io.Closer, error) {
 	var chain []*dmtcp.ShardIndex
 	var closers []io.Closer
 	fail := func(err error) ([]*dmtcp.ShardIndex, []io.Closer, error) {
@@ -99,7 +108,14 @@ func openIndexChain(ctx context.Context, store Store, name string) ([]*dmtcp.Sha
 			return fail(err)
 		}
 		closers = append(closers, src)
-		ix, err := dmtcp.OpenShardIndex(src, size)
+		open := dmtcp.OpenShardIndex
+		if wait {
+			open = dmtcp.OpenShardIndexWhole
+		}
+		ix, err := open(src, size)
+		if err == nil && (wait || ix.InMemory() || ix.Version < 3) {
+			err = ix.VerifyTrailer()
+		}
 		if err != nil {
 			return fail(fmt.Errorf("image %q: %w", cur, err))
 		}
@@ -116,31 +132,23 @@ func openIndexChain(ctx context.Context, store Store, name string) ([]*dmtcp.Sha
 	}
 }
 
-// RestartAsync restarts the session lazily from the named image: the
-// blocking (visible) phase reads only the image metadata and the
-// replay log, rebuilds the lower half, replays the log, and maps every
-// restored byte — upper-half regions and active-malloc memory alike —
-// as cold. When RestartAsync returns, the application may run (and
-// launch kernels) immediately: the first access to any cold range
-// faults its image shards in, while a background prefetcher drains the
-// rest of the image concurrently — device memory first, managed (UVM)
-// memory last. Delta chains restore shard-by-shard from the nearest
-// ancestor that owns each shard, through the same Store.
+// restart is the one restart lifecycle; every entry point supplies
+// only a store, a name, and whether its caller waits for the drain:
 //
-// ctx governs both the visible phase and the background drain: it must
-// stay live until the returned handle reports completion, or the drain
-// is cancelled (which only stops prefetching — cold memory still
-// materializes on demand and the session stays fully usable).
+//	open index chain → verify → guards → lower half → map cold → replay → plugin plans → arm gate → drain
 //
-// Like Restart, a failure during the visible phase (after the old
-// lower half is torn down) leaves the session closed.
-func (s *Session) RestartAsync(ctx context.Context, store Store, name string) (*Restarting, error) {
+// Everything before the guards only reads the image, so one that fails
+// to open or verify leaves the session untouched. From the
+// teardown of the old lower half on, a failure leaves the session
+// closed. A waited restart runs the drain before it returns; an
+// unwaited one starts it in the background.
+func (s *Session) restart(ctx context.Context, store Store, name string, wait bool) (*Restarting, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	store = s.retryWrap(store)
 	start := time.Now()
-	chain, closers, err := openIndexChain(ctx, store, name)
+	chain, closers, err := openIndexChain(ctx, store, name, wait)
 	if err != nil {
 		return nil, wrapCancelled(err)
 	}
@@ -157,10 +165,11 @@ func (s *Session) RestartAsync(ctx context.Context, store Store, name string) (*
 		return failOpen(fmt.Errorf("%w: decoding image log: %v", ErrBadImage, err))
 	}
 
-	// Same guards as the eager restart: no restart under quiesce, none
-	// while a checkpoint is in flight, and qmu held for the whole
-	// visible phase so a racing Quiesce cannot freeze the old space
-	// mid-swap.
+	// A quiesced session cannot restart: log replay would block on the
+	// held launch gate, and the fresh address space could never balance
+	// the pending Resume's Thaw. qmu stays held for the whole visible
+	// phase (and a waited drain) so a racing Quiesce cannot freeze the
+	// old space mid-swap.
 	s.qmu.Lock()
 	defer s.qmu.Unlock()
 	if s.quiesced > 0 {
@@ -168,66 +177,74 @@ func (s *Session) RestartAsync(ctx context.Context, store Store, name string) (*
 	}
 	s.mu.Lock()
 	if s.migrating {
+		// A restart mid-migration would discard the very state the
+		// pre-copy rounds are moving.
 		s.mu.Unlock()
 		return failOpen(fmt.Errorf("%w: cannot restart", ErrMigrationInFlight))
 	}
 	if s.inflight != nil {
+		// A restart discards the address space an overlapped checkpoint
+		// is still reading from; wait the Pending out first.
 		s.mu.Unlock()
 		return failOpen(fmt.Errorf("%w: cannot restart", ErrCheckpointInFlight))
 	}
 	oldLib, oldHelper, oldLazy := s.lib, s.helper, s.lazy
+	// The lower half is about to die: clear the pointers first so a
+	// failure below (or a concurrent Close) can never tear the same
+	// objects down twice.
 	s.lib, s.helper, s.lazy = nil, nil, nil
 	s.mu.Unlock()
 	if oldLib == nil {
 		return failOpen(ErrSessionClosed)
 	}
-	// A previous lazy restart's drain serves the space that is about to
-	// be discarded: stop it first.
+	// A previous restart's drain serves the space that is about to be
+	// discarded: stop it first.
 	if oldLazy != nil {
 		oldLazy.detach()
 	}
 
-	// The old process dies; a fresh lower half comes up.
+	// The old process dies; a fresh lower half comes up. With ASLR off,
+	// the helper and the arenas land at the same addresses. An unwaited
+	// restart's space is written through FillCold as shards arrive in
+	// the background; demand-zero mmap backing keeps its arena rebuild
+	// (and so the visible phase) O(metadata) instead of O(arena bytes).
+	// A waited restart writes every byte before it returns, so it keeps
+	// heap backing: one sequential memclr instead of a page fault per
+	// page, and no dependence on when the collector hands the previous
+	// space's mappings back for reuse.
 	oldLib.Destroy()
 	oldHelper.Unload()
-	// A lazily-restored space is written through FillCold as shards
-	// arrive; demand-zero mmap backing keeps the arena rebuild (and so
-	// the visible phase) O(metadata) instead of O(arena bytes).
 	space := newSpace(s.cfg)
-	space.SetMmapBacked(true)
+	space.SetMmapBacked(!wait)
 	helper, lib, entries, err := buildLowerHalf(s.cfg, space)
 	if err != nil {
-		closeAll(closers)
-		return nil, err
+		return failOpen(err)
 	}
 	abort := func(err error) (*Restarting, error) {
 		lib.Destroy()
 		helper.Unload()
-		closeAll(closers)
-		return nil, wrapCancelled(err)
+		return failOpen(err)
 	}
 
-	// Map every image region at its final protection, content cold —
-	// the lazy counterpart of RestoreRegions. Fills go through the
-	// privileged FillCold push, so no write-then-protect dance is
-	// needed.
-	for _, rd := range chain[0].Regions {
-		if _, err := space.MMap(rd.Start, rd.Len, rd.Prot, addrspace.MapFixedNoReplace,
-			addrspace.HalfUpper, rd.Label); err != nil {
-			return abort(fmt.Errorf("crac: mapping region %#x+%d (%s): %w", rd.Start, rd.Len, rd.Label, err))
-		}
-	}
+	// DMTCP maps the upper-half regions first, content cold...
 	restorer, err := dmtcp.NewLazyRestorer(space, chain)
 	if err != nil {
 		return abort(err)
 	}
-	restorer.Mergers = sectionMergers
-	restorer.Workers, restorer.Budget = s.engine.Workers, s.engine.Budget
-	restorer.PlanRegions()
-
-	// Replay the log into the fresh library (recreating every
-	// allocation at its original address), then let the plugins lay
-	// their fill plans instead of refilling eagerly.
+	restorer.Workers = s.engine.Workers
+	if !wait {
+		// A background drain draws a slot of the engine's budget per
+		// chunk, so a pooled session's drain shares the pool's bound
+		// with its checkpoint pipelines. A waited drain is the caller's
+		// own foreground work and does not queue behind them.
+		restorer.Budget = s.engine.Budget
+	}
+	if err := restorer.MapRegions(); err != nil {
+		return abort(err)
+	}
+	// ...then the CRAC plugin replays the log into the fresh library,
+	// recreating every allocation at its original address, and binds the
+	// active mallocs to their saved bytes.
 	if err := s.rt.Rebind(lib, entries, log); err != nil {
 		return abort(err)
 	}
@@ -244,14 +261,16 @@ func (s *Session) RestartAsync(ctx context.Context, store Store, name string) (*
 	s.mu.Lock()
 	s.space, s.helper, s.lib = space, helper, lib
 	s.generation++
-	// A restored process starts a fresh incremental lineage.
+	// The restored process starts a fresh lineage: the old chain's epoch
+	// cuts are meaningless against the new address space, so the next
+	// incremental checkpoint must be a base.
 	s.incr = nil
 	s.lazy = h
 	s.mu.Unlock()
 	s.plugin.ResetIncremental()
 
 	visible := time.Since(start)
-	go func() {
+	drain := func() {
 		bgStart := time.Now()
 		err := restorer.Prefetch(drainCtx)
 		bg := time.Since(bgStart)
@@ -269,6 +288,62 @@ func (s *Session) RestartAsync(ctx context.Context, store Store, name string) (*
 		}
 		h.err = wrapCancelled(err)
 		close(h.done)
-	}()
+	}
+	if !wait {
+		go drain()
+		return &Restarting{h: h}, nil
+	}
+	// A waited drain runs on the caller's goroutine with qmu still held,
+	// so no other restart can come between it and the teardown below.
+	drain()
+	if h.err != nil {
+		s.mu.Lock()
+		mine := s.lazy == h // else a racing Close already tore it down
+		if mine {
+			s.lib, s.helper, s.lazy = nil, nil, nil
+		}
+		s.mu.Unlock()
+		if mine {
+			h.closeSources()
+			lib.Destroy()
+			helper.Unload()
+		}
+		return nil, h.err
+	}
 	return &Restarting{h: h}, nil
+}
+
+// RestartAsync restarts the session from the named image and returns
+// as soon as it can execute: the visible phase reads the image's
+// headers, verifies it, rebuilds the lower half, replays the log, and
+// maps every restored byte — upper-half regions and active-malloc
+// memory alike — as cold. The application may then run (and launch
+// kernels) immediately: the first access to any cold range faults its
+// image shards in, while a background prefetcher drains the rest of the
+// image concurrently — device memory first, managed (UVM) memory last.
+// Delta chains restore shard-by-shard from the nearest ancestor that
+// owns each shard, through the same Store.
+//
+// ctx governs both the visible phase and the background drain: it must
+// stay live until the returned handle reports completion, or the drain
+// is cancelled (which only stops prefetching — cold memory still
+// materializes on demand and the session stays fully usable).
+//
+// An image that fails to open or verify is rejected before anything is
+// torn down; a failure after the old lower half is gone leaves the
+// session closed.
+func (s *Session) RestartAsync(ctx context.Context, store Store, name string) (*Restarting, error) {
+	return s.restart(ctx, store, name, false)
+}
+
+// RestartFrom restarts from the named image in a Store: RestartAsync,
+// waited on. A delta image's parent chain is followed through the same
+// Store. It returns once the whole image is materialized. An image that
+// fails to open or verify is rejected with the session untouched; like
+// any restart that fails after the old lower half is torn down, a
+// failed drain — a store error, a cancelled ctx — leaves the session
+// closed.
+func (s *Session) RestartFrom(ctx context.Context, store Store, name string) error {
+	_, err := s.restart(ctx, store, name, true)
+	return err
 }

@@ -466,7 +466,7 @@ func TestMigrateRetryComposition(t *testing.T) {
 
 // TestMigrateDowntimeBound is the acceptance bound: migration's
 // visible downtime must be at least 5× smaller than stop-copy-restart
-// (quiesce, full checkpoint to the destination store, eager restore
+// (quiesce, full checkpoint to the destination store, waited restore
 // there). Min-of-3 on both sides so scheduler noise cannot flip the
 // comparison; the real gap is an order of magnitude or more.
 func TestMigrateDowntimeBound(t *testing.T) {

@@ -20,8 +20,7 @@ type settings struct {
 	workers      int
 	shardSize    int
 	imageVersion int
-	incremental  int  // max deltas per base; 0 = incremental off
-	lazyRestart  bool // RestartFrom/RestoreFrom use the lazy fault-in path
+	incremental  int // max deltas per base; 0 = incremental off
 	aslr         bool
 	aslrSeed     int64
 	retry        *RetryPolicy        // nil: no store retry wrapping
@@ -116,23 +115,8 @@ func WithConcurrentCheckpoint() Option {
 	return func(*settings) {}
 }
 
-// WithLazyRestart routes RestartFrom and RestoreFrom through the lazy
-// on-demand restore path: only image metadata and the replay log are
-// read eagerly, every restored byte faults in on first access, and a
-// background prefetcher drains the rest of the image while the
-// application executes — time-to-first-kernel shrinks from
-// O(image size) to O(replay log). The drain continues past the call's
-// return (cancelled by Close or a later restart); use RestartAsync
-// directly to observe or wait for it. Restored memory is byte-
-// identical to an eager restart once the drain completes (DESIGN.md
-// invariant 11), and every access before that sees the same bytes the
-// eager path would have written.
-func WithLazyRestart() Option {
-	return func(s *settings) { s.lazyRestart = true }
-}
-
 // WithCheckpointRetry wraps every store-bound operation of the session
-// (CheckpointTo, CheckpointAsync, RestartFrom, lazy restarts) in
+// (CheckpointTo, CheckpointAsync, RestartFrom, RestartAsync) in
 // WithRetry with the given policy: transient store failures back off
 // and retry instead of failing the checkpoint. The zero RetryPolicy
 // selects DefaultRetryPolicy. Only the store commit retries — the

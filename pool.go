@@ -585,8 +585,8 @@ func (ps *PoolSession) Checkpoint(ctx context.Context, name string) (Stats, erro
 
 // Restart restores the session from the tenant-scoped image name.
 // Restarts read — they retain no copy-on-write pages — so they bypass
-// the cut scheduler; only the shared worker budget paces their refill
-// against running checkpoints.
+// the cut scheduler, and the caller waits for this one, so its drain is
+// foreground work that does not queue on the shared worker budget.
 func (ps *PoolSession) Restart(ctx context.Context, name string) error {
 	ps.mu.Lock()
 	if ps.closed {

@@ -16,7 +16,6 @@ import (
 	"repro/internal/dmtcp"
 	"repro/internal/fsgs"
 	"repro/internal/loader"
-	"repro/internal/replaylog"
 )
 
 // Stats describes one checkpoint operation (regions, payload bytes, and
@@ -546,44 +545,32 @@ func (s *Session) CheckpointAsync(ctx context.Context, store Store, name string)
 // refilled. The application continues through the same Runtime value,
 // its virtual handles transparently re-mapped.
 //
-// Restart is destructive: once the old lower half is torn down, an
-// error (including cancellation) leaves the session closed — only a
-// fresh Restore can revive the image.
+// Restart reads r to its end and restores the bytes exactly as
+// RestartFrom restores a stored image. A v3 delta names a parent that
+// only its Store can supply: a bare delta reports ErrDeltaChain. An
+// image that does not parse or verify is rejected with the session
+// untouched; a failure after the old lower half is torn down (including
+// cancellation) leaves the session closed — only a fresh Restore can
+// revive the image.
 func (s *Session) Restart(ctx context.Context, r io.Reader) error {
-	img, err := OpenImage(r)
+	store, err := readImageStore(r)
 	if err != nil {
-		return err
+		return wrapCancelled(err)
 	}
-	return s.RestartImage(ctx, img)
+	return s.RestartFrom(ctx, store, readerImage)
 }
 
-// RestartImage restarts from an already-opened image. A v3 delta must
-// be materialized first (open it through OpenImageFrom, which follows
-// the parent chain inside its Store): a bare delta reports
-// ErrDeltaChain.
-func (s *Session) RestartImage(ctx context.Context, img *Image) error {
-	if !img.img.Complete() {
-		return fmt.Errorf("%w: open the image through its Store to materialize the chain", ErrDeltaChain)
-	}
-	return wrapCancelled(s.restartFromImage(ctx, img.img))
-}
+// readerImage names the one image readImageStore holds.
+const readerImage = "image"
 
-// RestartFrom restarts from the named image in a Store. A delta image's
-// parent chain is followed through the same Store and materialized
-// transparently. With WithLazyRestart the restart is lazy: RestartFrom
-// returns as soon as the session can execute (metadata + replay only)
-// and the image drains in the background — use RestartAsync directly
-// to observe the drain.
-func (s *Session) RestartFrom(ctx context.Context, store Store, name string) error {
-	if s.cfg.lazyRestart {
-		_, err := s.RestartAsync(ctx, store, name)
-		return err
-	}
-	img, err := OpenImageFrom(ctx, s.retryWrap(store), name)
+// readImageStore reads an image stream into a one-image store, so a
+// restart from an io.Reader runs the store route.
+func readImageStore(r io.Reader) (Store, error) {
+	b, err := io.ReadAll(r)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return s.RestartImage(ctx, img)
+	return &MemStore{m: map[string][]byte{readerImage: b}}, nil
 }
 
 // Rebase breaks the session's incremental lineage: the next store-
@@ -597,150 +584,32 @@ func (s *Session) Rebase() {
 	s.mu.Unlock()
 }
 
-func (s *Session) restartFromImage(ctx context.Context, img *dmtcp.Image) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	logBytes, ok := img.Sections.Get(cracplugin.SectionLog)
-	if !ok {
-		return fmt.Errorf("%w: image has no %s section", ErrBadImage, cracplugin.SectionLog)
-	}
-	log, err := replaylog.DecodeBytes(logBytes)
-	if err != nil {
-		return fmt.Errorf("%w: decoding image log: %v", ErrBadImage, err)
-	}
-
-	// A quiesced session cannot restart: log replay would block on the
-	// held launch gate, and the fresh address space could never balance
-	// the pending Resume's Thaw. qmu stays held for the whole restart so
-	// a racing Quiesce cannot freeze the old space mid-swap (its Resume
-	// would then thaw the new, never-frozen one).
-	s.qmu.Lock()
-	defer s.qmu.Unlock()
-	if s.quiesced > 0 {
-		return fmt.Errorf("%w: resume before restarting", ErrQuiesced)
-	}
-	s.mu.Lock()
-	if s.migrating {
-		// A restart mid-migration would discard the very state the
-		// pre-copy rounds are moving.
-		s.mu.Unlock()
-		return fmt.Errorf("%w: cannot restart", ErrMigrationInFlight)
-	}
-	if s.inflight != nil {
-		// A restart discards the address space an overlapped checkpoint
-		// is still reading from; wait the Pending out first.
-		s.mu.Unlock()
-		return fmt.Errorf("%w: cannot restart", ErrCheckpointInFlight)
-	}
-	oldLib, oldHelper, oldLazy := s.lib, s.helper, s.lazy
-	// The lower half is about to die: clear the pointers first so a
-	// failure below (or a concurrent Close) can never tear the same
-	// objects down twice.
-	s.lib, s.helper, s.lazy = nil, nil, nil
-	s.mu.Unlock()
-	if oldLib == nil {
-		return ErrSessionClosed
-	}
-	// A still-draining lazy restart serves the space about to be
-	// discarded: stop it before tearing the world down.
-	if oldLazy != nil {
-		oldLazy.detach()
-	}
-
-	// The old process dies: tear down its device and lower half.
-	oldLib.Destroy()
-	oldHelper.Unload()
-
-	// A new process: fresh address space, fresh lower half. With ASLR
-	// off, the helper and the arenas land at the same addresses.
-	space := newSpace(s.cfg)
-	helper, lib, entries, err := buildLowerHalf(s.cfg, space)
-	if err != nil {
-		return err
-	}
-	abort := func(err error) error {
-		lib.Destroy()
-		helper.Unload()
-		return err
-	}
-	// DMTCP restores the upper-half memory first...
-	if err := dmtcp.RestoreRegionsN(ctx, img, space, s.cfg.workers); err != nil {
-		return abort(err)
-	}
-	// ...then the CRAC plugin replays the log into the fresh library,
-	// re-creating allocations/streams/events/fat binaries...
-	if err := s.rt.Rebind(lib, entries, log); err != nil {
-		return abort(err)
-	}
-	// ...and refills the drained device/pinned/managed memory.
-	if err := s.engine.RunRestartHooks(ctx, img); err != nil {
-		return abort(err)
-	}
-
-	s.mu.Lock()
-	s.space, s.helper, s.lib = space, helper, lib
-	s.generation++
-	// The restored process starts a fresh lineage: the old chain's epoch
-	// cuts are meaningless against the new address space, so the next
-	// incremental checkpoint must be a base.
-	s.incr = nil
-	s.mu.Unlock()
-	s.plugin.ResetIncremental()
-	return nil
-}
-
 // Restore builds a brand-new session (a new process) from a checkpoint
 // image — the cross-process restart path (cracrun writes an image; a
-// later process restores it). Pass WithKernels so replay can resolve
-// kernel names in the restored process, standing in for the device code
-// in its text segment.
+// later process restores it): New, then Restart. Pass WithKernels so
+// replay can resolve kernel names in the restored process, standing in
+// for the device code in its text segment.
 func Restore(ctx context.Context, r io.Reader, opts ...Option) (*Session, error) {
-	img, err := OpenImage(r)
+	store, err := readImageStore(r)
 	if err != nil {
-		return nil, err
+		return nil, wrapCancelled(err)
 	}
-	return RestoreImage(ctx, img, opts...)
+	return RestoreFrom(ctx, store, readerImage, opts...)
 }
 
-// RestoreImage builds a new session from an already-opened image.
-func RestoreImage(ctx context.Context, img *Image, opts ...Option) (*Session, error) {
+// RestoreFrom builds a new session from the named image in a Store —
+// New, then RestartFrom — following delta chains through the same
+// Store.
+func RestoreFrom(ctx context.Context, store Store, name string, opts ...Option) (*Session, error) {
 	s, err := New(opts...)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.RestartImage(ctx, img); err != nil {
+	if err := s.RestartFrom(ctx, store, name); err != nil {
 		s.Close()
 		return nil, err
 	}
 	return s, nil
-}
-
-// RestoreFrom builds a new session from the named image in a Store,
-// materializing delta chains through the same Store. With
-// WithLazyRestart the restore is lazy: the session returns ready to
-// execute while the image drains in the background.
-func RestoreFrom(ctx context.Context, store Store, name string, opts ...Option) (*Session, error) {
-	cfg := resolve(opts)
-	if cfg.retry != nil {
-		store = WithRetry(store, *cfg.retry)
-	}
-	if cfg.lazyRestart {
-		s, err := newSession(cfg)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := s.RestartAsync(ctx, store, name); err != nil {
-			s.Close()
-			return nil, err
-		}
-		return s, nil
-	}
-	img, err := OpenImageFrom(ctx, store, name)
-	if err != nil {
-		return nil, err
-	}
-	return RestoreImage(ctx, img, opts...)
 }
 
 // Close tears the session down. It is idempotent: a second Close (or a

@@ -568,7 +568,11 @@ type MemStore struct {
 func NewMemStore() *MemStore { return &MemStore{m: make(map[string][]byte)} }
 
 // Put implements Store: the image is staged in a buffer and published
-// only if write succeeds, so a failed checkpoint leaves no trace.
+// only if write succeeds, so a failed checkpoint leaves no trace. The
+// buffer starts at the size of the image last stored under the same
+// name (plus an eighth for growth): a checkpoint cadence rewriting one
+// name then fills one allocation instead of regrowing — and copying —
+// its way up from nothing every time.
 func (s *MemStore) Put(ctx context.Context, name string, write func(io.Writer) error) error {
 	if err := validateImageName(name); err != nil {
 		return err
@@ -576,7 +580,11 @@ func (s *MemStore) Put(ctx context.Context, name string, write func(io.Writer) e
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	s.mu.Lock()
+	hint := len(s.m[name])
+	s.mu.Unlock()
 	var buf bytes.Buffer
+	buf.Grow(hint + hint/8)
 	if err := write(&buf); err != nil {
 		return err
 	}
@@ -655,12 +663,12 @@ type ReaderAtCloser interface {
 }
 
 // RandomAccessStore is an optional Store capability: GetAt opens the
-// named image for random access, which is what lets a lazy restart
-// (RestartAsync, WithLazyRestart) decode individual shards on demand
-// instead of streaming the whole image. All built-in stores implement
-// it; a store that cannot (a network stream, say) still works — the
-// lazy path falls the image back into memory first, keeping the
-// restore-side laziness but paying an eager download.
+// named image for random access, which is what lets a restart decode
+// individual shards on demand instead of streaming the whole image. All
+// built-in stores implement it; a store that cannot (a network stream,
+// say) still works — the restart falls the image back into memory
+// first, keeping the restore-side laziness but paying an eager
+// download.
 type RandomAccessStore interface {
 	// GetAt opens the named image for random access, returning its
 	// size. A missing name reports ErrImageNotFound.
@@ -718,12 +726,28 @@ func (s *MemStore) GetAt(ctx context.Context, name string) (ReaderAtCloser, int6
 	if !ok {
 		return nil, 0, fmt.Errorf("%w: %q", ErrImageNotFound, name)
 	}
-	return nopReaderAtCloser{bytes.NewReader(b)}, int64(len(b)), nil
+	return memImage(b), int64(len(b)), nil
 }
 
-type nopReaderAtCloser struct{ *bytes.Reader }
+// memImage is an image held whole in memory as a ReaderAtCloser. Its
+// Bytes method lets a restart index and verify the image in place
+// instead of copying it out first.
+type memImage []byte
 
-func (nopReaderAtCloser) Close() error { return nil }
+func (b memImage) ReadAt(p []byte, off int64) (int, error) {
+	if off < 0 || off >= int64(len(b)) {
+		return 0, io.EOF
+	}
+	n := copy(p, b[off:])
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+func (memImage) Close() error { return nil }
+
+func (b memImage) Bytes() []byte { return b }
 
 // openImageAt opens the named image for random access, slurping it
 // into memory when the store offers no RandomAccessStore capability.
@@ -740,7 +764,7 @@ func openImageAt(ctx context.Context, store Store, name string) (ReaderAtCloser,
 	if err != nil {
 		return nil, 0, err
 	}
-	return nopReaderAtCloser{bytes.NewReader(b)}, int64(len(b)), nil
+	return memImage(b), int64(len(b)), nil
 }
 
 var (
