@@ -11,7 +11,6 @@ import (
 	"sync"
 
 	"repro/internal/cas"
-	"repro/internal/dmtcp"
 )
 
 // BatchExister is the optional Store extension behind chunk-level
@@ -542,7 +541,7 @@ func (s *CASStore) GC(ctx context.Context) (GCStats, error) {
 
 // DedupLineage is one delta lineage in a DedupStats report: the name
 // of a chain tip (an image no other image names as parent) and its
-// chain depth.
+// chain depth, the ancestors it reaches in the store.
 type DedupLineage struct {
 	Tip   string
 	Depth int
@@ -596,9 +595,7 @@ func DedupReport(ctx context.Context, store Store) (*DedupStats, error) {
 	st := &DedupStats{}
 	uniq := make(map[string]uint64) // chunk name -> size
 	stored := make(map[string]bool) // chunk entries present in the backing
-	parentOf := make(map[string]string)
-	depthOf := make(map[string]int)
-	hasChild := make(map[string]bool)
+	g := &lineageGraph{nodes: make(map[string]*lineageNode)}
 	for _, n := range names {
 		if cas.IsChunkName(n) {
 			stored[n] = true
@@ -621,8 +618,7 @@ func DedupReport(ctx context.Context, store Store) (*DedupStats, error) {
 				return nil, fmt.Errorf("manifest %q: %w", n, err)
 			}
 			st.Manifests++
-			parentOf[n] = man.Parent
-			depthOf[n] = man.Depth
+			g.nodes[n] = &lineageNode{parent: man.Parent}
 			for i := range man.Segments {
 				seg := &man.Segments[i]
 				if !seg.IsChunk() {
@@ -635,11 +631,10 @@ func DedupReport(ctx context.Context, store Store) (*DedupStats, error) {
 			}
 			continue
 		}
-		meta, err := dmtcp.ReadImageMeta(br)
+		node, err := parseHeader(br)
 		rc.Close()
 		if err == nil {
-			parentOf[n] = meta.Parent
-			depthOf[n] = meta.Depth
+			g.nodes[n] = node
 		}
 	}
 	st.Chunks = len(uniq)
@@ -651,16 +646,9 @@ func DedupReport(ctx context.Context, store Store) (*DedupStats, error) {
 			st.Orphans++
 		}
 	}
-	for _, p := range parentOf {
-		if p != "" {
-			hasChild[p] = true
-		}
+	for _, tip := range g.tips() {
+		ancestors, _ := g.ancestors(tip)
+		st.Lineages = append(st.Lineages, DedupLineage{Tip: tip, Depth: len(ancestors)})
 	}
-	for n := range parentOf {
-		if !hasChild[n] {
-			st.Lineages = append(st.Lineages, DedupLineage{Tip: n, Depth: depthOf[n]})
-		}
-	}
-	sort.Slice(st.Lineages, func(i, j int) bool { return st.Lineages[i].Tip < st.Lineages[j].Tip })
 	return st, nil
 }

@@ -8,8 +8,7 @@
 // / cracmigrate -serve): an http(s):// argument names an image on such
 // a server — everything after the last path segment is the image name,
 // the rest is the store base URL — and delta lineage is resolved across
-// the wire, hop by hop, through the same ranged reads a lazy restart
-// would use.
+// the wire; the lineage listing fetches each ancestor once.
 //
 // Usage:
 //
@@ -181,7 +180,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			info.DeltaDepth, info.Parent, 100*info.DirtyRatio, info.ShardsEmitted, info.ShardsTotal)
 		if store != nil {
 			// With a store at hand the chain is resolvable: report every
-			// ancestor hop down to the base.
+			// ancestor hop down to the base, each opened once, as stored.
 			fmt.Fprintln(stdout, "  lineage:")
 			seen := map[string]bool{name: true}
 			for cur := info.Parent; cur != ""; {
@@ -190,7 +189,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 					return 1
 				}
 				seen[cur] = true
-				pimg, err := crac.OpenImageFrom(ctx, store, cur)
+				var pimg *crac.Image
+				rc, err := store.Get(ctx, cur)
+				if err == nil {
+					pimg, err = crac.OpenImage(rc)
+					rc.Close()
+				}
 				if err != nil {
 					fmt.Fprintf(stderr, "cracinspect: lineage: opening %q: %v\n", cur, err)
 					return 1

@@ -2,10 +2,12 @@ package main
 
 import (
 	"context"
+	"io"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	crac "repro"
@@ -211,5 +213,95 @@ func TestInspectHTTPStore(t *testing.T) {
 	}
 	if code, _, _ := runInspect(t, "http://"); code != 1 {
 		t.Fatalf("malformed store URL accepted")
+	}
+}
+
+// fetchCountingStore is a MemStore that counts, per name, the fetches
+// made of it.
+type fetchCountingStore struct {
+	*crac.MemStore
+	mu      sync.Mutex
+	fetches map[string]int
+}
+
+func (c *fetchCountingStore) count(name string) {
+	c.mu.Lock()
+	c.fetches[name]++
+	c.mu.Unlock()
+}
+
+func (c *fetchCountingStore) Get(ctx context.Context, name string) (io.ReadCloser, error) {
+	c.count(name)
+	return c.MemStore.Get(ctx, name)
+}
+
+func (c *fetchCountingStore) GetAt(ctx context.Context, name string) (crac.ReaderAtCloser, int64, error) {
+	c.count(name)
+	return c.MemStore.GetAt(ctx, name)
+}
+
+// take returns the counts so far and starts over.
+func (c *fetchCountingStore) take() map[string]int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := c.fetches
+	c.fetches = map[string]int{}
+	return out
+}
+
+// TestInspectLineageFetchesEachAncestorOnce: inspecting the tip of a
+// depth-4 chain behind a netstore server materializes the tip, then
+// lists its lineage fetching each ancestor exactly once more — not once
+// per hop below it.
+func TestInspectLineageFetchesEachAncestorOnce(t *testing.T) {
+	store := &fetchCountingStore{MemStore: crac.NewMemStore(), fetches: map[string]int{}}
+	s, err := crac.New(crac.WithIncremental(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rt := s.Runtime()
+	buf, err := rt.HostAlloc(1 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	names := []string{"gen0", "gen1", "gen2", "gen3", "gen4"}
+	for i, name := range names {
+		if err := rt.Memset(buf, byte(0xA0+i), 8192); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.CheckpointTo(ctx, store, name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := httptest.NewServer(crac.ServeStore(store))
+	defer srv.Close()
+	hs, err := crac.NewHTTPStore(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	store.take()
+	if _, err := crac.OpenImageFrom(ctx, hs, "gen4"); err != nil {
+		t.Fatal(err)
+	}
+	materialize := store.take()
+	code, out, errOut := runInspect(t, srv.URL+"/gen4")
+	if code != 0 {
+		t.Fatalf("exit = %d, stderr:\n%s", code, errOut)
+	}
+	inspect := store.take()
+	for i, name := range names {
+		want := materialize[name] + 1
+		if name == "gen4" {
+			want = materialize[name]
+		}
+		if inspect[name] != want {
+			t.Errorf("%s fetched %d times, want %d (%d to materialize the tip)", name, inspect[name], want, materialize[name])
+		}
+		if i < len(names)-1 && !strings.Contains(out, "    "+name+" ") {
+			t.Errorf("lineage listing misses %s:\n%s", name, out)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/dmtcp"
 )
@@ -37,12 +38,9 @@ type CompactStats struct {
 // and applies against the compacted base; deltas the session writes
 // while Compact runs land on top untouched.
 //
-// Ancestors the squash strands are then condemned and deleted —
-// unless some other lineage in the store still reaches them, the
-// generalization of DirStore's retention rule: every live image's
-// parent walk is traced, and any condemned member it crosses is
-// retained. A walk that cannot be completed (unreadable entry)
-// retains everything conservatively; Compact never trades safety for
+// Ancestors the squash strands are then deleted unless another live
+// image still reaches them in the store's lineage graph; a header that
+// cannot be read retains them all — Compact never trades safety for
 // space. When store is a *CASStore, a chunk GC pass runs afterwards
 // to sweep payload chunks only the condemned images referenced.
 //
@@ -56,16 +54,13 @@ func Compact(ctx context.Context, store Store, tip string) (*CompactStats, error
 	}
 	st := &CompactStats{Tip: tip}
 
-	timg, err := readStoredImage(ctx, store, tip)
-	if err != nil {
+	head, err := readNode(ctx, store, tip)
+	switch {
+	case err != nil:
 		return nil, err
-	}
-	d := timg.Delta
-	if d == nil || d.Parent == "" {
+	case head.parent == "":
 		return st, nil // already a base
-	}
-	tipID := d.ID()
-	if tipID == 0 {
+	case head.id == 0:
 		return nil, fmt.Errorf("%w: tip %q carries no identity; compacting it would orphan its children", ErrDeltaChain, tip)
 	}
 
@@ -85,9 +80,12 @@ func Compact(ctx context.Context, store Store, tip string) (*CompactStats, error
 	if err != nil {
 		return nil, err
 	}
-	eng := &dmtcp.Engine{Gzip: timg.Gzip, ShardSize: d.ShardSize()}
+	eng := &dmtcp.Engine{Gzip: im.img.Gzip}
+	if d := im.img.Delta; d != nil {
+		eng.ShardSize = d.ShardSize()
+	}
 	if err := store.Put(ctx, tip, func(w io.Writer) error {
-		return eng.EncodeBase(ctx, w, im.img, tipID)
+		return eng.EncodeBase(ctx, w, im.img, head.id)
 	}); err != nil {
 		return nil, fmt.Errorf("crac: compact %q: writing base: %w", tip, err)
 	}
@@ -96,46 +94,20 @@ func Compact(ctx context.Context, store Store, tip string) (*CompactStats, error
 	// other live image's lineage still runs through them. The new base
 	// is already committed, so walks through tip stop there and never
 	// keep the old chain alive.
-	condemned := make(map[string]bool, len(st.Squashed))
-	for _, n := range st.Squashed {
-		condemned[n] = true
-	}
 	names, err := store.List(ctx)
+	var keep map[string]bool
+	if err == nil {
+		var live []string
+		for _, n := range names {
+			if !slices.Contains(st.Squashed, n) {
+				live = append(live, n)
+			}
+		}
+		keep, err = storeLineage(ctx, store).closure(live)
+	}
 	if err != nil {
-		st.Retained = append(st.Retained, st.Squashed...)
-		return st, nil // best-effort: space is reclaimable later
-	}
-	keep := make(map[string]bool)
-	abort := false
-	for _, n := range names {
-		if condemned[n] {
-			continue
-		}
-		cur := n
-		seen := map[string]bool{n: true}
-		for hops := 0; cur != "" && hops < maxLineageHops; hops++ {
-			parent, perr := storedParent(ctx, store, cur)
-			if perr != nil {
-				if errors.Is(perr, ErrImageNotFound) {
-					break // dangling parent: cannot be a condemned member
-				}
-				abort = true // unreadable lineage: retain everything
-				break
-			}
-			if parent == "" || seen[parent] {
-				break
-			}
-			seen[parent] = true
-			if condemned[parent] {
-				keep[parent] = true
-			}
-			cur = parent
-		}
-		if abort {
-			break
-		}
-	}
-	if abort {
+		// Best-effort: space is reclaimable later, and an unreadable
+		// lineage might reach anything.
 		st.Retained = append(st.Retained, st.Squashed...)
 		return st, nil
 	}
@@ -175,19 +147,4 @@ func asCASStore(store Store) *CASStore {
 		store = u.Unwrap()
 	}
 	return nil
-}
-
-// storedParent reads just the parent link of a stored image from its
-// header ("" for a base).
-func storedParent(ctx context.Context, store Store, name string) (string, error) {
-	rc, err := store.Get(ctx, name)
-	if err != nil {
-		return "", wrapCancelled(err)
-	}
-	meta, err := dmtcp.ReadImageMeta(rc)
-	rc.Close()
-	if err != nil {
-		return "", err
-	}
-	return meta.Parent, nil
 }

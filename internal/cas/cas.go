@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -205,8 +206,11 @@ func (m *Manifest) Encode(w io.Writer) error {
 	return bw.Flush()
 }
 
-// readPrologue parses everything before the segment list.
-func readPrologue(r io.Reader) (*Manifest, error) {
+// ReadManifestMeta parses only a manifest's prologue — format version,
+// lineage, total length — without decoding the segment list. Lineage
+// walks over stores holding manifests use it the way
+// dmtcp.ReadImageMeta serves plain images.
+func ReadManifestMeta(r io.Reader) (*Manifest, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("%w: magic: %v", ErrBadManifest, err)
@@ -241,19 +245,11 @@ func readPrologue(r io.Reader) (*Manifest, error) {
 	return m, nil
 }
 
-// ReadManifestMeta parses only a manifest's prologue — format version,
-// lineage, total length — without decoding the segment list. Lineage
-// walks over stores holding manifests use it the way
-// dmtcp.ReadImageMeta serves plain images.
-func ReadManifestMeta(r io.Reader) (*Manifest, error) {
-	return readPrologue(r)
-}
-
 // DecodeManifest parses a full manifest, segments included, and
 // verifies that the segment lengths add up to the recorded stream
 // length.
 func DecodeManifest(r io.Reader) (*Manifest, error) {
-	m, err := readPrologue(r)
+	m, err := ReadManifestMeta(r)
 	if err != nil {
 		return nil, err
 	}
@@ -266,7 +262,7 @@ func DecodeManifest(r io.Reader) (*Manifest, error) {
 		return nil, fmt.Errorf("%w: segment count %d", ErrBadManifest, nSegs)
 	}
 	var total uint64
-	m.Segments = make([]Segment, 0, nSegs)
+	m.Segments = make([]Segment, 0, min(nSegs, 1<<12)) // the count is only a claim too
 	for i := uint32(0); i < nSegs; i++ {
 		var kind [1]byte
 		if _, err := io.ReadFull(r, kind[:]); err != nil {
@@ -281,8 +277,13 @@ func DecodeManifest(r io.Reader) (*Manifest, error) {
 			if n == 0 || n > maxInlineSeg {
 				return nil, fmt.Errorf("%w: segment %d inline length %d", ErrBadManifest, i, n)
 			}
-			b := make([]byte, n)
-			if _, err := io.ReadFull(r, b); err != nil {
+			var b []byte // grows as the bytes arrive: the length is only a claim
+			for len(b) < int(n) && err == nil {
+				k := min(int(n)-len(b), max(len(b), 64<<10))
+				b = slices.Grow(b, k)[:len(b)+k]
+				_, err = io.ReadFull(r, b[len(b)-k:])
+			}
+			if err != nil {
 				return nil, fmt.Errorf("%w: segment %d: %v", ErrBadManifest, i, err)
 			}
 			m.Segments = append(m.Segments, Segment{Inline: b, Length: uint64(n)})

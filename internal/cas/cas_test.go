@@ -65,7 +65,7 @@ func feed(t *testing.T, w *Chunker, data []byte) {
 
 // testV3Image encodes a synthetic-but-genuine v3 base image (regions,
 // sections, shard frames, integrity trailer) and returns its bytes.
-func testV3Image(t *testing.T, seed int64, size int, shard int) []byte {
+func testV3Image(t testing.TB, seed int64, size int, shard int) []byte {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	data := make([]byte, size)

@@ -47,15 +47,29 @@ import (
 // u32 span, u64 offset, u32 rawLen, u32 encLen, u64 hash.
 const shardHdrV3 = 28
 
-// maxChainDepth bounds how many parent links ResolveChain follows — far
-// above any sane WithIncremental setting, it only exists to stop a
-// corrupt or hostile lineage from walking forever.
-const maxChainDepth = 512
+// MaxChainDepth bounds every parent walk over stored images: the writer
+// rotates to a fresh base before a chain gets this deep, so a longer
+// lineage can only be corrupt or hostile.
+const MaxChainDepth = 512
 
 // ErrDeltaChain reports an operation that needs a delta image's parent
 // chain: restoring an unmaterialized delta, or resolving a chain whose
-// parent is missing, cyclic, or deeper than maxChainDepth.
+// parent is missing, cyclic, or deeper than MaxChainDepth.
 var ErrDeltaChain = errors.New("dmtcp: delta image requires its parent chain")
+
+// A ChainWalk guards every parent walk over stored images: each step
+// must name a parent the walk has not visited, within MaxChainDepth
+// links of its start, the walk's one initial member.
+type ChainWalk map[string]bool
+
+// Step admits the next parent, or reports the lineage broken there.
+func (w ChainWalk) Step(parent string) error {
+	if parent == "" || w[parent] || len(w) > MaxChainDepth {
+		return fmt.Errorf("%w: broken lineage at %q", ErrDeltaChain, parent)
+	}
+	w[parent] = true
+	return nil
+}
 
 // DeltaState is the writer-side lineage state of an incremental
 // checkpoint chain. The caller (a crac.Session) holds the state of the
@@ -435,37 +449,13 @@ func (e *Engine) writeImageV3(ctx context.Context, w io.Writer, view addrspace.V
 // readImageV3 parses a v3 image. A base materializes immediately; a
 // delta parses its shards and waits for ApplyDelta/ResolveChain.
 func readImageV3(r io.Reader) (*Image, error) {
-	flags, err := readFlags(r, 3)
+	meta, err := readLineageV3(r)
 	if err != nil {
 		return nil, err
 	}
-	img := &Image{Version: 3, Gzip: flags[0]&1 != 0, Sections: NewSectionMap()}
-	delta := flags[0]&2 != 0
-	parent, err := readString(r)
-	if err != nil {
-		return nil, fmt.Errorf("%w: parent: %v", ErrBadImage, err)
-	}
+	img := &Image{Version: 3, Gzip: meta.Gzip, Sections: NewSectionMap()}
 	var u32 [4]byte
 	var u64b [8]byte
-	if _, err := io.ReadFull(r, u32[:]); err != nil {
-		return nil, fmt.Errorf("%w: depth: %v", ErrBadImage, err)
-	}
-	depth := binary.LittleEndian.Uint32(u32[:])
-	if depth > maxChainDepth {
-		return nil, fmt.Errorf("%w: delta depth %d", ErrBadImage, depth)
-	}
-	if delta && parent == "" {
-		return nil, fmt.Errorf("%w: delta image names no parent", ErrBadImage)
-	}
-	if _, err := io.ReadFull(r, u64b[:]); err != nil {
-		return nil, fmt.Errorf("%w: image id: %v", ErrBadImage, err)
-	}
-	selfID := binary.LittleEndian.Uint64(u64b[:])
-	if _, err := io.ReadFull(r, u64b[:]); err != nil {
-		return nil, fmt.Errorf("%w: parent id: %v", ErrBadImage, err)
-	}
-	parentID := binary.LittleEndian.Uint64(u64b[:])
-
 	if _, err := io.ReadFull(r, u32[:]); err != nil {
 		return nil, fmt.Errorf("%w: region count: %v", ErrBadImage, err)
 	}
@@ -567,10 +557,10 @@ func readImageV3(r io.Reader) (*Image, error) {
 	}
 
 	di := &DeltaInfo{
-		Parent: parent, Depth: int(depth),
+		Parent: meta.Parent, Depth: meta.Depth,
 		ShardsTotal: shardsTotal, ShardsEmitted: int(shardCount),
 		RawTotal: totalRaw,
-		id:       selfID, parentID: parentID,
+		id:       meta.ID, parentID: meta.ParentID,
 		shardSize: int(shardSize), secs: secs,
 	}
 	img.Delta = di
@@ -605,7 +595,7 @@ func readImageV3(r io.Reader) (*Image, error) {
 			return nil, fmt.Errorf("%w: shard %d (span %d, off %d, %d/%d bytes)", ErrBadImage, i, sp, so, rawLen, encLen)
 		}
 		global := spans[sp].base + so
-		if !delta {
+		if !meta.Delta {
 			if global != expected {
 				return nil, fmt.Errorf("%w: shard %d at raw offset %d, want %d", ErrBadImage, i, global, expected)
 			}
@@ -617,7 +607,7 @@ func readImageV3(r io.Reader) (*Image, error) {
 			prevEnd = global + uint64(rawLen)
 		}
 		f := pending{span: int(sp), off: so, rawLen: int(rawLen), hash: hash}
-		if !delta {
+		if !meta.Delta {
 			if *spans[sp].dst == nil {
 				*spans[sp].dst = make([]byte, spans[sp].size)
 			}
@@ -642,7 +632,7 @@ func readImageV3(r io.Reader) (*Image, error) {
 		di.RawEmitted += uint64(rawLen)
 		frames = append(frames, f)
 	}
-	if !delta && expected != totalRaw {
+	if !meta.Delta && expected != totalRaw {
 		return nil, fmt.Errorf("%w: base image covers %d of %d payload bytes", ErrBadImage, expected, totalRaw)
 	}
 
@@ -664,7 +654,7 @@ func readImageV3(r io.Reader) (*Image, error) {
 		return nil, err
 	}
 
-	if !delta {
+	if !meta.Delta {
 		// A base is complete: publish the sections (zero-size ones too)
 		// and drop the shard bookkeeping.
 		for i, sec := range secs {
@@ -812,14 +802,13 @@ func ResolveChain(img *Image, open func(name string) (io.ReadCloser, error), mer
 		return nil, fmt.Errorf("%w: no way to open parent %q", ErrDeltaChain, img.Delta.Parent)
 	}
 	chain := []*Image{img}
-	seen := make(map[string]bool)
+	walk := ChainWalk{"": true} // the tip has no name here
 	cur := img
 	for !cur.Complete() {
 		pname := cur.Delta.Parent
-		if pname == "" || seen[pname] || len(chain) > maxChainDepth {
-			return nil, fmt.Errorf("%w: broken lineage at %q", ErrDeltaChain, pname)
+		if err := walk.Step(pname); err != nil {
+			return nil, err
 		}
-		seen[pname] = true
 		rc, err := open(pname)
 		if err != nil {
 			return nil, fmt.Errorf("%w: opening parent %q: %w", ErrDeltaChain, pname, err)
@@ -845,51 +834,63 @@ func ResolveChain(img *Image, open func(name string) (io.ReadCloser, error), mer
 
 // ImageMeta is the cheap header-only view of a checkpoint image: enough
 // to classify the format and follow lineage without parsing tables or
-// payload. Store retention uses it to keep delta chains unbroken.
+// payload. The store's lineage graph is built from it.
 type ImageMeta struct {
 	Version int
 	Gzip    bool
 	Delta   bool
 	Parent  string
 	Depth   int
+	// ID and ParentID: see DeltaInfo (0 for v1/v2).
+	ID       uint64
+	ParentID uint64
 }
 
 // ReadImageMeta parses just the image prologue (magic, flags and — for
-// v3 — the lineage fields).
+// v3 — the lineage fields), reading no byte past it.
 func ReadImageMeta(r io.Reader) (ImageMeta, error) {
 	var magic [8]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return ImageMeta{}, fmt.Errorf("%w: magic: %v", ErrBadImage, err)
 	}
-	var flags [4]byte
 	switch magic {
 	case imageMagicV1, imageMagicV2:
-		if _, err := io.ReadFull(r, flags[:]); err != nil {
-			return ImageMeta{}, fmt.Errorf("%w: flags: %v", ErrBadImage, err)
-		}
-		v := 1
-		if magic == imageMagicV2 {
-			v = 2
-		}
-		return ImageMeta{Version: v, Gzip: flags[0]&1 != 0}, nil
-	case imageMagicV3:
-		if _, err := io.ReadFull(r, flags[:]); err != nil {
-			return ImageMeta{}, fmt.Errorf("%w: flags: %v", ErrBadImage, err)
-		}
-		parent, err := readString(r)
+		flags, err := readFlags(r, 1)
 		if err != nil {
-			return ImageMeta{}, fmt.Errorf("%w: parent: %v", ErrBadImage, err)
+			return ImageMeta{}, err
 		}
-		var u32 [4]byte
-		if _, err := io.ReadFull(r, u32[:]); err != nil {
-			return ImageMeta{}, fmt.Errorf("%w: depth: %v", ErrBadImage, err)
-		}
-		return ImageMeta{Version: 3, Gzip: flags[0]&1 != 0, Delta: flags[0]&2 != 0,
-			Parent: parent, Depth: int(binary.LittleEndian.Uint32(u32[:]))}, nil
+		return ImageMeta{Version: int(magic[7] - '0'), Gzip: flags[0]&1 != 0}, nil
+	case imageMagicV3:
+		return readLineageV3(r)
 	default:
 		if bytes.Equal(magic[:7], imageMagicV1[:7]) {
 			return ImageMeta{}, fmt.Errorf("%w: %q", ErrUnsupportedVersion, magic[:])
 		}
 		return ImageMeta{}, fmt.Errorf("%w: bad magic %q", ErrBadImage, magic[:])
 	}
+}
+
+// readLineageV3 parses what follows a v3 image's magic up to its region
+// table: flags, parent name, depth, and the image and parent identities.
+func readLineageV3(r io.Reader) (ImageMeta, error) {
+	flags, err := readFlags(r, 3)
+	if err != nil {
+		return ImageMeta{}, err
+	}
+	m := ImageMeta{Version: 3, Gzip: flags[0]&1 != 0, Delta: flags[0]&2 != 0}
+	if m.Parent, err = readString(r); err != nil {
+		return ImageMeta{}, fmt.Errorf("%w: parent: %v", ErrBadImage, err)
+	}
+	var ids [20]byte // depth u32, image id u64, parent id u64
+	if _, err := io.ReadFull(r, ids[:]); err != nil {
+		return ImageMeta{}, fmt.Errorf("%w: depth and ids: %v", ErrBadImage, err)
+	}
+	m.Depth, m.ID, m.ParentID = int(le32(ids[:])), le64(ids[4:]), le64(ids[12:])
+	if m.Depth > MaxChainDepth {
+		return ImageMeta{}, fmt.Errorf("%w: delta depth %d", ErrBadImage, m.Depth)
+	}
+	if m.Delta && m.Parent == "" {
+		return ImageMeta{}, fmt.Errorf("%w: delta image names no parent", ErrBadImage)
+	}
+	return m, nil
 }

@@ -442,7 +442,7 @@ func TestV3HookTimeWritesStampAboveCut(t *testing.T) {
 }
 
 // TestV3DepthCapRotatesToBase pins the writer-side cap: the chain
-// rotates to a base before reaching the reader's maxChainDepth, so
+// rotates to a base before reaching the reader's MaxChainDepth, so
 // every written image stays restorable no matter the caller's policy.
 func TestV3DepthCapRotatesToBase(t *testing.T) {
 	space, _, _ := buildDeltaSpace(t)
@@ -450,7 +450,7 @@ func TestV3DepthCapRotatesToBase(t *testing.T) {
 	var st *DeltaState
 	cs := chainStore{}
 	maxSeen := 0
-	for i := 0; i < maxChainDepth+3; i++ {
+	for i := 0; i < MaxChainDepth+3; i++ {
 		var buf bytes.Buffer
 		stats, next, err := e.CheckpointDelta(context.Background(), &buf, space, st, fmt.Sprintf("g%d", i))
 		if err != nil {
@@ -460,16 +460,16 @@ func TestV3DepthCapRotatesToBase(t *testing.T) {
 		if stats.DeltaDepth > maxSeen {
 			maxSeen = stats.DeltaDepth
 		}
-		if stats.DeltaDepth >= maxChainDepth {
+		if stats.DeltaDepth >= MaxChainDepth {
 			t.Fatalf("checkpoint %d written at unrestorable depth %d", i, stats.DeltaDepth)
 		}
 		st = next
 	}
-	if maxSeen != maxChainDepth-1 {
-		t.Fatalf("max depth seen %d, want rotation at %d", maxSeen, maxChainDepth-1)
+	if maxSeen != MaxChainDepth-1 {
+		t.Fatalf("max depth seen %d, want rotation at %d", maxSeen, MaxChainDepth-1)
 	}
 	// The deepest tip still materializes.
-	tip, err := ReadImage(bytes.NewReader(cs[fmt.Sprintf("g%d", maxChainDepth-1)]))
+	tip, err := ReadImage(bytes.NewReader(cs[fmt.Sprintf("g%d", MaxChainDepth-1)]))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,7 +82,7 @@ func (e *Engine) freeze(ctx context.Context, space *addrspace.Space, incremental
 	// A shard-size change breaks the chain's shard grid (hashes would
 	// compare different byte ranges), and a chain at the reader's depth
 	// cap could never be restored: both rotate to a fresh base.
-	if prev != nil && (prev.ShardSize != e.shardSize() || prev.Depth+1 >= maxChainDepth) {
+	if prev != nil && (prev.ShardSize != e.shardSize() || prev.Depth+1 >= MaxChainDepth) {
 		prev = nil
 	}
 	fz := &Frozen{prev: prev, selfName: selfName, version: version, start: time.Now()}

@@ -432,7 +432,7 @@ func scanIndexV3(src io.ReaderAt, sc *scanner) (*ShardIndex, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: depth: %v", ErrBadImage, err)
 	}
-	if depth > maxChainDepth {
+	if depth > MaxChainDepth {
 		return nil, fmt.Errorf("%w: delta depth %d", ErrBadImage, depth)
 	}
 	if ix.Delta && ix.Parent == "" {

@@ -12,10 +12,6 @@ import (
 	"repro/internal/replaylog"
 )
 
-// maxLazyChainDepth bounds how many parent links a restart follows,
-// mirroring the chain resolver's cap.
-const maxLazyChainDepth = 512
-
 // Restarting is a restart whose visible phase has completed: the
 // session is already executing (RestartAsync returned), while the
 // background prefetcher is still draining the image. Wait (or Done)
@@ -93,13 +89,8 @@ func openIndexChain(ctx context.Context, store Store, name string, wait bool) ([
 		closeAll(closers)
 		return nil, nil, err
 	}
-	seen := make(map[string]bool)
-	cur := name
-	for {
-		if seen[cur] || len(chain) > maxLazyChainDepth {
-			return fail(fmt.Errorf("%w: broken lineage at %q", ErrDeltaChain, cur))
-		}
-		seen[cur] = true
+	walk := dmtcp.ChainWalk{name: true}
+	for cur := name; ; {
 		src, size, err := openImageAt(ctx, store, cur)
 		if err != nil {
 			if len(chain) > 0 {
@@ -127,6 +118,9 @@ func openIndexChain(ctx context.Context, store Store, name string, wait bool) ([
 		chain = append(chain, ix)
 		if !ix.Delta {
 			return chain, closers, nil
+		}
+		if err := walk.Step(ix.Parent); err != nil {
+			return fail(err)
 		}
 		cur = ix.Parent
 	}

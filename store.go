@@ -1,7 +1,6 @@
 package crac
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -16,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/cas"
-	"repro/internal/dmtcp"
 )
 
 // Store is a destination for named checkpoint images. Implementations
@@ -271,18 +269,18 @@ type DirStore struct {
 	// pruneMu serializes retention passes: two concurrent Puts must not
 	// interleave their newest-first scans and deletions.
 	pruneMu sync.Mutex
-	// parentCache memoizes each image file's lineage header, keyed by
-	// name and validated against (mtime, size): stored images are
-	// immutable, so retention pays one header read per image instead of
-	// re-parsing every retained file on every Put. Guarded by pruneMu.
-	parentCache map[string]parentCacheEntry
+	// nodes memoizes each image file's lineage node, keyed by name and
+	// validated against (mtime, size): stored images are immutable, so
+	// retention pays one header read per image instead of re-parsing
+	// every retained file on every Put. Guarded by pruneMu.
+	nodes map[string]memoNode
 }
 
-// parentCacheEntry is one memoized lineage header.
-type parentCacheEntry struct {
-	parent string
-	mtime  time.Time
-	size   int64
+// memoNode is one memoized lineage node.
+type memoNode struct {
+	node  *lineageNode
+	mtime time.Time
+	size  int64
 }
 
 const imageExt = ".img"
@@ -381,24 +379,18 @@ func (s *DirStore) prune(justWritten string) {
 		}
 		return imgs[i].name > imgs[j].name
 	})
-	retained := make(map[string]bool, s.Keep+1)
-	retained[justWritten] = true
+	newest := []string{justWritten}
 	for _, im := range imgs[:min(s.Keep, len(imgs))] {
-		retained[im.name] = true
+		newest = append(newest, im.name)
 	}
 	// Chain closure: every retained image's ancestry survives too, or a
-	// surviving delta could never be materialized again.
-	for name := range retained {
-		cur := name
-		for hops := 0; hops < maxLineageHops; hops++ {
-			parent := s.imageParent(cur, infoByName[cur])
-			if parent == "" || retained[parent] {
-				break
-			}
-			retained[parent] = true
-			cur = parent
-		}
-	}
+	// surviving delta could never be materialized again. An unreadable
+	// header ends its walk: that image is kept, its ancestors are judged
+	// by the rest of the graph.
+	g := &lineageGraph{nodes: map[string]*lineageNode{}, read: func(name string) (*lineageNode, error) {
+		return s.node(name, infoByName[name])
+	}}
+	retained, _ := g.closure(newest)
 	// Ordering: by the time retention runs, Put has already fsynced the
 	// just-written image and its directory entry (unless NoSync), so
 	// every image the survivors depend on is durable before anything is
@@ -424,50 +416,25 @@ func (s *DirStore) prune(justWritten string) {
 	}
 }
 
-// maxLineageHops bounds the parent walk during retention, guarding
-// against a corrupt cyclic lineage.
-const maxLineageHops = 1024
-
-// imageParent reads the lineage header of a stored image; "" when the
-// image has no parent or cannot be read (best-effort, like prune).
-// Called with pruneMu held; results are memoized against the file's
-// (mtime, size) so each immutable image is parsed once.
-func (s *DirStore) imageParent(name string, info fs.FileInfo) string {
-	if info != nil {
-		if e, ok := s.parentCache[name]; ok && e.mtime.Equal(info.ModTime()) && e.size == info.Size() {
-			return e.parent
-		}
+// node returns the lineage node of an image this pass listed
+// (ErrImageNotFound for any other name: missing, quarantined, or a
+// chunk). Called with pruneMu held; readable nodes are memoized against
+// the file's (mtime, size), so each immutable image is parsed once.
+func (s *DirStore) node(name string, info fs.FileInfo) (*lineageNode, error) {
+	if info == nil {
+		return nil, ErrImageNotFound
 	}
-	f, err := os.Open(s.path(name))
-	if err != nil {
-		return ""
+	if m, ok := s.nodes[name]; ok && m.mtime.Equal(info.ModTime()) && m.size == info.Size() {
+		return m.node, nil
 	}
-	defer f.Close()
-	// Lineage lives in the prologue of either encoding: a plain image's
-	// v3 header, or — when a CASStore dedups over this directory — the
-	// manifest's.
-	br := bufio.NewReader(f)
-	var parent string
-	if head, _ := br.Peek(8); cas.IsManifestHeader(head) {
-		m, err := cas.ReadManifestMeta(br)
-		if err != nil {
-			return ""
+	n, err := readNode(context.Background(), s, name)
+	if err == nil {
+		if s.nodes == nil {
+			s.nodes = make(map[string]memoNode)
 		}
-		parent = m.Parent
-	} else {
-		meta, err := dmtcp.ReadImageMeta(br)
-		if err != nil {
-			return ""
-		}
-		parent = meta.Parent
+		s.nodes[name] = memoNode{node: n, mtime: info.ModTime(), size: info.Size()}
 	}
-	if info != nil {
-		if s.parentCache == nil {
-			s.parentCache = make(map[string]parentCacheEntry)
-		}
-		s.parentCache[name] = parentCacheEntry{parent: parent, mtime: info.ModTime(), size: info.Size()}
-	}
-	return parent
+	return n, err
 }
 
 // Get implements Store.

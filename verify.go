@@ -5,10 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
-
-	"repro/internal/dmtcp"
 )
 
 // Verify re-checks an opened image's integrity: every per-shard
@@ -57,59 +54,14 @@ func Quarantined(name string) bool {
 // and each recorded parent identity must match the parent image
 // actually found under that name (catching a regenerated parent whose
 // name still matches). It returns the chain's names, tip first, ending
-// at the base.
-//
-// The first failure aborts the walk: the returned error classifies it
-// (ErrCorruptImage, ErrBadImage, ErrImageNotFound, ErrDeltaChain) and
-// the returned names cover the members verified before it.
+// at the base, or an error classifying the first break
+// (ErrCorruptImage, ErrBadImage, ErrImageNotFound, ErrDeltaChain).
 func VerifyChain(ctx context.Context, store Store, name string) ([]string, error) {
-	var chain []string
-	seen := make(map[string]bool)
-	var childParentID uint64
-	cur := name
-	for {
-		if err := ctx.Err(); err != nil {
-			return chain, err
-		}
-		if seen[cur] || len(chain) > maxLazyChainDepth {
-			return chain, fmt.Errorf("%w: broken lineage at %q", ErrDeltaChain, cur)
-		}
-		seen[cur] = true
-		img, err := readStoredImage(ctx, store, cur)
-		if err != nil {
-			if len(chain) > 0 {
-				err = fmt.Errorf("%w: parent %q: %w", ErrDeltaChain, cur, err)
-			}
-			return chain, err
-		}
-		if err := img.VerifyContent(); err != nil {
-			return chain, fmt.Errorf("image %q: %w", cur, err)
-		}
-		if childParentID != 0 && (img.Delta == nil || img.Delta.ID() != childParentID) {
-			return chain, fmt.Errorf("%w: image %q is not the recorded parent (identity mismatch)", ErrDeltaChain, cur)
-		}
-		chain = append(chain, cur)
-		if img.Delta == nil || img.Delta.Parent == "" {
-			return chain, nil
-		}
-		childParentID = img.Delta.ParentID()
-		cur = img.Delta.Parent
-	}
-}
-
-// readStoredImage reads and parses one stored image without resolving
-// its chain.
-func readStoredImage(ctx context.Context, store Store, name string) (*dmtcp.Image, error) {
-	rc, err := store.Get(ctx, name)
-	if err != nil {
-		return nil, wrapCancelled(err)
-	}
-	img, err := dmtcp.ReadImage(rc)
-	rc.Close()
+	ancestors, err := verifiedLineage(ctx, store).ancestors(name)
 	if err != nil {
 		return nil, err
 	}
-	return img, nil
+	return append([]string{name}, ancestors...), nil
 }
 
 // ScrubIssue is one image Scrub found damaged.
@@ -149,64 +101,24 @@ func Scrub(ctx context.Context, store Store) (*ScrubReport, error) {
 		return nil, wrapCancelled(err)
 	}
 	rep := &ScrubReport{}
-	type member struct {
-		parent   string
-		id       uint64
-		parentID uint64
-		corrupt  bool
-	}
-	members := make(map[string]*member)
+	// Each listed image is read once, in full; an intact one whose
+	// ancestry does not resolve intact is condemned.
+	g := verifiedLineage(ctx, store)
 	for _, name := range names {
-		if Quarantined(name) {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return rep, err
-		}
-		m := &member{}
-		img, err := readStoredImage(ctx, store, name)
-		if err == nil {
-			err = img.VerifyContent()
-		}
-		if err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				return rep, wrapCancelled(err)
+		switch n := g.node(name); {
+		case errors.Is(n.err, ErrImageNotFound): // quarantined, or deleted since the listing
+		case errors.Is(n.err, context.Canceled) || errors.Is(n.err, context.DeadlineExceeded):
+			return rep, wrapCancelled(n.err)
+		case n.err != nil:
+			rep.Corrupt = append(rep.Corrupt, ScrubIssue{Name: name, Err: n.err})
+		default:
+			if _, err := g.ancestors(name); err != nil {
+				rep.Condemned = append(rep.Condemned, name)
+			} else {
+				rep.Intact = append(rep.Intact, name)
 			}
-			m.corrupt = true
-			rep.Corrupt = append(rep.Corrupt, ScrubIssue{Name: name, Err: err})
-		} else if img.Delta != nil {
-			m.parent = img.Delta.Parent
-			m.id = img.Delta.ID()
-			m.parentID = img.Delta.ParentID()
-		}
-		members[name] = m
-	}
-
-	// Lineage pass: an intact delta is condemned when any hop of its
-	// ancestry is corrupt, missing, identity-mismatched, or cyclic.
-	for name, m := range members {
-		if m.corrupt {
-			continue
-		}
-		broken := false
-		cur, wantID := m.parent, m.parentID
-		for hops := 0; cur != ""; hops++ {
-			p, ok := members[cur]
-			if hops >= maxLineageHops || !ok || p.corrupt || (wantID != 0 && p.id != wantID) {
-				broken = true
-				break
-			}
-			cur, wantID = p.parent, p.parentID
-		}
-		if broken {
-			rep.Condemned = append(rep.Condemned, name)
-		} else {
-			rep.Intact = append(rep.Intact, name)
 		}
 	}
-	// The member map randomized the order; reports are deterministic.
-	sort.Strings(rep.Intact)
-	sort.Strings(rep.Condemned)
 
 	if singleImageStore(store) {
 		return rep, nil
@@ -290,29 +202,18 @@ func RepairChain(ctx context.Context, store Store, tip string, sess *Session) (*
 		return rep, nil
 	}
 
-	// No live session: fall back down the stored lineage. Parent names
-	// come from the header-only meta read, which usually survives
+	// No live session: fall back down the stored lineage, newest first.
+	// The lineage graph reads headers only, which usually survive
 	// payload corruption; a member whose header is unreadable ends the
 	// walk.
-	cur := tip
-	seen := make(map[string]bool)
-	for hops := 0; cur != "" && hops < maxLineageHops && !seen[cur]; hops++ {
-		seen[cur] = true
-		if _, err := VerifyChain(ctx, store, cur); err == nil {
-			rep.Tip = cur
+	rep.Broken = append(rep.Broken, tip)
+	ancestors, _ := storeLineage(ctx, store).ancestors(tip)
+	for _, name := range ancestors {
+		if _, err := VerifyChain(ctx, store, name); err == nil {
+			rep.Tip = name
 			return rep, nil
 		}
-		rep.Broken = append(rep.Broken, cur)
-		rc, err := store.Get(ctx, cur)
-		if err != nil {
-			break
-		}
-		meta, err := dmtcp.ReadImageMeta(rc)
-		rc.Close()
-		if err != nil {
-			break
-		}
-		cur = meta.Parent
+		rep.Broken = append(rep.Broken, name)
 	}
 	return nil, fmt.Errorf("%w: no intact ancestor of %q", ErrCorruptImage, tip)
 }
