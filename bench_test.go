@@ -1,10 +1,6 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation (one benchmark per artifact, in Quick mode so `go test
-// -bench=.` stays tractable), plus microbenchmarks of the primitives the
-// paper's numbers decompose into: trampoline dispatch, kernel launch,
-// checkpoint, restart.
-//
-// Regenerate the full-size artifacts with:
+// Microbenchmarks of the primitives the paper's numbers decompose into:
+// trampoline dispatch, kernel launch, checkpoint, restart. The paper's
+// tables and figures are regenerated by cracbench:
 //
 //	go run ./cmd/cracbench -exp all
 package crac_test
@@ -20,56 +16,8 @@ import (
 
 	crac "repro"
 	"repro/internal/crt"
-	"repro/internal/harness"
 	"repro/internal/kernels"
 )
-
-// runExperiment executes one harness experiment in Quick mode b.N times.
-func runExperiment(b *testing.B, id string) {
-	e := harness.ByID(id)
-	if e == nil {
-		b.Fatalf("unknown experiment %q", id)
-	}
-	opt := harness.Options{Quick: true}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tables, err := e.Run(opt)
-		if err != nil {
-			b.Fatalf("%s: %v", id, err)
-		}
-		if i == 0 && testing.Verbose() {
-			for _, t := range tables {
-				t.Fprint(io.Discard)
-			}
-		}
-	}
-}
-
-// One benchmark per paper artifact (Section 4, Figures 2-6, Tables 1-3).
-
-func BenchmarkIntroTop500(b *testing.B)            { runExperiment(b, "intro") }
-func BenchmarkTable1Characterization(b *testing.B) { runExperiment(b, "table1") }
-func BenchmarkTable2CommandLines(b *testing.B)     { runExperiment(b, "table2") }
-func BenchmarkFig2RodiniaOverhead(b *testing.B)    { runExperiment(b, "fig2") }
-func BenchmarkFig3CheckpointRestart(b *testing.B)  { runExperiment(b, "fig3") }
-func BenchmarkFig4aSimpleStreams(b *testing.B)     { runExperiment(b, "fig4a") }
-func BenchmarkFig4bKernelTime(b *testing.B)        { runExperiment(b, "fig4b") }
-func BenchmarkFig5aStreamBenchmarks(b *testing.B)  { runExperiment(b, "fig5a") }
-func BenchmarkFig5bRealWorld(b *testing.B)         { runExperiment(b, "fig5b") }
-func BenchmarkFig5cCheckpointRestart(b *testing.B) { runExperiment(b, "fig5c") }
-func BenchmarkTable3BLASvsIPC(b *testing.B)        { runExperiment(b, "table3") }
-func BenchmarkFig6FSGSBASE(b *testing.B)           { runExperiment(b, "fig6") }
-func BenchmarkAblationDesignChoices(b *testing.B)  { runExperiment(b, "ablations") }
-
-// Beyond the paper: live-migration downtime vs stop-copy-restart.
-func BenchmarkMigrate(b *testing.B) { runExperiment(b, "migrate") }
-
-// Beyond the paper: content-addressed dedup, stored bytes plain vs CAS.
-func BenchmarkDedup(b *testing.B) { runExperiment(b, "dedup") }
-
-// Beyond the paper: multi-tenant pool, N concurrent sessions under a
-// seeded checkpoint/restart/mutate mix with staggered epoch cuts.
-func BenchmarkPoolLoad(b *testing.B) { runExperiment(b, "load") }
 
 // Microbenchmarks of the primitives.
 
@@ -456,8 +404,8 @@ func (cs *countingStore) Get(context.Context, string) (io.ReadCloser, error) {
 func (cs *countingStore) List(context.Context) ([]string, error) { return nil, nil }
 func (cs *countingStore) Delete(context.Context, string) error   { return nil }
 
-// BenchmarkCheckpointIncremental compares full v2 checkpoints against
-// the incremental v3 chain on a sparse-update workload: ~69 MiB of live
+// BenchmarkCheckpointIncremental compares standalone checkpoints against
+// the incremental chain on a sparse-update workload: ~69 MiB of live
 // state (upper-half host buffers + device allocations + a managed
 // buffer) with well under 10% dirtied between checkpoints. The
 // imgMB/op metric is the average image size each policy writes per
@@ -473,7 +421,7 @@ func BenchmarkCheckpointIncremental(b *testing.B) {
 		name string
 		opts []crac.Option
 	}{
-		{"full-v2", nil},
+		{"standalone", nil},
 		// A bounded chain depth measures the steady state; an unbounded
 		// one would grow per-checkpoint lineage state with b.N.
 		{"incremental", []crac.Option{crac.WithIncremental(64)}},

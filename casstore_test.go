@@ -343,10 +343,11 @@ func TestCASPreexistingPlainImages(t *testing.T) {
 type plainStore struct{ Store }
 
 // casReaderFixture checkpoints a small session through a CASStore over
-// backing and returns the image as Get reassembles it, the open
+// backing — under a retired format version, raw-chunked, when retired
+// is set — and returns the image as Get reassembles it, the open
 // random-access handle, and the manifest's segments with their stream
 // offsets.
-func casReaderFixture(t *testing.T, backing Store, opts ...Option) ([]byte, ReaderAtCloser, []cas.Segment, []int64) {
+func casReaderFixture(t *testing.T, backing Store, retired byte, opts ...Option) ([]byte, ReaderAtCloser, []cas.Segment, []int64) {
 	t.Helper()
 	ctx := context.Background()
 	cstore := NewCASStore(backing)
@@ -356,7 +357,9 @@ func casReaderFixture(t *testing.T, backing Store, opts ...Option) ([]byte, Read
 	}
 	defer s.Close()
 	newIncrWorkload(t, s.Runtime())
-	if _, err := s.CheckpointTo(ctx, cstore, "img"); err != nil {
+	if retired != 0 {
+		putBytes(t, cstore, "img", retiredImage(sessionSnapshot(t, s), retired))
+	} else if _, err := s.CheckpointTo(ctx, cstore, "img"); err != nil {
 		t.Fatal(err)
 	}
 	whole := conformGet(t, cstore, "img")
@@ -394,9 +397,9 @@ func checkReadAt(t *testing.T, ra io.ReaderAt, whole []byte, off, n int64) {
 // across inline→chunk→inline, exactly one chunk, a few bytes at a chunk's
 // head and tail, and everything at once — over a backing with GetAt
 // (ranged chunk reads) and one without (whole-fetch fallback), for a v3
-// image (shard-framed: headers inline) and for v2 and v1 ones (raw
-// 256 KiB chunks, so headers sit inside chunks and shard reads straddle
-// them).
+// chain image and a standalone one (shard-framed: headers inline) and
+// for streams under the retired v2 and v1 versions (raw 256 KiB chunks,
+// so headers sit inside chunks and shard reads straddle them).
 func TestCASReaderAtEdges(t *testing.T) {
 	backings := []struct {
 		name  string
@@ -406,17 +409,19 @@ func TestCASReaderAtEdges(t *testing.T) {
 		{"whole-fetch", func() Store { return plainStore{NewMemStore()} }},
 	}
 	formats := []struct {
-		name string
-		opts []Option
+		name    string
+		opts    []Option
+		retired byte
 	}{
-		{"v3", []Option{WithShardSize(64 << 10), WithIncremental(8)}},
-		{"v2", []Option{WithShardSize(96 << 10)}},
-		{"v1", []Option{WithImageVersion(1)}},
+		{"v3", []Option{WithShardSize(64 << 10), WithIncremental(8)}, 0},
+		{"standalone", []Option{WithShardSize(64 << 10)}, 0},
+		{"v2", []Option{WithShardSize(96 << 10)}, '2'},
+		{"v1", nil, '1'},
 	}
 	for _, bk := range backings {
 		for _, f := range formats {
 			t.Run(bk.name+"/"+f.name, func(t *testing.T) {
-				whole, ra, segs, offs := casReaderFixture(t, bk.build(), f.opts...)
+				whole, ra, segs, offs := casReaderFixture(t, bk.build(), f.retired, f.opts...)
 				size := int64(len(whole))
 				chunks, inlineBetween := 0, false
 				for i := range segs {
@@ -441,7 +446,7 @@ func TestCASReaderAtEdges(t *testing.T) {
 				if chunks < 4 {
 					t.Fatalf("fixture has %d chunks; want several", chunks)
 				}
-				if (f.name == "v3") != inlineBetween {
+				if (f.retired == 0) != inlineBetween {
 					t.Fatalf("%s: chunk between inline segments seen = %v", f.name, inlineBetween)
 				}
 				checkReadAt(t, ra, whole, 0, size)
@@ -455,16 +460,22 @@ func TestCASReaderAtEdges(t *testing.T) {
 	}
 }
 
-// TestCASLazyRestartLegacyFormats restarts lazily from v1 and v2 images
-// held by a CASStore: the raw chunking knows nothing of their frames, so
-// the index scan and every shard read go through partial chunk reads.
+// TestCASLazyRestartLegacyFormats restarts lazily from images held by
+// a CASStore. A standalone image is shard-framed like a chain image, so
+// every shard is one chunk. The v1 and v2 rows store it under a retired
+// format version, which the chunker keeps as raw chunks: the restart
+// reads its magic through a partial chunk read and refuses it before
+// teardown, leaving the session as it was.
 func TestCASLazyRestartLegacyFormats(t *testing.T) {
-	for _, version := range []int{1, 2} {
-		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
+	for _, retired := range []byte{0, '1', '2'} {
+		name := "standalone"
+		if retired != 0 {
+			name = "v" + string(retired)
+		}
+		t.Run(name, func(t *testing.T) {
 			ctx := context.Background()
-			opts := []Option{WithImageVersion(version), WithShardSize(96 << 10)}
 			cstore := NewCASStore(NewMemStore())
-			s, err := New(opts...)
+			s, err := New(WithShardSize(96 << 10))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -474,6 +485,16 @@ func TestCASLazyRestartLegacyFormats(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := sessionSnapshot(t, s) // the state at the cut
+			if retired != 0 {
+				putBytes(t, cstore, "img", retiredImage(conformGet(t, cstore, "img"), retired))
+				if _, err := s.RestartAsync(ctx, cstore, "img"); !errors.Is(err, ErrUnsupportedVersion) {
+					t.Fatalf("RestartAsync from a retired image = %v, want ErrUnsupportedVersion", err)
+				}
+				if !bytes.Equal(want, sessionSnapshot(t, s)) {
+					t.Fatal("a refused restart changed the session")
+				}
+				return
+			}
 			p, err := s.RestartAsync(ctx, cstore, "img")
 			if err != nil {
 				t.Fatal(err)
@@ -482,7 +503,7 @@ func TestCASLazyRestartLegacyFormats(t *testing.T) {
 				t.Fatalf("drain: %v", err)
 			}
 			if !bytes.Equal(want, sessionSnapshot(t, s)) {
-				t.Fatal("restart through raw CAS chunks differs from the state at the cut")
+				t.Fatal("restart through CAS chunks differs from the state at the cut")
 			}
 		})
 	}
@@ -517,7 +538,7 @@ func TestCASReaderAtCorruptChunk(t *testing.T) {
 				if !ranged {
 					backing = plainStore{backing}
 				}
-				whole, ra, segs, offs := casReaderFixture(t, backing, WithShardSize(64<<10), WithIncremental(8))
+				whole, ra, segs, offs := casReaderFixture(t, backing, 0, WithShardSize(64<<10), WithIncremental(8))
 				i := 0
 				for !segs[i].IsChunk() || segs[i].Length < 1024 {
 					i++

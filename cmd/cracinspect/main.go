@@ -168,11 +168,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintln(stderr, "cracinspect: verify:", err)
 				return 1
 			}
-			if info.Verified {
-				fmt.Fprintln(stdout, "  integrity: OK (whole-image trailer checksum verified)")
-			} else {
-				fmt.Fprintln(stdout, "  integrity: OK (legacy image without trailer; content checks passed)")
-			}
+			fmt.Fprintln(stdout, "  integrity: OK (whole-image trailer checksum verified)")
 		}
 	}
 	if info.Delta {
@@ -211,8 +207,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		} else if !info.Materialized {
 			fmt.Fprintln(stdout, "  (payload not materialized: restore via the image's store to follow the chain)")
 		}
-	} else if info.Version >= 3 {
-		fmt.Fprintf(stdout, "  base image (chain root), %d shards\n", info.ShardsTotal)
+	} else {
+		fmt.Fprintf(stdout, "  full image (standalone or chain root), %d shards\n", info.ShardsTotal)
 	}
 	fmt.Fprintf(stdout, "  upper-half regions: %d (%d bytes)\n", len(info.Regions), info.RegionBytes)
 	for _, r := range info.Regions {

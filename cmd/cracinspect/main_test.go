@@ -15,10 +15,11 @@ import (
 )
 
 // writeImage builds a session with a known CUDA footprint and
-// checkpoints it under the requested image format version.
-func writeImage(t *testing.T, path string, version int) {
+// checkpoints it to path: a chain base under WithIncremental, else a
+// standalone image.
+func writeImage(t *testing.T, path string, opts ...crac.Option) {
 	t.Helper()
-	s, err := crac.New(crac.WithImageVersion(version))
+	s, err := crac.New(opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,38 +55,46 @@ func runInspect(t *testing.T, args ...string) (int, string, string) {
 	return code, out.String(), errOut.String()
 }
 
-// TestInspectBothVersions inspects a v1 and a v2 image and checks the
-// dump reports the format and the active CUDA state.
+// TestInspectBothVersions inspects a standalone image and a chain base
+// and checks the dump reports the format and the active CUDA state; the
+// same bytes under either retired format version (v1, v2) are refused as
+// an unsupported version.
 func TestInspectBothVersions(t *testing.T) {
-	for _, version := range []int{1, 2} {
+	for kind, opts := range [][]crac.Option{nil, {crac.WithIncremental(2)}} {
 		path := filepath.Join(t.TempDir(), "ckpt.img")
-		writeImage(t, path, version)
+		writeImage(t, path, opts...)
 		code, out, errOut := runInspect(t, path)
 		if code != 0 {
-			t.Fatalf("v%d exit = %d, stderr:\n%s", version, code, errOut)
+			t.Fatalf("kind %d exit = %d, stderr:\n%s", kind, code, errOut)
 		}
 		for _, want := range []string{
-			"format: v", "upper-half regions:", "crac.log", "crac.devmem",
+			"format: v3", "upper-half regions:", "crac.log", "crac.devmem2",
+			"full image (standalone or chain root)",
 			"cudaMalloc:        1 buffers (1048576 bytes)",
 			"cudaMallocManaged: 1 buffers (65536 bytes)",
 			"streams: 1",
 		} {
 			if !strings.Contains(out, want) {
-				t.Fatalf("v%d dump missing %q:\n%s", version, want, out)
+				t.Fatalf("kind %d dump missing %q:\n%s", kind, want, out)
 			}
 		}
-		if !strings.Contains(out, "format: v1") && version == 1 {
-			t.Fatalf("v1 image not reported as v1:\n%s", out)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !strings.Contains(out, "format: v2") && version == 2 {
-			t.Fatalf("v2 image not reported as v2:\n%s", out)
+		for _, retired := range []byte{'1', '2'} {
+			raw[7] = retired
+			os.WriteFile(path, raw, 0o644)
+			if code, _, errOut := runInspect(t, path); code != 1 || !strings.Contains(errOut, "unsupported format version") {
+				t.Fatalf("v%c image: exit=%d stderr=%q", retired, code, errOut)
+			}
 		}
 	}
 }
 
 func TestInspectLogDump(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.img")
-	writeImage(t, path, 2)
+	writeImage(t, path)
 	code, out, _ := runInspect(t, "-log", path)
 	if code != 0 {
 		t.Fatalf("exit = %d", code)
@@ -149,7 +158,7 @@ func TestInspectDeltaImage(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("base exit = %d, stderr:\n%s", code, errOut)
 	}
-	if !strings.Contains(out, "format: v3") || !strings.Contains(out, "base image (chain root)") {
+	if !strings.Contains(out, "format: v3") || !strings.Contains(out, "full image (standalone or chain root)") {
 		t.Fatalf("base dump missing v3/base lines:\n%s", out)
 	}
 	code, out, errOut = runInspect(t, filepath.Join(dir, "delta.img"))

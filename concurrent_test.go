@@ -151,6 +151,8 @@ func TestConcurrentCheckpointTortureByteIdentity(t *testing.T) {
 		if blockingCall {
 			suffix = "-blocking-call"
 		}
+		// The full rows write standalone images; their names predate
+		// the single image format.
 		inputs = append(inputs,
 			input{"full-v2" + suffix, nil, false, blockingCall},
 			input{"full-v2-gzip" + suffix, []Option{WithGzip(1)}, false, blockingCall},

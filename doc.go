@@ -54,8 +54,8 @@
 // # Images as artifacts
 //
 // OpenImage, OpenImageFile, and OpenImageFrom parse a checkpoint image
-// without restoring it. Image.Info reports the format version and the
-// region/section layout; Image.Log summarizes the CUDA call log — the
+// without restoring it. Image.Info reports the layout of regions and
+// sections; Image.Log summarizes the CUDA call log — the
 // replay a restore implies and the resources active at checkpoint.
 // cmd/cracinspect renders exactly this surface. For cross-process
 // restores, a KernelRegistry (passed via WithKernels) resolves kernel
@@ -65,7 +65,7 @@
 // # Incremental checkpoints
 //
 // WithIncremental turns repeated CheckpointTo calls into a delta
-// chain: a full v3 base image, then up to n deltas carrying only the
+// chain: a full base image, then up to n deltas carrying only the
 // memory pages and allocation bytes written since their parent —
 // page-granular write tracking for upper-half regions, content-hashed
 // shards for plugin sections, and UVM-aware skipping of CPU-resident
@@ -206,8 +206,8 @@
 //
 // # Fault tolerance
 //
-// Every v2/v3 image ends in a whole-image checksum trailer, checked as
-// the image is read (Info reports Verified); Image.Verify, VerifyChain
+// Every image ends in a mandatory whole-image checksum trailer, checked
+// as the image is read; Image.Verify, VerifyChain
 // and Scrub re-check stored images — Scrub quarantines corrupt images
 // and the deltas their corruption condemns, and RepairChain re-bases a
 // broken lineage. Flaky stores wrap with WithRetry (or per-session

@@ -78,9 +78,9 @@ type Image struct {
 	img *dmtcp.Image
 }
 
-// OpenImage parses a checkpoint image from r. It understands both the
-// v1 serial and the v2 chunked format; failures classify as ErrBadImage
-// or ErrUnsupportedVersion.
+// OpenImage parses a checkpoint image from r and checks its integrity
+// trailer; failures classify as ErrBadImage, ErrCorruptImage or
+// ErrUnsupportedVersion.
 func OpenImage(r io.Reader) (*Image, error) {
 	img, err := dmtcp.ReadImage(r)
 	if err != nil {
@@ -105,7 +105,7 @@ var sectionMergers = map[string]dmtcp.SectionMerger{
 	cracplugin.SectionDevMem2: cracplugin.MergeDevMem,
 }
 
-// OpenImageFrom parses the named checkpoint image out of a Store. A v3
+// OpenImageFrom parses the named checkpoint image out of a Store. A
 // delta image is materialized transparently: its parent chain is
 // followed (by name, through the same Store) back to the base and the
 // deltas are folded forward, yielding a complete image. A missing or
@@ -153,13 +153,7 @@ type ImageInfo struct {
 	Sections    []ImageSection
 	RegionBytes uint64
 
-	// Verified reports that the image stream carried an integrity
-	// trailer and its whole-image checksum matched when the image was
-	// read. False for legacy (pre-trailer) images and the v1+gzip
-	// layout, whose gzip CRC covers the body instead.
-	Verified bool
-
-	// Incremental (v3) lineage. Delta marks a delta image; Parent names
+	// Lineage. Delta marks a delta image; Parent names
 	// the image it applies on top of; DeltaDepth is its distance from
 	// the chain's base. DirtyRatio is the fraction of the checkpointed
 	// payload the image actually carries (ShardsEmitted of ShardsTotal
@@ -180,7 +174,6 @@ func (im *Image) Info() ImageInfo {
 	info := ImageInfo{
 		Version:      im.img.Version,
 		Gzip:         im.img.Gzip,
-		Verified:     im.img.Verified,
 		RegionBytes:  im.img.TotalRegionBytes(),
 		DirtyRatio:   1,
 		Materialized: true,

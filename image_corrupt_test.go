@@ -54,6 +54,15 @@ func makeDeltaBytes(t *testing.T) ([]byte, Store) {
 	return b, store
 }
 
+// retiredImage is img with its magic naming a retired format version
+// ('1' or '2'). Every reader refuses it as ErrUnsupportedVersion after
+// the magic, so the rest of the bytes never matter.
+func retiredImage(img []byte, version byte) []byte {
+	b := append([]byte(nil), img...)
+	b[7] = version
+	return b
+}
+
 // wantAny reports whether err matches at least one of the sentinels.
 func wantAny(err error, sentinels ...error) bool {
 	for _, s := range sentinels {
@@ -72,16 +81,24 @@ func openCorrupt(img []byte, mutate func([]byte) []byte) error {
 	return err
 }
 
+// TestImageStructuralCorruption mutates a standalone image, raw and
+// gzip'd, and a chain base. The v1 and v2 rows are retired-format
+// images: a mutation that keeps their magic must still report
+// ErrUnsupportedVersion, one that breaks it ErrBadImage.
 func TestImageStructuralCorruption(t *testing.T) {
 	type variant struct {
-		name string
-		img  []byte
+		name    string
+		img     []byte
+		retired bool
 	}
+	standalone, standaloneGzip := makeImageBytes(t), makeImageBytes(t, WithGzip(1))
 	variants := []variant{
-		{"v1", makeImageBytes(t, WithImageVersion(1))},
-		{"v1gzip", makeImageBytes(t, WithImageVersion(1), WithGzip(1))},
-		{"v2", makeImageBytes(t, WithImageVersion(2))},
-		{"v3base", makeImageBytes(t, WithIncremental(4))},
+		{"standalone", standalone, false},
+		{"standalone-gzip", standaloneGzip, false},
+		{"v3base", makeImageBytes(t, WithIncremental(4)), false},
+		{"v1", retiredImage(standalone, '1'), true},
+		{"v1gzip", retiredImage(standaloneGzip, '1'), true},
+		{"v2", retiredImage(standalone, '2'), true},
 	}
 
 	type mutation struct {
@@ -112,8 +129,6 @@ func TestImageStructuralCorruption(t *testing.T) {
 			mutate: func(b []byte) []byte {
 				return b[:len(b)/2]
 			},
-			// v1+gzip has no trailer: the truncation surfaces as a
-			// structural parse error instead.
 			sentinels: []error{ErrCorruptImage, ErrBadImage},
 		},
 		{
@@ -151,12 +166,16 @@ func TestImageStructuralCorruption(t *testing.T) {
 	for _, v := range variants {
 		for _, m := range mutations {
 			t.Run(v.name+"/"+m.name, func(t *testing.T) {
+				sentinels := m.sentinels
+				if v.retired && m.name != "magic" {
+					sentinels = []error{ErrUnsupportedVersion}
+				}
 				err := openCorrupt(v.img, m.mutate)
 				if err == nil {
 					t.Fatalf("%s/%s: corruption accepted", v.name, m.name)
 				}
-				if !wantAny(err, m.sentinels...) {
-					t.Fatalf("%s/%s: err = %v, want one of %v", v.name, m.name, err, m.sentinels)
+				if !wantAny(err, sentinels...) {
+					t.Fatalf("%s/%s: err = %v, want one of %v", v.name, m.name, err, sentinels)
 				}
 			})
 		}
@@ -196,34 +215,40 @@ var restartRoutes = []struct {
 	}},
 }
 
-// makeBigChain checkpoints a base and a delta tip, each larger than
-// dmtcp.PrefetchChunk, into a DirStore: images a restart reads by offset
-// instead of in one request.
-func makeBigChain(t *testing.T) *DirStore {
+// makeBigImages checkpoints a chain base and a delta tip, and a
+// standalone image "solo", each larger than dmtcp.PrefetchChunk, into a
+// DirStore: images a restart reads by offset instead of in one request.
+func makeBigImages(t *testing.T) *DirStore {
 	t.Helper()
 	ds, err := NewDirStore(t.TempDir(), 0, WithNoSync())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(WithWorkers(0), WithIncremental(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	const size = 3 << 19 // 1.5 MiB, all of it rewritten for the tip
-	d, err := s.Runtime().Malloc(size)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, name := range []string{"base", "tip"} {
-		if err := s.Runtime().Memset(d, byte(i+1), size); err != nil {
+	const size = 3 << 19 // 1.5 MiB, all of it rewritten for each image
+	for _, opts := range [][]Option{{WithIncremental(8)}, nil} {
+		s, err := New(append([]Option{WithWorkers(0)}, opts...)...)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.CheckpointTo(context.Background(), ds, name); err != nil {
+		defer s.Close()
+		d, err := s.Runtime().Malloc(size)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if n := len(conformGet(t, ds, name)); n <= dmtcp.PrefetchChunk {
-			t.Fatalf("%s is %d bytes: the fixture must exceed one read", name, n)
+		names := []string{"base", "tip"}
+		if opts == nil {
+			names = []string{"solo"}
+		}
+		for i, name := range names {
+			if err := s.Runtime().Memset(d, byte(i+1), size); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.CheckpointTo(context.Background(), ds, name); err != nil {
+				t.Fatal(err)
+			}
+			if n := len(conformGet(t, ds, name)); n <= dmtcp.PrefetchChunk {
+				t.Fatalf("%s is %d bytes: the fixture must exceed one read", name, n)
+			}
 		}
 	}
 	return ds
@@ -235,35 +260,39 @@ func makeBigChain(t *testing.T) *DirStore {
 // ErrCorruptImage or ErrBadImage (ErrUnsupportedVersion for the version
 // byte) before the old lower half is torn down, so the session stays
 // open and finally restarts from the intact image. The v3 tips are
-// chain tips whose base stays intact in the Store. v1 and v2 carry no
-// per-shard hashes, and shard hashes do not cover v3 header fields, so
-// the rows hold only because each route checks the trailer before it
-// restores: every waited route, and an unwaited one for v1, v2 and
-// images held in memory. The DirStore rows (members over one read, read
-// by offset) are therefore waited only: an unwaited restart of such a
-// v3 member relies on its shard hashes alone.
+// chain tips whose base stays intact in the Store. A standalone image
+// carries no per-shard hashes, and shard hashes do not cover header
+// fields, so the rows hold only because each route checks the trailer
+// before it restores: every waited route, and an unwaited one for
+// standalone images and images held in memory. The standalone-dir rows
+// (an image over one read, read by offset) cover that unwaited case;
+// the v3 DirStore rows are waited only: an unwaited restart of such a
+// chain member relies on its shard hashes alone.
 //
-// v1+gzip has no checksum over its compressed bytes, only gzip's CRC
-// over what they decode to, and a flip can leave that unchanged (a
-// back-reference into a run of equal bytes moved within the run). Such
-// a flip restores the intact state, which the row then requires.
+// The v1 and v2 rows are retired-format images: every route refuses
+// the intact image as ErrUnsupportedVersion with the session open.
 func TestImageSingleBitSweep(t *testing.T) {
 	tip, chain := makeDeltaBytes(t)
-	big := makeBigChain(t)
+	big := makeBigImages(t)
+	standalone, standaloneGzip := makeImageBytes(t), makeImageBytes(t, WithGzip(1))
 	variants := []struct {
-		name   string
-		img    []byte
-		store  Store // holds the intact base beside the flipped image
-		routes []string
+		name    string
+		img     []byte
+		store   Store // holds the intact base beside the flipped image
+		routes  []string
+		retired bool
 	}{
-		{"v1", makeImageBytes(t, WithImageVersion(1)), NewMemStore(), nil},
-		{"v1gzip", makeImageBytes(t, WithImageVersion(1), WithGzip(1)), NewMemStore(), nil},
-		{"v2", makeImageBytes(t, WithImageVersion(2)), NewMemStore(), nil},
-		{"v2gzip", makeImageBytes(t, WithGzip(1)), NewMemStore(), nil},
-		{"v3base", makeImageBytes(t, WithIncremental(4)), NewMemStore(), nil},
-		{"v3tip", tip, chain, nil},
-		{"v3base-dir", conformGet(t, big, "base"), big, []string{"RestartFrom"}},
-		{"v3tip-dir", conformGet(t, big, "tip"), big, []string{"RestartFrom"}},
+		{"standalone", standalone, NewMemStore(), nil, false},
+		{"standalone-gzip", standaloneGzip, NewMemStore(), nil, false},
+		{"standalone-dir", conformGet(t, big, "solo"), big, nil, false},
+		{"v3base", makeImageBytes(t, WithIncremental(4)), NewMemStore(), nil, false},
+		{"v3tip", tip, chain, nil, false},
+		{"v3base-dir", conformGet(t, big, "base"), big, []string{"RestartFrom"}, false},
+		{"v3tip-dir", conformGet(t, big, "tip"), big, []string{"RestartFrom"}, false},
+		{"v1", retiredImage(standalone, '1'), NewMemStore(), nil, true},
+		{"v1gzip", retiredImage(standaloneGzip, '1'), NewMemStore(), nil, true},
+		{"v2", retiredImage(standalone, '2'), NewMemStore(), nil, true},
+		{"v2gzip", retiredImage(standaloneGzip, '2'), NewMemStore(), nil, true},
 	}
 	ctx := context.Background()
 	for _, v := range variants {
@@ -277,6 +306,16 @@ func TestImageSingleBitSweep(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer s.Close()
+				if v.retired {
+					putBytes(t, v.store, "retired", v.img)
+					if err := r.restart(ctx, s, v.store, "retired", v.img); !errors.Is(err, ErrUnsupportedVersion) {
+						t.Fatalf("restart from a retired image = %v, want ErrUnsupportedVersion", err)
+					}
+					if s.Library() == nil {
+						t.Fatal("the refused image left the session closed")
+					}
+					return
+				}
 				restartIntact := func() {
 					putBytes(t, v.store, "flipped", v.img)
 					if err := s.RestartFrom(ctx, v.store, "flipped"); err != nil {
@@ -284,16 +323,12 @@ func TestImageSingleBitSweep(t *testing.T) {
 					}
 				}
 				restartIntact()
-				want := sessionSnapshot(t, s)
 				stride := len(v.img)/97 + 1
 				for off := 0; off < len(v.img); off = nextFlip(off, stride) {
 					b := append([]byte(nil), v.img...)
 					b[off] ^= 1 << (off % 8)
 					putBytes(t, v.store, "flipped", b)
 					err := r.restart(ctx, s, v.store, "flipped", b)
-					if err == nil && v.name == "v1gzip" && bytes.Equal(sessionSnapshot(t, s), want) {
-						continue // the flip did not change what the image decodes to
-					}
 					if !wantAny(err, ErrCorruptImage, ErrBadImage, ErrUnsupportedVersion) {
 						t.Fatalf("flip at offset %d (bit %d) of %d: restart = %v, want it rejected as corrupt",
 							off, off%8, len(b), err)
@@ -348,35 +383,47 @@ func TestDeltaCorruptionEagerAndLazy(t *testing.T) {
 	}
 }
 
-// TestLegacyTrailerlessImageStillReadable pins the compatibility rule:
-// a pre-trailer image (the bytes of a v2 image minus its 24-byte
-// trailer) opens fine, reports Verified=false, and restores — through
-// both the reader and the store route.
-func TestLegacyTrailerlessImageStillReadable(t *testing.T) {
-	img := makeImageBytes(t, WithImageVersion(2))
-	legacy := img[:len(img)-24]
-	im, err := OpenImage(bytes.NewReader(legacy))
-	if err != nil {
-		t.Fatalf("OpenImage(legacy): %v", err)
+// TestOneFormatRules pins what every restart route refuses before the
+// old lower half is torn down, leaving the session open: an image cut
+// short of its 24-byte trailer (standalone, and a chain base) is
+// ErrCorruptImage, and a standalone image that also claims to be a
+// delta is ErrBadImage.
+func TestOneFormatRules(t *testing.T) {
+	ctx := context.Background()
+	standalone := makeImageBytes(t)
+	bothBits := append([]byte(nil), standalone...)
+	bothBits[8] |= 2 // the delta flag beside the unhashed one
+	for _, tc := range []struct {
+		name string
+		img  []byte
+		want error
+	}{
+		{"trailer-cut/standalone", standalone[:len(standalone)-24], ErrCorruptImage},
+		{"trailer-cut/chain-base", func() []byte {
+			b := makeImageBytes(t, WithIncremental(3))
+			return b[:len(b)-24]
+		}(), ErrCorruptImage},
+		{"unhashed-delta", bothBits, ErrBadImage},
+	} {
+		if _, err := OpenImage(bytes.NewReader(tc.img)); !errors.Is(err, tc.want) {
+			t.Fatalf("%s: OpenImage = %v, want %v", tc.name, err, tc.want)
+		}
+		for _, r := range restartRoutes {
+			t.Run(tc.name+"/"+r.name, func(t *testing.T) {
+				s, err := New(WithWorkers(0))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				store := NewMemStore()
+				putBytes(t, store, "img", tc.img)
+				if err := r.restart(ctx, s, store, "img", tc.img); !errors.Is(err, tc.want) {
+					t.Fatalf("restart = %v, want %v", err, tc.want)
+				}
+				if s.Library() == nil {
+					t.Fatal("the refused image left the session closed")
+				}
+			})
+		}
 	}
-	if im.Info().Verified {
-		t.Fatal("trailerless image claims Verified")
-	}
-	if err := im.Verify(context.Background()); err != nil {
-		t.Fatalf("Verify(legacy): %v", err)
-	}
-	s, err := Restore(context.Background(), bytes.NewReader(legacy))
-	if err != nil {
-		t.Fatalf("Restore(legacy): %v", err)
-	}
-	store := NewMemStore()
-	putBytes(t, store, "legacy", legacy)
-	p, err := s.RestartAsync(context.Background(), store, "legacy")
-	if err != nil {
-		t.Fatalf("RestartAsync(legacy): %v", err)
-	}
-	if _, err := p.Wait(); err != nil {
-		t.Fatalf("RestartAsync(legacy) drain: %v", err)
-	}
-	s.Close()
 }

@@ -10,11 +10,12 @@ import (
 	"repro/internal/crt"
 )
 
-// imageSession runs a recognizable workload and checkpoints it under
-// the requested image version, returning the raw image bytes.
-func imageBytes(t *testing.T, version int) []byte {
+// imageBytes runs a recognizable workload and checkpoints it into a
+// store — a chain base under WithIncremental, else a standalone image —
+// returning the raw image bytes.
+func imageBytes(t *testing.T, opts ...Option) []byte {
 	t.Helper()
-	s, err := New(WithImageVersion(version))
+	s, err := New(opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,24 +30,35 @@ func imageBytes(t *testing.T, version int) []byte {
 	if _, err := rt.StreamCreate(); err != nil {
 		t.Fatal(err)
 	}
-	var img bytes.Buffer
-	if _, err := s.Checkpoint(context.Background(), &img); err != nil {
+	store := NewMemStore()
+	if _, err := s.CheckpointTo(context.Background(), store, "img"); err != nil {
 		t.Fatal(err)
 	}
-	return img.Bytes()
+	return conformGet(t, store, "img")
 }
 
-// TestOpenImageBothVersions opens a v1 and a v2 image without restoring
-// and checks the Info/Log surface reports the same state for both.
+// TestOpenImageBothVersions opens a standalone image and a chain base —
+// the two kinds of full image — without restoring and checks the
+// Info/Log surface reports the same state for both, and that images of
+// both retired format versions (v1, v2) are refused.
 func TestOpenImageBothVersions(t *testing.T) {
-	for _, version := range []int{1, 2} {
-		img, err := OpenImage(bytes.NewReader(imageBytes(t, version)))
+	for version, opts := range [][]Option{nil, {WithIncremental(2)}} {
+		raw := imageBytes(t, opts...)
+		for _, retired := range []byte{'1', '2'} {
+			if _, err := OpenImage(bytes.NewReader(retiredImage(raw, retired))); !errors.Is(err, ErrUnsupportedVersion) {
+				t.Fatalf("OpenImage(v%c) = %v, want ErrUnsupportedVersion", retired, err)
+			}
+		}
+		img, err := OpenImage(bytes.NewReader(raw))
 		if err != nil {
-			t.Fatalf("OpenImage v%d: %v", version, err)
+			t.Fatalf("OpenImage kind %d: %v", version, err)
 		}
 		info := img.Info()
-		if info.Version != version {
-			t.Fatalf("Info.Version = %d, want %d", info.Version, version)
+		if info.Version != 3 {
+			t.Fatalf("Info.Version = %d, want 3", info.Version)
+		}
+		if info.Delta || info.ShardsTotal == 0 || info.ShardsEmitted != info.ShardsTotal {
+			t.Fatalf("kind %d: not a full image: %+v", version, info)
 		}
 		if info.Gzip {
 			t.Fatalf("v%d: unexpected gzip flag", version)

@@ -12,15 +12,16 @@
 // and the 97%-clean state of a sibling session, consecutive
 // generations of one chain, a thousand tenants loading the same model
 // weights — share chunks, and a store that keys chunks by content
-// stores each payload exactly once. Anything that is not a v3 image
-// (v1/v2 images, arbitrary bytes) degrades to fixed-size chunking;
-// reconstruction is always exact.
+// stores each payload exactly once. Anything that is not an image
+// (arbitrary bytes, or an image of a retired format version) degrades
+// to fixed-size chunking; reconstruction is always exact.
 //
-// The chunk key is SHA-256, not the FNV-1a hash the v3 body carries:
+// The chunk key is SHA-256, not the FNV-1a hash a chain image carries:
 // FNV is fine for dirty detection (a collision re-emits or skips one
 // shard of one chain, caught by the image trailer) but a storage key
-// must not let two different payloads alias. The v3 body keeps its
-// FNV-1a hashes untouched — the wire format does not change.
+// must not let two different payloads alias (and a standalone image
+// carries no shard hash at all). The image body is stored untouched —
+// the wire format does not change.
 //
 // This package speaks io.Writer and byte slices only; crac.NewCASStore
 // adapts it to the Store surface.

@@ -33,21 +33,17 @@ import (
 
 // Section names inside the checkpoint image.
 const (
-	SectionLog    = "crac.log"    // serialized replay log
-	SectionDevMem = "crac.devmem" // active-malloc memory payload (legacy v1/v2 images)
-	SectionRoot   = "crac.root"   // application root blob (pointer table)
+	SectionLog  = "crac.log"  // serialized replay log
+	SectionRoot = "crac.root" // application root blob (pointer table)
 
-	// SectionDevMem2 is the incremental-capable active-malloc payload of
-	// v3 images: each entry carries a presence flag, so a delta image
-	// lists every active allocation but bodies only the dirty ones. The
-	// section is opaque to the engine's generic shard delta; MergeDevMem
-	// materializes it across a chain.
+	// SectionDevMem2 is the active-malloc memory payload: each entry
+	// carries a presence flag, so a delta image lists every active
+	// allocation but bodies only the dirty ones (a standalone image or a
+	// chain base bodies all of them). The section is opaque to the
+	// engine's generic shard delta; MergeDevMem materializes it across a
+	// chain.
 	SectionDevMem2 = "crac.devmem2"
 )
-
-// devMemEntryHdr is the per-allocation header inside the legacy devmem
-// section: u64 addr, u64 size, then size payload bytes.
-const devMemEntryHdr = 16
 
 // devMem2EntryHdr is the devmem2 per-allocation header: u64 addr,
 // u64 size, u8 flags (bit0: payload follows).
@@ -106,7 +102,7 @@ func (p *Plugin) RootBlob() []byte {
 type freezeCap struct {
 	entries     []replaylog.Entry // immutable call-log prefix at the cut
 	root        []byte
-	incremental bool
+	chain       bool // a chain image: stage the skip baseline
 	since       uint64
 	prevEntries map[uint64]uint64
 	prevUVMCut  uint64
@@ -117,12 +113,12 @@ type freezeCap struct {
 }
 
 // Freeze implements dmtcp.Plugin: drain the queue of pending CUDA
-// kernels, then capture the call-log prefix, the UVM cut and page-state
-// view, and the incremental skip baseline — all O(metadata). The
-// returned emit runs later (possibly concurrently with the application)
-// and builds the sections from the capture, reading allocation payloads
-// only through the engine's view.
-func (p *Plugin) Freeze(since uint64, incremental bool) (dmtcp.EmitFunc, error) {
+// kernels, then capture the call-log prefix and, for a chain image, the
+// UVM cut and page-state view and the incremental skip baseline — all
+// O(metadata). The returned emit runs later (possibly concurrently with
+// the application) and builds the sections from the capture, reading
+// allocation payloads only through the engine's view.
+func (p *Plugin) Freeze(since uint64, chain bool) (dmtcp.EmitFunc, error) {
 	lib := p.rt.Library()
 
 	// Step (a) of the classic sequence: drain the queue
@@ -131,11 +127,11 @@ func (p *Plugin) Freeze(since uint64, incremental bool) (dmtcp.EmitFunc, error) 
 		return nil, fmt.Errorf("cracplugin: drain: %w", err)
 	}
 	fc := &freezeCap{
-		entries:     p.rt.Log().View(),
-		incremental: incremental,
-		since:       since,
+		entries: p.rt.Log().View(),
+		chain:   chain,
+		since:   since,
 	}
-	if incremental {
+	if chain {
 		// The UVM cut is taken after the queue drain: migrations flushed
 		// by pending kernels are stamped at or below it and their content
 		// is captured by the emit; accesses racing the drain re-emit next
@@ -157,14 +153,13 @@ func (p *Plugin) Freeze(since uint64, incremental bool) (dmtcp.EmitFunc, error) 
 // drained, not torn down, so execution simply continues.
 func (p *Plugin) Resume() error { return nil }
 
-// emit builds the log, devmem, and root sections from a freeze capture.
-// The allocation drain honors ctx: a cancelled checkpoint stops copying
-// device memory at the next allocation boundary.
+// emit builds the log, devmem2, and root sections from a freeze
+// capture. The allocation drain honors ctx: a cancelled checkpoint stops
+// copying device memory at the next allocation boundary.
 //
-// In incremental mode the payload goes into the devmem2 section, which
-// lists every active allocation and bodies only the dirty ones. An
-// allocation may be skipped only when all of the following hold — each
-// guard alone is insufficient:
+// The devmem2 section lists every active allocation; a delta bodies only
+// the dirty ones. An allocation may be skipped only when all of the
+// following hold — each guard alone is insufficient:
 //
 //   - since > 0: this is a delta (a base carries everything);
 //   - the committed chain tip has its payload at the same (addr, size)
@@ -198,48 +193,6 @@ func (p *Plugin) emit(ctx context.Context, view addrspace.View, sections *dmtcp.
 	active := replaylog.ActiveOf(fc.entries)
 	groups := [][]replaylog.Allocation{active.Device, active.Pinned, active.Managed}
 	releaser, _ := view.(addrspace.RangeReleaser)
-
-	if !fc.incremental {
-		var count uint32
-		total := 4 // leading u32 count
-		for _, g := range groups {
-			count += uint32(len(g))
-			for _, a := range g {
-				total += devMemEntryHdr + int(a.Size)
-			}
-		}
-		mem := sections.AddZero(SectionDevMem, total)
-		binary.LittleEndian.PutUint32(mem[0:], count)
-		type job struct {
-			alloc replaylog.Allocation
-			off   int // payload offset inside mem
-		}
-		jobs := make([]job, 0, count)
-		off := 4
-		for _, g := range groups {
-			for _, a := range g {
-				binary.LittleEndian.PutUint64(mem[off:], a.Addr)
-				binary.LittleEndian.PutUint64(mem[off+8:], a.Size)
-				off += devMemEntryHdr
-				jobs = append(jobs, job{alloc: a, off: off})
-				off += int(a.Size)
-			}
-		}
-		if err := par.ForErrCtx(ctx, p.Workers, len(jobs), func(i int) error {
-			j := jobs[i]
-			if err := view.ReadAt(j.alloc.Addr, mem[j.off:j.off+int(j.alloc.Size)]); err != nil {
-				return fmt.Errorf("cracplugin: draining allocation %#x+%d: %w", j.alloc.Addr, j.alloc.Size, err)
-			}
-			if releaser != nil {
-				releaser.ReleaseRange(j.alloc.Addr, j.alloc.Size)
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-		sections.Add(SectionRoot, fc.root)
-		return nil
-	}
 
 	type entry struct {
 		alloc replaylog.Allocation
@@ -299,10 +252,12 @@ func (p *Plugin) emit(ctx context.Context, view addrspace.View, sections *dmtcp.
 	sections.MarkOpaque(SectionDevMem2)
 	sections.Add(SectionRoot, fc.root)
 
-	p.mu.Lock()
-	p.stagedEntries = staged
-	p.stagedUVMCut = fc.uvmCut
-	p.mu.Unlock()
+	if fc.chain {
+		p.mu.Lock()
+		p.stagedEntries = staged
+		p.stagedUVMCut = fc.uvmCut
+		p.mu.Unlock()
+	}
 	return nil
 }
 

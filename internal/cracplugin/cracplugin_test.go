@@ -72,7 +72,7 @@ func TestPreCheckpointSectionsAndDrain(t *testing.T) {
 	if !lib.Device().Drained() {
 		t.Fatal("device not drained by Freeze")
 	}
-	for _, name := range []string{SectionLog, SectionDevMem, SectionRoot} {
+	for _, name := range []string{SectionLog, SectionDevMem2, SectionRoot} {
 		if _, ok := sections.Get(name); !ok {
 			t.Fatalf("section %s missing", name)
 		}
@@ -90,9 +90,14 @@ func TestPreCheckpointSectionsAndDrain(t *testing.T) {
 		t.Fatalf("root section = %q", root)
 	}
 	// The devmem payload contains the memset pattern.
-	mem, _ := sections.Get(SectionDevMem)
+	mem, _ := sections.Get(SectionDevMem2)
 	if !bytes.Contains(mem, bytes.Repeat([]byte{0x42}, 64)) {
 		t.Fatal("device payload missing drained bytes")
+	}
+	// A standalone image bodies every allocation.
+	entries, err := parseDevMem2(mem)
+	if err != nil || len(entries) != 2 || entries[0].payload == nil || entries[1].payload == nil {
+		t.Fatalf("standalone devmem2 entries = %+v, %v; want both present", entries, err)
 	}
 	if err := p.Resume(); err != nil {
 		t.Fatal(err)

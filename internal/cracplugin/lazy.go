@@ -5,10 +5,10 @@
 // access, with the background prefetcher draining the rest — device
 // memory first, managed (UVM) memory last.
 //
-// The devmem section layouts are deterministic functions of the call
-// log (the same walk the emit performs), so for a v1/v2 image — and
-// for a v3 base, whose devmem2 entries are all present — every entry's
-// payload offset is computed without reading a single payload byte.
+// The devmem2 layout of a standalone image or a chain base, whose
+// entries are all present, is a deterministic function of the call log
+// (the same walk the emit performs), so every entry's payload offset is
+// computed without reading a single payload byte.
 // A delta's devmem2 is walked entry header by entry header during
 // planning — only the shards holding a header are decoded: the flags
 // decide which entries carry payload (the dirty set, bound to its
@@ -56,43 +56,16 @@ func (p *Plugin) LazyRestart(ctx context.Context, r *dmtcp.LazyRestorer) error {
 	// The session rebinds the runtime before the restart hooks run, so
 	// the runtime's log is the image's log and its active set is
 	// exactly the entry list the checkpoint-side emit walked.
-	active := p.rt.Log().Active()
-	switch {
-	case tip.HasSection(SectionDevMem2):
-		return p.planDevMem2(r, active)
-	case tip.HasSection(SectionDevMem):
-		return p.planDevMem(r, active)
-	default:
-		return fmt.Errorf("cracplugin: image has no %s or %s section", SectionDevMem, SectionDevMem2)
+	if !tip.HasSection(SectionDevMem2) {
+		return fmt.Errorf("cracplugin: image has no %s section", SectionDevMem2)
 	}
+	return p.planDevMem2(r, p.rt.Log().Active())
 }
 
-// planDevMem registers lazy plans over the legacy (v1/v2) devmem
-// section, whose layout is recomputed from the active set.
-func (p *Plugin) planDevMem(r *dmtcp.LazyRestorer, active replaylog.ActiveSet) error {
-	secSize, ok := sectionSize(r.Tip().Secs, SectionDevMem)
-	if !ok {
-		return fmt.Errorf("cracplugin: %s vanished from section table", SectionDevMem)
-	}
-	off := uint64(4)
-	for gi, g := range [][]replaylog.Allocation{active.Device, active.Pinned, active.Managed} {
-		for _, a := range g {
-			off += devMemEntryHdr
-			if err := r.PlanSection(a.Addr, a.Size, 0, SectionDevMem, off, allocClasses[gi]); err != nil {
-				return fmt.Errorf("cracplugin: planning %#x+%d: %w", a.Addr, a.Size, err)
-			}
-			off += a.Size
-		}
-	}
-	if off != secSize {
-		return fmt.Errorf("%w: devmem layout %d bytes, section holds %d", dmtcp.ErrBadImage, off, secSize)
-	}
-	return nil
-}
-
-// planDevMem2 registers lazy plans over a v3 devmem2 chain. The tip's
-// active set names every allocation to restore; each resolves to the
-// nearest chain image whose devmem2 entry carries its payload.
+// planDevMem2 registers lazy plans over a devmem2 chain (one image, for
+// a standalone image or a base). The tip's active set names every
+// allocation to restore; each resolves to the nearest chain image whose
+// devmem2 entry carries its payload.
 func (p *Plugin) planDevMem2(r *dmtcp.LazyRestorer, active replaylog.ActiveSet) error {
 	type target struct {
 		size  uint64
@@ -112,7 +85,7 @@ func (p *Plugin) planDevMem2(r *dmtcp.LazyRestorer, active replaylog.ActiveSet) 
 			return fmt.Errorf("%w: chain image %d has no %s section", dmtcp.ErrDeltaChain, img, SectionDevMem2)
 		}
 		if !ix.Delta {
-			// A base's entries are all present, so the layout is a pure
+			// A full image's entries are all present, so the layout is a pure
 			// function of its own call log — when the base is the tip, the
 			// log just replayed: compute every payload offset without
 			// touching the payload shards.

@@ -1,12 +1,20 @@
-// Incremental checkpointing: the v3 ("CRACIMG3") image format.
+// The image format ("CRACIMG3") and incremental checkpointing.
 //
-// A v3 image is either a full *base* or a *delta* against a named
-// parent image. Both carry the complete region and section header
-// tables of the checkpointed state, followed by a set of payload
-// shards, each addressed by (span, offset) — spans are the regions in
-// address order, then the sections in insertion order — and stamped
-// with an FNV-1a content hash. A base carries every shard; a delta
-// carries only the dirty ones:
+// Every image carries the complete region and section header tables of
+// the checkpointed state, followed by a set of payload shards, each
+// addressed by (span, offset) — spans are the regions in address order,
+// then the sections in insertion order — and the CRACSUM1 trailer
+// (trailer.go). An image is one of three kinds:
+//
+//   - standalone (flagUnhashed): belongs to no chain, carries every
+//     shard and no shard hashes or identity — the trailer alone covers
+//     its bytes, so writing it hashes nothing but the trailer's CRC;
+//   - a chain *base*: carries every shard, each stamped with an FNV-1a
+//     content hash, and a content-derived identity;
+//   - a *delta* (flagDelta) against a named parent: carries only the
+//     dirty shards, hashed like a base.
+//
+// A delta's shards are chosen as follows:
 //
 //   - region shards are dirty when the address space's page-granular
 //     write-generation tracking (addrspace.Space.DirtySince) reports a
@@ -21,11 +29,11 @@
 //     bytes itself, and a registered SectionMerger resolves them at
 //     materialization time.
 //
-// The shards still flow through the same worker pipeline as v2 — they
-// compress and write in parallel, in deterministic order, so a v3 image
-// is byte-identical for any worker count. Reading a delta back yields
-// an unmaterialized Image; ApplyDelta / ResolveChain fold a base plus
-// its deltas into the same complete Image a v2 image reads back as.
+// Shards flow through one worker pipeline — they compress and write in
+// parallel, in deterministic order, so an image is byte-identical for
+// any worker count. Reading a delta back yields an unmaterialized
+// Image; ApplyDelta / ResolveChain fold a base plus its deltas into the
+// same complete Image a base reads back as.
 package dmtcp
 
 import (
@@ -43,9 +51,18 @@ import (
 	"repro/internal/par"
 )
 
-// shardHdrV3 is the fixed size of a v3 shard header:
+// shardHdrV3 is the fixed size of a shard header:
 // u32 span, u64 offset, u32 rawLen, u32 encLen, u64 hash.
 const shardHdrV3 = 28
+
+// Image flag bits: the first of the four flag bytes (the other three
+// are zero). Any other bit is ErrBadImage.
+const (
+	flagGzip     = 1 << 0 // every shard is one gzip member
+	flagDelta    = 1 << 1 // only dirty shards, against a named parent
+	flagUnhashed = 1 << 2 // standalone: no shard hashes, no identity
+	knownFlags   = flagGzip | flagDelta | flagUnhashed
+)
 
 // MaxChainDepth bounds every parent walk over stored images: the writer
 // rotates to a fresh base before a chain gets this deep, so a longer
@@ -119,14 +136,7 @@ func (s *DeltaState) InChain(name string) bool {
 // the section's complete content.
 type SectionMerger func(parent, delta []byte) ([]byte, error)
 
-// deltaSection is one section-table entry of a v3 image.
-type deltaSection struct {
-	name   string
-	size   uint64
-	opaque bool
-}
-
-// deltaShard is one decoded, not-yet-applied shard of a v3 delta.
+// deltaShard is one decoded, not-yet-applied shard of a delta.
 type deltaShard struct {
 	span int
 	off  uint64
@@ -134,10 +144,10 @@ type deltaShard struct {
 	data []byte
 }
 
-// DeltaInfo describes the v3 lineage of an Image.
+// DeltaInfo describes the lineage and shard accounting of an Image.
 type DeltaInfo struct {
 	// Parent names the image this delta applies on top of ("" for a
-	// base).
+	// base or a standalone image).
 	Parent string
 	// Depth is the image's distance from the chain's base.
 	Depth int
@@ -151,15 +161,15 @@ type DeltaInfo struct {
 	// true for a base, and for a delta after ApplyDelta/ResolveChain.
 	Materialized bool
 
-	id        uint64 // content-derived image identity (0: unknown)
+	id        uint64 // content-derived image identity (0: none)
 	parentID  uint64 // recorded identity of the parent (0: none)
 	shardSize int
-	secs      []deltaSection
+	secs      []SectionHdr
 	shards    []deltaShard // nil once materialized
 }
 
-// ID returns the image's content-derived identity (0 when unknown —
-// e.g. a materialized image assembled in memory).
+// ID returns the image's content-derived identity (0 for a standalone
+// image, which has none).
 func (d *DeltaInfo) ID() uint64 { return d.id }
 
 // ParentID returns the recorded identity of the parent image (0 for a
@@ -175,7 +185,7 @@ func (d *DeltaInfo) DirtyRatio() float64 {
 	return float64(d.RawEmitted) / float64(d.RawTotal)
 }
 
-// SectionHdr is one entry of a v3 image's section table.
+// SectionHdr is one entry of an image's section table.
 type SectionHdr struct {
 	Name   string
 	Size   uint64
@@ -185,11 +195,7 @@ type SectionHdr struct {
 // SectionLayout returns the image's section table — available even for
 // an unmaterialized delta, whose Sections map is still empty.
 func (d *DeltaInfo) SectionLayout() []SectionHdr {
-	out := make([]SectionHdr, len(d.secs))
-	for i, s := range d.secs {
-		out[i] = SectionHdr{Name: s.name, Size: s.size, Opaque: s.opaque}
-	}
-	return out
+	return append([]SectionHdr(nil), d.secs...)
 }
 
 // fnvSum64 is the shard content hash (FNV-1a 64).
@@ -228,7 +234,7 @@ func hashSections(sections *SectionMap, names []string, shard, workers int) map[
 	return out
 }
 
-// imageID derives a deterministic identity for a v3 image from its
+// imageID derives a deterministic identity for a chain image from its
 // lineage and section content hashes. With the CRAC plugin registered
 // the replay log section grows on every checkpoint, so two distinct
 // checkpoints of one session never share an ID; equal IDs imply equal
@@ -250,122 +256,102 @@ func imageID(parentID uint64, depth int, cut uint64, names []string, secHashes m
 	return h.Sum64()
 }
 
-// writeImageV3 emits the v3 header tables and the emitted shard set
-// through the shared worker pipeline.
-func (e *Engine) writeImageV3(ctx context.Context, w io.Writer, view addrspace.View, regions []addrspace.RegionInfo, sections *SectionMap, prev *DeltaState, selfName string, cut, since uint64, st *Stats) (*DeltaState, error) {
-	delta := prev != nil
-	parent := ""
-	depth := 0
-	var parentID uint64
-	if delta {
-		parent = prev.Name
-		depth = prev.Depth + 1
-		parentID = prev.ID
+// header is everything an image carries before its first shard record:
+// the prologue (flags and lineage), the region and section tables, and
+// the shard grid and count.
+type header struct {
+	ImageMeta
+	regions   []RegionData // headers only: Data is nil
+	secs      []SectionHdr
+	shardSize int
+	shards    int    // shard records that follow
+	total     uint64 // payload bytes the tables lay out
+}
+
+// writeHeader emits h in one write.
+func writeHeader(w io.Writer, h *header) error {
+	le := binary.LittleEndian
+	b := append(make([]byte, 0, 512), imageMagic[:]...)
+	b = append(b, h.flags(), 0, 0, 0)
+	var err error
+	if b, err = appendString(b, h.Parent); err != nil {
+		return err
 	}
+	b = le.AppendUint32(b, uint32(h.Depth))
+	b = le.AppendUint64(b, h.ID)
+	b = le.AppendUint64(b, h.ParentID)
+	b = le.AppendUint32(b, uint32(len(h.regions)))
+	for _, rd := range h.regions {
+		b = le.AppendUint64(b, rd.Start)
+		b = le.AppendUint64(b, rd.Len)
+		b = append(b, byte(rd.Prot))
+		if b, err = appendString(b, rd.Label); err != nil {
+			return err
+		}
+	}
+	b = le.AppendUint32(b, uint32(len(h.secs)))
+	for _, sec := range h.secs {
+		if b, err = appendString(b, sec.Name); err != nil {
+			return err
+		}
+		b = le.AppendUint64(b, sec.Size)
+		var sf byte
+		if sec.Opaque {
+			sf = 1
+		}
+		b = append(b, sf)
+	}
+	b = le.AppendUint32(b, uint32(h.shardSize))
+	b = le.AppendUint32(b, uint32(h.shards))
+	_, err = w.Write(b)
+	return err
+}
+
+// writeImage emits the image a frozen checkpoint describes through the
+// shared worker pipeline: a standalone image, or a chain base or delta
+// whose DeltaState it returns (nil for a standalone image).
+func (e *Engine) writeImage(ctx context.Context, w io.Writer, view addrspace.View, regions []addrspace.RegionInfo, sections *SectionMap, fz *Frozen, st *Stats) (*DeltaState, error) {
+	prev := fz.prev
+	delta := prev != nil
 	shard := e.shardSize()
 	names := sections.Names()
-	// Hash every section shard (in parallel) before the header goes
-	// out: the hashes decide which section shards a delta emits, stamp
-	// the emitted frames, feed the image's identity, and become the
-	// table the next delta compares against.
-	secHashes := hashSections(sections, names, shard, e.Workers)
-	// The image identity is derived from lineage and content, not
-	// randomness, so images stay byte-deterministic: two images collide
-	// only when their lineage and section state (including the
-	// ever-growing call log) are identical — in which case confusing
-	// them is harmless. ApplyDelta verifies a delta's recorded parent
-	// identity against the image it is applied to, so a parent name
-	// overwritten with different content fails the restore instead of
-	// silently mixing states.
-	selfID := imageID(parentID, depth, cut, names, secHashes)
-
-	if _, err := w.Write(imageMagicV3[:]); err != nil {
-		return nil, err
-	}
-	var flags [4]byte
-	if e.Gzip {
-		flags[0] |= 1
-	}
-	if delta {
-		flags[0] |= 2
-	}
-	if _, err := w.Write(flags[:]); err != nil {
-		return nil, err
-	}
-	if err := writeString(w, parent); err != nil {
-		return nil, err
-	}
-	var u32 [4]byte
-	var u64b [8]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(depth))
-	if _, err := w.Write(u32[:]); err != nil {
-		return nil, err
-	}
-	binary.LittleEndian.PutUint64(u64b[:], selfID)
-	if _, err := w.Write(u64b[:]); err != nil {
-		return nil, err
-	}
-	binary.LittleEndian.PutUint64(u64b[:], parentID)
-	if _, err := w.Write(u64b[:]); err != nil {
-		return nil, err
-	}
-
-	// Header tables, exactly as in v2 (sections additionally carry an
-	// opaque flag), so the reader can lay out every destination before
-	// the first shard arrives.
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(regions)))
-	if _, err := w.Write(u32[:]); err != nil {
-		return nil, err
+	h := &header{ImageMeta: ImageMeta{Gzip: e.Gzip, Unhashed: !fz.chain, Delta: delta}, shardSize: shard}
+	var secHashes map[string][]uint64
+	if fz.chain {
+		if delta {
+			h.Parent, h.Depth, h.ParentID = prev.Name, prev.Depth+1, prev.ID
+		}
+		// Hash every section shard (in parallel) before the header goes
+		// out: the hashes decide which section shards a delta emits, stamp
+		// the emitted frames, feed the image's identity, and become the
+		// table the next delta compares against. A standalone image has no
+		// next delta and no reader of its identity, so it skips all of it.
+		secHashes = hashSections(sections, names, shard, e.Workers)
+		// The image identity is derived from lineage and content, not
+		// randomness, so images stay byte-deterministic: two images collide
+		// only when their lineage and section state (including the
+		// ever-growing call log) are identical — in which case confusing
+		// them is harmless. ApplyDelta verifies a delta's recorded parent
+		// identity against the image it is applied to, so a parent name
+		// overwritten with different content fails the restore instead of
+		// silently mixing states.
+		h.ID = imageID(h.ParentID, h.Depth, fz.cut, names, secHashes)
 	}
 	for _, ri := range regions {
-		binary.LittleEndian.PutUint64(u64b[:], ri.Start)
-		if _, err := w.Write(u64b[:]); err != nil {
-			return nil, err
-		}
-		binary.LittleEndian.PutUint64(u64b[:], ri.Len)
-		if _, err := w.Write(u64b[:]); err != nil {
-			return nil, err
-		}
-		if _, err := w.Write([]byte{byte(ri.Prot)}); err != nil {
-			return nil, err
-		}
-		if err := writeString(w, ri.Label); err != nil {
-			return nil, err
-		}
+		h.regions = append(h.regions, RegionData{Start: ri.Start, Len: ri.Len, Prot: ri.Prot, Label: ri.Label})
 		st.RegionBytes += ri.Len
-	}
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(names)))
-	if _, err := w.Write(u32[:]); err != nil {
-		return nil, err
 	}
 	for _, name := range names {
 		data, _ := sections.Get(name)
-		if err := writeString(w, name); err != nil {
-			return nil, err
-		}
-		binary.LittleEndian.PutUint64(u64b[:], uint64(len(data)))
-		if _, err := w.Write(u64b[:]); err != nil {
-			return nil, err
-		}
-		var sf byte
-		if sections.Opaque(name) {
-			sf |= 1
-		}
-		if _, err := w.Write([]byte{sf}); err != nil {
-			return nil, err
-		}
+		h.secs = append(h.secs, SectionHdr{Name: name, Size: uint64(len(data)), Opaque: sections.Opaque(name)})
 		st.SectionBytes += uint64(len(data))
-	}
-	binary.LittleEndian.PutUint32(u32[:], uint32(shard))
-	if _, err := w.Write(u32[:]); err != nil {
-		return nil, err
 	}
 
 	// Region dirty spans since the parent's cut (page-granular, merged).
 	var dirtyByStart map[uint64][]addrspace.Span
 	if delta {
 		dirtyByStart = make(map[uint64][]addrspace.Span)
-		for _, rd := range view.DirtySince(addrspace.HalfUpper, since) {
+		for _, rd := range view.DirtySince(addrspace.HalfUpper, fz.since) {
 			dirtyByStart[rd.Start] = rd.Spans
 		}
 	}
@@ -377,23 +363,20 @@ func (e *Engine) writeImageV3(ctx context.Context, w io.Writer, view addrspace.V
 	}
 
 	// Shard plan: all spans in layout order, emitting a deterministic
-	// dirty subset (the whole grid for a base).
+	// dirty subset (the whole grid for a base or a standalone image).
 	var jobs []shardJob
 	spanIdx := uint32(0)
 	for _, ri := range regions {
 		spans := dirtyByStart[ri.Start] // nil for a base: emit all
 		for off := uint64(0); off < ri.Len; off += uint64(shard) {
-			n := ri.Len - off
-			if n > uint64(shard) {
-				n = uint64(shard)
-			}
+			n := min(ri.Len-off, uint64(shard))
 			st.ShardsTotal++
 			st.PayloadTotal += n
 			if delta && !overlaps(spans, off, n) {
 				continue
 			}
 			jobs = append(jobs, shardJob{addr: ri.Start + off, rawLen: int(n),
-				v3: true, spanIdx: spanIdx, spanOff: off, done: make(chan struct{})})
+				spanIdx: spanIdx, spanOff: off, needHash: fz.chain, done: make(chan struct{})})
 			st.PayloadWritten += n
 		}
 		spanIdx++
@@ -407,233 +390,309 @@ func (e *Engine) writeImageV3(ctx context.Context, w io.Writer, view addrspace.V
 		}
 		opaque := sections.Opaque(name)
 		for si, off := 0, 0; off < len(data); si, off = si+1, off+shard {
-			n := len(data) - off
-			if n > shard {
-				n = shard
-			}
+			n := min(len(data)-off, shard)
 			st.ShardsTotal++
 			st.PayloadTotal += uint64(n)
 			if delta && !opaque && si < len(prevHs) && prevHs[si] == hs[si] {
 				continue
 			}
-			jobs = append(jobs, shardJob{src: data[off : off+n], rawLen: n,
-				v3: true, spanIdx: spanIdx, spanOff: uint64(off),
-				hash: hs[si], hashed: true, done: make(chan struct{})})
+			j := shardJob{src: data[off : off+n], rawLen: n,
+				spanIdx: spanIdx, spanOff: uint64(off), done: make(chan struct{})}
+			if hs != nil {
+				j.hash = hs[si]
+			}
+			jobs = append(jobs, j)
 			st.PayloadWritten += uint64(n)
 		}
 		spanIdx++
 	}
 	st.ShardsWritten = len(jobs)
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(jobs)))
-	if _, err := w.Write(u32[:]); err != nil {
+	h.shards = len(jobs)
+	if err := writeHeader(w, h); err != nil {
 		return nil, err
 	}
 	if err := e.runWritePipeline(ctx, w, view, jobs); err != nil {
 		return nil, err
 	}
-	ancestry := []string{selfName}
+	if !fz.chain {
+		return nil, nil
+	}
+	ancestry := []string{fz.selfName}
 	if prev != nil {
-		ancestry = append(append([]string(nil), prev.Ancestry...), selfName)
+		ancestry = append(append([]string(nil), prev.Ancestry...), fz.selfName)
 	}
 	return &DeltaState{
-		Name:      selfName,
-		ID:        selfID,
-		Depth:     depth,
-		Cut:       cut,
+		Name:      fz.selfName,
+		ID:        h.ID,
+		Depth:     h.Depth,
+		Cut:       fz.cut,
 		ShardSize: shard,
 		Hashes:    secHashes,
 		Ancestry:  ancestry,
 	}, nil
 }
 
-// readImageV3 parses a v3 image. A base materializes immediately; a
-// delta parses its shards and waits for ApplyDelta/ResolveChain.
-func readImageV3(r io.Reader) (*Image, error) {
-	meta, err := readLineageV3(r)
+// Minimum encoded sizes of one table entry (an empty label or name):
+// what expect may count on before the strings have been read.
+const (
+	regionHdrMin  = 8 + 8 + 1 + 2 // start, len, prot, label length
+	sectionHdrMin = 2 + 8 + 1     // name length, size, flags
+)
+
+// readHeader parses an image's header from r. expect, when set, learns
+// how many more header bytes each count just parsed guarantees — the
+// index scan's read-ahead hint. Every table grows with the entries that
+// actually arrive, so a hostile count costs nothing until its entries
+// do.
+func readHeader(r io.Reader, expect func(int64)) (*header, error) {
+	if expect == nil {
+		expect = func(int64) {}
+	}
+	meta, err := readPrologue(r)
 	if err != nil {
 		return nil, err
 	}
-	img := &Image{Version: 3, Gzip: meta.Gzip, Sections: NewSectionMap()}
-	var u32 [4]byte
-	var u64b [8]byte
-	if _, err := io.ReadFull(r, u32[:]); err != nil {
+	h := &header{ImageMeta: meta}
+	var u [8]byte
+	u32 := func() (uint32, error) {
+		_, err := io.ReadFull(r, u[:4])
+		return le32(u[:]), err
+	}
+	u64 := func() (uint64, error) {
+		_, err := io.ReadFull(r, u[:])
+		return le64(u[:]), err
+	}
+	n, err := u32()
+	if err != nil {
 		return nil, fmt.Errorf("%w: region count: %v", ErrBadImage, err)
 	}
-	nRegions := binary.LittleEndian.Uint32(u32[:])
-	if nRegions > maxItemCount {
-		return nil, fmt.Errorf("%w: region count %d", ErrBadImage, nRegions)
+	if n > maxItemCount {
+		return nil, fmt.Errorf("%w: region count %d", ErrBadImage, n)
 	}
-	var totalRaw uint64
-	for i := uint32(0); i < nRegions; i++ {
+	for i := uint32(0); i < n; i++ {
+		// The rest of the table, labels aside, then the section count.
+		expect(int64(n-i)*regionHdrMin + 4)
 		var rd RegionData
-		if _, err := io.ReadFull(r, u64b[:]); err != nil {
+		if rd.Start, err = u64(); err == nil {
+			rd.Len, err = u64()
+		}
+		if err == nil {
+			_, err = io.ReadFull(r, u[:1])
+			rd.Prot = addrspace.Prot(u[0])
+		}
+		if err != nil {
 			return nil, fmt.Errorf("%w: region %d: %v", ErrBadImage, i, err)
 		}
-		rd.Start = binary.LittleEndian.Uint64(u64b[:])
-		if _, err := io.ReadFull(r, u64b[:]); err != nil {
-			return nil, fmt.Errorf("%w: region %d: %v", ErrBadImage, i, err)
-		}
-		rd.Len = binary.LittleEndian.Uint64(u64b[:])
 		if rd.Len > maxItemBytes {
 			return nil, fmt.Errorf("%w: region %d len %d", ErrBadImage, i, rd.Len)
 		}
-		var prot [1]byte
-		if _, err := io.ReadFull(r, prot[:]); err != nil {
-			return nil, fmt.Errorf("%w: region %d: %v", ErrBadImage, i, err)
-		}
-		rd.Prot = addrspace.Prot(prot[0])
-		label, err := readString(r)
-		if err != nil {
+		if rd.Label, err = readString(r); err != nil {
 			return nil, fmt.Errorf("%w: region %d label: %v", ErrBadImage, i, err)
 		}
-		rd.Label = label
-		totalRaw += rd.Len
-		img.Regions = append(img.Regions, rd)
+		h.total += rd.Len
+		h.regions = append(h.regions, rd)
 	}
-	if _, err := io.ReadFull(r, u32[:]); err != nil {
+	if n, err = u32(); err != nil {
 		return nil, fmt.Errorf("%w: section count: %v", ErrBadImage, err)
 	}
-	nSections := binary.LittleEndian.Uint32(u32[:])
-	if nSections > maxItemCount {
-		return nil, fmt.Errorf("%w: section count %d", ErrBadImage, nSections)
+	if n > maxItemCount {
+		return nil, fmt.Errorf("%w: section count %d", ErrBadImage, n)
 	}
-	secs := make([]deltaSection, 0, nSections)
-	for i := uint32(0); i < nSections; i++ {
+	for i := uint32(0); i < n; i++ {
+		expect(int64(n-i)*sectionHdrMin + 8) // then shard size and count
 		name, err := readString(r)
 		if err != nil {
 			return nil, fmt.Errorf("%w: section %d name: %v", ErrBadImage, i, err)
 		}
-		if _, err := io.ReadFull(r, u64b[:]); err != nil {
+		size, err := u64()
+		if err != nil {
 			return nil, fmt.Errorf("%w: section %d size: %v", ErrBadImage, i, err)
 		}
-		n := binary.LittleEndian.Uint64(u64b[:])
-		if n > maxItemBytes {
-			return nil, fmt.Errorf("%w: section %d len %d", ErrBadImage, i, n)
+		if size > maxItemBytes {
+			return nil, fmt.Errorf("%w: section %d len %d", ErrBadImage, i, size)
 		}
-		var sf [1]byte
-		if _, err := io.ReadFull(r, sf[:]); err != nil {
+		if _, err := io.ReadFull(r, u[:1]); err != nil {
 			return nil, fmt.Errorf("%w: section %d flags: %v", ErrBadImage, i, err)
 		}
-		secs = append(secs, deltaSection{name: name, size: n, opaque: sf[0]&1 != 0})
-		totalRaw += n
+		h.secs = append(h.secs, SectionHdr{Name: name, Size: size, Opaque: u[0]&1 != 0})
+		h.total += size
 	}
-	if totalRaw > maxTotalBytes {
-		return nil, fmt.Errorf("%w: payload too large (%d bytes)", ErrBadImage, totalRaw)
+	if h.total > maxTotalBytes {
+		return nil, fmt.Errorf("%w: payload too large (%d bytes)", ErrBadImage, h.total)
 	}
-	if _, err := io.ReadFull(r, u32[:]); err != nil {
+	shard, err := u32()
+	if err != nil {
 		return nil, fmt.Errorf("%w: shard size: %v", ErrBadImage, err)
 	}
-	shardSize := binary.LittleEndian.Uint32(u32[:])
-	if shardSize == 0 || shardSize > maxFrameBytes {
-		return nil, fmt.Errorf("%w: shard size %d", ErrBadImage, shardSize)
+	if shard == 0 || shard > maxFrameBytes {
+		return nil, fmt.Errorf("%w: shard size %d", ErrBadImage, shard)
 	}
-	if _, err := io.ReadFull(r, u32[:]); err != nil {
+	count, err := u32()
+	if err != nil {
 		return nil, fmt.Errorf("%w: shard count: %v", ErrBadImage, err)
 	}
-	shardCount := binary.LittleEndian.Uint32(u32[:])
-	if shardCount > maxItemCount {
-		return nil, fmt.Errorf("%w: shard count %d", ErrBadImage, shardCount)
+	if count > maxItemCount {
+		return nil, fmt.Errorf("%w: shard count %d", ErrBadImage, count)
 	}
+	h.shardSize, h.shards = int(shard), int(count)
+	return h, nil
+}
 
-	// Span layout: regions in table order, then sections.
-	type span struct {
-		size uint64
-		base uint64 // global raw offset
-		dst  *[]byte
+// spanSizes returns the header's span layout: region lengths, then
+// section sizes.
+func (h *header) spanSizes() []uint64 {
+	sizes := make([]uint64, 0, len(h.regions)+len(h.secs))
+	for _, rd := range h.regions {
+		sizes = append(sizes, rd.Len)
 	}
-	secData := make([][]byte, len(secs))
-	spans := make([]span, 0, len(img.Regions)+len(secs))
+	for _, sec := range h.secs {
+		sizes = append(sizes, sec.Size)
+	}
+	return sizes
+}
+
+// shardsTotal counts the shards the full layout tiles into.
+func (h *header) shardsTotal() int {
+	n := 0
+	for _, size := range h.spanSizes() {
+		n += int((size + uint64(h.shardSize) - 1) / uint64(h.shardSize))
+	}
+	return n
+}
+
+// shardRec is one admitted shard header.
+type shardRec struct {
+	span           int
+	off            uint64
+	rawLen, encLen uint32
+	hash           uint64
+}
+
+// tiling admits an image's shard records in stream order: each must lie
+// inside its span and match the image's encoding; a base or standalone
+// image must tile the whole layout exactly (the writer emits every
+// shard, in span order), a delta's shards must be strictly ascending and
+// non-overlapping.
+type tiling struct {
+	h     *header
+	sizes []uint64
+	bases []uint64 // global raw offset of each span
+	next  uint64   // base: next global offset; delta: end of the last shard
+}
+
+func newTiling(h *header) *tiling {
+	t := &tiling{h: h, sizes: h.spanSizes()}
 	var off uint64
-	shardsTotal := 0
-	for i := range img.Regions {
-		spans = append(spans, span{size: img.Regions[i].Len, base: off, dst: &img.Regions[i].Data})
-		off += img.Regions[i].Len
-		shardsTotal += int((img.Regions[i].Len + uint64(shardSize) - 1) / uint64(shardSize))
+	for _, size := range t.sizes {
+		t.bases = append(t.bases, off)
+		off += size
 	}
-	for i := range secs {
-		spans = append(spans, span{size: secs[i].size, base: off, dst: &secData[i]})
-		off += secs[i].size
-		shardsTotal += int((secs[i].size + uint64(shardSize) - 1) / uint64(shardSize))
-	}
+	return t
+}
 
+func (t *tiling) admit(i int, hdr []byte) (shardRec, error) {
+	rec := shardRec{span: int(le32(hdr[0:])), off: le64(hdr[4:]),
+		rawLen: le32(hdr[12:]), encLen: le32(hdr[16:]), hash: le64(hdr[20:])}
+	sp, so, rawLen, encLen := rec.span, rec.off, uint64(rec.rawLen), rec.encLen
+	if uint(sp) >= uint(len(t.sizes)) || rawLen == 0 || rawLen > uint64(t.h.shardSize) ||
+		encLen == 0 || encLen > maxFrameBytes ||
+		so+rawLen < so || so+rawLen > t.sizes[sp] {
+		return rec, fmt.Errorf("%w: shard %d (span %d, off %d, %d/%d bytes)", ErrBadImage, i, sp, so, rawLen, encLen)
+	}
+	if !t.h.Gzip && uint64(encLen) != rawLen {
+		return rec, fmt.Errorf("%w: stored shard %d != %d", ErrBadImage, encLen, rawLen)
+	}
+	if t.h.Unhashed && rec.hash != 0 {
+		return rec, fmt.Errorf("%w: shard %d of a standalone image carries a hash", ErrBadImage, i)
+	}
+	global := t.bases[sp] + so
+	switch {
+	case !t.h.Delta && global != t.next:
+		return rec, fmt.Errorf("%w: shard %d at raw offset %d, want %d", ErrBadImage, i, global, t.next)
+	case t.h.Delta && i > 0 && global < t.next:
+		return rec, fmt.Errorf("%w: shard %d overlaps or regresses at raw offset %d", ErrBadImage, i, global)
+	}
+	t.next = global + rawLen
+	return rec, nil
+}
+
+// finish checks that a full image covered its whole layout.
+func (t *tiling) finish() error {
+	if !t.h.Delta && t.next != t.h.total {
+		return fmt.Errorf("%w: image covers %d of %d payload bytes", ErrBadImage, t.next, t.h.total)
+	}
+	return nil
+}
+
+// readImage parses one image body. A base or standalone image
+// materializes immediately; a delta parses its shards and waits for
+// ApplyDelta/ResolveChain.
+func readImage(r io.Reader) (*Image, error) {
+	h, err := readHeader(r, nil)
+	if err != nil {
+		return nil, err
+	}
+	img := &Image{Version: 3, Gzip: h.Gzip, Regions: h.regions, Sections: NewSectionMap()}
+	secData := make([][]byte, len(h.secs))
+	dsts := make([]*[]byte, 0, len(h.regions)+len(h.secs))
+	for i := range img.Regions {
+		dsts = append(dsts, &img.Regions[i].Data)
+	}
+	for i := range secData {
+		dsts = append(dsts, &secData[i])
+	}
 	di := &DeltaInfo{
-		Parent: meta.Parent, Depth: meta.Depth,
-		ShardsTotal: shardsTotal, ShardsEmitted: int(shardCount),
-		RawTotal: totalRaw,
-		id:       meta.ID, parentID: meta.ParentID,
-		shardSize: int(shardSize), secs: secs,
+		Parent: h.Parent, Depth: h.Depth,
+		ShardsTotal: h.shardsTotal(), ShardsEmitted: h.shards,
+		RawTotal: h.total,
+		id:       h.ID, parentID: h.ParentID,
+		shardSize: h.shardSize, secs: h.secs,
 	}
 	img.Delta = di
 
-	// Shard records. A base must tile the whole layout exactly (the
-	// writer emits every shard, in span order); a delta's shards must be
-	// strictly ascending and non-overlapping.
 	type pending struct {
-		span   int
-		off    uint64
-		rawLen int
-		hash   uint64
-		enc    []byte // compressed payload, or nil when already in dst
-		dst    []byte // destination slice (base: span memory; delta: own buffer)
+		shardRec
+		enc []byte // compressed payload, or nil when already in dst
+		dst []byte // destination slice (full image: span memory; delta: own buffer)
 	}
-	frames := make([]pending, 0, shardCount)
-	var expected uint64 // base: next global offset
-	var prevEnd uint64  // delta: end of the previous shard's global range
-	for i := uint32(0); i < shardCount; i++ {
-		var hdr [shardHdrV3]byte
+	// Grown as shard records arrive, not sized by the claimed count.
+	var frames []pending
+	tl := newTiling(h)
+	var hdr [shardHdrV3]byte
+	for i := 0; i < h.shards; i++ {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			return nil, fmt.Errorf("%w: shard %d header: %v", ErrBadImage, i, err)
 		}
-		sp := binary.LittleEndian.Uint32(hdr[0:])
-		so := binary.LittleEndian.Uint64(hdr[4:])
-		rawLen := binary.LittleEndian.Uint32(hdr[12:])
-		encLen := binary.LittleEndian.Uint32(hdr[16:])
-		hash := binary.LittleEndian.Uint64(hdr[20:])
-		if int(sp) >= len(spans) || rawLen == 0 || uint64(rawLen) > uint64(shardSize) ||
-			encLen == 0 || encLen > maxFrameBytes ||
-			so+uint64(rawLen) < so || so+uint64(rawLen) > spans[sp].size {
-			return nil, fmt.Errorf("%w: shard %d (span %d, off %d, %d/%d bytes)", ErrBadImage, i, sp, so, rawLen, encLen)
+		rec, err := tl.admit(i, hdr[:])
+		if err != nil {
+			return nil, err
 		}
-		global := spans[sp].base + so
-		if !meta.Delta {
-			if global != expected {
-				return nil, fmt.Errorf("%w: shard %d at raw offset %d, want %d", ErrBadImage, i, global, expected)
+		f := pending{shardRec: rec}
+		if !h.Delta {
+			dst := dsts[rec.span]
+			if *dst == nil {
+				*dst = make([]byte, tl.sizes[rec.span])
 			}
-			expected += uint64(rawLen)
+			f.dst = (*dst)[rec.off : rec.off+uint64(rec.rawLen)]
 		} else {
-			if i > 0 && global < prevEnd {
-				return nil, fmt.Errorf("%w: shard %d overlaps or regresses at raw offset %d", ErrBadImage, i, global)
-			}
-			prevEnd = global + uint64(rawLen)
+			f.dst = make([]byte, rec.rawLen)
 		}
-		f := pending{span: int(sp), off: so, rawLen: int(rawLen), hash: hash}
-		if !meta.Delta {
-			if *spans[sp].dst == nil {
-				*spans[sp].dst = make([]byte, spans[sp].size)
-			}
-			f.dst = (*spans[sp].dst)[so : so+uint64(rawLen)]
-		} else {
-			f.dst = make([]byte, rawLen)
-		}
-		if !img.Gzip {
-			if encLen != rawLen {
-				return nil, fmt.Errorf("%w: stored shard %d != %d", ErrBadImage, encLen, rawLen)
-			}
+		if !h.Gzip {
 			if _, err := io.ReadFull(r, f.dst); err != nil {
 				return nil, fmt.Errorf("%w: shard %d data: %v", ErrBadImage, i, err)
 			}
 		} else {
-			enc, err := readExact(r, uint64(encLen))
+			enc, err := readExact(r, uint64(rec.encLen))
 			if err != nil {
 				return nil, fmt.Errorf("%w: shard %d data: %v", ErrBadImage, i, err)
 			}
 			f.enc = enc
 		}
-		di.RawEmitted += uint64(rawLen)
+		di.RawEmitted += uint64(rec.rawLen)
 		frames = append(frames, f)
 	}
-	if !meta.Delta && expected != totalRaw {
-		return nil, fmt.Errorf("%w: base image covers %d of %d payload bytes", ErrBadImage, expected, totalRaw)
+	if err := tl.finish(); err != nil {
+		return nil, err
 	}
 
 	// Inflate (each shard is an independent gzip member) and verify the
@@ -646,7 +705,7 @@ func readImageV3(r io.Reader) (*Image, error) {
 			}
 			f.enc = nil
 		}
-		if fnvSum64(f.dst) != f.hash {
+		if !h.Unhashed && fnvSum64(f.dst) != f.hash {
 			return fmt.Errorf("%w: shard %d content hash mismatch", ErrCorruptImage, i)
 		}
 		return nil
@@ -654,16 +713,16 @@ func readImageV3(r io.Reader) (*Image, error) {
 		return nil, err
 	}
 
-	if !meta.Delta {
-		// A base is complete: publish the sections (zero-size ones too)
-		// and drop the shard bookkeeping.
-		for i, sec := range secs {
+	if !h.Delta {
+		// A full image is complete: publish the sections (zero-size ones
+		// too) and drop the shard bookkeeping.
+		for i, sec := range h.secs {
 			if secData[i] == nil {
-				secData[i] = make([]byte, sec.size)
+				secData[i] = make([]byte, sec.Size)
 			}
-			img.Sections.Add(sec.name, secData[i])
-			if sec.opaque {
-				img.Sections.MarkOpaque(sec.name)
+			img.Sections.Add(sec.Name, secData[i])
+			if sec.Opaque {
+				img.Sections.MarkOpaque(sec.Name)
 			}
 		}
 		di.Materialized = true
@@ -757,9 +816,9 @@ func ApplyDelta(parent, delta *Image, mergers map[string]SectionMerger) (*Image,
 	// sections start empty and are resolved below.
 	secData := make([][]byte, len(d.secs))
 	for i, sec := range d.secs {
-		secData[i] = make([]byte, sec.size)
-		if !sec.opaque {
-			if pb, ok := parent.Sections.Get(sec.name); ok {
+		secData[i] = make([]byte, sec.Size)
+		if !sec.Opaque {
+			if pb, ok := parent.Sections.Get(sec.Name); ok {
 				copy(secData[i], pb)
 			}
 		}
@@ -774,18 +833,18 @@ func ApplyDelta(parent, delta *Image, mergers map[string]SectionMerger) (*Image,
 		}
 	}
 	for i, sec := range d.secs {
-		if sec.opaque {
-			if merger := mergers[sec.name]; merger != nil {
-				pb, _ := parent.Sections.Get(sec.name)
+		if sec.Opaque {
+			if merger := mergers[sec.Name]; merger != nil {
+				pb, _ := parent.Sections.Get(sec.Name)
 				nb, err := merger(pb, secData[i])
 				if err != nil {
-					return nil, fmt.Errorf("dmtcp: merging section %s: %w", sec.name, err)
+					return nil, fmt.Errorf("dmtcp: merging section %s: %w", sec.Name, err)
 				}
 				secData[i] = nb
 			}
-			out.Sections.MarkOpaque(sec.name)
+			out.Sections.MarkOpaque(sec.Name)
 		}
-		out.Sections.Add(sec.name, secData[i])
+		out.Sections.Add(sec.Name, secData[i])
 	}
 	return out, nil
 }
@@ -793,7 +852,8 @@ func ApplyDelta(parent, delta *Image, mergers map[string]SectionMerger) (*Image,
 // ResolveChain materializes img if it is an unresolved delta, following
 // parent names through open (typically a Store lookup) back to the
 // chain's base and folding the deltas forward. Already-complete images
-// (v1, v2, v3 bases, materialized deltas) pass through unchanged.
+// (standalone images, bases, materialized deltas) pass through
+// unchanged.
 func ResolveChain(img *Image, open func(name string) (io.ReadCloser, error), mergers map[string]SectionMerger) (*Image, error) {
 	if img == nil || img.Complete() {
 		return img, nil
@@ -833,51 +893,64 @@ func ResolveChain(img *Image, open func(name string) (io.ReadCloser, error), mer
 }
 
 // ImageMeta is the cheap header-only view of a checkpoint image: enough
-// to classify the format and follow lineage without parsing tables or
-// payload. The store's lineage graph is built from it.
+// to classify it and follow lineage without parsing tables or payload.
+// The store's lineage graph is built from it.
 type ImageMeta struct {
-	Version int
-	Gzip    bool
-	Delta   bool
-	Parent  string
-	Depth   int
-	// ID and ParentID: see DeltaInfo (0 for v1/v2).
+	Gzip  bool
+	Delta bool
+	// Unhashed marks a standalone image: it belongs to no chain and its
+	// shards carry no content hashes, so only its trailer covers its
+	// payload.
+	Unhashed bool
+	Parent   string
+	Depth    int
+	// ID and ParentID: see DeltaInfo (0 for a standalone image).
 	ID       uint64
 	ParentID uint64
 }
 
-// ReadImageMeta parses just the image prologue (magic, flags and — for
-// v3 — the lineage fields), reading no byte past it.
-func ReadImageMeta(r io.Reader) (ImageMeta, error) {
+func (m *ImageMeta) flags() byte {
+	var f byte
+	if m.Gzip {
+		f |= flagGzip
+	}
+	if m.Delta {
+		f |= flagDelta
+	}
+	if m.Unhashed {
+		f |= flagUnhashed
+	}
+	return f
+}
+
+// ReadImageMeta parses just the image prologue (magic, flags and the
+// lineage fields), reading no byte past it.
+func ReadImageMeta(r io.Reader) (ImageMeta, error) { return readPrologue(r) }
+
+// prologueSize is the length of a prologue whose parent name is empty,
+// plus the region count that always follows it.
+const prologueSize = 8 + 4 + 2 + 4 + 8 + 8 + 4
+
+// readPrologue parses an image's magic, flags, parent name, depth, and
+// the image and parent identities.
+func readPrologue(r io.Reader) (ImageMeta, error) {
 	var magic [8]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return ImageMeta{}, fmt.Errorf("%w: magic: %v", ErrBadImage, err)
 	}
-	switch magic {
-	case imageMagicV1, imageMagicV2:
-		flags, err := readFlags(r, 1)
-		if err != nil {
-			return ImageMeta{}, err
-		}
-		return ImageMeta{Version: int(magic[7] - '0'), Gzip: flags[0]&1 != 0}, nil
-	case imageMagicV3:
-		return readLineageV3(r)
-	default:
-		if bytes.Equal(magic[:7], imageMagicV1[:7]) {
+	if magic != imageMagic {
+		// A CRACIMG prefix with another version digit is an image from a
+		// build this one does not speak, not garbage.
+		if bytes.Equal(magic[:7], imageMagic[:7]) {
 			return ImageMeta{}, fmt.Errorf("%w: %q", ErrUnsupportedVersion, magic[:])
 		}
 		return ImageMeta{}, fmt.Errorf("%w: bad magic %q", ErrBadImage, magic[:])
 	}
-}
-
-// readLineageV3 parses what follows a v3 image's magic up to its region
-// table: flags, parent name, depth, and the image and parent identities.
-func readLineageV3(r io.Reader) (ImageMeta, error) {
-	flags, err := readFlags(r, 3)
+	flags, err := readFlags(r, knownFlags)
 	if err != nil {
 		return ImageMeta{}, err
 	}
-	m := ImageMeta{Version: 3, Gzip: flags[0]&1 != 0, Delta: flags[0]&2 != 0}
+	m := ImageMeta{Gzip: flags&flagGzip != 0, Delta: flags&flagDelta != 0, Unhashed: flags&flagUnhashed != 0}
 	if m.Parent, err = readString(r); err != nil {
 		return ImageMeta{}, fmt.Errorf("%w: parent: %v", ErrBadImage, err)
 	}
@@ -886,11 +959,13 @@ func readLineageV3(r io.Reader) (ImageMeta, error) {
 		return ImageMeta{}, fmt.Errorf("%w: depth and ids: %v", ErrBadImage, err)
 	}
 	m.Depth, m.ID, m.ParentID = int(le32(ids[:])), le64(ids[4:]), le64(ids[12:])
-	if m.Depth > MaxChainDepth {
+	switch {
+	case m.Depth > MaxChainDepth:
 		return ImageMeta{}, fmt.Errorf("%w: delta depth %d", ErrBadImage, m.Depth)
-	}
-	if m.Delta && m.Parent == "" {
+	case m.Delta && m.Parent == "":
 		return ImageMeta{}, fmt.Errorf("%w: delta image names no parent", ErrBadImage)
+	case m.Unhashed && (m.Delta || m.Parent != "" || m.Depth != 0 || m.ID != 0 || m.ParentID != 0):
+		return ImageMeta{}, fmt.Errorf("%w: standalone image carries lineage", ErrBadImage)
 	}
 	return m, nil
 }

@@ -352,7 +352,7 @@ func TestReadImageMeta(t *testing.T) {
 	ckptDelta(t, e, cs, space, st0, "d1")
 
 	m, err := ReadImageMeta(bytes.NewReader(cs["base"]))
-	if err != nil || m.Version != 3 || m.Delta || m.Parent != "" || m.Depth != 0 {
+	if err != nil || m.Unhashed || m.Delta || m.Parent != "" || m.Depth != 0 || m.ID == 0 {
 		t.Fatalf("base meta: %+v, %v", m, err)
 	}
 	m, err = ReadImageMeta(bytes.NewReader(cs["d1"]))
@@ -360,14 +360,14 @@ func TestReadImageMeta(t *testing.T) {
 		t.Fatalf("delta meta: %+v, %v", m, err)
 	}
 
-	// v2 images report no lineage.
-	var v2 bytes.Buffer
-	if _, err := NewEngine().Checkpoint(context.Background(), &v2, space); err != nil {
+	// Standalone images report no lineage.
+	var solo bytes.Buffer
+	if _, err := NewEngine().Checkpoint(context.Background(), &solo, space); err != nil {
 		t.Fatal(err)
 	}
-	m, err = ReadImageMeta(bytes.NewReader(v2.Bytes()))
-	if err != nil || m.Version != 2 || m.Delta || m.Parent != "" {
-		t.Fatalf("v2 meta: %+v, %v", m, err)
+	m, err = ReadImageMeta(bytes.NewReader(solo.Bytes()))
+	if err != nil || m != (ImageMeta{Unhashed: true}) {
+		t.Fatalf("standalone meta: %+v, %v", m, err)
 	}
 }
 

@@ -3,7 +3,6 @@ package dmtcp
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"io"
 )
@@ -12,8 +11,8 @@ import (
 // unknown, e.g. an image assembled in memory).
 func (d *DeltaInfo) ShardSize() int { return d.shardSize }
 
-// EncodeBase serializes a fully materialized image as a standalone v3
-// base image under the caller-chosen identity id. It is the write half
+// EncodeBase serializes a fully materialized image as a chain base
+// image under the caller-chosen identity id. It is the write half
 // of chain compaction: ResolveChain materializes `base + k deltas`
 // from stored bytes alone, and EncodeBase re-emits the result as a new
 // base that keeps the old tip's identity — so deltas already recorded
@@ -51,122 +50,36 @@ func (e *Engine) EncodeBase(ctx context.Context, w io.Writer, img *Image, id uin
 	return tw.Finish()
 }
 
-// encodeBaseBody writes the v3 header tables and every shard of the
-// materialized image, mirroring writeImageV3's base layout exactly.
+// encodeBaseBody writes the header tables and every shard of the
+// materialized image, in writeImage's base layout exactly.
 func (e *Engine) encodeBaseBody(ctx context.Context, w io.Writer, img *Image, id uint64) error {
 	shard := e.shardSize()
 	sections := img.Sections
 	if sections == nil {
 		sections = NewSectionMap()
 	}
-	names := sections.Names()
-
-	if _, err := w.Write(imageMagicV3[:]); err != nil {
-		return err
-	}
-	var flags [4]byte
-	if e.Gzip {
-		flags[0] |= 1
-	}
-	if _, err := w.Write(flags[:]); err != nil {
-		return err
-	}
-	if err := writeString(w, ""); err != nil { // a base names no parent
-		return err
-	}
-	var u32 [4]byte
-	var u64b [8]byte
-	binary32 := func(v uint32) error {
-		binary.LittleEndian.PutUint32(u32[:], v)
-		_, err := w.Write(u32[:])
-		return err
-	}
-	binary64 := func(v uint64) error {
-		binary.LittleEndian.PutUint64(u64b[:], v)
-		_, err := w.Write(u64b[:])
-		return err
-	}
-	if err := binary32(0); err != nil { // depth 0
-		return err
-	}
-	if err := binary64(id); err != nil { // preserved identity
-		return err
-	}
-	if err := binary64(0); err != nil { // no parent id
-		return err
-	}
-
-	if err := binary32(uint32(len(img.Regions))); err != nil {
-		return err
-	}
-	for i := range img.Regions {
-		rd := &img.Regions[i]
-		if err := binary64(rd.Start); err != nil {
-			return err
-		}
-		if err := binary64(rd.Len); err != nil {
-			return err
-		}
-		if _, err := w.Write([]byte{byte(rd.Prot)}); err != nil {
-			return err
-		}
-		if err := writeString(w, rd.Label); err != nil {
-			return err
-		}
-	}
-	if err := binary32(uint32(len(names))); err != nil {
-		return err
-	}
-	for _, name := range names {
-		data, _ := sections.Get(name)
-		if err := writeString(w, name); err != nil {
-			return err
-		}
-		if err := binary64(uint64(len(data))); err != nil {
-			return err
-		}
-		var sf byte
-		if sections.Opaque(name) {
-			sf |= 1
-		}
-		if _, err := w.Write([]byte{sf}); err != nil {
-			return err
-		}
-	}
-	if err := binary32(uint32(shard)); err != nil {
-		return err
-	}
-
+	h := &header{ImageMeta: ImageMeta{Gzip: e.Gzip, ID: id}, shardSize: shard}
 	// Shard plan: every shard of every span, in layout order, all
 	// sourced from the materialized payload (no address-space view).
 	var jobs []shardJob
-	spanIdx := uint32(0)
-	for i := range img.Regions {
-		rd := &img.Regions[i]
-		data := rd.Data
+	plan := func(span int, data []byte) {
 		for off := 0; off < len(data); off += shard {
-			n := len(data) - off
-			if n > shard {
-				n = shard
-			}
+			n := min(len(data)-off, shard)
 			jobs = append(jobs, shardJob{src: data[off : off+n], rawLen: n,
-				v3: true, spanIdx: spanIdx, spanOff: uint64(off), done: make(chan struct{})})
+				spanIdx: uint32(span), spanOff: uint64(off), needHash: true, done: make(chan struct{})})
 		}
-		spanIdx++
 	}
-	for _, name := range names {
+	for i, rd := range img.Regions {
+		h.regions = append(h.regions, RegionData{Start: rd.Start, Len: rd.Len, Prot: rd.Prot, Label: rd.Label})
+		plan(i, rd.Data)
+	}
+	for _, name := range sections.Names() {
 		data, _ := sections.Get(name)
-		for off := 0; off < len(data); off += shard {
-			n := len(data) - off
-			if n > shard {
-				n = shard
-			}
-			jobs = append(jobs, shardJob{src: data[off : off+n], rawLen: n,
-				v3: true, spanIdx: spanIdx, spanOff: uint64(off), done: make(chan struct{})})
-		}
-		spanIdx++
+		h.secs = append(h.secs, SectionHdr{Name: name, Size: uint64(len(data)), Opaque: sections.Opaque(name)})
+		plan(len(h.regions)+len(h.secs)-1, data)
 	}
-	if err := binary32(uint32(len(jobs))); err != nil {
+	h.shards = len(jobs)
+	if err := writeHeader(w, h); err != nil {
 		return err
 	}
 	// Every job carries src, so the nil view is never dereferenced.

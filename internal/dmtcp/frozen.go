@@ -44,49 +44,39 @@ type Frozen struct {
 	since    uint64
 	prev     *DeltaState
 	selfName string
-	version  int
+	chain    bool       // a chain base or delta; false: a standalone image
 	emits    []EmitFunc // one per engine plugin, in registration order
 	start    time.Time
 }
 
 // FreezeCheckpoint captures a checkpoint of space inside the
-// stop-the-world window: it takes the epoch cut (v3), runs the plugin
-// Freeze hooks (draining the device), and arms the copy-on-write
-// snapshot. incremental forces the v3 format (a chain base when prev is
-// nil). prev is the lineage state of the chain tip (nil: write a base)
-// and selfName the store name the image is being written under, recorded
-// as the parent of the next delta ("" for standalone images). On return
-// the application may resume: everything the image needs is pinned.
-func (e *Engine) FreezeCheckpoint(ctx context.Context, space *addrspace.Space, incremental bool, prev *DeltaState, selfName string) (*Frozen, error) {
-	return e.freeze(ctx, space, incremental, prev, selfName, false)
+// stop-the-world window: for a chain image it takes the epoch cut, then
+// it runs the plugin Freeze hooks (draining the device) and arms the
+// copy-on-write snapshot. chain selects a chain image — a base when
+// prev is nil, else a delta against the chain tip prev describes;
+// without it (and prev nil) the image is standalone. selfName is the
+// store name the image is being written under, recorded as the parent
+// of the next delta ("" for standalone images). On return the
+// application may resume: everything the image needs is pinned.
+func (e *Engine) FreezeCheckpoint(ctx context.Context, space *addrspace.Space, chain bool, prev *DeltaState, selfName string) (*Frozen, error) {
+	return e.freeze(ctx, space, chain, prev, selfName, false)
 }
 
 // freeze is the one capture. live hands WriteFrozen the Space itself
 // instead of an armed Snapshot — correct only while nothing mutates it.
-func (e *Engine) freeze(ctx context.Context, space *addrspace.Space, incremental bool, prev *DeltaState, selfName string, live bool) (*Frozen, error) {
+func (e *Engine) freeze(ctx context.Context, space *addrspace.Space, chain bool, prev *DeltaState, selfName string, live bool) (*Frozen, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	version := e.ImageVersion
-	if version == 0 {
-		version = 2
-	}
-	if incremental || prev != nil {
-		version = 3
-	}
-	switch version {
-	case 1, 2, 3:
-	default:
-		return nil, fmt.Errorf("%w: cannot write version %d", ErrUnsupportedVersion, version)
-	}
+	chain = chain || prev != nil
 	// A shard-size change breaks the chain's shard grid (hashes would
 	// compare different byte ranges), and a chain at the reader's depth
 	// cap could never be restored: both rotate to a fresh base.
 	if prev != nil && (prev.ShardSize != e.shardSize() || prev.Depth+1 >= MaxChainDepth) {
 		prev = nil
 	}
-	fz := &Frozen{prev: prev, selfName: selfName, version: version, start: time.Now()}
-	if version == 3 {
+	fz := &Frozen{prev: prev, selfName: selfName, chain: chain, start: time.Now()}
+	if chain {
 		// The cut is taken before the drain hooks, mirroring the plugin's
 		// UVM cut: any write that races the drain or the image write — even
 		// one the payload happens to capture — is stamped above the cut and
@@ -102,7 +92,7 @@ func (e *Engine) freeze(ctx context.Context, space *addrspace.Space, incremental
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		emit, err := p.Freeze(fz.since, version == 3)
+		emit, err := p.Freeze(fz.since, chain)
 		if err != nil {
 			return nil, fmt.Errorf("dmtcp: plugin %s freeze: %w", p.Name(), err)
 		}
@@ -121,8 +111,8 @@ func (e *Engine) freeze(ctx context.Context, space *addrspace.Space, incremental
 
 // checkpointLive is freeze + WriteFrozen back to back over the live
 // space: the stop-the-world reference, whose pause is its whole duration.
-func (e *Engine) checkpointLive(ctx context.Context, w io.Writer, space *addrspace.Space, incremental bool, prev *DeltaState, selfName string) (Stats, *DeltaState, error) {
-	fz, err := e.freeze(ctx, space, incremental, prev, selfName, true)
+func (e *Engine) checkpointLive(ctx context.Context, w io.Writer, space *addrspace.Space, chain bool, prev *DeltaState, selfName string) (Stats, *DeltaState, error) {
+	fz, err := e.freeze(ctx, space, chain, prev, selfName, true)
 	if err != nil {
 		return Stats{}, nil, err
 	}
@@ -131,15 +121,14 @@ func (e *Engine) checkpointLive(ctx context.Context, w io.Writer, space *addrspa
 	return st, next, err
 }
 
-// Checkpoint writes a live-view image of space in the engine's
-// configured format. Nothing may mutate space meanwhile; sessions never
+// Checkpoint writes a live-view standalone image of space. Nothing may mutate space meanwhile; sessions never
 // call it — it is the reference invariant 10 is tested against.
 func (e *Engine) Checkpoint(ctx context.Context, w io.Writer, space *addrspace.Space) (Stats, error) {
 	st, _, err := e.checkpointLive(ctx, w, space, false, nil, "")
 	return st, err
 }
 
-// CheckpointDelta is Checkpoint for the v3 chain: a base when prev is
+// CheckpointDelta is Checkpoint for a chain: a base when prev is
 // nil, else a delta against the checkpoint prev describes. The returned
 // DeltaState must be committed only if the write durably succeeded.
 func (e *Engine) CheckpointDelta(ctx context.Context, w io.Writer, space *addrspace.Space, prev *DeltaState, selfName string) (Stats, *DeltaState, error) {
@@ -147,7 +136,7 @@ func (e *Engine) CheckpointDelta(ctx context.Context, w io.Writer, space *addrsp
 }
 
 // Cut returns the address-space epoch cut the checkpoint was frozen at
-// (0 for v1/v2 images, which take no cut).
+// (0 for a standalone image, which takes no cut).
 func (fz *Frozen) Cut() uint64 { return fz.cut }
 
 // StartedAt backdates the checkpoint's wall clock to t (ignored unless
@@ -175,7 +164,7 @@ func (fz *Frozen) Release() {
 // operation between emits and between payload shards; the bytes written
 // so far are abandoned where they stand (callers that need
 // all-or-nothing semantics write through an atomic sink, e.g. a Store).
-// The returned DeltaState (v3 only) describes the new image: commit it
+// The returned DeltaState (chain images only) describes the new image: commit it
 // only once the image durably landed. Stats.PauseDuration is left zero —
 // the caller measured the pause and owns that split.
 func (e *Engine) WriteFrozen(ctx context.Context, w io.Writer, fz *Frozen) (Stats, *DeltaState, error) {
@@ -203,33 +192,16 @@ func (e *Engine) WriteFrozen(ctx context.Context, w io.Writer, fz *Frozen) (Stat
 	}
 
 	writeStart := time.Now()
-	// Every format except v1+gzip gets the integrity trailer (the v1
-	// gzip body is read through a buffered inflater that may consume
-	// past the member's end, so trailing bytes cannot be located).
-	var tw *trailerWriter
-	sink := w
-	if fz.version != 1 || !e.Gzip {
-		tw = newTrailerWriter(w)
-		sink = tw
-	}
 	// Buffer the image stream: header and frame writes are a few bytes
 	// each and must not hit the underlying writer (often a file)
 	// directly.
-	bw := bufio.NewWriterSize(sink, 256<<10)
-	var state *DeltaState
-	var err error
-	switch fz.version {
-	case 1:
-		err = e.writeImageV1(ctx, bw, fz.view, regions, sections, &st)
-	case 2:
-		err = e.writeImageV2(ctx, bw, fz.view, regions, sections, &st)
-	case 3:
-		state, err = e.writeImageV3(ctx, bw, fz.view, regions, sections, fz.prev, fz.selfName, fz.cut, fz.since, &st)
-	}
+	tw := newTrailerWriter(w)
+	bw := bufio.NewWriterSize(tw, 256<<10)
+	state, err := e.writeImage(ctx, bw, fz.view, regions, sections, fz, &st)
 	if err == nil {
 		err = bw.Flush()
 	}
-	if err == nil && tw != nil {
+	if err == nil {
 		err = tw.Finish()
 	}
 	st.WriteDuration = time.Since(writeStart)

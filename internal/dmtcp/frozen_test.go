@@ -10,31 +10,34 @@ import (
 
 // TestFreezeWriteFrozenMatchesBlocking (invariant 10, engine level): an
 // image written from the armed snapshot while the space is overwritten
-// is byte-identical to the live-view reference (Engine.Checkpoint) at
-// the same cut, for v1, v2, and a standalone v3 base, raw and gzip'd.
+// is byte-identical to the live-view reference at the same cut, for
+// standalone images and a chain base. The row names predate the single
+// format: the v1 and v2 rows write standalone images (v1 on a one-page
+// shard grid), raw and gzip'd.
 func TestFreezeWriteFrozenMatchesBlocking(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		version int
-		gz      bool
+		name  string
+		chain bool
+		gz    bool
+		shard int
 	}{
-		{"v1", 1, false},
-		{"v2", 2, false},
-		{"v2-gzip", 2, true},
-		{"v3-base", 3, false},
+		{"v1", false, false, addrspace.PageSize},
+		{"v2", false, false, 0},
+		{"v2-gzip", false, true, 0},
+		{"v3-base", true, false, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			mk := func() (*Engine, *addrspace.Space) {
 				space, _ := buildSpace(t)
 				e := NewEngine()
-				e.ImageVersion = tc.version
 				e.Gzip = tc.gz
+				e.ShardSize = tc.shard
 				e.Register(&testPlugin{name: "p"})
 				return e, space
 			}
 			eb, sb := mk()
 			var blocking bytes.Buffer
-			stB, err := eb.Checkpoint(context.Background(), &blocking, sb)
+			stB, _, err := eb.checkpointLive(context.Background(), &blocking, sb, tc.chain, nil, "")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -43,7 +46,7 @@ func TestFreezeWriteFrozenMatchesBlocking(t *testing.T) {
 			}
 
 			ef, sf := mk()
-			fz, err := ef.FreezeCheckpoint(context.Background(), sf, tc.version == 3, nil, "")
+			fz, err := ef.FreezeCheckpoint(context.Background(), sf, tc.chain, nil, "")
 			if err != nil {
 				t.Fatal(err)
 			}

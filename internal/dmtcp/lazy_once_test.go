@@ -25,19 +25,25 @@ func (r *tracingReaderAt) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // TestIndexScanReadsHeadersOnly: no read of an index scan may overlap a
-// payload — of any format the scan walks — and the prologue tables must
-// still arrive in a handful of reads, not one per field.
+// payload — of a standalone image (the v2 row, named before the single
+// format), a chain base or a delta — and the prologue tables must still
+// arrive in a handful of reads, not one per field. An image under the
+// retired v1 version is refused after its first read.
 func TestIndexScanReadsHeadersOnly(t *testing.T) {
 	space := lazySpace(t)
-	images := map[string][]byte{
-		"v1": writeTestImage(t, space, func(e *Engine) { e.ImageVersion = 1 }),
-		"v2": writeTestImage(t, space, func(e *Engine) { e.ShardSize = 64 << 10 }),
-	}
+	standalone := writeTestImage(t, space, func(e *Engine) { e.ShardSize = 64 << 10 }, false)
+	images := map[string][]byte{"v1": retiredImage(standalone, '1'), "v2": standalone}
 	images["v3-base"], images["v3-delta"], _ = chainImages(t, 64<<10)
 	for name, img := range images {
 		t.Run(name, func(t *testing.T) {
 			src := &tracingReaderAt{src: bytes.NewReader(img)}
 			ix, err := OpenShardIndex(src, int64(len(img)))
+			if name == "v1" {
+				if !errors.Is(err, ErrUnsupportedVersion) || len(src.got) != 1 {
+					t.Fatalf("retired image: %v after %d reads, want ErrUnsupportedVersion after one", err, len(src.got))
+				}
+				return
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -53,13 +59,9 @@ func TestIndexScanReadsHeadersOnly(t *testing.T) {
 				}
 			}
 			// One read per header between payloads, plus a few for the
-			// tables; v1's synthetic shard grid has one header per span.
-			headers := ix.NumShards()
-			if ix.Version == 1 {
-				headers = len(ix.spans)
-			}
-			if limit := headers + 12; len(src.got) > limit {
-				t.Fatalf("scan took %d reads for %d headers, want <= %d", len(src.got), headers, limit)
+			// tables.
+			if limit := ix.NumShards() + 12; len(src.got) > limit {
+				t.Fatalf("scan took %d reads for %d headers, want <= %d", len(src.got), ix.NumShards(), limit)
 			}
 		})
 	}
@@ -74,7 +76,6 @@ func TestSectionReaderDecodesEachShardOnce(t *testing.T) {
 	space := lazySpace(t)
 	e := NewEngine()
 	e.ShardSize = shard
-	e.ImageVersion = 3
 	e.Register(&lazyTestPlugin{})
 	var buf bytes.Buffer
 	if _, _, err := e.CheckpointDelta(context.Background(), &buf, space, nil, "base"); err != nil {

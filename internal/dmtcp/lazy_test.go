@@ -35,8 +35,9 @@ func lazySpace(t *testing.T) *addrspace.Space {
 	return space
 }
 
-// writeTestImage checkpoints space through a fresh engine.
-func writeTestImage(t *testing.T, space *addrspace.Space, mut func(e *Engine)) []byte {
+// writeTestImage checkpoints space through a fresh engine: a chain base
+// when chain is set, else a standalone image.
+func writeTestImage(t *testing.T, space *addrspace.Space, mut func(e *Engine), chain bool) []byte {
 	t.Helper()
 	e := NewEngine()
 	e.Register(&lazyTestPlugin{})
@@ -44,7 +45,7 @@ func writeTestImage(t *testing.T, space *addrspace.Space, mut func(e *Engine)) [
 		mut(e)
 	}
 	var buf bytes.Buffer
-	if _, err := e.Checkpoint(nil, &buf, space); err != nil {
+	if _, _, err := e.checkpointLive(nil, &buf, space, chain, nil, ""); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -69,22 +70,36 @@ func (p *lazyTestPlugin) Resume() error                                    { ret
 func (p *lazyTestPlugin) LazyRestart(context.Context, *LazyRestorer) error { return nil }
 
 // TestShardIndexSectionBytes checks the index returns the same section
-// bytes as the eager reader, across formats.
+// bytes as the eager reader, for standalone images (the v2 rows, named
+// before the single format) and a chain base; under the retired v1
+// version both refuse the image alike.
 func TestShardIndexSectionBytes(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		mut  func(e *Engine)
+		name    string
+		mut     func(e *Engine)
+		chain   bool
+		retired byte
 	}{
-		{"v2", nil},
-		{"v2-gzip", func(e *Engine) { e.Gzip = true }},
-		{"v2-small-shards", func(e *Engine) { e.ShardSize = 64 << 10 }},
-		{"v1", func(e *Engine) { e.ImageVersion = 1 }},
-		{"v1-gzip", func(e *Engine) { e.ImageVersion = 1; e.Gzip = true }},
-		{"v3-base", func(e *Engine) { e.ImageVersion = 3 }},
+		{"v2", nil, false, 0},
+		{"v2-gzip", func(e *Engine) { e.Gzip = true }, false, 0},
+		{"v2-small-shards", func(e *Engine) { e.ShardSize = 64 << 10 }, false, 0},
+		{"v3-base", nil, true, 0},
+		{"v3-base-gzip", func(e *Engine) { e.Gzip = true }, true, 0},
+		{"v1", nil, false, '1'},
+		{"v1-gzip", func(e *Engine) { e.Gzip = true }, false, '1'},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			space := lazySpace(t)
-			img := writeTestImage(t, space, tc.mut)
+			img := writeTestImage(t, space, tc.mut, tc.chain)
+			if tc.retired != 0 {
+				img = retiredImage(img, tc.retired)
+				_, err := ReadImage(bytes.NewReader(img))
+				_, ierr := OpenShardIndex(bytes.NewReader(img), int64(len(img)))
+				if !errors.Is(err, ErrUnsupportedVersion) || !errors.Is(ierr, ErrUnsupportedVersion) {
+					t.Fatalf("retired image: ReadImage = %v, OpenShardIndex = %v", err, ierr)
+				}
+				return
+			}
 			want, err := ReadImage(bytes.NewReader(img))
 			if err != nil {
 				t.Fatal(err)
@@ -120,7 +135,7 @@ func TestShardIndexSectionBytes(t *testing.T) {
 // decode error, not a hang or silent zeros.
 func TestShardIndexTruncated(t *testing.T) {
 	space := lazySpace(t)
-	img := writeTestImage(t, space, nil)
+	img := writeTestImage(t, space, nil, false)
 	// The index scan reads only headers, so it may succeed on an image
 	// whose final shard body is cut short; the decode must then fail.
 	cut := img[:len(img)-512]
@@ -155,7 +170,6 @@ func chainImages(t *testing.T, shard int) (base, delta []byte, space *addrspace.
 	space = lazySpace(t)
 	e := NewEngine()
 	e.ShardSize = shard
-	e.ImageVersion = 3
 	var baseBuf bytes.Buffer
 	_, st, err := e.CheckpointDelta(context.Background(), &baseBuf, space, nil, "base")
 	if err != nil {
@@ -358,46 +372,11 @@ func TestLazyRestorerSingleFlight(t *testing.T) {
 // restart runs over stored bytes — arbitrary images. It must fail with
 // a classified error, never panic, and never index a shard outside its
 // source or its span; whatever it accepts must verify and decode
-// without panicking. Seeds: v1, v2 (raw and gzip'd), a v3 base and a
-// v3 delta, whole and truncated.
+// without panicking. Seeds: see fuzzSeeds.
 func FuzzOpenShardIndex(f *testing.F) {
-	space, regions := buildBigSpace(f, 3)
-	engine := func(version int, gz bool) *Engine {
-		e := NewEngine()
-		e.ImageVersion = version
-		e.Gzip = gz
-		e.ShardSize = 2 * addrspace.PageSize
-		e.Register(&sectionPlugin{sizes: []int{100, 3000}})
-		return e
+	for _, seed := range fuzzSeeds(f) {
+		f.Add(seed)
 	}
-	add := func(img []byte) {
-		f.Add(img)
-		f.Add(img[:len(img)/2])
-	}
-	for _, cfg := range []struct {
-		version int
-		gz      bool
-	}{{1, false}, {1, true}, {2, false}, {2, true}} {
-		var img bytes.Buffer
-		if _, err := engine(cfg.version, cfg.gz).Checkpoint(context.Background(), &img, space); err != nil {
-			f.Fatal(err)
-		}
-		add(img.Bytes())
-	}
-	e := engine(3, false)
-	var base, delta bytes.Buffer
-	_, st, err := e.CheckpointDelta(context.Background(), &base, space, nil, "base")
-	if err != nil {
-		f.Fatal(err)
-	}
-	if err := space.WriteAt(regions[1].Start+addrspace.PageSize, []byte("dirty")); err != nil {
-		f.Fatal(err)
-	}
-	if _, _, err := e.CheckpointDelta(context.Background(), &delta, space, st, "delta"); err != nil {
-		f.Fatal(err)
-	}
-	add(base.Bytes())
-	add(delta.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Read by offset, then held in memory (the waited restart's way).
 		for _, open := range []func(io.ReaderAt, int64) (*ShardIndex, error){OpenShardIndex, OpenShardIndexWhole} {
@@ -417,7 +396,7 @@ func FuzzOpenShardIndex(f *testing.F) {
 			}
 			for i := range ix.shards {
 				sh := &ix.shards[i]
-				if sh.mem == nil && (sh.fileOff < 0 || sh.fileOff+int64(sh.encLen) > ix.bodyLen) {
+				if sh.fileOff < 0 || sh.fileOff+int64(sh.encLen) > ix.bodyLen {
 					t.Fatalf("shard %d: payload %d+%d outside the %d-byte body", i, sh.fileOff, sh.encLen, ix.bodyLen)
 				}
 				if sh.off+uint64(sh.rawLen) > ix.spans[sh.span].size {

@@ -3,8 +3,11 @@ package dmtcp
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -77,7 +80,7 @@ func (p *sectionPlugin) Freeze(uint64, bool) (EmitFunc, error) {
 func (p *sectionPlugin) Resume() error                                    { return nil }
 func (p *sectionPlugin) LazyRestart(context.Context, *LazyRestorer) error { return nil }
 
-// TestParallelSerialImagesIdentical: the v2 image is byte-identical for
+// TestParallelSerialImagesIdentical: a standalone image is byte-identical for
 // any worker count (shard plan depends only on shard size), and the
 // restored memory is byte-identical to the original for both paths.
 func TestParallelSerialImagesIdentical(t *testing.T) {
@@ -109,7 +112,7 @@ func TestParallelSerialImagesIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if img.Version != 2 {
+				if img.Version != 3 || img.Delta.ID() != 0 {
 					t.Fatalf("version = %d", img.Version)
 				}
 				fresh := addrspace.New()
@@ -138,65 +141,57 @@ func TestParallelSerialImagesIdentical(t *testing.T) {
 	}
 }
 
-// TestV1BackwardCompat: images written in the legacy serial format are
-// still read correctly, with and without whole-body gzip.
+// retiredImage is img with its magic naming a retired format version
+// ('1' or '2').
+func retiredImage(img []byte, version byte) []byte {
+	b := append([]byte(nil), img...)
+	b[7] = version
+	return b
+}
+
+// TestV1BackwardCompat: an image under the retired v1 version, with and
+// without gzip, is refused as ErrUnsupportedVersion by every parser —
+// the eager reader, the index scan, and the lineage header reader.
 func TestV1BackwardCompat(t *testing.T) {
 	for _, gz := range []bool{false, true} {
 		t.Run(fmt.Sprintf("gzip=%v", gz), func(t *testing.T) {
-			space, regions := buildBigSpace(t, 5)
-			want := snapshotRegions(t, space, regions)
+			space, _ := buildBigSpace(t, 5)
 			e := NewEngine()
-			e.ImageVersion = 1
 			e.Gzip = gz
 			e.Register(&sectionPlugin{sizes: []int{33}})
 			var img bytes.Buffer
 			if _, err := e.Checkpoint(context.Background(), &img, space); err != nil {
 				t.Fatal(err)
 			}
-			parsed, err := ReadImage(bytes.NewReader(img.Bytes()))
-			if err != nil {
-				t.Fatal(err)
+			v1 := retiredImage(img.Bytes(), '1')
+			if _, err := ReadImage(bytes.NewReader(v1)); !errors.Is(err, ErrUnsupportedVersion) {
+				t.Fatalf("ReadImage = %v", err)
 			}
-			if parsed.Version != 1 || parsed.Gzip != gz {
-				t.Fatalf("version=%d gzip=%v", parsed.Version, parsed.Gzip)
+			if _, err := OpenShardIndex(bytes.NewReader(v1), int64(len(v1))); !errors.Is(err, ErrUnsupportedVersion) {
+				t.Fatalf("OpenShardIndex = %v", err)
 			}
-			fresh := addrspace.New()
-			if err := restoreImage(nil, img.Bytes(), fresh, 0); err != nil {
-				t.Fatal(err)
-			}
-			got := snapshotRegions(t, fresh, regions)
-			for i := range want {
-				if !bytes.Equal(want[i], got[i]) {
-					t.Fatalf("region %d differs after v1 restore", i)
-				}
-			}
-			if sec, ok := parsed.Sections.Get("sec.0"); !ok || len(sec) != 33 {
-				t.Fatalf("v1 section: ok=%v len=%d", ok, len(sec))
+			if _, err := ReadImageMeta(bytes.NewReader(v1)); !errors.Is(err, ErrUnsupportedVersion) {
+				t.Fatalf("ReadImageMeta = %v", err)
 			}
 		})
 	}
 }
 
-// TestV1V2SameRestoredState: both formats restore the same memory.
+// TestV1V2SameRestoredState: images under either retired version are
+// refused alike, and the restore leaves its target space untouched.
 func TestV1V2SameRestoredState(t *testing.T) {
-	space, regions := buildBigSpace(t, 6)
-	restored := func(version int) [][]byte {
-		e := NewEngine()
-		e.ImageVersion = version
-		var img bytes.Buffer
-		if _, err := e.Checkpoint(context.Background(), &img, space); err != nil {
-			t.Fatal(err)
-		}
-		fresh := addrspace.New()
-		if err := restoreImage(nil, img.Bytes(), fresh, 0); err != nil {
-			t.Fatal(err)
-		}
-		return snapshotRegions(t, fresh, regions)
+	space, _ := buildBigSpace(t, 6)
+	var img bytes.Buffer
+	if _, err := NewEngine().Checkpoint(context.Background(), &img, space); err != nil {
+		t.Fatal(err)
 	}
-	v1, v2 := restored(1), restored(2)
-	for i := range v1 {
-		if !bytes.Equal(v1[i], v2[i]) {
-			t.Fatalf("region %d: v1 and v2 restores differ", i)
+	for _, version := range []byte{'1', '2'} {
+		fresh := addrspace.New()
+		if err := restoreImage(nil, retiredImage(img.Bytes(), version), fresh, 0); !errors.Is(err, ErrUnsupportedVersion) {
+			t.Fatalf("v%c restore = %v, want ErrUnsupportedVersion", version, err)
+		}
+		if n := len(fresh.RegionsIn(addrspace.HalfUpper)); n != 0 {
+			t.Fatalf("v%c: a refused restore mapped %d regions", version, n)
 		}
 	}
 }
@@ -325,39 +320,109 @@ func TestSectionWriterStreams(t *testing.T) {
 	}
 }
 
-// FuzzReadImage: the chunked decoder must reject arbitrary mutations
-// without panicking or over-allocating. Seeds cover both formats, both
-// compression modes, and truncations.
-func FuzzReadImage(f *testing.F) {
-	space, _ := buildBigSpace(f, 3)
-	for _, cfg := range []struct {
-		version int
-		gz      bool
-	}{{1, false}, {1, true}, {2, false}, {2, true}} {
+// fuzzSeeds returns the seeds of the decoder fuzzers: six images — a
+// standalone image, raw and gzip'd; a chain base; a chain delta, raw
+// and gzip'd; a standalone image with its trailer cut off — each whole
+// and cut in half.
+func fuzzSeeds(f *testing.F) [][]byte {
+	space, regions := buildBigSpace(f, 3)
+	engine := func(gz bool) *Engine {
 		e := NewEngine()
-		e.ImageVersion = cfg.version
-		e.Gzip = cfg.gz
+		e.Gzip = gz
 		e.ShardSize = 2 * addrspace.PageSize
 		e.Register(&sectionPlugin{sizes: []int{100, 3000}})
+		return e
+	}
+	standalone := func(gz bool) []byte {
 		var img bytes.Buffer
-		if _, err := e.Checkpoint(context.Background(), &img, space); err != nil {
+		if _, err := engine(gz).Checkpoint(context.Background(), &img, space); err != nil {
 			f.Fatal(err)
 		}
-		f.Add(img.Bytes())
-		f.Add(img.Bytes()[:img.Len()/2])
+		return img.Bytes()
 	}
-	f.Add([]byte("CRACIMG2garbage"))
-	f.Add([]byte("CRACIMG1"))
+	chain := func(gz bool) (base, delta []byte) {
+		e := engine(gz)
+		var b, d bytes.Buffer
+		_, st, err := e.CheckpointDelta(context.Background(), &b, space, nil, "base")
+		if err != nil {
+			f.Fatal(err)
+		}
+		if err := space.WriteAt(regions[1].Start+addrspace.PageSize, []byte("dirty")); err != nil {
+			f.Fatal(err)
+		}
+		if _, _, err := e.CheckpointDelta(context.Background(), &d, space, st, "delta"); err != nil {
+			f.Fatal(err)
+		}
+		return b.Bytes(), d.Bytes()
+	}
+	raw := standalone(false)
+	base, delta := chain(false)
+	_, deltaGz := chain(true)
+	var seeds [][]byte
+	for _, img := range [][]byte{raw, standalone(true), base, delta, deltaGz, raw[:len(raw)-trailerSize]} {
+		seeds = append(seeds, img, img[:len(img)/2])
+	}
+	return seeds
+}
+
+// FuzzReadImage: the decoder must reject arbitrary mutations without
+// panicking or over-allocating.
+func FuzzReadImage(f *testing.F) {
+	for _, seed := range fuzzSeeds(f) {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		img, err := ReadImage(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
 		// A successfully parsed image must be internally consistent.
-		for i, rd := range img.Regions {
-			if uint64(len(rd.Data)) != rd.Len {
-				t.Fatalf("region %d: len %d != header %d", i, len(rd.Data), rd.Len)
-			}
+		if err := img.VerifyContent(); err != nil {
+			t.Fatal(err)
 		}
 	})
+}
+
+// hostileCounts are image headers whose counts promise far more entries
+// than follow: 2^20 shards after a 50-byte header, 2^20 sections after
+// 42 bytes, 2^20 regions after 38 (also committed to the fuzz corpora).
+func hostileCounts() map[string][]byte {
+	prologue := append(append([]byte(nil), imageMagic[:]...), make([]byte, 4+2+20)...)
+	le := binary.LittleEndian
+	return map[string][]byte{
+		"shards":   le.AppendUint32(le.AppendUint32(append(append([]byte(nil), prologue...), make([]byte, 8)...), DefaultShardSize), 1<<20),
+		"sections": le.AppendUint32(le.AppendUint32(append([]byte(nil), prologue...), 0), 1<<20),
+		"regions":  le.AppendUint32(append([]byte(nil), prologue...), 1<<20),
+	}
+}
+
+// TestReadImageAllocatesWhatArrives: a count claims nothing until its
+// entries arrive, so neither ReadImage nor OpenShardIndex allocates for
+// entries a short input never delivers.
+func TestReadImageAllocatesWhatArrives(t *testing.T) {
+	allocated := func(fn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	for name, b := range hostileCounts() {
+		for entry, parse := range map[string]func() error{
+			"ReadImage": func() error { _, err := ReadImage(bytes.NewReader(b)); return err },
+			"OpenShardIndex": func() error {
+				_, err := OpenShardIndex(bytes.NewReader(b), int64(len(b)))
+				return err
+			},
+		} {
+			var err error
+			if n := allocated(func() { err = parse() }); n > 1<<20 {
+				t.Errorf("%s of %d bytes claiming 2^20 %s allocated %d bytes", entry, len(b), name, n)
+			}
+			if !errors.Is(err, ErrBadImage) {
+				t.Errorf("%s of %d bytes claiming 2^20 %s = %v, want ErrBadImage", entry, len(b), name, err)
+			}
+		}
+	}
 }

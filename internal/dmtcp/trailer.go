@@ -19,18 +19,15 @@ import (
 // the wrong bytes altogether.
 var ErrCorruptImage = errors.New("dmtcp: corrupt checkpoint image")
 
-// The integrity trailer: appended after the image body by every writer
-// except the v1+gzip combination (whose body is read through a buffered
-// inflater that may overshoot the member's end; the gzip CRC covers
-// that body instead). The trailer is magic + body length + CRC-32C of
+// The integrity trailer: appended after every image body, and required
+// by every reader. The trailer is magic + body length + CRC-32C of
 // every body byte, magic included, so any single-bit flip anywhere in
 // the stream — headers, payload, or the trailer itself — is detected.
 // CRC-32C rather than a 64-bit hash because the checksum sits on the
 // checkpoint and restart critical paths: the stdlib implementation is
 // hardware-accelerated on amd64/arm64, so hashing costs well under a
-// millisecond per image instead of tens. Readers accept trailer-less
-// images for compatibility with pre-trailer writers; Image.Verified
-// reports which case was hit.
+// millisecond per image instead of tens. It is the only check that
+// covers a standalone image's payload and every image's header tables.
 var trailerMagic = [8]byte{'C', 'R', 'A', 'C', 'S', 'U', 'M', '1'}
 
 var trailerCRCTable = crc32.MakeTable(crc32.Castagnoli)
@@ -96,75 +93,66 @@ func (hr *hashingReader) Read(p []byte) (int, error) {
 
 // verifyTrailer applies checkTrailer to whatever follows the body the
 // parser just consumed through hr.
-func verifyTrailer(hr *hashingReader) (bool, error) {
+func verifyTrailer(hr *hashingReader) error {
 	bodyLen, bodySum := hr.n, hr.h.Sum64()
 	var tr [trailerSize + 1]byte
 	n, err := io.ReadFull(hr.r, tr[:])
 	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-		return false, err
+		return err
 	}
 	return checkTrailer(tr[:n], bodyLen, bodySum)
 }
 
 // checkTrailer classifies tail, the bytes that follow a fully-parsed
-// image body (at most trailerSize+1 of them): nothing (a legacy,
-// pre-trailer image: accepted, not verified), a matching trailer
-// (verified), or anything else — a partial trailer, a checksum or
-// length mismatch, bytes beyond the trailer — which all report
-// ErrCorruptImage. Strictness is safe because every image occupies its
-// own stream (a Store entry or file); there is no valid reason for
-// bytes past the trailer.
-func checkTrailer(tail []byte, bodyLen, bodySum uint64) (bool, error) {
+// image body (at most trailerSize+1 of them): anything but one matching
+// trailer — no trailer, a partial one, a checksum or length mismatch,
+// bytes beyond it — reports ErrCorruptImage. Strictness is safe because
+// every image occupies its own stream (a Store entry or file); there is
+// no valid reason for bytes past the trailer.
+func checkTrailer(tail []byte, bodyLen, bodySum uint64) error {
 	switch {
-	case len(tail) == 0:
-		return false, nil // legacy image: body ends the stream
 	case len(tail) < trailerSize:
-		return false, fmt.Errorf("%w: truncated trailer (%d of %d bytes)", ErrCorruptImage, len(tail), trailerSize)
+		return fmt.Errorf("%w: truncated trailer (%d of %d bytes)", ErrCorruptImage, len(tail), trailerSize)
 	case len(tail) > trailerSize:
-		return false, fmt.Errorf("%w: trailing bytes after image trailer", ErrCorruptImage)
+		return fmt.Errorf("%w: trailing bytes after image trailer", ErrCorruptImage)
 	}
 	if !bytes.Equal(tail[:8], trailerMagic[:]) {
-		return false, fmt.Errorf("%w: bad trailer magic %q", ErrCorruptImage, tail[:8])
+		return fmt.Errorf("%w: bad trailer magic %q", ErrCorruptImage, tail[:8])
 	}
 	if got := binary.LittleEndian.Uint64(tail[8:16]); got != bodyLen {
-		return false, fmt.Errorf("%w: trailer claims %d body bytes, read %d", ErrCorruptImage, got, bodyLen)
+		return fmt.Errorf("%w: trailer claims %d body bytes, read %d", ErrCorruptImage, got, bodyLen)
 	}
 	if binary.LittleEndian.Uint64(tail[16:24]) != bodySum {
-		return false, fmt.Errorf("%w: image checksum mismatch", ErrCorruptImage)
+		return fmt.Errorf("%w: image checksum mismatch", ErrCorruptImage)
 	}
-	return true, nil
+	return nil
 }
 
-// readFlags reads an image's four flag bytes and rejects any bit
-// outside known: no writer sets one, so it can only be damage — which a
-// v1+gzip image, having no trailer, would otherwise let through.
-func readFlags(r io.Reader, known byte) ([4]byte, error) {
+// readFlags reads an image's four flag bytes, returns the first, and
+// rejects any bit outside known: no writer sets one, so it can only be
+// damage.
+func readFlags(r io.Reader, known byte) (byte, error) {
 	var flags [4]byte
 	if _, err := io.ReadFull(r, flags[:]); err != nil {
-		return flags, fmt.Errorf("%w: flags: %v", ErrBadImage, err)
+		return 0, fmt.Errorf("%w: flags: %v", ErrBadImage, err)
 	}
 	if flags[0]&^known != 0 || flags[1]|flags[2]|flags[3] != 0 {
-		return flags, fmt.Errorf("%w: unknown flags %x", ErrBadImage, flags)
+		return 0, fmt.Errorf("%w: unknown flags %x", ErrBadImage, flags)
 	}
-	return flags, nil
+	return flags[0], nil
 }
 
 // VerifyTrailer applies ReadImage's integrity rule to the indexed image
 // without parsing it again: the scan already delimited the body, so one
 // sequential CRC-32C pass over it settles the trailer. It reports nil
-// for a matching trailer and for a legacy trailerless image, and
-// ErrCorruptImage for anything else. A v1+gzip index was decoded whole
-// through ReadImage, which drained the gzip member to its CRC footer, so
-// there is nothing left to check. v3 shards carry their own content
-// hashes, checked on every decode, but those do not cover the header
-// tables: only this pass does.
+// for a matching trailer and ErrCorruptImage for anything else. Chain
+// images' shards carry their own content hashes, checked on every
+// decode, but those do not cover the header tables, and a standalone
+// image's shards carry none: only this pass covers them.
 func (ix *ShardIndex) VerifyTrailer() error {
-	if ix.src == nil {
-		return nil
-	}
 	tail := make([]byte, min(ix.size-ix.bodyLen, trailerSize+1))
-	if err := readFullAt(ix.src, tail, ix.bodyLen); err != nil || len(tail) == 0 {
-		return err // a read failure, or a legacy image: nothing to check
+	if err := readFullAt(ix.src, tail, ix.bodyLen); err != nil {
+		return err
 	}
 	var h bodyHash
 	if ix.mem != nil {
@@ -181,8 +169,7 @@ func (ix *ShardIndex) VerifyTrailer() error {
 			off += int64(len(chunk))
 		}
 	}
-	_, err := checkTrailer(tail, uint64(ix.bodyLen), h.Sum64())
-	return err
+	return checkTrailer(tail, uint64(ix.bodyLen), h.Sum64())
 }
 
 // readFullAt fills p from an image source at off. A source that ends
@@ -203,7 +190,7 @@ func readFullAt(src io.ReaderAt, p []byte, off int64) error {
 
 // VerifyContent re-checks a parsed image's internal consistency: every
 // recorded per-shard content hash still matches the decoded bytes (for
-// an unmaterialized v3 delta) and every materialized region carries
+// an unmaterialized delta) and every materialized region carries
 // exactly the payload its header claims. ReadImage already enforces
 // both while parsing; VerifyContent exists for images held in memory —
 // a Verify pass over a long-lived Image, or one assembled by

@@ -113,9 +113,6 @@ func runPause(opt Options) ([]*Table, error) {
 				total += st.Duration
 				pause += st.PauseDuration
 				payload += st.PayloadWritten
-				if st.PayloadWritten == 0 { // v2 images carry no shard accounting
-					payload += st.RegionBytes + st.SectionBytes
-				}
 			}
 			return nil
 		}()

@@ -16,8 +16,8 @@ import (
 	"testing"
 )
 
-// sessionSnapshot checkpoints the session to a buffer (v2, blocking)
-// — the canonical "what does memory hold" probe: it reads every
+// sessionSnapshot checkpoints the session to a buffer (a standalone
+// image, blocking) — the canonical "what does memory hold" probe: it reads every
 // restored byte through the fault path.
 func sessionSnapshot(t testing.TB, s *Session) []byte {
 	t.Helper()
@@ -30,19 +30,25 @@ func sessionSnapshot(t testing.TB, s *Session) []byte {
 
 // TestLazyRestartByteIdentity checks that a restart, once drained,
 // leaves the session byte-identical to its own state at the cut —
-// across formats (v2 raw and gzip'd, v1, and an incremental v3 chain
-// whose shards resolve from base and deltas).
+// from a standalone image, raw and gzip'd, and from an incremental
+// chain whose shards resolve from base and deltas. The v1 and v2 rows
+// store the image under a retired format version instead: the restart
+// is refused before teardown, and the session stays byte-identical to
+// the cut all the same.
 func TestLazyRestartByteIdentity(t *testing.T) {
 	cases := []struct {
-		name  string
-		opts  []Option
-		chain bool
+		name    string
+		opts    []Option
+		chain   bool
+		retired byte // a retired version digit to store the image under
 	}{
-		{"v2", nil, false},
-		{"v2-gzip", []Option{WithGzip(1)}, false},
-		{"v1", []Option{WithImageVersion(1)}, false},
-		{"v1-gzip", []Option{WithImageVersion(1), WithGzip(1)}, false},
-		{"v3-chain", []Option{WithIncremental(8), WithShardSize(64 << 10)}, true},
+		{"standalone", nil, false, 0},
+		{"standalone-gzip", []Option{WithGzip(1)}, false, 0},
+		{"v3-chain", []Option{WithIncremental(8), WithShardSize(64 << 10)}, true, 0},
+		{"v1", nil, false, '1'},
+		{"v1-gzip", []Option{WithGzip(1)}, false, '1'},
+		{"v2", nil, false, '2'},
+		{"v2-gzip", []Option{WithGzip(1)}, false, '2'},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -71,6 +77,16 @@ func TestLazyRestartByteIdentity(t *testing.T) {
 
 			// Reference: the source itself, at the cut.
 			want := sessionSnapshot(t, s)
+			if tc.retired != 0 {
+				putBytes(t, store, tip, retiredImage(conformGet(t, store, tip), tc.retired))
+				if _, err := s.RestartAsync(ctx, store, tip); !errors.Is(err, ErrUnsupportedVersion) {
+					t.Fatalf("RestartAsync from a retired image = %v, want ErrUnsupportedVersion", err)
+				}
+				if got := sessionSnapshot(t, s); !bytes.Equal(want, got) {
+					t.Fatal("a refused restart changed the session")
+				}
+				return
+			}
 
 			// Restart the source in place.
 			p, err := s.RestartAsync(ctx, store, tip)

@@ -79,9 +79,10 @@ func closeAll(closers []io.Closer) {
 // Verification runs here, before anything is torn down: a member's
 // trailer is checked in one sequential pass when the restart is waited
 // (it reads every byte anyway), when the member is held in memory (the
-// pass costs no I/O), and when the member has no per-shard hashes (v1,
-// v2). Only an unwaited restart of a v3 member read by offset relies on
-// the shard hashes alone, checked as each shard decodes.
+// pass costs no I/O), and when the member has no per-shard hashes (a
+// standalone image). Only an unwaited restart of a chain member read by
+// offset relies on the shard hashes alone, checked as each shard
+// decodes.
 func openIndexChain(ctx context.Context, store Store, name string, wait bool) ([]*dmtcp.ShardIndex, []io.Closer, error) {
 	var chain []*dmtcp.ShardIndex
 	var closers []io.Closer
@@ -104,7 +105,7 @@ func openIndexChain(ctx context.Context, store Store, name string, wait bool) ([
 			open = dmtcp.OpenShardIndexWhole
 		}
 		ix, err := open(src, size)
-		if err == nil && (wait || ix.InMemory() || ix.Version < 3) {
+		if err == nil && (wait || ix.InMemory() || ix.Unhashed) {
 			err = ix.VerifyTrailer()
 		}
 		if err != nil {

@@ -18,7 +18,7 @@ import (
 // (ErrImageNotFound: not stored, quarantined, or not an image).
 type lineageNode struct {
 	parent   string // "" for a base
-	id       uint64 // 0: none (v1/v2) or unknown (a manifest read raw)
+	id       uint64 // 0: none (a standalone image) or unknown (a manifest read raw)
 	parentID uint64 // 0: binds to whatever the parent name holds
 	err      error
 }

@@ -135,8 +135,9 @@ func TestLineageGraphQueries(t *testing.T) {
 }
 
 // storedEntries returns one stored entry of every kind the lineage
-// header reader meets: v1 and v2 images, a v3 base and delta, and the
-// raw manifest of a delta written through a CASStore.
+// header reader meets: standalone images (raw and gzip'd), a chain base
+// and delta, and the raw manifest of a delta written through a
+// CASStore.
 func storedEntries(tb testing.TB) map[string][]byte {
 	tb.Helper()
 	ctx := context.Background()
@@ -158,14 +159,14 @@ func storedEntries(tb testing.TB) map[string][]byte {
 			tb.Fatal(err)
 		}
 	}
-	for _, v := range []int{1, 2} {
-		s, err := New(WithImageVersion(v))
+	for name, opts := range map[string][]Option{"standalone": nil, "standalone-gzip": {WithGzip(1)}} {
+		s, err := New(opts...)
 		if err != nil {
 			tb.Fatal(err)
 		}
 		mem := NewMemStore()
 		checkpoint(s, mem, "img")
-		out[fmt.Sprintf("v%d", v)] = get(mem, "img")
+		out[name] = get(mem, "img")
 		s.Close()
 	}
 	s, err := New(WithShardSize(64<<10), WithIncremental(8))
@@ -219,8 +220,8 @@ func TestLineageHeaderReadsPrologueOnly(t *testing.T) {
 		want     lineageNode
 		prologue int
 	}{
-		{"v1", lineageNode{}, 12},
-		{"v2", lineageNode{}, 12},
+		{"standalone", lineageNode{}, 8 + 4 + 2 + 20},
+		{"standalone-gzip", lineageNode{}, 8 + 4 + 2 + 20},
 		{"base", lineageNode{id: base.Delta.ID()}, 8 + 4 + 2 + 20},
 		{"delta", lineageNode{parent: "base", parentID: base.Delta.ID()}, 8 + 4 + 2 + len("base") + 20},
 		{"manifest", lineageNode{parent: "m0"}, 8 + 2 + 2 + len("m0") + 4 + 8},
@@ -248,8 +249,8 @@ func TestLineageHeaderReadsPrologueOnly(t *testing.T) {
 // FuzzLineageHeader feeds the one lineage header reader arbitrary
 // bytes, streamed and by offset. Both ways must agree; a failure must
 // be classified; an accepted prologue must parse the same from the
-// bytes read alone. Seeds: v1, v2, v3 base and v3 delta prologues and
-// a manifest's.
+// bytes read alone. Seeds: standalone (raw and gzip'd), chain base and
+// delta prologues and a manifest's.
 func FuzzLineageHeader(f *testing.F) {
 	for _, b := range storedEntries(f) {
 		f.Add(b[:min(len(b), 256)])

@@ -13,18 +13,17 @@ type Option func(*settings)
 
 // settings is the resolved option set.
 type settings struct {
-	prop         gpusim.Properties
-	switcher     SwitcherKind
-	gzip         bool
-	gzipLevel    int
-	workers      int
-	shardSize    int
-	imageVersion int
-	incremental  int // max deltas per base; 0 = incremental off
-	aslr         bool
-	aslrSeed     int64
-	retry        *RetryPolicy        // nil: no store retry wrapping
-	budget       *dmtcp.WorkerBudget // nil: per-process default pools
+	prop        gpusim.Properties
+	switcher    SwitcherKind
+	gzip        bool
+	gzipLevel   int
+	workers     int
+	shardSize   int
+	incremental int // max deltas per base; 0 = incremental off
+	aslr        bool
+	aslrSeed    int64
+	retry       *RetryPolicy        // nil: no store retry wrapping
+	budget      *dmtcp.WorkerBudget // nil: per-process default pools
 
 	deviceArenaChunk  uint64
 	pinnedArenaChunk  uint64
@@ -71,21 +70,15 @@ func WithWorkers(n int) Option {
 	return func(s *settings) { s.workers = n }
 }
 
-// WithShardSize overrides the v2 image shard granularity in bytes
-// (0 = the format default).
+// WithShardSize overrides the image shard granularity in bytes (0 =
+// the format default). A chain whose shard size changes rotates to a
+// fresh base.
 func WithShardSize(bytes int) Option {
 	return func(s *settings) { s.shardSize = bytes }
 }
 
-// WithImageVersion pins the written image format: 2 (or 0) for the
-// chunked parallel layout, 1 for the legacy serial layout. Readers
-// accept both regardless.
-func WithImageVersion(v int) Option {
-	return func(s *settings) { s.imageVersion = v }
-}
-
 // WithIncremental enables incremental checkpointing: CheckpointTo
-// writes a full v3 base image, then up to n delta images — each
+// writes a full base image, then up to n delta images — each
 // carrying only the memory pages and allocation bytes written since its
 // parent — before rotating to a fresh base. Deltas name their parent
 // image, so restoring the chain tip transparently materializes

@@ -171,7 +171,6 @@ func newSession(cfg settings) (*Session, error) {
 	engine.GzipLevel = cfg.gzipLevel
 	engine.Workers = cfg.workers
 	engine.ShardSize = cfg.shardSize
-	engine.ImageVersion = cfg.imageVersion
 	engine.Budget = cfg.budget
 	engine.Register(plugin)
 	return &Session{
@@ -312,11 +311,11 @@ func toWriter(w io.Writer) putFunc {
 }
 
 // lineage is a checkpoint's prev-policy: which image, if any, it is a
-// delta against. The zero value writes a self-contained image in the
-// configured format and leaves the session's chain alone.
+// delta against. The zero value writes a standalone image and leaves
+// the session's chain alone.
 type lineage struct {
-	// incremental writes v3 and stages the plugin's skip baseline, which
-	// is promoted when the image commits.
+	// incremental writes a chain image and stages the plugin's skip
+	// baseline, which is promoted when the image commits.
 	incremental bool
 	// chain, when set, is the store holding the session's own
 	// WithIncremental chain: the parent is resolved from s.incr under the
