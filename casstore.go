@@ -44,9 +44,9 @@ const existsBatchWindow = 16
 // unchanged, so an existing store can adopt CAS in place.
 //
 // Deleting an image removes only its manifest; unreferenced chunks are
-// swept by GC (Compact runs it after squashing a chain). Concurrent
-// Put/Get against GC is safe on one CASStore instance; run GC from a
-// single owner per backing.
+// swept by GC (the Supervisor's CompactAfter step runs it after
+// Compact). Concurrent Put/Get against GC is safe on one CASStore
+// instance; run GC from a single owner per backing.
 type CASStore struct {
 	backing Store
 

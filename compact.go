@@ -2,7 +2,6 @@ package crac
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -19,14 +18,11 @@ type CompactStats struct {
 	Depth int
 	// Squashed lists the ancestors folded into the new base, tip-most
 	// first; Deleted the subset actually removed, Retained the subset
-	// kept because another lineage (or an unreadable entry, resolved
-	// conservatively) still reaches them.
+	// kept because another live image reaches them, or might (a live
+	// header that cannot be read). Their chunks stay until CASStore.GC.
 	Squashed []string
 	Deleted  []string
 	Retained []string
-	// ChunksSwept counts unreferenced chunks GC'd when store is a
-	// CASStore (0 otherwise).
-	ChunksSwept int
 }
 
 // Compact squashes the delta chain under tip into a single
@@ -38,40 +34,38 @@ type CompactStats struct {
 // and applies against the compacted base; deltas the session writes
 // while Compact runs land on top untouched.
 //
-// Ancestors the squash strands are then deleted unless another live
-// image still reaches them in the store's lineage graph; a header that
-// cannot be read retains them all — Compact never trades safety for
-// space. When store is a *CASStore, a chunk GC pass runs afterwards
-// to sweep payload chunks only the condemned images referenced.
-//
-// The chain is verified (VerifyChain) before squashing; a corrupt
-// member aborts with its error and the store unchanged. Run Compact
-// from one maintenance owner per store — e.g. the Supervisor's
-// CompactAfter hook — not concurrently with itself.
+// Each member is read once, checked as it is read (trailer, shard
+// hashes, parent identity, cycles, depth); a member that fails aborts
+// with its error and the store unchanged. The squashed ancestors are
+// then condemned by DirStore retention's rule: deleted unless a live
+// image reaches them, and all kept when a live header cannot be read.
+// Through a CASStore that deletes manifests only; CASStore.GC sweeps
+// their chunks (the Supervisor's CompactAfter step runs both). Run
+// Compact from one maintenance owner per store, not concurrently with
+// itself.
 func Compact(ctx context.Context, store Store, tip string) (*CompactStats, error) {
 	if err := validateImageName(tip); err != nil {
 		return nil, err
 	}
 	st := &CompactStats{Tip: tip}
 
-	head, err := readNode(ctx, store, tip)
+	// One header graph names the squashed members and, once the new base
+	// commits, condemns them.
+	g := storeLineage(ctx, store)
+	head := g.node(tip)
 	switch {
-	case err != nil:
-		return nil, err
+	case head.err != nil:
+		return nil, head.err
 	case head.parent == "":
 		return st, nil // already a base
 	case head.id == 0:
 		return nil, fmt.Errorf("%w: tip %q carries no identity; compacting it would orphan its children", ErrDeltaChain, tip)
 	}
-
-	// Verify the whole chain first: a squash must only ever replace a
-	// chain it could faithfully resolve.
-	chain, err := VerifyChain(ctx, store, tip)
+	squashed, err := g.ancestors(tip)
 	if err != nil {
 		return nil, err
 	}
-	st.Depth = len(chain) - 1
-	st.Squashed = append(st.Squashed, chain[1:]...)
+	st.Depth, st.Squashed = len(squashed), squashed
 
 	// Materialize base + deltas and re-emit as a base under the tip's
 	// identity. Mirror the chain's own encoding so later deltas keep
@@ -90,61 +84,17 @@ func Compact(ctx context.Context, store Store, tip string) (*CompactStats, error
 		return nil, fmt.Errorf("crac: compact %q: writing base: %w", tip, err)
 	}
 
-	// Condemnation: the squashed ancestors are garbage unless some
-	// other live image's lineage still runs through them. The new base
-	// is already committed, so walks through tip stop there and never
-	// keep the old chain alive.
+	// Walks through the committed base stop there. A listing that fails
+	// keeps everything; the space is reclaimable later.
+	g.nodes[tip] = &lineageNode{id: head.id}
 	names, err := store.List(ctx)
-	var keep map[string]bool
-	if err == nil {
-		var live []string
-		for _, n := range names {
-			if !slices.Contains(st.Squashed, n) {
-				live = append(live, n)
-			}
-		}
-		keep, err = storeLineage(ctx, store).closure(live)
-	}
 	if err != nil {
-		// Best-effort: space is reclaimable later, and an unreadable
-		// lineage might reach anything.
-		st.Retained = append(st.Retained, st.Squashed...)
+		st.Retained = squashed
 		return st, nil
 	}
-	for _, n := range st.Squashed {
-		if keep[n] {
-			st.Retained = append(st.Retained, n)
-			continue
-		}
-		if derr := store.Delete(ctx, n); derr != nil && !errors.Is(derr, ErrImageNotFound) {
-			st.Retained = append(st.Retained, n)
-			continue
-		}
-		st.Deleted = append(st.Deleted, n)
-	}
-
-	if cs := asCASStore(store); cs != nil {
-		gcst, gerr := cs.GC(ctx)
-		if gerr != nil {
-			return st, nil // chunks stay; the next GC sweeps them
-		}
-		st.ChunksSwept = gcst.Swept
-	}
+	live := slices.DeleteFunc(names, func(n string) bool { return slices.Contains(squashed, n) })
+	st.Deleted, st.Retained = condemn(g, live, squashed, func(n string) error {
+		return store.Delete(ctx, n)
+	})
 	return st, nil
-}
-
-// asCASStore unwraps decorators (WithRetry) down to a *CASStore, or
-// nil when there is none.
-func asCASStore(store Store) *CASStore {
-	for store != nil {
-		if cs, ok := store.(*CASStore); ok {
-			return cs
-		}
-		u, ok := store.(interface{ Unwrap() Store })
-		if !ok {
-			return nil
-		}
-		store = u.Unwrap()
-	}
-	return nil
 }

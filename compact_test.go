@@ -10,9 +10,11 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -157,6 +159,79 @@ func TestCompactBaseIsNoOp(t *testing.T) {
 	}
 }
 
+// storeSnapshot returns every stored name's bytes.
+func storeSnapshot(t *testing.T, store Store) map[string][]byte {
+	t.Helper()
+	names, err := store.List(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte, len(names))
+	for _, n := range names {
+		out[n] = conformGet(t, store, n)
+	}
+	return out
+}
+
+// TestCompactRefusesBrokenChain pins Compact's refusal contract on a
+// depth-3 chain: a flipped bit in any member, a parent rebound to other
+// content, or a missing parent fails the call with a classified error,
+// and every stored name is byte-identical afterwards.
+func TestCompactRefusesBrokenChain(t *testing.T) {
+	ctx := context.Background()
+	chain := []string{"g0", "g1", "g2", "g3"}
+	type row struct {
+		name   string
+		damage func(t *testing.T, store Store)
+	}
+	var rows []row
+	// Offsets into the magic, the flags, a delta's parent name and
+	// identities, the payload, and the trailer.
+	for _, m := range chain {
+		for _, at := range []string{"0", "9", "14", "24", "n/4", "n/2", "3n/4", "n-1"} {
+			rows = append(rows, row{"flip-" + m + "@" + at, func(t *testing.T, store Store) {
+				b := conformGet(t, store, m)
+				n := len(b)
+				off := map[string]int{"0": 0, "9": 9, "14": 14, "24": 24, "n/4": n / 4, "n/2": n / 2, "3n/4": 3 * n / 4, "n-1": n - 1}[at]
+				b[off] ^= 0x40
+				conformPut(t, store, m, b)
+			}})
+		}
+	}
+	rows = append(rows,
+		row{"rebound-parent", func(t *testing.T, store Store) {
+			other, d := newChainSession(t)
+			if err := other.Runtime().Memset(d, 0x5a, 8192); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := other.CheckpointTo(ctx, store, "g1"); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		row{"missing-parent", func(t *testing.T, store Store) {
+			if err := store.Delete(ctx, "g1"); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	)
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			store := NewMemStore()
+			s, d := newChainSession(t)
+			buildChain(t, s, d, store, chain...)
+			r.damage(t, store)
+			before := storeSnapshot(t, store)
+			_, err := Compact(ctx, store, "g3")
+			if !errors.Is(err, ErrCorruptImage) && !errors.Is(err, ErrBadImage) && !errors.Is(err, ErrDeltaChain) {
+				t.Fatalf("Compact = %v, want ErrCorruptImage, ErrBadImage or ErrDeltaChain", err)
+			}
+			if after := storeSnapshot(t, store); !reflect.DeepEqual(after, before) {
+				t.Fatal("a refused Compact changed the store")
+			}
+		})
+	}
+}
+
 // TestCompactRetainsSharedAncestors pins the lineage rule: a condemned
 // ancestor another live lineage still reaches must survive compaction.
 // The fork is a second delta recording the same parent — byte-for-byte
@@ -276,6 +351,9 @@ func TestCompactTortureConcurrentWriter(t *testing.T) {
 		before := chainDigest(t, cstore, tip)
 		if _, err := Compact(ctx, cstore, tip); err != nil {
 			t.Fatalf("Compact(%s) under concurrent writer: %v", tip, err)
+		}
+		if _, err := cstore.GC(ctx); err != nil {
+			t.Fatalf("GC after compacting %s under concurrent writer: %v", tip, err)
 		}
 		if after := chainDigest(t, cstore, tip); after != before {
 			t.Fatalf("restored bytes of %s changed across compaction", tip)

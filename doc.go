@@ -194,15 +194,17 @@
 // Compact squashes a delta chain's base + k deltas into one
 // self-contained base from stored bytes alone — no session, no
 // quiesce, safe while the writing session keeps checkpointing — then
-// deletes the squashed ancestors no other lineage needs:
+// condemns the squashed ancestors no other lineage needs; GC sweeps
+// the chunks they alone referenced:
 //
-//	st, err := crac.Compact(ctx, store, "gen042")
+//	st, err := crac.Compact(ctx, cs, "gen042")
 //	fmt.Println("depth", st.Depth, "freed", st.Deleted)
+//	_, err = cs.GC(ctx)
 //
 // The compacted tip restores byte-identically to the chain it
 // replaced and keeps the identity live deltas bind to.
-// SupervisorConfig.CompactAfter runs it automatically whenever the
-// chain depth reaches the bound.
+// SupervisorConfig.CompactAfter runs both whenever the chain depth
+// reaches the bound.
 //
 // # Fault tolerance
 //

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -14,8 +13,8 @@ import (
 )
 
 // lineageNode is one stored image as the lineage graph sees it: its
-// header's parent link and identities, or why it cannot be read
-// (ErrImageNotFound: not stored, quarantined, or not an image).
+// header's parent link and identities, or why it has none: no image
+// there (notAnImage), or a read that failed.
 type lineageNode struct {
 	parent   string // "" for a base
 	id       uint64 // 0: none (a standalone image) or unknown (a manifest read raw)
@@ -109,23 +108,6 @@ func (g *lineageGraph) ancestors(name string) ([]string, error) {
 	return out, broken
 }
 
-// closure returns seeds plus every name they reach, and the error of a
-// stored member that cannot be read, whose ancestry is thus unknown.
-func (g *lineageGraph) closure(seeds []string) (map[string]bool, error) {
-	out := make(map[string]bool, len(seeds))
-	var unreadable error
-	for _, s := range seeds {
-		anc, _ := g.ancestors(s)
-		for _, m := range append(anc, s) {
-			out[m] = true
-			if err := g.node(m).err; !errors.Is(err, ErrImageNotFound) {
-				unreadable = cmp.Or(unreadable, err)
-			}
-		}
-	}
-	return out, unreadable
-}
-
 // tips returns, sorted, the readable images no other names as parent.
 func (g *lineageGraph) tips() []string {
 	named := make(map[string]bool, len(g.nodes))
@@ -145,22 +127,45 @@ func (g *lineageGraph) tips() []string {
 // readNode is the one lineage header reader: a RandomAccessStore serves
 // the prologue's bytes alone — a CASStore from the manifest's inline
 // bytes, fetching no chunk — and any other store's stream is closed
-// after them.
+// after them. A read that fails mid-header reports that failure, not
+// a malformed header.
 func readNode(ctx context.Context, store Store, name string) (*lineageNode, error) {
+	er := &readErrReader{}
 	if ras, ok := store.(RandomAccessStore); ok {
 		ra, size, err := ras.GetAt(ctx, name)
 		if err != nil {
 			return nil, wrapCancelled(err)
 		}
 		defer ra.Close()
-		return parseHeader(io.NewSectionReader(ra, 0, size))
+		er.r = io.NewSectionReader(ra, 0, size)
+	} else {
+		rc, err := store.Get(ctx, name)
+		if err != nil {
+			return nil, wrapCancelled(err)
+		}
+		defer rc.Close()
+		er.r = rc
 	}
-	rc, err := store.Get(ctx, name)
-	if err != nil {
-		return nil, wrapCancelled(err)
+	n, err := parseHeader(er)
+	if er.err != nil {
+		return nil, wrapCancelled(fmt.Errorf("image %q: reading header: %w", name, er.err))
 	}
-	defer rc.Close()
-	return parseHeader(rc)
+	return n, err
+}
+
+// readErrReader remembers the first read error that is not the end of
+// the data.
+type readErrReader struct {
+	r   io.Reader
+	err error
+}
+
+func (e *readErrReader) Read(p []byte) (int, error) {
+	n, err := e.r.Read(p)
+	if err != nil && err != io.EOF && e.err == nil {
+		e.err = err
+	}
+	return n, err
 }
 
 // parseHeader parses the lineage fields of an image's prologue, or of

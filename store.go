@@ -256,11 +256,14 @@ type DirStore struct {
 	Dir string
 	// Keep bounds how many images survive a Put: after a successful
 	// write, only the Keep most recent images (by modification time)
-	// are retained — plus every ancestor an incremental (v3) delta
-	// chain among them still needs: retention never orphans a chain by
+	// are retained — plus every ancestor an incremental delta chain
+	// among them still needs: retention never orphans a chain by
 	// deleting a base or an intermediate delta that a retained image
-	// depends on. Keep <= 0 retains everything. Retention is
-	// best-effort — it never fails an already-committed Put.
+	// depends on. A retained file that is no image keeps only itself;
+	// a retained image whose header cannot be read might need any
+	// other, so that pass deletes nothing. Keep <= 0 retains
+	// everything. Retention is best-effort — it never fails an
+	// already-committed Put.
 	Keep int
 	// NoSync drops the fsync barriers from Put and retention (see
 	// WithNoSync).
@@ -320,77 +323,60 @@ func (s *DirStore) Put(ctx context.Context, name string, write func(io.Writer) e
 	return nil
 }
 
-// prune applies the retention policy, never touching the image that was
-// just written, anything written after it (a concurrent Put's image
-// belongs to that Put's retention window, not this one's), or any
-// ancestor a retained delta chain still needs. Best-effort: images it
-// cannot list, parse, or remove are simply retained until a later Put.
+// prune applies the retention policy through condemn, never touching
+// the image that was just written, anything written after it, or any
+// ancestor a retained image still reaches. Best-effort: images it
+// cannot list or remove are retained until a later Put, and a retained
+// header it cannot read retains everything.
 func (s *DirStore) prune(justWritten string) {
 	if s.Keep <= 0 {
 		return
 	}
 	s.pruneMu.Lock()
 	defer s.pruneMu.Unlock()
-	entries, err := os.ReadDir(s.Dir)
-	if err != nil {
-		return
-	}
-	type img struct {
-		name string
-		info fs.FileInfo
-	}
-	var imgs []img
-	var justInfo fs.FileInfo
-	infoByName := make(map[string]fs.FileInfo)
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), imageExt) {
-			continue
-		}
-		name := strings.TrimSuffix(e.Name(), imageExt)
-		// Quarantined images are forensic artifacts: they neither count
-		// toward Keep nor anchor a lineage closure, and prune never
-		// removes them — Scrub moved them aside, a human removes them.
-		if Quarantined(name) {
-			continue
-		}
+	var names []string
+	infos := make(map[string]fs.FileInfo)
+	err := s.scan(func(name string, e fs.DirEntry) {
 		// Content-addressed chunk payloads (a CASStore layered over this
 		// DirStore) are not images: they neither count toward Keep nor
 		// get removed here — only the CAS layer's GC can prove a chunk
 		// unreferenced.
 		if cas.IsChunkName(name) {
-			continue
+			return
 		}
-		info, err := e.Info()
-		if err != nil {
-			continue // raced with a concurrent delete
+		if info, err := e.Info(); err == nil { // else raced with a concurrent delete
+			names = append(names, name)
+			infos[name] = info
 		}
-		if name == justWritten {
-			justInfo = info
-		}
-		infoByName[name] = info
-		imgs = append(imgs, img{name: name, info: info})
+	})
+	if err != nil {
+		return
 	}
 	// Newest first; equal timestamps break on name so pruning is
 	// deterministic within one fast generation burst.
-	sort.Slice(imgs, func(i, j int) bool {
-		ti, tj := imgs[i].info.ModTime(), imgs[j].info.ModTime()
+	sort.Slice(names, func(i, j int) bool {
+		ti, tj := infos[names[i]].ModTime(), infos[names[j]].ModTime()
 		if !ti.Equal(tj) {
 			return ti.After(tj)
 		}
-		return imgs[i].name > imgs[j].name
+		return names[i] > names[j]
 	})
-	newest := []string{justWritten}
-	for _, im := range imgs[:min(s.Keep, len(imgs))] {
-		newest = append(newest, im.name)
+	// The just-written image and the Keep newest are the seeds; every
+	// older image is a candidate, except one a concurrent Put wrote
+	// after ours (it belongs to that Put's retention window).
+	seeds, just := []string{justWritten}, infos[justWritten]
+	var candidates []string
+	for i, name := range names {
+		switch {
+		case i < s.Keep:
+			seeds = append(seeds, name)
+		case just == nil || !infos[name].ModTime().After(just.ModTime()):
+			candidates = append(candidates, name)
+		}
 	}
-	// Chain closure: every retained image's ancestry survives too, or a
-	// surviving delta could never be materialized again. An unreadable
-	// header ends its walk: that image is kept, its ancestors are judged
-	// by the rest of the graph.
 	g := &lineageGraph{nodes: map[string]*lineageNode{}, read: func(name string) (*lineageNode, error) {
-		return s.node(name, infoByName[name])
+		return s.node(name, infos[name])
 	}}
-	retained, _ := g.closure(newest)
 	// Ordering: by the time retention runs, Put has already fsynced the
 	// just-written image and its directory entry (unless NoSync), so
 	// every image the survivors depend on is durable before anything is
@@ -399,19 +385,10 @@ func (s *DirStore) prune(justWritten string) {
 	// closing dir sync makes the removals themselves durable, so a
 	// pruned parent cannot reappear after a crash and masquerade as a
 	// live chain member.
-	removed := false
-	for _, im := range imgs {
-		if retained[im.name] {
-			continue
-		}
-		if justInfo != nil && im.info.ModTime().After(justInfo.ModTime()) {
-			continue // a concurrent Put's fresher image: not ours to judge
-		}
-		if os.Remove(s.path(im.name)) == nil {
-			removed = true
-		}
-	}
-	if removed && !s.NoSync {
+	deleted, _ := condemn(g, seeds, candidates, func(name string) error {
+		return os.Remove(s.path(name))
+	})
+	if len(deleted) > 0 && !s.NoSync {
 		syncDir(s.Dir)
 	}
 }
@@ -460,50 +437,40 @@ func (s *DirStore) List(ctx context.Context) ([]string, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	entries, err := os.ReadDir(s.Dir)
-	if err != nil {
-		return nil, err
-	}
 	var names []string
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), imageExt) {
-			continue
-		}
-		name := strings.TrimSuffix(e.Name(), imageExt)
-		// Images Scrub quarantined are dead to the store: chain
-		// resolution, retention, and re-scrubs must never consider them
-		// live. They stay on disk (Get by exact name still works) for
-		// forensics only.
-		if Quarantined(name) {
-			continue
-		}
-		names = append(names, name)
+	if err := s.scan(func(name string, _ fs.DirEntry) { names = append(names, name) }); err != nil {
+		return nil, err
 	}
 	sort.Strings(names)
 	return names, nil
 }
 
-// Len implements CountingStore: the live (non-quarantined) image
-// count, with no name slice built or sorted.
+// Len implements CountingStore: the live image count, with no name
+// slice built or sorted.
 func (s *DirStore) Len(ctx context.Context) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
+	n := 0
+	err := s.scan(func(string, fs.DirEntry) { n++ })
+	return n, err
+}
+
+// scan calls fn for each live image file in the directory. Images
+// Scrub quarantined are dead to the store: chain resolution,
+// retention, and re-scrubs must never consider them live. They stay on
+// disk (Get by exact name still works) for forensics only.
+func (s *DirStore) scan(fn func(name string, e fs.DirEntry)) error {
 	entries, err := os.ReadDir(s.Dir)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	n := 0
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), imageExt) {
-			continue
+		if name, ok := strings.CutSuffix(e.Name(), imageExt); ok && !e.IsDir() && !Quarantined(name) {
+			fn(name, e)
 		}
-		if Quarantined(strings.TrimSuffix(e.Name(), imageExt)) {
-			continue
-		}
-		n++
 	}
-	return n, nil
+	return nil
 }
 
 // Delete implements Store.

@@ -30,10 +30,11 @@ type SupervisorConfig struct {
 	// OnEvent, when set, observes the supervisor's state transitions.
 	// Called synchronously; keep it fast.
 	OnEvent func(SupervisorEvent)
-	// CompactAfter, when > 0, runs Compact on a checkpoint whose delta
-	// chain reaches that depth — maintenance riding the supervision
-	// loop, so chain depth (and lazy-restart fault chains) stays
-	// bounded without ever pausing the session. 0 disables compaction.
+	// CompactAfter, when > 0, runs Compact, then GC on a CASStore, on a
+	// checkpoint whose delta chain reaches that depth — maintenance
+	// riding the supervision loop, so chain depth (and lazy-restart
+	// fault chains) stays bounded without ever pausing the session. 0
+	// disables compaction.
 	CompactAfter int
 }
 
@@ -220,13 +221,15 @@ func (sv *Supervisor) Checkpoint(ctx context.Context) error {
 	sv.emit(SupervisorEvent{Kind: "checkpoint", Name: name})
 
 	// Maintenance: a chain that has grown past the configured depth is
-	// squashed in place. The session keeps running — Compact works from
-	// stored bytes alone — and a compaction failure never fails the
-	// checkpoint that triggered it.
+	// squashed in place and its stranded chunks swept. The session keeps
+	// running, and a failure never fails the checkpoint that triggered it.
 	if sv.cfg.CompactAfter > 0 && st.DeltaDepth >= sv.cfg.CompactAfter {
 		if _, cerr := Compact(ctx, sv.store, name); cerr != nil {
 			sv.emit(SupervisorEvent{Kind: "compact-failed", Name: name, Err: cerr})
 		} else {
+			if cs := asCASStore(sv.cfg.Store); cs != nil {
+				cs.GC(ctx) // a chunk it leaves, the next GC sweeps
+			}
 			sv.mu.Lock()
 			sv.stats.Compactions++
 			sv.mu.Unlock()
@@ -234,6 +237,21 @@ func (sv *Supervisor) Checkpoint(ctx context.Context) error {
 		}
 	}
 	return nil
+}
+
+// asCASStore unwraps decorators (WithRetry) down to a *CASStore, or
+// nil when there is none.
+func asCASStore(store Store) *CASStore {
+	for {
+		switch s := store.(type) {
+		case *CASStore:
+			return s
+		case interface{ Unwrap() Store }:
+			store = s.Unwrap()
+		default:
+			return nil
+		}
+	}
 }
 
 // Recover restarts the session from the newest verified checkpoint
@@ -310,20 +328,19 @@ func (sv *Supervisor) recoverLocked(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		// Only a fully verified chain is worth restarting from: a
-		// corrupt tip falls back to its predecessor instead of failing
-		// the restart halfway through a teardown.
-		if _, err := VerifyChain(ctx, sv.store, c.name); err != nil {
-			sv.emit(SupervisorEvent{Kind: "verify-skip", Name: c.name, Err: err})
-			continue
-		}
 		sess, err := sv.cfg.Factory()
 		if err != nil {
 			return fmt.Errorf("crac: supervisor factory: %w", err)
 		}
+		// The restart verifies the whole chain before any teardown: a
+		// corrupt tip is refused there and falls back to its predecessor.
 		if err := sess.RestartFrom(ctx, sv.store, c.name); err != nil {
 			sess.Close()
-			sv.emit(SupervisorEvent{Kind: "restart-failed", Name: c.name, Err: err})
+			kind := "restart-failed"
+			if notAnImage(err) || errors.Is(err, ErrCorruptImage) || errors.Is(err, ErrDeltaChain) {
+				kind = "verify-skip"
+			}
+			sv.emit(SupervisorEvent{Kind: kind, Name: c.name, Err: err})
 			continue
 		}
 		finish(sess, c.name, false)

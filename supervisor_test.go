@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 	"time"
 
@@ -273,5 +274,117 @@ func TestSupervisorRunHonorsContext(t *testing.T) {
 	err := f.sv.Run(ctx)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Run = %v, want ctx deadline", err)
+	}
+}
+
+// TestSupervisorRecoveryReadsEachMemberOnce: recovering from an intact
+// depth-4 chain fetches each member's bytes once — the restart that
+// verifies the chain is the read that restores it.
+func TestSupervisorRecoveryReadsEachMemberOnce(t *testing.T) {
+	ctx := context.Background()
+	store := newCountingStore()
+	const depth = 4
+	var buf uint64 // device buffer (address stable: no ASLR)
+	sv, err := NewSupervisor(SupervisorConfig{
+		Factory: func() (*Session, error) {
+			s, err := New(WithWorkers(0), WithShardSize(64<<10), WithIncremental(depth+1))
+			if err != nil {
+				return nil, err
+			}
+			if buf, err = s.Runtime().Malloc(256 << 10); err != nil {
+				s.Close()
+				return nil, err
+			}
+			return s, nil
+		},
+		Store:  store,
+		Prefix: "g",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sv.Close)
+	var chain []string
+	for i := 0; i <= depth; i++ {
+		if err := sv.Session().Runtime().Memset(buf+uint64(i)*4096, byte(i+1), 4096); err != nil {
+			t.Fatal(err)
+		}
+		if err := sv.Checkpoint(ctx); err != nil {
+			t.Fatalf("Checkpoint: %v", err)
+		}
+		chain = append(chain, sv.genName(i))
+	}
+	if _, err := VerifyChain(ctx, store, chain[depth]); err != nil {
+		t.Fatalf("the supervised images do not form one chain: %v", err)
+	}
+
+	sv.ReportFailure(errors.New("injected kill"))
+	store.reset()
+	if err := sv.Recover(ctx); err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if got := sv.Stats().LastRecoveredFrom; got != chain[depth] {
+		t.Fatalf("recovered from %q, want the tip %q", got, chain[depth])
+	}
+	for _, name := range chain {
+		if got, size := store.bytes[name], int64(len(conformGet(t, store.MemStore, name))); got > size {
+			t.Errorf("%s: recovery fetched %d bytes of a %d-byte image", name, got, size)
+		}
+	}
+}
+
+// TestSupervisorCompactAfterSweepsChunks: the CompactAfter step
+// compacts the chain, then collects the chunks only its deleted
+// ancestors referenced.
+func TestSupervisorCompactAfterSweepsChunks(t *testing.T) {
+	ctx := context.Background()
+	store := NewCASStore(NewMemStore())
+	var events []SupervisorEvent
+	var buf uint64
+	sv, err := NewSupervisor(SupervisorConfig{
+		Factory: func() (*Session, error) {
+			s, err := New(WithWorkers(0), WithShardSize(64<<10), WithIncremental(8))
+			if err != nil {
+				return nil, err
+			}
+			if buf, err = s.Runtime().Malloc(256 << 10); err != nil {
+				s.Close()
+				return nil, err
+			}
+			return s, nil
+		},
+		Store:        store,
+		Prefix:       "g",
+		CompactAfter: 2,
+		OnEvent:      func(ev SupervisorEvent) { events = append(events, ev) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sv.Close)
+	for i := 0; i < 3; i++ {
+		if err := sv.Session().Runtime().Memset(buf, byte(i+1), 256<<10); err != nil {
+			t.Fatal(err)
+		}
+		if err := sv.Checkpoint(ctx); err != nil {
+			t.Fatalf("Checkpoint: %v", err)
+		}
+	}
+	if got := sv.Stats().Compactions; got != 1 {
+		t.Fatalf("%d compactions (events %v), want 1", got, events)
+	}
+	names, err := store.List(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"g000002"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("store after compaction = %v, want %v", names, want)
+	}
+	rep, err := DedupReport(ctx, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Orphans != 0 {
+		t.Fatalf("%d chunks left unreferenced after the CompactAfter step", rep.Orphans)
 	}
 }

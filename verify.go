@@ -176,7 +176,10 @@ type RepairReport struct {
 // new Tip. When nothing intact remains, it returns an error wrapping
 // ErrCorruptImage.
 func RepairChain(ctx context.Context, store Store, tip string, sess *Session) (*RepairReport, error) {
-	if _, err := VerifyChain(ctx, store, tip); err == nil {
+	// One verified graph per call: a member the tip and its fallback
+	// candidates share is read in full once.
+	g := verifiedLineage(ctx, store)
+	if _, err := g.ancestors(tip); err == nil {
 		return &RepairReport{Intact: true, Tip: tip}, nil
 	}
 	rep := &RepairReport{}
@@ -209,7 +212,7 @@ func RepairChain(ctx context.Context, store Store, tip string, sess *Session) (*
 	rep.Broken = append(rep.Broken, tip)
 	ancestors, _ := storeLineage(ctx, store).ancestors(tip)
 	for _, name := range ancestors {
-		if _, err := VerifyChain(ctx, store, name); err == nil {
+		if _, err := g.ancestors(name); err == nil {
 			rep.Tip = name
 			return rep, nil
 		}
