@@ -94,7 +94,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		restart  = fs.Bool("restart", true, "restart from the image immediately after checkpointing")
 		timeout  = fs.Duration("timeout", 0, "checkpoint/restart deadline (0 = none)")
 		incr     = fs.Int("incremental", 0, "incremental checkpointing: up to N delta images per full base (requires -ckpt-dir; 0 = off)")
-		lazy     = fs.Bool("lazy", false, "lazy on-demand restart: resume execution after metadata + log replay, fault shards in on access, drain in the background (reports time-to-first-kernel)")
+		lazy     = fs.Bool("lazy", false, "lazy on-demand restart: resume execution after metadata + the active-set rebuild, fault shards in on access, drain in the background (reports time-to-first-kernel)")
 		profile  = fs.Bool("profile", false, "print an nvprof-style per-API call summary")
 		verify   = fs.Bool("verify", false, "verify each checkpoint's chain end to end after it commits")
 		scrub    = fs.Bool("scrub", false, "scrub the store before running: quarantine corrupt images and condemned deltas")

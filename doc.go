@@ -19,11 +19,17 @@
 // # Checkpoint and restart
 //
 // A checkpoint drains all CUDA streams, saves the memory of active
-// mallocs and the CUDA call log together with every upper-half memory
+// mallocs, the CUDA call log and the lower half's arena layout (chunk
+// addresses and sizes, no bytes) together with every upper-half memory
 // region, and omits the CUDA library itself. A restart verifies the
-// image, loads a fresh lower half, restores the upper half, and replays
-// the log so all allocations reappear at their original addresses (the
-// paper's log-and-replay design, Section 3).
+// image, loads a fresh lower half, restores the upper half, and issues
+// the log's active set — every live allocation placed at its original
+// address on arenas rebuilt from the layout, live streams, events and
+// fat binaries recreated — so its cost follows the live state, not the
+// call history. The allocator it builds is the one replaying the whole
+// log would (the paper's log-and-replay design, Section 3; DESIGN.md
+// invariant 1); with ASLR left on, the arenas land elsewhere and the
+// restart fails with cracrt.ErrReplayMismatch, as replay would.
 //
 // Checkpoints land in a Store — a named-image destination with
 // all-or-nothing writes. FileStore holds one image at a fixed path,
@@ -55,11 +61,11 @@
 //
 // OpenImage, OpenImageFile, and OpenImageFrom parse a checkpoint image
 // without restoring it. Image.Info reports the layout of regions and
-// sections; Image.Log summarizes the CUDA call log — the
-// replay a restore implies and the resources active at checkpoint.
+// sections; Image.Log summarizes the CUDA call log — its length and the
+// resources active at checkpoint, which a restore reissues.
 // cmd/cracinspect renders exactly this surface. For cross-process
 // restores, a KernelRegistry (passed via WithKernels) resolves kernel
-// names during replay, standing in for device code in the restored
+// names at restart, standing in for device code in the restored
 // application's text segment.
 //
 // # Incremental checkpoints
@@ -113,15 +119,16 @@
 // ctx passed to CheckpointAsync governs the overlapped write too — keep
 // it live until Wait reports completion (cancelling it aborts the
 // in-flight image). For a precise cut, bracket the arming with the
-// Quiesce/Resume pair, which gates kernel launches and memory writes
-// until resumed.
+// Quiesce/Resume pair, which gates kernel launches, allocation calls
+// and memory writes until resumed.
 //
 // # Restart without waiting
 //
 // Every restart is one route; RestartFrom, Restart and the Restore
 // constructors wait for it, RestartAsync does not, turning restore
 // latency into time-to-first-kernel: the visible phase reads only the
-// image metadata and the replay log, rebuilds the lower half, and maps
+// image metadata, the call log and the arena layout, rebuilds the lower
+// half from the active set, and maps
 // every restored byte cold — the application (and its kernels) run
 // immediately, faulting image shards in on first access, while a
 // background prefetcher drains the rest of the image concurrently

@@ -73,7 +73,7 @@ func main() {
 		stats.Regions, (stats.RegionBytes+stats.SectionBytes)/1024)
 
 	// 5. The image is a first-class artifact: open it WITHOUT restoring
-	// to see what a restore would replay.
+	// to see what a restore would reissue.
 	img, err := crac.OpenImageFrom(ctx, store, "quickstart")
 	check(err)
 	if lg, err := img.Log(); err == nil && lg != nil {
@@ -82,8 +82,9 @@ func main() {
 	}
 
 	// 6. Simulated failure + restart: the old lower half is discarded, a
-	// fresh CUDA library is brought up, the log is replayed so a, b, c
-	// reappear at the same addresses, and their contents are refilled.
+	// fresh CUDA library is brought up, its arenas are rebuilt from the
+	// image's layout and active set so a, b, c reappear at the same
+	// addresses, and their contents are refilled.
 	check(session.RestartFrom(ctx, store, "quickstart"))
 	fmt.Printf("restarted (generation %d)\n", session.Generation())
 

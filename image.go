@@ -1,7 +1,6 @@
 package crac
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -16,7 +15,7 @@ import (
 // KernelRegistry maps module names to kernel tables — the simulation's
 // stand-in for the device code in the application's text segment. A
 // restored process hands its registry to Restore / RestoreFrom (via
-// WithKernels) so log replay can resolve every RegisterFunction entry.
+// WithKernels) so the restart can resolve every registered function.
 type KernelRegistry struct {
 	modules map[string]map[string]cuda.Kernel
 }
@@ -223,8 +222,9 @@ type ModuleInfo struct {
 	Kernels int
 }
 
-// ImageLog summarizes the CUDA call log carried in an image: the replay
-// workload a restore implies, and the resources active at checkpoint.
+// ImageLog summarizes the CUDA call log carried in an image: its length
+// (the history full replay would re-execute) and the resources active
+// at checkpoint, which a restore reissues.
 type ImageLog struct {
 	Entries int
 	Device  AllocClass // cudaMalloc
@@ -241,7 +241,7 @@ func (im *Image) decodeLog() (*replaylog.Log, error) {
 	if !ok {
 		return nil, nil
 	}
-	log, err := replaylog.Decode(bytes.NewReader(logBytes))
+	log, err := replaylog.DecodeBytes(logBytes)
 	if err != nil {
 		return nil, fmt.Errorf("%w: decoding call log: %v", ErrBadImage, err)
 	}

@@ -4,10 +4,12 @@
 // At checkpoint time it implements the paper's sequence (Sections 2.2 and
 // 3.2.3): drain the device queues, then copy the memory of *active*
 // mallocs — and only active mallocs, not whole arenas — into image
-// sections alongside the serialized call log. At restart time (after the
-// session has replayed the log into the fresh lower half, recreating
-// every allocation at its original address) it binds those allocations
-// to their saved bytes, which the restorer then refills (lazy.go).
+// sections alongside the serialized call log and the lower-half arena
+// layout (lower.go). At restart time (after the session has rebuilt the
+// fresh lower half from that layout and the log's active set, recreating
+// every live allocation at its original address) it binds those
+// allocations to their saved bytes, which the restorer then refills
+// (lazy.go).
 //
 // The drain fans out across CPUs: every allocation's offset inside the
 // devmem section is known up front, so workers copy disjoint ranges
@@ -25,6 +27,7 @@ import (
 
 	"repro/internal/addrspace"
 	"repro/internal/cracrt"
+	"repro/internal/cuda"
 	"repro/internal/dmtcp"
 	"repro/internal/par"
 	"repro/internal/replaylog"
@@ -153,9 +156,10 @@ func (p *Plugin) Freeze(since uint64, chain bool) (dmtcp.EmitFunc, error) {
 // drained, not torn down, so execution simply continues.
 func (p *Plugin) Resume() error { return nil }
 
-// emit builds the log, devmem2, and root sections from a freeze
-// capture. The allocation drain honors ctx: a cancelled checkpoint stops
-// copying device memory at the next allocation boundary.
+// emit builds the log, devmem2, root and lower-layout sections from a
+// freeze capture. The allocation drain honors ctx: a cancelled
+// checkpoint stops copying device memory at the next allocation
+// boundary.
 //
 // The devmem2 section lists every active allocation; a delta bodies only
 // the dirty ones. An allocation may be skipped only when all of the
@@ -251,6 +255,11 @@ func (p *Plugin) emit(ctx context.Context, view addrspace.View, sections *dmtcp.
 	}
 	sections.MarkOpaque(SectionDevMem2)
 	sections.Add(SectionRoot, fc.root)
+	// The arena layout comes from the view's region table, which the
+	// engine froze at the cut, after this plugin's Freeze: no arena call
+	// is mid-flight there (the session's gate waits them out), so its
+	// chunks are exactly those the log prefix grew.
+	sections.Add(SectionLower, EncodeLowerLayout(cuda.LayoutOf(view)))
 
 	if fc.chain {
 		p.mu.Lock()

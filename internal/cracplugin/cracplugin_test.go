@@ -154,7 +154,16 @@ func TestRestartRefills(t *testing.T) {
 		t.Fatal(err)
 	}
 	log, _ := replaylog.DecodeBytes(logBytes)
-	if err := rt.Rebind(lib2, entries2, log); err != nil {
+	lowerBytes, err := ix.SectionBytes(SectionLower)
+	if err != nil {
+		t.Fatal(err)
+	}
+	active := log.Active()
+	layout, err := DecodeLowerLayout(lowerBytes, space2.LowerWindow(), cracrt.LiveSet(active))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Rebind(lib2, entries2, log, active, layout); err != nil {
 		t.Fatal(err)
 	}
 	r, err := dmtcp.NewLazyRestorer(space2, []*dmtcp.ShardIndex{ix})

@@ -24,7 +24,6 @@
 package cracplugin
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 
@@ -54,12 +53,12 @@ func (p *Plugin) LazyRestart(ctx context.Context, r *dmtcp.LazyRestorer) error {
 		p.mu.Unlock()
 	}
 	// The session rebinds the runtime before the restart hooks run, so
-	// the runtime's log is the image's log and its active set is
-	// exactly the entry list the checkpoint-side emit walked.
+	// the active set it rebuilt from is the image's: exactly the entry
+	// list the checkpoint-side emit walked.
 	if !tip.HasSection(SectionDevMem2) {
 		return fmt.Errorf("cracplugin: image has no %s section", SectionDevMem2)
 	}
-	return p.planDevMem2(r, p.rt.Log().Active())
+	return p.planDevMem2(r, p.rt.RebindActive())
 }
 
 // planDevMem2 registers lazy plans over a devmem2 chain (one image, for
@@ -87,7 +86,7 @@ func (p *Plugin) planDevMem2(r *dmtcp.LazyRestorer, active replaylog.ActiveSet) 
 		if !ix.Delta {
 			// A full image's entries are all present, so the layout is a pure
 			// function of its own call log — when the base is the tip, the
-			// log just replayed: compute every payload offset without
+			// active set just rebuilt: compute every payload offset without
 			// touching the payload shards.
 			baseActive := active
 			if img > 0 {
@@ -95,7 +94,7 @@ func (p *Plugin) planDevMem2(r *dmtcp.LazyRestorer, active replaylog.ActiveSet) 
 				if err != nil {
 					return fmt.Errorf("cracplugin: base log: %w", err)
 				}
-				baseLog, err := replaylog.Decode(bytes.NewReader(logBytes))
+				baseLog, err := replaylog.DecodeBytes(logBytes)
 				if err != nil {
 					return fmt.Errorf("%w: base log: %v", dmtcp.ErrBadImage, err)
 				}

@@ -75,16 +75,21 @@ type Runtime struct {
 	nextS           crt.StreamHandle
 	nextE           crt.EventHandle
 	nextF           crt.FatBinHandle
+	rebound         replaylog.ActiveSet // what the last Rebind rebuilt
 
 	launches atomic.Uint64
 	others   atomic.Uint64
 
 	// launchGate is the device-mutation half of Session.Quiesce: kernel
-	// launches and the memory-writing CUDA calls (Memset, Memcpy,
-	// MemcpyAsync) hold the read side for the duration of the call, and
-	// quiescing takes the write side — so once QuiesceLaunches returns,
-	// none of them is mid-flight and none can touch memory until
-	// ResumeLaunches.
+	// launches, the memory-writing CUDA calls (Memset, Memcpy,
+	// MemcpyAsync) and the arena calls (the cudaMalloc and free family)
+	// hold the read side for the duration of the call, and quiescing
+	// takes the write side — so once QuiesceLaunches returns, none of
+	// them is mid-flight and none can touch memory until
+	// ResumeLaunches. For the arena calls that makes the library call
+	// and its log entry one step at a checkpoint's cut: the arena layout
+	// the cut freezes is exactly the one the log prefix built, never a
+	// growth whose allocation the log does not hold yet.
 	launchGate sync.RWMutex
 }
 
@@ -137,6 +142,8 @@ func (r *Runtime) enter(sym string) (*cuda.Library, error) {
 
 // Malloc implements crt.Runtime (logged for replay).
 func (r *Runtime) Malloc(size uint64) (uint64, error) {
+	r.launchGate.RLock()
+	defer r.launchGate.RUnlock()
 	r.others.Add(1)
 	lib, err := r.enter("cudaMalloc")
 	if err != nil {
@@ -153,6 +160,8 @@ func (r *Runtime) Malloc(size uint64) (uint64, error) {
 
 // Free implements crt.Runtime (logged for replay).
 func (r *Runtime) Free(addr uint64) error {
+	r.launchGate.RLock()
+	defer r.launchGate.RUnlock()
 	r.others.Add(1)
 	lib, err := r.enter("cudaFree")
 	if err != nil {
@@ -172,6 +181,8 @@ func (r *Runtime) Free(addr uint64) error {
 
 // MallocHost implements crt.Runtime (logged for replay).
 func (r *Runtime) MallocHost(size uint64) (uint64, error) {
+	r.launchGate.RLock()
+	defer r.launchGate.RUnlock()
 	r.others.Add(1)
 	lib, err := r.enter("cudaMallocHost")
 	if err != nil {
@@ -189,6 +200,8 @@ func (r *Runtime) MallocHost(size uint64) (uint64, error) {
 // HostAlloc implements crt.Runtime (logged; only active buffers are
 // re-registered at restart, per Section 3.2.4).
 func (r *Runtime) HostAlloc(size uint64) (uint64, error) {
+	r.launchGate.RLock()
+	defer r.launchGate.RUnlock()
 	r.others.Add(1)
 	lib, err := r.enter("cudaHostAlloc")
 	if err != nil {
@@ -205,6 +218,8 @@ func (r *Runtime) HostAlloc(size uint64) (uint64, error) {
 
 // FreeHost implements crt.Runtime (logged for replay).
 func (r *Runtime) FreeHost(addr uint64) error {
+	r.launchGate.RLock()
+	defer r.launchGate.RUnlock()
 	r.others.Add(1)
 	lib, err := r.enter("cudaFreeHost")
 	if err != nil {
@@ -224,6 +239,8 @@ func (r *Runtime) FreeHost(addr uint64) error {
 
 // MallocManaged implements crt.Runtime (logged for replay).
 func (r *Runtime) MallocManaged(size uint64) (uint64, error) {
+	r.launchGate.RLock()
+	defer r.launchGate.RUnlock()
 	r.others.Add(1)
 	lib, err := r.enter("cudaMallocManaged")
 	if err != nil {
@@ -604,9 +621,10 @@ func (r *Runtime) LaunchKernel(h crt.FatBinHandle, name string, cfg crt.LaunchCo
 	return lib.LaunchKernel(ph, name, cfg, ps, args...)
 }
 
-// QuiesceLaunches bars new kernel launches and waits for in-flight ones
-// to finish enqueueing. The gate stays closed until ResumeLaunches;
-// blocked launches wait (they do not fail). Part of Session.Quiesce.
+// QuiesceLaunches bars new kernel launches, memory writes and arena
+// calls, and waits for in-flight ones to finish. The gate stays closed
+// until ResumeLaunches; blocked calls wait (they do not fail). Part of
+// Session.Quiesce.
 func (r *Runtime) QuiesceLaunches() { r.launchGate.Lock() }
 
 // ResumeLaunches reopens the launch gate closed by QuiesceLaunches.

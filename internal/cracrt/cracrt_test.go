@@ -129,7 +129,7 @@ func TestSwitcherCrossings(t *testing.T) {
 }
 
 func TestRebindReplaysToSameAddresses(t *testing.T) {
-	rt, _, _ := buildRT(t)
+	rt, _, space := buildRT(t)
 	kern := func(*cuda.DevCtx, gpusim.LaunchConfig, []uint64) {}
 	fat, _ := rt.RegisterFatBinary("mod")
 	_ = rt.RegisterFunction(fat, "k", kern)
@@ -155,7 +155,7 @@ func TestRebindReplaysToSameAddresses(t *testing.T) {
 		addr, _ := helper2.Entry(s)
 		entries2[s] = addr
 	}
-	if err := rt.Rebind(lib2, entries2, nil); err != nil {
+	if err := rt.Rebind(lib2, entries2, nil, rt.Log().Active(), cuda.LayoutOf(space)); err != nil {
 		t.Fatalf("Rebind: %v", err)
 	}
 	// Active allocations reappear at the original addresses.
@@ -185,7 +185,7 @@ func TestRebindReplaysToSameAddresses(t *testing.T) {
 }
 
 func TestRebindDetectsAddressMismatch(t *testing.T) {
-	rt, _, _ := buildRT(t)
+	rt, _, space := buildRT(t)
 	if _, err := rt.Malloc(4096); err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestRebindDetectsAddressMismatch(t *testing.T) {
 		addr, _ := helper2.Entry(s)
 		entries2[s] = addr
 	}
-	err := rt.Rebind(lib2, entries2, nil)
+	err := rt.Rebind(lib2, entries2, nil, rt.Log().Active(), cuda.LayoutOf(space))
 	if !errors.Is(err, ErrReplayMismatch) {
 		t.Fatalf("err = %v, want ErrReplayMismatch", err)
 	}
@@ -228,7 +228,7 @@ func TestRebindWithExternalLogAndKernelTable(t *testing.T) {
 		entries2[s] = addr
 	}
 	// Without the kernel table, replay cannot resolve "k".
-	err := rt.Rebind(lib2, entries2, log)
+	err := rt.Rebind(lib2, entries2, log, log.Active(), nil)
 	if err == nil {
 		t.Fatal("rebind resolved an unknown kernel")
 	}
@@ -245,7 +245,7 @@ func TestRebindWithExternalLogAndKernelTable(t *testing.T) {
 		addr, _ := helper3.Entry(s)
 		entries3[s] = addr
 	}
-	if err := rt2.Rebind(lib3, entries3, log); err != nil {
+	if err := rt2.Rebind(lib3, entries3, log, log.Active(), nil); err != nil {
 		t.Fatalf("rebind with kernel table: %v", err)
 	}
 	if err := rt2.LaunchKernel(crt.FatBinHandle(1), "k", gpusim.LaunchConfig{}, crt.StreamHandle(1)); err != nil {
@@ -266,7 +266,7 @@ func TestMissingEntryPointFails(t *testing.T) {
 }
 
 func TestHostAllocReplayOnlyActive(t *testing.T) {
-	rt, lib, _ := buildRT(t)
+	rt, lib, space := buildRT(t)
 	h1, err := rt.HostAlloc(4096)
 	if err != nil {
 		t.Fatal(err)
@@ -295,7 +295,7 @@ func TestHostAllocReplayOnlyActive(t *testing.T) {
 		addr, _ := helper2.Entry(s)
 		entries2[s] = addr
 	}
-	if err := rt.Rebind(lib2, entries2, nil); err != nil {
+	if err := rt.Rebind(lib2, entries2, nil, rt.Log().Active(), cuda.LayoutOf(space)); err != nil {
 		t.Fatalf("Rebind: %v", err)
 	}
 	// Only h2 was re-registered.

@@ -3,16 +3,18 @@ package cracrt
 import (
 	"errors"
 	"fmt"
+	"maps"
 
 	"repro/internal/crt"
 	"repro/internal/cuda"
 	"repro/internal/replaylog"
 )
 
-// ErrReplayMismatch is returned when replaying the log on a fresh lower
-// half does not reproduce the original addresses — the failure mode that
-// appears if ASLR is left enabled or the platform changes, which is why
-// CRAC disables address randomization and requires the same CUDA/GPU
+// ErrReplayMismatch is returned when a fresh lower half does not
+// reproduce the original addresses — an arena chunk lands elsewhere, or
+// replay gets a different address — the failure mode that appears if
+// ASLR is left enabled or the platform changes, which is why CRAC
+// disables address randomization and requires the same CUDA/GPU
 // platform on restart (Section 3.2.4).
 var ErrReplayMismatch = errors.New("cracrt: replay produced a different address (determinism violated)")
 
@@ -56,17 +58,22 @@ func (r *Runtime) KernelTables() map[string]map[string]cuda.Kernel {
 }
 
 // Rebind installs a fresh lower half (library plus entry table) and
-// replays the call log against it, rebuilding the virtual→physical handle
-// maps. If log is non-nil it replaces the runtime's log first
-// (cross-process restore); otherwise the in-memory log is replayed.
+// rebuilds the runtime's CUDA state in it from an image: log is the
+// image's call log (nil keeps the runtime's own), active its active set
+// and layout the lower-half arena layout captured at the image's cut.
 //
-// Per Section 3.2.4, the *entire* malloc/free history of the device,
-// pinned and managed arenas is replayed so the deterministic allocator
-// reproduces every active address, while for cudaHostAlloc buffers (whose
-// bytes were restored with the upper half) only active registrations are
-// redone. Streams, events, and fat binaries are recreated for the active
-// set only, with fat-binary handles re-mapped ("patched", Section 3.2.5).
-func (r *Runtime) Rebind(lib *cuda.Library, entries EntryTable, log *replaylog.Log) error {
+// Rebind issues the active set, not the history. The arenas are rebuilt
+// from layout with every live allocation placed at its recorded address
+// (cuda.Library.RebuildArenas); a chunk the fresh address space places
+// anywhere else — ASLR left on, a different platform — is
+// ErrReplayMismatch, exactly as a diverging replay was (Section 3.2.4).
+// Active cudaHostAlloc buffers, whose bytes were restored with the upper
+// half, are re-registered, and live streams, events and fat binaries are
+// recreated in log order, with fat-binary handles re-mapped ("patched",
+// Section 3.2.5). The result equals what Replay of the whole log builds
+// (DESIGN.md invariant 1). New virtual handles continue above the
+// highest ones the log ever issued.
+func (r *Runtime) Rebind(lib *cuda.Library, entries EntryTable, log *replaylog.Log, active replaylog.ActiveSet, layout cuda.Layout) error {
 	r.mu.Lock()
 	if log != nil {
 		r.log = log
@@ -77,153 +84,106 @@ func (r *Runtime) Rebind(lib *cuda.Library, entries EntryTable, log *replaylog.L
 	r.ve = make(map[crt.EventHandle]cuda.Event)
 	r.vf = make(map[crt.FatBinHandle]cuda.FatBinaryHandle)
 	r.fdefs = make(map[crt.FatBinHandle]*fatDef)
+	r.rebound = active
 	r.heap.SetSpace(lib.Space())
 	r.mu.Unlock()
 
-	active := r.log.Active()
-	activeHost := make(map[uint64]bool, len(active.Host))
-	for _, a := range active.Host {
-		activeHost[a.Addr] = true
-	}
-	activeStreams := make(map[uint64]bool, len(active.Streams))
-	for _, h := range active.Streams {
-		activeStreams[h] = true
-	}
-	activeEvents := make(map[uint64]bool, len(active.Events))
-	for _, h := range active.Events {
-		activeEvents[h] = true
-	}
-	activeFats := make(map[uint64]bool, len(active.FatBins))
-	for _, fb := range active.FatBins {
-		activeFats[fb.Handle] = true
-	}
-
-	var maxS, maxE, maxF uint64
-	for _, e := range r.log.Entries() {
-		switch e.Kind {
-		case replaylog.KindMalloc:
-			addr, err := lib.Malloc(e.Size)
-			if err != nil {
-				return fmt.Errorf("cracrt: replay %v: %w", e, err)
-			}
-			if addr != e.Addr {
-				return fmt.Errorf("%w: %v got %#x", ErrReplayMismatch, e, addr)
-			}
-		case replaylog.KindFree, replaylog.KindFreeManaged:
-			if err := lib.Free(e.Addr); err != nil {
-				return fmt.Errorf("cracrt: replay %v: %w", e, err)
-			}
-		case replaylog.KindMallocHost:
-			addr, err := lib.MallocHost(e.Size)
-			if err != nil {
-				return fmt.Errorf("cracrt: replay %v: %w", e, err)
-			}
-			if addr != e.Addr {
-				return fmt.Errorf("%w: %v got %#x", ErrReplayMismatch, e, addr)
-			}
-		case replaylog.KindFreeHost:
-			if err := lib.FreeHost(e.Addr); err != nil {
-				return fmt.Errorf("cracrt: replay %v: %w", e, err)
-			}
-		case replaylog.KindMallocManaged:
-			addr, err := lib.MallocManaged(e.Size)
-			if err != nil {
-				return fmt.Errorf("cracrt: replay %v: %w", e, err)
-			}
-			if addr != e.Addr {
-				return fmt.Errorf("%w: %v got %#x", ErrReplayMismatch, e, addr)
-			}
-		case replaylog.KindHostAlloc:
-			// The buffer bytes are already in the restored upper half;
-			// only active registrations are redone (Section 3.2.4).
-			if activeHost[e.Addr] {
-				if err := lib.HostRegister(e.Addr, e.Size); err != nil {
-					return fmt.Errorf("cracrt: replay %v: %w", e, err)
-				}
-			}
-		case replaylog.KindFreeHostAlloc:
-			// Inactive cudaHostAlloc buffers were never re-registered.
-		case replaylog.KindStreamCreate:
-			if maxS < e.Handle {
-				maxS = e.Handle
-			}
-			if activeStreams[e.Handle] {
-				ps, err := lib.StreamCreate()
-				if err != nil {
-					return fmt.Errorf("cracrt: replay %v: %w", e, err)
-				}
-				r.mu.Lock()
-				r.vs[crt.StreamHandle(e.Handle)] = ps
-				r.mu.Unlock()
-			}
-		case replaylog.KindStreamDestroy:
-			// Destroyed streams were not recreated.
-		case replaylog.KindEventCreate:
-			if maxE < e.Handle {
-				maxE = e.Handle
-			}
-			if activeEvents[e.Handle] {
-				pe, err := lib.EventCreate()
-				if err != nil {
-					return fmt.Errorf("cracrt: replay %v: %w", e, err)
-				}
-				r.mu.Lock()
-				r.ve[crt.EventHandle(e.Handle)] = pe
-				r.mu.Unlock()
-			}
-		case replaylog.KindEventDestroy:
-			// Destroyed events were not recreated.
-		case replaylog.KindRegisterFatBinary:
-			if maxF < e.Handle {
-				maxF = e.Handle
-			}
-			if activeFats[e.Handle] {
-				ph, err := lib.RegisterFatBinary(e.Module)
-				if err != nil {
-					return fmt.Errorf("cracrt: replay %v: %w", e, err)
-				}
-				r.mu.Lock()
-				r.vf[crt.FatBinHandle(e.Handle)] = ph
-				r.fdefs[crt.FatBinHandle(e.Handle)] = &fatDef{module: e.Module, funcs: make(map[string]cuda.Kernel)}
-				r.mu.Unlock()
-			}
-		case replaylog.KindRegisterFunction:
-			h := crt.FatBinHandle(e.Handle)
-			r.mu.RLock()
-			ph, ok := r.vf[h]
-			def := r.fdefs[h]
-			r.mu.RUnlock()
-			if !ok {
-				continue // fat binary no longer active
-			}
-			k := r.resolveKernel(def.module, e.Name)
-			if k == nil {
-				return fmt.Errorf("cracrt: replay %v: kernel %s/%s not resolvable; call RegisterKernelTable first",
-					e, def.module, e.Name)
-			}
-			if err := lib.RegisterFunction(ph, e.Name, k); err != nil {
-				return fmt.Errorf("cracrt: replay %v: %w", e, err)
-			}
-			r.mu.Lock()
-			def.funcs[e.Name] = k
-			r.mu.Unlock()
-		case replaylog.KindUnregisterFatBinary:
-			// Unregistered fat binaries were not recreated.
+	if err := lib.RebuildArenas(layout, LiveSet(active)); err != nil {
+		if errors.Is(err, cuda.ErrPlacement) {
+			return fmt.Errorf("%w: %v", ErrReplayMismatch, err)
 		}
+		return fmt.Errorf("cracrt: rebuilding arenas: %w", err)
+	}
+	for _, a := range active.Host {
+		if err := lib.HostRegister(a.Addr, a.Size); err != nil {
+			return fmt.Errorf("cracrt: re-registering cudaHostAlloc %#x+%d: %w", a.Addr, a.Size, err)
+		}
+	}
+	for _, h := range active.Streams {
+		ps, err := lib.StreamCreate()
+		if err != nil {
+			return fmt.Errorf("cracrt: recreating stream vh%d: %w", h, err)
+		}
+		r.mu.Lock()
+		r.vs[crt.StreamHandle(h)] = ps
+		r.mu.Unlock()
+	}
+	for _, h := range active.Events {
+		pe, err := lib.EventCreate()
+		if err != nil {
+			return fmt.Errorf("cracrt: recreating event vh%d: %w", h, err)
+		}
+		r.mu.Lock()
+		r.ve[crt.EventHandle(h)] = pe
+		r.mu.Unlock()
+	}
+	for _, fb := range active.FatBins {
+		ph, err := lib.RegisterFatBinary(fb.Module)
+		if err != nil {
+			return fmt.Errorf("cracrt: re-registering fat binary vh%d: %w", fb.Handle, err)
+		}
+		def := &fatDef{module: fb.Module, funcs: make(map[string]cuda.Kernel, len(fb.Functions))}
+		for _, name := range fb.Functions {
+			k := r.resolveKernel(fb.Module, name)
+			if k == nil {
+				return fmt.Errorf("cracrt: kernel %s/%s not resolvable; call RegisterKernelTable first", fb.Module, name)
+			}
+			if err := lib.RegisterFunction(ph, name, k); err != nil {
+				return fmt.Errorf("cracrt: re-registering %s/%s: %w", fb.Module, name, err)
+			}
+			def.funcs[name] = k
+		}
+		r.mu.Lock()
+		r.vf[crt.FatBinHandle(fb.Handle)] = ph
+		r.fdefs[crt.FatBinHandle(fb.Handle)] = def
+		r.mu.Unlock()
 	}
 
 	r.mu.Lock()
-	if uint64(r.nextS) < maxS {
-		r.nextS = crt.StreamHandle(maxS)
-	}
-	if uint64(r.nextE) < maxE {
-		r.nextE = crt.EventHandle(maxE)
-	}
-	if uint64(r.nextF) < maxF {
-		r.nextF = crt.FatBinHandle(maxF)
-	}
+	r.nextS = max(r.nextS, crt.StreamHandle(active.MaxStream))
+	r.nextE = max(r.nextE, crt.EventHandle(active.MaxEvent))
+	r.nextF = max(r.nextF, crt.FatBinHandle(active.MaxFatBin))
 	r.mu.Unlock()
 	return nil
+}
+
+// RebindActive returns the active set the last Rebind rebuilt from:
+// the restart hooks plan the payload of exactly those allocations.
+func (r *Runtime) RebindActive() replaylog.ActiveSet {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.rebound
+}
+
+// LiveSet is the arena part of an active set, as the library takes it.
+func LiveSet(as replaylog.ActiveSet) cuda.LiveSet {
+	conv := func(in []replaylog.Allocation) []cuda.Allocation {
+		out := make([]cuda.Allocation, len(in))
+		for i, a := range in {
+			out[i] = cuda.Allocation(a)
+		}
+		return out
+	}
+	return cuda.LiveSet{
+		cuda.ArenaDevice:  conv(as.Device),
+		cuda.ArenaPinned:  conv(as.Pinned),
+		cuda.ArenaManaged: conv(as.Managed),
+	}
+}
+
+// Bindings maps live virtual handles to the physical handles of the
+// lower half they were rebuilt in.
+type Bindings struct {
+	Streams map[crt.StreamHandle]cuda.Stream
+	Events  map[crt.EventHandle]cuda.Event
+	FatBins map[crt.FatBinHandle]cuda.FatBinaryHandle
+}
+
+// Bindings returns a copy of the runtime's handle maps.
+func (r *Runtime) Bindings() Bindings {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return Bindings{Streams: maps.Clone(r.vs), Events: maps.Clone(r.ve), FatBins: maps.Clone(r.vf)}
 }
 
 func (r *Runtime) resolveKernel(module, name string) cuda.Kernel {

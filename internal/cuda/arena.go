@@ -46,11 +46,14 @@ type arena struct {
 	live   map[uint64]uint64 // addr -> size
 	order  []uint64          // live allocation addresses in alloc order
 	mapped uint64            // bytes currently mapped
-	peak   uint64            // high-water mark of live bytes
 	liveSz uint64            // current live bytes
-	allocs uint64            // cumulative alloc count
-	frees  uint64            // cumulative free count
-	mmaps  uint64            // cumulative mmap calls made by this arena
+
+	// Per-incarnation counters: a library rebuilt by RebuildArenas
+	// starts them from what the rebuild issued, not from the history.
+	peak   uint64 // high-water mark of live bytes
+	allocs uint64 // alloc count
+	frees  uint64 // free count
+	mmaps  uint64 // mmap calls made by this arena
 }
 
 type chunkInfo struct {
@@ -207,6 +210,46 @@ func (a *arena) alloc(size uint64) (uint64, error) {
 	}
 	a.allocs++
 	return addr, nil
+}
+
+// place records a live allocation at a known address, as RebuildArenas
+// issues it: the free list is rebuilt once afterwards by
+// freeComplement.
+func (a *arena) place(addr, size uint64) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.live[addr] = size
+	a.order = append(a.order, addr)
+	a.liveSz += size
+	a.peak = a.liveSz
+	a.allocs++
+}
+
+// freeComplement sets the free list to each chunk's complement of the
+// live allocations: maximal runs, which is the list insertFree's
+// coalescing maintains through any alloc/free history.
+func (a *arena) freeComplement() {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	live := make([]uint64, 0, len(a.live))
+	for addr := range a.live {
+		live = append(live, addr)
+	}
+	sort.Slice(live, func(i, j int) bool { return live[i] < live[j] })
+	a.free = a.free[:0]
+	for ci, c := range a.chunks {
+		at, end := c.start, c.start+c.size
+		for len(live) > 0 && live[0] < end {
+			if live[0] > at {
+				a.free = append(a.free, block{addr: at, size: live[0] - at, chunk: ci})
+			}
+			at = live[0] + a.live[live[0]]
+			live = live[1:]
+		}
+		if end > at {
+			a.free = append(a.free, block{addr: at, size: end - at, chunk: ci})
+		}
+	}
 }
 
 // firstFit returns the index of the lowest-address free block that fits,

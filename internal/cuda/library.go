@@ -173,11 +173,11 @@ func NewLibrary(cfg Config) (*Library, error) {
 		cookie:     epoch*0x9e3779b97f4a7c15 + 0x85ebca6b,
 		nextFat:    FatBinaryHandle(epoch << 20), // instance-distinct handle namespace
 	}
-	l.devArena = newArena(cfg.Space, addrspace.HalfLower, "cudaMalloc", "cuda/dev-arena",
+	l.devArena = newArena(cfg.Space, addrspace.HalfLower, "cudaMalloc", arenaLabels[ArenaDevice],
 		cfg.DeviceArenaChunk, cfg.GrowthMmaps, cfg.Prop.GlobalMemBytes)
-	l.pinArena = newArena(cfg.Space, addrspace.HalfLower, "cudaMallocHost", "cuda/pinned-arena",
+	l.pinArena = newArena(cfg.Space, addrspace.HalfLower, "cudaMallocHost", arenaLabels[ArenaPinned],
 		cfg.PinnedArenaChunk, cfg.GrowthMmaps, 0)
-	l.mgdArena = newArena(cfg.Space, addrspace.HalfLower, "cudaMallocManaged", "cuda/managed-arena",
+	l.mgdArena = newArena(cfg.Space, addrspace.HalfLower, "cudaMallocManaged", arenaLabels[ArenaManaged],
 		cfg.ManagedArenaChunk, cfg.GrowthMmaps, 0)
 	ds, err := l.dev.NewStream()
 	if err != nil {

@@ -8,8 +8,8 @@
 //
 // The image deliberately excludes every lower-half region: the active
 // CUDA library and its arenas are *not* checkpointed; a fresh lower half
-// is constructed at restart and brought up to date by the CRAC plugin's
-// log replay (paper Section 3.1).
+// is constructed at restart and brought up to date from the CRAC
+// plugin's sections (paper Section 3.1).
 //
 // # Image format
 //
@@ -202,7 +202,7 @@ type Stats struct {
 
 	// Restart timing split (Session.RestartAsync).
 	// RestoreVisibleDuration is the application-blocking phase: index
-	// scan, verification, lower-half rebuild, and log replay — everything
+	// scan, verification, and the lower-half rebuild — everything
 	// before the first kernel can launch. RestoreBackgroundDuration is
 	// the prefetcher drain; RestoreDuration the total until the image
 	// was fully materialized.

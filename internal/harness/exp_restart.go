@@ -16,7 +16,7 @@ func init() {
 	register(&Experiment{
 		ID:    "restart",
 		Title: "Time-to-first-kernel: waited vs unwaited restart",
-		Paper: "beyond the paper: restore latency dominates GPU C/R in serving (PhoenixOS/CRIUgpu); lazy restart shrinks it to metadata + replay",
+		Paper: "beyond the paper: restore latency dominates GPU C/R in serving (PhoenixOS/CRIUgpu); lazy restart shrinks it to metadata + the active-set rebuild",
 		Run:   runRestart,
 	})
 }
@@ -24,7 +24,7 @@ func init() {
 // runRestart measures, on the standard sparse-update workload, how
 // long a restarted session takes to complete its first kernel: the
 // waited restart (RestartFrom) materializes the whole image first,
-// while the unwaited one (RestartAsync) replays only the log, faults
+// while the unwaited one (RestartAsync) rebuilds only the active set, faults
 // the kernel's pages in, and drains the rest in the background.
 func runRestart(opt Options) ([]*Table, error) {
 	t := &Table{
@@ -144,6 +144,6 @@ func runRestart(opt Options) ([]*Table, error) {
 	t.AddRow("unwaited (RestartAsync)", ms(lazyVisible), ms(lazyTTFK), ms(lazyDrain), FmtBytes(imgSize),
 		fmt.Sprintf("%.1fx", speedup))
 	t.Note("TTFK = restart start until one kernel launch + sync completes on the restored session")
-	t.Note("both rows are the one restart route; unwaited: execution resumes after metadata + log replay, shards fault in on access, the prefetcher drains in the background (device first, managed last)")
+	t.Note("both rows are the one restart route; unwaited: execution resumes after metadata + the active-set rebuild, shards fault in on access, the prefetcher drains in the background (device first, managed last)")
 	return []*Table{t}, nil
 }

@@ -10,7 +10,10 @@ import (
 	"time"
 
 	crac "repro"
+	"repro/internal/cracplugin"
+	"repro/internal/cracrt"
 	"repro/internal/gpusim"
+	"repro/internal/replaylog"
 	"repro/internal/workloads"
 	"repro/internal/workloads/rodinia"
 )
@@ -132,23 +135,35 @@ func runFig2(opt Options) ([]*Table, error) {
 	return []*Table{t}, nil
 }
 
+// midRun is what checkpointMidRun measured.
+type midRun struct {
+	ckpt, restart time.Duration
+	// replay is full replay of the image's log (cracrt.Replay) on a
+	// fresh lower half: the restart the paper describes, which the
+	// session no longer performs.
+	replay  time.Duration
+	imgSize int64
+	res     workloads.Result
+}
+
 // checkpointMidRun runs app under a fresh CRAC session, checkpoints at
 // roughly the middle hook step, restarts from the image immediately
 // (simulating a failure), and lets the app run to completion. It returns
-// the measured checkpoint/restart durations, the image size, and the
-// completed result.
-func checkpointMidRun(prop gpusim.Properties, app *workloads.App, cfg workloads.RunConfig) (ckpt, restart time.Duration, imgSize int64, res workloads.Result, err error) {
+// the measured checkpoint, restart and full-replay durations, the image
+// size, and the completed result.
+func checkpointMidRun(prop gpusim.Properties, app *workloads.App, cfg workloads.RunConfig) (midRun, error) {
+	var m midRun
 	// Pass 1: count hook steps.
 	steps := 0
 	countCfg := cfg
 	countCfg.Hook = func(int) error { steps++; return nil }
 	r, err := NewRunner(ModeCRAC, prop)
 	if err != nil {
-		return 0, 0, 0, workloads.Result{}, err
+		return m, err
 	}
 	if _, err = app.Run(r.RT, countCfg); err != nil {
 		r.Close()
-		return 0, 0, 0, workloads.Result{}, err
+		return m, err
 	}
 	r.Close()
 	target := steps / 2
@@ -156,12 +171,12 @@ func checkpointMidRun(prop gpusim.Properties, app *workloads.App, cfg workloads.
 	// Pass 2: checkpoint at the target step, restart, continue.
 	r, err = NewRunner(ModeCRAC, prop)
 	if err != nil {
-		return 0, 0, 0, workloads.Result{}, err
+		return m, err
 	}
 	defer r.Close()
 	dir, err := os.MkdirTemp("", "crac-fig3-")
 	if err != nil {
-		return 0, 0, 0, workloads.Result{}, err
+		return m, err
 	}
 	defer os.RemoveAll(dir)
 	imgPath := filepath.Join(dir, "ckpt.img")
@@ -186,15 +201,15 @@ func checkpointMidRun(prop gpusim.Properties, app *workloads.App, cfg workloads.
 			if _, cerr := r.Session.CheckpointTo(ctx, store, "ckpt"); cerr != nil {
 				return cerr
 			}
-			if d := time.Since(t0); k == 0 || d < ckpt {
-				ckpt = d
+			if d := time.Since(t0); k == 0 || d < m.ckpt {
+				m.ckpt = d
 			}
 		}
 		fi, serr := os.Stat(imgPath)
 		if serr != nil {
 			return serr
 		}
-		imgSize = fi.Size()
+		m.imgSize = fi.Size()
 		// Restarts repeat five times (they churn the most allocation and
 		// so jitter hardest under GC).
 		for k := 0; k < 5; k++ {
@@ -202,20 +217,50 @@ func checkpointMidRun(prop gpusim.Properties, app *workloads.App, cfg workloads.
 			if rerr := r.Session.RestartFrom(ctx, store, "ckpt"); rerr != nil {
 				return rerr
 			}
-			if d := time.Since(t0); k == 0 || d < restart {
-				restart = d
+			if d := time.Since(t0); k == 0 || d < m.restart {
+				m.restart = d
 			}
 		}
-		return nil
+		var rerr error
+		m.replay, rerr = fullReplay(ctx, prop, store, "ckpt")
+		return rerr
 	}
-	res, err = app.Run(r.RT, runCfg)
+	m.res, err = app.Run(r.RT, runCfg)
 	if err != nil {
-		return 0, 0, 0, workloads.Result{}, fmt.Errorf("%s: %w", app.Name, err)
+		return m, fmt.Errorf("%s: %w", app.Name, err)
 	}
-	if ckpt == 0 && target > 0 {
-		return 0, 0, 0, workloads.Result{}, fmt.Errorf("%s: checkpoint hook never fired (steps=%d)", app.Name, steps)
+	if m.ckpt == 0 && target > 0 {
+		return m, fmt.Errorf("%s: checkpoint hook never fired (steps=%d)", app.Name, steps)
 	}
-	return ckpt, restart, imgSize, res, nil
+	return m, nil
+}
+
+// fullReplay times cracrt.Replay of the named image's call log on the
+// fresh lower half of a new session: the whole malloc/free history
+// re-executed, as the paper's CRAC restarts.
+func fullReplay(ctx context.Context, prop gpusim.Properties, store crac.Store, name string) (time.Duration, error) {
+	img, err := crac.OpenImageFrom(ctx, store, name)
+	if err != nil {
+		return 0, err
+	}
+	raw, ok := img.Section(cracplugin.SectionLog)
+	if !ok {
+		return 0, fmt.Errorf("image %s has no %s section", name, cracplugin.SectionLog)
+	}
+	log, err := replaylog.DecodeBytes(raw)
+	if err != nil {
+		return 0, err
+	}
+	fresh, err := crac.New(crac.WithDevice(prop))
+	if err != nil {
+		return 0, err
+	}
+	defer fresh.Close()
+	t0 := time.Now()
+	if _, err := cracrt.Replay(fresh.Library(), log); err != nil {
+		return 0, err
+	}
+	return time.Since(t0), nil
 }
 
 func runFig3(opt Options) ([]*Table, error) {
@@ -224,25 +269,29 @@ func runFig3(opt Options) ([]*Table, error) {
 	t := &Table{
 		ID:    "fig3",
 		Title: "Checkpoint and restart times of Rodinia benchmarks with image sizes",
-		Columns: []string{"Benchmark", "checkpoint (s)", "restart (s)", "image size",
+		Columns: []string{"Benchmark", "checkpoint (s)", "restart (s)", "full replay (s)", "image size",
 			"restart/ckpt"},
 	}
 	for _, app := range rodinia.Apps() {
 		opt.logf("fig3: %s", app.Name)
-		ck, rs, size, _, err := checkpointMidRun(prop, app, cfg)
+		m, err := checkpointMidRun(prop, app, cfg)
 		if err != nil {
 			return nil, err
 		}
-		ratio := 0.0
-		if ck > 0 {
-			ratio = rs.Seconds() / ck.Seconds()
-		}
-		t.AddRow(app.Name, fmtF(ck.Seconds(), 3), fmtF(rs.Seconds(), 3),
-			FmtBytes(uint64(size)), fmtF(ratio, 2))
+		t.AddRow(app.Name, fmtF(m.ckpt.Seconds(), 3), fmtF(m.restart.Seconds(), 3), fmtF(m.replay.Seconds(), 3),
+			FmtBytes(uint64(m.imgSize)), fmtF(m.restartRatio(), 2))
 	}
 	t.Note("checkpoint at mid-run; gzip disabled as in the paper (Section 4.4.1)")
-	t.Note("Heartwall and Streamcluster replay long cudaMalloc/cudaFree histories at restart — the paper's two outliers")
+	t.Note("restart issues the image's active set onto its recorded arena layout; full replay re-executes the whole cudaMalloc/cudaFree log on a fresh lower half, as the paper's CRAC does — there Heartwall and Streamcluster replay long histories, the paper's two outliers")
 	return []*Table{t}, nil
+}
+
+// restartRatio is restart over checkpoint time (0 without a checkpoint).
+func (m midRun) restartRatio() float64 {
+	if m.ckpt <= 0 {
+		return 0
+	}
+	return m.restart.Seconds() / m.ckpt.Seconds()
 }
 
 func runFig6(opt Options) ([]*Table, error) {

@@ -92,13 +92,13 @@ func TestAppsCheckpointRestartTransparency(t *testing.T) {
 			if err != nil {
 				t.Fatalf("uninterrupted: %v", err)
 			}
-			_, _, _, res, err := checkpointMidRun(prop, tc.app, tc.cfg)
+			m, err := checkpointMidRun(prop, tc.app, tc.cfg)
 			if err != nil {
 				t.Fatalf("checkpointMidRun: %v", err)
 			}
-			if res.Checksum != plain.Checksum {
+			if m.res.Checksum != plain.Checksum {
 				t.Fatalf("transparency violated: %v (with ckpt+restart) vs %v (plain)",
-					res.Checksum, plain.Checksum)
+					m.res.Checksum, plain.Checksum)
 			}
 		})
 	}

@@ -1,21 +1,23 @@
 // Package replaylog records the CUDA calls that create or destroy
-// lower-half resources, so that CRAC can replay them in the original
-// order on restart (paper Sections 3.1 "Log-and-replay" and 3.2.3/3.2.4).
+// lower-half resources (paper Sections 3.1 "Log-and-replay" and
+// 3.2.3/3.2.4). Its active set is what a restart recreates.
 //
 // Two facts from the paper shape the design:
 //
-//   - Only the memory of *active* mallocs is saved at checkpoint time,
-//     but the *entire* allocation/free sequence is replayed at restart,
-//     because the CUDA library's deterministic internal bookkeeping only
-//     reproduces the original addresses if it sees the same call history
-//     ("we still need to replay the entire original sequence to get the
-//     same host and device addresses as prior to checkpoint").
+//   - Only the memory of *active* mallocs is saved at checkpoint time.
+//     The paper's CRAC still replays the *entire* allocation/free
+//     sequence at restart, because the CUDA library's deterministic
+//     internal bookkeeping only reproduces the original addresses if it
+//     sees the same call history ("we still need to replay the entire
+//     original sequence to get the same host and device addresses as
+//     prior to checkpoint"). This reproduction records the arena layout
+//     beside the log instead and issues only the active set; full
+//     replay of the log is the oracle that rebuild is tested against.
 //   - The log also covers streams, events, and fat-binary registrations,
 //     all of which must be recreated in a fresh lower half.
 package replaylog
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -171,6 +173,11 @@ type ActiveSet struct {
 	Streams []uint64     // virtual stream handles in creation order
 	Events  []uint64     // virtual event handles in creation order
 	FatBins []FatBin     // registered fat binaries in registration order
+
+	// MaxStream, MaxEvent and MaxFatBin are the highest virtual handles
+	// the log ever issued, live or not: a runtime rebuilt from the set
+	// hands out new handles above them.
+	MaxStream, MaxEvent, MaxFatBin uint64
 }
 
 // FatBin is a live fat binary and its registered function names.
@@ -258,13 +265,16 @@ func ActiveOf(entries []Entry) ActiveSet {
 			drop(mgd, e.Addr)
 		case KindStreamCreate:
 			addH(streams, e.Handle)
+			as.MaxStream = max(as.MaxStream, e.Handle)
 		case KindStreamDestroy:
 			dropH(streams, e.Handle)
 		case KindEventCreate:
 			addH(events, e.Handle)
+			as.MaxEvent = max(as.MaxEvent, e.Handle)
 		case KindEventDestroy:
 			dropH(events, e.Handle)
 		case KindRegisterFatBinary:
+			as.MaxFatBin = max(as.MaxFatBin, e.Handle)
 			fatIdx[e.Handle] = len(fats)
 			fats = append(fats, FatBin{Handle: e.Handle, Module: e.Module})
 			fatAlive = append(fatAlive, true)
@@ -366,58 +376,70 @@ func encodeEntry(w io.Writer, e Entry) error {
 // ErrBadFormat reports a malformed serialized log.
 var ErrBadFormat = errors.New("replaylog: bad format")
 
-// DecodeBytes decodes a log from an in-memory buffer.
-func DecodeBytes(b []byte) (*Log, error) {
-	return Decode(bytes.NewReader(b))
-}
+// minEntrySize is the encoded size of an entry with empty strings: the
+// fixed fields plus two zero string lengths.
+const minEntrySize = 25 + 2 + 2
 
-// Decode reads a log previously written by Encode.
-func Decode(r io.Reader) (*Log, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: header: %v", ErrBadFormat, err)
+// DecodeBytes decodes a log written by Encode straight out of its
+// encoded bytes. The entry slice is sized by what b can hold, never by
+// the count the header claims, and b must end exactly after the last
+// entry.
+func DecodeBytes(b []byte) (*Log, error) {
+	if len(b) < 8 {
+		return nil, fmt.Errorf("%w: header: %v", ErrBadFormat, io.ErrUnexpectedEOF)
 	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != logMagic {
+	if binary.LittleEndian.Uint32(b[0:]) != logMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadFormat)
 	}
-	n := binary.LittleEndian.Uint32(hdr[4:])
-	l := New()
+	n := binary.LittleEndian.Uint32(b[4:])
+	b = b[8:]
+	if uint64(n) > uint64(len(b)/minEntrySize) {
+		return nil, fmt.Errorf("%w: %d entries cannot fit in %d bytes", ErrBadFormat, n, len(b))
+	}
+	l := &Log{entries: make([]Entry, 0, n)}
 	for i := uint32(0); i < n; i++ {
-		e, err := decodeEntry(r)
+		e, rest, err := decodeEntry(b)
 		if err != nil {
 			return nil, fmt.Errorf("%w: entry %d: %v", ErrBadFormat, i, err)
 		}
 		l.entries = append(l.entries, e)
+		b = rest
+	}
+	if len(b) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadFormat, len(b))
 	}
 	return l, nil
 }
 
-func decodeEntry(r io.Reader) (Entry, error) {
-	var fixed [25]byte
-	if _, err := io.ReadFull(r, fixed[:]); err != nil {
-		return Entry{}, err
+// decodeEntry decodes the entry at the head of b and returns the rest.
+func decodeEntry(b []byte) (Entry, []byte, error) {
+	if len(b) < 25 {
+		return Entry{}, nil, io.ErrUnexpectedEOF
 	}
 	e := Entry{
-		Kind:   Kind(fixed[0]),
-		Size:   binary.LittleEndian.Uint64(fixed[1:]),
-		Addr:   binary.LittleEndian.Uint64(fixed[9:]),
-		Handle: binary.LittleEndian.Uint64(fixed[17:]),
+		Kind:   Kind(b[0]),
+		Size:   binary.LittleEndian.Uint64(b[1:]),
+		Addr:   binary.LittleEndian.Uint64(b[9:]),
+		Handle: binary.LittleEndian.Uint64(b[17:]),
 	}
-	for i := 0; i < 2; i++ {
-		var nb [2]byte
-		if _, err := io.ReadFull(r, nb[:]); err != nil {
-			return Entry{}, err
-		}
-		n := binary.LittleEndian.Uint16(nb[:])
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return Entry{}, err
-		}
-		if i == 0 {
-			e.Module = string(buf)
-		} else {
-			e.Name = string(buf)
-		}
+	var err error
+	if e.Module, b, err = decodeString(b[25:]); err != nil {
+		return Entry{}, nil, err
 	}
-	return e, nil
+	if e.Name, b, err = decodeString(b); err != nil {
+		return Entry{}, nil, err
+	}
+	return e, b, nil
+}
+
+// decodeString decodes the u16-length-prefixed string at the head of b.
+func decodeString(b []byte) (string, []byte, error) {
+	if len(b) < 2 {
+		return "", nil, io.ErrUnexpectedEOF
+	}
+	n := int(binary.LittleEndian.Uint16(b))
+	if len(b)-2 < n {
+		return "", nil, io.ErrUnexpectedEOF
+	}
+	return string(b[2 : 2+n]), b[2+n:], nil
 }

@@ -88,7 +88,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err := l.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(&buf)
+	got, err := DecodeBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,10 +98,10 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeBadMagic(t *testing.T) {
-	if _, err := Decode(bytes.NewReader([]byte("garbagegarbage"))); !errors.Is(err, ErrBadFormat) {
+	if _, err := DecodeBytes([]byte("garbagegarbage")); !errors.Is(err, ErrBadFormat) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := Decode(bytes.NewReader(nil)); !errors.Is(err, ErrBadFormat) {
+	if _, err := DecodeBytes(nil); !errors.Is(err, ErrBadFormat) {
 		t.Fatalf("empty err = %v", err)
 	}
 }
@@ -114,7 +114,7 @@ func TestDecodeTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := buf.Bytes()
-	if _, err := Decode(bytes.NewReader(b[:len(b)-3])); !errors.Is(err, ErrBadFormat) {
+	if _, err := DecodeBytes(b[:len(b)-3]); !errors.Is(err, ErrBadFormat) {
 		t.Fatalf("truncated err = %v", err)
 	}
 }
@@ -157,7 +157,7 @@ func TestQuickEncodeDecode(t *testing.T) {
 		if err := l.Encode(&buf); err != nil {
 			return false
 		}
-		got, err := Decode(&buf)
+		got, err := DecodeBytes(buf.Bytes())
 		if err != nil {
 			return false
 		}

@@ -7,7 +7,9 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/addrspace"
 	"repro/internal/cracplugin"
+	"repro/internal/cracrt"
 	"repro/internal/dmtcp"
 	"repro/internal/replaylog"
 )
@@ -127,10 +129,14 @@ func openIndexChain(ctx context.Context, store Store, name string, wait bool) ([
 	}
 }
 
+// lowerWindow is the lower-half window of every session's space
+// (newSpace), which a restored arena layout must lie in.
+var lowerWindow = addrspace.Window{Start: addrspace.DefaultLowerStart, End: addrspace.DefaultLowerEnd}
+
 // restart is the one restart lifecycle; every entry point supplies
 // only a store, a name, and whether its caller waits for the drain:
 //
-//	open index chain → verify → guards → lower half → map cold → replay → plugin plans → arm gate → drain
+//	open index chain → verify → decode log + layout → guards → lower half → map cold → rebuild → plugin plans → arm gate → drain
 //
 // Everything before the guards only reads the image, so one that fails
 // to open or verify leaves the session untouched. From the
@@ -159,8 +165,20 @@ func (s *Session) restart(ctx context.Context, store Store, name string, wait bo
 	if err != nil {
 		return failOpen(fmt.Errorf("%w: decoding image log: %v", ErrBadImage, err))
 	}
+	// The active set is derived once; the rebuild and the plugin's plans
+	// share it. The layout is checked against it here, so a hostile
+	// section fails before the teardown.
+	active := log.Active()
+	lowerBytes, err := chain[0].SectionBytes(cracplugin.SectionLower)
+	if err != nil {
+		return failOpen(err)
+	}
+	layout, err := cracplugin.DecodeLowerLayout(lowerBytes, lowerWindow, cracrt.LiveSet(active))
+	if err != nil {
+		return failOpen(fmt.Errorf("%w: %v", ErrBadImage, err))
+	}
 
-	// A quiesced session cannot restart: log replay would block on the
+	// A quiesced session cannot restart: the rebuild would block on the
 	// held launch gate, and the fresh address space could never balance
 	// the pending Resume's Thaw. qmu stays held for the whole visible
 	// phase (and a waited drain) so a racing Quiesce cannot freeze the
@@ -237,10 +255,11 @@ func (s *Session) restart(ctx context.Context, store Store, name string, wait bo
 	if err := restorer.MapRegions(); err != nil {
 		return abort(err)
 	}
-	// ...then the CRAC plugin replays the log into the fresh library,
-	// recreating every allocation at its original address, and binds the
-	// active mallocs to their saved bytes.
-	if err := s.rt.Rebind(lib, entries, log); err != nil {
+	// ...then the runtime rebuilds the fresh library from the layout and
+	// the active set, recreating every live allocation at its original
+	// address, and the CRAC plugin binds the active mallocs to their
+	// saved bytes.
+	if err := s.rt.Rebind(lib, entries, log, active, layout); err != nil {
 		return abort(err)
 	}
 	if err := s.engine.RunLazyRestartHooks(ctx, restorer); err != nil {
@@ -310,8 +329,8 @@ func (s *Session) restart(ctx context.Context, store Store, name string, wait bo
 
 // RestartAsync restarts the session from the named image and returns
 // as soon as it can execute: the visible phase reads the image's
-// headers, verifies it, rebuilds the lower half, replays the log, and
-// maps every restored byte — upper-half regions and active-malloc
+// headers, verifies it, rebuilds the lower half from the active set,
+// and maps every restored byte — upper-half regions and active-malloc
 // memory alike — as cold. The application may then run (and launch
 // kernels) immediately: the first access to any cold range faults its
 // image shards in, while a background prefetcher drains the rest of the

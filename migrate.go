@@ -371,7 +371,7 @@ func Migrate(ctx context.Context, sess *Session, src, dst Store, opts ...Migrate
 	// Phase 3 — activation: the destination restarts lazily from the
 	// chain tip, resolving each image from dst first and falling back
 	// to src — which is where (and only where) the final cut lives
-	// right now. The visible phase is metadata + log replay; the tail
+	// right now. The visible phase is metadata + the active-set rebuild; the tail
 	// post-copy faults across the wire on demand.
 	view := &fallbackStore{primary: dst, fallback: src}
 	rst, err := dest.RestartAsync(ctx, view, finalName)

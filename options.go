@@ -148,7 +148,7 @@ func withWorkerBudget(b *dmtcp.WorkerBudget) Option {
 }
 
 // WithKernels registers the application's kernel tables on the new
-// session, making module kernels resolvable during log replay in a
+// session, making module kernels resolvable at restart in a
 // process that never executed the original RegisterFunction calls.
 // Required for cross-process Restore / RestoreFrom; harmless elsewhere.
 func WithKernels(reg *KernelRegistry) Option {

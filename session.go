@@ -538,10 +538,10 @@ func (s *Session) CheckpointAsync(ctx context.Context, store Store, name string)
 // Restart simulates killing the process and restarting it from the image
 // in r: the entire old address space (upper and lower halves, including
 // the old CUDA library) is discarded; a fresh lower half is loaded; the
-// upper-half regions are restored from the image; the CUDA call log is
-// replayed against the fresh library so every allocation reappears at
-// its original address; and the saved memory of active mallocs is
-// refilled. The application continues through the same Runtime value,
+// upper-half regions are restored from the image; the fresh library's
+// arenas are rebuilt from the image's layout and active set so every
+// live allocation reappears at its original address; and the saved
+// memory of active mallocs is refilled. The application continues through the same Runtime value,
 // its virtual handles transparently re-mapped.
 //
 // Restart reads r to its end and restores the bytes exactly as
@@ -586,7 +586,7 @@ func (s *Session) Rebase() {
 // Restore builds a brand-new session (a new process) from a checkpoint
 // image — the cross-process restart path (cracrun writes an image; a
 // later process restores it): New, then Restart. Pass WithKernels so
-// replay can resolve kernel names in the restored process, standing in
+// the rebuild can resolve kernel names in the restored process, standing in
 // for the device code in its text segment.
 func Restore(ctx context.Context, r io.Reader, opts ...Option) (*Session, error) {
 	store, err := readImageStore(r)
@@ -643,9 +643,10 @@ func (s *Session) Close() {
 }
 
 // Quiesce brings the session to a checkpointable standstill and holds
-// it there: new kernel launches block before they reach the device, the
-// device drains, and every application-side memory mutation (WriteAt,
-// writable Slice, mmap/munmap/mprotect) blocks until Resume. Reads are
+// it there: new kernel launches and allocation calls (the cudaMalloc
+// and free family) block before they reach the library, the device
+// drains, and every application-side memory mutation (WriteAt, writable
+// Slice, mmap/munmap/mprotect) blocks until Resume. Reads are
 // unaffected, so checkpoints may be taken while quiesced. Quiesce
 // nests; each call must be balanced by exactly one Resume. It also
 // implements dmtcp.Member for coordinated multi-rank checkpoints.
