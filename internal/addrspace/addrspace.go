@@ -148,9 +148,33 @@ type region struct {
 	label string
 	data  []byte
 	gens  []uint64
+	// hw bounds what has been written: data[hw:] is still the zeros the
+	// mapping started with. Only a retired backing's wipe (Reuse) reads
+	// it, so a piece cut off the front of a region conservatively counts
+	// as written throughout.
+	hw atomic.Uint64
 }
 
 func (r *region) end() uint64 { return r.start + uint64(len(r.data)) }
+
+// touch raises the written bound to end (an offset into data).
+func (r *region) touch(end uint64) {
+	for {
+		hw := r.hw.Load()
+		if end <= hw || r.hw.CompareAndSwap(hw, end) {
+			return
+		}
+	}
+}
+
+// cut returns a region for data[off:] of r, counted as written
+// throughout (see hw).
+func (r *region) cut(start, off uint64) *region {
+	c := &region{start: start, prot: r.prot, half: r.half, label: r.label,
+		data: r.data[off:], gens: r.gens[off/PageSize:]}
+	c.hw.Store(uint64(len(c.data)))
+	return c
+}
 
 // RegionInfo is a read-only snapshot of a mapping.
 type RegionInfo struct {
@@ -232,6 +256,13 @@ type Space struct {
 	// only when the whole Space is collected.
 	mmapBacked bool
 	backings   []*backing
+
+	// retired (Retire) keeps the backing of every region unmapped whole
+	// in kept, for a successor space to take over (Reuse); reuse holds,
+	// by length, what a predecessor left to this space.
+	retired bool
+	kept    []keptBacking
+	reuse   map[int][][]byte
 
 	mmapCount   uint64 // statistics: total MMap calls
 	munmapCount uint64
@@ -418,7 +449,10 @@ func (s *Space) overlapsLocked(start, length uint64) bool {
 
 func (s *Space) insertLocked(start, length uint64, prot Prot, half Half, label string) uint64 {
 	var data []byte
-	if s.mmapBacked {
+	if l := s.reuse[int(length)]; len(l) > 0 {
+		data = l[len(l)-1]
+		s.reuse[int(length)] = l[:len(l)-1]
+	} else if s.mmapBacked {
 		var back *backing
 		data, back = allocBacking(length)
 		if back != nil {
@@ -474,14 +508,17 @@ func (s *Space) unmapLocked(addr, length uint64) {
 		case r.end() <= addr || r.start >= end:
 			out = append(out, r) // untouched
 		case r.start >= addr && r.end() <= end:
-			// fully covered: drop
+			// fully covered: drop (a retired space keeps the backing,
+			// unless a snapshot might still read it)
+			if s.retired && len(s.snaps) == 0 {
+				s.kept = append(s.kept, keptBacking{r.data, min(r.hw.Load(), uint64(len(r.data)))})
+			}
 		case r.start < addr && r.end() > end:
 			// hole in the middle: split into two
 			left := &region{start: r.start, prot: r.prot, half: r.half, label: r.label,
 				data: r.data[:addr-r.start], gens: r.gens[:(addr-r.start)/PageSize]}
-			right := &region{start: end, prot: r.prot, half: r.half, label: r.label,
-				data: r.data[end-r.start:], gens: r.gens[(end-r.start)/PageSize:]}
-			out = append(out, left, right)
+			left.hw.Store(r.hw.Load())
+			out = append(out, left, r.cut(end, end-r.start))
 		case r.start < addr:
 			// trim tail
 			r.data = r.data[:addr-r.start]
@@ -493,6 +530,7 @@ func (s *Space) unmapLocked(addr, length uint64) {
 			r.data = r.data[off:]
 			r.gens = r.gens[off/PageSize:]
 			r.start = end
+			r.hw.Store(uint64(len(r.data))) // see hw
 			out = append(out, r)
 		}
 	}
@@ -533,8 +571,7 @@ func (s *Space) MProtect(addr, length uint64, prot Prot) error {
 func (s *Space) splitAtLocked(addr uint64) {
 	for i, r := range s.regions {
 		if r.start < addr && addr < r.end() {
-			right := &region{start: addr, prot: r.prot, half: r.half, label: r.label,
-				data: r.data[addr-r.start:], gens: r.gens[(addr-r.start)/PageSize:]}
+			right := r.cut(addr, addr-r.start)
 			r.data = r.data[:addr-r.start]
 			r.gens = r.gens[:(addr-r.start)/PageSize]
 			rest := make([]*region, 0, len(s.regions)+1)
@@ -657,6 +694,7 @@ func (r *region) stamp(off, length, epoch uint64) {
 	for pi := first; pi <= last; pi++ {
 		atomic.StoreUint64(&r.gens[pi], epoch)
 	}
+	r.touch(off + length)
 }
 
 // Slice returns a direct, mutable view of [addr, addr+length). The range
@@ -877,6 +915,54 @@ func (s *Space) RangeDirtySince(addr, length, since uint64) bool {
 		at = r.end()
 	}
 	return false
+}
+
+// keptBacking is the backing of a region a retired space unmapped:
+// data[:written] may hold its bytes, the rest is still zero.
+type keptBacking struct {
+	data    []byte
+	written uint64
+}
+
+// Retire marks a space that is being discarded: from now on, every
+// region unmapped whole keeps its backing for a successor to take over
+// with Reuse, instead of leaving it to the collector. The caller
+// guarantees that nothing still holds a view of what it unmaps. A space
+// that ever used mmap backing does not retire: those mappings live and
+// die with the space itself (see backing).
+func (s *Space) Retire() {
+	s.mu.Lock()
+	s.retired = len(s.backings) == 0
+	s.mu.Unlock()
+}
+
+// Reuse takes over the backings a retired space kept: a later mapping
+// of the same length gets one of them instead of fresh memory, wiped up
+// to what was written. A restart maps the same arena chunks its
+// predecessor unmapped, and the application writes a prefix of each, so
+// the rebuild neither allocates an arena footprint nor wipes one. The
+// old space keeps nothing from then on. Reuse(nil) drops whatever is
+// left.
+func (s *Space) Reuse(old *Space) {
+	var kept []keptBacking
+	if old != nil {
+		old.mu.Lock()
+		kept, old.kept, old.retired = old.kept, nil, false
+		old.mu.Unlock()
+	}
+	for _, k := range kept {
+		clear(k.data[:k.written])
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.reuse = nil
+	for _, k := range kept {
+		if s.reuse == nil {
+			s.reuse = make(map[int][][]byte)
+		}
+		n := len(k.data)
+		s.reuse[n] = append(s.reuse[n], k.data[:n:n])
+	}
 }
 
 // SetMmapBacked toggles anonymous-mmap backing for regions created

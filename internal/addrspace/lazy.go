@@ -349,6 +349,7 @@ func (s *Space) FillCold(addr uint64, p []byte) {
 				hi = re
 			}
 			copy(r.data[at-r.start:hi-r.start], p[at-addr:hi-addr])
+			r.touch(hi - r.start)
 			at = hi
 		}
 	}

@@ -201,7 +201,7 @@ func (s *Session) restart(ctx context.Context, store Store, name string, wait bo
 		s.mu.Unlock()
 		return failOpen(fmt.Errorf("%w: cannot restart", ErrCheckpointInFlight))
 	}
-	oldLib, oldHelper, oldLazy := s.lib, s.helper, s.lazy
+	oldSpace, oldLib, oldHelper, oldLazy := s.space, s.lib, s.helper, s.lazy
 	// The lower half is about to die: clear the pointers first so a
 	// failure below (or a concurrent Close) can never tear the same
 	// objects down twice.
@@ -224,11 +224,23 @@ func (s *Session) restart(ctx context.Context, store Store, name string, wait bo
 	// A waited restart writes every byte before it returns, so it keeps
 	// heap backing: one sequential memclr instead of a page fault per
 	// page, and no dependence on when the collector hands the previous
-	// space's mappings back for reuse.
+	// space's mappings back for reuse. It takes the old lower half's
+	// backings over instead of allocating its own: the rebuild maps the
+	// same arena chunks the teardown unmaps, and a fresh arena footprint
+	// per restart would start a collection inside most restarts. The
+	// teardown has synchronized the old device, so no kernel still holds
+	// a view of them.
+	if wait {
+		oldSpace.Retire()
+	}
 	oldLib.Destroy()
 	oldHelper.Unload()
 	space := newSpace(s.cfg)
 	space.SetMmapBacked(!wait)
+	if wait {
+		space.Reuse(oldSpace)
+		defer space.Reuse(nil)
+	}
 	helper, lib, entries, err := buildLowerHalf(s.cfg, space)
 	if err != nil {
 		return failOpen(err)

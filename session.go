@@ -194,7 +194,9 @@ func (s *Session) CRACRuntime() *cracrt.Runtime { return s.rt }
 
 // Space returns the session's current address space. Unlike the lower
 // half it survives Close (it is plain memory); use Library() == nil to
-// detect a closed session.
+// detect a closed session. A restart replaces it, and a waited restart
+// hands the old lower half's memory to the new space: a Slice view of
+// the lower half must not be held across one.
 func (s *Session) Space() *addrspace.Space {
 	s.mu.Lock()
 	defer s.mu.Unlock()
