@@ -6,6 +6,7 @@ import (
 	"io"
 	"slices"
 
+	"repro/internal/cracplugin"
 	"repro/internal/dmtcp"
 )
 
@@ -34,9 +35,13 @@ type CompactStats struct {
 // and applies against the compacted base; deltas the session writes
 // while Compact runs land on top untouched.
 //
-// Each member is read once, checked as it is read (trailer, shard
-// hashes, parent identity, cycles, depth); a member that fails aborts
-// with its error and the store unchanged. The squashed ancestors are
+// The chain is resolved with the walk a waited restart takes, so every
+// member is checked (trailer, parent identity and shard grid, cycles,
+// depth) before the new base is written, and every shard it takes is
+// checked against its hash as it streams out; a member that fails
+// aborts with its error and the store unchanged. Region bytes stream
+// shard by shard; only the sections are held in memory, device memory
+// folded once. The squashed ancestors are
 // then condemned by DirStore retention's rule: deleted unless a live
 // image reaches them, and all kept when a live header cannot be read.
 // Through a CASStore that deletes manifests only; CASStore.GC sweeps
@@ -61,25 +66,31 @@ func Compact(ctx context.Context, store Store, tip string) (*CompactStats, error
 	case head.id == 0:
 		return nil, fmt.Errorf("%w: tip %q carries no identity; compacting it would orphan its children", ErrDeltaChain, tip)
 	}
-	squashed, err := g.ancestors(tip)
+	// Resolve the chain with the walk a waited restart takes, and stream
+	// it out as one base under the tip's identity. Mirror the chain's own
+	// encoding so later deltas keep addressing the same shard grid.
+	chain, closers, err := openIndexChain(ctx, store, tip, chainWaited)
+	if err != nil {
+		return nil, wrapCancelled(err)
+	}
+	defer closeAll(closers)
+	devmem, err := foldDevMem(chain)
 	if err != nil {
 		return nil, err
+	}
+	// The walk learned each member's lineage node: condemnation below
+	// needs no second read of their headers.
+	var squashed []string
+	for i, ix := range chain[1:] {
+		squashed = append(squashed, chain[i].Parent)
+		g.nodes[chain[i].Parent] = &lineageNode{parent: ix.Parent, id: ix.ID, parentID: ix.ParentID}
 	}
 	st.Depth, st.Squashed = len(squashed), squashed
 
-	// Materialize base + deltas and re-emit as a base under the tip's
-	// identity. Mirror the chain's own encoding so later deltas keep
-	// addressing the same shard grid.
-	im, err := OpenImageFrom(ctx, store, tip)
-	if err != nil {
-		return nil, err
-	}
-	eng := &dmtcp.Engine{Gzip: im.img.Gzip}
-	if d := im.img.Delta; d != nil {
-		eng.ShardSize = d.ShardSize()
-	}
+	eng := &dmtcp.Engine{Gzip: chain[0].Gzip, ShardSize: chain[0].ShardSize}
+	opaque := map[string][]byte{cracplugin.SectionDevMem2: devmem}
 	if err := store.Put(ctx, tip, func(w io.Writer) error {
-		return eng.EncodeBase(ctx, w, im.img, head.id)
+		return eng.EncodeBase(ctx, w, chain[0], head.id, opaque)
 	}); err != nil {
 		return nil, fmt.Errorf("crac: compact %q: writing base: %w", tip, err)
 	}

@@ -59,8 +59,10 @@
 //
 // # Images as artifacts
 //
-// OpenImage, OpenImageFile, and OpenImageFrom parse a checkpoint image
-// without restoring it. Image.Info reports the layout of regions and
+// OpenImage, OpenImageFile, and OpenImageFrom open a checkpoint image
+// without restoring it; OpenImageFrom resolves a delta's parent chain
+// through its Store with the same shard-index walk a restart takes,
+// each member read once. Image.Info reports the layout of regions and
 // sections; Image.Log summarizes the CUDA call log — its length and the
 // resources active at checkpoint, which a restore reissues.
 // cmd/cracinspect renders exactly this surface. For cross-process
@@ -90,8 +92,9 @@
 //
 // Deltas name their parent image, and RestartFrom / RestoreFrom /
 // OpenImageFrom follow the lineage through the same Store
-// transparently; a delta opened outside its store still parses for
-// inspection but restores only with ErrDeltaChain. A restart breaks
+// transparently; a delta opened outside its store still lists its
+// tables for inspection, but its sections and call log live in its
+// parents, and it restores only with ErrDeltaChain. A restart breaks
 // the chain (the next checkpoint is a base), and DirStore retention
 // keeps every ancestor a retained image needs. Image.Info reports a
 // delta's depth, parent, and dirty ratio; cracinspect prints them.

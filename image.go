@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"repro/internal/cracplugin"
 	"repro/internal/cuda"
@@ -68,27 +69,33 @@ func (r *KernelRegistry) clone() *KernelRegistry {
 	return out
 }
 
-// Image is a parsed checkpoint image, opened without restoring it:
-// a first-class, inspectable artifact. Use OpenImage / OpenImageFile /
+// Image is a checkpoint image opened without restoring it: a
+// first-class, inspectable artifact. Use OpenImage / OpenImageFile /
 // OpenImageFrom to obtain one and Info and Log to inspect it; restarts
 // read the image from its Store or bytes themselves (RestartFrom,
-// Restart).
+// Restart). It reads through the same linked shard-index chain a
+// restart does, every member held in memory.
 type Image struct {
-	img *dmtcp.Image
+	chain []*dmtcp.ShardIndex // tip first, each linked to the next
+	// devmem is the tip's devmem2 section folded across a delta chain;
+	// nil when the tip carries it whole (a base) or has none.
+	devmem []byte
 }
 
-// OpenImage parses a checkpoint image from r and checks its integrity
-// trailer; failures classify as ErrBadImage, ErrCorruptImage or
-// ErrUnsupportedVersion.
+// OpenImage reads one checkpoint image from r and verifies it: its
+// integrity trailer and every shard. Failures classify as ErrBadImage,
+// ErrCorruptImage or ErrUnsupportedVersion. A delta opened this way
+// lists its tables but not its section bytes, which live in its parent
+// chain (ImageInfo.Materialized is false).
 func OpenImage(r io.Reader) (*Image, error) {
-	img, err := dmtcp.ReadImage(r)
+	ix, err := dmtcp.ReadImage(r)
 	if err != nil {
 		return nil, err
 	}
-	return &Image{img: img}, nil
+	return &Image{chain: []*dmtcp.ShardIndex{ix}}, nil
 }
 
-// OpenImageFile parses a checkpoint image from a file.
+// OpenImageFile reads a checkpoint image from a file.
 func OpenImageFile(path string) (*Image, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -98,34 +105,67 @@ func OpenImageFile(path string) (*Image, error) {
 	return OpenImage(f)
 }
 
-// sectionMergers materializes plugin-owned opaque sections when a delta
-// chain is resolved.
-var sectionMergers = map[string]dmtcp.SectionMerger{
-	cracplugin.SectionDevMem2: cracplugin.MergeDevMem,
-}
-
-// OpenImageFrom parses the named checkpoint image out of a Store. A
-// delta image is materialized transparently: its parent chain is
-// followed (by name, through the same Store) back to the base and the
-// deltas are folded forward, yielding a complete image. A missing or
-// cyclic parent reports ErrDeltaChain.
+// OpenImageFrom opens the named checkpoint image out of a Store. A
+// delta is resolved transparently: its parent chain is followed (by
+// name, through the same Store) back to the base with the walk a
+// restart takes, each member read once and its trailer checked, so the
+// image reads back as complete. A missing or cyclic parent reports
+// ErrDeltaChain.
 func OpenImageFrom(ctx context.Context, store Store, name string) (*Image, error) {
-	rc, err := store.Get(ctx, name)
+	chain, closers, err := openIndexChain(ctx, store, name, chainWhole)
 	if err != nil {
 		return nil, wrapCancelled(err)
 	}
-	img, err := dmtcp.ReadImage(rc)
-	rc.Close()
+	closeAll(closers) // every member is held in memory
+	devmem, err := foldDevMem(chain)
 	if err != nil {
 		return nil, err
 	}
-	img, err = dmtcp.ResolveChain(img, func(parent string) (io.ReadCloser, error) {
-		return store.Get(ctx, parent)
-	}, sectionMergers)
-	if err != nil {
-		return nil, wrapCancelled(err)
+	return &Image{chain: chain, devmem: devmem}, nil
+}
+
+// foldDevMem resolves the devmem2 section of a linked chain (tip first)
+// through cracplugin.MergeDevMem: the one opaque section that folds
+// across a chain, over every member down to the base or the first that
+// lacks it. A base carries it whole, so there is nothing to fold.
+func foldDevMem(chain []*dmtcp.ShardIndex) ([]byte, error) {
+	tip := chain[0]
+	if !tip.Delta || !slices.ContainsFunc(tip.Secs, func(s dmtcp.SectionHdr) bool {
+		return s.Name == cracplugin.SectionDevMem2 && s.Opaque
+	}) {
+		return nil, nil
 	}
-	return &Image{img: img}, nil
+	var secs []*io.SectionReader
+	for _, ix := range chain {
+		sr, err := ix.SectionReader(cracplugin.SectionDevMem2)
+		if err != nil {
+			break
+		}
+		secs = append(secs, io.NewSectionReader(sr, 0, int64(sr.Size())))
+	}
+	merged, err := cracplugin.MergeDevMem(secs)
+	if err != nil {
+		return nil, fmt.Errorf("dmtcp: merging section %s: %w", cracplugin.SectionDevMem2, err)
+	}
+	return merged, nil
+}
+
+// resolved reports whether the chain ends at a self-contained image, so
+// that every tip section reads back.
+func (im *Image) resolved() bool { return !im.chain[len(im.chain)-1].Delta }
+
+// section reads a tip section through the chain: ok is false when the
+// image has no such section, or is a delta opened without its chain.
+func (im *Image) section(name string) (data []byte, ok bool, err error) {
+	tip := im.chain[0]
+	if !im.resolved() || !tip.HasSection(name) {
+		return nil, false, nil
+	}
+	if name == cracplugin.SectionDevMem2 && im.devmem != nil {
+		return im.devmem, true, nil
+	}
+	data, err = tip.SectionBytes(name)
+	return data, err == nil, err
 }
 
 // ImageRegion describes one upper-half memory region inside an image.
@@ -157,8 +197,9 @@ type ImageInfo struct {
 	// the chain's base. DirtyRatio is the fraction of the checkpointed
 	// payload the image actually carries (ShardsEmitted of ShardsTotal
 	// shards) — 1 for full images. Materialized reports whether the
-	// payload is complete (always true except for a delta opened
-	// outside its Store).
+	// image's parent chain was resolved, so that Section and Log read
+	// its complete content: false only for a delta opened on its own
+	// (OpenImage, OpenImageFile), whose sections live in its parents.
 	Delta         bool
 	Parent        string
 	DeltaDepth    int
@@ -170,44 +211,43 @@ type ImageInfo struct {
 
 // Info summarizes the image.
 func (im *Image) Info() ImageInfo {
+	tip := im.chain[0]
 	info := ImageInfo{
-		Version:      im.img.Version,
-		Gzip:         im.img.Gzip,
-		RegionBytes:  im.img.TotalRegionBytes(),
+		Version:      3,
+		Gzip:         tip.Gzip,
 		DirtyRatio:   1,
-		Materialized: true,
+		Delta:        tip.Depth > 0 || tip.Parent != "",
+		Parent:       tip.Parent,
+		DeltaDepth:   tip.Depth,
+		Materialized: im.resolved(),
 	}
-	if d := im.img.Delta; d != nil {
-		info.Delta = d.Depth > 0 || d.Parent != ""
-		info.Parent = d.Parent
-		info.DeltaDepth = d.Depth
-		info.ShardsTotal = d.ShardsTotal
-		info.ShardsEmitted = d.ShardsEmitted
-		info.DirtyRatio = d.DirtyRatio()
-		info.Materialized = d.Materialized
+	var rawTotal, rawEmitted uint64
+	info.ShardsTotal, info.ShardsEmitted, rawTotal, rawEmitted = tip.Coverage()
+	if rawTotal > 0 {
+		info.DirtyRatio = float64(rawEmitted) / float64(rawTotal)
 	}
-	for _, r := range im.img.Regions {
+	for _, r := range tip.Regions {
+		info.RegionBytes += r.Len
 		info.Regions = append(info.Regions, ImageRegion{
 			Start: r.Start, Len: r.Len, Prot: fmt.Sprintf("%v", r.Prot), Label: r.Label,
 		})
 	}
-	for _, name := range im.img.Sections.Names() {
-		data, _ := im.img.Sections.Get(name)
-		info.Sections = append(info.Sections, ImageSection{Name: name, Size: len(data)})
-	}
-	if len(info.Sections) == 0 && im.img.Delta != nil && !im.img.Delta.Materialized {
-		// A bare delta's section bytes are unavailable, but its header
-		// table still describes the layout.
-		for _, sh := range im.img.Delta.SectionLayout() {
-			info.Sections = append(info.Sections, ImageSection{Name: sh.Name, Size: int(sh.Size)})
+	for _, sec := range tip.Secs {
+		size := int(sec.Size)
+		if sec.Name == cracplugin.SectionDevMem2 && im.devmem != nil {
+			size = len(im.devmem)
 		}
+		info.Sections = append(info.Sections, ImageSection{Name: sec.Name, Size: size})
 	}
 	return info
 }
 
-// Section returns the raw bytes of a named payload section.
+// Section returns the raw bytes of a named payload section; false when
+// the image has none, when a delta was opened without its chain, or
+// when the section's shards fail their content hashes.
 func (im *Image) Section(name string) ([]byte, bool) {
-	return im.img.Sections.Get(name)
+	data, ok, err := im.section(name)
+	return data, ok && err == nil
 }
 
 // AllocClass summarizes one class of active CUDA allocations.
@@ -237,9 +277,9 @@ type ImageLog struct {
 }
 
 func (im *Image) decodeLog() (*replaylog.Log, error) {
-	logBytes, ok := im.img.Sections.Get(cracplugin.SectionLog)
-	if !ok {
-		return nil, nil
+	logBytes, ok, err := im.section(cracplugin.SectionLog)
+	if !ok || err != nil {
+		return nil, err
 	}
 	log, err := replaylog.DecodeBytes(logBytes)
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/addrspace"
 	"repro/internal/dmtcp"
 )
 
@@ -63,31 +64,45 @@ func feed(t *testing.T, w *Chunker, data []byte) {
 	}
 }
 
-// testV3Image encodes a synthetic-but-genuine v3 base image (regions,
-// sections, shard frames, integrity trailer) and returns its bytes.
+// testV3Image checkpoints one upper-half region of size seeded random
+// bytes, plus a section, as a genuine v3 chain base (regions, sections,
+// shard frames, integrity trailer) and returns its bytes.
 func testV3Image(t testing.TB, seed int64, size int, shard int) []byte {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
+	space := addrspace.New()
+	addr, err := space.MMap(0, uint64(size), addrspace.ProtRW, 0, addrspace.HalfUpper, "heap")
+	if err != nil {
+		t.Fatal(err)
+	}
 	data := make([]byte, size)
 	rng.Read(data)
-	secs := dmtcp.NewSectionMap()
+	if err := space.WriteAt(addr, data); err != nil {
+		t.Fatal(err)
+	}
 	sec := make([]byte, size/4+17)
 	rng.Read(sec)
-	secs.Add("test-section", sec)
-	img := &dmtcp.Image{
-		Version: 3,
-		Regions: []dmtcp.RegionData{
-			{Start: 0x7f0000000000, Len: uint64(len(data)), Label: "heap", Data: data},
-		},
-		Sections: secs,
-	}
 	eng := &dmtcp.Engine{ShardSize: shard}
+	eng.Register(sectionPlugin(sec))
 	var buf bytes.Buffer
-	if err := eng.EncodeBase(context.Background(), &buf, img, 42); err != nil {
-		t.Fatalf("EncodeBase: %v", err)
+	if _, _, err := eng.CheckpointDelta(context.Background(), &buf, space, nil, "base"); err != nil {
+		t.Fatalf("CheckpointDelta: %v", err)
 	}
 	return buf.Bytes()
 }
+
+// sectionPlugin contributes one fixed section to every checkpoint.
+type sectionPlugin []byte
+
+func (p sectionPlugin) Name() string { return "test" }
+func (p sectionPlugin) Freeze(uint64, bool) (dmtcp.EmitFunc, error) {
+	return func(_ context.Context, _ addrspace.View, s *dmtcp.SectionMap) error {
+		s.Add("test-section", p)
+		return nil
+	}, nil
+}
+func (p sectionPlugin) Resume() error                                          { return nil }
+func (p sectionPlugin) LazyRestart(context.Context, *dmtcp.LazyRestorer) error { return nil }
 
 func TestChunkerV3Roundtrip(t *testing.T) {
 	stream := testV3Image(t, 1, 1<<20, 64<<10)

@@ -18,7 +18,6 @@
 package cracplugin
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -43,8 +42,7 @@ const (
 	// carries a presence flag, so a delta image lists every active
 	// allocation but bodies only the dirty ones (a standalone image or a
 	// chain base bodies all of them). The section is opaque to the
-	// engine's generic shard delta; MergeDevMem materializes it across a
-	// chain.
+	// engine's generic shard delta; MergeDevMem folds it across a chain.
 	SectionDevMem2 = "crac.devmem2"
 )
 
@@ -295,13 +293,6 @@ func (p *Plugin) ResetIncremental() {
 	p.mu.Unlock()
 }
 
-// dm2Entry is one parsed devmem2 entry.
-type dm2Entry struct {
-	addr    uint64
-	size    uint64
-	payload []byte // nil when the entry was skipped
-}
-
 // maxDevMemEntryBytes caps a single allocation's claimed size and
 // maxDevMemTotalBytes the merged section, so a corrupt or hostile
 // image fails with an error instead of demanding an absurd allocation
@@ -365,66 +356,68 @@ func noEOF(err error) error {
 	return err
 }
 
-func parseDevMem2(b []byte) ([]dm2Entry, error) {
-	var entries []dm2Entry
-	err := walkDevMem2(bytes.NewReader(b), uint64(len(b)), func(addr, size uint64, present bool, off uint64) error {
-		e := dm2Entry{addr: addr, size: size}
-		if present {
-			e.payload = b[off : off+size]
-		}
-		entries = append(entries, e)
-		return nil
-	})
-	return entries, err
-}
-
-// MergeDevMem is the dmtcp.SectionMerger for SectionDevMem2: it
-// materializes a delta's devmem2 against the parent chain's, producing
-// the full section a single non-incremental drain would have written —
-// the delta's entry order and layout with every payload present.
-func MergeDevMem(parent, delta []byte) ([]byte, error) {
-	de, err := parseDevMem2(delta)
-	if err != nil {
-		return nil, err
+// MergeDevMem folds the devmem2 section of a delta chain into the
+// section a single non-incremental drain would have written at the tip:
+// the tip's entry order and layout, every payload present. chain holds
+// each member's section, tip first, down to the base or the last member
+// that has one. Entries fold base to tip by their headers alone — an
+// entry carrying its payload owns it; one that skipped it takes what its
+// parent's entry for the same address resolved to, at the same size —
+// and then each payload is copied once, from the member that owns it.
+func MergeDevMem(chain []*io.SectionReader) ([]byte, error) {
+	type entry struct {
+		addr, size, off uint64
+		present         bool
 	}
-	var parentPayload map[uint64][]byte
-	if parent != nil {
-		pe, err := parseDevMem2(parent)
+	type owner struct {
+		sec       *io.SectionReader
+		off, size uint64
+	}
+	var (
+		owners map[uint64]owner
+		tip    []entry
+		total  uint64
+	)
+	for i := len(chain) - 1; i >= 0; i-- {
+		sec := chain[i]
+		tip, total = tip[:0], 4
+		err := walkDevMem2(sec, uint64(sec.Size()), func(addr, size uint64, present bool, off uint64) error {
+			tip = append(tip, entry{addr, size, off, present})
+			total += devMem2EntryHdr + size
+			return nil
+		})
 		if err != nil {
-			return nil, fmt.Errorf("parent: %w", err)
+			return nil, err
 		}
-		parentPayload = make(map[uint64][]byte, len(pe))
-		for _, e := range pe {
-			if e.payload != nil {
-				parentPayload[e.addr] = e.payload
+		if total > maxDevMemTotalBytes {
+			return nil, fmt.Errorf("devmem2 section too large (%d bytes)", total)
+		}
+		next := make(map[uint64]owner, len(tip))
+		for _, e := range tip {
+			o, ok := owner{sec, e.off, e.size}, true
+			if !e.present {
+				if o, ok = owners[e.addr]; !ok || o.size != e.size {
+					return nil, fmt.Errorf("allocation %#x+%d has no payload in the parent chain", e.addr, e.size)
+				}
 			}
+			next[e.addr] = o
 		}
-	}
-	total := uint64(4)
-	for _, e := range de {
-		total += devMem2EntryHdr + e.size
-	}
-	if total > maxDevMemTotalBytes {
-		return nil, fmt.Errorf("devmem2 section too large (%d bytes)", total)
+		owners = next
 	}
 	out := make([]byte, total)
-	binary.LittleEndian.PutUint32(out[0:], uint32(len(de)))
-	off := 4
-	for _, e := range de {
-		payload := e.payload
-		if payload == nil {
-			pp, ok := parentPayload[e.addr]
-			if !ok || uint64(len(pp)) != e.size {
-				return nil, fmt.Errorf("allocation %#x+%d has no payload in the parent chain", e.addr, e.size)
-			}
-			payload = pp
-		}
+	binary.LittleEndian.PutUint32(out[0:], uint32(len(tip)))
+	off := uint64(4)
+	for _, e := range tip {
 		binary.LittleEndian.PutUint64(out[off:], e.addr)
 		binary.LittleEndian.PutUint64(out[off+8:], e.size)
 		out[off+16] = 1
 		off += devMem2EntryHdr
-		copy(out[off:], payload)
-		off += int(e.size)
+		if o := owners[e.addr]; e.size > 0 {
+			if _, err := o.sec.ReadAt(out[off:off+e.size], int64(o.off)); err != nil {
+				return nil, fmt.Errorf("allocation %#x+%d: %w", e.addr, e.size, noEOF(err))
+			}
+		}
+		off += e.size
 	}
 	return out, nil
 }

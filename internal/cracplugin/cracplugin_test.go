@@ -325,7 +325,7 @@ func TestMergeDevMem(t *testing.T) {
 		dm2Entry{addr: 0x1000, size: 4},
 		dm2Entry{addr: 0x3000, size: 4, payload: []byte("cccc")},
 	)
-	merged, err := MergeDevMem(parent, delta)
+	merged, err := MergeDevMem(devMem2Sections(delta, parent))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,14 +336,37 @@ func TestMergeDevMem(t *testing.T) {
 	if len(got) != 2 || !bytes.Equal(got[0].payload, []byte("aaaa")) || !bytes.Equal(got[1].payload, []byte("cccc")) {
 		t.Fatalf("merge result wrong: %+v", got)
 	}
+	// Three members: a skipped tip entry resolves to the nearest member
+	// carrying it, through a middle delta that skipped it too.
+	mid := devMem2Bytes(
+		dm2Entry{addr: 0x1000, size: 4},
+		dm2Entry{addr: 0x2000, size: 4, payload: []byte("BBBB")},
+	)
+	tip := devMem2Bytes(
+		dm2Entry{addr: 0x2000, size: 4},
+		dm2Entry{addr: 0x1000, size: 4},
+	)
+	merged, err = MergeDevMem(devMem2Sections(tip, mid, parent))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := parseDevMem2(merged); err != nil || len(got) != 2 ||
+		got[0].addr != 0x2000 || !bytes.Equal(got[0].payload, []byte("BBBB")) || !bytes.Equal(got[1].payload, []byte("aaaa")) {
+		t.Fatalf("three-member merge wrong: %+v (%v)", got, err)
+	}
+	// A middle member that dropped an allocation breaks a tip still
+	// skipping it.
+	if _, err := MergeDevMem(devMem2Sections(devMem2Bytes(dm2Entry{addr: 0x2000, size: 4}), delta, parent)); err == nil {
+		t.Fatal("an allocation the middle member dropped must fail the merge")
+	}
 	// A skipped entry with no parent payload is a broken chain.
 	bad := devMem2Bytes(dm2Entry{addr: 0x9000, size: 4})
-	if _, err := MergeDevMem(parent, bad); err == nil {
+	if _, err := MergeDevMem(devMem2Sections(bad, parent)); err == nil {
 		t.Fatal("missing parent payload must fail the merge")
 	}
 	// Size mismatch against the parent payload also fails.
 	badSize := devMem2Bytes(dm2Entry{addr: 0x1000, size: 8})
-	if _, err := MergeDevMem(parent, badSize); err == nil {
+	if _, err := MergeDevMem(devMem2Sections(badSize, parent)); err == nil {
 		t.Fatal("size mismatch must fail the merge")
 	}
 }
@@ -367,7 +390,7 @@ func TestParseDevMem2HostileInput(t *testing.T) {
 	if _, err := parseDevMem2(hugeSize); err == nil {
 		t.Fatal("hostile size must fail")
 	}
-	if _, err := MergeDevMem(nil, hugeSize); err == nil {
+	if _, err := MergeDevMem(devMem2Sections(hugeSize)); err == nil {
 		t.Fatal("merge of hostile size must fail")
 	}
 	// Many skipped entries whose sizes sum past the section cap.
@@ -380,7 +403,7 @@ func TestParseDevMem2HostileInput(t *testing.T) {
 		binary.LittleEndian.PutUint64(big[off+8:], maxDevMemEntryBytes)
 		off += devMem2EntryHdr
 	}
-	if _, err := MergeDevMem(nil, big); err == nil {
+	if _, err := MergeDevMem(devMem2Sections(big)); err == nil {
 		t.Fatal("merge exceeding the total cap must fail")
 	}
 }

@@ -3,9 +3,40 @@ package cracplugin
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"runtime"
 	"testing"
 )
+
+// dm2Entry is one parsed devmem2 entry.
+type dm2Entry struct {
+	addr    uint64
+	size    uint64
+	payload []byte // nil when the entry was skipped
+}
+
+// parseDevMem2 decodes a whole devmem2 section held in memory.
+func parseDevMem2(b []byte) ([]dm2Entry, error) {
+	var entries []dm2Entry
+	err := walkDevMem2(bytes.NewReader(b), uint64(len(b)), func(addr, size uint64, present bool, off uint64) error {
+		e := dm2Entry{addr: addr, size: size}
+		if present {
+			e.payload = b[off : off+size]
+		}
+		entries = append(entries, e)
+		return nil
+	})
+	return entries, err
+}
+
+// devMem2Sections wraps devmem2 sections for MergeDevMem, tip first.
+func devMem2Sections(secs ...[]byte) []*io.SectionReader {
+	out := make([]*io.SectionReader, len(secs))
+	for i, b := range secs {
+		out[i] = io.NewSectionReader(bytes.NewReader(b), 0, int64(len(b)))
+	}
+	return out
+}
 
 // devMem2Bytes encodes entries the way the emit lays a devmem2 section
 // out (a nil payload is a skipped entry).
@@ -24,7 +55,7 @@ func devMem2Bytes(entries ...dm2Entry) []byte {
 }
 
 // FuzzWalkDevMem2 feeds the devmem2 entry-header walk — the one decoder
-// behind parseDevMem2 (chain merge) and the restart plan — arbitrary
+// behind the chain merge (MergeDevMem) and the restart plan — arbitrary
 // sections. It must fail with an error, never panic,
 // never report a payload outside the section, and never allocate from a
 // size the input merely claims. The committed corpus

@@ -26,14 +26,14 @@
 //     sections like the replay log re-emit only their tail;
 //   - sections marked opaque (SectionMap.MarkOpaque) are always
 //     emitted in full: their owning plugin already delta-encodes the
-//     bytes itself, and a registered SectionMerger resolves them at
-//     materialization time.
+//     bytes itself, and folds them across a chain itself.
 //
 // Shards flow through one worker pipeline — they compress and write in
 // parallel, in deterministic order, so an image is byte-identical for
-// any worker count. Reading a delta back yields an unmaterialized
-// Image; ApplyDelta / ResolveChain fold a base plus its deltas into the
-// same complete Image a base reads back as.
+// any worker count. Every image is read back through one parser, the
+// shard index (lazy.go): a delta's index, linked to its parent's with
+// SetParent, resolves each range to the nearest chain image that owns
+// it.
 package dmtcp
 
 import (
@@ -70,8 +70,9 @@ const (
 const MaxChainDepth = 512
 
 // ErrDeltaChain reports an operation that needs a delta image's parent
-// chain: restoring an unmaterialized delta, or resolving a chain whose
-// parent is missing, cyclic, or deeper than MaxChainDepth.
+// chain: reading a delta whose parent is not linked, or resolving a
+// chain whose parent is missing, cyclic, deeper than MaxChainDepth, or
+// not the image the delta was written against.
 var ErrDeltaChain = errors.New("dmtcp: delta image requires its parent chain")
 
 // A ChainWalk guards every parent walk over stored images: each step
@@ -98,7 +99,7 @@ type DeltaState struct {
 	// delta records it as its parent.
 	Name string
 	// ID is the image's content-derived identity (see imageID); the
-	// next delta records it so materialization can detect a parent
+	// next delta records it so chain resolution can detect a parent
 	// name rebound to different content.
 	ID uint64
 	// Depth is the image's distance from the chain's base (0 = base).
@@ -130,72 +131,11 @@ func (s *DeltaState) InChain(name string) bool {
 	return false
 }
 
-// SectionMerger materializes one opaque section of a delta image:
-// parent is the section's bytes in the materialized parent chain (nil
-// if absent), delta the bytes carried by the delta image; the result is
-// the section's complete content.
-type SectionMerger func(parent, delta []byte) ([]byte, error)
-
-// deltaShard is one decoded, not-yet-applied shard of a delta.
-type deltaShard struct {
-	span int
-	off  uint64
-	hash uint64
-	data []byte
-}
-
-// DeltaInfo describes the lineage and shard accounting of an Image.
-type DeltaInfo struct {
-	// Parent names the image this delta applies on top of ("" for a
-	// base or a standalone image).
-	Parent string
-	// Depth is the image's distance from the chain's base.
-	Depth int
-	// ShardsTotal / RawTotal cover the full span layout; ShardsEmitted /
-	// RawEmitted the shards the image actually carries.
-	ShardsTotal   int
-	ShardsEmitted int
-	RawTotal      uint64
-	RawEmitted    uint64
-	// Materialized reports that the image carries its complete payload:
-	// true for a base, and for a delta after ApplyDelta/ResolveChain.
-	Materialized bool
-
-	id        uint64 // content-derived image identity (0: none)
-	parentID  uint64 // recorded identity of the parent (0: none)
-	shardSize int
-	secs      []SectionHdr
-	shards    []deltaShard // nil once materialized
-}
-
-// ID returns the image's content-derived identity (0 for a standalone
-// image, which has none).
-func (d *DeltaInfo) ID() uint64 { return d.id }
-
-// ParentID returns the recorded identity of the parent image (0 for a
-// base). Chain verification matches it against the parent's ID to
-// catch a swapped or regenerated parent whose name still matches.
-func (d *DeltaInfo) ParentID() uint64 { return d.parentID }
-
-// DirtyRatio is RawEmitted over RawTotal (1 for an empty layout).
-func (d *DeltaInfo) DirtyRatio() float64 {
-	if d.RawTotal == 0 {
-		return 1
-	}
-	return float64(d.RawEmitted) / float64(d.RawTotal)
-}
-
 // SectionHdr is one entry of an image's section table.
 type SectionHdr struct {
 	Name   string
 	Size   uint64
 	Opaque bool
-}
-
-// SectionLayout returns the image's section table — available even for
-// an unmaterialized delta, whose Sections map is still empty.
-func (d *DeltaInfo) SectionLayout() []SectionHdr {
-	return append([]SectionHdr(nil), d.secs...)
 }
 
 // fnvSum64 is the shard content hash (FNV-1a 64).
@@ -261,7 +201,7 @@ func imageID(parentID uint64, depth int, cut uint64, names []string, secHashes m
 // the shard grid and count.
 type header struct {
 	ImageMeta
-	regions   []RegionData // headers only: Data is nil
+	regions   []RegionData
 	secs      []SectionHdr
 	shardSize int
 	shards    int    // shard records that follow
@@ -331,9 +271,9 @@ func (e *Engine) writeImage(ctx context.Context, w io.Writer, view addrspace.Vie
 		// randomness, so images stay byte-deterministic: two images collide
 		// only when their lineage and section state (including the
 		// ever-growing call log) are identical — in which case confusing
-		// them is harmless. ApplyDelta verifies a delta's recorded parent
-		// identity against the image it is applied to, so a parent name
-		// overwritten with different content fails the restore instead of
+		// them is harmless. SetParent verifies a delta's recorded parent
+		// identity against the image it links, so a parent name
+		// overwritten with different content fails the read instead of
 		// silently mixing states.
 		h.ID = imageID(h.ParentID, h.Depth, fz.cut, names, secHashes)
 	}
@@ -551,15 +491,6 @@ func (h *header) spanSizes() []uint64 {
 	return sizes
 }
 
-// shardsTotal counts the shards the full layout tiles into.
-func (h *header) shardsTotal() int {
-	n := 0
-	for _, size := range h.spanSizes() {
-		n += int((size + uint64(h.shardSize) - 1) / uint64(h.shardSize))
-	}
-	return n
-}
-
 // shardRec is one admitted shard header.
 type shardRec struct {
 	span           int
@@ -624,117 +555,6 @@ func (t *tiling) finish() error {
 	return nil
 }
 
-// readImage parses one image body. A base or standalone image
-// materializes immediately; a delta parses its shards and waits for
-// ApplyDelta/ResolveChain.
-func readImage(r io.Reader) (*Image, error) {
-	h, err := readHeader(r, nil)
-	if err != nil {
-		return nil, err
-	}
-	img := &Image{Version: 3, Gzip: h.Gzip, Regions: h.regions, Sections: NewSectionMap()}
-	secData := make([][]byte, len(h.secs))
-	dsts := make([]*[]byte, 0, len(h.regions)+len(h.secs))
-	for i := range img.Regions {
-		dsts = append(dsts, &img.Regions[i].Data)
-	}
-	for i := range secData {
-		dsts = append(dsts, &secData[i])
-	}
-	di := &DeltaInfo{
-		Parent: h.Parent, Depth: h.Depth,
-		ShardsTotal: h.shardsTotal(), ShardsEmitted: h.shards,
-		RawTotal: h.total,
-		id:       h.ID, parentID: h.ParentID,
-		shardSize: h.shardSize, secs: h.secs,
-	}
-	img.Delta = di
-
-	type pending struct {
-		shardRec
-		enc []byte // compressed payload, or nil when already in dst
-		dst []byte // destination slice (full image: span memory; delta: own buffer)
-	}
-	// Grown as shard records arrive, not sized by the claimed count.
-	var frames []pending
-	tl := newTiling(h)
-	var hdr [shardHdrV3]byte
-	for i := 0; i < h.shards; i++ {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return nil, fmt.Errorf("%w: shard %d header: %v", ErrBadImage, i, err)
-		}
-		rec, err := tl.admit(i, hdr[:])
-		if err != nil {
-			return nil, err
-		}
-		f := pending{shardRec: rec}
-		if !h.Delta {
-			dst := dsts[rec.span]
-			if *dst == nil {
-				*dst = make([]byte, tl.sizes[rec.span])
-			}
-			f.dst = (*dst)[rec.off : rec.off+uint64(rec.rawLen)]
-		} else {
-			f.dst = make([]byte, rec.rawLen)
-		}
-		if !h.Gzip {
-			if _, err := io.ReadFull(r, f.dst); err != nil {
-				return nil, fmt.Errorf("%w: shard %d data: %v", ErrBadImage, i, err)
-			}
-		} else {
-			enc, err := readExact(r, uint64(rec.encLen))
-			if err != nil {
-				return nil, fmt.Errorf("%w: shard %d data: %v", ErrBadImage, i, err)
-			}
-			f.enc = enc
-		}
-		di.RawEmitted += uint64(rec.rawLen)
-		frames = append(frames, f)
-	}
-	if err := tl.finish(); err != nil {
-		return nil, err
-	}
-
-	// Inflate (each shard is an independent gzip member) and verify the
-	// content hashes, in parallel across shards.
-	if err := par.ForErr(len(frames), func(i int) error {
-		f := &frames[i]
-		if f.enc != nil {
-			if err := gunzipInto(f.dst, f.enc); err != nil {
-				return fmt.Errorf("%w: shard %d: %v", ErrBadImage, i, err)
-			}
-			f.enc = nil
-		}
-		if !h.Unhashed && fnvSum64(f.dst) != f.hash {
-			return fmt.Errorf("%w: shard %d content hash mismatch", ErrCorruptImage, i)
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-
-	if !h.Delta {
-		// A full image is complete: publish the sections (zero-size ones
-		// too) and drop the shard bookkeeping.
-		for i, sec := range h.secs {
-			if secData[i] == nil {
-				secData[i] = make([]byte, sec.Size)
-			}
-			img.Sections.Add(sec.Name, secData[i])
-			if sec.Opaque {
-				img.Sections.MarkOpaque(sec.Name)
-			}
-		}
-		di.Materialized = true
-		return img, nil
-	}
-	di.shards = make([]deltaShard, len(frames))
-	for i, f := range frames {
-		di.shards[i] = deltaShard{span: f.span, off: f.off, hash: f.hash, data: f.dst}
-	}
-	return img, nil
-}
-
 // gunzipInto inflates one gzip member into exactly dst.
 func gunzipInto(dst, enc []byte) error {
 	gz, err := gzip.NewReader(bytes.NewReader(enc))
@@ -753,145 +573,6 @@ func gunzipInto(dst, enc []byte) error {
 	return nil
 }
 
-// ApplyDelta materializes delta on top of its (already materialized)
-// parent image: the delta's region and section tables are authoritative
-// for the result's layout; clean region bytes inherit from the parent
-// by absolute address, clean section bytes by name and offset, and the
-// delta's shards overwrite the dirty ranges. Opaque sections resolve
-// through the registered merger instead (absent a merger, the delta's
-// own bytes are used verbatim).
-func ApplyDelta(parent, delta *Image, mergers map[string]SectionMerger) (*Image, error) {
-	d := delta.Delta
-	if d == nil {
-		return nil, fmt.Errorf("%w: ApplyDelta on a non-delta image", ErrBadImage)
-	}
-	if d.Materialized {
-		return delta, nil
-	}
-	if parent == nil || !parent.Complete() {
-		return nil, fmt.Errorf("%w: parent %q is not materialized", ErrDeltaChain, d.Parent)
-	}
-	// Verify the parent's identity: the delta recorded the content-derived
-	// ID of the image it was written against. A parent name later rebound
-	// to different content (overwritten, replaced by a new chain's base)
-	// must fail the restore instead of silently mixing states.
-	if d.parentID != 0 {
-		if parent.Delta == nil || parent.Delta.id != d.parentID {
-			return nil, fmt.Errorf("%w: image %q is not the parent this delta was written against", ErrDeltaChain, d.Parent)
-		}
-	}
-	out := &Image{Version: 3, Gzip: delta.Gzip, Sections: NewSectionMap()}
-	out.Delta = &DeltaInfo{
-		Parent: d.Parent, Depth: d.Depth,
-		ShardsTotal: d.ShardsTotal, ShardsEmitted: d.ShardsEmitted,
-		RawTotal: d.RawTotal, RawEmitted: d.RawEmitted,
-		Materialized: true,
-		id:           d.id, parentID: d.parentID,
-		shardSize: d.shardSize, secs: d.secs,
-	}
-
-	// Regions: allocate at the delta's layout, inherit parent bytes by
-	// absolute address overlap. Every byte the parent cannot supply is
-	// covered by a delta shard: pages of mappings created after the
-	// parent checkpoint are stamped dirty from birth.
-	out.Regions = make([]RegionData, len(delta.Regions))
-	for i, rd := range delta.Regions {
-		nr := rd
-		nr.Data = make([]byte, rd.Len)
-		for _, pr := range parent.Regions {
-			lo, hi := rd.Start, rd.Start+rd.Len
-			if pr.Start > lo {
-				lo = pr.Start
-			}
-			if pe := pr.Start + uint64(len(pr.Data)); pe < hi {
-				hi = pe
-			}
-			if lo < hi {
-				copy(nr.Data[lo-rd.Start:hi-rd.Start], pr.Data[lo-pr.Start:hi-pr.Start])
-			}
-		}
-		out.Regions[i] = nr
-	}
-	// Sections: inherit by name (resized to the delta's length); opaque
-	// sections start empty and are resolved below.
-	secData := make([][]byte, len(d.secs))
-	for i, sec := range d.secs {
-		secData[i] = make([]byte, sec.Size)
-		if !sec.Opaque {
-			if pb, ok := parent.Sections.Get(sec.Name); ok {
-				copy(secData[i], pb)
-			}
-		}
-	}
-	// Overlay the dirty shards.
-	nReg := len(delta.Regions)
-	for _, sh := range d.shards {
-		if sh.span < nReg {
-			copy(out.Regions[sh.span].Data[sh.off:], sh.data)
-		} else {
-			copy(secData[sh.span-nReg][sh.off:], sh.data)
-		}
-	}
-	for i, sec := range d.secs {
-		if sec.Opaque {
-			if merger := mergers[sec.Name]; merger != nil {
-				pb, _ := parent.Sections.Get(sec.Name)
-				nb, err := merger(pb, secData[i])
-				if err != nil {
-					return nil, fmt.Errorf("dmtcp: merging section %s: %w", sec.Name, err)
-				}
-				secData[i] = nb
-			}
-			out.Sections.MarkOpaque(sec.Name)
-		}
-		out.Sections.Add(sec.Name, secData[i])
-	}
-	return out, nil
-}
-
-// ResolveChain materializes img if it is an unresolved delta, following
-// parent names through open (typically a Store lookup) back to the
-// chain's base and folding the deltas forward. Already-complete images
-// (standalone images, bases, materialized deltas) pass through
-// unchanged.
-func ResolveChain(img *Image, open func(name string) (io.ReadCloser, error), mergers map[string]SectionMerger) (*Image, error) {
-	if img == nil || img.Complete() {
-		return img, nil
-	}
-	if open == nil {
-		return nil, fmt.Errorf("%w: no way to open parent %q", ErrDeltaChain, img.Delta.Parent)
-	}
-	chain := []*Image{img}
-	walk := ChainWalk{"": true} // the tip has no name here
-	cur := img
-	for !cur.Complete() {
-		pname := cur.Delta.Parent
-		if err := walk.Step(pname); err != nil {
-			return nil, err
-		}
-		rc, err := open(pname)
-		if err != nil {
-			return nil, fmt.Errorf("%w: opening parent %q: %w", ErrDeltaChain, pname, err)
-		}
-		pimg, err := ReadImage(rc)
-		rc.Close()
-		if err != nil {
-			return nil, fmt.Errorf("parent %q: %w", pname, err)
-		}
-		chain = append(chain, pimg)
-		cur = pimg
-	}
-	out := chain[len(chain)-1]
-	for i := len(chain) - 2; i >= 0; i-- {
-		var err error
-		out, err = ApplyDelta(out, chain[i], mergers)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // ImageMeta is the cheap header-only view of a checkpoint image: enough
 // to classify it and follow lineage without parsing tables or payload.
 // The store's lineage graph is built from it.
@@ -904,7 +585,11 @@ type ImageMeta struct {
 	Unhashed bool
 	Parent   string
 	Depth    int
-	// ID and ParentID: see DeltaInfo (0 for a standalone image).
+	// ID is the image's content-derived identity (0 for a standalone
+	// image); ParentID the recorded identity of the parent (0 for a
+	// base), which SetParent and chain verification match against the
+	// parent actually found to catch a swapped or regenerated parent
+	// whose name still matches.
 	ID       uint64
 	ParentID uint64
 }

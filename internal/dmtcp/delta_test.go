@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"testing"
 
 	"repro/internal/addrspace"
@@ -14,12 +13,79 @@ import (
 // chainStore is a minimal in-memory name→image map for chain tests.
 type chainStore map[string][]byte
 
-func (cs chainStore) open(name string) (io.ReadCloser, error) {
-	b, ok := cs[name]
-	if !ok {
-		return nil, fmt.Errorf("no image %q", name)
+// resolve reads the named image and its parents out of cs, each
+// verified, and links their indexes tip first: the reader side of a
+// chain, as a restart walks it.
+func (cs chainStore) resolve(name string) (*ShardIndex, error) {
+	var tip, child *ShardIndex
+	walk := ChainWalk{name: true}
+	for cur := name; ; {
+		b, ok := cs[cur]
+		if !ok {
+			return nil, fmt.Errorf("%w: no image %q", ErrDeltaChain, cur)
+		}
+		ix, err := ReadImage(bytes.NewReader(b))
+		if err != nil {
+			return nil, err
+		}
+		if child == nil {
+			tip = ix
+		} else if err := child.SetParent(ix); err != nil {
+			return nil, err
+		}
+		if !ix.Delta {
+			return tip, nil
+		}
+		if err := walk.Step(ix.Parent); err != nil {
+			return nil, err
+		}
+		child, cur = ix, ix.Parent
 	}
-	return io.NopCloser(bytes.NewReader(b)), nil
+}
+
+func (cs chainStore) openChain(t *testing.T, name string) *ShardIndex {
+	t.Helper()
+	tip, err := cs.resolve(name)
+	if err != nil {
+		t.Fatalf("resolving %s: %v", name, err)
+	}
+	return tip
+}
+
+// regionData reads one region of ix's table whole, chain-resolved.
+func regionData(t *testing.T, ix *ShardIndex, rd RegionData) []byte {
+	t.Helper()
+	b := make([]byte, rd.Len)
+	if err := ix.readRegionRange(rd.Start, b, new(shardCache)); err != nil {
+		t.Fatalf("region %#x+%d: %v", rd.Start, rd.Len, err)
+	}
+	return b
+}
+
+// sameContent fails unless the chain ending at got reads back exactly
+// what the standalone image want holds: region tables and bytes, and
+// every section.
+func sameContent(t *testing.T, got, want *ShardIndex) {
+	t.Helper()
+	if len(got.Regions) != len(want.Regions) {
+		t.Fatalf("region count %d != %d", len(got.Regions), len(want.Regions))
+	}
+	for i, rd := range want.Regions {
+		g := got.Regions[i]
+		if g.Start != rd.Start || g.Len != rd.Len || !bytes.Equal(regionData(t, got, g), regionData(t, want, rd)) {
+			t.Fatalf("region %d differs after chain resolution", i)
+		}
+	}
+	if len(got.Secs) != len(want.Secs) {
+		t.Fatalf("section count %d != %d", len(got.Secs), len(want.Secs))
+	}
+	for i, sec := range want.Secs {
+		gb, gerr := got.SectionBytes(got.Secs[i].Name)
+		wb, werr := want.SectionBytes(sec.Name)
+		if gerr != nil || werr != nil || got.Secs[i].Name != sec.Name || !bytes.Equal(gb, wb) {
+			t.Fatalf("section %q differs after chain resolution (%v, %v)", sec.Name, gerr, werr)
+		}
+	}
 }
 
 // buildDeltaSpace maps a multi-page upper region plus a small one.
@@ -55,11 +121,11 @@ func ckptDelta(t *testing.T, e *Engine, cs chainStore, space *addrspace.Space, p
 	return st, state
 }
 
-func regionBytes(t *testing.T, img *Image, label string) []byte {
+func regionBytes(t *testing.T, ix *ShardIndex, label string) []byte {
 	t.Helper()
-	for _, rd := range img.Regions {
+	for _, rd := range ix.Regions {
 		if rd.Label == label {
-			return rd.Data
+			return regionData(t, ix, rd)
 		}
 	}
 	t.Fatalf("image has no region %q", label)
@@ -89,14 +155,14 @@ func TestV3BaseRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if img.Version != 3 || !img.Complete() || img.Delta == nil || !img.Delta.Materialized {
-				t.Fatalf("base image not materialized: %+v", img.Delta)
+			if img.Delta || img.Unhashed || img.ID == 0 {
+				t.Fatalf("base image meta: %+v", img.ImageMeta)
 			}
 			if got := regionBytes(t, img, "big"); !bytes.Equal(got, bytes.Repeat([]byte{0xAA}, 16*addrspace.PageSize)) {
 				t.Fatal("big region bytes wrong")
 			}
-			if sec, ok := img.Sections.Get("p.data"); !ok || !bytes.Equal(sec, []byte("payload-p")) {
-				t.Fatalf("section missing or wrong: %q", sec)
+			if sec, err := img.SectionBytes("p.data"); err != nil || !bytes.Equal(sec, []byte("payload-p")) {
+				t.Fatalf("section missing or wrong: %q (%v)", sec, err)
 			}
 		})
 	}
@@ -143,28 +209,15 @@ func TestV3DeltaChainMaterializesIdentically(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			tip, err := ReadImage(bytes.NewReader(cs["g2"]))
+			alone, err := ReadImage(bytes.NewReader(cs["g2"]))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tip.Complete() {
-				t.Fatal("unresolved delta must not be complete")
+			rd := alone.Regions[0]
+			if err := alone.readRegionRange(rd.Start, make([]byte, rd.Len), new(shardCache)); !errors.Is(err, ErrDeltaChain) {
+				t.Fatalf("an unlinked delta's clean shards must not read back: %v", err)
 			}
-			mat, err := ResolveChain(tip, cs.open, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !mat.Complete() {
-				t.Fatal("materialized chain must be complete")
-			}
-			if len(mat.Regions) != len(refImg.Regions) {
-				t.Fatalf("region count %d != %d", len(mat.Regions), len(refImg.Regions))
-			}
-			for i := range mat.Regions {
-				if mat.Regions[i].Start != refImg.Regions[i].Start || !bytes.Equal(mat.Regions[i].Data, refImg.Regions[i].Data) {
-					t.Fatalf("region %d differs after chain materialization", i)
-				}
-			}
+			sameContent(t, cs.openChain(t, "g2"), refImg)
 		})
 	}
 }
@@ -192,17 +245,9 @@ func TestV3DeltaSkipsCleanSectionShards(t *testing.T) {
 	if st.PayloadWritten != addrspace.PageSize {
 		t.Fatalf("append-only section re-emitted %d bytes, want one page", st.PayloadWritten)
 	}
-	tip, err := ReadImage(bytes.NewReader(cs["d"]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mat, err := ResolveChain(tip, cs.open, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sec, _ := mat.Sections.Get("grow.data")
-	if !bytes.Equal(sec, p.data) {
-		t.Fatal("materialized grown section differs")
+	sec, err := cs.openChain(t, "d").SectionBytes("grow.data")
+	if err != nil || !bytes.Equal(sec, p.data) {
+		t.Fatalf("chain-resolved grown section differs (%v)", err)
 	}
 	_ = st1
 }
@@ -278,15 +323,11 @@ func TestV3DeltaRestoreWithoutChainFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	ckptDelta(t, e, cs, space, st0, "d")
-	tip, err := ReadImage(bytes.NewReader(cs["d"]))
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := restoreImage(nil, cs["d"], addrspace.New(), 0); !errors.Is(err, ErrDeltaChain) {
-		t.Fatalf("restoring an unmaterialized delta must fail with ErrDeltaChain, got %v", err)
+		t.Fatalf("restoring an unresolved delta must fail with ErrDeltaChain, got %v", err)
 	}
 	// A broken lineage (missing parent) also classifies as ErrDeltaChain.
-	if _, err := ResolveChain(tip, chainStore{}.open, nil); !errors.Is(err, ErrDeltaChain) {
+	if _, err := (chainStore{"d": cs["d"]}).resolve("d"); !errors.Is(err, ErrDeltaChain) {
 		t.Fatalf("missing parent must fail with ErrDeltaChain, got %v", err)
 	}
 }
@@ -321,24 +362,7 @@ func TestV3RegionRemapEmitsFully(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tip, err := ReadImage(bytes.NewReader(cs["d"]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mat, err := ResolveChain(tip, cs.open, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mat.Regions) != len(refImg.Regions) {
-		t.Fatalf("region count %d != %d", len(mat.Regions), len(refImg.Regions))
-	}
-	for i := range mat.Regions {
-		if mat.Regions[i].Start != refImg.Regions[i].Start ||
-			mat.Regions[i].Len != refImg.Regions[i].Len ||
-			!bytes.Equal(mat.Regions[i].Data, refImg.Regions[i].Data) {
-			t.Fatalf("region %d differs after remap", i)
-		}
-	}
+	sameContent(t, cs.openChain(t, "d"), refImg)
 }
 
 func TestReadImageMeta(t *testing.T) {
@@ -427,15 +451,7 @@ func TestV3HookTimeWritesStampAboveCut(t *testing.T) {
 	if st.PayloadWritten == 0 {
 		t.Fatal("hook-time write of the base checkpoint was reported clean and lost")
 	}
-	tip, err := ReadImage(bytes.NewReader(cs["d1"]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mat, err := ResolveChain(tip, cs.open, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := regionBytes(t, mat, "big")
+	got := regionBytes(t, cs.openChain(t, "d1"), "big")
 	if got[7*addrspace.PageSize] != 0x5A {
 		t.Fatalf("chain lost the hook-time write: byte = %#x", got[7*addrspace.PageSize])
 	}
@@ -468,12 +484,6 @@ func TestV3DepthCapRotatesToBase(t *testing.T) {
 	if maxSeen != MaxChainDepth-1 {
 		t.Fatalf("max depth seen %d, want rotation at %d", maxSeen, MaxChainDepth-1)
 	}
-	// The deepest tip still materializes.
-	tip, err := ReadImage(bytes.NewReader(cs[fmt.Sprintf("g%d", MaxChainDepth-1)]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ResolveChain(tip, cs.open, nil); err != nil {
-		t.Fatal(err)
-	}
+	// The deepest tip still resolves.
+	cs.openChain(t, fmt.Sprintf("g%d", MaxChainDepth-1))
 }

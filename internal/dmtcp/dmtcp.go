@@ -51,9 +51,9 @@ func NewSectionMap() *SectionMap {
 
 // MarkOpaque declares a section's bytes self-delta-encoded: the
 // delta writer must not apply generic shard-level deduplication to it
-// (the owning plugin already emitted an incremental encoding), and
-// chain materialization resolves it through a registered SectionMerger
-// instead of byte-offset inheritance.
+// (the owning plugin already emitted an incremental encoding), and a
+// chain resolves it through the owning plugin (a delta carries it in
+// full) instead of byte-offset inheritance.
 func (s *SectionMap) MarkOpaque(name string) { s.opaque[name] = true }
 
 // Opaque reports whether the section was marked with MarkOpaque.
@@ -142,43 +142,13 @@ type Plugin interface {
 	LazyRestart(ctx context.Context, r *LazyRestorer) error
 }
 
-// RegionData is one serialized upper-half region.
+// RegionData is one upper-half region as an image's table records it;
+// its bytes are the region's span of shards.
 type RegionData struct {
 	Start uint64
 	Len   uint64
 	Prot  addrspace.Prot
 	Label string
-	Data  []byte
-}
-
-// Image is a parsed checkpoint image.
-type Image struct {
-	Version  int // image format version (3)
-	Gzip     bool
-	Regions  []RegionData
-	Sections *SectionMap
-
-	// Delta holds the image's lineage and shard accounting. A standalone
-	// image or a chain base parses to a complete (materialized) image; a
-	// delta holds only its dirty shards until ApplyDelta / ResolveChain
-	// combines it with its parent chain — Regions carry no Data and
-	// Sections is empty until then. nil for an image assembled in memory.
-	Delta *DeltaInfo
-}
-
-// Complete reports whether the image carries its full payload (deltas
-// only after chain materialization).
-func (img *Image) Complete() bool {
-	return img.Delta == nil || img.Delta.Materialized
-}
-
-// TotalRegionBytes sums the serialized region payloads.
-func (img *Image) TotalRegionBytes() uint64 {
-	var n uint64
-	for _, r := range img.Regions {
-		n += r.Len
-	}
-	return n
 }
 
 // Stats describes one checkpoint operation.
@@ -336,7 +306,14 @@ type shardJob struct {
 	done   chan struct{}
 }
 
-func (e *Engine) runWritePipeline(ctx context.Context, w io.Writer, view addrspace.View, jobs []shardJob) error {
+// shardSource is what the write pipeline reads region shards from by
+// address: an address-space view for a checkpoint, a linked chain of
+// stored images for EncodeBase.
+type shardSource interface {
+	ReadAt(addr uint64, p []byte) error
+}
+
+func (e *Engine) runWritePipeline(ctx context.Context, w io.Writer, view shardSource, jobs []shardJob) error {
 	shard := e.shardSize()
 	// Per-shard staging buffers, compression buffers, and per-level
 	// gzip writers recycle through the engine's WorkerBudget across
@@ -560,72 +537,34 @@ func readString(r io.Reader) (string, error) {
 	return string(buf), nil
 }
 
-// readStagePool recycles the staging chunk readExact streams large
-// payloads through, so repeated image reads stop allocating (and
-// copying through) a fresh bytes.Buffer per item.
+// readStagePool recycles the staging chunk the trailer pass streams an
+// image body through when the image is not held in memory.
 var readStagePool = sync.Pool{New: func() any {
 	b := make([]byte, 256<<10)
 	return &b
 }}
 
-// trustedExact bounds the up-front allocation readExact risks on an
-// unverified length claim: items at most this large get an exact buffer
-// immediately; larger claims grow only as data actually arrives.
-const trustedExact = 1 << 20
-
-// readExact reads exactly n bytes. Small items land in an exactly-sized
-// buffer with no slack; large items stream through a pooled staging
-// chunk so a hostile length claim cannot force a giant allocation.
-func readExact(r io.Reader, n uint64) ([]byte, error) {
-	if n > maxItemBytes {
-		return nil, fmt.Errorf("%w: oversized item (%d bytes)", ErrBadImage, n)
+// ReadImage reads a whole checkpoint image from r, indexes it in place
+// and verifies it (ShardIndex.Verify): the integrity trailer, then every
+// shard. A missing or mismatched trailer or shard reports
+// ErrCorruptImage; a malformed image ErrBadImage.
+func ReadImage(r io.Reader) (*ShardIndex, error) {
+	// A reader that knows its length (a bytes.Reader) fills one buffer
+	// of that size instead of a doubling series.
+	var buf bytes.Buffer
+	if l, ok := r.(interface{ Len() int }); ok {
+		buf.Grow(l.Len() + bytes.MinRead)
 	}
-	if n == 0 {
-		return nil, nil
+	if _, err := buf.ReadFrom(r); err != nil {
+		return nil, err
 	}
-	if n <= trustedExact {
-		out := make([]byte, n)
-		if _, err := io.ReadFull(r, out); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	bp := readStagePool.Get().(*[]byte)
-	defer readStagePool.Put(bp)
-	stage := *bp
-	out := make([]byte, 0, trustedExact)
-	for uint64(len(out)) < n {
-		k := n - uint64(len(out))
-		if k > uint64(len(stage)) {
-			k = uint64(len(stage))
-		}
-		if _, err := io.ReadFull(r, stage[:k]); err != nil {
-			return nil, err
-		}
-		out = append(out, stage[:k]...)
-	}
-	// The result may live as long as the parsed Image; don't pin
-	// append's geometric-growth slack.
-	if uint64(cap(out)) > n+n/4 {
-		out = append(make([]byte, 0, n), out...)
-	}
-	return out, nil
-}
-
-// ReadImage parses a checkpoint image, then checks the integrity
-// trailer (see trailer.go) against the body it just consumed: a missing
-// or mismatched trailer reports ErrCorruptImage.
-func ReadImage(r io.Reader) (*Image, error) {
-	// The whole body — magic included — flows through the hashing
-	// reader, so the trailer check at the end covers every byte the
-	// parser consumed.
-	hr := newHashingReader(r)
-	img, err := readImage(hr)
+	b := buf.Bytes()
+	ix, err := openShardIndex(bytes.NewReader(b), int64(len(b)), b)
 	if err != nil {
 		return nil, err
 	}
-	if err := verifyTrailer(hr); err != nil {
+	if err := ix.Verify(); err != nil {
 		return nil, err
 	}
-	return img, nil
+	return ix, nil
 }

@@ -89,7 +89,7 @@ func TestCheckpointImageRoundTrip(t *testing.T) {
 	if bytes.Contains(img.Bytes(), []byte("lower-secret")) {
 		t.Fatal("image contains a lower-half region label")
 	}
-	if got, _ := parsed.Sections.Get("crac.data"); string(got) != "payload-crac" {
+	if got, _ := parsed.SectionBytes("crac.data"); string(got) != "payload-crac" {
 		t.Fatalf("section = %q", got)
 	}
 
@@ -130,8 +130,8 @@ func TestCheckpointGzip(t *testing.T) {
 	if !parsed.Gzip || len(parsed.Regions) != 1 {
 		t.Fatalf("parsed = %+v", parsed)
 	}
-	if parsed.TotalRegionBytes() != 2*addrspace.PageSize {
-		t.Fatalf("region bytes = %d", parsed.TotalRegionBytes())
+	if parsed.Regions[0].Len != 2*addrspace.PageSize {
+		t.Fatalf("region bytes = %d", parsed.Regions[0].Len)
 	}
 }
 

@@ -10,10 +10,12 @@
 // self-addressed by (span, offset); a chain image's shards carry a
 // content hash, verified on every lazy decode.
 //
-// Indexes chain like delta images: SetParent links a delta's index to
-// its parent's, and range resolution walks the chain to the nearest
-// ancestor that owns each shard (regions inherit by absolute address,
-// sections by name and offset — the same rules as ApplyDelta).
+// It is the one parser of image bodies: restart, crac.OpenImageFrom,
+// compaction (EncodeBase) and chain verification all read stored bytes
+// through it. Indexes chain like delta images: SetParent links a delta's
+// index to its parent's, and range resolution walks the chain to the
+// nearest ancestor that owns each shard (regions inherit by absolute
+// address, sections by name and offset).
 //
 // # LazyRestorer
 //
@@ -32,6 +34,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"repro/internal/addrspace"
@@ -59,8 +62,7 @@ type ShardIndex struct {
 	// ImageMeta is the image's prologue: encoding, kind and lineage.
 	ImageMeta
 
-	// Regions holds the region headers (Data always nil); Secs the
-	// section table.
+	// Regions holds the region table; Secs the section table.
 	Regions []RegionData
 	Secs    []SectionHdr
 
@@ -81,9 +83,8 @@ type ShardIndex struct {
 }
 
 // SetParent links a delta's index to its parent's, after verifying the
-// recorded parent identity (the same check ApplyDelta performs: a
-// parent name rebound to different content must fail, not silently mix
-// states).
+// recorded parent identity (a parent name rebound to different content
+// must fail, not silently mix states) and the shard grid.
 func (ix *ShardIndex) SetParent(p *ShardIndex) error {
 	if !ix.Delta {
 		return fmt.Errorf("%w: SetParent on a non-delta image", ErrBadImage)
@@ -186,19 +187,38 @@ func OpenShardIndex(src io.ReaderAt, size int64) (*ShardIndex, error) {
 }
 
 // OpenShardIndexWhole is OpenShardIndex for a caller that reads every
-// byte anyway (a waited restart): an image of at most PrefetchChunk
-// bytes not already in memory is read with one ReadAt and indexed in
-// memory, instead of header by header.
-func OpenShardIndexWhole(src io.ReaderAt, size int64) (*ShardIndex, error) {
+// byte anyway: an image of at most limit bytes not already in memory is
+// read with one ReadAt and indexed in memory, instead of header by
+// header. A waited restart passes PrefetchChunk; a reader that must hold
+// the image after its source closes (crac.OpenImageFrom) passes size.
+func OpenShardIndexWhole(src io.ReaderAt, size, limit int64) (*ShardIndex, error) {
 	mem := memOf(src, size)
-	if mem == nil && size <= PrefetchChunk {
-		mem = make([]byte, size)
-		if err := readFullAt(src, mem, 0); err != nil {
+	if mem == nil && size <= limit {
+		var err error
+		if mem, err = readWhole(src, size); err != nil {
 			return nil, err
 		}
 		src = bytes.NewReader(mem)
 	}
 	return openShardIndex(src, size, mem)
+}
+
+// readWhole reads all size bytes of src. Beyond PrefetchChunk, size is
+// the store's claim, not yet backed by data: the buffer doubles as the
+// bytes actually arrive instead of being allocated up front.
+func readWhole(src io.ReaderAt, size int64) ([]byte, error) {
+	mem := make([]byte, 0, min(size, PrefetchChunk))
+	for int64(len(mem)) < size {
+		if len(mem) == cap(mem) {
+			mem = slices.Grow(mem, int(min(size, 2*int64(cap(mem))))-len(mem))
+		}
+		end := min(int64(cap(mem)), size)
+		if err := readFullAt(src, mem[len(mem):end], int64(len(mem))); err != nil {
+			return nil, err
+		}
+		mem = mem[:end]
+	}
+	return mem, nil
 }
 
 // memOf returns the whole image when src holds it in memory, else nil.
@@ -255,6 +275,20 @@ func (ix *ShardIndex) addShard(sh ixShard) {
 
 // NumShards returns how many payload shards the image carries.
 func (ix *ShardIndex) NumShards() int { return len(ix.shards) }
+
+// Coverage counts the shards and payload bytes the image's layout tiles
+// into, and those the image carries: equal for a full image, the dirty
+// subset for a delta.
+func (ix *ShardIndex) Coverage() (shardsTotal, shardsEmitted int, rawTotal, rawEmitted uint64) {
+	for _, sp := range ix.spans {
+		shardsTotal += int((sp.size + uint64(ix.ShardSize) - 1) / uint64(ix.ShardSize))
+		rawTotal += sp.size
+	}
+	for _, sh := range ix.shards {
+		rawEmitted += uint64(sh.rawLen)
+	}
+	return shardsTotal, len(ix.shards), rawTotal, rawEmitted
+}
 
 // sectionIndex returns the table index of the named section, or -1.
 func (ix *ShardIndex) sectionIndex(name string) int {
@@ -348,9 +382,8 @@ func (ix *ShardIndex) shardsCovering(span int, off, length uint64) (idxs []int, 
 
 // SectionBytes materializes the named section completely, resolving
 // gaps (clean shards of a delta) through the parent chain by name and
-// offset — the lazy counterpart of ApplyDelta's section inheritance.
-// Opaque sections are returned as carried by this image (they are
-// always emitted in full); merging across a chain is the owner
+// offset. Opaque sections are returned as carried by this image (they
+// are always emitted in full); merging across a chain is the owner
 // plugin's business.
 func (ix *ShardIndex) SectionBytes(name string) ([]byte, error) {
 	si := ix.sectionIndex(name)
@@ -432,8 +465,6 @@ func (sr *SectionReader) ReadAt(p []byte, off int64) (int, error) {
 
 // readSectionRange fills dst with section bytes [off, off+len(dst)),
 // walking the parent chain for ranges this image does not carry.
-// Shards wanted whole decode straight into place; partly wanted ones
-// decode through cache.
 func (ix *ShardIndex) readSectionRange(name string, off uint64, dst []byte, cache *shardCache) error {
 	if len(dst) == 0 {
 		return nil
@@ -446,7 +477,59 @@ func (ix *ShardIndex) readSectionRange(name string, off uint64, dst []byte, cach
 	if off+uint64(len(dst)) > sec.Size {
 		return fmt.Errorf("%w: section %q range %d+%d beyond %d", ErrBadImage, name, off, len(dst), sec.Size)
 	}
-	span := len(ix.Regions) + si
+	return ix.readSpanRange(len(ix.Regions)+si, off, dst, cache, func(off uint64, dst []byte) error {
+		if ix.parent == nil {
+			if ix.Delta {
+				return fmt.Errorf("%w: section %q range %d+%d not in image and no parent linked", ErrDeltaChain, name, off, len(dst))
+			}
+			// A self-contained image with a payload gap can only be a
+			// zero-size tail; leave dst zeroed.
+			return nil
+		}
+		return ix.parent.readSectionRange(name, off, dst, cache)
+	})
+}
+
+// readRegionRange fills dst with the region bytes at absolute address
+// addr, resolved as a restart resolves them: ranges this image carries
+// come from its shards, the clean ranges of a delta from the nearest
+// ancestor that carries them. A range outside the image's regions is a
+// lineage hole: new mappings are dirty from birth, so a well-formed
+// chain has none.
+func (ix *ShardIndex) readRegionRange(addr uint64, dst []byte, cache *shardCache) error {
+	end := addr + uint64(len(dst))
+	at := addr
+	for i, rd := range ix.Regions {
+		lo, hi := max(rd.Start, at), min(rd.Start+rd.Len, end)
+		if lo >= hi {
+			continue
+		}
+		if lo > at {
+			break
+		}
+		err := ix.readSpanRange(i, lo-rd.Start, dst[lo-addr:hi-addr], cache, func(off uint64, dst []byte) error {
+			if ix.parent == nil {
+				return fmt.Errorf("%w: region bytes %#x+%#x missing from base image", ErrDeltaChain, rd.Start+off, len(dst))
+			}
+			return ix.parent.readRegionRange(rd.Start+off, dst, cache)
+		})
+		if err != nil {
+			return err
+		}
+		at = hi
+	}
+	if at < end {
+		return fmt.Errorf("%w: region bytes %#x+%#x not mapped by image", ErrDeltaChain, at, end-at)
+	}
+	return nil
+}
+
+// readSpanRange fills dst with bytes [off, off+len(dst)) of span from
+// this image's shards and hands every range the image does not carry
+// to gap, as a span offset and the part of dst it fills. Shards wanted
+// whole decode straight into place; partly wanted ones decode through
+// cache.
+func (ix *ShardIndex) readSpanRange(span int, off uint64, dst []byte, cache *shardCache, gap func(off uint64, dst []byte) error) error {
 	idxs, gaps := ix.shardsCovering(span, off, uint64(len(dst)))
 	for _, k := range idxs {
 		sh := &ix.shards[k]
@@ -473,15 +556,7 @@ func (ix *ShardIndex) readSectionRange(name string, off uint64, dst []byte, cach
 		copy(dst[lo-off:hi-off], raw[lo-sh.off:hi-sh.off])
 	}
 	for _, g := range gaps {
-		if ix.parent == nil {
-			if ix.Delta {
-				return fmt.Errorf("%w: section %q range %d+%d not in image and no parent linked", ErrDeltaChain, name, g.Off, g.Len)
-			}
-			// A self-contained image with a payload gap can only be a
-			// zero-size tail; leave dst zeroed.
-			continue
-		}
-		if err := ix.parent.readSectionRange(name, g.Off, dst[g.Off-off:g.Off-off+g.Len], cache); err != nil {
+		if err := gap(g.Off, dst[g.Off-off:g.Off-off+g.Len]); err != nil {
 			return err
 		}
 	}

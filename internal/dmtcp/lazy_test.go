@@ -69,10 +69,11 @@ func (p *lazyTestPlugin) Freeze(uint64, bool) (EmitFunc, error) {
 func (p *lazyTestPlugin) Resume() error                                    { return nil }
 func (p *lazyTestPlugin) LazyRestart(context.Context, *LazyRestorer) error { return nil }
 
-// TestShardIndexSectionBytes checks the index returns the same section
-// bytes as the eager reader, for standalone images (the v2 rows, named
-// before the single format) and a chain base; under the retired v1
-// version both refuse the image alike.
+// TestShardIndexSectionBytes checks an index read by offset returns the
+// same section bytes and tables as ReadImage's verified in-memory one,
+// for standalone images (the v2 rows, named before the single format)
+// and a chain base; under the retired v1 version both refuse the image
+// alike.
 func TestShardIndexSectionBytes(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -108,8 +109,12 @@ func TestShardIndexSectionBytes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, name := range want.Sections.Names() {
-				wantB, _ := want.Sections.Get(name)
+			for _, sec := range want.Secs {
+				name := sec.Name
+				wantB, err := want.SectionBytes(name)
+				if err != nil {
+					t.Fatal(err)
+				}
 				gotB, err := ix.SectionBytes(name)
 				if err != nil {
 					t.Fatalf("SectionBytes(%s): %v", name, err)
@@ -379,7 +384,10 @@ func FuzzOpenShardIndex(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Read by offset, then held in memory (the waited restart's way).
-		for _, open := range []func(io.ReaderAt, int64) (*ShardIndex, error){OpenShardIndex, OpenShardIndexWhole} {
+		whole := func(src io.ReaderAt, size int64) (*ShardIndex, error) {
+			return OpenShardIndexWhole(src, size, PrefetchChunk)
+		}
+		for _, open := range []func(io.ReaderAt, int64) (*ShardIndex, error){OpenShardIndex, whole} {
 			ix, err := open(bytes.NewReader(data), int64(len(data)))
 			if err != nil {
 				if !errors.Is(err, ErrBadImage) && !errors.Is(err, ErrUnsupportedVersion) &&

@@ -35,7 +35,7 @@ const (
 type planSource interface{ isPlanSource() }
 
 // regionSource resolves through the chain's region tables by absolute
-// address (the ApplyDelta inheritance rule).
+// address: each range from the nearest chain image that carries it.
 type regionSource struct{}
 
 // sectionSource reads [off, off+len) of one image's section payload.

@@ -112,8 +112,8 @@ func TestParallelSerialImagesIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if img.Version != 3 || img.Delta.ID() != 0 {
-					t.Fatalf("version = %d", img.Version)
+				if !img.Unhashed || img.ID != 0 {
+					t.Fatalf("standalone image meta = %+v", img.ImageMeta)
 				}
 				fresh := addrspace.New()
 				if err := restoreImage(nil, parallel, fresh, workers); err != nil {
@@ -126,9 +126,9 @@ func TestParallelSerialImagesIdentical(t *testing.T) {
 					}
 				}
 				for i, n := range []int{0, 17, 5 * addrspace.PageSize} {
-					sec, ok := img.Sections.Get(fmt.Sprintf("sec.%d", i))
-					if !ok || len(sec) != n {
-						t.Fatalf("section %d: ok=%v len=%d want %d", i, ok, len(sec), n)
+					sec, err := img.SectionBytes(fmt.Sprintf("sec.%d", i))
+					if err != nil || len(sec) != n {
+						t.Fatalf("section %d: %v, len=%d want %d", i, err, len(sec), n)
 					}
 					ref := make([]byte, n)
 					fillPattern(ref, uint64(100+i))
@@ -372,13 +372,36 @@ func FuzzReadImage(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		img, err := ReadImage(bytes.NewReader(data))
+		ix, err := ReadImage(bytes.NewReader(data))
 		if err != nil {
+			if !errors.Is(err, ErrBadImage) && !errors.Is(err, ErrCorruptImage) && !errors.Is(err, ErrUnsupportedVersion) {
+				t.Fatalf("unclassified error: %v", err)
+			}
 			return
 		}
-		// A successfully parsed image must be internally consistent.
-		if err := img.VerifyContent(); err != nil {
+		// A successfully read image is internally consistent: it verifies
+		// again, and every span it carries reads back whole — a base or
+		// standalone image its whole layout, a delta without its parent
+		// exactly its own shards.
+		if err := ix.Verify(); err != nil {
 			t.Fatal(err)
+		}
+		for i, rd := range ix.Regions {
+			buf := make([]byte, rd.Len)
+			err := ix.readSpanRange(i, 0, buf, new(shardCache), func(uint64, []byte) error {
+				if !ix.Delta {
+					t.Fatalf("region %d: a full image left a gap", i)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("region %d: %v", i, err)
+			}
+		}
+		for _, sec := range ix.Secs {
+			if _, err := ix.SectionBytes(sec.Name); err != nil && !(ix.Delta && errors.Is(err, ErrDeltaChain)) {
+				t.Fatalf("section %q: %v", sec.Name, err)
+			}
 		}
 	})
 }
@@ -424,5 +447,16 @@ func TestReadImageAllocatesWhatArrives(t *testing.T) {
 				t.Errorf("%s of %d bytes claiming 2^20 %s = %v, want ErrBadImage", entry, len(b), name, err)
 			}
 		}
+	}
+	// A store's size claim is not believed either: a whole read of 50
+	// bytes claimed to be 1 TiB allocates one PrefetchChunk, not the
+	// claim.
+	b := hostileCounts()["shards"]
+	var err error
+	if n := allocated(func() { _, err = OpenShardIndexWhole(bytes.NewReader(b), 1<<40, 1<<40) }); n > 2*PrefetchChunk {
+		t.Errorf("OpenShardIndexWhole of %d bytes claimed as 1 TiB allocated %d bytes", len(b), n)
+	}
+	if !errors.Is(err, ErrBadImage) {
+		t.Errorf("OpenShardIndexWhole of %d bytes claimed as 1 TiB = %v, want ErrBadImage", len(b), err)
 	}
 }

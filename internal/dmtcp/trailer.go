@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+
+	"repro/internal/par"
 )
 
 // ErrCorruptImage reports an image that was structurally valid when
@@ -72,37 +74,6 @@ func (tw *trailerWriter) Finish() error {
 	return err
 }
 
-// hashingReader hashes and counts the image body as the parser consumes
-// it, so the trailer can be verified without a second pass.
-type hashingReader struct {
-	r io.Reader
-	h bodyHash
-	n uint64
-}
-
-func newHashingReader(r io.Reader) *hashingReader {
-	return &hashingReader{r: r}
-}
-
-func (hr *hashingReader) Read(p []byte) (int, error) {
-	n, err := hr.r.Read(p)
-	hr.h.Write(p[:n])
-	hr.n += uint64(n)
-	return n, err
-}
-
-// verifyTrailer applies checkTrailer to whatever follows the body the
-// parser just consumed through hr.
-func verifyTrailer(hr *hashingReader) error {
-	bodyLen, bodySum := hr.n, hr.h.Sum64()
-	var tr [trailerSize + 1]byte
-	n, err := io.ReadFull(hr.r, tr[:])
-	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-		return err
-	}
-	return checkTrailer(tr[:n], bodyLen, bodySum)
-}
-
 // checkTrailer classifies tail, the bytes that follow a fully-parsed
 // image body (at most trailerSize+1 of them): anything but one matching
 // trailer — no trailer, a partial one, a checksum or length mismatch,
@@ -142,8 +113,8 @@ func readFlags(r io.Reader, known byte) (byte, error) {
 	return flags[0], nil
 }
 
-// VerifyTrailer applies ReadImage's integrity rule to the indexed image
-// without parsing it again: the scan already delimited the body, so one
+// VerifyTrailer checks the indexed image's integrity trailer without
+// parsing it again: the scan already delimited the body, so one
 // sequential CRC-32C pass over it settles the trailer. It reports nil
 // for a matching trailer and ErrCorruptImage for anything else. Chain
 // images' shards carry their own content hashes, checked on every
@@ -188,27 +159,21 @@ func readFullAt(src io.ReaderAt, p []byte, off int64) error {
 	}
 }
 
-// VerifyContent re-checks a parsed image's internal consistency: every
-// recorded per-shard content hash still matches the decoded bytes (for
-// an unmaterialized delta) and every materialized region carries
-// exactly the payload its header claims. ReadImage already enforces
-// both while parsing; VerifyContent exists for images held in memory —
-// a Verify pass over a long-lived Image, or one assembled by
-// ApplyDelta.
-func (img *Image) VerifyContent() error {
-	if img.Delta != nil && !img.Delta.Materialized {
-		for i := range img.Delta.shards {
-			sh := &img.Delta.shards[i]
-			if fnvSum64(sh.data) != sh.hash {
-				return fmt.Errorf("%w: shard %d content hash mismatch", ErrCorruptImage, i)
-			}
-		}
-		return nil
+// Verify checks the whole image: its trailer (VerifyTrailer), then
+// every shard, decoded and matched against its content hash when the
+// image carries one. ReadImage, chain verification and crac.Image's
+// Verify all apply this one rule.
+func (ix *ShardIndex) Verify() error {
+	if err := ix.VerifyTrailer(); err != nil {
+		return err
 	}
-	for i, rd := range img.Regions {
-		if uint64(len(rd.Data)) != rd.Len {
-			return fmt.Errorf("%w: region %d carries %d of %d bytes", ErrBadImage, i, len(rd.Data), rd.Len)
+	return par.ForErr(len(ix.shards), func(i int) error {
+		if raw, err := ix.shardView(i); raw != nil || err != nil {
+			return err
 		}
-	}
-	return nil
+		n := int(ix.shards[i].rawLen)
+		bp := defaultBudget.getShardBuf(n)
+		defer defaultBudget.putShardBuf(bp)
+		return ix.readShard(i, (*bp)[:n])
+	})
 }

@@ -72,20 +72,36 @@ func closeAll(closers []io.Closer) {
 	}
 }
 
-// openIndexChain opens the named image (and, for a delta, its whole
-// parent chain) for random access, verifies each member, and links the
-// shard indexes. A waited restart opens each member with
-// dmtcp.OpenShardIndexWhole, which reads a small one in one request:
-// with nobody running beside the restart there is no visible phase to
-// keep short, and header-exact reads would only multiply round trips.
-// Verification runs here, before anything is torn down: a member's
-// trailer is checked in one sequential pass when the restart is waited
-// (it reads every byte anyway), when the member is held in memory (the
-// pass costs no I/O), and when the member has no per-shard hashes (a
-// standalone image). Only an unwaited restart of a chain member read by
-// offset relies on the shard hashes alone, checked as each shard
-// decodes.
-func openIndexChain(ctx context.Context, store Store, name string, wait bool) ([]*dmtcp.ShardIndex, []io.Closer, error) {
+// chainRead says how openIndexChain reads each member of a chain.
+type chainRead int
+
+const (
+	// chainLazy indexes a member by its headers and reads shards by
+	// offset as they are needed: an unwaited restart.
+	chainLazy chainRead = iota
+	// chainWaited reads a member of at most dmtcp.PrefetchChunk bytes in
+	// one request, and by offset otherwise: a waited restart and
+	// Compact, which read every byte the chain resolves to anyway.
+	chainWaited
+	// chainWhole reads every member whole, to be held in memory after
+	// its source closes: OpenImageFrom.
+	chainWhole
+)
+
+// openIndexChain is the one chain walk: it opens the named image (and,
+// for a delta, its whole parent chain) for random access, verifies each
+// member, and links the shard indexes tip first, checking each parent's
+// identity and shard grid (SetParent) and refusing a cycle or a walk
+// past dmtcp.MaxChainDepth (ChainWalk). Restart, OpenImageFrom and
+// Compact all resolve a chain through it; how a member is read is the
+// caller's chainRead. Verification runs here, before a restart tears
+// anything down: a member's trailer is checked in one sequential pass
+// unless the chain is read lazily (a waited or whole read covers every
+// byte anyway), and always when the member is held in memory (the pass
+// costs no I/O) or has no per-shard hashes (a standalone image). Only
+// an unwaited restart of a chain member read by offset relies on the
+// shard hashes alone, checked as each shard decodes.
+func openIndexChain(ctx context.Context, store Store, name string, read chainRead) ([]*dmtcp.ShardIndex, []io.Closer, error) {
 	var chain []*dmtcp.ShardIndex
 	var closers []io.Closer
 	fail := func(err error) ([]*dmtcp.ShardIndex, []io.Closer, error) {
@@ -102,12 +118,15 @@ func openIndexChain(ctx context.Context, store Store, name string, wait bool) ([
 			return fail(err)
 		}
 		closers = append(closers, src)
-		open := dmtcp.OpenShardIndex
-		if wait {
-			open = dmtcp.OpenShardIndexWhole
+		var limit int64 // the largest member read in one request
+		switch read {
+		case chainWaited:
+			limit = dmtcp.PrefetchChunk
+		case chainWhole:
+			limit = size
 		}
-		ix, err := open(src, size)
-		if err == nil && (wait || ix.InMemory() || ix.Unhashed) {
+		ix, err := dmtcp.OpenShardIndexWhole(src, size, limit)
+		if err == nil && (read != chainLazy || ix.InMemory() || ix.Unhashed) {
 			err = ix.VerifyTrailer()
 		}
 		if err != nil {
@@ -149,7 +168,11 @@ func (s *Session) restart(ctx context.Context, store Store, name string, wait bo
 	}
 	store = s.retryWrap(store)
 	start := time.Now()
-	chain, closers, err := openIndexChain(ctx, store, name, wait)
+	read := chainLazy
+	if wait {
+		read = chainWaited
+	}
+	chain, closers, err := openIndexChain(ctx, store, name, read)
 	if err != nil {
 		return nil, wrapCancelled(err)
 	}

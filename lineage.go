@@ -38,26 +38,24 @@ func storeLineage(ctx context.Context, store Store) *lineageGraph {
 }
 
 // verifiedLineage is store's graph read in full: a node is an image
-// whose content verified, or the error that says why it did not.
+// whose content verified — read once and indexed in place, its trailer
+// and every shard checked (ShardIndex.Verify), no image assembled — or
+// the error that says why it did not.
 func verifiedLineage(ctx context.Context, store Store) *lineageGraph {
 	return &lineageGraph{nodes: map[string]*lineageNode{}, read: func(name string) (*lineageNode, error) {
-		rc, err := store.Get(ctx, name)
+		src, size, err := openImageAt(ctx, store, name)
 		if err != nil {
 			return nil, wrapCancelled(err)
 		}
-		img, err := dmtcp.ReadImage(rc)
-		rc.Close()
+		ix, err := dmtcp.OpenShardIndexWhole(src, size, size)
+		src.Close()
 		if err == nil {
-			err = img.VerifyContent()
+			err = ix.Verify()
 		}
 		if err != nil {
-			return nil, fmt.Errorf("image %q: %w", name, err)
+			return nil, wrapCancelled(fmt.Errorf("image %q: %w", name, err))
 		}
-		n := &lineageNode{}
-		if d := img.Delta; d != nil {
-			n.parent, n.id, n.parentID = d.Parent, d.ID(), d.ParentID()
-		}
-		return n, nil
+		return &lineageNode{parent: ix.Parent, id: ix.ID, parentID: ix.ParentID}, nil
 	}}
 }
 

@@ -229,8 +229,8 @@ func TestLineageHeaderReadsPrologueOnly(t *testing.T) {
 	}{
 		{"standalone", lineageNode{}, 8 + 4 + 2 + 20},
 		{"standalone-gzip", lineageNode{}, 8 + 4 + 2 + 20},
-		{"base", lineageNode{id: base.Delta.ID()}, 8 + 4 + 2 + 20},
-		{"delta", lineageNode{parent: "base", parentID: base.Delta.ID()}, 8 + 4 + 2 + len("base") + 20},
+		{"base", lineageNode{id: base.ID}, 8 + 4 + 2 + 20},
+		{"delta", lineageNode{parent: "base", parentID: base.ID}, 8 + 4 + 2 + len("base") + 20},
 		{"manifest", lineageNode{parent: "m0"}, 8 + 2 + 2 + len("m0") + 4 + 8},
 	} {
 		cr := &countingReader{r: bytes.NewReader(entries[tc.entry])}

@@ -15,21 +15,24 @@ import (
 type MigrateOption func(*migrateSettings)
 
 type migrateSettings struct {
-	prefix        string
-	maxRounds     int
-	convergeFrac  float64
-	convergeBytes uint64
-	roundDelay    time.Duration
-	closeSource   bool
-	destOpts      []Option // nil: inherit the source session's settings
+	prefix      string
+	maxRounds   int
+	roundDelay  time.Duration
+	closeSource bool
 }
+
+// Pre-copy converges when a delta round's dirty payload is at most
+// convergeFrac of the base round's total payload, or at most
+// convergeBytes: the final cut will then be cheap.
+const (
+	convergeFrac  = 0.02
+	convergeBytes = 64 << 10
+)
 
 func resolveMigrate(opts []MigrateOption) migrateSettings {
 	cfg := migrateSettings{
-		prefix:        "migrate",
-		maxRounds:     5,
-		convergeFrac:  0.02,
-		convergeBytes: 64 << 10,
+		prefix:    "migrate",
+		maxRounds: 5,
 	}
 	for _, o := range opts {
 		o(&cfg)
@@ -56,17 +59,6 @@ func WithMigrateRounds(n int) MigrateOption {
 	return func(s *migrateSettings) { s.maxRounds = n }
 }
 
-// WithMigrateConvergence tunes when pre-copy stops early: a delta
-// round whose dirty payload is at most frac of the base round's total
-// payload, or at most minBytes, means the dirty rate has converged and
-// the final cut will be cheap (defaults: 2% and 64 KiB). Rounds also
-// stop when the dirty payload stops shrinking — the application is
-// writing faster than the network drains, and more rounds would only
-// move the same pages again.
-func WithMigrateConvergence(frac float64, minBytes uint64) MigrateOption {
-	return func(s *migrateSettings) { s.convergeFrac, s.convergeBytes = frac, minBytes }
-}
-
 // WithMigrateRoundDelay inserts a pause between pre-copy rounds,
 // letting the application run (and re-dirty pages) between deltas.
 // Mostly useful in demos and experiments; production migrations want
@@ -84,16 +76,6 @@ func WithMigrateRoundDelay(d time.Duration) MigrateOption {
 // torture test needs to compare the two sides byte-for-byte.
 func WithMigrateCloseSource() MigrateOption {
 	return func(s *migrateSettings) { s.closeSource = true }
-}
-
-// WithMigrateSession configures the destination session with its own
-// option set (it is built with exactly these options, as crac.New
-// would). By default the destination inherits the source session's
-// configuration — workers, shard size, compression, image version —
-// which also guarantees the activated state is byte-identical to the
-// source's cut.
-func WithMigrateSession(opts ...Option) MigrateOption {
-	return func(s *migrateSettings) { s.destOpts = opts }
 }
 
 // MigrateRound describes one image the migration moved: a pre-copy
@@ -297,8 +279,8 @@ func Migrate(ctx context.Context, sess *Session, src, dst Store, opts ...Migrate
 		if round == 0 {
 			basePayload = max(st.PayloadTotal, 1)
 		} else {
-			if st.PayloadWritten <= cfg.convergeBytes ||
-				float64(st.PayloadWritten) <= cfg.convergeFrac*float64(basePayload) {
+			if st.PayloadWritten <= convergeBytes ||
+				float64(st.PayloadWritten) <= convergeFrac*float64(basePayload) {
 				rep.Converged = true
 				break
 			}
@@ -320,14 +302,9 @@ func Migrate(ctx context.Context, sess *Session, src, dst Store, opts ...Migrate
 	// The destination session is built before the downtime window opens
 	// (its lower-half construction is not the source's problem). It
 	// inherits the source's configuration — including the image-shaping
-	// options that make the activated state byte-identical — unless
-	// WithMigrateSession overrides it.
-	destCfg := sess.cfg
-	if cfg.destOpts != nil {
-		destCfg = resolve(cfg.destOpts)
-	}
+	// options that make the activated state byte-identical.
 	var err error
-	dest, err = newSession(destCfg)
+	dest, err = newSession(sess.cfg)
 	if err != nil {
 		return abort(fmt.Errorf("crac: migrate: building destination session: %w", err))
 	}

@@ -28,7 +28,6 @@ type settings struct {
 	deviceArenaChunk  uint64
 	pinnedArenaChunk  uint64
 	managedArenaChunk uint64
-	growthMmaps       int
 
 	kernels *KernelRegistry
 }
@@ -93,13 +92,6 @@ func WithIncremental(n int) Option {
 	return func(s *settings) { s.incremental = n }
 }
 
-// WithDeltaEvery is WithIncremental expressed as a base cadence: a full
-// base image every n checkpoints, deltas in between (n <= 1 disables
-// incremental mode). WithDeltaEvery(n) ≡ WithIncremental(n-1).
-func WithDeltaEvery(n int) Option {
-	return func(s *settings) { s.incremental = n - 1 }
-}
-
 // WithConcurrentCheckpoint does nothing: every checkpoint is a
 // snapshot-and-release checkpoint. The symbol remains only because the
 // repository benchmark (benchmark/fleet.go, which a code PR may not
@@ -132,11 +124,6 @@ func WithArenaChunks(device, pinned, managed uint64) Option {
 	return func(s *settings) {
 		s.deviceArenaChunk, s.pinnedArenaChunk, s.managedArenaChunk = device, pinned, managed
 	}
-}
-
-// WithGrowthMmaps tunes how many growth mmaps the arenas may issue.
-func WithGrowthMmaps(n int) Option {
-	return func(s *settings) { s.growthMmaps = n }
 }
 
 // withWorkerBudget attaches the session's checkpoint pipeline to a

@@ -88,7 +88,6 @@ type TenantQuota struct {
 
 type poolSettings struct {
 	maxSessions int           // pool-wide session cap; 0 unlimited
-	workers     int           // shared pipeline worker bound; 0 = GOMAXPROCS
 	maxInFlight int           // pool-wide concurrent cut cap; 0 unlimited
 	pageBudget  int64         // global retained-page budget; 0 unlimited
 	admitWait   time.Duration // stagger-queue wait bound; 0 = wait for ctx
@@ -105,14 +104,6 @@ type PoolOption func(*poolSettings)
 // fails with ErrPoolSaturated.
 func WithPoolMaxSessions(n int) PoolOption {
 	return func(s *poolSettings) { s.maxSessions = n }
-}
-
-// WithPoolWorkers bounds the shared checkpoint-pipeline worker set all
-// pooled sessions draw from (default: one per CPU). This replaces the
-// per-engine fan-out: no matter how many checkpoints run, at most n
-// shards are being read/compressed at once.
-func WithPoolWorkers(n int) PoolOption {
-	return func(s *poolSettings) { s.workers = n }
 }
 
 // WithPoolMaxConcurrentCuts caps how many checkpoints may run
@@ -172,13 +163,12 @@ func NewPool(store Store, opts ...PoolOption) (*Pool, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	workers := cfg.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	p := &Pool{
-		store:    store,
-		budget:   dmtcp.NewWorkerBudget(workers),
+		store: store,
+		// One shared pipeline worker set, one worker per CPU: however
+		// many pooled checkpoints run, at most that many shards are
+		// read and compressed at once.
+		budget:   dmtcp.NewWorkerBudget(runtime.GOMAXPROCS(0)),
 		cfg:      cfg,
 		tenants:  make(map[string]*poolTenant),
 		sessions: make(map[*PoolSession]struct{}),

@@ -58,7 +58,6 @@ func (s settings) libConfig(space *addrspace.Space) cuda.Config {
 		DeviceArenaChunk:  s.deviceArenaChunk,
 		PinnedArenaChunk:  s.pinnedArenaChunk,
 		ManagedArenaChunk: s.managedArenaChunk,
-		GrowthMmaps:       s.growthMmaps,
 	}
 }
 

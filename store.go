@@ -352,6 +352,13 @@ func (s *DirStore) prune(justWritten string) {
 	if err != nil {
 		return
 	}
+	// An image the scan did not list is gone: forget its memoized node,
+	// or the memo would grow with every image retention ever deleted.
+	for name := range s.nodes {
+		if infos[name] == nil {
+			delete(s.nodes, name)
+		}
+	}
 	// Newest first; equal timestamps break on name so pruning is
 	// deterministic within one fast generation burst.
 	sort.Slice(names, func(i, j int) bool {

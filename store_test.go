@@ -191,6 +191,34 @@ func TestDirStoreRetention(t *testing.T) {
 	}
 }
 
+// TestDirStoreMemoForgetsDeletedImages: retention memoizes each image's
+// lineage node, and must forget the images it deletes. 300 checkpoints
+// into a store keeping 2 leave at most Keep+1 memo entries: the images
+// the last pass listed.
+func TestDirStoreMemoForgetsDeletedImages(t *testing.T) {
+	ctx := context.Background()
+	store, err := NewDirStore(t.TempDir(), 2, WithNoSync())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < 300; i++ {
+		if _, err := s.CheckpointTo(ctx, store, fmt.Sprintf("gen%03d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store.pruneMu.Lock()
+	n := len(store.nodes)
+	store.pruneMu.Unlock()
+	if n > store.Keep+1 {
+		t.Fatalf("after 300 checkpoints the retention memo holds %d entries, want at most %d", n, store.Keep+1)
+	}
+}
+
 // TestDirStoreChunkPutSkipsRetention: a content-addressed chunk is not
 // an image, so writing one neither counts toward Keep nor triggers a
 // retention pass (a directory listing per chunk); the image Put that

@@ -8,30 +8,25 @@ import (
 	"strings"
 )
 
-// Verify re-checks an opened image's integrity: every per-shard
-// content hash (for an unmaterialized delta), every region payload
-// length, and — when the image carries a CUDA call log — that the log
-// still decodes. Failures classify as ErrCorruptImage (recorded hashes
-// no longer match) or ErrBadImage (structural inconsistency).
-//
-// ReadImage already enforces the stream-level checks (trailer
-// checksum, shard hashes) while parsing, so for a freshly-opened image
-// Verify mostly re-confirms; its value is images held in memory, and
-// the uniform entry point VerifyChain and Scrub build on.
+// Verify re-checks an opened image's integrity: every member's trailer
+// checksum and every shard's content hash (ShardIndex.Verify), and —
+// when the image resolves a CUDA call log — that the log still decodes.
+// Failures classify as ErrCorruptImage (recorded checksums or hashes no
+// longer match) or ErrBadImage (structural inconsistency).
 func (im *Image) Verify(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if err := im.img.VerifyContent(); err != nil {
-		return err
-	}
-	if im.img.Complete() {
-		if _, err := im.decodeLog(); err != nil {
-			// The section bytes passed their hashes but the log no
-			// longer parses: the image cannot be restored, and the
-			// damage is to content, not structure.
-			return fmt.Errorf("%w: %v", ErrCorruptImage, err)
+	for _, ix := range im.chain {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
+		if err := ix.Verify(); err != nil {
+			return err
+		}
+	}
+	if _, err := im.decodeLog(); err != nil {
+		// The section bytes passed their hashes but the log no longer
+		// parses: the image cannot be restored, and the damage is to
+		// content, not structure.
+		return fmt.Errorf("%w: %v", ErrCorruptImage, err)
 	}
 	return nil
 }
