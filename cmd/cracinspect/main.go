@@ -2,7 +2,9 @@
 // without restoring it, through the public crac.Image surface: the
 // image format, the upper-half memory regions, the plugin payload
 // sections, and a summary of the CUDA call log and the active resources
-// it implies.
+// it implies. The log an image carries is its normal form: the live
+// resources plus each dead highest handle's create/destroy pair, not
+// the call history.
 //
 // Images can live on disk or behind a netstore server (crac.ServeStore
 // / cracmigrate -serve): an http(s):// argument names an image on such
@@ -13,7 +15,7 @@
 // Usage:
 //
 //	cracinspect image.img
-//	cracinspect -log image.img     # include the full call log
+//	cracinspect -log image.img     # include every call-log entry (the normal form)
 //	cracinspect -verify image.img  # integrity-check and report
 //	cracinspect http://ckpt-host:9120/gen042   # image "gen042" on a netstore server
 //	cracinspect -dedup ./checkpoints           # dedup report over a whole store
@@ -98,7 +100,7 @@ func runDedup(ctx context.Context, arg string, stdout, stderr io.Writer) int {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("cracinspect", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	showLog := fs.Bool("log", false, "dump every call-log entry")
+	showLog := fs.Bool("log", false, "dump every call-log entry: the log's normal form (live resources and dead highest handles), not the call history")
 	verify := fs.Bool("verify", false, "integrity-check the image (trailer, shard hashes, log)")
 	dedup := fs.Bool("dedup", false, "report content-addressed dedup for a whole store (argument: store dir or base URL)")
 	if err := fs.Parse(args); err != nil {
@@ -228,7 +230,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, "  (no CUDA call log section)")
 		return 0
 	}
-	fmt.Fprintf(stdout, "  CUDA call log: %d entries\n", log.Entries)
+	fmt.Fprintf(stdout, "  CUDA call log: %d entries (normal form)\n", log.Entries)
 	fmt.Fprintf(stdout, "  active at checkpoint:\n")
 	fmt.Fprintf(stdout, "    cudaMalloc:        %d buffers (%d bytes)\n", log.Device.Buffers, log.Device.Bytes)
 	fmt.Fprintf(stdout, "    cudaMallocHost:    %d buffers (%d bytes)\n", log.Pinned.Buffers, log.Pinned.Bytes)

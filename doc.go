@@ -19,17 +19,20 @@
 // # Checkpoint and restart
 //
 // A checkpoint drains all CUDA streams, saves the memory of active
-// mallocs, the CUDA call log and the lower half's arena layout (chunk
-// addresses and sizes, no bytes) together with every upper-half memory
-// region, and omits the CUDA library itself. A restart verifies the
-// image, loads a fresh lower half, restores the upper half, and issues
-// the log's active set — every live allocation placed at its original
-// address on arenas rebuilt from the layout, live streams, events and
-// fat binaries recreated — so its cost follows the live state, not the
-// call history. The allocator it builds is the one replaying the whole
-// log would (the paper's log-and-replay design, Section 3; DESIGN.md
-// invariant 1); with ASLR left on, the arenas land elsewhere and the
-// restart fails with cracrt.ErrReplayMismatch, as replay would.
+// mallocs, the CUDA call log's normal form (the live resources, not the
+// call history) and the lower half's arena layout (chunk addresses and
+// sizes, no bytes) together with every upper-half memory region, and
+// omits the CUDA library itself. A restart verifies the image, loads a
+// fresh lower half, restores the upper half, and issues the log's
+// active set — every live allocation placed at its original address on
+// arenas rebuilt from the layout, live streams, events and fat binaries
+// recreated — so its cost follows the live state, not the call history.
+// The allocator it builds is the one replaying the whole history would
+// (the paper's log-and-replay design, Section 3; DESIGN.md invariant 1,
+// whose oracle records the history with an observer on the runtime,
+// since neither the log nor the image keeps it); with ASLR left on, the
+// arenas land elsewhere and the restart fails with
+// cracrt.ErrReplayMismatch, as replay would.
 //
 // Checkpoints land in a Store — a named-image destination with
 // all-or-nothing writes. FileStore holds one image at a fixed path,

@@ -61,8 +61,8 @@ func main() {
 	fmt.Printf("before checkpoint: c[100] = %v (want %v)\n", peek(rt, c, 100), 300.0)
 
 	// 4. Checkpoint into a Store. The checkpoint drains the device,
-	// saves the upper half, the call log, and the memory of active
-	// mallocs — the CUDA library itself is NOT saved. Put is atomic: a
+	// saves the upper half, the call log's normal form, and the memory
+	// of active mallocs — the CUDA library itself is NOT saved. Put is atomic: a
 	// failed or cancelled checkpoint leaves nothing behind. MemStore
 	// keeps images in memory; swap in NewDirStore for one file per
 	// generation with retention, or NewFileStore for a single file.
@@ -77,8 +77,8 @@ func main() {
 	img, err := crac.OpenImageFrom(ctx, store, "quickstart")
 	check(err)
 	if lg, err := img.Log(); err == nil && lg != nil {
-		fmt.Printf("image: v%d, %d log entries, %d active device buffers\n",
-			img.Info().Version, lg.Entries, lg.Device.Buffers)
+		fmt.Printf("image: %d call-log entries (the live resources, not the history), %d active device buffers\n",
+			lg.Entries, lg.Device.Buffers)
 	}
 
 	// 6. Simulated failure + restart: the old lower half is discarded, a

@@ -263,8 +263,10 @@ type ModuleInfo struct {
 }
 
 // ImageLog summarizes the CUDA call log carried in an image: its length
-// (the history full replay would re-execute) and the resources active
-// at checkpoint, which a restore reissues.
+// (entries of its normal form — the live resources plus dead highest
+// handles — or, in an image written before logs were compacted, the
+// whole history) and the resources active at checkpoint, which a
+// restore reissues.
 type ImageLog struct {
 	Entries int
 	Device  AllocClass // cudaMalloc

@@ -4,12 +4,12 @@
 // At checkpoint time it implements the paper's sequence (Sections 2.2 and
 // 3.2.3): drain the device queues, then copy the memory of *active*
 // mallocs — and only active mallocs, not whole arenas — into image
-// sections alongside the serialized call log and the lower-half arena
-// layout (lower.go). At restart time (after the session has rebuilt the
-// fresh lower half from that layout and the log's active set, recreating
-// every live allocation at its original address) it binds those
-// allocations to their saved bytes, which the restorer then refills
-// (lazy.go).
+// sections alongside the call log's normal form (the live resources,
+// not the history) and the lower-half arena layout (lower.go). At
+// restart time (after the session has rebuilt the fresh lower half from
+// that layout and the log's active set, recreating every live
+// allocation at its original address) it binds those allocations to
+// their saved bytes, which the restorer then refills (lazy.go).
 //
 // The drain fans out across CPUs: every allocation's offset inside the
 // devmem section is known up front, so workers copy disjoint ranges
@@ -35,7 +35,7 @@ import (
 
 // Section names inside the checkpoint image.
 const (
-	SectionLog  = "crac.log"  // serialized replay log
+	SectionLog  = "crac.log"  // the call log's normal form (replaylog.Compact)
 	SectionRoot = "crac.root" // application root blob (pointer table)
 
 	// SectionDevMem2 is the active-malloc memory payload: each entry
@@ -101,7 +101,7 @@ func (p *Plugin) RootBlob() []byte {
 // stop-the-world window: everything the later emit needs except the
 // payload bytes themselves, which it reads through the engine's view.
 type freezeCap struct {
-	entries     []replaylog.Entry // immutable call-log prefix at the cut
+	entries     []replaylog.Entry // immutable view of the call log at the cut
 	root        []byte
 	chain       bool // a chain image: stage the skip baseline
 	since       uint64
@@ -114,7 +114,7 @@ type freezeCap struct {
 }
 
 // Freeze implements dmtcp.Plugin: drain the queue of pending CUDA
-// kernels, then capture the call-log prefix and, for a chain image, the
+// kernels, then capture a view of the call log and, for a chain image, the
 // UVM cut and page-state view and the incremental skip baseline — all
 // O(metadata). The returned emit runs later (possibly concurrently with
 // the application) and builds the sections from the capture, reading
@@ -176,9 +176,12 @@ func (p *Plugin) Resume() error { return nil }
 //     drained, exactly as real CRAC cannot trust the host copy of a
 //     page the GPU holds (paper Section 2.3).
 func (p *Plugin) emit(ctx context.Context, view addrspace.View, sections *dmtcp.SectionMap, fc *freezeCap) error {
-	// Serialize the frozen call-log prefix straight into its section.
-	logw := sections.Writer(SectionLog, 64+25*len(fc.entries))
-	if err := replaylog.EncodeEntries(logw, fc.entries); err != nil {
+	// One pass over the frozen call log yields both its active set and
+	// its normal form; the section carries the normal form, which stands
+	// for the log at the cut under every call after it.
+	active, normal := replaylog.Normalize(fc.entries)
+	logw := sections.Writer(SectionLog, 64+25*len(normal))
+	if err := replaylog.EncodeEntries(logw, normal); err != nil {
 		return fmt.Errorf("cracplugin: encoding log: %w", err)
 	}
 	logw.Close()
@@ -192,7 +195,6 @@ func (p *Plugin) emit(ctx context.Context, view addrspace.View, sections *dmtcp.
 	// allocation bytes in parallel at precomputed offsets. Reading
 	// through a CoW snapshot, each drained range's retained pages are
 	// released as soon as its copy lands in the section buffer.
-	active := replaylog.ActiveOf(fc.entries)
 	groups := [][]replaylog.Allocation{active.Device, active.Pinned, active.Managed}
 	releaser, _ := view.(addrspace.RangeReleaser)
 
@@ -256,7 +258,7 @@ func (p *Plugin) emit(ctx context.Context, view addrspace.View, sections *dmtcp.
 	// The arena layout comes from the view's region table, which the
 	// engine froze at the cut, after this plugin's Freeze: no arena call
 	// is mid-flight there (the session's gate waits them out), so its
-	// chunks are exactly those the log prefix grew.
+	// chunks are exactly those the logged calls grew.
 	sections.Add(SectionLower, EncodeLowerLayout(cuda.LayoutOf(view)))
 
 	if fc.chain {

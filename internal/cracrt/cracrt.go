@@ -59,6 +59,8 @@ type fatDef struct {
 type Runtime struct {
 	sw  fsgs.Switcher
 	log *replaylog.Log
+	// observer, when set, sees every logged call (Observe).
+	observer atomic.Pointer[func(replaylog.Entry)]
 
 	mu      sync.RWMutex // guards lib/entries/handle maps; held for read on the hot path
 	lib     *cuda.Library
@@ -88,7 +90,7 @@ type Runtime struct {
 	// them is mid-flight and none can touch memory until
 	// ResumeLaunches. For the arena calls that makes the library call
 	// and its log entry one step at a checkpoint's cut: the arena layout
-	// the cut freezes is exactly the one the log prefix built, never a
+	// the cut freezes is exactly the one the logged calls built, never a
 	// growth whose allocation the log does not hold yet.
 	launchGate sync.RWMutex
 }
@@ -112,8 +114,25 @@ func New(lib *cuda.Library, entries EntryTable, sw fsgs.Switcher) *Runtime {
 	}
 }
 
-// Log returns the replay log.
+// Log returns the call log. It holds the log's normal form plus the
+// calls since its last compaction, not the whole history (see Observe).
 func (r *Runtime) Log() *replaylog.Log { return r.log }
+
+// Observe installs fn, which then sees every call the runtime logs, as
+// it is logged: the full history, which the log itself does not keep.
+// fn must not be nil; it runs inside the CUDA call, possibly from
+// several goroutines at once. A restart (Rebind) leaves it installed and
+// does not tell it, so calls the restart rolled back stay in what it
+// saw.
+func (r *Runtime) Observe(fn func(replaylog.Entry)) { r.observer.Store(&fn) }
+
+// logCall appends e to the log and hands it to the observer.
+func (r *Runtime) logCall(e replaylog.Entry) {
+	r.log.Append(e)
+	if fn := r.observer.Load(); fn != nil {
+		(*fn)(e)
+	}
+}
 
 // Library returns the current lower-half library.
 func (r *Runtime) Library() *cuda.Library {
@@ -154,7 +173,7 @@ func (r *Runtime) Malloc(size uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	r.log.Append(replaylog.Entry{Kind: replaylog.KindMalloc, Size: size, Addr: addr})
+	r.logCall(replaylog.Entry{Kind: replaylog.KindMalloc, Size: size, Addr: addr})
 	return addr, nil
 }
 
@@ -175,7 +194,7 @@ func (r *Runtime) Free(addr uint64) error {
 	if err := lib.Free(addr); err != nil {
 		return err
 	}
-	r.log.Append(replaylog.Entry{Kind: kind, Addr: addr})
+	r.logCall(replaylog.Entry{Kind: kind, Addr: addr})
 	return nil
 }
 
@@ -193,7 +212,7 @@ func (r *Runtime) MallocHost(size uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	r.log.Append(replaylog.Entry{Kind: replaylog.KindMallocHost, Size: size, Addr: addr})
+	r.logCall(replaylog.Entry{Kind: replaylog.KindMallocHost, Size: size, Addr: addr})
 	return addr, nil
 }
 
@@ -212,7 +231,7 @@ func (r *Runtime) HostAlloc(size uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	r.log.Append(replaylog.Entry{Kind: replaylog.KindHostAlloc, Size: size, Addr: addr})
+	r.logCall(replaylog.Entry{Kind: replaylog.KindHostAlloc, Size: size, Addr: addr})
 	return addr, nil
 }
 
@@ -233,7 +252,7 @@ func (r *Runtime) FreeHost(addr uint64) error {
 	if err := lib.FreeHost(addr); err != nil {
 		return err
 	}
-	r.log.Append(replaylog.Entry{Kind: kind, Addr: addr})
+	r.logCall(replaylog.Entry{Kind: kind, Addr: addr})
 	return nil
 }
 
@@ -251,7 +270,7 @@ func (r *Runtime) MallocManaged(size uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	r.log.Append(replaylog.Entry{Kind: replaylog.KindMallocManaged, Size: size, Addr: addr})
+	r.logCall(replaylog.Entry{Kind: replaylog.KindMallocManaged, Size: size, Addr: addr})
 	return addr, nil
 }
 
@@ -330,7 +349,7 @@ func (r *Runtime) StreamCreate() (crt.StreamHandle, error) {
 	h := r.nextS
 	r.vs[h] = ps
 	r.mu.Unlock()
-	r.log.Append(replaylog.Entry{Kind: replaylog.KindStreamCreate, Handle: uint64(h)})
+	r.logCall(replaylog.Entry{Kind: replaylog.KindStreamCreate, Handle: uint64(h)})
 	return h, nil
 }
 
@@ -352,7 +371,7 @@ func (r *Runtime) StreamDestroy(s crt.StreamHandle) error {
 	if err := lib.StreamDestroy(ps); err != nil {
 		return err
 	}
-	r.log.Append(replaylog.Entry{Kind: replaylog.KindStreamDestroy, Handle: uint64(s)})
+	r.logCall(replaylog.Entry{Kind: replaylog.KindStreamDestroy, Handle: uint64(s)})
 	return nil
 }
 
@@ -398,7 +417,7 @@ func (r *Runtime) EventCreate() (crt.EventHandle, error) {
 	h := r.nextE
 	r.ve[h] = pe
 	r.mu.Unlock()
-	r.log.Append(replaylog.Entry{Kind: replaylog.KindEventCreate, Handle: uint64(h)})
+	r.logCall(replaylog.Entry{Kind: replaylog.KindEventCreate, Handle: uint64(h)})
 	return h, nil
 }
 
@@ -420,7 +439,7 @@ func (r *Runtime) EventDestroy(e crt.EventHandle) error {
 	if err := lib.EventDestroy(pe); err != nil {
 		return err
 	}
-	r.log.Append(replaylog.Entry{Kind: replaylog.KindEventDestroy, Handle: uint64(e)})
+	r.logCall(replaylog.Entry{Kind: replaylog.KindEventDestroy, Handle: uint64(e)})
 	return nil
 }
 
@@ -527,7 +546,7 @@ func (r *Runtime) RegisterFatBinary(module string) (crt.FatBinHandle, error) {
 	r.vf[h] = ph
 	r.fdefs[h] = &fatDef{module: module, funcs: make(map[string]cuda.Kernel)}
 	r.mu.Unlock()
-	r.log.Append(replaylog.Entry{Kind: replaylog.KindRegisterFatBinary, Handle: uint64(h), Module: module})
+	r.logCall(replaylog.Entry{Kind: replaylog.KindRegisterFatBinary, Handle: uint64(h), Module: module})
 	return h, nil
 }
 
@@ -559,7 +578,7 @@ func (r *Runtime) RegisterFunction(h crt.FatBinHandle, name string, k cuda.Kerne
 	}
 	mod[name] = k
 	r.mu.Unlock()
-	r.log.Append(replaylog.Entry{Kind: replaylog.KindRegisterFunction, Handle: uint64(h), Name: name})
+	r.logCall(replaylog.Entry{Kind: replaylog.KindRegisterFunction, Handle: uint64(h), Name: name})
 	return nil
 }
 
@@ -582,7 +601,7 @@ func (r *Runtime) UnregisterFatBinary(h crt.FatBinHandle) error {
 	if err := lib.UnregisterFatBinary(ph); err != nil {
 		return err
 	}
-	r.log.Append(replaylog.Entry{Kind: replaylog.KindUnregisterFatBinary, Handle: uint64(h)})
+	r.logCall(replaylog.Entry{Kind: replaylog.KindUnregisterFatBinary, Handle: uint64(h)})
 	return nil
 }
 

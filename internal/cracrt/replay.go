@@ -9,7 +9,7 @@ import (
 	"repro/internal/replaylog"
 )
 
-// Replay re-executes log's whole call history against lib, a fresh
+// Replay re-executes a recorded call history against lib, a fresh
 // lower half, the way the paper's CRAC restarts (Section 3.2.4): the
 // *entire* malloc/free history of the device, pinned and managed arenas,
 // so the deterministic allocator reproduces every active address, while
@@ -17,19 +17,20 @@ import (
 // are re-registered and streams, events and fat binaries recreated for
 // the active set only.
 //
-// Restarts no longer take this route — Rebind issues the active set onto
-// a recorded arena layout — so its cost grows with history while
-// Rebind's grows with the live state. Replay stays as the oracle Rebind
-// is tested against (DESIGN.md invariant 1) and as the full-replay
-// column of the fig3 experiment. It binds no kernel bodies: the
-// functions it registers panic if launched.
-func Replay(lib *cuda.Library, log *replaylog.Log) (Bindings, error) {
+// No restart takes this route — Rebind issues the active set onto a
+// recorded arena layout — and neither the runtime's log nor an image
+// keeps the history: it comes from an observer attached to the runtime
+// (Runtime.Observe). Replay is the oracle Rebind is tested against
+// (DESIGN.md invariant 1) and the full-replay column of the fig3 and
+// fig5c experiments. It binds no kernel bodies: the functions it
+// registers panic if launched.
+func Replay(lib *cuda.Library, history []replaylog.Entry) (Bindings, error) {
 	b := Bindings{
 		Streams: make(map[crt.StreamHandle]cuda.Stream),
 		Events:  make(map[crt.EventHandle]cuda.Event),
 		FatBins: make(map[crt.FatBinHandle]cuda.FatBinaryHandle),
 	}
-	active := log.Active()
+	active := replaylog.ActiveOf(history)
 	// A cudaHostAlloc buffer is active by address and size: an address
 	// the upper half reused after a free also names the freed buffer,
 	// whose (possibly longer) range the restored upper half lacks.
@@ -50,7 +51,7 @@ func Replay(lib *cuda.Library, log *replaylog.Log) (Bindings, error) {
 		activeFats[fb.Handle] = true
 	}
 
-	for _, e := range log.View() {
+	for _, e := range history {
 		switch e.Kind {
 		case replaylog.KindMalloc:
 			addr, err := lib.Malloc(e.Size)

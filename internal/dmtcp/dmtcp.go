@@ -121,7 +121,7 @@ type Plugin interface {
 	// Name identifies the plugin.
 	Name() string
 	// Freeze runs inside the stop-the-world window: drain, then capture
-	// every non-memory input of the checkpoint (call-log prefix, active
+	// every non-memory input of the checkpoint (call-log view, active
 	// sets, epoch cuts) — quickly. The returned EmitFunc produces the
 	// plugin's sections later, from the capture plus the memory view it
 	// is handed. since is the parent checkpoint's epoch cut (0 for a

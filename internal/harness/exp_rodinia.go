@@ -10,7 +10,6 @@ import (
 	"time"
 
 	crac "repro"
-	"repro/internal/cracplugin"
 	"repro/internal/cracrt"
 	"repro/internal/gpusim"
 	"repro/internal/replaylog"
@@ -138,19 +137,25 @@ func runFig2(opt Options) ([]*Table, error) {
 // midRun is what checkpointMidRun measured.
 type midRun struct {
 	ckpt, restart time.Duration
-	// replay is full replay of the image's log (cracrt.Replay) on a
-	// fresh lower half: the restart the paper describes, which the
-	// session no longer performs.
+	// replay is full replay of the call history up to the checkpoint
+	// (cracrt.Replay) on a fresh lower half: the restart the paper
+	// describes, which the session no longer performs.
 	replay  time.Duration
 	imgSize int64
-	res     workloads.Result
+	// history counts the logged calls up to the checkpoint, which full
+	// replay re-executes; logged counts the entries of the image's log,
+	// its normal form, from which the session restarts.
+	history, logged int
+	res             workloads.Result
 }
 
 // checkpointMidRun runs app under a fresh CRAC session, checkpoints at
 // roughly the middle hook step, restarts from the image immediately
 // (simulating a failure), and lets the app run to completion. It returns
 // the measured checkpoint, restart and full-replay durations, the image
-// size, and the completed result.
+// size, the history and image-log lengths, and the completed result.
+// The history is recorded by an observer on the runtime: neither the
+// runtime's log nor the image keeps it.
 func checkpointMidRun(prop gpusim.Properties, app *workloads.App, cfg workloads.RunConfig) (midRun, error) {
 	var m midRun
 	// Pass 1: count hook steps.
@@ -174,6 +179,8 @@ func checkpointMidRun(prop gpusim.Properties, app *workloads.App, cfg workloads.
 		return m, err
 	}
 	defer r.Close()
+	var hist replaylog.History
+	r.Session.CRACRuntime().Observe(hist.Record)
 	dir, err := os.MkdirTemp("", "crac-fig3-")
 	if err != nil {
 		return m, err
@@ -221,8 +228,21 @@ func checkpointMidRun(prop gpusim.Properties, app *workloads.App, cfg workloads.
 				m.restart = d
 			}
 		}
+		img, ierr := crac.OpenImageFrom(ctx, store, "ckpt")
+		if ierr != nil {
+			return ierr
+		}
+		lg, ierr := img.Log()
+		if ierr == nil && lg == nil {
+			ierr = fmt.Errorf("image has no call log")
+		}
+		if ierr != nil {
+			return ierr
+		}
+		history := hist.Entries()
+		m.history, m.logged = len(history), lg.Entries
 		var rerr error
-		m.replay, rerr = fullReplay(ctx, prop, store, "ckpt")
+		m.replay, rerr = fullReplay(prop, history)
 		return rerr
 	}
 	m.res, err = app.Run(r.RT, runCfg)
@@ -235,29 +255,17 @@ func checkpointMidRun(prop gpusim.Properties, app *workloads.App, cfg workloads.
 	return m, nil
 }
 
-// fullReplay times cracrt.Replay of the named image's call log on the
+// fullReplay times cracrt.Replay of a recorded call history on the
 // fresh lower half of a new session: the whole malloc/free history
 // re-executed, as the paper's CRAC restarts.
-func fullReplay(ctx context.Context, prop gpusim.Properties, store crac.Store, name string) (time.Duration, error) {
-	img, err := crac.OpenImageFrom(ctx, store, name)
-	if err != nil {
-		return 0, err
-	}
-	raw, ok := img.Section(cracplugin.SectionLog)
-	if !ok {
-		return 0, fmt.Errorf("image %s has no %s section", name, cracplugin.SectionLog)
-	}
-	log, err := replaylog.DecodeBytes(raw)
-	if err != nil {
-		return 0, err
-	}
+func fullReplay(prop gpusim.Properties, history []replaylog.Entry) (time.Duration, error) {
 	fresh, err := crac.New(crac.WithDevice(prop))
 	if err != nil {
 		return 0, err
 	}
 	defer fresh.Close()
 	t0 := time.Now()
-	if _, err := cracrt.Replay(fresh.Library(), log); err != nil {
+	if _, err := cracrt.Replay(fresh.Library(), history); err != nil {
 		return 0, err
 	}
 	return time.Since(t0), nil
@@ -269,8 +277,8 @@ func runFig3(opt Options) ([]*Table, error) {
 	t := &Table{
 		ID:    "fig3",
 		Title: "Checkpoint and restart times of Rodinia benchmarks with image sizes",
-		Columns: []string{"Benchmark", "checkpoint (s)", "restart (s)", "full replay (s)", "image size",
-			"restart/ckpt"},
+		Columns: []string{"Benchmark", "checkpoint (s)", "restart (s)", "full replay (s)",
+			"history / image log entries", "image size", "restart/ckpt"},
 	}
 	for _, app := range rodinia.Apps() {
 		opt.logf("fig3: %s", app.Name)
@@ -279,12 +287,16 @@ func runFig3(opt Options) ([]*Table, error) {
 			return nil, err
 		}
 		t.AddRow(app.Name, fmtF(m.ckpt.Seconds(), 3), fmtF(m.restart.Seconds(), 3), fmtF(m.replay.Seconds(), 3),
-			FmtBytes(uint64(m.imgSize)), fmtF(m.restartRatio(), 2))
+			m.entryCounts(), FmtBytes(uint64(m.imgSize)), fmtF(m.restartRatio(), 2))
 	}
 	t.Note("checkpoint at mid-run; gzip disabled as in the paper (Section 4.4.1)")
-	t.Note("restart issues the image's active set onto its recorded arena layout; full replay re-executes the whole cudaMalloc/cudaFree log on a fresh lower half, as the paper's CRAC does — there Heartwall and Streamcluster replay long histories, the paper's two outliers")
+	t.Note("restart issues the image's active set onto its recorded arena layout; full replay re-executes the whole cudaMalloc/cudaFree history on a fresh lower half, as the paper's CRAC does — there Heartwall and Streamcluster replay long histories, the paper's two outliers")
+	t.Note("history / image log entries: calls full replay re-executes / entries of the image's call log, its normal form (live resources plus dead highest handles)")
 	return []*Table{t}, nil
 }
+
+// entryCounts renders the history and image-log lengths as one cell.
+func (m midRun) entryCounts() string { return fmt.Sprintf("%d / %d", m.history, m.logged) }
 
 // restartRatio is restart over checkpoint time (0 without a checkpoint).
 func (m midRun) restartRatio() float64 {

@@ -240,9 +240,10 @@ func runFig5b(opt Options) ([]*Table, error) {
 func runFig5c(opt Options) ([]*Table, error) {
 	prop := gpusim.TeslaV100()
 	t := &Table{
-		ID:      "fig5c",
-		Title:   "Checkpoint and restart times with image sizes (stream + real-world apps)",
-		Columns: []string{"Benchmark", "checkpoint (s)", "restart (s)", "full replay (s)", "image size", "restart/ckpt"},
+		ID:    "fig5c",
+		Title: "Checkpoint and restart times with image sizes (stream + real-world apps)",
+		Columns: []string{"Benchmark", "checkpoint (s)", "restart (s)", "full replay (s)",
+			"history / image log entries", "image size", "restart/ckpt"},
 	}
 	for _, f := range streamFamilies(opt) {
 		opt.logf("fig5c: %s", f.app.Name)
@@ -251,7 +252,7 @@ func runFig5c(opt Options) ([]*Table, error) {
 			return nil, err
 		}
 		t.AddRow(f.app.Name, fmtF(m.ckpt.Seconds(), 3), fmtF(m.restart.Seconds(), 3), fmtF(m.replay.Seconds(), 3),
-			FmtBytes(uint64(m.imgSize)), fmtF(m.restartRatio(), 2))
+			m.entryCounts(), FmtBytes(uint64(m.imgSize)), fmtF(m.restartRatio(), 2))
 	}
 	t.Note("paper: HPGMG restart ≈1.75s dominated by CUDA API replay (the full-replay column); HYPRE image largest (2.3GB at 250³)")
 	return []*Table{t}, nil

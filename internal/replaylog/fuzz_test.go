@@ -35,7 +35,7 @@ func FuzzDecodeLog(f *testing.F) {
 			t.Fatalf("%d entries out of %d bytes", l.Len(), len(b))
 		}
 		var re bytes.Buffer
-		if err := l.Encode(&re); err != nil {
+		if err := EncodeEntries(&re, l.Entries()); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(re.Bytes(), b) {

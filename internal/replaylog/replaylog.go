@@ -11,8 +11,12 @@
 //     sees the same call history ("we still need to replay the entire
 //     original sequence to get the same host and device addresses as
 //     prior to checkpoint"). This reproduction records the arena layout
-//     beside the log instead and issues only the active set; full
-//     replay of the log is the oracle that rebuild is tested against.
+//     beside the log instead and issues only the active set, so no
+//     route needs the history: a Log keeps itself in normal form
+//     (Compact), and an image's crac.log holds the normal form of the
+//     log at its cut. Full history is recorded only by whoever wants to
+//     replay it (the runtime's call observer); replaying it is the
+//     oracle that rebuild is tested against.
 //   - The log also covers streams, events, and fat-binary registrations,
 //     all of which must be recreated in a fresh lower half.
 package replaylog
@@ -22,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -109,11 +114,21 @@ func (e Entry) String() string {
 	}
 }
 
-// Log is an append-only, concurrency-safe call log.
+// Log is a concurrency-safe call log that keeps itself short. Once it
+// reaches max(compactFloor, twice its last compacted length), Append
+// replaces its contents with their normal form (Compact), which stands
+// for the same live state under any calls that follow: the log then
+// holds the live resources plus the calls since the last compaction,
+// not the whole history. A compaction builds a new array, so a View
+// taken before it stays valid, and its cost is amortised O(1) per call.
 type Log struct {
 	mu      sync.Mutex
 	entries []Entry
+	next    int // the length at which Append compacts next
 }
+
+// compactFloor is the shortest log Append compacts.
+const compactFloor = 1024
 
 // New returns an empty log.
 func New() *Log { return &Log{} }
@@ -122,39 +137,59 @@ func New() *Log { return &Log{} }
 func (l *Log) Append(e Entry) {
 	l.mu.Lock()
 	l.entries = append(l.entries, e)
+	if len(l.entries) >= max(compactFloor, l.next) {
+		l.entries = Compact(l.entries)
+		l.next = 2 * len(l.entries)
+	}
 	l.mu.Unlock()
 }
 
-// Len returns the number of logged calls.
+// Len returns the number of entries the log holds.
 func (l *Log) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.entries)
 }
 
-// Entries returns a snapshot of the log in call order.
+// Entries returns a copy of the log's entries in call order.
 func (l *Log) Entries() []Entry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return append([]Entry(nil), l.entries...)
 }
 
-// View returns the current log contents as an immutable prefix view,
-// without copying: the log is append-only, and the returned slice is
-// capacity-clamped, so later Appends (which either write beyond the
-// clamp or reallocate) never mutate it. This is the O(1) capture a
-// concurrent checkpoint takes inside its stop-the-world window.
+// View returns the current log contents as an immutable view, without
+// copying: the returned slice is capacity-clamped, and neither Append
+// nor a compaction ever writes an element it covers. This is the O(1)
+// capture a concurrent checkpoint takes inside its stop-the-world
+// window.
 func (l *Log) View() []Entry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.entries[:len(l.entries):len(l.entries)]
 }
 
-// Reset clears the log (used only by tests).
-func (l *Log) Reset() {
-	l.mu.Lock()
-	l.entries = nil
-	l.mu.Unlock()
+// History records a full call history, which a Log does not keep: hand
+// its Record to the runtime's call observer (cracrt.Runtime.Observe).
+// Full replay, the oracle a restart's rebuild is tested against, runs
+// over it. It is safe for concurrent use.
+type History struct {
+	mu      sync.Mutex
+	entries []Entry
+}
+
+// Record appends one call.
+func (h *History) Record(e Entry) {
+	h.mu.Lock()
+	h.entries = append(h.entries, e)
+	h.mu.Unlock()
+}
+
+// Entries returns a copy of the recorded calls in call order.
+func (h *History) Entries() []Entry {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return append([]Entry(nil), h.entries...)
 }
 
 // Allocation is a live allocation derived from the log.
@@ -188,151 +223,234 @@ type FatBin struct {
 }
 
 // Active derives the live set from the log.
-//
-// Deletions use tombstones plus an address→position index instead of
-// scanning the creation-order slice, so a malloc/free-heavy log
-// (HPGMG-style, tens of thousands of calls) derives in O(n) rather than
-// the quadratic slice-deletion cost of the naive approach. Dead entries
-// are skipped during the final collection; the same address may recur in
-// the order slice after arena reuse, so liveness is per-entry, not
-// per-address.
 func (l *Log) Active() ActiveSet {
 	return ActiveOf(l.View())
 }
 
 // ActiveOf derives the live set from an explicit entry sequence —
-// typically a frozen View() prefix, so a checkpoint running
-// concurrently with the application computes the active set of the cut
-// point, not of the still-growing log.
+// typically a frozen View(), so a checkpoint running concurrently with
+// the application computes the active set of the cut point, not of the
+// still-growing log.
+//
+// Deletions use tombstones plus a key→record index instead of scanning
+// the creation-order slice, so a malloc/free-heavy log derives in O(n)
+// rather than the quadratic cost of slice deletion. The same address
+// may recur after arena reuse, so liveness is per creation, not per
+// address.
 func ActiveOf(entries []Entry) ActiveSet {
-	var as ActiveSet
-	type allocList struct {
-		order []Allocation
-		alive []bool
-		idx   map[uint64]int // addr → live entry position in order
+	as, _ := scan(entries, false)
+	return as
+}
+
+// Compact returns the log's normal form: the shortest order-preserving
+// subsequence of entries with the same ActiveOf under any tail appended
+// after it. It keeps every live creation (with a live fat binary's
+// function registrations) and, where a handle kind's highest handle is
+// dead, that handle's create/destroy pair, so MaxStream, MaxEvent and
+// MaxFatBin survive. A log without free, destroy or unregister entries
+// is its own normal form. The result never shares an array with
+// entries.
+func Compact(entries []Entry) []Entry {
+	_, out := scan(entries, true)
+	return out
+}
+
+// Normalize returns ActiveOf(entries) and Compact(entries) from one
+// pass over entries.
+func Normalize(entries []Entry) (ActiveSet, []Entry) {
+	return scan(entries, true)
+}
+
+// record is one creation: the entry that made it and the entry that
+// ended it (-1 while it lives).
+type record struct{ pos, kill int }
+
+// table tracks one resource kind by key, an address or a handle.
+type table struct {
+	recs []record
+	idx  map[uint64]int // key → the record a free or destroy of key ends
+	// shadowed maps a key created again while it still named a live
+	// record to its latest creation. The earlier record stays live, and
+	// no later free can reach it; only a hand-built or hostile log does
+	// this. Its normal form keeps the latest creation, and the entry that
+	// ended it, so the key still shadows the earlier record.
+	shadowed map[uint64]int
+	// top is the highest handle created and last the record of its
+	// latest creation (-1: none); handle kinds only.
+	top  uint64
+	last int
+}
+
+func newTable() *table { return &table{idx: make(map[uint64]int), last: -1} }
+
+func (t *table) create(pos int, key uint64) int {
+	i := len(t.recs)
+	if _, live := t.idx[key]; live {
+		if t.shadowed == nil {
+			t.shadowed = make(map[uint64]int)
+		}
+		t.shadowed[key] = i
+	} else if _, ok := t.shadowed[key]; ok {
+		t.shadowed[key] = i
 	}
-	newAL := func() *allocList { return &allocList{idx: make(map[uint64]int)} }
-	dev, pin, host, mgd := newAL(), newAL(), newAL(), newAL()
-	add := func(al *allocList, e Entry) {
-		al.idx[e.Addr] = len(al.order)
-		al.order = append(al.order, Allocation{Addr: e.Addr, Size: e.Size})
-		al.alive = append(al.alive, true)
+	t.idx[key] = i
+	t.recs = append(t.recs, record{pos: pos, kill: -1})
+	return i
+}
+
+// createHandle is create for a handle kind: it also tracks the top.
+func (t *table) createHandle(pos int, h uint64) int {
+	i := t.create(pos, h)
+	if h > 0 && h >= t.top {
+		t.top, t.last = h, i
 	}
-	drop := func(al *allocList, addr uint64) {
-		if i, ok := al.idx[addr]; ok {
-			al.alive[i] = false
-			delete(al.idx, addr)
+	return i
+}
+
+func (t *table) end(pos int, key uint64) {
+	if i, ok := t.idx[key]; ok {
+		t.recs[i].kill = pos
+		delete(t.idx, key)
+	}
+}
+
+// keepEnded appends to keep the creation and the ending entry of every
+// dead record the normal form needs: the latest creation at each
+// shadowed key and the top handle's latest creation.
+func (t *table) keepEnded(keep []int) []int {
+	pair := func(i int) {
+		if r := t.recs[i]; r.kill >= 0 {
+			keep = append(keep, r.pos, r.kill)
 		}
 	}
-	type handleList struct {
-		order []uint64
-		alive []bool
-		idx   map[uint64]int
+	for _, i := range t.shadowed {
+		pair(i)
 	}
-	newHL := func() *handleList { return &handleList{idx: make(map[uint64]int)} }
-	streams, events := newHL(), newHL()
-	addH := func(hl *handleList, h uint64) {
-		hl.idx[h] = len(hl.order)
-		hl.order = append(hl.order, h)
-		hl.alive = append(hl.alive, true)
+	if t.last >= 0 {
+		pair(t.last)
 	}
-	dropH := func(hl *handleList, h uint64) {
-		if i, ok := hl.idx[h]; ok {
-			hl.alive[i] = false
-			delete(hl.idx, h)
-		}
-	}
-	fatIdx := make(map[uint64]int)
-	var fats []FatBin
-	var fatAlive []bool
-	for _, e := range entries {
+	return keep
+}
+
+// scan is ActiveOf and, when compact is set, Compact in one pass.
+func scan(entries []Entry, compact bool) (ActiveSet, []Entry) {
+	dev, pin, host, mgd := newTable(), newTable(), newTable(), newTable()
+	streams, events, fats := newTable(), newTable(), newTable()
+	var fns [][]int // per fat-binary record: its RegisterFunction entries
+	for pos, e := range entries {
 		switch e.Kind {
 		case KindMalloc:
-			add(dev, e)
+			dev.create(pos, e.Addr)
 		case KindFree:
-			drop(dev, e.Addr)
+			dev.end(pos, e.Addr)
 		case KindMallocHost:
-			add(pin, e)
+			pin.create(pos, e.Addr)
 		case KindFreeHost:
-			drop(pin, e.Addr)
+			pin.end(pos, e.Addr)
 		case KindHostAlloc:
-			add(host, e)
+			host.create(pos, e.Addr)
 		case KindFreeHostAlloc:
-			drop(host, e.Addr)
+			host.end(pos, e.Addr)
 		case KindMallocManaged:
-			add(mgd, e)
+			mgd.create(pos, e.Addr)
 		case KindFreeManaged:
-			drop(mgd, e.Addr)
+			mgd.end(pos, e.Addr)
 		case KindStreamCreate:
-			addH(streams, e.Handle)
-			as.MaxStream = max(as.MaxStream, e.Handle)
+			streams.createHandle(pos, e.Handle)
 		case KindStreamDestroy:
-			dropH(streams, e.Handle)
+			streams.end(pos, e.Handle)
 		case KindEventCreate:
-			addH(events, e.Handle)
-			as.MaxEvent = max(as.MaxEvent, e.Handle)
+			events.createHandle(pos, e.Handle)
 		case KindEventDestroy:
-			dropH(events, e.Handle)
+			events.end(pos, e.Handle)
 		case KindRegisterFatBinary:
-			as.MaxFatBin = max(as.MaxFatBin, e.Handle)
-			fatIdx[e.Handle] = len(fats)
-			fats = append(fats, FatBin{Handle: e.Handle, Module: e.Module})
-			fatAlive = append(fatAlive, true)
+			fats.createHandle(pos, e.Handle)
+			fns = append(fns, nil)
 		case KindRegisterFunction:
-			if i, ok := fatIdx[e.Handle]; ok {
-				fats[i].Functions = append(fats[i].Functions, e.Name)
+			if i, ok := fats.idx[e.Handle]; ok {
+				fns[i] = append(fns[i], pos)
 			}
 		case KindUnregisterFatBinary:
-			if i, ok := fatIdx[e.Handle]; ok {
-				fatAlive[i] = false
-				delete(fatIdx, e.Handle)
-			}
+			fats.end(pos, e.Handle)
 		}
 	}
-	collect := func(al *allocList) []Allocation {
-		out := make([]Allocation, 0, len(al.idx))
-		for i, a := range al.order {
-			if al.alive[i] {
-				out = append(out, a)
-			}
-		}
-		return out
-	}
-	collectH := func(hl *handleList) []uint64 {
-		out := make([]uint64, 0, len(hl.idx))
-		for i, h := range hl.order {
-			if hl.alive[i] {
-				out = append(out, h)
+
+	var keep []int
+	live := func(t *table) []record {
+		out := make([]record, 0, len(t.idx))
+		for _, r := range t.recs {
+			if r.kill < 0 {
+				out = append(out, r)
+				if compact {
+					keep = append(keep, r.pos)
+				}
 			}
 		}
 		return out
 	}
-	as.Device = collect(dev)
-	as.Pinned = collect(pin)
-	as.Host = collect(host)
-	as.Managed = collect(mgd)
-	as.Streams = collectH(streams)
-	as.Events = collectH(events)
-	as.FatBins = make([]FatBin, 0, len(fatIdx))
-	for i, f := range fats {
-		if fatAlive[i] {
-			as.FatBins = append(as.FatBins, f)
+	allocs := func(t *table) []Allocation {
+		rs := live(t)
+		out := make([]Allocation, len(rs))
+		for i, r := range rs {
+			out[i] = Allocation{Addr: entries[r.pos].Addr, Size: entries[r.pos].Size}
+		}
+		return out
+	}
+	handles := func(t *table) []uint64 {
+		rs := live(t)
+		out := make([]uint64, len(rs))
+		for i, r := range rs {
+			out[i] = entries[r.pos].Handle
+		}
+		return out
+	}
+	as := ActiveSet{
+		Device:    allocs(dev),
+		Pinned:    allocs(pin),
+		Host:      allocs(host),
+		Managed:   allocs(mgd),
+		Streams:   handles(streams),
+		Events:    handles(events),
+		FatBins:   make([]FatBin, 0, len(fats.idx)),
+		MaxStream: streams.top,
+		MaxEvent:  events.top,
+		MaxFatBin: fats.top,
+	}
+	for i, r := range fats.recs {
+		if r.kill >= 0 {
+			continue
+		}
+		fb := FatBin{Handle: entries[r.pos].Handle, Module: entries[r.pos].Module}
+		for _, p := range fns[i] {
+			fb.Functions = append(fb.Functions, entries[p].Name)
+		}
+		as.FatBins = append(as.FatBins, fb)
+		if compact {
+			keep = append(keep, r.pos)
+			keep = append(keep, fns[i]...)
 		}
 	}
-	return as
+	if !compact {
+		return as, nil
+	}
+	for _, t := range []*table{dev, pin, host, mgd, streams, events, fats} {
+		keep = t.keepEnded(keep)
+	}
+	slices.Sort(keep)
+	keep = slices.Compact(keep)
+	out := make([]Entry, len(keep))
+	for i, p := range keep {
+		out[i] = entries[p]
+	}
+	return as, out
 }
 
 // Binary serialization: the log travels inside the checkpoint image.
 
 const logMagic = uint32(0x43524c47) // "CRLG"
 
-// Encode writes the log to w in a self-describing binary format.
-func (l *Log) Encode(w io.Writer) error {
-	return EncodeEntries(w, l.View())
-}
-
-// EncodeEntries writes an explicit entry sequence (typically a frozen
-// View() prefix) in the same format as Encode.
+// EncodeEntries writes an entry sequence in a self-describing binary
+// format.
 func EncodeEntries(w io.Writer, entries []Entry) error {
 	var hdr [8]byte
 	binary.LittleEndian.PutUint32(hdr[0:], logMagic)
@@ -380,7 +498,7 @@ var ErrBadFormat = errors.New("replaylog: bad format")
 // fixed fields plus two zero string lengths.
 const minEntrySize = 25 + 2 + 2
 
-// DecodeBytes decodes a log written by Encode straight out of its
+// DecodeBytes decodes a log written by EncodeEntries straight out of its
 // encoded bytes. The entry slice is sized by what b can hold, never by
 // the count the header claims, and b must end exactly after the last
 // entry.

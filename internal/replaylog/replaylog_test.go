@@ -85,7 +85,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		l.Append(e)
 	}
 	var buf bytes.Buffer
-	if err := l.Encode(&buf); err != nil {
+	if err := EncodeEntries(&buf, l.Entries()); err != nil {
 		t.Fatal(err)
 	}
 	got, err := DecodeBytes(buf.Bytes())
@@ -110,7 +110,7 @@ func TestDecodeTruncated(t *testing.T) {
 	l := New()
 	l.Append(Entry{Kind: KindMalloc, Size: 8, Addr: 0x100})
 	var buf bytes.Buffer
-	if err := l.Encode(&buf); err != nil {
+	if err := EncodeEntries(&buf, l.Entries()); err != nil {
 		t.Fatal(err)
 	}
 	b := buf.Bytes()
@@ -154,7 +154,7 @@ func TestQuickEncodeDecode(t *testing.T) {
 			l.Append(e)
 		}
 		var buf bytes.Buffer
-		if err := l.Encode(&buf); err != nil {
+		if err := EncodeEntries(&buf, l.Entries()); err != nil {
 			return false
 		}
 		got, err := DecodeBytes(buf.Bytes())
@@ -210,15 +210,6 @@ func TestQuickActiveMallocInvariant(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	l := New()
-	l.Append(Entry{Kind: KindMalloc, Size: 1, Addr: 2})
-	l.Reset()
-	if l.Len() != 0 {
-		t.Fatal("reset did not clear")
-	}
-}
-
 // TestViewIsImmutablePrefix: View is the O(1) stop-the-world capture a
 // concurrent checkpoint takes — later appends must not leak into it,
 // and ActiveOf/EncodeEntries over the view must equal what the live log
@@ -229,7 +220,7 @@ func TestViewIsImmutablePrefix(t *testing.T) {
 	l.Append(Entry{Kind: KindMalloc, Size: 64, Addr: 0x200})
 	v := l.View()
 	var atCut bytes.Buffer
-	if err := l.Encode(&atCut); err != nil {
+	if err := EncodeEntries(&atCut, l.Entries()); err != nil {
 		t.Fatal(err)
 	}
 	// Mutate after the capture: enough appends to force a reallocation

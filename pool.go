@@ -380,7 +380,8 @@ func (p *Pool) dispatchLocked() {
 
 // acquireCut queues one checkpoint for epoch-cut admission and blocks
 // until it is admitted, the context is done, or the admission timeout
-// expires (ErrPoolSaturated).
+// expires (ErrPoolSaturated). A context that is done when the timeout
+// fires wins: the caller gets ErrCancelled either way.
 func (p *Pool) acquireCut(ctx context.Context, t *poolTenant, pages int64) (*cutWaiter, error) {
 	w := &cutWaiter{pages: pages, ready: make(chan struct{})}
 	if p.cfg.admitWait > 0 {
@@ -417,11 +418,10 @@ func (p *Pool) acquireCut(ctx context.Context, t *poolTenant, pages int64) (*cut
 		}
 		return w, nil
 	case <-ctx.Done():
-		if p.abandonWaiter(w) {
-			p.releaseCut(w) // admission raced the cancellation
-		}
-		return nil, wrapCancelled(fmt.Errorf("%w while waiting for checkpoint admission", ctx.Err()))
 	case <-timeout:
+		if ctx.Err() != nil {
+			break // both fired: the cancellation wins
+		}
 		if p.abandonWaiter(w) {
 			return w, nil // admission raced the timer: proceed
 		}
@@ -430,6 +430,10 @@ func (p *Pool) acquireCut(ctx context.Context, t *poolTenant, pages int64) (*cut
 		return nil, fmt.Errorf("%w: checkpoint admission waited %v (concurrent-cut cap or retained-page budget exhausted)",
 			ErrPoolSaturated, p.cfg.admitWait)
 	}
+	if p.abandonWaiter(w) {
+		p.releaseCut(w) // admission raced the cancellation
+	}
+	return nil, wrapCancelled(fmt.Errorf("%w while waiting for checkpoint admission", ctx.Err()))
 }
 
 // abandonWaiter removes w from the queue, reporting true if w had

@@ -503,6 +503,58 @@ func TestPoolAdmissionTimeout(t *testing.T) {
 	}
 }
 
+// TestPoolAdmissionCancelWinsOverTimeout: a checkpoint queued behind a
+// full pool whose context is already cancelled and whose admission
+// timer fires at once sees both fire; it must report ErrCancelled, never
+// ErrPoolSaturated, every time.
+func TestPoolAdmissionCancelWinsOverTimeout(t *testing.T) {
+	ctx := context.Background()
+	gate := newParkStore(NewMemStore())
+	p, err := NewPool(gate,
+		WithPoolSessionOptions(poolTestOpts()...),
+		WithPoolMaxConcurrentCuts(1),
+		WithPoolAdmissionTimeout(time.Nanosecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	ps1, err := p.Open("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps2, err := p.Open("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillHost(t, ps1, 32<<10, 1)
+	fillHost(t, ps2, 32<<10, 2)
+	done := make(chan error, 1)
+	go func() {
+		_, err := ps1.Checkpoint(ctx, "a")
+		done <- err
+	}()
+	<-gate.entered // ps1 holds the only cut
+	cctx, cancel := context.WithCancel(ctx)
+	cancel()
+	bad := 0
+	var last error
+	for i := 0; i < 200; i++ {
+		if _, err := ps2.Checkpoint(cctx, "c"); !errors.Is(err, ErrCancelled) {
+			bad, last = bad+1, err
+		}
+	}
+	close(gate.release)
+	if err := <-done; err != nil {
+		t.Fatalf("gated checkpoint: %v", err)
+	}
+	if bad > 0 {
+		t.Fatalf("%d of 200 checkpoints: %v, want ErrCancelled", bad, last)
+	}
+	if st := p.Stats(); st.RejectedSaturated != 0 {
+		t.Errorf("a cancelled checkpoint was counted as a saturation rejection: %+v", st)
+	}
+}
+
 func TestPoolClose(t *testing.T) {
 	ctx := context.Background()
 	gate := newParkStore(NewMemStore())

@@ -19,11 +19,14 @@ import (
 	"repro/internal/cuda"
 	"repro/internal/dmtcp"
 	"repro/internal/gpusim"
+	"repro/internal/replaylog"
 )
 
 // Tests of DESIGN.md invariant 1: the allocator a restart rebuilds from
 // an image's arena layout and active set equals the one full replay of
-// the image's log (cracrt.Replay) builds on a fresh lower half.
+// the call history up to the image's cut (cracrt.Replay) builds on a
+// fresh lower half. Neither the runtime's log nor the image keeps that
+// history; each test records it with an observer on the runtime.
 
 // rebuildOpts shrink the arena growth chunks so a few hundred calls grow
 // every arena many times and regularly outgrow one growth mapping
@@ -134,19 +137,26 @@ func (g *oracleGen) step() error {
 	}
 }
 
-// checkAgainstReplay is the oracle: it replays the restarted session's
-// log — the image's log — on a fresh lower half and requires the two
-// libraries to agree on every arena's chunks, free list and live map
-// (with allocation order), the arena footprint, the cudaHostAlloc
-// registrations and the handle maps, and then to hand out the same
-// addresses for the next 64 generated allocations.
-func checkAgainstReplay(t *testing.T, s *Session, seed int64) {
+// observeHistory records every call s's runtime logs from now on.
+func observeHistory(s *Session) *replaylog.History {
+	h := new(replaylog.History)
+	s.CRACRuntime().Observe(h.Record)
+	return h
+}
+
+// checkAgainstReplay is the oracle: it replays history — every call up
+// to the cut of the image s restarted from — on a fresh lower half and
+// requires the two libraries to agree on every arena's chunks, free list
+// and live map (with allocation order), the arena footprint, the
+// cudaHostAlloc registrations and the handle maps, and then to hand out
+// the same addresses for the next 64 generated allocations.
+func checkAgainstReplay(t *testing.T, s *Session, history []replaylog.Entry, seed int64) {
 	t.Helper()
 	lib, rt := s.Library(), s.CRACRuntime()
 	space := newSpace(s.cfg)
 	// cudaHostAlloc buffers are upper-half memory a restart restores
 	// with the image; the replay only re-registers them.
-	for _, a := range rt.Log().Active().Host {
+	for _, a := range replaylog.ActiveOf(history).Host {
 		if _, err := space.MMap(a.Addr, a.Size, addrspace.ProtRW, addrspace.MapFixedNoReplace, addrspace.HalfUpper, "cudaHostAlloc"); err != nil {
 			t.Fatalf("seed %d: mapping host buffer %#x: %v", seed, a.Addr, err)
 		}
@@ -157,7 +167,7 @@ func checkAgainstReplay(t *testing.T, s *Session, seed int64) {
 	}
 	defer helper.Unload()
 	defer ref.Destroy()
-	refBind, err := cracrt.Replay(ref, rt.Log())
+	refBind, err := cracrt.Replay(ref, history)
 	if err != nil {
 		t.Fatalf("seed %d: full replay: %v", seed, err)
 	}
@@ -247,8 +257,8 @@ func at(as []cuda.Allocation, i int) any {
 
 // TestRebuildEqualsFullReplay is invariant 1's oracle: seeded random
 // sessions, checkpointed and restarted through the session (waited and
-// unwaited), against full replay of the same log. A failing seed is
-// named by its subtest.
+// unwaited), against full replay of the recorded history. A failing
+// seed is named by its subtest.
 func TestRebuildEqualsFullReplay(t *testing.T) {
 	ctx := context.Background()
 	for seed := int64(1); seed <= 8; seed++ {
@@ -258,6 +268,7 @@ func TestRebuildEqualsFullReplay(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s.Close()
+			hist := observeHistory(s)
 			g := &oracleGen{rng: rand.New(rand.NewSource(seed)), rt: s.Runtime()}
 			for i := 0; i < 300; i++ {
 				if err := g.step(); err != nil {
@@ -279,8 +290,56 @@ func TestRebuildEqualsFullReplay(t *testing.T) {
 			} else if err := s.RestartFrom(ctx, store, "img"); err != nil {
 				t.Fatalf("seed %d: RestartFrom: %v", seed, err)
 			}
-			checkAgainstReplay(t, s, seed)
+			checkAgainstReplay(t, s, hist.Entries(), seed)
 		})
+	}
+}
+
+// churnedSession opens a session with a fixed live state — device,
+// pinned and managed buffers, streams and an event — and pairs
+// malloc/free pairs of 1–8 pages behind it. It returns the session and
+// the number of live resources.
+func churnedSession(t *testing.T, pairs int, opts ...Option) (*Session, int) {
+	t.Helper()
+	s, err := New(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := s.Runtime()
+	for i := 0; i < 4; i++ {
+		if _, err := rt.Malloc(256 << 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := rt.MallocHost(64 << 10); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.MallocManaged(64 << 10); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := rt.StreamCreate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := rt.EventCreate(); err != nil {
+		t.Fatal(err)
+	}
+	churn(t, rt, rand.New(rand.NewSource(int64(pairs))), pairs)
+	return s, 4 + 1 + 1 + 3 + 1
+}
+
+// churn issues pairs malloc/free pairs of 1–8 pages.
+func churn(t *testing.T, rt crt.Runtime, rng *rand.Rand, pairs int) {
+	t.Helper()
+	for i := 0; i < pairs; i++ {
+		a, err := rt.Malloc(uint64(1+rng.Intn(8)) * addrspace.PageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.Free(a); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -292,43 +351,7 @@ func TestRestartIssuesActiveSetNotHistory(t *testing.T) {
 	ctx := context.Background()
 	var calls []uint64
 	for _, pairs := range []int{3000, 12000} {
-		s, err := New()
-		if err != nil {
-			t.Fatal(err)
-		}
-		rt := s.Runtime()
-		active := 0
-		for i := 0; i < 4; i++ {
-			if _, err := rt.Malloc(256 << 10); err != nil {
-				t.Fatal(err)
-			}
-			active++
-		}
-		if _, err := rt.MallocHost(64 << 10); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := rt.MallocManaged(64 << 10); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 3; i++ {
-			if _, err := rt.StreamCreate(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := rt.EventCreate(); err != nil {
-			t.Fatal(err)
-		}
-		active += 1 + 1 + 3 + 1
-		rng := rand.New(rand.NewSource(int64(pairs)))
-		for i := 0; i < pairs; i++ {
-			a, err := rt.Malloc(uint64(1+rng.Intn(8)) * addrspace.PageSize)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := rt.Free(a); err != nil {
-				t.Fatal(err)
-			}
-		}
+		s, active := churnedSession(t, pairs)
 		store := NewMemStore()
 		if _, err := s.CheckpointTo(ctx, store, "img"); err != nil {
 			t.Fatal(err)
@@ -368,6 +391,8 @@ func checkpointDuringGrowth(t *testing.T, seed int64) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	cuts := &historyCut{h: observeHistory(s)}
+	s.engine.Register(cuts)
 	rt := s.Runtime()
 	store := NewMemStore()
 	mallocsDone := make(chan struct{})
@@ -425,27 +450,49 @@ func checkpointDuringGrowth(t *testing.T, seed int64) {
 		if err := r.RestartFrom(ctx, store, fmt.Sprintf("img%d", i)); err != nil {
 			t.Fatalf("round %d, image %d: %v", seed, i, err)
 		}
-		checkAgainstReplay(t, r, seed<<8|int64(i))
+		checkAgainstReplay(t, r, cuts.history[:cuts.at[i]], seed<<8|int64(i))
 		r.Close()
 	}
 }
 
-// lowerOverride is a checkpoint plugin that replaces the crac.lower
+// historyCut is a checkpoint plugin that notes, inside each cut, how
+// many calls the recorded history holds: the prefix whose normal form
+// the image's log carries. The arena calls hold the launch gate the cut
+// waits out, so the history cannot gain a call mid-cut.
+type historyCut struct {
+	h       *replaylog.History
+	history []replaylog.Entry // the history at the latest cut
+	at      []int             // the history's length at each cut, in order
+}
+
+func (p *historyCut) Name() string { return "history-cut" }
+func (p *historyCut) Freeze(uint64, bool) (dmtcp.EmitFunc, error) {
+	p.history = p.h.Entries()
+	p.at = append(p.at, len(p.history))
+	return func(context.Context, addrspace.View, *dmtcp.SectionMap) error { return nil }, nil
+}
+func (p *historyCut) Resume() error                                          { return nil }
+func (p *historyCut) LazyRestart(context.Context, *dmtcp.LazyRestorer) error { return nil }
+
+// sectionOverride is a checkpoint plugin that replaces the named
 // section the CRAC plugin emitted before it (emits run in registration
 // order) with body, when body is set.
-type lowerOverride struct{ body []byte }
+type sectionOverride struct {
+	section string
+	body    []byte
+}
 
-func (p *lowerOverride) Name() string { return "lower-override" }
-func (p *lowerOverride) Freeze(uint64, bool) (dmtcp.EmitFunc, error) {
+func (p *sectionOverride) Name() string { return "section-override" }
+func (p *sectionOverride) Freeze(uint64, bool) (dmtcp.EmitFunc, error) {
 	return func(_ context.Context, _ addrspace.View, sm *dmtcp.SectionMap) error {
 		if p.body != nil {
-			sm.Add(cracplugin.SectionLower, p.body)
+			sm.Add(p.section, p.body)
 		}
 		return nil
 	}, nil
 }
-func (p *lowerOverride) Resume() error                                          { return nil }
-func (p *lowerOverride) LazyRestart(context.Context, *dmtcp.LazyRestorer) error { return nil }
+func (p *sectionOverride) Resume() error                                          { return nil }
+func (p *sectionOverride) LazyRestart(context.Context, *dmtcp.LazyRestorer) error { return nil }
 
 // lowerBody encodes a crac.lower body from (start, size, arena) triples.
 func lowerBody(count uint32, chunks ...[3]uint64) []byte {
@@ -485,7 +532,7 @@ func TestHostileLowerSectionRejectedBeforeTeardown(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer s.Close()
-				override := &lowerOverride{body: h.body}
+				override := &sectionOverride{section: cracplugin.SectionLower, body: h.body}
 				s.engine.Register(override)
 				rt := s.Runtime()
 				d, err := rt.Malloc(64 << 10)
