@@ -311,12 +311,6 @@ func (s *CASStore) List(ctx context.Context) ([]string, error) {
 	return out, nil
 }
 
-// SingleImage passes the backing's one-slot property through: a chain
-// cannot live where every manifest lands in the same slot. (Len and
-// ExistsBatch are deliberately not forwarded — the backing counts and
-// answers for chunks too; StoreLen's List fallback counts images.)
-func (s *CASStore) SingleImage() bool { return singleImageStore(s.backing) }
-
 // Delete implements Store: it removes the manifest only. Chunks the
 // image referenced stay until GC proves nothing else references them.
 func (s *CASStore) Delete(ctx context.Context, name string) error {
@@ -337,7 +331,7 @@ func (s *CASStore) GetAt(ctx context.Context, name string) (ReaderAtCloser, int6
 	}
 	s.gcMu.RLock()
 	defer s.gcMu.RUnlock()
-	ra, size, err := openImageAt(ctx, s.backing, name)
+	ra, size, err := s.backing.GetAt(ctx, name)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -417,10 +411,9 @@ func (r *casReaderAt) ReadAt(p []byte, off int64) (int, error) {
 
 // readChunk fills dst with bytes [at, at+len(dst)) of one referenced
 // chunk, under the GC fence. A range short of the whole chunk is read
-// through the backing's GetAt when it has one; otherwise the chunk
-// streams through Get — one round trip — with the bytes before and
-// after the range discarded. Either way the stored length is checked
-// against the manifest.
+// through the backing's GetAt; a whole chunk streams through Get — one
+// round trip. Either way the stored length is checked against the
+// manifest.
 func (r *casReaderAt) readChunk(seg *cas.Segment, at uint64, dst []byte) error {
 	name := seg.ChunkName()
 	missing := func(err error) error {
@@ -435,8 +428,8 @@ func (r *casReaderAt) readChunk(seg *cas.Segment, at uint64, dst []byte) error {
 	}
 	r.s.gcMu.RLock()
 	defer r.s.gcMu.RUnlock()
-	if ras, ok := r.s.backing.(RandomAccessStore); ok && uint64(len(dst)) < seg.Length {
-		ra, size, err := ras.GetAt(r.ctx, name)
+	if uint64(len(dst)) < seg.Length {
+		ra, size, err := r.s.backing.GetAt(r.ctx, name)
 		if err != nil {
 			return missing(err)
 		}

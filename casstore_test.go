@@ -339,7 +339,7 @@ func TestCASPreexistingPlainImages(t *testing.T) {
 }
 
 // plainStore hides every optional capability of the store it wraps: a
-// backing that is a Store and nothing more (no GetAt).
+// backing that is a Store and nothing more (no Len, no ExistsBatch).
 type plainStore struct{ Store }
 
 // casReaderFixture checkpoints a small session through a CASStore over
@@ -395,8 +395,9 @@ func checkReadAt(t *testing.T, ra io.ReaderAt, whole []byte, off, n int64) {
 
 // TestCASReaderAtEdges reads through a manifest where the segments meet:
 // across inline→chunk→inline, exactly one chunk, a few bytes at a chunk's
-// head and tail, and everything at once — over a backing with GetAt
-// (ranged chunk reads) and one without (whole-fetch fallback), for a v3
+// head and tail, and everything at once — over a backing with every
+// optional capability and a plain Store (the "whole-fetch" rows, named
+// when GetAt was optional; both now read ranges through GetAt), for a v3
 // chain image and a standalone one (shard-framed: headers inline) and
 // for streams under the retired v2 and v1 versions (raw 256 KiB chunks,
 // so headers sit inside chunks and shard reads straddle them).
@@ -511,8 +512,8 @@ func TestCASLazyRestartLegacyFormats(t *testing.T) {
 
 // TestCASReaderAtCorruptChunk: a chunk that is missing, or whose stored
 // length is not the manifest's, is ErrCorruptImage whether the read
-// wants the whole chunk or a range of it, with or without GetAt on the
-// backing.
+// wants the whole chunk or a range of it, over a backing with every
+// optional capability and over a plain Store (the ranged=false rows).
 func TestCASReaderAtCorruptChunk(t *testing.T) {
 	ctx := context.Background()
 	damage := []struct {

@@ -5,12 +5,13 @@ package crac
 // readers that resolve a chain through the shard-index walk must agree
 // with a standalone checkpoint taken at the tip's cut — OpenImageFrom
 // (invariant 8) and a restart from the base Compact writes (invariant
-// 13).
+// 13). The gzip rows also set the retired gzip flag bit on one middle
+// member, which every resolver must refuse.
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
@@ -24,8 +25,8 @@ import (
 // from seed.
 type oracleCase struct {
 	seed  int64
-	depth int // deltas after the base
-	gzip  bool
+	depth int  // deltas after the base
+	gzip  bool // also check a chain with a gzip-flagged member is refused
 	shard int
 }
 
@@ -33,8 +34,8 @@ func (c oracleCase) String() string {
 	return fmt.Sprintf("seed=%d/depth=%d/gzip=%v/shard=%dK", c.seed, c.depth, c.gzip, c.shard>>10)
 }
 
-// oracleCases spans depth 1–15, gzip on and off, 64 KiB and 256 KiB
-// shards.
+// oracleCases spans depth 1–15, 64 KiB and 256 KiB shards; every
+// other case also checks the retired gzip bit.
 func oracleCases() []oracleCase {
 	var out []oracleCase
 	for i, depth := range []int{1, 15, 4, 9, 2, 12, 7, 15} {
@@ -82,11 +83,7 @@ const (
 func buildOracleChain(t *testing.T, c oracleCase, store Store) (string, []byte) {
 	t.Helper()
 	ctx := context.Background()
-	opts := []Option{WithShardSize(c.shard), WithIncremental(c.depth)}
-	if c.gzip {
-		opts = append(opts, WithGzip(gzip.BestSpeed))
-	}
-	s, err := New(opts...)
+	s, err := New(WithShardSize(c.shard), WithIncremental(c.depth))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,6 +203,27 @@ func sameImageContent(t *testing.T, c oracleCase, what string, got, ref *Image) 
 	}
 }
 
+// checkGzipMemberRefused sets the retired gzip flag bit on the chain's
+// first delta: opening, verifying and restoring the tip must each
+// report ErrUnsupportedVersion. The member's bytes are put back after.
+func checkGzipMemberRefused(t *testing.T, c oracleCase, store Store, tip string) {
+	t.Helper()
+	ctx := context.Background()
+	const member = "gen01"
+	orig := conformGet(t, store, member)
+	putBytes(t, store, member, gzipFlagged(orig))
+	defer putBytes(t, store, member, orig)
+	if _, err := OpenImageFrom(ctx, store, tip); !errors.Is(err, ErrUnsupportedVersion) {
+		t.Fatalf("%v: OpenImageFrom over a gzip-flagged member = %v", c, err)
+	}
+	if _, err := VerifyChain(ctx, store, tip); !errors.Is(err, ErrUnsupportedVersion) {
+		t.Fatalf("%v: VerifyChain over a gzip-flagged member = %v", c, err)
+	}
+	if _, err := RestoreFrom(ctx, store, tip); !errors.Is(err, ErrUnsupportedVersion) {
+		t.Fatalf("%v: RestoreFrom over a gzip-flagged member = %v", c, err)
+	}
+}
+
 // TestChainResolverOracle: for every generated chain in every store,
 // OpenImageFrom(tip) reads back exactly what a standalone checkpoint
 // at the same cut holds (invariant 8), and after Compact(tip) the base
@@ -226,6 +244,9 @@ func TestChainResolverOracle(t *testing.T) {
 					t.Fatalf("%v: OpenImageFrom: %v", c, err)
 				}
 				sameImageContent(t, c, "the resolved chain", img, refImg)
+				if c.gzip {
+					checkGzipMemberRefused(t, c, store, tip)
+				}
 
 				st, err := Compact(ctx, store, tip)
 				if err != nil || st.Depth != c.depth {

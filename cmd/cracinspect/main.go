@@ -153,7 +153,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	info := img.Info()
 	fmt.Fprintf(stdout, "CRAC checkpoint image: %s\n", fs.Arg(0))
-	fmt.Fprintf(stdout, "  format: v%d, gzip=%v\n", info.Version, info.Gzip)
+	fmt.Fprintln(stdout, "  format: CRACIMG3")
 	if *verify {
 		if store != nil {
 			// Remote image: verify the whole delta lineage through the

@@ -15,8 +15,8 @@ import (
 )
 
 // writeImage builds a session with a known CUDA footprint and
-// checkpoints it to path: a chain base under WithIncremental, else a
-// standalone image.
+// checkpoints it to path (dir/name.img, through a DirStore): a chain
+// base under WithIncremental, else a standalone image.
 func writeImage(t *testing.T, path string, opts ...crac.Option) {
 	t.Helper()
 	s, err := crac.New(opts...)
@@ -43,7 +43,12 @@ func writeImage(t *testing.T, path string, opts ...crac.Option) {
 	if _, err := rt.StreamCreate(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.CheckpointTo(context.Background(), crac.NewFileStore(path), "img"); err != nil {
+	store, err := crac.NewDirStore(filepath.Dir(path), 0, crac.WithNoSync())
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := strings.TrimSuffix(filepath.Base(path), ".img")
+	if _, err := s.CheckpointTo(context.Background(), store, name); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -55,11 +60,12 @@ func runInspect(t *testing.T, args ...string) (int, string, string) {
 	return code, out.String(), errOut.String()
 }
 
-// TestInspectBothVersions inspects a standalone image and a chain base
-// and checks the dump reports the format and the active CUDA state; the
-// same bytes under either retired format version (v1, v2) are refused as
-// an unsupported version.
-func TestInspectBothVersions(t *testing.T) {
+// TestInspectStandaloneAndChainBase inspects a standalone image and a
+// chain base and checks the dump reports the format and the active CUDA
+// state; the same bytes under either retired format version (v1, v2),
+// or with the retired gzip flag bit set, are refused as an unsupported
+// version.
+func TestInspectStandaloneAndChainBase(t *testing.T) {
 	for kind, opts := range [][]crac.Option{nil, {crac.WithIncremental(2)}} {
 		path := filepath.Join(t.TempDir(), "ckpt.img")
 		writeImage(t, path, opts...)
@@ -68,7 +74,7 @@ func TestInspectBothVersions(t *testing.T) {
 			t.Fatalf("kind %d exit = %d, stderr:\n%s", kind, code, errOut)
 		}
 		for _, want := range []string{
-			"format: v3", "upper-half regions:", "crac.log", "crac.devmem2",
+			"format: CRACIMG3\n", "upper-half regions:", "crac.log", "crac.devmem2",
 			"full image (standalone or chain root)",
 			"cudaMalloc:        1 buffers (1048576 bytes)",
 			"cudaMallocManaged: 1 buffers (65536 bytes)",
@@ -82,11 +88,16 @@ func TestInspectBothVersions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, retired := range []byte{'1', '2'} {
-			raw[7] = retired
-			os.WriteFile(path, raw, 0o644)
+		for _, retired := range []struct {
+			name string
+			at   int // the byte that retires the image: version digit or flags
+			b    byte
+		}{{"v1", 7, '1'}, {"v2", 7, '2'}, {"gzip", 8, raw[8] | 1}} {
+			b := append([]byte(nil), raw...)
+			b[retired.at] = retired.b
+			os.WriteFile(path, b, 0o644)
 			if code, _, errOut := runInspect(t, path); code != 1 || !strings.Contains(errOut, "unsupported format version") {
-				t.Fatalf("v%c image: exit=%d stderr=%q", retired, code, errOut)
+				t.Fatalf("%s image: exit=%d stderr=%q", retired.name, code, errOut)
 			}
 		}
 	}
@@ -158,7 +169,7 @@ func TestInspectDeltaImage(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("base exit = %d, stderr:\n%s", code, errOut)
 	}
-	if !strings.Contains(out, "format: v3") || !strings.Contains(out, "full image (standalone or chain root)") {
+	if !strings.Contains(out, "format: CRACIMG3") || !strings.Contains(out, "full image (standalone or chain root)") {
 		t.Fatalf("base dump missing v3/base lines:\n%s", out)
 	}
 	code, out, errOut = runInspect(t, filepath.Join(dir, "delta.img"))

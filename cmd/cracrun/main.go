@@ -8,12 +8,12 @@
 //
 //	cracrun -list
 //	cracrun -app Hotspot -mode crac -scale 0.5
-//	cracrun -app LULESH -mode crac -ckpt lulesh.img -ckpt-step 50
+//	cracrun -app LULESH -mode crac -ckpt-dir ckpts/ -ckpt-step 50
 //	cracrun -app Hotspot -mode crac -ckpt-dir ckpts/ -keep 3 -ckpt-step 2
 //	cracrun -app LULESH -ckpt-dir ckpts/ -incremental 8   # delta chain, base every 9th
 //	cracrun -app BFS -mode native
 //	cracrun -app UnifiedMemoryStreams -mode proxy-pipe   # CRUM-style baseline
-//	cracrun -app Hotspot -ckpt hs.img -timeout 30s       # deadline-bounded checkpoint
+//	cracrun -app Hotspot -ckpt-dir ckpts/ -timeout 30s   # deadline-bounded checkpoint
 package main
 
 import (
@@ -87,8 +87,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		streams  = fs.Int("streams", 0, "stream count override (0 = app default)")
 		seed     = fs.Int64("seed", 7, "workload seed")
 		device   = fs.String("device", "v100", "simulated device: v100 or k600")
-		ckptPath = fs.String("ckpt", "", "checkpoint to this file mid-run (crac modes only)")
-		ckptDir  = fs.String("ckpt-dir", "", "checkpoint into this directory, one image per generation")
+		ckptDir  = fs.String("ckpt-dir", "", "checkpoint mid-run into this directory, one image per generation (crac modes only)")
 		keep     = fs.Int("keep", 0, "with -ckpt-dir: retain only the newest N images (0 = all)")
 		ckptStep = fs.Int("ckpt-step", 1, "hook step at which to checkpoint")
 		restart  = fs.Bool("restart", true, "restart from the image immediately after checkpointing")
@@ -135,9 +134,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	var sessionOpts []crac.Option
 	if *incr > 0 {
-		// A delta names its parent image, so the chain needs the
-		// one-file-per-generation store; a single fixed path would
-		// overwrite the parent the next delta depends on.
+		// A delta names its parent image in the store it is written to.
 		if *ckptDir == "" {
 			fmt.Fprintln(stderr, "cracrun: -incremental requires -ckpt-dir")
 			return 2
@@ -152,28 +149,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	defer runner.Close()
 
 	cfg := workloads.RunConfig{Scale: *scale, Streams: *streams, Seed: *seed}
-	if *ckptPath != "" && *ckptDir != "" {
-		fmt.Fprintln(stderr, "cracrun: -ckpt and -ckpt-dir are mutually exclusive")
-		return 2
-	}
 	var lastCkpt string
 	var store crac.Store
 	var lazyPending *crac.Restarting
 	var lazyRestartAt time.Time
 	lazyTTFKReported := true
-	if *ckptPath != "" || *ckptDir != "" {
+	if *ckptDir != "" {
 		if runner.Session == nil {
-			fmt.Fprintln(stderr, "cracrun: -ckpt/-ckpt-dir require a crac mode")
+			fmt.Fprintln(stderr, "cracrun: -ckpt-dir requires a crac mode")
 			return 2
 		}
-		if *ckptDir != "" {
-			store, err = crac.NewDirStore(*ckptDir, *keep)
-			if err != nil {
-				fmt.Fprintln(stderr, "cracrun:", err)
-				return 1
-			}
-		} else {
-			store = crac.NewFileStore(*ckptPath)
+		store, err = crac.NewDirStore(*ckptDir, *keep)
+		if err != nil {
+			fmt.Fprintln(stderr, "cracrun:", err)
+			return 1
 		}
 		if *scrub {
 			rep, err := crac.Scrub(context.Background(), store)

@@ -33,18 +33,19 @@ func TestUnknownAppAndMode(t *testing.T) {
 	if code, _, errOut := runCmd(t, "-app", "Hotspot", "-mode", "bogus"); code != 2 || !strings.Contains(errOut, "unknown mode") {
 		t.Fatalf("unknown mode: exit=%d stderr=%q", code, errOut)
 	}
-	if code, _, errOut := runCmd(t, "-app", "Hotspot", "-mode", "native", "-ckpt", "x.img"); code != 2 || !strings.Contains(errOut, "crac mode") {
-		t.Fatalf("-ckpt under native: exit=%d stderr=%q", code, errOut)
+	if code, _, errOut := runCmd(t, "-app", "Hotspot", "-mode", "native", "-ckpt-dir", t.TempDir()); code != 2 || !strings.Contains(errOut, "crac mode") {
+		t.Fatalf("-ckpt-dir under native: exit=%d stderr=%q", code, errOut)
 	}
 }
 
 // TestCheckpointRestartRoundTrip smoke-runs the full cracrun flow: run
-// an app under CRAC, checkpoint mid-run into a file, restart from it,
-// and finish with a correct checksum.
+// an app under CRAC, checkpoint mid-run into a directory, restart from
+// the image, and finish with a correct checksum.
 func TestCheckpointRestartRoundTrip(t *testing.T) {
-	img := filepath.Join(t.TempDir(), "ckpt.img")
+	dir := t.TempDir()
+	img := filepath.Join(dir, "gen000.img")
 	code, out, errOut := runCmd(t,
-		"-app", "Hotspot", "-mode", "crac", "-scale", "0.1", "-ckpt", img, "-ckpt-step", "1")
+		"-app", "Hotspot", "-mode", "crac", "-scale", "0.1", "-ckpt-dir", dir, "-ckpt-step", "1")
 	if code != 0 {
 		t.Fatalf("exit = %d, stderr:\n%s", code, errOut)
 	}
@@ -81,10 +82,17 @@ func TestCheckpointDirStoreGenerations(t *testing.T) {
 	}
 }
 
+// TestConflictingStoreFlagsAndHelp: -ckpt-dir is the one destination
+// flag; the retired single-file -ckpt is an unknown flag, alone or
+// next to -ckpt-dir.
 func TestConflictingStoreFlagsAndHelp(t *testing.T) {
-	if code, _, errOut := runCmd(t, "-app", "Hotspot", "-ckpt", "x.img", "-ckpt-dir", "d"); code != 2 ||
-		!strings.Contains(errOut, "mutually exclusive") {
-		t.Fatalf("conflicting flags: exit=%d stderr=%q", code, errOut)
+	for _, args := range [][]string{
+		{"-app", "Hotspot", "-ckpt", "x.img"},
+		{"-app", "Hotspot", "-ckpt", "x.img", "-ckpt-dir", "d"},
+	} {
+		if code, _, errOut := runCmd(t, args...); code != 2 || !strings.Contains(errOut, "-ckpt") {
+			t.Fatalf("%v: exit=%d stderr=%q", args, code, errOut)
+		}
 	}
 	if code, _, _ := runCmd(t, "-h"); code != 0 {
 		t.Fatalf("-h exit = %d, want 0", code)
@@ -117,7 +125,7 @@ func TestIncrementalChain(t *testing.T) {
 
 // TestIncrementalRequiresDirStore pins the flag validation.
 func TestIncrementalRequiresDirStore(t *testing.T) {
-	if code, _, errOut := runCmd(t, "-app", "Hotspot", "-ckpt", "x.img", "-incremental", "3"); code != 2 ||
+	if code, _, errOut := runCmd(t, "-app", "Hotspot", "-incremental", "3"); code != 2 ||
 		!strings.Contains(errOut, "-incremental requires -ckpt-dir") {
 		t.Fatalf("exit=%d stderr=%q", code, errOut)
 	}

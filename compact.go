@@ -87,7 +87,7 @@ func Compact(ctx context.Context, store Store, tip string) (*CompactStats, error
 	}
 	st.Depth, st.Squashed = len(squashed), squashed
 
-	eng := &dmtcp.Engine{Gzip: chain[0].Gzip, ShardSize: chain[0].ShardSize}
+	eng := &dmtcp.Engine{ShardSize: chain[0].ShardSize}
 	opaque := map[string][]byte{cracplugin.SectionDevMem2: devmem}
 	if err := store.Put(ctx, tip, func(w io.Writer) error {
 		return eng.EncodeBase(ctx, w, chain[0], head.id, opaque)

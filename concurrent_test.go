@@ -116,7 +116,7 @@ func liveViewReference(t *testing.T, s *Session, name string) []byte {
 	var err error
 	if s.cfg.incremental > 0 {
 		s.mu.Lock()
-		prev := s.incrPrevLocked(NewMemStore(), name)
+		prev := s.incrPrevLocked(name)
 		s.mu.Unlock()
 		_, _, err = s.engine.CheckpointDelta(context.Background(), &buf, s.space, prev, name)
 	} else {
@@ -133,17 +133,20 @@ func liveViewReference(t *testing.T, s *Session, name string) []byte {
 // prefix; one checkpoints and is hammered by mutators through the whole
 // overlapped write, the other stays undisturbed and supplies the
 // live-view reference of the same state. The committed image must be
-// byte-identical to the reference — full v2, gzip'd, and v3 delta
-// alike, whether the checkpoint was requested through CheckpointAsync
-// or through a CheckpointTo call blocking one goroutine while the
-// others keep mutating — and no copy-on-write page may outlive the
-// checkpoint. Run under -race in CI.
+// byte-identical to the reference — full and v3 delta alike, whether
+// the checkpoint was requested through CheckpointAsync or through a
+// CheckpointTo call blocking one goroutine while the others keep
+// mutating — and no copy-on-write page may outlive the checkpoint. The
+// full-v2-gzip rows write through the serial pipeline (WithWorkers(1))
+// and check that the committed image with the retired gzip flag bit
+// set is refused. Run under -race in CI.
 func TestConcurrentCheckpointTortureByteIdentity(t *testing.T) {
 	type input struct {
 		name         string
 		opts         []Option
 		incremental  bool
 		blockingCall bool // CheckpointTo on one goroutine instead of CheckpointAsync
+		gzipBit      bool // also check the image with the retired gzip bit is refused
 	}
 	var inputs []input
 	for _, blockingCall := range []bool{false, true} {
@@ -154,9 +157,9 @@ func TestConcurrentCheckpointTortureByteIdentity(t *testing.T) {
 		// The full rows write standalone images; their names predate
 		// the single image format.
 		inputs = append(inputs,
-			input{"full-v2" + suffix, nil, false, blockingCall},
-			input{"full-v2-gzip" + suffix, []Option{WithGzip(1)}, false, blockingCall},
-			input{"delta-v3" + suffix, []Option{WithIncremental(8)}, true, blockingCall},
+			input{"full-v2" + suffix, nil, false, blockingCall, false},
+			input{"full-v2-gzip" + suffix, []Option{WithWorkers(1)}, false, blockingCall, true},
+			input{"delta-v3" + suffix, []Option{WithIncremental(8)}, true, blockingCall, false},
 		)
 	}
 	for _, tc := range inputs {
@@ -226,6 +229,11 @@ func TestConcurrentCheckpointTortureByteIdentity(t *testing.T) {
 			ib := liveViewReference(t, b, "gen")
 			if !bytes.Equal(ia, ib) {
 				t.Fatalf("overlapped image differs from the live-view reference at the same cut (%d vs %d bytes)", len(ia), len(ib))
+			}
+			if tc.gzipBit {
+				if _, err := OpenImage(bytes.NewReader(gzipFlagged(ia))); !errors.Is(err, ErrUnsupportedVersion) {
+					t.Fatalf("OpenImage with the retired gzip bit = %v, want ErrUnsupportedVersion", err)
+				}
 			}
 			if n := a.Space().RetainedPages(); n != 0 {
 				t.Fatalf("%d copy-on-write pages leaked after the checkpoint", n)
@@ -331,6 +339,9 @@ func (g *gateStore) Put(ctx context.Context, name string, write func(io.Writer) 
 }
 func (g *gateStore) Get(ctx context.Context, name string) (io.ReadCloser, error) {
 	return g.inner.Get(ctx, name)
+}
+func (g *gateStore) GetAt(ctx context.Context, name string) (ReaderAtCloser, int64, error) {
+	return g.inner.GetAt(ctx, name)
 }
 func (g *gateStore) List(ctx context.Context) ([]string, error) { return g.inner.List(ctx) }
 func (g *gateStore) Delete(ctx context.Context, name string) error {

@@ -8,10 +8,11 @@
 // application's upper half plus a lower-half helper program owning the
 // (simulated) CUDA library — configured through functional options:
 //
-//	s, err := crac.New(crac.WithWorkers(8), crac.WithGzip(gzip.BestSpeed))
+//	s, err := crac.New(crac.WithWorkers(8), crac.WithIncremental(15))
 //
 // The zero option set matches the paper's main configuration (Tesla
-// V100, syscall fs switch, no compression, ASLR off). The application
+// V100, syscall fs switch, ASLR off; images are uncompressed, as in
+// the paper's experiments). The application
 // programs against s.Runtime(), and the same code runs natively
 // (NewNative), under CRAC, or under the proxy-based baseline
 // (internal/proxy) used in the paper's Table 3 comparison.
@@ -35,10 +36,9 @@
 // cracrt.ErrReplayMismatch, as replay would.
 //
 // Checkpoints land in a Store — a named-image destination with
-// all-or-nothing writes. FileStore holds one image at a fixed path,
-// DirStore keeps one file per generation with an optional retention
-// policy, MemStore stays in memory; remote backends implement the same
-// four methods:
+// all-or-nothing writes and random-access reads. DirStore keeps one
+// file per image with an optional retention policy, MemStore stays in
+// memory; remote backends implement the same five methods:
 //
 //	store, _ := crac.NewDirStore("ckpts", 3) // keep the newest 3
 //	stats, err := s.CheckpointTo(ctx, store, "gen042")
@@ -180,8 +180,7 @@
 //
 // The migrated session's memory is byte-identical to a checkpoint
 // taken at the final cut. The source is left quiesced —
-// resume it to fail back, close it to complete the handoff
-// (WithMigrateCloseSource does the latter automatically). Network
+// resume it to fail back, close it to complete the handoff. Network
 // failures classify through Transient, so WithRetry composes around
 // an HTTP store; cmd/cracmigrate packages both roles as a CLI.
 //
@@ -225,13 +224,12 @@
 // as the image is read; Image.Verify, VerifyChain
 // and Scrub re-check stored images — Scrub quarantines corrupt images
 // and the deltas their corruption condemns, and RepairChain re-bases a
-// broken lineage. Flaky stores wrap with WithRetry (or per-session
-// WithCheckpointRetry), which retries transiently failing operations
-// with bounded exponential backoff — the checkpoint pipeline itself
-// runs exactly once per attempt. Supervisor composes all of it into a
-// CRAFT-style restart loop: periodic checkpoints, failure detection,
-// and automatic restart from the newest generation whose whole chain
-// verifies:
+// broken lineage. Flaky stores wrap with WithRetry, which retries
+// transiently failing operations with bounded exponential backoff —
+// the checkpoint pipeline itself runs exactly once per attempt.
+// Supervisor composes all of it into a CRAFT-style restart loop:
+// periodic checkpoints, failure detection, and automatic restart from
+// the newest generation whose whole chain verifies:
 //
 //	sv, err := crac.NewSupervisor(crac.SupervisorConfig{
 //	    Factory: newAppSession,          // a fresh session per process
@@ -293,9 +291,9 @@
 // The checkpoint/restart data path is parallel and pipelined: region
 // and allocation payloads are sharded across a worker pool while a
 // single writer streams the image in deterministic order, and restores
-// drain the image with a worker group the same way. WithWorkers, WithShardSize and
-// WithGzip tune it; WithWorkers(1) selects the serial reference path,
-// which produces byte-identical images.
+// drain the image with a worker group the same way. WithWorkers and
+// WithShardSize tune it; WithWorkers(1) selects the serial reference
+// path, which produces byte-identical images.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // reproduction of every table and figure in the paper's evaluation.

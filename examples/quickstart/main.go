@@ -30,7 +30,7 @@ func main() {
 	// 1. Launch a CRAC session: one simulated process with the
 	// application in the upper half and a disposable CUDA library in the
 	// lower half. Options tune the session; the defaults match the
-	// paper's main configuration (V100, syscall fs switch, no gzip).
+	// paper's main configuration (V100, syscall fs switch).
 	session, err := crac.New(crac.WithWorkers(0))
 	if err != nil {
 		log.Fatalf("crac: %v", err)
@@ -65,7 +65,7 @@ func main() {
 	// of active mallocs — the CUDA library itself is NOT saved. Put is atomic: a
 	// failed or cancelled checkpoint leaves nothing behind. MemStore
 	// keeps images in memory; swap in NewDirStore for one file per
-	// generation with retention, or NewFileStore for a single file.
+	// image with retention.
 	store := crac.NewMemStore()
 	stats, err := session.CheckpointTo(ctx, store, "quickstart")
 	check(err)

@@ -96,10 +96,12 @@ func TestTortureFaultyStore(t *testing.T) {
 				Get:   faults.Rates{Transient: 0.10, Torn: 0.05, BitFlip: 0.05},
 				GetAt: faults.Rates{Transient: 0.10, Torn: 0.05, BitFlip: 0.05},
 			})
-			store := NewFaultStore(NewMemStore(), inj)
+			// Callers retry by wrapping the store: every checkpoint,
+			// listing and restart below runs through the same wrapper.
+			store := WithRetry(NewFaultStore(NewMemStore(), inj), retry)
 			ctx := context.Background()
 
-			opts := append([]Option{WithWorkers(2), WithShardSize(32 << 10), WithCheckpointRetry(retry)}, mode.opts...)
+			opts := append([]Option{WithWorkers(2), WithShardSize(32 << 10)}, mode.opts...)
 			s, err := New(opts...)
 			if err != nil {
 				t.Fatal(err)
@@ -182,13 +184,12 @@ func TestTortureFaultyStore(t *testing.T) {
 
 			// Every image the store ended up holding — committed, torn,
 			// or flipped — must parse clean or classify.
-			vstore := WithRetry(store, retry)
-			names, err := vstore.List(ctx)
+			names, err := store.List(ctx)
 			if err != nil {
 				t.Fatalf("List (seed %d): %v", seed, err)
 			}
 			for _, name := range names {
-				img, oerr := OpenImageFrom(ctx, vstore, name)
+				img, oerr := OpenImageFrom(ctx, store, name)
 				if oerr != nil {
 					if !classified(oerr) {
 						t.Fatalf("image %q: unclassified parse error (seed %d): %v", name, seed, oerr)
@@ -204,7 +205,7 @@ func TestTortureFaultyStore(t *testing.T) {
 			// exactly the checkpointed bytes.
 			restored := 0
 			for name, val := range committed {
-				if _, verr := VerifyChain(ctx, vstore, name); verr != nil {
+				if _, verr := VerifyChain(ctx, store, name); verr != nil {
 					if !classified(verr) {
 						t.Fatalf("chain %q: unclassified error (seed %d): %v", name, seed, verr)
 					}
@@ -213,9 +214,9 @@ func TestTortureFaultyStore(t *testing.T) {
 				var s2 *Session
 				var rerr error
 				if mode.lazy {
-					s2, rerr = New(WithWorkers(2), WithCheckpointRetry(retry))
+					s2, rerr = New(WithWorkers(2))
 					if rerr == nil {
-						rs, aerr := s2.RestartAsync(ctx, vstore, name)
+						rs, aerr := s2.RestartAsync(ctx, store, name)
 						if aerr != nil {
 							rerr = aerr
 						} else {
@@ -223,7 +224,7 @@ func TestTortureFaultyStore(t *testing.T) {
 						}
 					}
 				} else {
-					s2, rerr = RestoreFrom(ctx, vstore, name, WithWorkers(2), WithCheckpointRetry(retry))
+					s2, rerr = RestoreFrom(ctx, store, name, WithWorkers(2))
 				}
 				if rerr != nil {
 					// A fresh injected Get fault, or retries exhausted: fine,

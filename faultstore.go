@@ -29,7 +29,7 @@ import (
 // A FaultStore is deterministic per seed and operation sequence; tests
 // echo the seed on failure so any run reproduces.
 type FaultStore struct {
-	storeCaps // the metadata probes (Len, ExistsBatch, SingleImage) pass through uninjected
+	storeCaps // the metadata probes (Len, ExistsBatch) pass through uninjected
 	inj       *faults.Injector
 }
 
@@ -225,8 +225,7 @@ func (t *tornReaderAt) ReadAt(p []byte, off int64) (int, error) {
 func (t *tornReaderAt) Close() error { return t.r.Close() }
 
 // GetAt implements RandomAccessStore, injecting into the lazy-restart
-// read path. When the underlying store lacks random access, the image
-// is slurped (same fallback the lazy path itself uses).
+// read path.
 func (s *FaultStore) GetAt(ctx context.Context, name string) (ReaderAtCloser, int64, error) {
 	d := s.inj.Decide(faults.OpGetAt)
 	if err := delay(ctx, d.Delay); err != nil {
@@ -254,7 +253,4 @@ func (s *FaultStore) GetAt(ctx context.Context, name string) (ReaderAtCloser, in
 	return src, size, nil
 }
 
-var (
-	_ Store             = (*FaultStore)(nil)
-	_ RandomAccessStore = (*FaultStore)(nil)
-)
+var _ Store = (*FaultStore)(nil)

@@ -13,16 +13,15 @@ import (
 
 // HTTPStore is a Store backed by a remote image server speaking the
 // netstore protocol (ServeStore on the other end, or `cracmigrate
-// -serve`). It implements RandomAccessStore: GetAt issues HTTP Range
-// requests, so a lazy restart faults individual shards across the wire
-// instead of downloading whole images, and Put streams the image as
-// the checkpoint pipeline produces it.
+// -serve`). Its GetAt issues HTTP Range requests, so a lazy restart
+// faults individual shards across the wire instead of downloading
+// whole images, and Put streams the image as the checkpoint pipeline
+// produces it.
 //
 // Failures are classified for retry: server-side errors (5xx, 408,
 // 429) and transport failures (timeouts, connection resets) report
-// Transient() == true, so wrapping an HTTPStore in WithRetry — or
-// checkpointing through it with WithCheckpointRetry — gives bounded
-// backoff over a flaky network. A 404 maps to ErrImageNotFound and a
+// Transient() == true, so wrapping an HTTPStore in WithRetry gives
+// bounded backoff over a flaky network. A 404 maps to ErrImageNotFound and a
 // caller-cancelled context to the context's own error; neither
 // retries.
 type HTTPStore struct {
@@ -130,17 +129,15 @@ func (s *HTTPStore) ExistsBatch(ctx context.Context, names []string) (map[string
 }
 
 var (
-	_ Store             = (*HTTPStore)(nil)
-	_ RandomAccessStore = (*HTTPStore)(nil)
-	_ BatchExister      = (*HTTPStore)(nil)
+	_ Store        = (*HTTPStore)(nil)
+	_ BatchExister = (*HTTPStore)(nil)
 )
 
 // ServeStore exposes store over HTTP as an http.Handler speaking the
 // protocol NewHTTPStore consumes: mount it on a mux (or hand it to
 // http.Serve) on the destination node and point an HTTPStore at it.
-// Range requests are honoured whenever store implements
-// RandomAccessStore, which is what a remote lazy restart needs to
-// fault shards on demand.
+// Range requests are served through store's GetAt, which is what a
+// remote lazy restart needs to fault shards on demand.
 func ServeStore(store Store) http.Handler {
 	b := netstore.Backend{
 		Get:    store.Get,
@@ -151,7 +148,7 @@ func ServeStore(store Store) http.Handler {
 			return errors.Is(err, ErrImageNotFound)
 		},
 		GetAt: func(ctx context.Context, name string) (netstore.ReaderAtCloser, int64, error) {
-			return openImageAt(ctx, store, name)
+			return store.GetAt(ctx, name)
 		},
 		Exists: func(ctx context.Context, name string) (bool, error) {
 			rc, err := store.Get(ctx, name)

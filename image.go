@@ -186,8 +186,6 @@ type ImageSection struct {
 // layout, and payload sections — everything knowable without decoding
 // the CUDA call log.
 type ImageInfo struct {
-	Version     int
-	Gzip        bool
 	Regions     []ImageRegion
 	Sections    []ImageSection
 	RegionBytes uint64
@@ -213,8 +211,6 @@ type ImageInfo struct {
 func (im *Image) Info() ImageInfo {
 	tip := im.chain[0]
 	info := ImageInfo{
-		Version:      3,
-		Gzip:         tip.Gzip,
 		DirtyRatio:   1,
 		Delta:        tip.Depth > 0 || tip.Parent != "",
 		Parent:       tip.Parent,

@@ -3,7 +3,9 @@ package crac
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"slices"
 	"testing"
@@ -63,6 +65,19 @@ func retiredImage(img []byte, version byte) []byte {
 	return b
 }
 
+// gzipFlagged is img with flag bit 0 set — the retired gzip shard
+// encoding — and its CRACSUM1 trailer resealed, so the bit is the
+// image's only defect. Every reader refuses it as
+// ErrUnsupportedVersion right after the flags.
+func gzipFlagged(img []byte) []byte {
+	b := append([]byte(nil), img...)
+	b[8] |= 1
+	body := len(b) - 24
+	sum := crc32.Checksum(b[:body], crc32.MakeTable(crc32.Castagnoli))
+	binary.LittleEndian.PutUint64(b[body+16:], uint64(sum))
+	return b
+}
+
 // wantAny reports whether err matches at least one of the sentinels.
 func wantAny(err error, sentinels ...error) bool {
 	for _, s := range sentinels {
@@ -81,24 +96,28 @@ func openCorrupt(img []byte, mutate func([]byte) []byte) error {
 	return err
 }
 
-// TestImageStructuralCorruption mutates a standalone image, raw and
-// gzip'd, and a chain base. The v1 and v2 rows are retired-format
-// images: a mutation that keeps their magic must still report
-// ErrUnsupportedVersion, one that breaks it ErrBadImage.
+// TestImageStructuralCorruption mutates a standalone image and a chain
+// base. The v1 and v2 rows are retired-format images: a mutation that
+// keeps their magic must still report ErrUnsupportedVersion, one that
+// breaks it ErrBadImage. The gzip rows set the retired gzip flag bit: a
+// mutation that keeps the magic and the flags must still report
+// ErrUnsupportedVersion.
 func TestImageStructuralCorruption(t *testing.T) {
 	type variant struct {
 		name    string
 		img     []byte
 		retired bool
+		gzipBit bool
 	}
-	standalone, standaloneGzip := makeImageBytes(t), makeImageBytes(t, WithGzip(1))
+	standalone := makeImageBytes(t)
+	standaloneGzip := gzipFlagged(standalone)
 	variants := []variant{
-		{"standalone", standalone, false},
-		{"standalone-gzip", standaloneGzip, false},
-		{"v3base", makeImageBytes(t, WithIncremental(4)), false},
-		{"v1", retiredImage(standalone, '1'), true},
-		{"v1gzip", retiredImage(standaloneGzip, '1'), true},
-		{"v2", retiredImage(standalone, '2'), true},
+		{"standalone", standalone, false, false},
+		{"standalone-gzip", standaloneGzip, false, true},
+		{"v3base", makeImageBytes(t, WithIncremental(4)), false, false},
+		{"v1", retiredImage(standalone, '1'), true, false},
+		{"v1gzip", retiredImage(standaloneGzip, '1'), true, true},
+		{"v2", retiredImage(standalone, '2'), true, false},
 	}
 
 	type mutation struct {
@@ -167,7 +186,9 @@ func TestImageStructuralCorruption(t *testing.T) {
 		for _, m := range mutations {
 			t.Run(v.name+"/"+m.name, func(t *testing.T) {
 				sentinels := m.sentinels
-				if v.retired && m.name != "magic" {
+				switch {
+				case m.name == "magic":
+				case v.retired, v.gzipBit && m.name != "truncated-header":
 					sentinels = []error{ErrUnsupportedVersion}
 				}
 				err := openCorrupt(v.img, m.mutate)
@@ -269,12 +290,14 @@ func makeBigImages(t *testing.T) *DirStore {
 // the v3 DirStore rows are waited only: an unwaited restart of such a
 // chain member relies on its shard hashes alone.
 //
-// The v1 and v2 rows are retired-format images: every route refuses
-// the intact image as ErrUnsupportedVersion with the session open.
+// The v1 and v2 rows are retired-format images, and the gzip rows set
+// the retired gzip flag bit: every route refuses the intact image as
+// ErrUnsupportedVersion with the session open.
 func TestImageSingleBitSweep(t *testing.T) {
 	tip, chain := makeDeltaBytes(t)
 	big := makeBigImages(t)
-	standalone, standaloneGzip := makeImageBytes(t), makeImageBytes(t, WithGzip(1))
+	standalone := makeImageBytes(t)
+	standaloneGzip := gzipFlagged(standalone)
 	variants := []struct {
 		name    string
 		img     []byte
@@ -283,7 +306,7 @@ func TestImageSingleBitSweep(t *testing.T) {
 		retired bool
 	}{
 		{"standalone", standalone, NewMemStore(), nil, false},
-		{"standalone-gzip", standaloneGzip, NewMemStore(), nil, false},
+		{"standalone-gzip", standaloneGzip, NewMemStore(), nil, true},
 		{"standalone-dir", conformGet(t, big, "solo"), big, nil, false},
 		{"v3base", makeImageBytes(t, WithIncremental(4)), NewMemStore(), nil, false},
 		{"v3tip", tip, chain, nil, false},
@@ -386,8 +409,10 @@ func TestDeltaCorruptionEagerAndLazy(t *testing.T) {
 // TestOneFormatRules pins what every restart route refuses before the
 // old lower half is torn down, leaving the session open: an image cut
 // short of its 24-byte trailer (standalone, and a chain base) is
-// ErrCorruptImage, and a standalone image that also claims to be a
-// delta is ErrBadImage.
+// ErrCorruptImage, a standalone image that also claims to be a delta is
+// ErrBadImage, and one that sets the retired gzip flag bit is
+// ErrUnsupportedVersion. OpenImage, OpenImageFrom and VerifyChain
+// refuse each the same way.
 func TestOneFormatRules(t *testing.T) {
 	ctx := context.Background()
 	standalone := makeImageBytes(t)
@@ -404,9 +429,18 @@ func TestOneFormatRules(t *testing.T) {
 			return b[:len(b)-24]
 		}(), ErrCorruptImage},
 		{"unhashed-delta", bothBits, ErrBadImage},
+		{"gzip-bit", gzipFlagged(standalone), ErrUnsupportedVersion},
 	} {
 		if _, err := OpenImage(bytes.NewReader(tc.img)); !errors.Is(err, tc.want) {
 			t.Fatalf("%s: OpenImage = %v, want %v", tc.name, err, tc.want)
+		}
+		store := NewMemStore()
+		putBytes(t, store, "img", tc.img)
+		if _, err := OpenImageFrom(ctx, store, "img"); !errors.Is(err, tc.want) {
+			t.Fatalf("%s: OpenImageFrom = %v, want %v", tc.name, err, tc.want)
+		}
+		if _, err := VerifyChain(ctx, store, "img"); !errors.Is(err, tc.want) {
+			t.Fatalf("%s: VerifyChain = %v, want %v", tc.name, err, tc.want)
 		}
 		for _, r := range restartRoutes {
 			t.Run(tc.name+"/"+r.name, func(t *testing.T) {

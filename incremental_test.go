@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/addrspace"
@@ -357,10 +356,11 @@ func TestIncrementalNameReuseWritesBase(t *testing.T) {
 	restored.Close()
 }
 
-// TestIncrementalFileStoreAlwaysBase pins the single-slot store guard:
-// a FileStore backs every name with one path, so an incremental session
-// must write only self-contained base images there — a delta would
-// overwrite its own parent.
+// TestIncrementalFileStoreAlwaysBase: an incremental session that
+// checkpoints into one file again and again (one fixed name in a
+// DirStore, the single-file shape) writes a self-contained base each
+// time — a delta would overwrite the parent it depends on — and the
+// file stays restorable.
 func TestIncrementalFileStoreAlwaysBase(t *testing.T) {
 	s, err := New(WithIncremental(8))
 	if err != nil {
@@ -369,20 +369,26 @@ func TestIncrementalFileStoreAlwaysBase(t *testing.T) {
 	defer s.Close()
 	w := newIncrWorkload(t, s.Runtime())
 	ctx := context.Background()
-	fs := NewFileStore(filepath.Join(t.TempDir(), "one.img"))
+	fs, err := NewDirStore(t.TempDir(), 0, WithNoSync())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 3; i++ {
 		w.step(t, i)
-		st, err := s.CheckpointTo(ctx, fs, fmt.Sprintf("gen%d", i))
+		st, err := s.CheckpointTo(ctx, fs, "one")
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st.Delta {
-			t.Fatalf("checkpoint %d to a FileStore must be a base", i)
+			t.Fatalf("checkpoint %d to one file must be a base", i)
 		}
 	}
-	restored, err := RestoreFrom(ctx, fs, "gen2")
+	if n, err := StoreLen(ctx, fs); err != nil || n != 1 {
+		t.Fatalf("store holds %d images (%v), want the one file", n, err)
+	}
+	restored, err := RestoreFrom(ctx, fs, "one")
 	if err != nil {
-		t.Fatalf("FileStore image must stay restorable: %v", err)
+		t.Fatalf("the file's image must stay restorable: %v", err)
 	}
 	restored.Close()
 }

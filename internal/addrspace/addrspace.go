@@ -271,11 +271,6 @@ type Space struct {
 // Option configures a Space.
 type Option func(*Space)
 
-// WithWindows overrides the default lower/upper windows.
-func WithWindows(lower, upper Window) Option {
-	return func(s *Space) { s.lower, s.upper = lower, upper }
-}
-
 // WithASLR enables address randomization with the given seed. CRAC
 // disables ASLR (via personality(ADDR_NO_RANDOMIZE)) because replay-based
 // address restoration requires deterministic placement (Section 3.2.4).

@@ -139,10 +139,9 @@ type Manifest struct {
 	// Version is the image format version the chunker recognized (3),
 	// or 0 for an opaque stream chunked at fixed size.
 	Version int
-	// Gzip / Delta / Parent / Depth mirror the v3 image prologue, so
-	// lineage walks (retention closures, chain verification planning)
-	// read the manifest alone. Zero values for opaque streams.
-	Gzip   bool
+	// Delta / Parent / Depth mirror the v3 image prologue, so lineage
+	// walks (retention closures, chain verification planning) read the
+	// manifest alone. Zero values for opaque streams.
 	Delta  bool
 	Parent string
 	Depth  int
@@ -169,9 +168,6 @@ func (m *Manifest) Encode(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	bw.Write(manifestMagic[:])
 	var flags byte
-	if m.Gzip {
-		flags |= 1
-	}
 	if m.Delta {
 		flags |= 2
 	}
@@ -223,7 +219,7 @@ func ReadManifestMeta(r io.Reader) (*Manifest, error) {
 	if _, err := io.ReadFull(r, vf[:]); err != nil {
 		return nil, fmt.Errorf("%w: version: %v", ErrBadManifest, err)
 	}
-	m := &Manifest{Version: int(vf[0]), Gzip: vf[1]&1 != 0, Delta: vf[1]&2 != 0}
+	m := &Manifest{Version: int(vf[0]), Delta: vf[1]&2 != 0}
 	var u [8]byte
 	if _, err := io.ReadFull(r, u[:2]); err != nil {
 		return nil, fmt.Errorf("%w: parent: %v", ErrBadManifest, err)
@@ -512,7 +508,6 @@ func (c *Chunker) step() error {
 		c.man.Version = 3
 		c.setTok(stFlags, 4)
 	case stFlags:
-		c.man.Gzip = tok[0]&1 != 0
 		c.man.Delta = tok[0]&2 != 0
 		c.setTok(stParentLen, 2)
 	case stParentLen:

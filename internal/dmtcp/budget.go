@@ -1,22 +1,18 @@
 package dmtcp
 
 import (
-	"bytes"
-	"compress/gzip"
 	"context"
-	"io"
 	"sync"
 )
 
 // A WorkerBudget is a shared resourcing domain for checkpoint write
 // pipelines: a bound on how many shard workers may run concurrently
-// across every Engine attached to it, plus the staging buffers,
-// compression buffers, and per-level gzip writers those workers
-// recycle. A single session needs none of this — the package default
-// is one unbounded budget per process — but N sessions multiplexed
-// over one machine (crac.Pool) attach a shared budget so the fleet
-// runs one bounded set of pipeline workers and one buffer economy
-// instead of N×workers goroutines and N separate pools.
+// across every Engine attached to it, plus the staging buffers those
+// workers recycle. A single session needs none of this — the package
+// default is one unbounded budget per process — but N sessions
+// multiplexed over one machine (crac.Pool) attach a shared budget so
+// the fleet runs one bounded set of pipeline workers and one buffer
+// economy instead of N×workers goroutines and N separate pools.
 //
 // A nil *WorkerBudget and NewWorkerBudget(0) both mean "unbounded":
 // concurrency is then limited only by each engine's own Workers
@@ -25,8 +21,6 @@ type WorkerBudget struct {
 	slots chan struct{} // nil: unbounded
 
 	shardRaw sync.Pool // *[]byte staging buffers
-	shardEnc sync.Pool // *bytes.Buffer gzip output
-	gzPools  sync.Map  // gzip level → *sync.Pool of *gzip.Writer
 }
 
 // NewWorkerBudget returns a budget admitting at most maxWorkers
@@ -50,7 +44,7 @@ func (b *WorkerBudget) MaxWorkers() int {
 
 // acquire takes one worker slot, honoring ctx so a cancelled
 // checkpoint never parks on a saturated budget. Slots are held only
-// across one shard's read+compress and every holder releases
+// across one shard's read+hash and every holder releases
 // unconditionally, so waits are bounded and cycle-free.
 func (b *WorkerBudget) acquire(ctx context.Context) error {
 	if b == nil || b.slots == nil {
@@ -103,32 +97,3 @@ func (b *WorkerBudget) getShardBuf(shard int) *[]byte {
 }
 
 func (b *WorkerBudget) putShardBuf(bp *[]byte) { b.shardRaw.Put(bp) }
-
-func (b *WorkerBudget) getEncBuf() *bytes.Buffer {
-	if buf, _ := b.shardEnc.Get().(*bytes.Buffer); buf != nil {
-		return buf
-	}
-	return new(bytes.Buffer)
-}
-
-func (b *WorkerBudget) putEncBuf(buf *bytes.Buffer) { b.shardEnc.Put(buf) }
-
-func (b *WorkerBudget) getGz(level int) (*gzip.Writer, error) {
-	pi, ok := b.gzPools.Load(level)
-	if !ok {
-		pi, _ = b.gzPools.LoadOrStore(level, new(sync.Pool))
-	}
-	if gz, _ := pi.(*sync.Pool).Get().(*gzip.Writer); gz != nil {
-		return gz, nil
-	}
-	return gzip.NewWriterLevel(io.Discard, level)
-}
-
-func (b *WorkerBudget) putGz(level int, gz *gzip.Writer) {
-	if gz == nil {
-		return
-	}
-	if pi, ok := b.gzPools.Load(level); ok {
-		pi.(*sync.Pool).Put(gz)
-	}
-}

@@ -28,17 +28,16 @@
 //     emitted in full: their owning plugin already delta-encodes the
 //     bytes itself, and folds them across a chain itself.
 //
-// Shards flow through one worker pipeline — they compress and write in
-// parallel, in deterministic order, so an image is byte-identical for
-// any worker count. Every image is read back through one parser, the
-// shard index (lazy.go): a delta's index, linked to its parent's with
-// SetParent, resolves each range to the nearest chain image that owns
-// it.
+// Shards flow through one worker pipeline — they are read, hashed and
+// written in parallel, in deterministic order, so an image is
+// byte-identical for any worker count. Every image is read back
+// through one parser, the shard index (lazy.go): a delta's index,
+// linked to its parent's with SetParent, resolves each range to the
+// nearest chain image that owns it.
 package dmtcp
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -56,12 +55,14 @@ import (
 const shardHdrV3 = 28
 
 // Image flag bits: the first of the four flag bytes (the other three
-// are zero). Any other bit is ErrBadImage.
+// are zero). Any other bit is ErrBadImage. Bit 0 marked gzip-encoded
+// shards, a retired encoding: an image that sets it is
+// ErrUnsupportedVersion.
 const (
-	flagGzip     = 1 << 0 // every shard is one gzip member
-	flagDelta    = 1 << 1 // only dirty shards, against a named parent
-	flagUnhashed = 1 << 2 // standalone: no shard hashes, no identity
-	knownFlags   = flagGzip | flagDelta | flagUnhashed
+	flagGzipRetired = 1 << 0
+	flagDelta       = 1 << 1 // only dirty shards, against a named parent
+	flagUnhashed    = 1 << 2 // standalone: no shard hashes, no identity
+	knownFlags      = flagGzipRetired | flagDelta | flagUnhashed
 )
 
 // MaxChainDepth bounds every parent walk over stored images: the writer
@@ -255,7 +256,7 @@ func (e *Engine) writeImage(ctx context.Context, w io.Writer, view addrspace.Vie
 	delta := prev != nil
 	shard := e.shardSize()
 	names := sections.Names()
-	h := &header{ImageMeta: ImageMeta{Gzip: e.Gzip, Unhashed: !fz.chain, Delta: delta}, shardSize: shard}
+	h := &header{ImageMeta: ImageMeta{Unhashed: !fz.chain, Delta: delta}, shardSize: shard}
 	var secHashes map[string][]uint64
 	if fz.chain {
 		if delta {
@@ -530,7 +531,7 @@ func (t *tiling) admit(i int, hdr []byte) (shardRec, error) {
 		so+rawLen < so || so+rawLen > t.sizes[sp] {
 		return rec, fmt.Errorf("%w: shard %d (span %d, off %d, %d/%d bytes)", ErrBadImage, i, sp, so, rawLen, encLen)
 	}
-	if !t.h.Gzip && uint64(encLen) != rawLen {
+	if uint64(encLen) != rawLen {
 		return rec, fmt.Errorf("%w: stored shard %d != %d", ErrBadImage, encLen, rawLen)
 	}
 	if t.h.Unhashed && rec.hash != 0 {
@@ -555,29 +556,10 @@ func (t *tiling) finish() error {
 	return nil
 }
 
-// gunzipInto inflates one gzip member into exactly dst.
-func gunzipInto(dst, enc []byte) error {
-	gz, err := gzip.NewReader(bytes.NewReader(enc))
-	if err != nil {
-		return fmt.Errorf("gzip: %v", err)
-	}
-	defer gz.Close()
-	gz.Multistream(false)
-	if _, err := io.ReadFull(gz, dst); err != nil {
-		return err
-	}
-	var tail [1]byte
-	if n, _ := gz.Read(tail[:]); n != 0 {
-		return errors.New("trailing bytes in shard")
-	}
-	return nil
-}
-
 // ImageMeta is the cheap header-only view of a checkpoint image: enough
 // to classify it and follow lineage without parsing tables or payload.
 // The store's lineage graph is built from it.
 type ImageMeta struct {
-	Gzip  bool
 	Delta bool
 	// Unhashed marks a standalone image: it belongs to no chain and its
 	// shards carry no content hashes, so only its trailer covers its
@@ -596,9 +578,6 @@ type ImageMeta struct {
 
 func (m *ImageMeta) flags() byte {
 	var f byte
-	if m.Gzip {
-		f |= flagGzip
-	}
 	if m.Delta {
 		f |= flagDelta
 	}
@@ -635,7 +614,10 @@ func readPrologue(r io.Reader) (ImageMeta, error) {
 	if err != nil {
 		return ImageMeta{}, err
 	}
-	m := ImageMeta{Gzip: flags&flagGzip != 0, Delta: flags&flagDelta != 0, Unhashed: flags&flagUnhashed != 0}
+	if flags&flagGzipRetired != 0 {
+		return ImageMeta{}, fmt.Errorf("%w: gzip-encoded shards", ErrUnsupportedVersion)
+	}
+	m := ImageMeta{Delta: flags&flagDelta != 0, Unhashed: flags&flagUnhashed != 0}
 	if m.Parent, err = readString(r); err != nil {
 		return ImageMeta{}, fmt.Errorf("%w: parent: %v", ErrBadImage, err)
 	}

@@ -132,12 +132,14 @@ func regionBytes(t *testing.T, ix *ShardIndex, label string) []byte {
 	return nil
 }
 
+// TestV3BaseRoundTrip: a chain base carries every shard and reads back
+// whole; the gzip=true row sets the retired gzip bit on it, which every
+// parser refuses.
 func TestV3BaseRoundTrip(t *testing.T) {
 	for _, gz := range []bool{false, true} {
 		t.Run(fmt.Sprintf("gzip=%v", gz), func(t *testing.T) {
 			space, _, _ := buildDeltaSpace(t)
 			e := NewEngine()
-			e.Gzip = gz
 			e.ShardSize = 3 * addrspace.PageSize // force intra-region sharding
 			e.Register(&testPlugin{name: "p"})
 			cs := chainStore{}
@@ -150,6 +152,10 @@ func TestV3BaseRoundTrip(t *testing.T) {
 			}
 			if state.Name != "base" || state.Depth != 0 {
 				t.Fatalf("bad state: %+v", state)
+			}
+			if gz {
+				wantGzipRefused(t, gzipFlagged(cs["base"]))
+				return
 			}
 			img, err := ReadImage(bytes.NewReader(cs["base"]))
 			if err != nil {
@@ -168,12 +174,15 @@ func TestV3BaseRoundTrip(t *testing.T) {
 	}
 }
 
+// TestV3DeltaChainMaterializesIdentically: a base and two deltas read
+// back, through the chain, exactly what a base at the same point holds.
+// The gzip=true row sets the retired gzip bit on the middle delta: the
+// chain no longer resolves.
 func TestV3DeltaChainMaterializesIdentically(t *testing.T) {
 	for _, gz := range []bool{false, true} {
 		t.Run(fmt.Sprintf("gzip=%v", gz), func(t *testing.T) {
 			space, big, small := buildDeltaSpace(t)
 			e := NewEngine()
-			e.Gzip = gz
 			e.ShardSize = addrspace.PageSize
 			cs := chainStore{}
 			_, st0 := ckptDelta(t, e, cs, space, nil, "g0")
@@ -198,6 +207,13 @@ func TestV3DeltaChainMaterializesIdentically(t *testing.T) {
 				t.Fatal(err)
 			}
 			_, _ = st1, ckptDelta2(t, e, cs, space, st1, "g2")
+			if gz {
+				cs["g1"] = gzipFlagged(cs["g1"])
+				if _, err := cs.resolve("g2"); !errors.Is(err, ErrUnsupportedVersion) {
+					t.Fatalf("resolving a chain with a gzip-flagged member = %v, want ErrUnsupportedVersion", err)
+				}
+				return
+			}
 
 			// Reference: a full base at the same point.
 			var ref bytes.Buffer
@@ -268,25 +284,22 @@ func (p *growingSectionPlugin) Resume() error                                   
 func (p *growingSectionPlugin) LazyRestart(context.Context, *LazyRestorer) error { return nil }
 
 func TestV3WorkerCountDeterminism(t *testing.T) {
-	for _, gz := range []bool{false, true} {
-		images := map[int][]byte{}
-		for _, workers := range []int{1, 4} {
-			space, big, _ := buildDeltaSpace(t)
-			e := NewEngine()
-			e.Gzip = gz
-			e.Workers = workers
-			e.ShardSize = addrspace.PageSize
-			cs := chainStore{}
-			_, st0 := ckptDelta(t, e, cs, space, nil, "b")
-			if err := space.WriteAt(big+3*addrspace.PageSize, bytes.Repeat([]byte{0x42}, addrspace.PageSize)); err != nil {
-				t.Fatal(err)
-			}
-			ckptDelta(t, e, cs, space, st0, "d")
-			images[workers] = append(cs["b"], cs["d"]...)
+	images := map[int][]byte{}
+	for _, workers := range []int{1, 4} {
+		space, big, _ := buildDeltaSpace(t)
+		e := NewEngine()
+		e.Workers = workers
+		e.ShardSize = addrspace.PageSize
+		cs := chainStore{}
+		_, st0 := ckptDelta(t, e, cs, space, nil, "b")
+		if err := space.WriteAt(big+3*addrspace.PageSize, bytes.Repeat([]byte{0x42}, addrspace.PageSize)); err != nil {
+			t.Fatal(err)
 		}
-		if !bytes.Equal(images[1], images[4]) {
-			t.Fatalf("gzip=%v: v3 images differ between worker counts", gz)
-		}
+		ckptDelta(t, e, cs, space, st0, "d")
+		images[workers] = append(cs["b"], cs["d"]...)
+	}
+	if !bytes.Equal(images[1], images[4]) {
+		t.Fatal("v3 images differ between worker counts")
 	}
 }
 

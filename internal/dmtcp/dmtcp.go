@@ -16,15 +16,13 @@
 // One image format exists ("CRACIMG3", delta.go): all region and section
 // headers first, then the payload split into fixed-size shards, each
 // framed with its (span, offset) address, and the integrity trailer
-// (trailer.go). With gzip enabled every shard is an independent gzip
-// member, so shards compress on separate CPUs. Shard boundaries depend
-// only on the shard size, never on the worker count, so an image is
+// (trailer.go). Shards are stored raw. Shard boundaries depend only on
+// the shard size, never on the worker count, so an image is
 // byte-identical whether written serially or by N workers.
 package dmtcp
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -209,14 +207,6 @@ const DefaultShardSize = 1 << 20
 
 // Engine writes and restores checkpoint images for one process.
 type Engine struct {
-	// Gzip enables image compression. The paper's experiments disable
-	// DMTCP's default gzip compression (Section 4.4.1), so false is the
-	// default here too.
-	Gzip bool
-	// GzipLevel selects the compression level when Gzip is on
-	// (gzip.BestSpeed..gzip.BestCompression); 0 means
-	// gzip.DefaultCompression.
-	GzipLevel int
 	// Workers bounds the checkpoint pipeline fan-out: <=0 uses all
 	// CPUs, 1 runs the serial reference path (same image bytes).
 	Workers int
@@ -232,7 +222,7 @@ type Engine struct {
 
 	// Budget, when set, attaches this engine to a shared resourcing
 	// domain: pipeline workers acquire a slot from it for each shard
-	// they process, and staging/compression buffers recycle through its
+	// they process, and staging buffers recycle through its
 	// pools instead of the package-wide ones. Engines sharing one
 	// budget (a crac.Pool) run a bounded worker set regardless of how
 	// many of them checkpoint at once. nil uses the package default
@@ -287,8 +277,8 @@ func (e *Engine) shardSize() int {
 
 // shardJob is one unit of the write pipeline: a payload shard to be
 // read from the address space (regions) or sliced from memory
-// (sections), optionally compressed, and written in index order behind
-// its shard header.
+// (sections), hashed when a chain needs it, and written in index order
+// behind its shard header.
 type shardJob struct {
 	addr   uint64 // source address when reading from the space
 	src    []byte // in-memory source (section shard); nil for regions
@@ -299,9 +289,8 @@ type shardJob struct {
 	hash     uint64 // FNV-1a of the raw bytes; 0 in a standalone image
 	needHash bool   // workers compute hash (else it is precomputed or unwanted)
 
-	enc    []byte        // framed payload, valid once done is closed
-	rawBuf *[]byte       // pooled region buffer to recycle after consumption
-	encBuf *bytes.Buffer // pooled compression buffer to recycle
+	enc    []byte  // framed payload, valid once done is closed
+	rawBuf *[]byte // pooled region buffer to recycle after consumption
 	err    error
 	done   chan struct{}
 }
@@ -315,22 +304,21 @@ type shardSource interface {
 
 func (e *Engine) runWritePipeline(ctx context.Context, w io.Writer, view shardSource, jobs []shardJob) error {
 	shard := e.shardSize()
-	// Per-shard staging buffers, compression buffers, and per-level
-	// gzip writers recycle through the engine's WorkerBudget across
-	// checkpoints (not just within one image write), so a steady
-	// checkpoint cadence stops allocating its data path; the budget's
-	// worker slots bound how many shards are in flight across every
-	// engine sharing it.
+	// Per-shard staging buffers recycle through the engine's
+	// WorkerBudget across checkpoints (not just within one image
+	// write), so a steady checkpoint cadence stops allocating its data
+	// path; the budget's worker slots bound how many shards are in
+	// flight across every engine sharing it.
 	bgt := e.budget()
 	// Reading through a copy-on-write snapshot: drop each region shard's
 	// retained pages as soon as its frame is written, bounding the
 	// snapshot's peak memory to roughly the in-flight shard window.
 	releaser, _ := view.(addrspace.RangeReleaser)
 
-	process := func(j *shardJob, gz *gzip.Writer) {
+	process := func(j *shardJob) {
 		// A cancelled context turns every remaining shard into a no-op:
 		// the pipeline protocol (every job completes, in order) is kept,
-		// but no further memory is read or compressed, so a deadline
+		// but no further memory is read or hashed, so a deadline
 		// aborts the image write promptly mid-stream.
 		if err := ctx.Err(); err != nil {
 			j.err = err
@@ -348,40 +336,7 @@ func (e *Engine) runWritePipeline(ctx context.Context, w io.Writer, view shardSo
 		if j.needHash {
 			j.hash = fnvSum64(raw)
 		}
-		if gz == nil {
-			j.enc = raw
-			return
-		}
-		// One gzip member per shard: members concatenate into a valid
-		// multistream payload, and each compresses on its own CPU.
-		buf := bgt.getEncBuf()
-		buf.Reset()
-		gz.Reset(buf)
-		if _, err := gz.Write(raw); err != nil {
-			j.err = err
-			return
-		}
-		if err := gz.Close(); err != nil {
-			j.err = err
-			return
-		}
-		j.enc = buf.Bytes()
-		j.encBuf = buf
-		if j.rawBuf != nil {
-			bgt.putShardBuf(j.rawBuf)
-			j.rawBuf = nil
-		}
-	}
-
-	level := e.GzipLevel
-	if level == 0 {
-		level = gzip.DefaultCompression
-	}
-	newGz := func() (*gzip.Writer, error) {
-		if !e.Gzip {
-			return nil, nil
-		}
-		return bgt.getGz(level)
+		j.enc = raw
 	}
 
 	var hdr [shardHdrV3]byte
@@ -395,10 +350,6 @@ func (e *Engine) runWritePipeline(ctx context.Context, w io.Writer, view shardSo
 				if j.rawBuf != nil {
 					bgt.putShardBuf(j.rawBuf)
 					j.rawBuf = nil
-				}
-				if j.encBuf != nil {
-					bgt.putEncBuf(j.encBuf)
-					j.encBuf = nil
 				}
 				return err
 			}
@@ -417,10 +368,6 @@ func (e *Engine) runWritePipeline(ctx context.Context, w io.Writer, view shardSo
 			bgt.putShardBuf(j.rawBuf)
 			j.rawBuf = nil
 		}
-		if j.encBuf != nil {
-			bgt.putEncBuf(j.encBuf)
-			j.encBuf = nil
-		}
 		if err == nil && releaser != nil && j.src == nil {
 			// The frame is on the wire: the snapshot may drop this
 			// region range's copy-on-write pages.
@@ -434,16 +381,11 @@ func (e *Engine) runWritePipeline(ctx context.Context, w io.Writer, view shardSo
 		// Serial reference path: identical bytes, no goroutines. The
 		// budget slot is still taken per shard so even serial engines
 		// share the machine fairly with the rest of their pool.
-		gz, err := newGz()
-		if err != nil {
-			return err
-		}
-		defer bgt.putGz(level, gz)
 		for i := range jobs {
 			if err := bgt.acquire(ctx); err != nil {
 				return err
 			}
-			process(&jobs[i], gz)
+			process(&jobs[i])
 			bgt.release()
 			if err := consume(i, &jobs[i]); err != nil {
 				return err
@@ -463,17 +405,10 @@ func (e *Engine) runWritePipeline(ctx context.Context, w io.Writer, view shardSo
 	close(idxCh)
 	sem := make(chan struct{}, workers*2)
 	var wg sync.WaitGroup
-	var spawnErr error
 	for g := 0; g < workers; g++ {
-		gz, err := newGz()
-		if err != nil {
-			spawnErr = err
-			break
-		}
 		wg.Add(1)
-		go func(gz *gzip.Writer) {
+		go func() {
 			defer wg.Done()
-			defer bgt.putGz(level, gz)
 			for {
 				sem <- struct{}{}
 				i, ok := <-idxCh
@@ -489,21 +424,15 @@ func (e *Engine) runWritePipeline(ctx context.Context, w io.Writer, view shardSo
 				if err := bgt.acquire(ctx); err != nil {
 					jobs[i].err = err
 				} else {
-					process(&jobs[i], gz)
+					process(&jobs[i])
 					bgt.release()
 				}
 				close(jobs[i].done)
 			}
-		}(gz)
+		}()
 	}
 	var firstErr error
-	if spawnErr != nil {
-		firstErr = spawnErr
-	}
 	for i := range jobs {
-		if spawnErr != nil {
-			break
-		}
 		<-jobs[i].done
 		if firstErr == nil {
 			firstErr = consume(i, &jobs[i])

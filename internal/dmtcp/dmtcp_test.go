@@ -110,29 +110,28 @@ func TestCheckpointImageRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCheckpointGzip: gzip is a retired shard encoding. A checkpoint
+// stores every shard raw (stored length == raw length, so even
+// compressible bytes take their full size), and an image that sets the
+// retired gzip bit is refused by every parser.
 func TestCheckpointGzip(t *testing.T) {
 	space, _ := buildSpace(t)
 	e := NewEngine()
-	e.Gzip = true
 	var img bytes.Buffer
 	if _, err := e.Checkpoint(context.Background(), &img, space); err != nil {
 		t.Fatal(err)
 	}
-	// Highly compressible content: the gzip image is much smaller than
-	// the raw region bytes.
-	if img.Len() >= addrspace.PageSize {
-		t.Fatalf("gzip image %d bytes, expected well under one page", img.Len())
+	if img.Len() < 2*addrspace.PageSize {
+		t.Fatalf("image %d bytes, smaller than its %d raw region bytes", img.Len(), 2*addrspace.PageSize)
 	}
 	parsed, err := ReadImage(bytes.NewReader(img.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !parsed.Gzip || len(parsed.Regions) != 1 {
+	if len(parsed.Regions) != 1 || parsed.Regions[0].Len != 2*addrspace.PageSize {
 		t.Fatalf("parsed = %+v", parsed)
 	}
-	if parsed.Regions[0].Len != 2*addrspace.PageSize {
-		t.Fatalf("region bytes = %d", parsed.Regions[0].Len)
-	}
+	wantGzipRefused(t, gzipFlagged(img.Bytes()))
 }
 
 func TestPluginPreCheckpointFailureAborts(t *testing.T) {

@@ -19,15 +19,14 @@ import (
 // compacted base, so the running session never pauses.
 //
 // Output is byte-deterministic for any worker count. The engine's
-// Gzip/ShardSize settings choose the encoding; callers compacting a
-// chain mirror the chain's shard size so later deltas keep addressing
-// the same grid.
+// ShardSize chooses the grid; callers compacting a chain mirror the
+// chain's shard size so later deltas keep addressing the same grid.
 func (e *Engine) EncodeBase(ctx context.Context, w io.Writer, tip *ShardIndex, id uint64, opaque map[string][]byte) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	shard := e.shardSize()
-	h := &header{ImageMeta: ImageMeta{Gzip: e.Gzip, ID: id}, regions: tip.Regions, shardSize: shard}
+	h := &header{ImageMeta: ImageMeta{ID: id}, regions: tip.Regions, shardSize: shard}
 	// Shard plan: every shard of every span, in layout order. Region
 	// shards are read through the chain by address; section shards are
 	// sliced from the resolved section bytes.

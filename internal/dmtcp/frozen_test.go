@@ -13,7 +13,8 @@ import (
 // is byte-identical to the live-view reference at the same cut, for
 // standalone images and a chain base. The row names predate the single
 // format: the v1 and v2 rows write standalone images (v1 on a one-page
-// shard grid), raw and gzip'd.
+// shard grid); the v2-gzip row also checks that the frozen image with
+// the retired gzip bit set is refused.
 func TestFreezeWriteFrozenMatchesBlocking(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -30,7 +31,6 @@ func TestFreezeWriteFrozenMatchesBlocking(t *testing.T) {
 			mk := func() (*Engine, *addrspace.Space) {
 				space, _ := buildSpace(t)
 				e := NewEngine()
-				e.Gzip = tc.gz
 				e.ShardSize = tc.shard
 				e.Register(&testPlugin{name: "p"})
 				return e, space
@@ -63,6 +63,9 @@ func TestFreezeWriteFrozenMatchesBlocking(t *testing.T) {
 			}
 			if !bytes.Equal(blocking.Bytes(), frozen.Bytes()) {
 				t.Fatalf("frozen image differs from blocking (%d vs %d bytes)", blocking.Len(), frozen.Len())
+			}
+			if tc.gz {
+				wantGzipRefused(t, gzipFlagged(frozen.Bytes()))
 			}
 			if stF.Regions != stB.Regions || stF.RegionBytes != stB.RegionBytes {
 				t.Fatalf("stats diverge: frozen %+v blocking %+v", stF, stB)

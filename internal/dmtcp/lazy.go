@@ -45,7 +45,6 @@ type ixShard struct {
 	span    int
 	off     uint64 // offset within the span
 	rawLen  uint32
-	encLen  uint32
 	fileOff int64  // payload offset in src
 	hash    uint64 // content hash (chain images)
 }
@@ -254,9 +253,9 @@ func openShardIndex(src io.ReaderAt, size int64, mem []byte) (*ShardIndex, error
 		if err != nil {
 			return nil, err
 		}
-		ix.addShard(ixShard{span: rec.span, off: rec.off, rawLen: rec.rawLen, encLen: rec.encLen,
+		ix.addShard(ixShard{span: rec.span, off: rec.off, rawLen: rec.rawLen,
 			fileOff: sc.offset(), hash: rec.hash})
-		if err := sc.skip(int64(rec.encLen)); err != nil {
+		if err := sc.skip(int64(rec.rawLen)); err != nil {
 			return nil, fmt.Errorf("%w: shard %d data: %v", ErrBadImage, i, err)
 		}
 	}
@@ -303,30 +302,16 @@ func (ix *ShardIndex) sectionIndex(name string) int {
 // HasSection reports whether the image's section table names name.
 func (ix *ShardIndex) HasSection(name string) bool { return ix.sectionIndex(name) >= 0 }
 
-// readShard decodes shard i into dst (len(dst) == rawLen), reading the
-// encoded bytes straight out of the backing source and verifying the
-// content hash when the image carries one.
+// readShard reads shard i into dst (len(dst) == rawLen) straight out of
+// the backing source, verifying the content hash when the image carries
+// one.
 func (ix *ShardIndex) readShard(i int, dst []byte) error {
 	sh := &ix.shards[i]
 	if len(dst) != int(sh.rawLen) {
 		return fmt.Errorf("dmtcp: readShard: dst %d != rawLen %d", len(dst), sh.rawLen)
 	}
-	if !ix.Gzip {
-		if _, err := ix.src.ReadAt(dst, sh.fileOff); err != nil {
-			return fmt.Errorf("%w: truncated shard at %d: %v", ErrBadImage, sh.fileOff, err)
-		}
-	} else {
-		bp := defaultBudget.getShardBuf(int(sh.encLen))
-		enc := (*bp)[:sh.encLen]
-		if _, err := ix.src.ReadAt(enc, sh.fileOff); err != nil {
-			defaultBudget.putShardBuf(bp)
-			return fmt.Errorf("%w: truncated shard at %d: %v", ErrBadImage, sh.fileOff, err)
-		}
-		err := gunzipInto(dst, enc)
-		defaultBudget.putShardBuf(bp)
-		if err != nil {
-			return fmt.Errorf("%w: shard at %d: %v", ErrBadImage, sh.fileOff, err)
-		}
+	if _, err := ix.src.ReadAt(dst, sh.fileOff); err != nil {
+		return fmt.Errorf("%w: truncated shard at %d: %v", ErrBadImage, sh.fileOff, err)
 	}
 	if !ix.Unhashed && fnvSum64(dst) != sh.hash {
 		return fmt.Errorf("%w: shard at %d: content hash mismatch", ErrCorruptImage, sh.fileOff)
@@ -334,12 +319,11 @@ func (ix *ShardIndex) readShard(i int, dst []byte) error {
 	return nil
 }
 
-// shardView returns shard i's raw bytes without copying when they lie
-// verbatim in memory — a stored shard of an in-memory image — checking
-// the content hash as readShard would; nil when the shard must be
-// decoded into a buffer.
+// shardView returns shard i's raw bytes without copying when the image
+// is held in memory, checking the content hash as readShard would; nil
+// when the shard must be read into a buffer.
 func (ix *ShardIndex) shardView(i int) ([]byte, error) {
-	if ix.Gzip || ix.mem == nil {
+	if ix.mem == nil {
 		return nil, nil
 	}
 	sh := &ix.shards[i]

@@ -53,8 +53,8 @@ func TestIndexScanReadsHeadersOnly(t *testing.T) {
 			for _, rd := range src.got {
 				for i := range ix.shards {
 					sh := &ix.shards[i]
-					if rd[0] < sh.fileOff+int64(sh.encLen) && sh.fileOff < rd[0]+rd[1] {
-						t.Fatalf("scan read %d+%d overlaps the payload at %d+%d", rd[0], rd[1], sh.fileOff, sh.encLen)
+					if rd[0] < sh.fileOff+int64(sh.rawLen) && sh.fileOff < rd[0]+rd[1] {
+						t.Fatalf("scan read %d+%d overlaps the payload at %d+%d", rd[0], rd[1], sh.fileOff, sh.rawLen)
 					}
 				}
 			}

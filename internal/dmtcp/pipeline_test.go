@@ -82,7 +82,9 @@ func (p *sectionPlugin) LazyRestart(context.Context, *LazyRestorer) error { retu
 
 // TestParallelSerialImagesIdentical: a standalone image is byte-identical for
 // any worker count (shard plan depends only on shard size), and the
-// restored memory is byte-identical to the original for both paths.
+// restored memory is byte-identical to the original for both paths. The
+// gzip=true row sets the retired gzip bit on that image: reading and
+// restoring refuse it, and the restore maps nothing.
 func TestParallelSerialImagesIdentical(t *testing.T) {
 	for _, gz := range []bool{false, true} {
 		t.Run(fmt.Sprintf("gzip=%v", gz), func(t *testing.T) {
@@ -91,7 +93,6 @@ func TestParallelSerialImagesIdentical(t *testing.T) {
 
 			checkpoint := func(workers int) []byte {
 				e := NewEngine()
-				e.Gzip = gz
 				e.Workers = workers
 				e.ShardSize = 3 * addrspace.PageSize // force multi-shard regions
 				e.Register(&sectionPlugin{sizes: []int{0, 17, 5 * addrspace.PageSize}})
@@ -105,6 +106,18 @@ func TestParallelSerialImagesIdentical(t *testing.T) {
 			parallel := checkpoint(8)
 			if !bytes.Equal(serial, parallel) {
 				t.Fatalf("serial and parallel images differ: %d vs %d bytes", len(serial), len(parallel))
+			}
+			if gz {
+				flagged := gzipFlagged(parallel)
+				wantGzipRefused(t, flagged)
+				fresh := addrspace.New()
+				if err := restoreImage(nil, flagged, fresh, 8); !errors.Is(err, ErrUnsupportedVersion) {
+					t.Fatalf("restore = %v, want ErrUnsupportedVersion", err)
+				}
+				if n := len(fresh.RegionsIn(addrspace.HalfUpper)); n != 0 {
+					t.Fatalf("a refused restore mapped %d regions", n)
+				}
+				return
 			}
 
 			for _, workers := range []int{1, 8} {
@@ -149,30 +162,52 @@ func retiredImage(img []byte, version byte) []byte {
 	return b
 }
 
+// gzipFlagged is img with flag bit 0 set — the retired gzip shard
+// encoding — and its trailer resealed, so the bit is its only defect.
+func gzipFlagged(img []byte) []byte {
+	b := append([]byte(nil), img...)
+	b[len(imageMagic)] |= flagGzipRetired
+	body := len(b) - trailerSize
+	var h bodyHash
+	h.Write(b[:body])
+	binary.LittleEndian.PutUint64(b[body+16:], h.Sum64())
+	return b
+}
+
+// wantGzipRefused fails unless every parser — the eager reader, the
+// index scan, and the lineage header reader — refuses img as
+// ErrUnsupportedVersion.
+func wantGzipRefused(t *testing.T, img []byte) {
+	t.Helper()
+	if _, err := ReadImage(bytes.NewReader(img)); !errors.Is(err, ErrUnsupportedVersion) {
+		t.Fatalf("ReadImage = %v, want ErrUnsupportedVersion", err)
+	}
+	if _, err := OpenShardIndex(bytes.NewReader(img), int64(len(img))); !errors.Is(err, ErrUnsupportedVersion) {
+		t.Fatalf("OpenShardIndex = %v, want ErrUnsupportedVersion", err)
+	}
+	if _, err := ReadImageMeta(bytes.NewReader(img)); !errors.Is(err, ErrUnsupportedVersion) {
+		t.Fatalf("ReadImageMeta = %v, want ErrUnsupportedVersion", err)
+	}
+}
+
 // TestV1BackwardCompat: an image under the retired v1 version, with and
-// without gzip, is refused as ErrUnsupportedVersion by every parser —
-// the eager reader, the index scan, and the lineage header reader.
+// without the retired gzip bit, is refused as ErrUnsupportedVersion by
+// every parser.
 func TestV1BackwardCompat(t *testing.T) {
 	for _, gz := range []bool{false, true} {
 		t.Run(fmt.Sprintf("gzip=%v", gz), func(t *testing.T) {
 			space, _ := buildBigSpace(t, 5)
 			e := NewEngine()
-			e.Gzip = gz
 			e.Register(&sectionPlugin{sizes: []int{33}})
 			var img bytes.Buffer
 			if _, err := e.Checkpoint(context.Background(), &img, space); err != nil {
 				t.Fatal(err)
 			}
-			v1 := retiredImage(img.Bytes(), '1')
-			if _, err := ReadImage(bytes.NewReader(v1)); !errors.Is(err, ErrUnsupportedVersion) {
-				t.Fatalf("ReadImage = %v", err)
+			b := img.Bytes()
+			if gz {
+				b = gzipFlagged(b)
 			}
-			if _, err := OpenShardIndex(bytes.NewReader(v1), int64(len(v1))); !errors.Is(err, ErrUnsupportedVersion) {
-				t.Fatalf("OpenShardIndex = %v", err)
-			}
-			if _, err := ReadImageMeta(bytes.NewReader(v1)); !errors.Is(err, ErrUnsupportedVersion) {
-				t.Fatalf("ReadImageMeta = %v", err)
-			}
+			wantGzipRefused(t, retiredImage(b, '1'))
 		})
 	}
 }
@@ -321,27 +356,26 @@ func TestSectionWriterStreams(t *testing.T) {
 }
 
 // fuzzSeeds returns the seeds of the decoder fuzzers: six images — a
-// standalone image, raw and gzip'd; a chain base; a chain delta, raw
-// and gzip'd; a standalone image with its trailer cut off — each whole
-// and cut in half.
+// standalone image, raw and with the retired gzip bit set; a chain
+// base; a chain delta, raw and gzip-flagged; a standalone image with
+// its trailer cut off — each whole and cut in half.
 func fuzzSeeds(f *testing.F) [][]byte {
 	space, regions := buildBigSpace(f, 3)
-	engine := func(gz bool) *Engine {
+	engine := func() *Engine {
 		e := NewEngine()
-		e.Gzip = gz
 		e.ShardSize = 2 * addrspace.PageSize
 		e.Register(&sectionPlugin{sizes: []int{100, 3000}})
 		return e
 	}
-	standalone := func(gz bool) []byte {
+	standalone := func() []byte {
 		var img bytes.Buffer
-		if _, err := engine(gz).Checkpoint(context.Background(), &img, space); err != nil {
+		if _, err := engine().Checkpoint(context.Background(), &img, space); err != nil {
 			f.Fatal(err)
 		}
 		return img.Bytes()
 	}
-	chain := func(gz bool) (base, delta []byte) {
-		e := engine(gz)
+	chain := func() (base, delta []byte) {
+		e := engine()
 		var b, d bytes.Buffer
 		_, st, err := e.CheckpointDelta(context.Background(), &b, space, nil, "base")
 		if err != nil {
@@ -355,11 +389,10 @@ func fuzzSeeds(f *testing.F) [][]byte {
 		}
 		return b.Bytes(), d.Bytes()
 	}
-	raw := standalone(false)
-	base, delta := chain(false)
-	_, deltaGz := chain(true)
+	raw := standalone()
+	base, delta := chain()
 	var seeds [][]byte
-	for _, img := range [][]byte{raw, standalone(true), base, delta, deltaGz, raw[:len(raw)-trailerSize]} {
+	for _, img := range [][]byte{raw, gzipFlagged(raw), base, delta, gzipFlagged(delta), raw[:len(raw)-trailerSize]} {
 		seeds = append(seeds, img, img[:len(img)/2])
 	}
 	return seeds

@@ -187,7 +187,10 @@ func checkpointMidRun(prop gpusim.Properties, app *workloads.App, cfg workloads.
 	}
 	defer os.RemoveAll(dir)
 	imgPath := filepath.Join(dir, "ckpt.img")
-	store := crac.NewFileStore(imgPath, crac.WithNoSync())
+	store, err := crac.NewDirStore(dir, 0, crac.WithNoSync())
+	if err != nil {
+		return m, err
+	}
 	ctx := context.Background()
 
 	step := 0

@@ -30,25 +30,26 @@ func sessionSnapshot(t testing.TB, s *Session) []byte {
 
 // TestLazyRestartByteIdentity checks that a restart, once drained,
 // leaves the session byte-identical to its own state at the cut —
-// from a standalone image, raw and gzip'd, and from an incremental
-// chain whose shards resolve from base and deltas. The v1 and v2 rows
-// store the image under a retired format version instead: the restart
-// is refused before teardown, and the session stays byte-identical to
-// the cut all the same.
+// from a standalone image and from an incremental chain whose shards
+// resolve from base and deltas. The gzip, v1 and v2 rows store the
+// image with the retired gzip flag bit or under a retired format
+// version instead: the restart is refused before teardown, and the
+// session stays byte-identical to the cut all the same.
 func TestLazyRestartByteIdentity(t *testing.T) {
 	cases := []struct {
 		name    string
 		opts    []Option
 		chain   bool
+		gzipBit bool // store the image with the retired gzip flag bit
 		retired byte // a retired version digit to store the image under
 	}{
-		{"standalone", nil, false, 0},
-		{"standalone-gzip", []Option{WithGzip(1)}, false, 0},
-		{"v3-chain", []Option{WithIncremental(8), WithShardSize(64 << 10)}, true, 0},
-		{"v1", nil, false, '1'},
-		{"v1-gzip", []Option{WithGzip(1)}, false, '1'},
-		{"v2", nil, false, '2'},
-		{"v2-gzip", []Option{WithGzip(1)}, false, '2'},
+		{"standalone", nil, false, false, 0},
+		{"standalone-gzip", nil, false, true, 0},
+		{"v3-chain", []Option{WithIncremental(8), WithShardSize(64 << 10)}, true, false, 0},
+		{"v1", nil, false, false, '1'},
+		{"v1-gzip", nil, false, true, '1'},
+		{"v2", nil, false, false, '2'},
+		{"v2-gzip", nil, false, true, '2'},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -77,8 +78,15 @@ func TestLazyRestartByteIdentity(t *testing.T) {
 
 			// Reference: the source itself, at the cut.
 			want := sessionSnapshot(t, s)
-			if tc.retired != 0 {
-				putBytes(t, store, tip, retiredImage(conformGet(t, store, tip), tc.retired))
+			if tc.gzipBit || tc.retired != 0 {
+				img := conformGet(t, store, tip)
+				if tc.gzipBit {
+					img = gzipFlagged(img)
+				}
+				if tc.retired != 0 {
+					img = retiredImage(img, tc.retired)
+				}
+				putBytes(t, store, tip, img)
 				if _, err := s.RestartAsync(ctx, store, tip); !errors.Is(err, ErrUnsupportedVersion) {
 					t.Fatalf("RestartAsync from a retired image = %v, want ErrUnsupportedVersion", err)
 				}
@@ -125,7 +133,7 @@ func TestLazyRestartByteIdentity(t *testing.T) {
 // equal the source's state at the cut followed by the same mutations.
 // Run under -race in CI.
 func TestLazyRestartTortureByteIdentity(t *testing.T) {
-	opts := []Option{WithWorkers(0), WithShardSize(128 << 10), WithGzip(1)}
+	opts := []Option{WithWorkers(0), WithShardSize(128 << 10)}
 	s, err := New(opts...)
 	if err != nil {
 		t.Fatal(err)

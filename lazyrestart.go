@@ -110,7 +110,7 @@ func openIndexChain(ctx context.Context, store Store, name string, read chainRea
 	}
 	walk := dmtcp.ChainWalk{name: true}
 	for cur := name; ; {
-		src, size, err := openImageAt(ctx, store, cur)
+		src, size, err := store.GetAt(ctx, cur)
 		if err != nil {
 			if len(chain) > 0 {
 				err = fmt.Errorf("%w: opening parent %q: %w", ErrDeltaChain, cur, err)
@@ -166,7 +166,6 @@ func (s *Session) restart(ctx context.Context, store Store, name string, wait bo
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	store = s.retryWrap(store)
 	start := time.Now()
 	read := chainLazy
 	if wait {

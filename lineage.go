@@ -43,7 +43,7 @@ func storeLineage(ctx context.Context, store Store) *lineageGraph {
 // the error that says why it did not.
 func verifiedLineage(ctx context.Context, store Store) *lineageGraph {
 	return &lineageGraph{nodes: map[string]*lineageNode{}, read: func(name string) (*lineageNode, error) {
-		src, size, err := openImageAt(ctx, store, name)
+		src, size, err := store.GetAt(ctx, name)
 		if err != nil {
 			return nil, wrapCancelled(err)
 		}
@@ -122,28 +122,17 @@ func (g *lineageGraph) tips() []string {
 	return out
 }
 
-// readNode is the one lineage header reader: a RandomAccessStore serves
-// the prologue's bytes alone — a CASStore from the manifest's inline
-// bytes, fetching no chunk — and any other store's stream is closed
-// after them. A read that fails mid-header reports that failure, not
-// a malformed header.
+// readNode is the one lineage header reader: GetAt serves the
+// prologue's bytes alone — a CASStore from the manifest's inline
+// bytes, fetching no chunk. A read that fails mid-header reports that
+// failure, not a malformed header.
 func readNode(ctx context.Context, store Store, name string) (*lineageNode, error) {
-	er := &readErrReader{}
-	if ras, ok := store.(RandomAccessStore); ok {
-		ra, size, err := ras.GetAt(ctx, name)
-		if err != nil {
-			return nil, wrapCancelled(err)
-		}
-		defer ra.Close()
-		er.r = io.NewSectionReader(ra, 0, size)
-	} else {
-		rc, err := store.Get(ctx, name)
-		if err != nil {
-			return nil, wrapCancelled(err)
-		}
-		defer rc.Close()
-		er.r = rc
+	ra, size, err := store.GetAt(ctx, name)
+	if err != nil {
+		return nil, wrapCancelled(err)
 	}
+	defer ra.Close()
+	er := &readErrReader{r: io.NewSectionReader(ra, 0, size)}
 	n, err := parseHeader(er)
 	if er.err != nil {
 		return nil, wrapCancelled(fmt.Errorf("image %q: reading header: %w", name, er.err))

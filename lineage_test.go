@@ -142,9 +142,9 @@ func TestLineageGraphQueries(t *testing.T) {
 }
 
 // storedEntries returns one stored entry of every kind the lineage
-// header reader meets: standalone images (raw and gzip'd), a chain base
-// and delta, and the raw manifest of a delta written through a
-// CASStore.
+// header reader meets: standalone images (raw, and with the retired
+// gzip flag bit), a chain base and delta, and the raw manifest of a
+// delta written through a CASStore.
 func storedEntries(tb testing.TB) map[string][]byte {
 	tb.Helper()
 	ctx := context.Background()
@@ -166,16 +166,15 @@ func storedEntries(tb testing.TB) map[string][]byte {
 			tb.Fatal(err)
 		}
 	}
-	for name, opts := range map[string][]Option{"standalone": nil, "standalone-gzip": {WithGzip(1)}} {
-		s, err := New(opts...)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		mem := NewMemStore()
-		checkpoint(s, mem, "img")
-		out[name] = get(mem, "img")
-		s.Close()
+	solo, err := New()
+	if err != nil {
+		tb.Fatal(err)
 	}
+	mem := NewMemStore()
+	checkpoint(solo, mem, "img")
+	solo.Close()
+	out["standalone"] = get(mem, "img")
+	out["standalone-gzip"] = gzipFlagged(out["standalone"])
 	s, err := New(WithShardSize(64<<10), WithIncremental(8))
 	if err != nil {
 		tb.Fatal(err)
@@ -228,13 +227,20 @@ func TestLineageHeaderReadsPrologueOnly(t *testing.T) {
 		prologue int
 	}{
 		{"standalone", lineageNode{}, 8 + 4 + 2 + 20},
-		{"standalone-gzip", lineageNode{}, 8 + 4 + 2 + 20},
+		{"standalone-gzip", lineageNode{}, 8 + 4},
 		{"base", lineageNode{id: base.ID}, 8 + 4 + 2 + 20},
 		{"delta", lineageNode{parent: "base", parentID: base.ID}, 8 + 4 + 2 + len("base") + 20},
 		{"manifest", lineageNode{parent: "m0"}, 8 + 2 + 2 + len("m0") + 4 + 8},
 	} {
 		cr := &countingReader{r: bytes.NewReader(entries[tc.entry])}
 		n, err := parseHeader(cr)
+		if tc.entry == "standalone-gzip" {
+			// The retired gzip bit: refused right after the flags.
+			if !errors.Is(err, ErrUnsupportedVersion) || cr.n != tc.prologue {
+				t.Errorf("%s: %v after %d bytes, want ErrUnsupportedVersion after %d", tc.entry, err, cr.n, tc.prologue)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatalf("%s: %v", tc.entry, err)
 		}
@@ -256,7 +262,7 @@ func TestLineageHeaderReadsPrologueOnly(t *testing.T) {
 // FuzzLineageHeader feeds the one lineage header reader arbitrary
 // bytes, streamed and by offset. Both ways must agree; a failure must
 // be classified; an accepted prologue must parse the same from the
-// bytes read alone. Seeds: standalone (raw and gzip'd), chain base and
+// bytes read alone. Seeds: standalone (raw and gzip-flagged), chain base and
 // delta prologues and a manifest's.
 func FuzzLineageHeader(f *testing.F) {
 	for _, b := range storedEntries(f) {

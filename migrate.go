@@ -15,10 +15,9 @@ import (
 type MigrateOption func(*migrateSettings)
 
 type migrateSettings struct {
-	prefix      string
-	maxRounds   int
-	roundDelay  time.Duration
-	closeSource bool
+	prefix     string
+	maxRounds  int
+	roundDelay time.Duration
 }
 
 // Pre-copy converges when a delta round's dirty payload is at most
@@ -66,16 +65,6 @@ func WithMigrateRounds(n int) MigrateOption {
 // the network allows.
 func WithMigrateRoundDelay(d time.Duration) MigrateOption {
 	return func(s *migrateSettings) { s.roundDelay = d }
-}
-
-// WithMigrateCloseSource closes the source session once the
-// destination is active (after a brief Resume, so goroutines blocked
-// at the quiesce gate unwind). The default leaves the source alive and
-// quiesced at the cut: the caller decides whether to Resume it (the
-// two sessions then diverge) or Close it — which is also what a
-// torture test needs to compare the two sides byte-for-byte.
-func WithMigrateCloseSource() MigrateOption {
-	return func(s *migrateSettings) { s.closeSource = true }
 }
 
 // MigrateRound describes one image the migration moved: a pre-copy
@@ -193,8 +182,9 @@ type migImage struct {
 //
 // While Migrate runs, the session's checkpoint machinery belongs to
 // the migration: checkpoints and restarts report ErrMigrationInFlight.
-// On success the source session is left quiesced at the cut (see
-// WithMigrateCloseSource), and its incremental lineage is rebased —
+// On success the source session is left quiesced at the cut — the
+// caller decides whether to Resume it (the two sessions then diverge)
+// or Close it — and its incremental lineage is rebased —
 // the migration consumed the plugin's dirty baseline, so the next
 // checkpoint after a Resume writes a self-contained base. On failure —
 // context cancellation or a store error in any phase — the migration
@@ -207,11 +197,8 @@ func Migrate(ctx context.Context, sess *Session, src, dst Store, opts ...Migrate
 		ctx = context.Background()
 	}
 	cfg := resolveMigrate(opts)
-	if singleImageStore(dst) {
-		return nil, fmt.Errorf("crac: migrate: destination store holds a single image and cannot hold a pre-copy chain")
-	}
 	// The final cut is written to src and later replicated to dst; if
-	// both are the same store the replication (and its source-side
+	// both reach the same store the replication (and its source-side
 	// delete) must not run, or it would delete the image it just
 	// "copied".
 	samePair := sameStore(src, dst)
@@ -219,8 +206,6 @@ func Migrate(ctx context.Context, sess *Session, src, dst Store, opts ...Migrate
 		return nil, err
 	}
 	defer sess.endMigration()
-	src = sess.retryWrap(src)
-	dst = sess.retryWrap(dst)
 
 	start := time.Now()
 	rep := &MigrateReport{}
@@ -361,10 +346,6 @@ func Migrate(ctx context.Context, sess *Session, src, dst Store, opts ...Migrate
 	// consumed by the migration either way.
 	sess.Rebase()
 	sess.plugin.ResetIncremental()
-	if cfg.closeSource {
-		sess.Resume() // let goroutines blocked at the gate unwind
-		sess.Close()
-	}
 
 	rep.Duration = time.Since(start)
 	m := &Migration{Dest: dest, Report: rep, done: make(chan struct{})}
@@ -456,12 +437,11 @@ func (f *fallbackStore) Get(ctx context.Context, name string) (io.ReadCloser, er
 	return rc, err
 }
 
-// GetAt implements RandomAccessStore over both sides (slurping through
-// Get when a side lacks the capability).
+// GetAt implements RandomAccessStore over both sides.
 func (f *fallbackStore) GetAt(ctx context.Context, name string) (ReaderAtCloser, int64, error) {
-	src, size, err := openImageAt(ctx, f.primary, name)
+	src, size, err := f.primary.GetAt(ctx, name)
 	if errors.Is(err, ErrImageNotFound) {
-		return openImageAt(ctx, f.fallback, name)
+		return f.fallback.GetAt(ctx, name)
 	}
 	return src, size, err
 }
@@ -492,17 +472,15 @@ func (f *fallbackStore) Delete(ctx context.Context, name string) error {
 	return f.primary.Delete(ctx, name)
 }
 
-var (
-	_ Store             = (*fallbackStore)(nil)
-	_ RandomAccessStore = (*fallbackStore)(nil)
-)
+var _ Store = (*fallbackStore)(nil)
 
-// sameStore reports whether a and b are the same store value.
-// Interface equality panics on incomparable dynamic types; such a pair
-// is treated as distinct.
+// sameStore reports whether a and b reach the same store once every
+// decorator (WithRetry, NewFaultStore) is unwrapped: two wrappers over
+// one store are one store. Interface equality panics on incomparable
+// dynamic types; such a pair is treated as distinct.
 func sameStore(a, b Store) (same bool) {
 	defer func() { _ = recover() }()
-	return a == b
+	return unwrapStore(a) == unwrapStore(b)
 }
 
 // copyImage streams the named image from one store into another.

@@ -14,6 +14,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -438,11 +439,10 @@ func TestMigrateAbort(t *testing.T) {
 }
 
 // TestMigrateRetryComposition: transient destination faults are
-// absorbed by WithCheckpointRetry — the migration's store writes ride
-// the session's retry policy.
+// absorbed by a WithRetry wrapper around the destination — the
+// migration's store writes ride the caller's retry policy.
 func TestMigrateRetryComposition(t *testing.T) {
-	s, err := New(WithShardSize(64<<10),
-		WithCheckpointRetry(RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond}))
+	s, err := New(WithShardSize(64 << 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +453,7 @@ func TestMigrateRetryComposition(t *testing.T) {
 	dst := NewFaultStore(NewMemStore(), faults.New(faults.Config{Seed: 5}))
 	dst.Injector().FailNext(faults.OpPut, faults.KindTransient)
 	dst.Injector().FailNext(faults.OpPut, faults.KindTransient)
-	m, err := Migrate(context.Background(), s, src, dst)
+	m, err := Migrate(context.Background(), s, src, WithRetry(dst, RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond}))
 	if err != nil {
 		t.Fatalf("transient faults should have been retried: %v", err)
 	}
@@ -461,6 +461,51 @@ func TestMigrateRetryComposition(t *testing.T) {
 	drainMigration(t, m)
 	if err := s.Resume(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMigrateSameStoreKeepsFinalCut: when src and dst reach one store —
+// directly, or through two separate wrappers around it — the final cut
+// is already where the destination needs it: the replication must not
+// copy it onto itself and then delete the only copy.
+func TestMigrateSameStoreKeepsFinalCut(t *testing.T) {
+	policy := RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond}
+	for _, tc := range []struct {
+		name     string
+		src, dst func(Store) Store
+	}{
+		{"bare", func(m Store) Store { return m }, func(m Store) Store { return m }},
+		{"two-retry-wrappers", func(m Store) Store { return WithRetry(m, policy) }, func(m Store) Store { return WithRetry(m, policy) }},
+		{"retry-and-fault-wrappers", func(m Store) Store { return WithRetry(m, policy) }, func(m Store) Store {
+			return NewFaultStore(m, faults.New(faults.Config{}))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := New(WithShardSize(64 << 10))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			migrateWorkload(t, s)
+			m := NewMemStore()
+			ctx := context.Background()
+			mig, err := Migrate(ctx, s, tc.src(m), tc.dst(m))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mig.Dest.Close()
+			drainMigration(t, mig)
+			names, err := m.List(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Contains(names, mig.Report.Tip) {
+				t.Fatalf("store holds %v after the migration: the final cut %q is gone", names, mig.Report.Tip)
+			}
+			if _, err := VerifyChain(ctx, m, mig.Report.Tip); err != nil {
+				t.Fatalf("the migrated chain does not verify: %v", err)
+			}
+		})
 	}
 }
 

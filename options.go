@@ -7,22 +7,19 @@ import (
 
 // An Option configures a Session built by New, Restore, or RestoreFrom.
 // The zero configuration (no options) matches the paper's main setup: a
-// Tesla V100, the syscall fs switch, no compression, ASLR off, and the
-// parallel data path using every CPU.
+// Tesla V100, the syscall fs switch, ASLR off, and the parallel data
+// path using every CPU.
 type Option func(*settings)
 
 // settings is the resolved option set.
 type settings struct {
 	prop        gpusim.Properties
 	switcher    SwitcherKind
-	gzip        bool
-	gzipLevel   int
 	workers     int
 	shardSize   int
 	incremental int // max deltas per base; 0 = incremental off
 	aslr        bool
 	aslrSeed    int64
-	retry       *RetryPolicy        // nil: no store retry wrapping
 	budget      *dmtcp.WorkerBudget // nil: per-process default pools
 
 	deviceArenaChunk  uint64
@@ -51,14 +48,6 @@ func WithDevice(prop gpusim.Properties) Option {
 // configuration of the paper's main experiments).
 func WithSwitcher(k SwitcherKind) Option {
 	return func(s *settings) { s.switcher = k }
-}
-
-// WithGzip enables per-shard gzip compression of checkpoint images at
-// the given compress/gzip level (gzip.BestSpeed..gzip.BestCompression;
-// 0 selects gzip.DefaultCompression). Each shard compresses
-// independently, so higher levels still scale across WithWorkers.
-func WithGzip(level int) Option {
-	return func(s *settings) { s.gzip, s.gzipLevel = true, level }
 }
 
 // WithWorkers bounds the checkpoint/restart data-path fan-out (image
@@ -98,16 +87,6 @@ func WithIncremental(n int) Option {
 // edit) still names it; it goes with the next benchmark revision.
 func WithConcurrentCheckpoint() Option {
 	return func(*settings) {}
-}
-
-// WithCheckpointRetry wraps every store-bound operation of the session
-// (CheckpointTo, CheckpointAsync, RestartFrom, RestartAsync) in
-// WithRetry with the given policy: transient store failures back off
-// and retry instead of failing the checkpoint. The zero RetryPolicy
-// selects DefaultRetryPolicy. Only the store commit retries — the
-// checkpoint pipeline itself runs once (see WithRetry).
-func WithCheckpointRetry(policy RetryPolicy) Option {
-	return func(s *settings) { s.retry = &policy }
 }
 
 // WithASLR enables address-space randomization with the given seed.

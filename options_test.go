@@ -108,8 +108,9 @@ func TestCloseAfterFailedRestart(t *testing.T) {
 	s.Close() // must be a no-op, not a double-destroy
 }
 
-// TestCheckpointFileAtomic: a failing checkpoint into a FileStore
-// leaves no partial image (and no temp file) on disk.
+// TestCheckpointFileAtomic: a failing checkpoint into a one-file slot
+// (a DirStore image under a fixed name) leaves no partial image (and no
+// temp file) on disk.
 func TestCheckpointFileAtomic(t *testing.T) {
 	s, err := New()
 	if err != nil {
@@ -118,7 +119,11 @@ func TestCheckpointFileAtomic(t *testing.T) {
 	s.Close() // forces the checkpoint to fail after the temp file opens
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ckpt.img")
-	if _, err := s.CheckpointTo(context.Background(), NewFileStore(path), "ckpt.img"); !errors.Is(err, ErrSessionClosed) {
+	store, err := NewDirStore(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.CheckpointTo(context.Background(), store, "ckpt"); !errors.Is(err, ErrSessionClosed) {
 		t.Fatalf("CheckpointTo on closed session = %v", err)
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
@@ -130,8 +135,8 @@ func TestCheckpointFileAtomic(t *testing.T) {
 	}
 }
 
-// TestCheckpointFileRoundTrip: checkpoint into a FileStore, restart
-// from it.
+// TestCheckpointFileRoundTrip: checkpoint into a one-file slot (a
+// DirStore image under a fixed name), restart from it.
 func TestCheckpointFileRoundTrip(t *testing.T) {
 	s, err := New()
 	if err != nil {
@@ -140,15 +145,18 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	defer s.Close()
 	runFixedWorkload(t, s)
 	ctx := context.Background()
-	store := NewFileStore(filepath.Join(t.TempDir(), "ckpt.img"))
-	st, err := s.CheckpointTo(ctx, store, "ckpt.img")
+	store, err := NewDirStore(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.CheckpointTo(ctx, store, "ckpt")
 	if err != nil {
 		t.Fatalf("CheckpointTo: %v", err)
 	}
 	if st.Regions == 0 {
 		t.Fatalf("stats=%+v", st)
 	}
-	if err := s.RestartFrom(ctx, store, "ckpt.img"); err != nil {
+	if err := s.RestartFrom(ctx, store, "ckpt"); err != nil {
 		t.Fatalf("RestartFrom: %v", err)
 	}
 	if s.Generation() != 1 {

@@ -654,7 +654,7 @@ func (ps *PoolSession) Close() {
 // wrote; retention pruning inside a DirStore or an external GC is
 // credited only when the pool observes the Delete.
 type tenantStore struct {
-	storeCaps // lazy restarts need the shared store's GetAt, chains its SingleImage
+	storeCaps // lazy restarts need the shared store's GetAt
 	t         *poolTenant
 }
 

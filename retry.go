@@ -127,9 +127,8 @@ func (p RetryPolicy) run(ctx context.Context, op func() error) error {
 // have deleted the image before its acknowledgment was lost. Context
 // cancellation is never retried.
 //
-// The wrapper forwards every optional capability of store
-// (RandomAccessStore, CountingStore, BatchExister, SingleImageStore),
-// retrying the ones that perform I/O.
+// The wrapper forwards GetAt and every optional capability of store
+// (CountingStore, BatchExister), retrying each of them.
 func WithRetry(store Store, policy RetryPolicy) Store {
 	return &retryStore{storeCaps: storeCaps{store}, policy: policy.normalized()}
 }
@@ -216,9 +215,6 @@ func (s *retryStore) Len(ctx context.Context) (int, error) {
 }
 
 var (
-	_ Store             = (*retryStore)(nil)
-	_ RandomAccessStore = (*retryStore)(nil)
-	_ CountingStore     = (*retryStore)(nil)
-	_ BatchExister      = (*retryStore)(nil)
-	_ SingleImageStore  = (*retryStore)(nil)
+	_ CountingStore = (*retryStore)(nil)
+	_ BatchExister  = (*retryStore)(nil)
 )

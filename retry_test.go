@@ -14,13 +14,14 @@ import (
 // flakyStore fails the first failN calls of each op with err, then
 // delegates to the inner store.
 type flakyStore struct {
-	inner Store
-	err   error
-	puts  int
-	gets  int
-	lists int
-	dels  int
-	failN int
+	inner  Store
+	err    error
+	puts   int
+	gets   int
+	getAts int
+	lists  int
+	dels   int
+	failN  int
 }
 
 func (s *flakyStore) Put(ctx context.Context, name string, write func(io.Writer) error) error {
@@ -40,6 +41,14 @@ func (s *flakyStore) Get(ctx context.Context, name string) (io.ReadCloser, error
 		return nil, s.err
 	}
 	return s.inner.Get(ctx, name)
+}
+
+func (s *flakyStore) GetAt(ctx context.Context, name string) (ReaderAtCloser, int64, error) {
+	s.getAts++
+	if s.getAts <= s.failN {
+		return nil, 0, s.err
+	}
+	return s.inner.GetAt(ctx, name)
 }
 
 func (s *flakyStore) List(ctx context.Context) ([]string, error) {
@@ -227,28 +236,20 @@ func TestRetryContextCancelStopsRetries(t *testing.T) {
 }
 
 func TestRetryPreservesRandomAccess(t *testing.T) {
-	dir := t.TempDir()
-	ds, err := NewDirStore(dir, 0, WithNoSync())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := WithRetry(ds, RetryPolicy{}).(RandomAccessStore); !ok {
-		t.Fatal("WithRetry(DirStore) lost the RandomAccessStore capability")
-	}
-	// Over a store with no GetAt the wrapper's GetAt is the whole-image
-	// read every caller falls back to (and retries like one) — the full
-	// capability table is TestStoreWrappersForwardCapabilities.
-	plain := &flakyStore{inner: NewMemStore(), err: transientErr{}, failN: 1} // no GetAt
-	conformPut(t, plain.inner, "img", []byte("payload"))
+	// A transiently failing GetAt retries like every other operation,
+	// and never falls back to a whole-image Get — the full capability
+	// table is TestStoreWrappersForwardCapabilities.
+	flaky := &flakyStore{inner: NewMemStore(), err: transientErr{}, failN: 1}
+	conformPut(t, flaky.inner, "img", []byte("payload"))
 	p := DefaultRetryPolicy()
 	p.sleep = func(context.Context, time.Duration) error { return nil }
-	ra, size, err := WithRetry(plain, p).(RandomAccessStore).GetAt(context.Background(), "img")
+	ra, size, err := WithRetry(flaky, p).GetAt(context.Background(), "img")
 	if err != nil || size != int64(len("payload")) {
-		t.Fatalf("GetAt over a plain store = %d, %v", size, err)
+		t.Fatalf("GetAt over a flaky store = %d, %v", size, err)
 	}
 	ra.Close()
-	if plain.gets != 2 {
-		t.Fatalf("inner Get called %d times, want 2 (one transient failure, one whole-image read)", plain.gets)
+	if flaky.getAts != 2 || flaky.gets != 0 {
+		t.Fatalf("inner GetAt called %d times and Get %d, want 2 (one transient failure, one read) and 0", flaky.getAts, flaky.gets)
 	}
 }
 
@@ -270,16 +271,14 @@ func TestRetryDelayBackoffBounds(t *testing.T) {
 }
 
 func TestRetryThroughFaultStoreEndToEnd(t *testing.T) {
-	// A session checkpointing through WithCheckpointRetry over a fault
-	// store with forced transient failures must commit exactly one
-	// intact image.
+	// A session checkpointing through WithRetry over a fault store with
+	// forced transient failures must commit exactly one intact image.
 	inj := faults.New(faults.Config{Seed: 11})
 	inj.FailNext(faults.OpPut, faults.KindTransient)
 	inj.FailNext(faults.OpPut, faults.KindTransient)
-	store := NewFaultStore(NewMemStore(), inj)
-
 	p := RetryPolicy{MaxAttempts: 4, BaseDelay: time.Microsecond, MaxDelay: time.Millisecond, Multiplier: 2}
-	s, err := New(WithWorkers(0), WithCheckpointRetry(p))
+	store := WithRetry(NewFaultStore(NewMemStore(), inj), p)
+	s, err := New(WithWorkers(0))
 	if err != nil {
 		t.Fatal(err)
 	}

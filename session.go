@@ -166,8 +166,6 @@ func newSession(cfg settings) (*Session, error) {
 	plugin := cracplugin.New(rt)
 	plugin.Workers = cfg.workers
 	engine := dmtcp.NewEngine()
-	engine.Gzip = cfg.gzip
-	engine.GzipLevel = cfg.gzipLevel
 	engine.Workers = cfg.workers
 	engine.ShardSize = cfg.shardSize
 	engine.Budget = cfg.budget
@@ -318,11 +316,11 @@ type lineage struct {
 	// incremental writes a chain image and stages the plugin's skip
 	// baseline, which is promoted when the image commits.
 	incremental bool
-	// chain, when set, is the store holding the session's own
-	// WithIncremental chain: the parent is resolved from s.incr under the
-	// rotation guards, and a commit makes this image the chain tip.
-	chain Store
-	// prev is the explicit parent used when chain is nil (migration
+	// own marks an image of the session's own WithIncremental chain:
+	// the parent is resolved from s.incr under the rotation guards, and
+	// a commit makes this image the chain tip.
+	own bool
+	// prev is the explicit parent used when own is false (migration
 	// rounds thread their own pre-copy lineage).
 	prev *dmtcp.DeltaState
 }
@@ -348,8 +346,8 @@ func (s *Session) checkpoint(ctx context.Context, put putFunc, name string, migr
 	s.mu.Lock()
 	space := s.space
 	prev := lin.prev
-	if lin.chain != nil {
-		prev = s.incrPrevLocked(lin.chain, name)
+	if lin.own {
+		prev = s.incrPrevLocked(name)
 	}
 	s.mu.Unlock()
 
@@ -375,7 +373,7 @@ func (s *Session) checkpoint(ctx context.Context, put putFunc, name string, migr
 			// The image is durable: advance the plugin's drain baseline and
 			// the chain together.
 			s.plugin.CommitIncremental()
-			if lin.chain != nil {
+			if lin.own {
 				s.mu.Lock()
 				s.incr = p.next
 				s.mu.Unlock()
@@ -437,30 +435,13 @@ func (s *Session) CheckpointTo(ctx context.Context, store Store, name string) (S
 	return p.Wait()
 }
 
-// retryWrap applies the session's WithCheckpointRetry policy to a
-// store-bound operation (identity when the option is unset). Layered
-// here — not inside the stores — so one option covers every entry
-// point and caller-provided stores alike.
-func (s *Session) retryWrap(store Store) Store {
-	if s.cfg.retry == nil {
-		return store
-	}
-	return WithRetry(store, *s.cfg.retry)
-}
-
 // incrPrevLocked resolves the lineage the next store-bound checkpoint
 // should delta against (nil: write a base), applying the rotation
 // guards. Caller holds s.mu.
-func (s *Session) incrPrevLocked(store Store, name string) *dmtcp.DeltaState {
+func (s *Session) incrPrevLocked(name string) *dmtcp.DeltaState {
 	prev := s.incr
 	switch {
 	case prev == nil:
-	case singleImageStore(store):
-		// A FileStore backs every name with one path: a delta written
-		// there would replace the very base it depends on, regardless
-		// of the names used. Such stores only ever get self-contained
-		// images.
-		prev = nil
 	case prev.Depth >= s.cfg.incremental:
 		prev = nil // chain is full: rotate to a fresh base
 	case prev.InChain(name):
@@ -528,10 +509,9 @@ func (p *Pending) Wait() (Stats, error) {
 // CheckpointAsync cancels the background write and the checkpoint
 // surfaces ErrCancelled from Wait.
 func (s *Session) CheckpointAsync(ctx context.Context, store Store, name string) (*Pending, error) {
-	store = s.retryWrap(store)
 	var lin lineage
 	if s.cfg.incremental > 0 {
-		lin = lineage{incremental: true, chain: store}
+		lin = lineage{incremental: true, own: true}
 	}
 	return s.checkpoint(ctx, store.Put, name, false, lin)
 }

@@ -110,8 +110,11 @@ func TestCheckpointFileAndRestartFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	store := NewFileStore(path)
-	stats, err := s.CheckpointTo(ctx, store, "ckpt.img")
+	store, err := NewDirStore(dir, 0) // the image lands at dir/ckpt.img
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := s.CheckpointTo(ctx, store, "ckpt")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +122,7 @@ func TestCheckpointFileAndRestartFile(t *testing.T) {
 	if err != nil || fi.Size() <= 0 || stats.Regions == 0 {
 		t.Fatalf("file %v (%v) stats=%+v", fi, err, stats)
 	}
-	if err := s.RestartFrom(ctx, store, "ckpt.img"); err != nil {
+	if err := s.RestartFrom(ctx, store, "ckpt"); err != nil {
 		t.Fatal(err)
 	}
 	// Contents restored.

@@ -317,21 +317,26 @@ func TestASLRBreaksReplayDeterminism(t *testing.T) {
 	}
 }
 
+// TestGzipImageRoundTrip: gzip is a retired shard encoding. An image
+// that sets its flag bit is refused before teardown, and the session
+// still round-trips the same image without it.
 func TestGzipImageRoundTrip(t *testing.T) {
-	s, err := New(WithGzip(0))
+	s, err := New()
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	defer s.Close()
 	rt := s.Runtime()
 	const n = 1024
-	_, _, _, dc, _ := setupVecAdd(t, rt, n)
+	setupVecAdd(t, rt, n)
 	var img bytes.Buffer
 	if _, err := s.Checkpoint(context.Background(), &img); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
-	if err := s.Restart(context.Background(), bytes.NewReader(img.Bytes())); err != nil {
-		t.Fatalf("Restart from gzip image: %v", err)
+	if err := s.Restart(context.Background(), bytes.NewReader(gzipFlagged(img.Bytes()))); !errors.Is(err, ErrUnsupportedVersion) {
+		t.Fatalf("Restart from a gzip-flagged image = %v, want ErrUnsupportedVersion", err)
 	}
-	_ = dc
+	if err := s.Restart(context.Background(), bytes.NewReader(img.Bytes())); err != nil {
+		t.Fatalf("Restart after the refusal: %v", err)
+	}
 }

@@ -22,9 +22,14 @@ import (
 // visible under name, or nothing does — a checkpoint aborted halfway
 // (error or cancellation) must never leave a partial image behind.
 //
-// FileStore, DirStore, and MemStore are the built-in implementations;
-// remote or tiered storage plugs in through the same four methods.
+// DirStore, MemStore, HTTPStore and CASStore are the built-in
+// implementations; remote or tiered storage plugs in through the same
+// five methods.
 type Store interface {
+	// GetAt opens the named image for random access, which is what lets
+	// a restart read individual shards on demand instead of streaming
+	// the whole image.
+	RandomAccessStore
 	// Put stores the image produced by write under name, atomically.
 	// write receives the destination; if it (or the commit) fails, the
 	// store is left as if Put was never called.
@@ -75,8 +80,7 @@ func validateImageName(name string) error {
 	return nil
 }
 
-// A StoreOption configures a file-backed store (NewFileStore,
-// NewDirStore).
+// A StoreOption configures a file-backed store (NewDirStore).
 type StoreOption func(*storeSettings)
 
 type storeSettings struct{ noSync bool }
@@ -116,12 +120,11 @@ func syncDir(dir string) error {
 
 // atomicWriteFile writes through a temp file in dir and renames it to
 // dest on success; on any failure — error or panic out of write — the
-// temp file is removed and dest is untouched. This is the atomic-write
-// path shared by FileStore and DirStore. Unless sync is false, the temp
-// file is fsynced
-// before the rename and the directory after it, so a Put that returned
-// success survives a machine crash: rename-without-sync can leave dest
-// pointing at a file whose blocks never reached disk.
+// temp file is removed and dest is untouched. Unless sync is false, the
+// temp file is fsynced before the rename and the directory after it,
+// so a Put that returned success survives a machine crash:
+// rename-without-sync can leave dest pointing at a file whose blocks
+// never reached disk.
 func atomicWriteFile(dir, dest string, sync bool, write func(io.Writer) error) (err error) {
 	tmp, err := os.CreateTemp(dir, ".crac-put-*")
 	if err != nil {
@@ -163,86 +166,6 @@ func atomicWriteFile(dir, dest string, sync bool, write func(io.Writer) error) (
 			// a power cut).
 			return fmt.Errorf("crac: syncing %s: %w", dir, err)
 		}
-	}
-	return nil
-}
-
-// FileStore holds at most one image, at a fixed file path — the
-// classic "checkpoint to this file" deployment. Whatever name is put
-// or asked for, the single path backs it; List reports the file's base
-// name while the image exists.
-type FileStore struct {
-	Path string
-	// NoSync drops the fsync barriers from Put (see WithNoSync).
-	NoSync bool
-}
-
-// NewFileStore returns a store backed by the single file at path.
-func NewFileStore(path string, opts ...StoreOption) *FileStore {
-	return &FileStore{Path: path, NoSync: resolveStoreOpts(opts).noSync}
-}
-
-// Put implements Store with a temp-file+rename atomic write.
-func (s *FileStore) Put(ctx context.Context, name string, write func(io.Writer) error) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return atomicWriteFile(filepath.Dir(s.Path), s.Path, !s.NoSync, write)
-}
-
-// Get implements Store.
-func (s *FileStore) Get(ctx context.Context, name string) (io.ReadCloser, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	f, err := os.Open(s.Path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, fmt.Errorf("%w: %q (%s)", ErrImageNotFound, name, s.Path)
-		}
-		return nil, err
-	}
-	return f, nil
-}
-
-// List implements Store.
-func (s *FileStore) List(ctx context.Context) ([]string, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if _, err := os.Stat(s.Path); err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	return []string{filepath.Base(s.Path)}, nil
-}
-
-// Len implements CountingStore: 1 if the slot holds an image, else 0.
-func (s *FileStore) Len(ctx context.Context) (int, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	if _, err := os.Stat(s.Path); err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil
-		}
-		return 0, err
-	}
-	return 1, nil
-}
-
-// Delete implements Store.
-func (s *FileStore) Delete(ctx context.Context, name string) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if err := os.Remove(s.Path); err != nil {
-		if os.IsNotExist(err) {
-			return fmt.Errorf("%w: %q (%s)", ErrImageNotFound, name, s.Path)
-		}
-		return err
 	}
 	return nil
 }
@@ -603,27 +526,11 @@ type ReaderAtCloser interface {
 	io.Closer
 }
 
-// RandomAccessStore is an optional Store capability: GetAt opens the
-// named image for random access, which is what lets a restart decode
-// individual shards on demand instead of streaming the whole image. All
-// built-in stores implement it; a store that cannot (a network stream,
-// say) still works — the restart falls the image back into memory
-// first, keeping the restore-side laziness but paying an eager
-// download.
+// RandomAccessStore is the random-access method every Store has.
 type RandomAccessStore interface {
 	// GetAt opens the named image for random access, returning its
 	// size. A missing name reports ErrImageNotFound.
 	GetAt(ctx context.Context, name string) (ReaderAtCloser, int64, error)
-}
-
-// GetAt implements RandomAccessStore.
-func (s *FileStore) GetAt(ctx context.Context, name string) (ReaderAtCloser, int64, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, 0, err
-	}
-	return openFileAt(s.Path, func() error {
-		return fmt.Errorf("%w: %q (%s)", ErrImageNotFound, name, s.Path)
-	})
 }
 
 // GetAt implements RandomAccessStore.
@@ -690,50 +597,17 @@ func (memImage) Close() error { return nil }
 
 func (b memImage) Bytes() []byte { return b }
 
-// openImageAt opens the named image for random access, slurping it
-// into memory when the store offers no RandomAccessStore capability.
-func openImageAt(ctx context.Context, store Store, name string) (ReaderAtCloser, int64, error) {
-	if ras, ok := store.(RandomAccessStore); ok {
-		return ras.GetAt(ctx, name)
-	}
-	rc, err := store.Get(ctx, name)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer rc.Close()
-	b, err := io.ReadAll(rc)
-	if err != nil {
-		return nil, 0, err
-	}
-	return memImage(b), int64(len(b)), nil
-}
-
 var (
-	_ Store = (*FileStore)(nil)
 	_ Store = (*DirStore)(nil)
 	_ Store = (*MemStore)(nil)
-
-	_ RandomAccessStore = (*FileStore)(nil)
-	_ RandomAccessStore = (*DirStore)(nil)
-	_ RandomAccessStore = (*MemStore)(nil)
 )
 
-// SingleImageStore is implemented by stores that back every name with
-// the same single image slot (FileStore). Incremental checkpointing
-// never writes deltas to such a store — each Put would overwrite the
-// parent the delta depends on — and always falls back to full base
-// images there.
+// SingleImageStore is a retired capability: nothing in this module
+// implements it or consults it. The declaration remains only because
+// the repository benchmark (benchmark/trace.go) still compiles against
+// it; it goes with the next benchmark revision.
 type SingleImageStore interface {
 	SingleImage() bool
-}
-
-// SingleImage marks FileStore as a one-slot store.
-func (s *FileStore) SingleImage() bool { return true }
-
-// singleImageStore reports whether store can hold only one image.
-func singleImageStore(store Store) bool {
-	si, ok := store.(SingleImageStore)
-	return ok && si.SingleImage()
 }
 
 // existsBatch probes store for names in one round trip. A store with
@@ -746,20 +620,17 @@ func existsBatch(ctx context.Context, store Store, names []string) (map[string]b
 	return nil, fmt.Errorf("crac: store has no batch-exists probe: %w", errors.ErrUnsupported)
 }
 
-// storeCaps forwards the optional capabilities of the store a wrapper
-// wraps. Method sets are static, so a wrapper embedding it always has
-// all four methods; each one answers as the inner store itself would —
-// through its own method when it has one, and otherwise through the
-// fallback every caller already applies to a store without it: a
-// whole-image read (openImageAt), a List count (StoreLen),
-// errors.ErrUnsupported (existsBatch), not single-image. A forgotten
-// forward silently turns a lazy restart into a full read, or a delta
-// into an overwrite of its own base; embedding this is how a wrapper
-// cannot forget.
+// storeCaps forwards GetAt and the optional capabilities of the store a
+// wrapper wraps. Method sets are static, so a wrapper embedding it
+// always has all three methods; each one answers as the inner store
+// itself would — through its own method when it has one, and otherwise
+// through the fallback every caller already applies to a store without
+// it: a List count (StoreLen), errors.ErrUnsupported (existsBatch).
+// Embedding this is how a wrapper cannot forget a forward.
 type storeCaps struct{ inner Store }
 
 func (c storeCaps) GetAt(ctx context.Context, name string) (ReaderAtCloser, int64, error) {
-	return openImageAt(ctx, c.inner, name)
+	return c.inner.GetAt(ctx, name)
 }
 
 func (c storeCaps) ExistsBatch(ctx context.Context, names []string) (map[string]bool, error) {
@@ -768,7 +639,16 @@ func (c storeCaps) ExistsBatch(ctx context.Context, names []string) (map[string]
 
 func (c storeCaps) Len(ctx context.Context) (int, error) { return StoreLen(ctx, c.inner) }
 
-func (c storeCaps) SingleImage() bool { return singleImageStore(c.inner) }
-
 // Unwrap returns the wrapped store.
 func (c storeCaps) Unwrap() Store { return c.inner }
+
+// unwrapStore follows Unwrap down to the store no decorator wraps.
+func unwrapStore(store Store) Store {
+	for {
+		u, ok := store.(interface{ Unwrap() Store })
+		if !ok {
+			return store
+		}
+		store = u.Unwrap()
+	}
+}

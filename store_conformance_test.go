@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http/httptest"
-	"path/filepath"
 	"sort"
 	"sync"
 	"testing"
@@ -16,23 +15,26 @@ import (
 )
 
 // storeFixture builds one Store implementation for the shared
-// conformance suite. single marks one-slot stores (FileStore), whose
-// List reports a fixed name and whose every Put lands in the same
-// place.
+// conformance suite.
 type storeFixture struct {
-	name   string
-	single bool
-	build  func(t *testing.T) Store
+	name  string
+	build func(t *testing.T) Store
 }
 
-// conformanceFixtures covers every Store the package ships: the local
-// file-backed pair, the in-memory store, the fault-injecting wrapper
-// (with no faults armed — it must be transparent), the retry wrapper,
-// and the HTTP client/server pair over a real loopback listener.
+// conformanceFixtures covers every Store the package ships: the
+// file-backed store durable (fsync barriers on, as cracrun builds it;
+// the row keeps the name of the one-file store it replaced) and with
+// WithNoSync, the in-memory store, the fault-injecting wrapper (with no
+// faults armed — it must be transparent), the retry wrapper, and the
+// HTTP client/server pair over a real loopback listener.
 func conformanceFixtures() []storeFixture {
 	return []storeFixture{
-		{name: "FileStore", single: true, build: func(t *testing.T) Store {
-			return NewFileStore(filepath.Join(t.TempDir(), "slot.img"), WithNoSync())
+		{name: "FileStore", build: func(t *testing.T) Store {
+			s, err := NewDirStore(t.TempDir(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
 		}},
 		{name: "DirStore", build: func(t *testing.T) Store {
 			s, err := NewDirStore(t.TempDir(), 0, WithNoSync())
@@ -179,10 +181,8 @@ func conformMissing(t *testing.T, fx storeFixture) {
 	if err := s.Delete(context.Background(), "absent"); !errors.Is(err, ErrImageNotFound) {
 		t.Fatalf("Delete(absent) = %v, want ErrImageNotFound", err)
 	}
-	if ra, ok := s.(RandomAccessStore); ok {
-		if _, _, err := ra.GetAt(context.Background(), "absent"); !errors.Is(err, ErrImageNotFound) {
-			t.Fatalf("GetAt(absent) = %v, want ErrImageNotFound", err)
-		}
+	if _, _, err := s.GetAt(context.Background(), "absent"); !errors.Is(err, ErrImageNotFound) {
+		t.Fatalf("GetAt(absent) = %v, want ErrImageNotFound", err)
 	}
 	// Missing-image errors are deterministic, not transient: retrying
 	// them would never help.
@@ -199,17 +199,6 @@ func conformList(t *testing.T, fx storeFixture) {
 	}
 	if len(names) != 0 {
 		t.Fatalf("List on empty store = %v", names)
-	}
-	if fx.single {
-		conformPut(t, s, "only", []byte("x"))
-		names, err := s.List(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(names) != 1 {
-			t.Fatalf("single-slot List = %v, want one name", names)
-		}
-		return
 	}
 	for _, n := range []string{"zeta", "alpha", "mid"} {
 		conformPut(t, s, n, []byte(n))
@@ -228,16 +217,12 @@ func conformList(t *testing.T, fx storeFixture) {
 
 func conformGetAt(t *testing.T, fx storeFixture) {
 	s := fx.build(t)
-	ra, ok := s.(RandomAccessStore)
-	if !ok {
-		t.Skipf("%s does not implement RandomAccessStore", fx.name)
-	}
 	data := make([]byte, 100_003) // odd size: exercises the tail read
 	for i := range data {
 		data[i] = byte(i * 7)
 	}
 	conformPut(t, s, "img", data)
-	src, size, err := ra.GetAt(context.Background(), "img")
+	src, size, err := s.GetAt(context.Background(), "img")
 	if err != nil {
 		t.Fatalf("GetAt: %v", err)
 	}
@@ -332,11 +317,6 @@ func conformLen(t *testing.T, fx storeFixture) {
 		}
 	}
 	check(0)
-	if fx.single {
-		conformPut(t, s, "only", []byte("x"))
-		check(1)
-		return
-	}
 	for _, n := range []string{"a", "b", "c"} {
 		conformPut(t, s, n, []byte(n))
 	}
@@ -364,8 +344,8 @@ func conformConcurrent(t *testing.T, fx storeFixture) {
 		return bytes.Repeat([]byte{byte('a' + g), byte(round)}, 2048)
 	}
 
-	if fx.single {
-		// One slot, many writers: every Put must stay atomic, so the
+	{
+		// One name, many writers: every Put must stay atomic, so the
 		// final content is exactly one writer's payload — never a splice.
 		var wg sync.WaitGroup
 		errCh := make(chan error, clients)
@@ -399,7 +379,9 @@ func conformConcurrent(t *testing.T, fx storeFixture) {
 				t.Fatalf("slot content spliced at byte %d: %#x vs %#x", i, b, got[i%2])
 			}
 		}
-		return
+		if err := s.Delete(ctx, "slot"); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	var wg sync.WaitGroup
@@ -485,8 +467,9 @@ func conformConcurrent(t *testing.T, fx storeFixture) {
 	}
 }
 
-// bareStore is an inner store with none of the optional capabilities;
-// capStore adds all four. Both count the calls that reach them, so the
+// bareStore is an inner store with none of the optional capabilities,
+// just the five Store methods; capStore adds Len and ExistsBatch, and
+// the retired SingleImage. Both count the calls that reach them, so the
 // capability table can tell a forwarded call from a fallback.
 type bareStore struct {
 	m     *MemStore
@@ -503,6 +486,10 @@ func (b *bareStore) Get(ctx context.Context, name string) (io.ReadCloser, error)
 	b.calls["Get"]++
 	return b.m.Get(ctx, name)
 }
+func (b *bareStore) GetAt(ctx context.Context, name string) (ReaderAtCloser, int64, error) {
+	b.calls["GetAt"]++
+	return b.m.GetAt(ctx, name)
+}
 func (b *bareStore) List(ctx context.Context) ([]string, error) {
 	b.calls["List"]++
 	return b.m.List(ctx)
@@ -514,10 +501,6 @@ func (b *bareStore) Delete(ctx context.Context, name string) error {
 
 type capStore struct{ *bareStore }
 
-func (c capStore) GetAt(ctx context.Context, name string) (ReaderAtCloser, int64, error) {
-	c.calls["GetAt"]++
-	return c.m.GetAt(ctx, name)
-}
 func (c capStore) Len(ctx context.Context) (int, error) {
 	c.calls["Len"]++
 	return c.m.Len(ctx)
@@ -539,17 +522,20 @@ func (c capStore) SingleImage() bool {
 }
 
 // TestStoreWrappersForwardCapabilities is the capability table: every
-// wrapper × every optional capability × an inner store that has / lacks
-// it. A capability the inner store has must reach the inner store's own
+// wrapper × every capability × an inner store that has / lacks the
+// optional ones. GetAt is a Store method: every wrapper forwards it to
+// the inner store's own, whatever else the inner store has. An optional
+// capability the inner store has must reach the inner store's own
 // method through the wrapper; one it lacks must not be invented — the
 // wrapper answers through the same fallback a caller applies to a bare
-// store (whole-image read, List count, ErrUnsupported, not
-// single-image). Cells a wrapper cannot forward are named with the
-// reason: there the inner method must stay untouched and the fallback's
-// answer must still be exact.
+// store (List count, ErrUnsupported). Cells a wrapper cannot forward
+// are named with the reason: there the inner method must stay untouched
+// and the fallback's answer must still be exact. SingleImage is
+// retired: no wrapper exposes it, and the inner method is never
+// reached.
 func TestStoreWrappersForwardCapabilities(t *testing.T) {
 	const randomAccess, counting, batchExists, singleImage = "GetAt", "Len", "ExistsBatch", "SingleImage"
-	all := map[string]bool{randomAccess: true, counting: true, batchExists: true, singleImage: true}
+	all := map[string]bool{randomAccess: true, counting: true, batchExists: true}
 	wrappers := []struct {
 		name     string
 		wrap     func(inner Store) Store
@@ -568,7 +554,7 @@ func TestStoreWrappersForwardCapabilities(t *testing.T) {
 		// The backing counts (and answers existence for) chunks as well
 		// as images.
 		{"NewCASStore", func(inner Store) Store { return NewCASStore(inner) },
-			map[string]bool{randomAccess: true, singleImage: true}},
+			map[string]bool{randomAccess: true}},
 	}
 	ctx := context.Background()
 	data := bytes.Repeat([]byte("capability"), 1000)
@@ -587,7 +573,7 @@ func TestStoreWrappersForwardCapabilities(t *testing.T) {
 			}
 			check := func(capability string, use func(t *testing.T, forwarded bool)) {
 				t.Run(fmt.Sprintf("%s/%s/inner-has=%v", wr.name, capability, has), func(t *testing.T) {
-					forwarded := has && wr.forwards[capability]
+					forwarded := (has || capability == randomAccess) && wr.forwards[capability]
 					use(t, forwarded)
 					if got := inner.calls[capability] > 0; got != forwarded {
 						t.Fatalf("inner %s reached=%v, want %v", capability, got, forwarded)
@@ -595,7 +581,7 @@ func TestStoreWrappersForwardCapabilities(t *testing.T) {
 				})
 			}
 			check(randomAccess, func(t *testing.T, _ bool) {
-				ra, size, err := openImageAt(ctx, w, "img")
+				ra, size, err := w.GetAt(ctx, "img")
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -626,9 +612,9 @@ func TestStoreWrappersForwardCapabilities(t *testing.T) {
 					t.Fatalf("existsBatch = %v, %v", have, err)
 				}
 			})
-			check(singleImage, func(t *testing.T, forwarded bool) {
-				if got := singleImageStore(w); got != forwarded {
-					t.Fatalf("singleImageStore = %v, want %v", got, forwarded)
+			check(singleImage, func(t *testing.T, _ bool) {
+				if _, ok := w.(SingleImageStore); ok {
+					t.Fatal("the wrapper implements the retired SingleImageStore")
 				}
 			})
 		}

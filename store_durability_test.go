@@ -9,10 +9,20 @@ import (
 	"testing"
 )
 
+// fileSlot is the one-file store shape: a durable DirStore over dir,
+// whose image under name "img" is the file dir/img.img.
+func fileSlot(t *testing.T, dir string) *DirStore {
+	t.Helper()
+	fs, err := NewDirStore(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fs
+}
+
 func TestFileStorePanicLeavesNoTemp(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "img")
-	fs := NewFileStore(path)
+	fs := fileSlot(t, dir)
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -35,8 +45,8 @@ func TestFileStorePanicLeavesNoTemp(t *testing.T) {
 
 func TestFileStoreFailedWriteLeavesOldImage(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "img")
-	fs := NewFileStore(path)
+	path := filepath.Join(dir, "img.img")
+	fs := fileSlot(t, dir)
 	ctx := context.Background()
 	if err := fs.Put(ctx, "img", func(w io.Writer) error {
 		_, err := w.Write([]byte("good"))
@@ -135,13 +145,6 @@ func TestDirStorePruneKeepsDurableChain(t *testing.T) {
 }
 
 func TestWithNoSyncPlumbing(t *testing.T) {
-	fs := NewFileStore("x", WithNoSync())
-	if !fs.NoSync {
-		t.Fatal("NewFileStore(WithNoSync) did not set NoSync")
-	}
-	if NewFileStore("x").NoSync {
-		t.Fatal("NewFileStore defaults to NoSync")
-	}
 	ds, err := NewDirStore(t.TempDir(), 0, WithNoSync())
 	if err != nil {
 		t.Fatal(err)

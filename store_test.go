@@ -116,34 +116,37 @@ func TestDirStoreContract(t *testing.T) {
 	})
 }
 
+// TestFileStoreRoundTrip: a checkpoint to one file is a DirStore image
+// under a fixed name — "ckpt" is the file dir/ckpt.img.
 func TestFileStoreRoundTrip(t *testing.T) {
-	// FileStore holds a single image at a fixed path, whatever the name.
 	ctx := context.Background()
-	path := filepath.Join(t.TempDir(), "ckpt.img")
-	s := NewFileStore(path)
-	storePutBytes(t, s, "anything", []byte("image"))
-	if got := storeGetBytes(t, s, "anything"); string(got) != "image" {
+	dir := t.TempDir()
+	s := fileSlot(t, dir)
+	storePutBytes(t, s, "ckpt", []byte("image"))
+	if got, err := os.ReadFile(filepath.Join(dir, "ckpt.img")); err != nil || string(got) != "image" {
+		t.Fatalf("file = %q, %v", got, err)
+	}
+	if got := storeGetBytes(t, s, "ckpt"); string(got) != "image" {
 		t.Fatalf("roundtrip = %q", got)
 	}
 	names, err := s.List(ctx)
-	if err != nil || len(names) != 1 || names[0] != "ckpt.img" {
+	if err != nil || len(names) != 1 || names[0] != "ckpt" {
 		t.Fatalf("List = %v, %v", names, err)
 	}
-	if err := s.Delete(ctx, "anything"); err != nil {
+	if err := s.Delete(ctx, "ckpt"); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
-	if _, err := s.Get(ctx, "anything"); !errors.Is(err, ErrImageNotFound) {
+	if _, err := s.Get(ctx, "ckpt"); !errors.Is(err, ErrImageNotFound) {
 		t.Fatalf("Get after Delete = %v", err)
 	}
 }
 
 func TestFileStoreAtomicFailure(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "ckpt.img")
-	s := NewFileStore(path)
-	storePutBytes(t, s, "x", []byte("good image"))
+	s := fileSlot(t, dir)
+	storePutBytes(t, s, "ckpt", []byte("good image"))
 	boom := errors.New("boom")
-	err := s.Put(context.Background(), "x", func(w io.Writer) error {
+	err := s.Put(context.Background(), "ckpt", func(w io.Writer) error {
 		w.Write([]byte("half an image"))
 		return boom
 	})
@@ -151,7 +154,7 @@ func TestFileStoreAtomicFailure(t *testing.T) {
 		t.Fatalf("Put = %v", err)
 	}
 	// The previous image survives untouched, and no temp files linger.
-	if got := storeGetBytes(t, s, "x"); string(got) != "good image" {
+	if got := storeGetBytes(t, s, "ckpt"); string(got) != "good image" {
 		t.Fatalf("failed Put clobbered the image: %q", got)
 	}
 	entries, _ := os.ReadDir(dir)

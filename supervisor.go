@@ -242,16 +242,8 @@ func (sv *Supervisor) Checkpoint(ctx context.Context) error {
 // asCASStore unwraps decorators (WithRetry) down to a *CASStore, or
 // nil when there is none.
 func asCASStore(store Store) *CASStore {
-	for {
-		switch s := store.(type) {
-		case *CASStore:
-			return s
-		case interface{ Unwrap() Store }:
-			store = s.Unwrap()
-		default:
-			return nil
-		}
-	}
+	cs, _ := unwrapStore(store).(*CASStore)
+	return cs
 }
 
 // Recover restarts the session from the newest verified checkpoint

@@ -88,8 +88,7 @@ type ScrubReport struct {
 // and the Supervisor never trip over it, while the bytes stay
 // available for forensics. Already-quarantined images are skipped.
 // Best-effort like DirStore retention: an image that cannot be moved
-// is reported but left in place. Single-slot stores (FileStore) verify
-// but never quarantine — the slot's image is all there is.
+// is reported but left in place.
 func Scrub(ctx context.Context, store Store) (*ScrubReport, error) {
 	names, err := store.List(ctx)
 	if err != nil {
@@ -115,9 +114,6 @@ func Scrub(ctx context.Context, store Store) (*ScrubReport, error) {
 		}
 	}
 
-	if singleImageStore(store) {
-		return rep, nil
-	}
 	quarantine := func(name string) {
 		src, err := store.Get(ctx, name)
 		if err != nil {

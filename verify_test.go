@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"io"
-	"path/filepath"
 	"testing"
 )
 
@@ -210,27 +209,6 @@ func TestScrubQuarantinesCorruptAndCondemned(t *testing.T) {
 	}
 	if len(rep2.Corrupt) != 0 || len(rep2.Condemned) != 0 || len(rep2.Quarantined) != 0 {
 		t.Fatalf("second Scrub not clean: %+v", rep2)
-	}
-}
-
-func TestScrubSingleImageStoreNeverQuarantines(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "one.img")
-	fs := NewFileStore(path, WithNoSync())
-	s, d := newChainSession(t)
-	buildChain(t, s, d, fs, "one.img")
-	corruptStored(t, fs, "one.img", 0.5)
-	rep, err := Scrub(context.Background(), fs)
-	if err != nil {
-		t.Fatalf("Scrub: %v", err)
-	}
-	if len(rep.Corrupt) != 1 {
-		t.Fatalf("Corrupt = %v, want the slot reported", rep.Corrupt)
-	}
-	if len(rep.Quarantined) != 0 {
-		t.Fatalf("Quarantined = %v: single-slot stores must never quarantine", rep.Quarantined)
-	}
-	if _, err := fs.Get(context.Background(), "one.img"); err != nil {
-		t.Fatalf("slot image gone after scrub: %v", err)
 	}
 }
 
