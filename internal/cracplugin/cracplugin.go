@@ -2,8 +2,8 @@
 // checkpoint engine and the CUDA state managed by the cracrt runtime.
 //
 // At checkpoint time it implements the paper's sequence (Sections 2.2 and
-// 3.2.3): drain the device queues, then copy the memory of *active*
-// mallocs — and only active mallocs, not whole arenas — into image
+// 3.2.3): drain the device queues, then save the memory of *active*
+// mallocs — and only active mallocs, not whole arenas — in image
 // sections alongside the call log's normal form (the live resources,
 // not the history) and the lower-half arena layout (lower.go). At
 // restart time (after the session has rebuilt the fresh lower half from
@@ -11,10 +11,10 @@
 // allocation at its original address) it binds those allocations to
 // their saved bytes, which the restorer then refills (lazy.go).
 //
-// The drain fans out across CPUs: every allocation's offset inside the
-// devmem section is known up front, so workers copy disjoint ranges
-// with no intermediate buffers (see the addrspace concurrency
-// contract).
+// The plugin copies no device memory itself: its devmem section names
+// each allocation's address range, and the engine's write pipeline
+// reads those ranges through the checkpoint's view into its shard
+// staging, in parallel.
 package cracplugin
 
 import (
@@ -28,7 +28,6 @@ import (
 	"repro/internal/cracrt"
 	"repro/internal/cuda"
 	"repro/internal/dmtcp"
-	"repro/internal/par"
 	"repro/internal/replaylog"
 	"repro/internal/uvm"
 )
@@ -53,10 +52,6 @@ const devMem2EntryHdr = 17
 // Plugin implements dmtcp.Plugin for CUDA state.
 type Plugin struct {
 	rt *cracrt.Runtime
-
-	// Workers bounds the drain fan-out: <=0 uses all CPUs, 1 is the
-	// serial reference path.
-	Workers int
 
 	mu   sync.Mutex
 	root []byte
@@ -145,8 +140,8 @@ func (p *Plugin) Freeze(since uint64, chain bool) (dmtcp.EmitFunc, error) {
 	fc.prevUVMCut = p.prevUVMCut
 	fc.root = append([]byte(nil), p.root...)
 	p.mu.Unlock()
-	return func(ctx context.Context, view addrspace.View, sections *dmtcp.SectionMap) error {
-		return p.emit(ctx, view, sections, fc)
+	return func(_ context.Context, view addrspace.View, sections *dmtcp.SectionMap) error {
+		return p.emit(view, sections, fc)
 	}, nil
 }
 
@@ -155,9 +150,9 @@ func (p *Plugin) Freeze(since uint64, chain bool) (dmtcp.EmitFunc, error) {
 func (p *Plugin) Resume() error { return nil }
 
 // emit builds the log, devmem2, root and lower-layout sections from a
-// freeze capture. The allocation drain honors ctx: a cancelled
-// checkpoint stops copying device memory at the next allocation
-// boundary.
+// freeze capture. It reads no payload: each emitted allocation enters
+// devmem2 as a reference to its range, so a cancelled checkpoint stops
+// at the engine's next shard.
 //
 // The devmem2 section lists every active allocation; a delta bodies only
 // the dirty ones. An allocation may be skipped only when all of the
@@ -175,7 +170,7 @@ func (p *Plugin) Resume() error { return nil }
 //     time: a device-resident page belongs to the device and must be
 //     drained, exactly as real CRAC cannot trust the host copy of a
 //     page the GPU holds (paper Section 2.3).
-func (p *Plugin) emit(ctx context.Context, view addrspace.View, sections *dmtcp.SectionMap, fc *freezeCap) error {
+func (p *Plugin) emit(view addrspace.View, sections *dmtcp.SectionMap, fc *freezeCap) error {
 	// One pass over the frozen call log yields both its active set and
 	// its normal form; the section carries the normal form, which stands
 	// for the log at the cut under every call after it.
@@ -190,22 +185,16 @@ func (p *Plugin) emit(ctx context.Context, view addrspace.View, sections *dmtcp.
 	// (device, pinned, managed) as of the capture. cudaHostAlloc buffers
 	// are upper-half regions and travel with the DMTCP image itself.
 	//
-	// The section layout is computed first, so the payload lands in the
-	// section buffer exactly once: headers serially (they're tiny),
-	// allocation bytes in parallel at precomputed offsets. Reading
-	// through a CoW snapshot, each drained range's retained pages are
-	// released as soon as its copy lands in the section buffer.
+	// The section's count and entry headers are literal; each emitted
+	// allocation is a reference to its range, which the engine's write
+	// pipeline reads through the view straight into its shard staging.
 	groups := [][]replaylog.Allocation{active.Device, active.Pinned, active.Managed}
-	releaser, _ := view.(addrspace.RangeReleaser)
-
-	type entry struct {
-		alloc replaylog.Allocation
-		skip  bool
-		off   int // payload offset inside mem (emitted entries only)
-	}
-	var entries []entry
-	var count uint32
-	total := 4 // leading u32 count
+	n := len(active.Device) + len(active.Pinned) + len(active.Managed)
+	mem := sections.Writer(SectionDevMem2, 4+devMem2EntryHdr*n)
+	var hdr [devMem2EntryHdr]byte
+	binary.LittleEndian.PutUint32(hdr[:], uint32(n))
+	mem.Write(hdr[:4])
+	staged := make(map[uint64]uint64, n)
 	for gi, g := range groups {
 		managed := gi == 2
 		for _, a := range g {
@@ -213,46 +202,20 @@ func (p *Plugin) emit(ctx context.Context, view addrspace.View, sections *dmtcp.
 				fc.prevEntries[a.Addr] == a.Size &&
 				!view.RangeDirtySince(a.Addr, a.Size, fc.since) &&
 				(!managed || fc.uvm.CleanSince(a.Addr, a.Size, fc.prevUVMCut))
-			count++
-			total += devMem2EntryHdr
+			binary.LittleEndian.PutUint64(hdr[0:], a.Addr)
+			binary.LittleEndian.PutUint64(hdr[8:], a.Size)
+			hdr[16] = 0
 			if !skip {
-				total += int(a.Size)
+				hdr[16] = 1
 			}
-			entries = append(entries, entry{alloc: a, skip: skip})
+			mem.Write(hdr[:])
+			if !skip {
+				mem.WriteRange(a.Addr, int(a.Size))
+			}
+			staged[a.Addr] = a.Size
 		}
 	}
-	mem := sections.AddZero(SectionDevMem2, total)
-	binary.LittleEndian.PutUint32(mem[0:], count)
-	staged := make(map[uint64]uint64, count)
-	var jobs []int
-	off := 4
-	for i := range entries {
-		e := &entries[i]
-		binary.LittleEndian.PutUint64(mem[off:], e.alloc.Addr)
-		binary.LittleEndian.PutUint64(mem[off+8:], e.alloc.Size)
-		if !e.skip {
-			mem[off+16] = 1
-		}
-		off += devMem2EntryHdr
-		if !e.skip {
-			e.off = off
-			off += int(e.alloc.Size)
-			jobs = append(jobs, i)
-		}
-		staged[e.alloc.Addr] = e.alloc.Size
-	}
-	if err := par.ForErrCtx(ctx, p.Workers, len(jobs), func(i int) error {
-		e := entries[jobs[i]]
-		if err := view.ReadAt(e.alloc.Addr, mem[e.off:e.off+int(e.alloc.Size)]); err != nil {
-			return fmt.Errorf("cracplugin: draining allocation %#x+%d: %w", e.alloc.Addr, e.alloc.Size, err)
-		}
-		if releaser != nil {
-			releaser.ReleaseRange(e.alloc.Addr, e.alloc.Size)
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
+	mem.Close()
 	sections.MarkOpaque(SectionDevMem2)
 	sections.Add(SectionRoot, fc.root)
 	// The arena layout comes from the view's region table, which the

@@ -51,6 +51,17 @@ func freezeEmit(t *testing.T, p *Plugin, since uint64, incremental bool) *dmtcp.
 	return sections
 }
 
+// sectionBytes materializes a section through the live space the emit
+// read: literal pieces copied, allocation ranges read by address.
+func sectionBytes(t *testing.T, p *Plugin, sections *dmtcp.SectionMap, name string) []byte {
+	t.Helper()
+	b, err := sections.Bytes(name, p.rt.Library().Space())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func TestPreCheckpointSectionsAndDrain(t *testing.T) {
 	rt, lib := buildRT(t)
 	d, err := rt.Malloc(8192)
@@ -73,11 +84,9 @@ func TestPreCheckpointSectionsAndDrain(t *testing.T) {
 		t.Fatal("device not drained by Freeze")
 	}
 	for _, name := range []string{SectionLog, SectionDevMem2, SectionRoot} {
-		if _, ok := sections.Get(name); !ok {
-			t.Fatalf("section %s missing", name)
-		}
+		sectionBytes(t, p, sections, name)
 	}
-	logBytes, _ := sections.Get(SectionLog)
+	logBytes := sectionBytes(t, p, sections, SectionLog)
 	log, err := replaylog.DecodeBytes(logBytes)
 	if err != nil {
 		t.Fatal(err)
@@ -86,11 +95,11 @@ func TestPreCheckpointSectionsAndDrain(t *testing.T) {
 	if len(as.Device) != 1 || len(as.Managed) != 1 {
 		t.Fatalf("active from image log = %+v", as)
 	}
-	if root, _ := sections.Get(SectionRoot); string(root) != "root!" {
+	if root := sectionBytes(t, p, sections, SectionRoot); string(root) != "root!" {
 		t.Fatalf("root section = %q", root)
 	}
 	// The devmem payload contains the memset pattern.
-	mem, _ := sections.Get(SectionDevMem2)
+	mem := sectionBytes(t, p, sections, SectionDevMem2)
 	if !bytes.Contains(mem, bytes.Repeat([]byte{0x42}, 64)) {
 		t.Fatal("device payload missing drained bytes")
 	}
@@ -223,11 +232,7 @@ func drainDelta(t *testing.T, p *Plugin, space *addrspace.Space, since uint64) m
 	if !sections.Opaque(SectionDevMem2) {
 		t.Fatal("devmem2 must be marked opaque")
 	}
-	mem, ok := sections.Get(SectionDevMem2)
-	if !ok {
-		t.Fatal("no devmem2 section")
-	}
-	entries, err := parseDevMem2(mem)
+	entries, err := parseDevMem2(sectionBytes(t, p, sections, SectionDevMem2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,14 +34,6 @@ func NewWorkerBudget(maxWorkers int) *WorkerBudget {
 	return b
 }
 
-// MaxWorkers reports the concurrent-worker bound (0 = unbounded).
-func (b *WorkerBudget) MaxWorkers() int {
-	if b == nil || b.slots == nil {
-		return 0
-	}
-	return cap(b.slots)
-}
-
 // acquire takes one worker slot, honoring ctx so a cancelled
 // checkpoint never parks on a saturated budget. Slots are held only
 // across one shard's read+hash and every holder releases

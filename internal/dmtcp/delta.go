@@ -146,33 +146,38 @@ func fnvSum64(b []byte) uint64 {
 	return h.Sum64()
 }
 
-// hashSections computes the per-shard FNV-1a table of every section,
-// fanning the shard hashing out across workers.
-func hashSections(sections *SectionMap, names []string, shard, workers int) map[string][]uint64 {
+// hashSections computes the per-shard FNV-1a table of every section
+// from its shard cuts, fanning the shard hashing out across workers.
+// A shard inside one literal piece hashes in place; any other is staged
+// through view, which the write reads again.
+func (e *Engine) hashSections(ctx context.Context, view shardSource, names []string, cuts [][][]piece, sizes []int) (map[string][]uint64, error) {
+	shard, bgt := e.shardSize(), e.budget()
 	out := make(map[string][]uint64, len(names))
 	type hashJob struct {
-		data []byte
-		dst  *uint64
+		pieces []piece
+		n      int
+		dst    *uint64
 	}
 	var jobs []hashJob
-	for _, name := range names {
-		data, _ := sections.Get(name)
-		hs := make([]uint64, (len(data)+shard-1)/shard)
-		for i := range hs {
-			lo := i * shard
-			hi := lo + shard
-			if hi > len(data) {
-				hi = len(data)
-			}
-			jobs = append(jobs, hashJob{data: data[lo:hi], dst: &hs[i]})
+	for i, name := range names {
+		hs := make([]uint64, len(cuts[i]))
+		for si, pieces := range cuts[i] {
+			jobs = append(jobs, hashJob{pieces: pieces, n: min(sizes[i]-si*shard, shard), dst: &hs[si]})
 		}
 		out[name] = hs
 	}
-	par.ForErrN(workers, len(jobs), func(i int) error {
-		*jobs[i].dst = fnvSum64(jobs[i].data)
-		return nil
+	err := par.ForErrCtx(ctx, e.Workers, len(jobs), func(i int) error {
+		j := jobs[i]
+		raw, bp, err := bgt.stage(j.pieces, j.n, shard, view)
+		if err == nil {
+			*j.dst = fnvSum64(raw)
+		}
+		if bp != nil {
+			bgt.putShardBuf(bp)
+		}
+		return err
 	})
-	return out
+	return out, err
 }
 
 // imageID derives a deterministic identity for a chain image from its
@@ -256,6 +261,11 @@ func (e *Engine) writeImage(ctx context.Context, w io.Writer, view addrspace.Vie
 	delta := prev != nil
 	shard := e.shardSize()
 	names := sections.Names()
+	cuts := make([][][]piece, len(names))
+	sizes := make([]int, len(names))
+	for i, name := range names {
+		cuts[i], sizes[i] = shards(sections.m[name], shard), sections.size(name)
+	}
 	h := &header{ImageMeta: ImageMeta{Unhashed: !fz.chain, Delta: delta}, shardSize: shard}
 	var secHashes map[string][]uint64
 	if fz.chain {
@@ -267,7 +277,10 @@ func (e *Engine) writeImage(ctx context.Context, w io.Writer, view addrspace.Vie
 		// the emitted frames, feed the image's identity, and become the
 		// table the next delta compares against. A standalone image has no
 		// next delta and no reader of its identity, so it skips all of it.
-		secHashes = hashSections(sections, names, shard, e.Workers)
+		var err error
+		if secHashes, err = e.hashSections(ctx, view, names, cuts, sizes); err != nil {
+			return nil, err
+		}
 		// The image identity is derived from lineage and content, not
 		// randomness, so images stay byte-deterministic: two images collide
 		// only when their lineage and section state (including the
@@ -282,10 +295,9 @@ func (e *Engine) writeImage(ctx context.Context, w io.Writer, view addrspace.Vie
 		h.regions = append(h.regions, RegionData{Start: ri.Start, Len: ri.Len, Prot: ri.Prot, Label: ri.Label})
 		st.RegionBytes += ri.Len
 	}
-	for _, name := range names {
-		data, _ := sections.Get(name)
-		h.secs = append(h.secs, SectionHdr{Name: name, Size: uint64(len(data)), Opaque: sections.Opaque(name)})
-		st.SectionBytes += uint64(len(data))
+	for i, name := range names {
+		h.secs = append(h.secs, SectionHdr{Name: name, Size: uint64(sizes[i]), Opaque: sections.Opaque(name)})
+		st.SectionBytes += uint64(sizes[i])
 	}
 
 	// Region dirty spans since the parent's cut (page-granular, merged).
@@ -316,28 +328,28 @@ func (e *Engine) writeImage(ctx context.Context, w io.Writer, view addrspace.Vie
 			if delta && !overlaps(spans, off, n) {
 				continue
 			}
-			jobs = append(jobs, shardJob{addr: ri.Start + off, rawLen: int(n),
+			jobs = append(jobs, shardJob{pieces: []piece{{addr: ri.Start + off, n: int(n)}}, rawLen: int(n),
 				spanIdx: spanIdx, spanOff: off, needHash: fz.chain, done: make(chan struct{})})
 			st.PayloadWritten += n
 		}
 		spanIdx++
 	}
-	for _, name := range names {
-		data, _ := sections.Get(name)
+	for i, name := range names {
 		hs := secHashes[name]
 		var prevHs []uint64
 		if delta {
 			prevHs = prev.Hashes[name]
 		}
 		opaque := sections.Opaque(name)
-		for si, off := 0, 0; off < len(data); si, off = si+1, off+shard {
-			n := min(len(data)-off, shard)
+		for si, pieces := range cuts[i] {
+			off := si * shard
+			n := min(sizes[i]-off, shard)
 			st.ShardsTotal++
 			st.PayloadTotal += uint64(n)
 			if delta && !opaque && si < len(prevHs) && prevHs[si] == hs[si] {
 				continue
 			}
-			j := shardJob{src: data[off : off+n], rawLen: n,
+			j := shardJob{pieces: pieces, rawLen: n,
 				spanIdx: spanIdx, spanOff: uint64(off), done: make(chan struct{})}
 			if hs != nil {
 				j.hash = hs[si]

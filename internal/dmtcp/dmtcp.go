@@ -36,15 +36,35 @@ import (
 )
 
 // SectionMap carries named plugin payloads inside a checkpoint image.
+// A section is a list of pieces: literal bytes, or an address range the
+// checkpoint's view holds. The write pipeline reads a reference piece
+// through the view straight into its shard staging, so a plugin names
+// the memory it saves instead of copying it.
 type SectionMap struct {
 	order  []string
-	m      map[string][]byte
+	m      map[string][]piece
 	opaque map[string]bool
+}
+
+// piece is a run of section bytes: data when literal, else the n bytes
+// the view holds at addr.
+type piece struct {
+	data []byte
+	addr uint64
+	n    int
+}
+
+// cut splits p after k bytes.
+func (p piece) cut(k int) (head, tail piece) {
+	if p.data != nil {
+		return piece{data: p.data[:k], n: k}, piece{data: p.data[k:], n: p.n - k}
+	}
+	return piece{addr: p.addr, n: k}, piece{addr: p.addr + uint64(k), n: p.n - k}
 }
 
 // NewSectionMap returns an empty section map.
 func NewSectionMap() *SectionMap {
-	return &SectionMap{m: make(map[string][]byte), opaque: make(map[string]bool)}
+	return &SectionMap{m: make(map[string][]piece), opaque: make(map[string]bool)}
 }
 
 // MarkOpaque declares a section's bytes self-delta-encoded: the
@@ -57,29 +77,74 @@ func (s *SectionMap) MarkOpaque(name string) { s.opaque[name] = true }
 // Opaque reports whether the section was marked with MarkOpaque.
 func (s *SectionMap) Opaque(name string) bool { return s.opaque[name] }
 
-// Add stores a section, replacing any previous content under name.
+// Add stores a section of literal bytes, replacing any previous content
+// under name.
 func (s *SectionMap) Add(name string, data []byte) {
+	s.set(name, []piece{{data: data, n: len(data)}})
+}
+
+func (s *SectionMap) set(name string, pieces []piece) {
 	if _, ok := s.m[name]; !ok {
 		s.order = append(s.order, name)
 	}
-	s.m[name] = data
+	s.m[name] = pieces
 }
 
-// AddZero installs a zero-filled section of exactly size bytes and
-// returns the slice for the caller to fill in place. Callers that know
-// their payload layout up front (the CRAC plugin's active-malloc drain)
-// fill disjoint ranges from many goroutines without any intermediate
-// buffer or regrowth copy.
-func (s *SectionMap) AddZero(name string, size int) []byte {
-	b := make([]byte, size)
-	s.Add(name, b)
-	return b
+// size returns a section's length in bytes.
+func (s *SectionMap) size(name string) int {
+	n := 0
+	for _, p := range s.m[name] {
+		n += p.n
+	}
+	return n
 }
 
-// Get returns a section's content.
-func (s *SectionMap) Get(name string) ([]byte, bool) {
-	b, ok := s.m[name]
-	return b, ok
+// Bytes materializes a section: literal pieces copied, reference pieces
+// read through view.
+func (s *SectionMap) Bytes(name string, view addrspace.View) ([]byte, error) {
+	pieces, ok := s.m[name]
+	if !ok {
+		return nil, fmt.Errorf("dmtcp: no section %q", name)
+	}
+	b := make([]byte, s.size(name))
+	return b, fill(b, pieces, view)
+}
+
+// fill copies pieces, which cover exactly len(b) bytes, into b.
+func fill(b []byte, pieces []piece, view shardSource) error {
+	off := 0
+	for _, p := range pieces {
+		dst := b[off : off+p.n]
+		if p.data != nil {
+			copy(dst, p.data)
+		} else if err := view.ReadAt(p.addr, dst); err != nil {
+			return fmt.Errorf("dmtcp: reading %#x+%d: %w", p.addr, p.n, err)
+		}
+		off += p.n
+	}
+	return nil
+}
+
+// shards cuts a section's pieces at every shard boundary: out[i] holds
+// the pieces of shard i, clipped to it.
+func shards(pieces []piece, shard int) [][]piece {
+	var out [][]piece
+	var cur []piece
+	room := shard
+	for _, p := range pieces {
+		for p.n > 0 {
+			var head piece
+			head, p = p.cut(min(p.n, room))
+			cur = append(cur, head)
+			if room -= head.n; room == 0 {
+				out, cur, room = append(out, cur), nil, shard
+			}
+		}
+	}
+	if cur != nil {
+		out = append(out, cur)
+	}
+	return out
 }
 
 // Names returns section names in insertion order.
@@ -87,15 +152,18 @@ func (s *SectionMap) Names() []string { return append([]string(nil), s.order...)
 
 // SectionWriter streams content into one section; see SectionMap.Writer.
 type SectionWriter struct {
-	sm   *SectionMap
-	name string
-	buf  []byte
+	sm     *SectionMap
+	name   string
+	buf    []byte
+	mark   int // start of buf's literal run not yet in pieces
+	pieces []piece
 }
 
 // Writer returns a streaming writer for the named section. sizeHint
-// preallocates capacity (0 is fine); the section becomes visible in the
-// map when Close is called. This replaces the bytes.Buffer-then-copy
-// idiom for producers that don't know their final size.
+// preallocates capacity for the literal bytes (0 is fine); the section
+// becomes visible in the map when Close is called. This replaces the
+// bytes.Buffer-then-copy idiom for producers that don't know their
+// final size.
 func (s *SectionMap) Writer(name string, sizeHint int) *SectionWriter {
 	return &SectionWriter{sm: s, name: name, buf: make([]byte, 0, sizeHint)}
 }
@@ -106,9 +174,27 @@ func (w *SectionWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// Close publishes the accumulated bytes as the section content.
+// WriteRange appends the n bytes the checkpoint's view holds at addr by
+// reference: the write pipeline reads them when it frames the image.
+func (w *SectionWriter) WriteRange(addr uint64, n int) {
+	w.flush()
+	if n > 0 {
+		w.pieces = append(w.pieces, piece{addr: addr, n: n})
+	}
+}
+
+// flush ends the current literal run.
+func (w *SectionWriter) flush() {
+	if len(w.buf) > w.mark {
+		w.pieces = append(w.pieces, piece{data: w.buf[w.mark:], n: len(w.buf) - w.mark})
+		w.mark = len(w.buf)
+	}
+}
+
+// Close publishes the accumulated pieces as the section content.
 func (w *SectionWriter) Close() error {
-	w.sm.Add(w.name, w.buf)
+	w.flush()
+	w.sm.set(w.name, w.pieces)
 	return nil
 }
 
@@ -276,12 +362,11 @@ func (e *Engine) shardSize() int {
 }
 
 // shardJob is one unit of the write pipeline: a payload shard to be
-// read from the address space (regions) or sliced from memory
-// (sections), hashed when a chain needs it, and written in index order
-// behind its shard header.
+// assembled from its pieces (a region shard is one address range),
+// hashed when a chain needs it, and written in index order behind its
+// shard header.
 type shardJob struct {
-	addr   uint64 // source address when reading from the space
-	src    []byte // in-memory source (section shard); nil for regions
+	pieces []piece
 	rawLen int
 
 	spanIdx  uint32 // destination span (regions, then sections)
@@ -290,16 +375,28 @@ type shardJob struct {
 	needHash bool   // workers compute hash (else it is precomputed or unwanted)
 
 	enc    []byte  // framed payload, valid once done is closed
-	rawBuf *[]byte // pooled region buffer to recycle after consumption
+	rawBuf *[]byte // pooled staging buffer to recycle after consumption
 	err    error
 	done   chan struct{}
 }
 
-// shardSource is what the write pipeline reads region shards from by
+// shardSource is what the write pipeline reads reference pieces from by
 // address: an address-space view for a checkpoint, a linked chain of
 // stored images for EncodeBase.
 type shardSource interface {
 	ReadAt(addr uint64, p []byte) error
+}
+
+// stage returns a shard's bytes: the literal bytes themselves when the
+// shard lies inside one literal piece, else a pooled buffer filled from
+// its pieces, which the caller recycles.
+func (b *WorkerBudget) stage(pieces []piece, n, shard int, view shardSource) ([]byte, *[]byte, error) {
+	if len(pieces) == 1 && pieces[0].data != nil {
+		return pieces[0].data, nil, nil
+	}
+	bp := b.getShardBuf(shard)
+	raw := (*bp)[:n]
+	return raw, bp, fill(raw, pieces, view)
 }
 
 func (e *Engine) runWritePipeline(ctx context.Context, w io.Writer, view shardSource, jobs []shardJob) error {
@@ -310,7 +407,7 @@ func (e *Engine) runWritePipeline(ctx context.Context, w io.Writer, view shardSo
 	// path; the budget's worker slots bound how many shards are in
 	// flight across every engine sharing it.
 	bgt := e.budget()
-	// Reading through a copy-on-write snapshot: drop each region shard's
+	// Reading through a copy-on-write snapshot: drop each shard's
 	// retained pages as soon as its frame is written, bounding the
 	// snapshot's peak memory to roughly the in-flight shard window.
 	releaser, _ := view.(addrspace.RangeReleaser)
@@ -324,14 +421,11 @@ func (e *Engine) runWritePipeline(ctx context.Context, w io.Writer, view shardSo
 			j.err = err
 			return
 		}
-		raw := j.src
-		if raw == nil {
-			j.rawBuf = bgt.getShardBuf(shard)
-			raw = (*j.rawBuf)[:j.rawLen]
-			if err := view.ReadAt(j.addr, raw); err != nil {
-				j.err = fmt.Errorf("dmtcp: reading shard %#x+%d: %w", j.addr, j.rawLen, err)
-				return
-			}
+		raw, buf, err := bgt.stage(j.pieces, j.rawLen, shard, view)
+		j.rawBuf = buf
+		if err != nil {
+			j.err = err
+			return
 		}
 		if j.needHash {
 			j.hash = fnvSum64(raw)
@@ -368,10 +462,15 @@ func (e *Engine) runWritePipeline(ctx context.Context, w io.Writer, view shardSo
 			bgt.putShardBuf(j.rawBuf)
 			j.rawBuf = nil
 		}
-		if err == nil && releaser != nil && j.src == nil {
-			// The frame is on the wire: the snapshot may drop this
-			// region range's copy-on-write pages.
-			releaser.ReleaseRange(j.addr, uint64(j.rawLen))
+		if err == nil && releaser != nil {
+			// The frame is on the wire: the snapshot may drop the
+			// copy-on-write pages wholly inside this shard's ranges. A
+			// page split across two shards stays until Frozen.Release.
+			for _, p := range j.pieces {
+				if p.data == nil {
+					releaser.ReleaseRange(p.addr, uint64(p.n))
+				}
+			}
 		}
 		return err
 	}

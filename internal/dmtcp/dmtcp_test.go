@@ -188,10 +188,10 @@ func TestSectionMapOrder(t *testing.T) {
 	if names := s.Names(); names[0] != "b" || names[1] != "a" || len(names) != 2 {
 		t.Fatalf("names = %v", names)
 	}
-	if v, ok := s.Get("b"); !ok || v[0] != 3 {
-		t.Fatalf("get b = %v %v", v, ok)
+	if v, err := s.Bytes("b", addrspace.New()); err != nil || v[0] != 3 {
+		t.Fatalf("get b = %v %v", v, err)
 	}
-	if _, ok := s.Get("zzz"); ok {
+	if _, err := s.Bytes("zzz", addrspace.New()); err == nil {
 		t.Fatal("missing section found")
 	}
 }

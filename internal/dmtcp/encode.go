@@ -29,18 +29,19 @@ func (e *Engine) EncodeBase(ctx context.Context, w io.Writer, tip *ShardIndex, i
 	h := &header{ImageMeta: ImageMeta{ID: id}, regions: tip.Regions, shardSize: shard}
 	// Shard plan: every shard of every span, in layout order. Region
 	// shards are read through the chain by address; section shards are
-	// sliced from the resolved section bytes.
+	// literal slices of the resolved section bytes.
 	var jobs []shardJob
 	plan := func(span int, size uint64, data []byte) {
 		for off := uint64(0); off < size; off += uint64(shard) {
-			j := shardJob{rawLen: int(min(size-off, uint64(shard))), spanIdx: uint32(span), spanOff: off,
-				needHash: true, done: make(chan struct{})}
+			n := int(min(size-off, uint64(shard)))
+			pc := piece{n: n}
 			if data != nil {
-				j.src = data[off : off+uint64(j.rawLen)]
+				pc.data = data[off : off+uint64(n)]
 			} else {
-				j.addr = tip.Regions[span].Start + off
+				pc.addr = tip.Regions[span].Start + off
 			}
-			jobs = append(jobs, j)
+			jobs = append(jobs, shardJob{pieces: []piece{pc}, rawLen: n, spanIdx: uint32(span), spanOff: off,
+				needHash: true, done: make(chan struct{})})
 		}
 	}
 	for i, rd := range tip.Regions {

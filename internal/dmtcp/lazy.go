@@ -272,9 +272,6 @@ func (ix *ShardIndex) addShard(sh ixShard) {
 	ix.spans[sh.span].shards = append(ix.spans[sh.span].shards, idx)
 }
 
-// NumShards returns how many payload shards the image carries.
-func (ix *ShardIndex) NumShards() int { return len(ix.shards) }
-
 // Coverage counts the shards and payload bytes the image's layout tiles
 // into, and those the image carries: equal for a full image, the dirty
 // subset for a delta.

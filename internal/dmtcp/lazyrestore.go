@@ -132,11 +132,6 @@ func (r *LazyRestorer) Tip() *ShardIndex { return r.chain[0] }
 // Chain returns the linked index chain, tip first.
 func (r *LazyRestorer) Chain() []*ShardIndex { return r.chain }
 
-// ShardsDecoded counts the shards actually decoded so far — with the
-// single-flight cache, at most one decode per (image, shard) no matter
-// how faults and the prefetcher race.
-func (r *LazyRestorer) ShardsDecoded() int64 { return r.decoded.Load() }
-
 // SectionBytes materializes a tip section completely (chain-resolved).
 func (r *LazyRestorer) SectionBytes(name string) ([]byte, error) {
 	return r.chain[0].SectionBytes(name)

@@ -71,8 +71,9 @@ func (p *sectionPlugin) Name() string { return "sections" }
 func (p *sectionPlugin) Freeze(uint64, bool) (EmitFunc, error) {
 	return func(_ context.Context, _ addrspace.View, s *SectionMap) error {
 		for i, n := range p.sizes {
-			b := s.AddZero(fmt.Sprintf("sec.%d", i), n)
+			b := make([]byte, n)
 			fillPattern(b, uint64(100+i))
+			s.Add(fmt.Sprintf("sec.%d", i), b)
 		}
 		return nil
 	}, nil
@@ -335,23 +336,36 @@ func TestStatsDurations(t *testing.T) {
 }
 
 // TestSectionWriterStreams: the streaming section API accumulates writes
-// and publishes on Close.
+// and publishes on Close; a range written by reference materializes
+// through the view, between the literal bytes around it.
 func TestSectionWriterStreams(t *testing.T) {
+	space := addrspace.New()
 	s := NewSectionMap()
 	w := s.Writer("log", 4)
-	if _, ok := s.Get("log"); ok {
+	if _, err := s.Bytes("log", space); err == nil {
 		t.Fatal("section visible before Close")
 	}
 	w.Write([]byte("abc"))
 	w.Write([]byte("defgh"))
 	w.Close()
-	if got, ok := s.Get("log"); !ok || string(got) != "abcdefgh" {
-		t.Fatalf("section = %q ok=%v", got, ok)
+	if got, err := s.Bytes("log", space); err != nil || string(got) != "abcdefgh" {
+		t.Fatalf("section = %q err=%v", got, err)
 	}
-	b := s.AddZero("zeros", 5)
-	copy(b, "xy")
-	if got, _ := s.Get("zeros"); string(got[:2]) != "xy" || len(got) != 5 {
-		t.Fatalf("AddZero section = %q", got)
+	addr, err := space.MMap(0, addrspace.PageSize, addrspace.ProtRW, 0, addrspace.HalfLower, "dev")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := space.WriteAt(addr+10, []byte("xy")); err != nil {
+		t.Fatal(err)
+	}
+	w = s.Writer("mixed", 0)
+	w.Write([]byte("<"))
+	w.WriteRange(addr+10, 2)
+	w.WriteRange(addr, 0)
+	w.Write([]byte(">"))
+	w.Close()
+	if got, err := s.Bytes("mixed", space); err != nil || string(got) != "<xy>" {
+		t.Fatalf("mixed section = %q err=%v", got, err)
 	}
 }
 

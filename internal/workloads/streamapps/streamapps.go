@@ -103,14 +103,16 @@ func SimpleStreams() *workloads.App {
 
 					// Streamed: each kernel/memcpy pair in its own stream.
 					// The per-kernel timing brackets stream[0]'s kernel
-					// only, before the host submits the remaining streams,
-					// so it measures kernel execution rather than host
-					// submission.
+					// only, and ends before the host submits the remaining
+					// streams, so it measures that kernel's execution alone
+					// rather than host submission or its siblings'
+					// contention for the CPUs that simulate the device.
 					ks, ke := mustEvent(e), mustEvent(e)
 					e.FailIf(rt.EventRecord(ks, streams[0]))
 					e.Launch(kernels.Module, "initArray", lcChunk, streams[0],
 						dArr, uint64(chunk), uint64(value), uint64(niter))
 					e.FailIf(rt.EventRecord(ke, streams[0]))
+					e.FailIf(rt.EventSynchronize(ke))
 					for s := 1; s < nstreams; s++ {
 						off := uint64(4 * s * chunk)
 						e.Launch(kernels.Module, "initArray", lcChunk, streams[s],

@@ -164,7 +164,6 @@ func newSession(cfg settings) (*Session, error) {
 		}
 	}
 	plugin := cracplugin.New(rt)
-	plugin.Workers = cfg.workers
 	engine := dmtcp.NewEngine()
 	engine.Workers = cfg.workers
 	engine.ShardSize = cfg.shardSize
