@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"hash/fnv"
 	"io"
 	"slices"
 	"testing"
@@ -65,17 +66,50 @@ func retiredImage(img []byte, version byte) []byte {
 	return b
 }
 
-// gzipFlagged is img with flag bit 0 set — the retired gzip shard
-// encoding — and its CRACSUM1 trailer resealed, so the bit is the
-// image's only defect. Every reader refuses it as
-// ErrUnsupportedVersion right after the flags.
-func gzipFlagged(img []byte) []byte {
+// reflagged is img with its flag byte passed through edit and its
+// CRACSUM1 trailer resealed, so the flags are the image's only defect.
+func reflagged(img []byte, edit func(byte) byte) []byte {
 	b := append([]byte(nil), img...)
-	b[8] |= 1
+	b[8] = edit(b[8])
 	body := len(b) - 24
 	sum := crc32.Checksum(b[:body], crc32.MakeTable(crc32.Castagnoli))
 	binary.LittleEndian.PutUint64(b[body+16:], uint64(sum))
 	return b
+}
+
+// gzipFlagged is img with flag bit 0 set: the retired gzip shard
+// encoding. Every reader refuses it as ErrUnsupportedVersion right
+// after the flags.
+func gzipFlagged(img []byte) []byte {
+	return reflagged(img, func(f byte) byte { return f | 1 })
+}
+
+// fnvHashed is chain image img as the retired FNV-1a shard hash wrote
+// it: every shard's sum field restamped with FNV-1a 64 of its bytes,
+// flag bit 3 (CRC-pair sums) clear, the trailer resealed. Every reader
+// refuses it as ErrUnsupportedVersion right after the flags.
+func fnvHashed(img []byte) []byte {
+	b := append([]byte(nil), img...)
+	le := binary.LittleEndian
+	str := func(o int) int { return o + 2 + int(le.Uint16(b[o:])) }
+	o := str(12) + 20 // parent name; depth, id, parent id
+	n := int(le.Uint32(b[o:]))
+	for o += 4; n > 0; n-- {
+		o = str(o + 17) // start, len, prot; label
+	}
+	n = int(le.Uint32(b[o:]))
+	for o += 4; n > 0; n-- {
+		o = str(o) + 9 // name; size, flags
+	}
+	n = int(le.Uint32(b[o+4:])) // after the shard size
+	for o += 8; n > 0; n-- {
+		size := int(le.Uint32(b[o+16:]))
+		h := fnv.New64a()
+		h.Write(b[o+28 : o+28+size])
+		le.PutUint64(b[o+20:], h.Sum64())
+		o += 28 + size
+	}
+	return reflagged(b, func(f byte) byte { return f &^ 8 })
 }
 
 // wantAny reports whether err matches at least one of the sentinels.
@@ -456,6 +490,91 @@ func TestOneFormatRules(t *testing.T) {
 				}
 				if s.Library() == nil {
 					t.Fatal("the refused image left the session closed")
+				}
+			})
+		}
+	}
+}
+
+// TestRetiredShardHashRefusedByEveryRoute stores a chain whose tip, or
+// whose base, was summed by the retired FNV-1a shard hash, in a
+// DirStore and in a CASStore over one, each image larger than one
+// read. RestartFrom, RestartAsync, OpenImageFrom, Compact and
+// VerifyChain must each refuse the tip as ErrUnsupportedVersion, never
+// ErrCorruptImage: an unwaited restart too, before it resumes the
+// session on a drain that could only fail. The lineage graph holds no
+// image under the retired name, the session keeps its state, and it
+// restarts from the chain once the image carries the bit again.
+func TestRetiredShardHashRefusedByEveryRoute(t *testing.T) {
+	ctx := context.Background()
+	for _, kind := range []string{"dir", "cas"} {
+		for _, member := range []string{"tip", "base"} {
+			t.Run(kind+"/"+member, func(t *testing.T) {
+				ds, err := NewDirStore(t.TempDir(), 0, WithNoSync())
+				if err != nil {
+					t.Fatal(err)
+				}
+				var store Store = ds
+				if kind == "cas" {
+					store = NewCASStore(ds)
+				}
+				s, err := New(WithWorkers(0), WithIncremental(8))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				const size = 3 << 19 // 1.5 MiB, all of it rewritten for each image
+				d, err := s.Runtime().Malloc(size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, name := range []string{"base", "tip"} {
+					if err := s.Runtime().Memset(d, byte(i+1), size); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := s.CheckpointTo(ctx, store, name); err != nil {
+						t.Fatal(err)
+					}
+					if n := len(conformGet(t, store, name)); n <= dmtcp.PrefetchChunk {
+						t.Fatalf("%s is %d bytes: the fixture must exceed one read", name, n)
+					}
+				}
+				atTip := sessionSnapshot(t, s)
+				if err := s.Runtime().Memset(d, 0xEE, size); err != nil {
+					t.Fatal(err)
+				}
+				want := sessionSnapshot(t, s)
+
+				orig := conformGet(t, store, member)
+				putBytes(t, store, member, fnvHashed(orig))
+				refused := func(route string, err error) {
+					t.Helper()
+					if !errors.Is(err, ErrUnsupportedVersion) || errors.Is(err, ErrCorruptImage) {
+						t.Fatalf("%s over a retired %s = %v, want ErrUnsupportedVersion", route, member, err)
+					}
+				}
+				refused("RestartFrom", s.RestartFrom(ctx, store, "tip"))
+				_, err = s.RestartAsync(ctx, store, "tip")
+				refused("RestartAsync", err)
+				_, err = OpenImageFrom(ctx, store, "tip")
+				refused("OpenImageFrom", err)
+				_, err = Compact(ctx, store, "tip")
+				refused("Compact", err)
+				_, err = VerifyChain(ctx, store, "tip")
+				refused("VerifyChain", err)
+				if err := storeLineage(ctx, store).node(member).err; !notAnImage(err) {
+					t.Fatalf("lineage node of the retired %s: %v, want no image", member, err)
+				}
+				if got := sessionSnapshot(t, s); !bytes.Equal(want, got) {
+					t.Fatal("a refused route changed the session")
+				}
+
+				putBytes(t, store, member, orig)
+				if err := s.RestartFrom(ctx, store, "tip"); err != nil {
+					t.Fatalf("restart from the chain with the bit: %v", err)
+				}
+				if got := sessionSnapshot(t, s); !bytes.Equal(atTip, got) {
+					t.Fatal("the restarted session does not hold the tip's state")
 				}
 			})
 		}

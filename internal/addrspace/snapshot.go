@@ -63,8 +63,7 @@ var pagePool = sync.Pool{New: func() any { return new([PageSize]byte) }}
 type snapStripe struct {
 	mu sync.Mutex
 	// pages maps page-aligned addresses to preserved pristine bytes. A
-	// nil value is a released tombstone: the page is no longer needed and
-	// must not be re-preserved. A nil map means the snapshot is released.
+	// nil map means the snapshot is released.
 	pages map[uint64]*[PageSize]byte
 }
 
@@ -80,6 +79,25 @@ type snapRegion struct {
 	RegionInfo
 	gens []uint64
 	data []byte
+	// released holds one bit per page, set by ReleaseRange: the
+	// consumer is done with the page, so writes stop preserving it.
+	released []atomic.Uint64
+}
+
+// isReleased reports whether ReleaseRange has dropped page pi.
+func (sr *snapRegion) isReleased(pi uint64) bool {
+	return sr.released[pi/64].Load()&(1<<(pi%64)) != 0
+}
+
+// release marks pages [lo, hi) released.
+func (sr *snapRegion) release(lo, hi uint64) {
+	for lo < hi {
+		w, b := lo/64, lo%64
+		n := min(64-b, hi-lo)
+		mask := ^uint64(0) >> (64 - n) << b
+		sr.released[w].Or(mask)
+		lo += n
+	}
 }
 
 // Snapshot is a read-consistent copy-on-write view of a Space, armed by
@@ -96,6 +114,10 @@ type Snapshot struct {
 	regions  []snapRegion // sorted by Start
 	stripes  [snapStripes]snapStripe
 	released atomic.Bool
+	// kept counts the pages preserved into the stripes and not yet
+	// dropped, plus preservations in flight: ReleaseRange looks pages
+	// up in the stripes only while it is nonzero.
+	kept atomic.Int64
 }
 
 // Snapshot arms a copy-on-write snapshot of the whole space (both
@@ -117,15 +139,23 @@ func (s *Space) Snapshot() *Snapshot {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	words := 0
+	for _, r := range s.regions {
+		words += (len(r.gens) + 63) / 64
+	}
+	released := make([]atomic.Uint64, words) // every region's bitmap, one allocation
 	sn.regions = make([]snapRegion, len(s.regions))
 	for i, r := range s.regions {
+		w := (len(r.gens) + 63) / 64
 		sn.regions[i] = snapRegion{
 			RegionInfo: RegionInfo{Start: r.start, Len: uint64(len(r.data)), Prot: r.prot, Half: r.half, Label: r.label},
 			// No writer holds the read lock while we hold the write lock,
 			// so the stamps are quiescent and a plain copy is race-free.
-			gens: append([]uint64(nil), r.gens...),
-			data: r.data,
+			gens:     append([]uint64(nil), r.gens...),
+			data:     r.data,
+			released: released[:w:w],
 		}
+		released = released[w:]
 	}
 	s.snaps = append(s.snaps, sn)
 	return sn
@@ -143,19 +173,12 @@ func (sn *Snapshot) findRegion(addr uint64) (*snapRegion, bool) {
 	return &sn.regions[idx], true
 }
 
-// covers reports whether addr lay inside a region at arming time.
-// Pages outside the frozen table can never be read back through the
-// snapshot, so preserving them would only waste copies and retention.
-func (sn *Snapshot) covers(addr uint64) bool {
-	_, ok := sn.findRegion(addr)
-	return ok
-}
-
 // preserve copies the pristine bytes of every page covering
-// [off, off+length) of r into the snapshot, unless already preserved
-// (or released, or unmapped at arming time). Callers hold at least the
-// space's read lock and must call preserve *before* mutating the range
-// — the ordering that makes Snapshot.ReadAt sound.
+// [off, off+length) of r into the snapshot, unless already preserved,
+// released, or unmapped at arming time (a page outside the frozen table
+// can never be read back through the snapshot). Callers hold at least
+// the space's read lock and must call preserve *before* mutating the
+// range — the ordering that makes Snapshot.ReadAt sound.
 func (sn *Snapshot) preserve(r *region, off, length uint64) {
 	if length == 0 || sn.released.Load() {
 		return
@@ -168,17 +191,25 @@ func (sn *Snapshot) preserve(r *region, off, length uint64) {
 			break
 		}
 		addr := r.start + pageOff
-		if !sn.covers(addr) {
+		sr, ok := sn.findRegion(addr)
+		if !ok {
+			continue
+		}
+		spi := (addr - sr.Start) / PageSize
+		if sr.isReleased(spi) {
 			continue
 		}
 		st := &sn.stripes[(addr/PageSize)%snapStripes]
 		st.mu.Lock()
-		if st.pages != nil {
-			if _, ok := st.pages[addr]; !ok {
-				end := pageOff + PageSize
-				if end > uint64(len(r.data)) {
-					end = uint64(len(r.data))
-				}
+		if _, ok := st.pages[addr]; !ok && st.pages != nil {
+			// Count the page before the released bit is read again:
+			// ReleaseRange sets the bit before it reads kept, so either
+			// this sees the bit or ReleaseRange sees the page.
+			sn.kept.Add(1)
+			if sr.isReleased(spi) {
+				sn.kept.Add(-1)
+			} else {
+				end := min(pageOff+PageSize, uint64(len(r.data)))
 				pg := pagePool.Get().(*[PageSize]byte)
 				copy(pg[:end-pageOff], r.data[pageOff:end])
 				st.pages[addr] = pg
@@ -306,30 +337,44 @@ func (sn *Snapshot) RangeDirtySince(addr, length, since uint64) bool {
 }
 
 // ReleaseRange drops the preserved pages lying fully inside
-// [addr, addr+length) and tombstones them so later writes stop copying.
-// Pages straddling the range boundaries are kept: a neighbouring
-// consumer may still need them. Reading a released range again returns
-// live (possibly mutated) bytes — callers release only what they are
-// done with.
+// [addr, addr+length) and marks them released in their region's bitmap
+// so later writes stop copying. Pages straddling the range boundaries
+// are kept: a neighbouring consumer may still need them. Reading a
+// released range again returns live (possibly mutated) bytes — callers
+// release only what they are done with. Releasing pages no write has
+// preserved sets bits and allocates nothing.
 func (sn *Snapshot) ReleaseRange(addr, length uint64) {
 	if length == 0 || sn.released.Load() {
 		return
 	}
-	end := addr + length
+	lo, end := (addr+PageSize-1)&^(PageSize-1), addr+length
+	idx := sort.Search(len(sn.regions), func(i int) bool {
+		return sn.regions[i].Start+sn.regions[i].Len > lo
+	})
 	var dropped int64
-	for pa := (addr + PageSize - 1) &^ (PageSize - 1); pa+PageSize <= end; pa += PageSize {
-		st := &sn.stripes[(pa/PageSize)%snapStripes]
-		st.mu.Lock()
-		if st.pages != nil {
-			if pg, ok := st.pages[pa]; !ok || pg != nil {
-				if pg != nil {
-					pagePool.Put(pg)
-					dropped++
-				}
-				st.pages[pa] = nil
-			}
+	for ; idx < len(sn.regions) && sn.regions[idx].Start < end; idx++ {
+		sr := &sn.regions[idx]
+		first := (max(lo, sr.Start) - sr.Start) / PageSize
+		last := min(uint64(len(sr.gens)), (end-sr.Start)/PageSize)
+		if first >= last {
+			continue
 		}
-		st.mu.Unlock()
+		sr.release(first, last)
+		if sn.kept.Load() == 0 {
+			continue
+		}
+		for pi := first; pi < last; pi++ {
+			pa := sr.Start + pi*PageSize
+			st := &sn.stripes[(pa/PageSize)%snapStripes]
+			st.mu.Lock()
+			if pg := st.pages[pa]; pg != nil {
+				delete(st.pages, pa)
+				pagePool.Put(pg)
+				sn.kept.Add(-1)
+				dropped++
+			}
+			st.mu.Unlock()
+		}
 	}
 	if dropped != 0 {
 		sn.space.retainedPages.Add(-dropped)
@@ -356,10 +401,8 @@ func (sn *Snapshot) Release() {
 		st := &sn.stripes[i]
 		st.mu.Lock()
 		for _, pg := range st.pages {
-			if pg != nil {
-				pagePool.Put(pg)
-				dropped++
-			}
+			pagePool.Put(pg)
+			dropped++
 		}
 		st.pages = nil
 		st.mu.Unlock()

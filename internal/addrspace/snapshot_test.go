@@ -135,8 +135,8 @@ func TestSnapshotFrozenDirtyTracking(t *testing.T) {
 	}
 }
 
-// TestSnapshotReleaseRange: interior pages drop and tombstone (no
-// re-preservation); boundary pages survive for neighbours.
+// TestSnapshotReleaseRange: interior pages drop and are marked
+// released (no re-preservation); boundary pages survive for neighbours.
 func TestSnapshotReleaseRange(t *testing.T) {
 	s := New()
 	addr := mapFilled(t, s, 8*PageSize, 0x10)
@@ -159,12 +159,45 @@ func TestSnapshotReleaseRange(t *testing.T) {
 	if err := sn.ReadAt(addr, got); err != nil || got[0] != 0x10 {
 		t.Fatalf("boundary page lost: %v %#x", err, got[0])
 	}
-	// A tombstoned page is not re-preserved by further writes.
+	// A released page is not re-preserved by further writes.
 	if err := s.WriteAt(addr+PageSize, []byte{0x77}); err != nil {
 		t.Fatal(err)
 	}
 	if n := s.RetainedPages(); n != 6 {
-		t.Fatalf("tombstoned page was re-preserved: retained %d", n)
+		t.Fatalf("released page was re-preserved: retained %d", n)
+	}
+}
+
+// TestSnapshotReleaseRangeAcrossRegions releases a range spanning two
+// regions, each wider than one bitmap word, with no page preserved:
+// exactly the released pages stop being preserved, and releasing them
+// allocates nothing.
+func TestSnapshotReleaseRangeAcrossRegions(t *testing.T) {
+	s := New()
+	const pages = 150
+	a := mapFilled(t, s, pages*PageSize, 0x10)
+	b := mapFilled(t, s, pages*PageSize, 0x20)
+	if b != a+pages*PageSize {
+		t.Skipf("regions not adjacent: %#x, %#x", a, b)
+	}
+	sn := s.Snapshot()
+	defer sn.Release()
+	// Pages 70..229 of the pair, half a page in from each end.
+	lo, hi := a+70*PageSize-PageSize/2, a+230*PageSize+PageSize/2
+	if n := testing.AllocsPerRun(10, func() { sn.ReleaseRange(lo, hi-lo) }); n != 0 {
+		t.Fatalf("ReleaseRange of unpreserved pages allocated %.0f times", n)
+	}
+	if err := s.WriteAt(a, bytes.Repeat([]byte{0x99}, 2*pages*PageSize)); err != nil {
+		t.Fatal(err)
+	}
+	if n, want := s.RetainedPages(), int64(2*pages-160); n != want {
+		t.Fatalf("retained %d pages after writing both regions, want %d", n, want)
+	}
+	got := make([]byte, 1)
+	for _, pa := range []uint64{a + 69*PageSize, a + 230*PageSize} {
+		if err := sn.ReadAt(pa, got); err != nil || got[0] != byte(0x10+0x10*((pa-a)/(pages*PageSize))) {
+			t.Fatalf("page %#x next to the released range lost its snapshot bytes: %v %#x", pa, err, got[0])
+		}
 	}
 }
 

@@ -16,9 +16,9 @@
 // (arbitrary bytes, or an image of a retired format version) degrades
 // to fixed-size chunking; reconstruction is always exact.
 //
-// The chunk key is SHA-256, not the FNV-1a hash a chain image carries:
-// FNV is fine for dirty detection (a collision re-emits or skips one
-// shard of one chain, caught by the image trailer) but a storage key
+// The chunk key is SHA-256, not the CRC-pair shard sum a chain image
+// carries: that sum is fine for dirty detection (a collision re-emits
+// or skips one shard of one chain) but a storage key
 // must not let two different payloads alias (and a standalone image
 // carries no shard hash at all). The image body is stored untouched —
 // the wire format does not change.

@@ -9,8 +9,8 @@
 //   - standalone (flagUnhashed): belongs to no chain, carries every
 //     shard and no shard hashes or identity — the trailer alone covers
 //     its bytes, so writing it hashes nothing but the trailer's CRC;
-//   - a chain *base*: carries every shard, each stamped with an FNV-1a
-//     content hash, and a content-derived identity;
+//   - a chain *base* (flagShardCRC): carries every shard, each stamped
+//     with its shardSum, and a content-derived identity;
 //   - a *delta* (flagDelta) against a named parent: carries only the
 //     dirty shards, hashed like a base.
 //
@@ -42,7 +42,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"hash/crc32"
 	"io"
 	"sort"
 
@@ -57,12 +57,15 @@ const shardHdrV3 = 28
 // Image flag bits: the first of the four flag bytes (the other three
 // are zero). Any other bit is ErrBadImage. Bit 0 marked gzip-encoded
 // shards, a retired encoding: an image that sets it is
-// ErrUnsupportedVersion.
+// ErrUnsupportedVersion. Every chain image sets flagShardCRC; a chain
+// image without it was hashed with the retired FNV-1a shard hash and is
+// ErrUnsupportedVersion too. A standalone image never sets it.
 const (
 	flagGzipRetired = 1 << 0
 	flagDelta       = 1 << 1 // only dirty shards, against a named parent
 	flagUnhashed    = 1 << 2 // standalone: no shard hashes, no identity
-	knownFlags      = flagGzipRetired | flagDelta | flagUnhashed
+	flagShardCRC    = 1 << 3 // chain image: shards carry shardSum
+	knownFlags      = flagGzipRetired | flagDelta | flagUnhashed | flagShardCRC
 )
 
 // MaxChainDepth bounds every parent walk over stored images: the writer
@@ -112,8 +115,8 @@ type DeltaState struct {
 	// different engine shard size breaks hash comparability, so
 	// the freeze rotates to a new base when it changes.
 	ShardSize int
-	// Hashes holds the per-shard FNV-1a table of every section at this
-	// checkpoint, keyed by section name.
+	// Hashes holds the per-shard shardSum table of every section at
+	// this checkpoint, keyed by section name.
 	Hashes map[string][]uint64
 	// Ancestry lists every image name in the chain, base first and
 	// ending with Name. Callers use it to refuse (or rotate away from)
@@ -139,14 +142,19 @@ type SectionHdr struct {
 	Opaque bool
 }
 
-// fnvSum64 is the shard content hash (FNV-1a 64).
-func fnvSum64(b []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64()
+// shardSum is the content hash of a chain image's shard: CRC-32C in the
+// high word, CRC-32 (IEEE) in the low. The two generator polynomials
+// are coprime, so the pair is one CRC with a degree-64 generator: it
+// detects every burst of up to 64 bits and every odd-weight error, and
+// an unstructured change escapes it with probability 2^-64. Both halves
+// are hardware-accelerated on amd64 and arm64; the sum is a stored
+// format, so every other architecture computes the same value in
+// software (TestShardSumVectors).
+func shardSum(b []byte) uint64 {
+	return uint64(crc32.Checksum(b, castagnoli))<<32 | uint64(crc32.ChecksumIEEE(b))
 }
 
-// hashSections computes the per-shard FNV-1a table of every section
+// hashSections computes the per-shard shardSum table of every section
 // from its shard cuts, fanning the shard hashing out across workers.
 // A shard inside one literal piece hashes in place; any other is staged
 // through view, which the write reads again.
@@ -170,7 +178,7 @@ func (e *Engine) hashSections(ctx context.Context, view shardSource, names []str
 		j := jobs[i]
 		raw, bp, err := bgt.stage(j.pieces, j.n, shard, view)
 		if err == nil {
-			*j.dst = fnvSum64(raw)
+			*j.dst = shardSum(raw)
 		}
 		if bp != nil {
 			bgt.putShardBuf(bp)
@@ -186,20 +194,15 @@ func (e *Engine) hashSections(ctx context.Context, view shardSource, names []str
 // checkpoints of one session never share an ID; equal IDs imply equal
 // lineage and section state, where confusion is harmless.
 func imageID(parentID uint64, depth int, cut uint64, names []string, secHashes map[string][]uint64) uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	for _, v := range []uint64{parentID, uint64(depth), cut} {
-		binary.LittleEndian.PutUint64(b[:], v)
-		h.Write(b[:])
-	}
+	le := binary.LittleEndian
+	b := le.AppendUint64(le.AppendUint64(le.AppendUint64(nil, parentID), uint64(depth)), cut)
 	for _, name := range names {
-		io.WriteString(h, name)
+		b = append(b, name...)
 		for _, sh := range secHashes[name] {
-			binary.LittleEndian.PutUint64(b[:], sh)
-			h.Write(b[:])
+			b = le.AppendUint64(b, sh)
 		}
 	}
-	return h.Sum64()
+	return shardSum(b)
 }
 
 // header is everything an image carries before its first shard record:
@@ -595,6 +598,8 @@ func (m *ImageMeta) flags() byte {
 	}
 	if m.Unhashed {
 		f |= flagUnhashed
+	} else {
+		f |= flagShardCRC
 	}
 	return f
 }
@@ -626,10 +631,15 @@ func readPrologue(r io.Reader) (ImageMeta, error) {
 	if err != nil {
 		return ImageMeta{}, err
 	}
-	if flags&flagGzipRetired != 0 {
-		return ImageMeta{}, fmt.Errorf("%w: gzip-encoded shards", ErrUnsupportedVersion)
-	}
 	m := ImageMeta{Delta: flags&flagDelta != 0, Unhashed: flags&flagUnhashed != 0}
+	switch {
+	case flags&flagGzipRetired != 0:
+		return ImageMeta{}, fmt.Errorf("%w: gzip-encoded shards", ErrUnsupportedVersion)
+	case !m.Unhashed && flags&flagShardCRC == 0:
+		return ImageMeta{}, fmt.Errorf("%w: chain image with FNV-1a shard hashes", ErrUnsupportedVersion)
+	case m.Unhashed && flags&flagShardCRC != 0:
+		return ImageMeta{}, fmt.Errorf("%w: standalone image claims shard sums", ErrBadImage)
+	}
 	if m.Parent, err = readString(r); err != nil {
 		return ImageMeta{}, fmt.Errorf("%w: parent: %v", ErrBadImage, err)
 	}

@@ -154,7 +154,7 @@ func TestV3BaseRoundTrip(t *testing.T) {
 				t.Fatalf("bad state: %+v", state)
 			}
 			if gz {
-				wantGzipRefused(t, gzipFlagged(cs["base"]))
+				wantRefused(t, gzipFlagged(cs["base"]))
 				return
 			}
 			img, err := ReadImage(bytes.NewReader(cs["base"]))

@@ -371,7 +371,7 @@ type shardJob struct {
 
 	spanIdx  uint32 // destination span (regions, then sections)
 	spanOff  uint64 // offset within the span
-	hash     uint64 // FNV-1a of the raw bytes; 0 in a standalone image
+	hash     uint64 // shardSum of the raw bytes; 0 in a standalone image
 	needHash bool   // workers compute hash (else it is precomputed or unwanted)
 
 	enc    []byte  // framed payload, valid once done is closed
@@ -428,7 +428,7 @@ func (e *Engine) runWritePipeline(ctx context.Context, w io.Writer, view shardSo
 			return
 		}
 		if j.needHash {
-			j.hash = fnvSum64(raw)
+			j.hash = shardSum(raw)
 		}
 		j.enc = raw
 	}

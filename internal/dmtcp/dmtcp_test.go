@@ -131,7 +131,7 @@ func TestCheckpointGzip(t *testing.T) {
 	if len(parsed.Regions) != 1 || parsed.Regions[0].Len != 2*addrspace.PageSize {
 		t.Fatalf("parsed = %+v", parsed)
 	}
-	wantGzipRefused(t, gzipFlagged(img.Bytes()))
+	wantRefused(t, gzipFlagged(img.Bytes()))
 }
 
 func TestPluginPreCheckpointFailureAborts(t *testing.T) {

@@ -65,7 +65,7 @@ func TestFreezeWriteFrozenMatchesBlocking(t *testing.T) {
 				t.Fatalf("frozen image differs from blocking (%d vs %d bytes)", blocking.Len(), frozen.Len())
 			}
 			if tc.gz {
-				wantGzipRefused(t, gzipFlagged(frozen.Bytes()))
+				wantRefused(t, gzipFlagged(frozen.Bytes()))
 			}
 			if stF.Regions != stB.Regions || stF.RegionBytes != stB.RegionBytes {
 				t.Fatalf("stats diverge: frozen %+v blocking %+v", stF, stB)

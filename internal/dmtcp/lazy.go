@@ -310,7 +310,7 @@ func (ix *ShardIndex) readShard(i int, dst []byte) error {
 	if _, err := ix.src.ReadAt(dst, sh.fileOff); err != nil {
 		return fmt.Errorf("%w: truncated shard at %d: %v", ErrBadImage, sh.fileOff, err)
 	}
-	if !ix.Unhashed && fnvSum64(dst) != sh.hash {
+	if !ix.Unhashed && shardSum(dst) != sh.hash {
 		return fmt.Errorf("%w: shard at %d: content hash mismatch", ErrCorruptImage, sh.fileOff)
 	}
 	return nil
@@ -325,7 +325,7 @@ func (ix *ShardIndex) shardView(i int) ([]byte, error) {
 	}
 	sh := &ix.shards[i]
 	raw := ix.mem[sh.fileOff : sh.fileOff+int64(sh.rawLen)]
-	if !ix.Unhashed && fnvSum64(raw) != sh.hash {
+	if !ix.Unhashed && shardSum(raw) != sh.hash {
 		return nil, fmt.Errorf("%w: shard at %d: content hash mismatch", ErrCorruptImage, sh.fileOff)
 	}
 	return raw, nil

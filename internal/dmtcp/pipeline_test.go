@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"runtime"
 	"sync"
@@ -110,7 +111,7 @@ func TestParallelSerialImagesIdentical(t *testing.T) {
 			}
 			if gz {
 				flagged := gzipFlagged(parallel)
-				wantGzipRefused(t, flagged)
+				wantRefused(t, flagged)
 				fresh := addrspace.New()
 				if err := restoreImage(nil, flagged, fresh, 8); !errors.Is(err, ErrUnsupportedVersion) {
 					t.Fatalf("restore = %v, want ErrUnsupportedVersion", err)
@@ -163,11 +164,11 @@ func retiredImage(img []byte, version byte) []byte {
 	return b
 }
 
-// gzipFlagged is img with flag bit 0 set — the retired gzip shard
-// encoding — and its trailer resealed, so the bit is its only defect.
-func gzipFlagged(img []byte) []byte {
+// reflagged is img with its flag byte passed through edit and its
+// trailer resealed, so the flags are its only defect.
+func reflagged(img []byte, edit func(byte) byte) []byte {
 	b := append([]byte(nil), img...)
-	b[len(imageMagic)] |= flagGzipRetired
+	b[len(imageMagic)] = edit(b[len(imageMagic)])
 	body := len(b) - trailerSize
 	var h bodyHash
 	h.Write(b[:body])
@@ -175,10 +176,34 @@ func gzipFlagged(img []byte) []byte {
 	return b
 }
 
-// wantGzipRefused fails unless every parser — the eager reader, the
-// index scan, and the lineage header reader — refuses img as
+// gzipFlagged is img with flag bit 0 set: the retired gzip shard
+// encoding.
+func gzipFlagged(img []byte) []byte {
+	return reflagged(img, func(f byte) byte { return f | flagGzipRetired })
+}
+
+// fnvHashed is chain image img as the retired FNV-1a shard hash wrote
+// it: every shard's sum field restamped with FNV-1a 64 of its bytes,
+// flagShardCRC clear, the trailer resealed.
+func fnvHashed(tb testing.TB, img []byte) []byte {
+	tb.Helper()
+	ix, err := OpenShardIndex(bytes.NewReader(img), int64(len(img)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	b := append([]byte(nil), img...)
+	for _, sh := range ix.shards {
+		h := fnv.New64a()
+		h.Write(b[sh.fileOff : sh.fileOff+int64(sh.rawLen)])
+		binary.LittleEndian.PutUint64(b[sh.fileOff-8:], h.Sum64()) // the header's last field
+	}
+	return reflagged(b, func(f byte) byte { return f &^ flagShardCRC })
+}
+
+// wantRefused fails unless every parser — the eager reader, the index
+// scan, and the lineage header reader — refuses img as
 // ErrUnsupportedVersion.
-func wantGzipRefused(t *testing.T, img []byte) {
+func wantRefused(t *testing.T, img []byte) {
 	t.Helper()
 	if _, err := ReadImage(bytes.NewReader(img)); !errors.Is(err, ErrUnsupportedVersion) {
 		t.Fatalf("ReadImage = %v, want ErrUnsupportedVersion", err)
@@ -208,7 +233,7 @@ func TestV1BackwardCompat(t *testing.T) {
 			if gz {
 				b = gzipFlagged(b)
 			}
-			wantGzipRefused(t, retiredImage(b, '1'))
+			wantRefused(t, retiredImage(b, '1'))
 		})
 	}
 }
@@ -369,10 +394,11 @@ func TestSectionWriterStreams(t *testing.T) {
 	}
 }
 
-// fuzzSeeds returns the seeds of the decoder fuzzers: six images — a
+// fuzzSeeds returns the seeds of the decoder fuzzers: seven images — a
 // standalone image, raw and with the retired gzip bit set; a chain
-// base; a chain delta, raw and gzip-flagged; a standalone image with
-// its trailer cut off — each whole and cut in half.
+// base; a chain delta, raw, gzip-flagged and without flagShardCRC; a
+// standalone image with its trailer cut off — each whole and cut in
+// half.
 func fuzzSeeds(f *testing.F) [][]byte {
 	space, regions := buildBigSpace(f, 3)
 	engine := func() *Engine {
@@ -406,7 +432,7 @@ func fuzzSeeds(f *testing.F) [][]byte {
 	raw := standalone()
 	base, delta := chain()
 	var seeds [][]byte
-	for _, img := range [][]byte{raw, gzipFlagged(raw), base, delta, gzipFlagged(delta), raw[:len(raw)-trailerSize]} {
+	for _, img := range [][]byte{raw, gzipFlagged(raw), base, delta, gzipFlagged(delta), fnvHashed(f, delta), raw[:len(raw)-trailerSize]} {
 		seeds = append(seeds, img, img[:len(img)/2])
 	}
 	return seeds
@@ -453,16 +479,27 @@ func FuzzReadImage(f *testing.F) {
 	})
 }
 
-// hostileCounts are image headers whose counts promise far more entries
-// than follow: 2^20 shards after a 50-byte header, 2^20 sections after
-// 42 bytes, 2^20 regions after 38 (also committed to the fuzz corpora).
+// hostileCounts are chain headers whose counts promise far more entries
+// than follow: a base's 2^20 shards after a 50-byte header, 2^20
+// sections after 42 bytes, 2^20 regions after 38, and a delta's 2^20
+// shards after 54 bytes (also committed to the fuzz corpora).
 func hostileCounts() map[string][]byte {
-	prologue := append(append([]byte(nil), imageMagic[:]...), make([]byte, 4+2+20)...)
 	le := binary.LittleEndian
+	prologue := func(flags byte, parent string, depth uint32) []byte {
+		b := append(append([]byte(nil), imageMagic[:]...), flags, 0, 0, 0)
+		b = le.AppendUint16(b, uint16(len(parent)))
+		b = le.AppendUint32(append(b, parent...), depth)
+		return append(b, make([]byte, 16)...)
+	}
+	base := prologue(flagShardCRC, "", 0)
+	shards := func(p []byte) []byte {
+		return le.AppendUint32(le.AppendUint32(append(append([]byte(nil), p...), make([]byte, 8)...), DefaultShardSize), 1<<20)
+	}
 	return map[string][]byte{
-		"shards":   le.AppendUint32(le.AppendUint32(append(append([]byte(nil), prologue...), make([]byte, 8)...), DefaultShardSize), 1<<20),
-		"sections": le.AppendUint32(le.AppendUint32(append([]byte(nil), prologue...), 0), 1<<20),
-		"regions":  le.AppendUint32(append([]byte(nil), prologue...), 1<<20),
+		"shards":       shards(base),
+		"sections":     le.AppendUint32(le.AppendUint32(append([]byte(nil), base...), 0), 1<<20),
+		"regions":      le.AppendUint32(append([]byte(nil), base...), 1<<20),
+		"delta shards": shards(prologue(flagShardCRC|flagDelta, "base", 1)),
 	}
 }
 

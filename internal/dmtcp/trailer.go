@@ -32,7 +32,7 @@ var ErrCorruptImage = errors.New("dmtcp: corrupt checkpoint image")
 // covers a standalone image's payload and every image's header tables.
 var trailerMagic = [8]byte{'C', 'R', 'A', 'C', 'S', 'U', 'M', '1'}
 
-var trailerCRCTable = crc32.MakeTable(crc32.Castagnoli)
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 const trailerSize = 24
 
@@ -41,7 +41,7 @@ const trailerSize = 24
 type bodyHash struct{ crc uint32 }
 
 func (b *bodyHash) Write(p []byte) {
-	b.crc = crc32.Update(b.crc, trailerCRCTable, p)
+	b.crc = crc32.Update(b.crc, castagnoli, p)
 }
 
 func (b *bodyHash) Sum64() uint64 { return uint64(b.crc) }
