@@ -180,9 +180,10 @@ func buildOracleChain(t *testing.T, c oracleCase, store Store) (string, []byte) 
 	return tip, ref.Bytes()
 }
 
-// sameImageContent fails unless got lists ref's regions and sections
-// and every section reads back the same bytes.
-func sameImageContent(t *testing.T, c oracleCase, what string, got, ref *Image) {
+// sameImageContent fails unless got lists ref's regions, fill-only
+// spans and sections, and every span and section reads back the same
+// bytes.
+func sameImageContent(t *testing.T, c fmt.Stringer, what string, got, ref *Image) {
 	t.Helper()
 	gi, ri := got.Info(), ref.Info()
 	if !gi.Materialized {
@@ -190,6 +191,21 @@ func sameImageContent(t *testing.T, c oracleCase, what string, got, ref *Image) 
 	}
 	if !reflect.DeepEqual(gi.Regions, ri.Regions) {
 		t.Fatalf("%v: %s regions %+v, standalone %+v", c, what, gi.Regions, ri.Regions)
+	}
+	if !reflect.DeepEqual(gi.Fills, ri.Fills) {
+		t.Fatalf("%v: %s fill-only spans %+v, standalone %+v", c, what, gi.Fills, ri.Fills)
+	}
+	for _, sp := range ref.chain[0].Regions {
+		gb, rb := make([]byte, sp.Len), make([]byte, sp.Len)
+		if err := got.chain[0].ReadAt(sp.Start, gb); err != nil {
+			t.Fatalf("%v: %s span %#x+%d: %v", c, what, sp.Start, sp.Len, err)
+		}
+		if err := ref.chain[0].ReadAt(sp.Start, rb); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gb, rb) {
+			t.Fatalf("%v: %s span %#x+%d differs from the standalone image", c, what, sp.Start, sp.Len)
+		}
 	}
 	if !reflect.DeepEqual(gi.Sections, ri.Sections) {
 		t.Fatalf("%v: %s sections %+v, standalone %+v", c, what, gi.Sections, ri.Sections)

@@ -93,8 +93,10 @@ func TestChainReadersReadEachMemberOnce(t *testing.T) {
 // shard from the linked index chain, so squashing a chain shaped like
 // the benchmark's sparse_chain — ~66 MiB live in 2 MiB buffers (16 host,
 // 16 device, 1 managed), 256 KiB shards, 3% dirtied per step, depth 15 —
-// held in a DirStore allocates less than 100 MiB: the folded device
-// memory section once, and little else.
+// held in a DirStore allocates less than 8 MiB (32 MiB under the race
+// detector, whose sync.Pool drops staging buffers on purpose): device
+// memory streams by address like every other span, and only the small
+// sections are held whole.
 func TestCompactAllocationBounded(t *testing.T) {
 	ctx := context.Background()
 	store, err := NewDirStore(t.TempDir(), 0, WithNoSync())
@@ -148,7 +150,11 @@ func TestCompactAllocationBounded(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	alloc := after.TotalAlloc - before.TotalAlloc
 	t.Logf("Compact of a depth-15, %d MiB chain allocated %.1f MiB", len(bufs)*bufSize>>20, float64(alloc)/(1<<20))
-	if alloc >= 100<<20 {
-		t.Fatalf("Compact allocated %.1f MiB, want < 100 MiB", float64(alloc)/(1<<20))
+	limit := uint64(8 << 20)
+	if raceEnabled {
+		limit = 32 << 20
+	}
+	if alloc >= limit {
+		t.Fatalf("Compact allocated %.1f MiB, want < %d MiB", float64(alloc)/(1<<20), limit>>20)
 	}
 }

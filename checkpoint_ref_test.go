@@ -68,8 +68,9 @@ func TestCheckpointAllocationBounded(t *testing.T) {
 }
 
 // TestReferencePiecesUnderCopyOnWrite: device allocations whose sizes
-// are not page multiples sit mid-page in the devmem section and
-// straddle 64 KiB shard boundaries, so one page can feed two shards.
+// are not page multiples share pages with their neighbours, so their
+// fill-only spans start mid-page and their 64 KiB shards end mid-page:
+// one page can feed two shards.
 // Every device page is rewritten after the cut and before the write;
 // the image must still equal the live-view reference at the cut, and
 // no copy-on-write page may outlive the checkpoint.

@@ -1,7 +1,7 @@
 // Command cracinspect dumps the contents of a CRAC checkpoint image
 // without restoring it, through the public crac.Image surface: the
-// image format, the upper-half memory regions, the plugin payload
-// sections, and a summary of the CUDA call log and the active resources
+// image format, the upper-half memory regions, the fill-only spans (the
+// active mallocs' memory), the plugin payload sections, and a summary of the CUDA call log and the active resources
 // it implies. The log an image carries is its normal form: the live
 // resources plus each dead highest handle's create/destroy pair, not
 // the call history.
@@ -215,6 +215,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "  upper-half regions: %d (%d bytes)\n", len(info.Regions), info.RegionBytes)
 	for _, r := range info.Regions {
 		fmt.Fprintf(stdout, "    %012x-%012x %8d  %s  %s\n", r.Start, r.Start+r.Len, r.Len, r.Prot, r.Label)
+	}
+	fmt.Fprintf(stdout, "  fill-only spans (active mallocs): %d (%d bytes)\n", len(info.Fills), info.FillBytes)
+	for _, f := range info.Fills {
+		fmt.Fprintf(stdout, "    %012x-%012x %8d  %s\n", f.Start, f.Start+f.Len, f.Len, f.Class)
 	}
 	fmt.Fprintf(stdout, "  sections: %d\n", len(info.Sections))
 	for _, s := range info.Sections {

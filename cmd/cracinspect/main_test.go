@@ -74,7 +74,8 @@ func TestInspectStandaloneAndChainBase(t *testing.T) {
 			t.Fatalf("kind %d exit = %d, stderr:\n%s", kind, code, errOut)
 		}
 		for _, want := range []string{
-			"format: CRACIMG3\n", "upper-half regions:", "crac.log", "crac.devmem2",
+			"format: CRACIMG3\n", "upper-half regions:", "crac.log",
+			"fill-only spans (active mallocs): 2 (1114112 bytes)", "1048576  device\n", "65536  managed\n",
 			"full image (standalone or chain root)",
 			"cudaMalloc:        1 buffers (1048576 bytes)",
 			"cudaMallocManaged: 1 buffers (65536 bytes)",

@@ -220,7 +220,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 					time.Since(t0).Round(time.Millisecond), pause)
 			} else {
 				fmt.Fprintf(stdout, "checkpoint: %s (%d regions, %s payload) in %v (paused %v)\n",
-					name, st.Regions, harness.FmtBytes(st.RegionBytes+st.SectionBytes),
+					name, st.Regions, harness.FmtBytes(st.PayloadTotal),
 					time.Since(t0).Round(time.Millisecond), pause)
 			}
 			if *verify {

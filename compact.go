@@ -6,7 +6,6 @@ import (
 	"io"
 	"slices"
 
-	"repro/internal/cracplugin"
 	"repro/internal/dmtcp"
 )
 
@@ -39,9 +38,9 @@ type CompactStats struct {
 // member is checked (trailer, parent identity and shard grid, cycles,
 // depth) before the new base is written, and every shard it takes is
 // checked against its hash as it streams out; a member that fails
-// aborts with its error and the store unchanged. Region bytes stream
-// shard by shard; only the sections are held in memory, device memory
-// folded once. The squashed ancestors are
+// aborts with its error and the store unchanged. Span bytes — upper-half
+// regions and device memory alike — stream shard by shard; only the
+// small sections are held in memory. The squashed ancestors are
 // then condemned by DirStore retention's rule: deleted unless a live
 // image reaches them, and all kept when a live header cannot be read.
 // Through a CASStore that deletes manifests only; CASStore.GC sweeps
@@ -74,10 +73,6 @@ func Compact(ctx context.Context, store Store, tip string) (*CompactStats, error
 		return nil, wrapCancelled(err)
 	}
 	defer closeAll(closers)
-	devmem, err := foldDevMem(chain)
-	if err != nil {
-		return nil, err
-	}
 	// The walk learned each member's lineage node: condemnation below
 	// needs no second read of their headers.
 	var squashed []string
@@ -88,9 +83,8 @@ func Compact(ctx context.Context, store Store, tip string) (*CompactStats, error
 	st.Depth, st.Squashed = len(squashed), squashed
 
 	eng := &dmtcp.Engine{ShardSize: chain[0].ShardSize}
-	opaque := map[string][]byte{cracplugin.SectionDevMem2: devmem}
 	if err := store.Put(ctx, tip, func(w io.Writer) error {
-		return eng.EncodeBase(ctx, w, chain[0], head.id, opaque)
+		return eng.EncodeBase(ctx, w, chain[0], head.id)
 	}); err != nil {
 		return nil, fmt.Errorf("crac: compact %q: writing base: %w", tip, err)
 	}

@@ -23,11 +23,16 @@
 // mallocs, the CUDA call log's normal form (the live resources, not the
 // call history) and the lower half's arena layout (chunk addresses and
 // sizes, no bytes) together with every upper-half memory region, and
-// omits the CUDA library itself. A restart verifies the image, loads a
-// fresh lower half, restores the upper half, and issues the log's
-// active set — every live allocation placed at its original address on
-// arenas rebuilt from the layout, live streams, events and fat binaries
-// recreated — so its cost follows the live state, not the call history.
+// omits the CUDA library itself. Each active malloc is an address range
+// in CRAC's single address space, so its memory travels like an
+// upper-half region — in a fill-only span of the image's span table,
+// one per run of adjacent allocations — and no lower-half mapping
+// enters the image. A restart verifies the image,
+// loads a fresh lower half, restores the upper half, and issues the
+// log's active set — every live allocation placed at its original
+// address on arenas rebuilt from the layout, where its span is filled,
+// live streams, events and fat binaries recreated — so its cost follows
+// the live state, not the call history.
 // The allocator it builds is the one replaying the whole history would
 // (the paper's log-and-replay design, Section 3; DESIGN.md invariant 1,
 // whose oracle records the history with an observer on the runtime,
@@ -65,8 +70,8 @@
 // OpenImage, OpenImageFile, and OpenImageFrom open a checkpoint image
 // without restoring it; OpenImageFrom resolves a delta's parent chain
 // through its Store with the same shard-index walk a restart takes,
-// each member read once. Image.Info reports the layout of regions and
-// sections; Image.Log summarizes the CUDA call log — its length and the
+// each member read once. Image.Info reports the layout of regions,
+// fill-only spans (the active mallocs' memory) and sections; Image.Log summarizes the CUDA call log — its length and the
 // resources active at checkpoint, which a restore reissues.
 // cmd/cracinspect renders exactly this surface. For cross-process
 // restores, a KernelRegistry (passed via WithKernels) resolves kernel
@@ -78,9 +83,10 @@
 // WithIncremental turns repeated CheckpointTo calls into a delta
 // chain: a full base image, then up to n deltas carrying only the
 // memory pages and allocation bytes written since their parent —
-// page-granular write tracking for upper-half regions, content-hashed
-// shards for plugin sections, and UVM-aware skipping of CPU-resident
-// managed pages untouched since the previous checkpoint. On sparse
+// page-granular write tracking for upper-half regions and allocations
+// alike (plus the allocation shards the parent does not hold),
+// content-hashed shards for plugin sections, and UVM-aware skipping of
+// CPU-resident managed pages untouched since the previous checkpoint. On sparse
 // workloads a delta is typically an order of magnitude smaller (and
 // faster to write) than a full image:
 //

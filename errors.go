@@ -72,8 +72,7 @@ var (
 	// ErrMigrationInFlight reports a checkpoint, restart, or second
 	// migration issued on a session that Migrate is currently moving:
 	// the migration owns the session's checkpoint machinery (its delta
-	// lineage and the plugin's dirty baseline) until it completes or
-	// aborts. Wait for Migrate to return, then retry.
+	// lineage) until it completes or aborts. Wait for Migrate to return, then retry.
 	ErrMigrationInFlight = errors.New("crac: a live migration is in flight")
 
 	// ErrNotQuiesced reports a Session.Resume with no matching Quiesce:

@@ -70,7 +70,7 @@ func main() {
 	stats, err := session.CheckpointTo(ctx, store, "quickstart")
 	check(err)
 	fmt.Printf("checkpoint: %d upper-half regions, %d KiB payload\n",
-		stats.Regions, (stats.RegionBytes+stats.SectionBytes)/1024)
+		stats.Regions, stats.PayloadTotal/1024)
 
 	// 5. The image is a first-class artifact: open it WITHOUT restoring
 	// to see what a restore would reissue.

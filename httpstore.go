@@ -136,11 +136,10 @@ var (
 // ServeStore exposes store over HTTP as an http.Handler speaking the
 // protocol NewHTTPStore consumes: mount it on a mux (or hand it to
 // http.Serve) on the destination node and point an HTTPStore at it.
-// Range requests are served through store's GetAt, which is what a
-// remote lazy restart needs to fault shards on demand.
+// Every read is served through store's GetAt: Range requests are what
+// a remote lazy restart needs to fault shards on demand.
 func ServeStore(store Store) http.Handler {
 	b := netstore.Backend{
-		Get:    store.Get,
 		Put:    store.Put,
 		List:   store.List,
 		Delete: store.Delete,

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
 
 	"repro/internal/cracplugin"
 	"repro/internal/cuda"
@@ -77,9 +76,6 @@ func (r *KernelRegistry) clone() *KernelRegistry {
 // restart does, every member held in memory.
 type Image struct {
 	chain []*dmtcp.ShardIndex // tip first, each linked to the next
-	// devmem is the tip's devmem2 section folded across a delta chain;
-	// nil when the tip carries it whole (a base) or has none.
-	devmem []byte
 }
 
 // OpenImage reads one checkpoint image from r and verifies it: its
@@ -117,37 +113,7 @@ func OpenImageFrom(ctx context.Context, store Store, name string) (*Image, error
 		return nil, wrapCancelled(err)
 	}
 	closeAll(closers) // every member is held in memory
-	devmem, err := foldDevMem(chain)
-	if err != nil {
-		return nil, err
-	}
-	return &Image{chain: chain, devmem: devmem}, nil
-}
-
-// foldDevMem resolves the devmem2 section of a linked chain (tip first)
-// through cracplugin.MergeDevMem: the one opaque section that folds
-// across a chain, over every member down to the base or the first that
-// lacks it. A base carries it whole, so there is nothing to fold.
-func foldDevMem(chain []*dmtcp.ShardIndex) ([]byte, error) {
-	tip := chain[0]
-	if !tip.Delta || !slices.ContainsFunc(tip.Secs, func(s dmtcp.SectionHdr) bool {
-		return s.Name == cracplugin.SectionDevMem2 && s.Opaque
-	}) {
-		return nil, nil
-	}
-	var secs []*io.SectionReader
-	for _, ix := range chain {
-		sr, err := ix.SectionReader(cracplugin.SectionDevMem2)
-		if err != nil {
-			break
-		}
-		secs = append(secs, io.NewSectionReader(sr, 0, int64(sr.Size())))
-	}
-	merged, err := cracplugin.MergeDevMem(secs)
-	if err != nil {
-		return nil, fmt.Errorf("dmtcp: merging section %s: %w", cracplugin.SectionDevMem2, err)
-	}
-	return merged, nil
+	return &Image{chain: chain}, nil
 }
 
 // resolved reports whether the chain ends at a self-contained image, so
@@ -161,9 +127,6 @@ func (im *Image) section(name string) (data []byte, ok bool, err error) {
 	if !im.resolved() || !tip.HasSection(name) {
 		return nil, false, nil
 	}
-	if name == cracplugin.SectionDevMem2 && im.devmem != nil {
-		return im.devmem, true, nil
-	}
 	data, err = tip.SectionBytes(name)
 	return data, err == nil, err
 }
@@ -174,6 +137,15 @@ type ImageRegion struct {
 	Len   uint64
 	Prot  string
 	Label string
+}
+
+// ImageSpan describes one fill-only span inside an image: the memory of
+// a run of adjacent active allocations of one class, which a restart
+// fills in place but does not map.
+type ImageSpan struct {
+	Start uint64
+	Len   uint64
+	Class string // "device", "pinned" or "managed"
 }
 
 // ImageSection describes one plugin payload section inside an image.
@@ -187,8 +159,10 @@ type ImageSection struct {
 // the CUDA call log.
 type ImageInfo struct {
 	Regions     []ImageRegion
+	Fills       []ImageSpan
 	Sections    []ImageSection
 	RegionBytes uint64
+	FillBytes   uint64
 
 	// Lineage. Delta marks a delta image; Parent names
 	// the image it applies on top of; DeltaDepth is its distance from
@@ -207,6 +181,11 @@ type ImageInfo struct {
 	Materialized  bool
 }
 
+// spanClasses names the fill-only span classes.
+var spanClasses = map[dmtcp.PrefetchClass]string{
+	dmtcp.ClassDevice: "device", dmtcp.ClassPinned: "pinned", dmtcp.ClassManaged: "managed",
+}
+
 // Info summarizes the image.
 func (im *Image) Info() ImageInfo {
 	tip := im.chain[0]
@@ -223,17 +202,18 @@ func (im *Image) Info() ImageInfo {
 		info.DirtyRatio = float64(rawEmitted) / float64(rawTotal)
 	}
 	for _, r := range tip.Regions {
+		if r.FillOnly() {
+			info.FillBytes += r.Len
+			info.Fills = append(info.Fills, ImageSpan{Start: r.Start, Len: r.Len, Class: spanClasses[r.Class]})
+			continue
+		}
 		info.RegionBytes += r.Len
 		info.Regions = append(info.Regions, ImageRegion{
 			Start: r.Start, Len: r.Len, Prot: fmt.Sprintf("%v", r.Prot), Label: r.Label,
 		})
 	}
 	for _, sec := range tip.Secs {
-		size := int(sec.Size)
-		if sec.Name == cracplugin.SectionDevMem2 && im.devmem != nil {
-			size = len(im.devmem)
-		}
-		info.Sections = append(info.Sections, ImageSection{Name: sec.Name, Size: size})
+		info.Sections = append(info.Sections, ImageSection{Name: sec.Name, Size: int(sec.Size)})
 	}
 	return info
 }

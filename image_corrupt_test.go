@@ -95,7 +95,7 @@ func fnvHashed(img []byte) []byte {
 	o := str(12) + 20 // parent name; depth, id, parent id
 	n := int(le.Uint32(b[o:]))
 	for o += 4; n > 0; n-- {
-		o = str(o + 17) // start, len, prot; label
+		o = str(o + 18) // start, len, prot, class; label
 	}
 	n = int(le.Uint32(b[o:]))
 	for o += 4; n > 0; n-- {
@@ -504,8 +504,24 @@ func TestOneFormatRules(t *testing.T) {
 // ErrCorruptImage: an unwaited restart too, before it resumes the
 // session on a drain that could only fail. The lineage graph holds no
 // image under the retired name, the session keeps its state, and it
-// restarts from the chain once the image carries the bit again.
+// restarts from the chain once the image is intact again.
 func TestRetiredShardHashRefusedByEveryRoute(t *testing.T) {
+	checkRetiredRefusedByEveryRoute(t, fnvHashed)
+}
+
+// TestRetiredDevMem2FormatRefusedByEveryRoute is the same check for the
+// format that kept active-malloc memory in a crac.devmem2 section: its
+// span table carries no classes, so its flags lack bit 4, and every
+// route refuses it at the prologue, before any teardown.
+func TestRetiredDevMem2FormatRefusedByEveryRoute(t *testing.T) {
+	checkRetiredRefusedByEveryRoute(t, func(img []byte) []byte {
+		return reflagged(img, func(f byte) byte { return f &^ 16 })
+	})
+}
+
+// checkRetiredRefusedByEveryRoute runs the refusal checks with the
+// retired form retire makes of a stored chain member.
+func checkRetiredRefusedByEveryRoute(t *testing.T, retire func([]byte) []byte) {
 	ctx := context.Background()
 	for _, kind := range []string{"dir", "cas"} {
 		for _, member := range []string{"tip", "base"} {
@@ -546,7 +562,7 @@ func TestRetiredShardHashRefusedByEveryRoute(t *testing.T) {
 				want := sessionSnapshot(t, s)
 
 				orig := conformGet(t, store, member)
-				putBytes(t, store, member, fnvHashed(orig))
+				putBytes(t, store, member, retire(orig))
 				refused := func(route string, err error) {
 					t.Helper()
 					if !errors.Is(err, ErrUnsupportedVersion) || errors.Is(err, ErrCorruptImage) {
@@ -571,7 +587,7 @@ func TestRetiredShardHashRefusedByEveryRoute(t *testing.T) {
 
 				putBytes(t, store, member, orig)
 				if err := s.RestartFrom(ctx, store, "tip"); err != nil {
-					t.Fatalf("restart from the chain with the bit: %v", err)
+					t.Fatalf("restart from the intact chain: %v", err)
 				}
 				if got := sessionSnapshot(t, s); !bytes.Equal(atTip, got) {
 					t.Fatal("the restarted session does not hold the tip's state")

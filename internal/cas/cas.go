@@ -351,7 +351,7 @@ const (
 	stParentStr                      // parent name
 	stIDs                            // depth u32 + selfID u64 + parentID u64
 	stRegionCount                    // u32
-	stRegionFixed                    // start u64 + len u64 + prot byte
+	stRegionFixed                    // start u64 + len u64 + prot byte + class byte
 	stRegionLblLen                   // u16
 	stRegionLblStr                   // label
 	stSectionCount                   // u32
@@ -469,7 +469,7 @@ func (c *Chunker) emitChunk() error {
 
 func (c *Chunker) nextRegionOrSections() {
 	if c.remRegions > 0 {
-		c.setTok(stRegionFixed, 17)
+		c.setTok(stRegionFixed, 18)
 	} else {
 		c.setTok(stSectionCount, 4)
 	}

@@ -95,11 +95,11 @@ func testV3Image(t testing.TB, seed int64, size int, shard int) []byte {
 type sectionPlugin []byte
 
 func (p sectionPlugin) Name() string { return "test" }
-func (p sectionPlugin) Freeze(uint64, bool) (dmtcp.EmitFunc, error) {
+func (p sectionPlugin) Freeze(uint64, uint64, bool) (dmtcp.EmitFunc, uint64, error) {
 	return func(_ context.Context, _ addrspace.View, s *dmtcp.SectionMap) error {
 		s.Add("test-section", p)
 		return nil
-	}, nil
+	}, 0, nil
 }
 func (p sectionPlugin) Resume() error                                          { return nil }
 func (p sectionPlugin) LazyRestart(context.Context, *dmtcp.LazyRestorer) error { return nil }

@@ -3,7 +3,9 @@ package cracplugin
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
+	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/addrspace"
@@ -37,10 +39,10 @@ func buildRT(t *testing.T) (*cracrt.Runtime, *cuda.Library) {
 }
 
 // freezeEmit runs the plugin's whole checkpoint hook — Freeze, then the
-// emit it returns — over the live space.
-func freezeEmit(t *testing.T, p *Plugin, since uint64, incremental bool) *dmtcp.SectionMap {
+// emit it returns — over the live space, for a standalone image.
+func freezeEmit(t *testing.T, p *Plugin) *dmtcp.SectionMap {
 	t.Helper()
-	emit, err := p.Freeze(since, incremental)
+	emit, _, err := p.Freeze(0, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +53,9 @@ func freezeEmit(t *testing.T, p *Plugin, since uint64, incremental bool) *dmtcp.
 	return sections
 }
 
-// sectionBytes materializes a section through the live space the emit
-// read: literal pieces copied, allocation ranges read by address.
-func sectionBytes(t *testing.T, p *Plugin, sections *dmtcp.SectionMap, name string) []byte {
+func sectionBytes(t *testing.T, sections *dmtcp.SectionMap, name string) []byte {
 	t.Helper()
-	b, err := sections.Bytes(name, p.rt.Library().Space())
+	b, err := sections.Bytes(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,19 +75,17 @@ func TestPreCheckpointSectionsAndDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = m
 	p := New(rt)
 	p.SetRootBlob([]byte("root!"))
 
-	sections := freezeEmit(t, p, 0, false)
+	sections := freezeEmit(t, p)
 	if !lib.Device().Drained() {
 		t.Fatal("device not drained by Freeze")
 	}
-	for _, name := range []string{SectionLog, SectionDevMem2, SectionRoot} {
-		sectionBytes(t, p, sections, name)
+	for _, name := range []string{SectionLog, SectionRoot, SectionLower} {
+		sectionBytes(t, sections, name)
 	}
-	logBytes := sectionBytes(t, p, sections, SectionLog)
-	log, err := replaylog.DecodeBytes(logBytes)
+	log, err := replaylog.DecodeBytes(sectionBytes(t, sections, SectionLog))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,18 +93,20 @@ func TestPreCheckpointSectionsAndDrain(t *testing.T) {
 	if len(as.Device) != 1 || len(as.Managed) != 1 {
 		t.Fatalf("active from image log = %+v", as)
 	}
-	if root := sectionBytes(t, p, sections, SectionRoot); string(root) != "root!" {
+	if root := sectionBytes(t, sections, SectionRoot); string(root) != "root!" {
 		t.Fatalf("root section = %q", root)
 	}
-	// The devmem payload contains the memset pattern.
-	mem := sectionBytes(t, p, sections, SectionDevMem2)
-	if !bytes.Contains(mem, bytes.Repeat([]byte{0x42}, 64)) {
-		t.Fatal("device payload missing drained bytes")
+	// Every active allocation is one fill-only span of its class; no
+	// device memory enters a section.
+	want := []dmtcp.RegionData{{Start: d, Len: 8192, Class: dmtcp.ClassDevice}, {Start: m, Len: 4096, Class: dmtcp.ClassManaged}}
+	var fills []dmtcp.RegionData
+	for _, rd := range restoreIndex(t, checkpointImage(t, p, p)).Regions {
+		if rd.FillOnly() {
+			fills = append(fills, rd)
+		}
 	}
-	// A standalone image bodies every allocation.
-	entries, err := parseDevMem2(mem)
-	if err != nil || len(entries) != 2 || entries[0].payload == nil || entries[1].payload == nil {
-		t.Fatalf("standalone devmem2 entries = %+v, %v; want both present", entries, err)
+	if !reflect.DeepEqual(fills, want) {
+		t.Fatalf("fill-only spans = %+v, want %+v", fills, want)
 	}
 	if err := p.Resume(); err != nil {
 		t.Fatal(err)
@@ -175,8 +175,14 @@ func TestRestartRefills(t *testing.T) {
 	if err := rt.Rebind(lib2, entries2, log, active, layout); err != nil {
 		t.Fatal(err)
 	}
+	if err := CheckFills(ix.Regions, active); err != nil {
+		t.Fatal(err)
+	}
 	r, err := dmtcp.NewLazyRestorer(space2, []*dmtcp.ShardIndex{ix})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.MapRegions(); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.LazyRestart(context.Background(), r); err != nil {
@@ -195,16 +201,34 @@ func TestRestartRefills(t *testing.T) {
 	}
 }
 
+// TestRestartWithoutDevMemSectionFails: an image whose fill-only spans
+// are not its log's active allocations — here, an image with none — is
+// refused as a bad image.
 func TestRestartWithoutDevMemSectionFails(t *testing.T) {
 	rt, _ := buildRT(t)
-	p := New(rt)
-	ix := restoreIndex(t, checkpointImage(t, p)) // no plugin: no sections
-	r, err := dmtcp.NewLazyRestorer(addrspace.New(), []*dmtcp.ShardIndex{ix})
+	d, err := rt.Malloc(4096)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.LazyRestart(context.Background(), r); err == nil {
-		t.Fatal("restart without devmem section succeeded")
+	p := New(rt)
+	active := replaylog.ActiveSet{Device: []replaylog.Allocation{{Addr: d, Size: 4096}}}
+	ix := restoreIndex(t, checkpointImage(t, p)) // no plugin: no spans
+	if err := CheckFills(ix.Regions, active); !errors.Is(err, dmtcp.ErrBadImage) {
+		t.Fatalf("image without the allocation's span: %v, want ErrBadImage", err)
+	}
+	full := restoreIndex(t, checkpointImage(t, p, p))
+	if err := CheckFills(full.Regions, active); err != nil {
+		t.Fatal(err)
+	}
+	for name, other := range map[string]replaylog.ActiveSet{
+		"other size":  {Device: []replaylog.Allocation{{Addr: d, Size: 8192}}},
+		"other class": {Pinned: []replaylog.Allocation{{Addr: d, Size: 4096}}},
+		"extra":       {Device: []replaylog.Allocation{{Addr: d, Size: 4096}, {Addr: d + 4096, Size: 256}}},
+		"none":        {},
+	} {
+		if err := CheckFills(full.Regions, other); !errors.Is(err, dmtcp.ErrBadImage) {
+			t.Fatalf("%s: %v, want ErrBadImage", name, err)
+		}
 	}
 }
 
@@ -224,191 +248,121 @@ func TestRootBlobCopySemantics(t *testing.T) {
 	}
 }
 
-// drainDelta runs one incremental drain and returns the parsed devmem2
-// entries keyed by address (payload nil when skipped).
-func drainDelta(t *testing.T, p *Plugin, space *addrspace.Space, since uint64) map[uint64][]byte {
-	t.Helper()
-	sections := freezeEmit(t, p, since, true)
-	if !sections.Opaque(SectionDevMem2) {
-		t.Fatal("devmem2 must be marked opaque")
-	}
-	entries, err := parseDevMem2(sectionBytes(t, p, sections, SectionDevMem2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make(map[uint64][]byte, len(entries))
-	for _, e := range entries {
-		out[e.addr] = e.payload
-	}
-	return out
-}
-
-// TestIncrementalDrainSkipsCleanAllocations pins the skip rules: clean
-// committed allocations are listed without payload; dirty, uncommitted,
-// or device-touched managed allocations are drained.
+// TestIncrementalDrainSkipsCleanAllocations pins, through the engine,
+// which fill-only shards a delta emits: a shard of an allocation is
+// re-emitted when one of its pages was written, when the parent's span
+// table does not cover it, or — for managed memory — when a page left
+// the host since the parent's UVM cut; every other shard resolves to
+// the parent. The live set being the same, a delta's PayloadTotal is
+// its base's.
 func TestIncrementalDrainSkipsCleanAllocations(t *testing.T) {
+	const shard = 256 << 10
 	rt, lib := buildRT(t)
 	space := lib.Space()
-	d1, err := rt.Malloc(8192)
+	d1, err := rt.Malloc(2 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := rt.Malloc(8192)
+	d2, err := rt.Malloc(2 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := rt.MallocManaged(8192)
+	m, err := rt.MallocManaged(shard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, a := range []uint64{d1, d2, m} {
-		if err := rt.Memset(a, 0x11, 8192); err != nil {
+	for _, a := range []uint64{d1, d2} {
+		if err := rt.Memset(a, 0x11, 2<<20); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if err := rt.Memset(m, 0x11, shard); err != nil {
+		t.Fatal(err)
+	}
 	p := New(rt)
-
-	// Base drain (since 0): everything carries payload.
-	base := drainDelta(t, p, space, 0)
-	for addr, payload := range base {
-		if payload == nil {
-			t.Fatalf("base drain skipped %#x", addr)
+	e := dmtcp.NewEngine()
+	e.ShardSize = shard
+	e.Register(p)
+	var prev *dmtcp.DeltaState
+	gen := 0
+	checkpoint := func() dmtcp.Stats {
+		t.Helper()
+		var img bytes.Buffer
+		gen++
+		st, next, err := e.CheckpointDelta(context.Background(), &img, space, prev, fmt.Sprintf("g%d", gen))
+		if err != nil {
+			t.Fatal(err)
 		}
+		prev = next
+		return st
 	}
-	p.CommitIncremental()
-	cut := space.CutEpoch()
 
-	// Dirty d2 only.
-	if err := rt.Memset(d2, 0x22, 100); err != nil {
+	base := checkpoint()
+	if want := uint64(4<<20 + shard); base.PayloadTotal-base.SectionBytes != want || base.PayloadWritten != base.PayloadTotal {
+		t.Fatalf("base: %d span bytes, %d of %d written; want %d span bytes, all written", base.PayloadTotal-base.SectionBytes, base.PayloadWritten, base.PayloadTotal, want)
+	}
+	// Nothing changed: nothing is emitted.
+	if st := checkpoint(); st.PayloadWritten != 0 || st.PayloadTotal != base.PayloadTotal {
+		t.Fatalf("idle delta wrote %d bytes (total %d, base %d)", st.PayloadWritten, st.PayloadTotal, base.PayloadTotal)
+	}
+	// One dirty page of a 2 MiB allocation emits its one shard.
+	if err := rt.Memset(d2+5*shard+100, 0x22, 1); err != nil {
 		t.Fatal(err)
 	}
-	delta := drainDelta(t, p, space, cut)
-	if delta[d1] != nil {
-		t.Fatalf("clean allocation %#x re-drained", d1)
+	if st := checkpoint(); st.ShardsWritten != 1 || st.PayloadWritten != shard || st.PayloadTotal != base.PayloadTotal {
+		t.Fatalf("one dirty page: %d shards, %d bytes written (total %d, base %d); want one %d-byte shard",
+			st.ShardsWritten, st.PayloadWritten, st.PayloadTotal, base.PayloadTotal, shard)
 	}
-	if delta[d2] == nil {
-		t.Fatalf("dirty allocation %#x skipped", d2)
-	}
-	if delta[m] != nil {
-		t.Fatalf("clean host-resident managed allocation %#x re-drained", m)
-	}
-
-	// A device touch of the managed buffer (no byte change visible to
-	// the space epoch? prefetch migrates residency) forces a drain.
-	p.CommitIncremental()
-	cut = space.CutEpoch()
-	if err := lib.MemPrefetch(m, 8192, uvm.Device); err != nil {
-		t.Fatal(err)
-	}
-	delta = drainDelta(t, p, space, cut)
-	if delta[m] == nil {
-		t.Fatalf("device-resident managed allocation %#x must be drained", m)
-	}
-
-	// An uncommitted drain must not advance the baseline: repeat the
-	// drain WITHOUT CommitIncremental after allocating a fresh buffer in
-	// the pre-written arena; the new allocation is not in the committed
-	// entry set, so it must carry payload even if its pages are stale.
+	// An allocation carved after the cut from the already-mapped chunk,
+	// never written: its pages are clean, but the parent does not hold
+	// it.
 	d3, err := rt.Malloc(4096)
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta = drainDelta(t, p, space, cut)
-	if delta[d3] == nil {
-		t.Fatalf("never-committed allocation %#x skipped", d3)
+	if space.RangeDirtySince(d3, 4096, prev.Cut) {
+		t.Fatal("test premise: a fresh carve from a mapped chunk reads dirty")
+	}
+	if st := checkpoint(); st.PayloadWritten < 4096 || st.PayloadWritten > 4096+st.SectionBytes {
+		t.Fatalf("fresh allocation: %d bytes written, want its 4096 plus changed sections (at most %d)", st.PayloadWritten, st.SectionBytes)
+	}
+	// A device touch of the managed buffer writes no byte the space
+	// stamps, but the page left the host: its shard is emitted.
+	if err := lib.MemPrefetch(m, shard, uvm.Device); err != nil {
+		t.Fatal(err)
+	}
+	if st := checkpoint(); st.ShardsWritten != 1 || st.PayloadWritten != shard {
+		t.Fatalf("device-resident managed buffer: %d shards, %d bytes written; want its one shard", st.ShardsWritten, st.PayloadWritten)
 	}
 }
 
-// TestMergeDevMem pins chain materialization of the devmem2 section.
-func TestMergeDevMem(t *testing.T) {
-	parent := devMem2Bytes(
-		dm2Entry{addr: 0x1000, size: 4, payload: []byte("aaaa")},
-		dm2Entry{addr: 0x2000, size: 4, payload: []byte("bbbb")},
-	)
-	// Delta: 0x1000 skipped (inherit), 0x2000 freed, 0x3000 new.
-	delta := devMem2Bytes(
-		dm2Entry{addr: 0x1000, size: 4},
-		dm2Entry{addr: 0x3000, size: 4, payload: []byte("cccc")},
-	)
-	merged, err := MergeDevMem(devMem2Sections(delta, parent))
-	if err != nil {
+// TestFillSpanRuns pins how active allocations become fill-only spans:
+// same-class allocations whose carved blocks meet (padding to the
+// 256-byte granularity included) share one span; a gap or another class
+// starts a new one.
+func TestFillSpanRuns(t *testing.T) {
+	active := replaylog.ActiveSet{
+		Device: []replaylog.Allocation{{Addr: 0x10200, Size: 100}, {Addr: 0x10000, Size: 0x1ff}, {Addr: 0x10300, Size: 8}, {Addr: 0x20000, Size: 16}},
+		Pinned: []replaylog.Allocation{{Addr: 0x10400, Size: 256}},
+	}
+	want := []dmtcp.RegionData{
+		{Start: 0x10000, Len: 0x308, Class: dmtcp.ClassDevice},
+		{Start: 0x10400, Len: 256, Class: dmtcp.ClassPinned},
+		{Start: 0x20000, Len: 16, Class: dmtcp.ClassDevice},
+	}
+	runs := runsOf(active)
+	if len(runs) != len(want) {
+		t.Fatalf("runs = %+v, want %+v", runs, want)
+	}
+	for i, r := range runs {
+		if r.RegionData != want[i] {
+			t.Fatalf("run %d = %+v, want %+v", i, r.RegionData, want[i])
+		}
+	}
+	if len(runs[0].allocs) != 3 || runs[0].allocs[0].Addr != 0x10000 {
+		t.Fatalf("first run's allocations %+v, want the three in address order", runs[0].allocs)
+	}
+	if err := CheckFills(want, active); err != nil {
 		t.Fatal(err)
-	}
-	got, err := parseDevMem2(merged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || !bytes.Equal(got[0].payload, []byte("aaaa")) || !bytes.Equal(got[1].payload, []byte("cccc")) {
-		t.Fatalf("merge result wrong: %+v", got)
-	}
-	// Three members: a skipped tip entry resolves to the nearest member
-	// carrying it, through a middle delta that skipped it too.
-	mid := devMem2Bytes(
-		dm2Entry{addr: 0x1000, size: 4},
-		dm2Entry{addr: 0x2000, size: 4, payload: []byte("BBBB")},
-	)
-	tip := devMem2Bytes(
-		dm2Entry{addr: 0x2000, size: 4},
-		dm2Entry{addr: 0x1000, size: 4},
-	)
-	merged, err = MergeDevMem(devMem2Sections(tip, mid, parent))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := parseDevMem2(merged); err != nil || len(got) != 2 ||
-		got[0].addr != 0x2000 || !bytes.Equal(got[0].payload, []byte("BBBB")) || !bytes.Equal(got[1].payload, []byte("aaaa")) {
-		t.Fatalf("three-member merge wrong: %+v (%v)", got, err)
-	}
-	// A middle member that dropped an allocation breaks a tip still
-	// skipping it.
-	if _, err := MergeDevMem(devMem2Sections(devMem2Bytes(dm2Entry{addr: 0x2000, size: 4}), delta, parent)); err == nil {
-		t.Fatal("an allocation the middle member dropped must fail the merge")
-	}
-	// A skipped entry with no parent payload is a broken chain.
-	bad := devMem2Bytes(dm2Entry{addr: 0x9000, size: 4})
-	if _, err := MergeDevMem(devMem2Sections(bad, parent)); err == nil {
-		t.Fatal("missing parent payload must fail the merge")
-	}
-	// Size mismatch against the parent payload also fails.
-	badSize := devMem2Bytes(dm2Entry{addr: 0x1000, size: 8})
-	if _, err := MergeDevMem(devMem2Sections(badSize, parent)); err == nil {
-		t.Fatal("size mismatch must fail the merge")
-	}
-}
-
-// TestParseDevMem2HostileInput pins that corrupt devmem2 sections fail
-// with errors instead of panicking or over-allocating: a huge entry
-// count, a huge size claim on a skipped entry, and a merge whose total
-// exceeds the sanity cap.
-func TestParseDevMem2HostileInput(t *testing.T) {
-	// Count claims 2^32-1 entries in a 21-byte section.
-	hugeCount := make([]byte, 4+devMem2EntryHdr)
-	binary.LittleEndian.PutUint32(hugeCount, 0xFFFF_FFFF)
-	if _, err := parseDevMem2(hugeCount); err == nil {
-		t.Fatal("hostile count must fail")
-	}
-	// A skipped entry claiming a 2^63-byte allocation.
-	hugeSize := make([]byte, 4+devMem2EntryHdr)
-	binary.LittleEndian.PutUint32(hugeSize, 1)
-	binary.LittleEndian.PutUint64(hugeSize[4:], 0x1000)
-	binary.LittleEndian.PutUint64(hugeSize[12:], 1<<63)
-	if _, err := parseDevMem2(hugeSize); err == nil {
-		t.Fatal("hostile size must fail")
-	}
-	if _, err := MergeDevMem(devMem2Sections(hugeSize)); err == nil {
-		t.Fatal("merge of hostile size must fail")
-	}
-	// Many skipped entries whose sizes sum past the section cap.
-	const n = 16
-	big := make([]byte, 4+n*devMem2EntryHdr)
-	binary.LittleEndian.PutUint32(big, n)
-	off := 4
-	for i := 0; i < n; i++ {
-		binary.LittleEndian.PutUint64(big[off:], uint64(0x1000*(i+1)))
-		binary.LittleEndian.PutUint64(big[off+8:], maxDevMemEntryBytes)
-		off += devMem2EntryHdr
-	}
-	if _, err := MergeDevMem(devMem2Sections(big)); err == nil {
-		t.Fatal("merge exceeding the total cap must fail")
 	}
 }

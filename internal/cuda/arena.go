@@ -12,6 +12,11 @@ import (
 // 256-byte-aligned pointers.
 const allocAlign = 256
 
+// BlockSize is the arena block an allocation of size bytes carves: size
+// rounded up to the allocation granularity. Consecutive carves meet
+// block end to block start.
+func BlockSize(size uint64) uint64 { return alignUp(size, allocAlign) }
+
 // arena is the deterministic allocation arena behind one family of CUDA
 // allocation calls (device, pinned-host, or managed).
 //

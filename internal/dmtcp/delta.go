@@ -1,10 +1,13 @@
 // The image format ("CRACIMG3") and incremental checkpointing.
 //
-// Every image carries the complete region and section header tables of
+// Every image carries the complete span and section header tables of
 // the checkpointed state, followed by a set of payload shards, each
-// addressed by (span, offset) — spans are the regions in address order,
-// then the sections in insertion order — and the CRACSUM1 trailer
-// (trailer.go). An image is one of three kinds:
+// addressed by (span, offset) — spans are the span table's entries in
+// address order, then the sections in insertion order — and the
+// CRACSUM1 trailer (trailer.go). The span table holds the upper-half
+// regions, which a restart maps, and the fill-only spans (FillSpan),
+// which it only fills; each entry records its class. An image is one
+// of three kinds:
 //
 //   - standalone (flagUnhashed): belongs to no chain, carries every
 //     shard and no shard hashes or identity — the trailer alone covers
@@ -20,13 +23,14 @@
 //     write-generation tracking (addrspace.Space.DirtySince) reports a
 //     write after the previous checkpoint's epoch cut — clean shards
 //     are never even read out of memory;
+//   - fill-only shards are dirty on the same write stamps, when the
+//     parent's span table does not cover them (memory carved after the
+//     parent's cut, which the parent does not hold), or when the
+//     emitting plugin reports them touched (FillSpan.Touched);
 //   - section shards are dirty when their content hash differs from
 //     the same shard of the previous checkpoint (the writer threads the
 //     per-shard hash table forward through DeltaState), so append-only
-//     sections like the replay log re-emit only their tail;
-//   - sections marked opaque (SectionMap.MarkOpaque) are always
-//     emitted in full: their owning plugin already delta-encodes the
-//     bytes itself, and folds them across a chain itself.
+//     sections like the replay log re-emit only their tail.
 //
 // Shards flow through one worker pipeline — they are read, hashed and
 // written in parallel, in deterministic order, so an image is
@@ -59,13 +63,17 @@ const shardHdrV3 = 28
 // shards, a retired encoding: an image that sets it is
 // ErrUnsupportedVersion. Every chain image sets flagShardCRC; a chain
 // image without it was hashed with the retired FNV-1a shard hash and is
-// ErrUnsupportedVersion too. A standalone image never sets it.
+// ErrUnsupportedVersion too. A standalone image never sets it. Every
+// image sets flagSpanClass: its span table entries carry a class byte.
+// An image without it kept active-malloc memory in a retired section
+// of its own (crac.devmem2) and is ErrUnsupportedVersion.
 const (
 	flagGzipRetired = 1 << 0
 	flagDelta       = 1 << 1 // only dirty shards, against a named parent
 	flagUnhashed    = 1 << 2 // standalone: no shard hashes, no identity
 	flagShardCRC    = 1 << 3 // chain image: shards carry shardSum
-	knownFlags      = flagGzipRetired | flagDelta | flagUnhashed | flagShardCRC
+	flagSpanClass   = 1 << 4 // span table entries carry a class
+	knownFlags      = flagGzipRetired | flagDelta | flagUnhashed | flagShardCRC | flagSpanClass
 )
 
 // MaxChainDepth bounds every parent walk over stored images: the writer
@@ -118,6 +126,13 @@ type DeltaState struct {
 	// Hashes holds the per-shard shardSum table of every section at
 	// this checkpoint, keyed by section name.
 	Hashes map[string][]uint64
+	// Fills lists the image's fill-only spans ([Off, Off+Len) address
+	// ranges, ascending): the next delta emits fill-only shards these do
+	// not cover.
+	Fills []addrspace.Span
+	// PluginCuts holds the cut each plugin's Freeze returned for this
+	// image, in registration order; the next delta hands them back.
+	PluginCuts []uint64
 	// Ancestry lists every image name in the chain, base first and
 	// ending with Name. Callers use it to refuse (or rotate away from)
 	// writing a new image under a name the chain still depends on —
@@ -137,9 +152,8 @@ func (s *DeltaState) InChain(name string) bool {
 
 // SectionHdr is one entry of an image's section table.
 type SectionHdr struct {
-	Name   string
-	Size   uint64
-	Opaque bool
+	Name string
+	Size uint64
 }
 
 // shardSum is the content hash of a chain image's shard: CRC-32C in the
@@ -154,46 +168,28 @@ func shardSum(b []byte) uint64 {
 	return uint64(crc32.Checksum(b, castagnoli))<<32 | uint64(crc32.ChecksumIEEE(b))
 }
 
-// hashSections computes the per-shard shardSum table of every section
-// from its shard cuts, fanning the shard hashing out across workers.
-// A shard inside one literal piece hashes in place; any other is staged
-// through view, which the write reads again.
-func (e *Engine) hashSections(ctx context.Context, view shardSource, names []string, cuts [][][]piece, sizes []int) (map[string][]uint64, error) {
-	shard, bgt := e.shardSize(), e.budget()
+// hashSections computes the per-shard shardSum table of every section.
+func hashSections(sections *SectionMap, names []string, shard int) map[string][]uint64 {
 	out := make(map[string][]uint64, len(names))
-	type hashJob struct {
-		pieces []piece
-		n      int
-		dst    *uint64
-	}
-	var jobs []hashJob
-	for i, name := range names {
-		hs := make([]uint64, len(cuts[i]))
-		for si, pieces := range cuts[i] {
-			jobs = append(jobs, hashJob{pieces: pieces, n: min(sizes[i]-si*shard, shard), dst: &hs[si]})
+	for _, name := range names {
+		data := sections.m[name]
+		hs := make([]uint64, 0, (len(data)+shard-1)/shard)
+		for off := 0; off < len(data); off += shard {
+			hs = append(hs, shardSum(data[off:min(off+shard, len(data))]))
 		}
 		out[name] = hs
 	}
-	err := par.ForErrCtx(ctx, e.Workers, len(jobs), func(i int) error {
-		j := jobs[i]
-		raw, bp, err := bgt.stage(j.pieces, j.n, shard, view)
-		if err == nil {
-			*j.dst = shardSum(raw)
-		}
-		if bp != nil {
-			bgt.putShardBuf(bp)
-		}
-		return err
-	})
-	return out, err
+	return out
 }
 
 // imageID derives a deterministic identity for a chain image from its
-// lineage and section content hashes. With the CRAC plugin registered
-// the replay log section grows on every checkpoint, so two distinct
+// lineage, its section content hashes, its fill-only span table and the
+// fill-only shards it carries. With the CRAC plugin registered the
+// replay log section grows on every checkpoint, so two distinct
 // checkpoints of one session never share an ID; equal IDs imply equal
-// lineage and section state, where confusion is harmless.
-func imageID(parentID uint64, depth int, cut uint64, names []string, secHashes map[string][]uint64) uint64 {
+// lineage, section state and active-malloc memory, where confusion is
+// harmless.
+func imageID(parentID uint64, depth int, cut uint64, names []string, secHashes map[string][]uint64, fills []addrspace.Span, fillJobs []*shardJob) uint64 {
 	le := binary.LittleEndian
 	b := le.AppendUint64(le.AppendUint64(le.AppendUint64(nil, parentID), uint64(depth)), cut)
 	for _, name := range names {
@@ -201,6 +197,12 @@ func imageID(parentID uint64, depth int, cut uint64, names []string, secHashes m
 		for _, sh := range secHashes[name] {
 			b = le.AppendUint64(b, sh)
 		}
+	}
+	for _, f := range fills {
+		b = le.AppendUint64(le.AppendUint64(b, f.Off), f.Len)
+	}
+	for _, j := range fillJobs {
+		b = le.AppendUint64(le.AppendUint64(b, j.addr), j.hash)
 	}
 	return shardSum(b)
 }
@@ -233,7 +235,7 @@ func writeHeader(w io.Writer, h *header) error {
 	for _, rd := range h.regions {
 		b = le.AppendUint64(b, rd.Start)
 		b = le.AppendUint64(b, rd.Len)
-		b = append(b, byte(rd.Prot))
+		b = append(b, byte(rd.Prot), byte(rd.Class))
 		if b, err = appendString(b, rd.Label); err != nil {
 			return err
 		}
@@ -244,11 +246,7 @@ func writeHeader(w io.Writer, h *header) error {
 			return err
 		}
 		b = le.AppendUint64(b, sec.Size)
-		var sf byte
-		if sec.Opaque {
-			sf = 1
-		}
-		b = append(b, sf)
+		b = append(b, 0) // section flags: none defined
 	}
 	b = le.AppendUint32(b, uint32(h.shardSize))
 	b = le.AppendUint32(b, uint32(h.shards))
@@ -264,43 +262,52 @@ func (e *Engine) writeImage(ctx context.Context, w io.Writer, view addrspace.Vie
 	delta := prev != nil
 	shard := e.shardSize()
 	names := sections.Names()
-	cuts := make([][][]piece, len(names))
-	sizes := make([]int, len(names))
-	for i, name := range names {
-		cuts[i], sizes[i] = shards(sections.m[name], shard), sections.size(name)
-	}
 	h := &header{ImageMeta: ImageMeta{Unhashed: !fz.chain, Delta: delta}, shardSize: shard}
 	var secHashes map[string][]uint64
 	if fz.chain {
 		if delta {
 			h.Parent, h.Depth, h.ParentID = prev.Name, prev.Depth+1, prev.ID
 		}
-		// Hash every section shard (in parallel) before the header goes
-		// out: the hashes decide which section shards a delta emits, stamp
-		// the emitted frames, feed the image's identity, and become the
-		// table the next delta compares against. A standalone image has no
-		// next delta and no reader of its identity, so it skips all of it.
-		var err error
-		if secHashes, err = e.hashSections(ctx, view, names, cuts, sizes); err != nil {
-			return nil, err
-		}
-		// The image identity is derived from lineage and content, not
-		// randomness, so images stay byte-deterministic: two images collide
-		// only when their lineage and section state (including the
-		// ever-growing call log) are identical — in which case confusing
-		// them is harmless. SetParent verifies a delta's recorded parent
-		// identity against the image it links, so a parent name
-		// overwritten with different content fails the read instead of
-		// silently mixing states.
-		h.ID = imageID(h.ParentID, h.Depth, fz.cut, names, secHashes)
+		// The section hashes decide which section shards a delta emits,
+		// stamp the emitted frames, feed the image's identity, and become
+		// the table the next delta compares against. A standalone image
+		// has no next delta and no reader of its identity, so it skips
+		// all of it.
+		secHashes = hashSections(sections, names, shard)
 	}
+
+	// The span table: upper-half regions and fill-only spans in address
+	// order, each fill-only span with its extra dirt verdict.
+	type span struct {
+		rd      RegionData
+		touched func(addr, n uint64) bool
+	}
+	spans := make([]span, 0, len(regions)+len(sections.fills))
 	for _, ri := range regions {
-		h.regions = append(h.regions, RegionData{Start: ri.Start, Len: ri.Len, Prot: ri.Prot, Label: ri.Label})
+		spans = append(spans, span{rd: RegionData{Start: ri.Start, Len: ri.Len, Prot: ri.Prot, Label: ri.Label}})
 		st.RegionBytes += ri.Len
 	}
-	for i, name := range names {
-		h.secs = append(h.secs, SectionHdr{Name: name, Size: uint64(sizes[i]), Opaque: sections.Opaque(name)})
-		st.SectionBytes += uint64(sizes[i])
+	var fillSpans []addrspace.Span
+	for _, f := range sections.fills {
+		if f.Class == ClassRegion || f.Class > ClassManaged {
+			return nil, fmt.Errorf("dmtcp: fill-only span %#x+%d has class %d", f.Addr, f.Len, f.Class)
+		}
+		spans = append(spans, span{RegionData{Start: f.Addr, Len: f.Len, Class: f.Class}, f.Touched})
+	}
+	sort.SliceStable(spans, func(i, j int) bool { return spans[i].rd.Start < spans[j].rd.Start })
+	for i, sp := range spans {
+		if i > 0 && sp.rd.Start < h.regions[i-1].Start+h.regions[i-1].Len {
+			return nil, fmt.Errorf("dmtcp: span %#x+%d overlaps the span before it", sp.rd.Start, sp.rd.Len)
+		}
+		h.regions = append(h.regions, sp.rd)
+		if sp.rd.FillOnly() {
+			fillSpans = append(fillSpans, addrspace.Span{Off: sp.rd.Start, Len: sp.rd.Len})
+		}
+	}
+	for _, name := range names {
+		size := uint64(len(sections.m[name]))
+		h.secs = append(h.secs, SectionHdr{Name: name, Size: size})
+		st.SectionBytes += size
 	}
 
 	// Region dirty spans since the parent's cut (page-granular, merged).
@@ -311,59 +318,90 @@ func (e *Engine) writeImage(ctx context.Context, w io.Writer, view addrspace.Vie
 			dirtyByStart[rd.Start] = rd.Spans
 		}
 	}
-	overlaps := func(spans []addrspace.Span, off, n uint64) bool {
-		idx := sort.Search(len(spans), func(i int) bool {
-			return spans[i].Off+spans[i].Len > off
-		})
-		return idx < len(spans) && spans[idx].Off < off+n
+	dirty := func(i int, off, n uint64) bool {
+		rd := &h.regions[i]
+		if !rd.FillOnly() {
+			return overlapsAny(dirtyByStart[rd.Start], off, n)
+		}
+		addr := rd.Start + off
+		return view.RangeDirtySince(addr, n, fz.since) || !covers(prev.Fills, addr, n) ||
+			(spans[i].touched != nil && spans[i].touched(addr, n))
 	}
 
 	// Shard plan: all spans in layout order, emitting a deterministic
 	// dirty subset (the whole grid for a base or a standalone image).
 	var jobs []shardJob
-	spanIdx := uint32(0)
-	for _, ri := range regions {
-		spans := dirtyByStart[ri.Start] // nil for a base: emit all
-		for off := uint64(0); off < ri.Len; off += uint64(shard) {
-			n := min(ri.Len-off, uint64(shard))
+	for i, rd := range h.regions {
+		for off := uint64(0); off < rd.Len; off += uint64(shard) {
+			n := min(rd.Len-off, uint64(shard))
 			st.ShardsTotal++
 			st.PayloadTotal += n
-			if delta && !overlaps(spans, off, n) {
+			if delta && !dirty(i, off, n) {
 				continue
 			}
-			jobs = append(jobs, shardJob{pieces: []piece{{addr: ri.Start + off, n: int(n)}}, rawLen: int(n),
-				spanIdx: spanIdx, spanOff: off, needHash: fz.chain, done: make(chan struct{})})
+			jobs = append(jobs, shardJob{addr: rd.Start + off, rawLen: int(n),
+				spanIdx: uint32(i), spanOff: off, needHash: fz.chain, done: make(chan struct{})})
 			st.PayloadWritten += n
 		}
-		spanIdx++
 	}
 	for i, name := range names {
-		hs := secHashes[name]
+		data, hs := sections.m[name], secHashes[name]
 		var prevHs []uint64
 		if delta {
 			prevHs = prev.Hashes[name]
 		}
-		opaque := sections.Opaque(name)
-		for si, pieces := range cuts[i] {
-			off := si * shard
-			n := min(sizes[i]-off, shard)
+		for si, off := 0, 0; off < len(data); si, off = si+1, off+shard {
+			n := min(len(data)-off, shard)
 			st.ShardsTotal++
 			st.PayloadTotal += uint64(n)
-			if delta && !opaque && si < len(prevHs) && prevHs[si] == hs[si] {
+			if delta && si < len(prevHs) && prevHs[si] == hs[si] {
 				continue
 			}
-			j := shardJob{pieces: pieces, rawLen: n,
-				spanIdx: spanIdx, spanOff: uint64(off), done: make(chan struct{})}
+			j := shardJob{data: data[off : off+n], rawLen: n,
+				spanIdx: uint32(len(h.regions) + i), spanOff: uint64(off), done: make(chan struct{})}
 			if hs != nil {
 				j.hash = hs[si]
 			}
 			jobs = append(jobs, j)
 			st.PayloadWritten += uint64(n)
 		}
-		spanIdx++
 	}
 	st.ShardsWritten = len(jobs)
 	h.shards = len(jobs)
+	if fz.chain {
+		// The image identity is derived from lineage and content, not
+		// randomness, so images stay byte-deterministic: two images collide
+		// only when their lineage, section state (including the
+		// ever-growing call log) and the active-malloc memory they carry
+		// are identical — in which case confusing them is harmless.
+		// SetParent verifies a delta's recorded parent identity against
+		// the image it links, so a parent name overwritten with different
+		// content fails the read instead of silently mixing states. The
+		// fill-only shards are therefore hashed before the header goes out
+		// (the pipeline writes the sums they get here).
+		var fillJobs []*shardJob
+		for i := range jobs {
+			if j := &jobs[i]; j.data == nil && h.regions[j.spanIdx].FillOnly() {
+				fillJobs = append(fillJobs, j)
+			}
+		}
+		bgt := e.budget()
+		err := par.ForErrCtx(ctx, e.Workers, len(fillJobs), func(k int) error {
+			j := fillJobs[k]
+			raw, bp, err := bgt.stage(j, shard, view)
+			if err == nil {
+				j.hash, j.needHash = shardSum(raw), false
+			}
+			if bp != nil {
+				bgt.putShardBuf(bp)
+			}
+			return err
+		})
+		if err != nil {
+			return nil, err
+		}
+		h.ID = imageID(h.ParentID, h.Depth, fz.cut, names, secHashes, fillSpans, fillJobs)
+	}
 	if err := writeHeader(w, h); err != nil {
 		return nil, err
 	}
@@ -378,21 +416,44 @@ func (e *Engine) writeImage(ctx context.Context, w io.Writer, view addrspace.Vie
 		ancestry = append(append([]string(nil), prev.Ancestry...), fz.selfName)
 	}
 	return &DeltaState{
-		Name:      fz.selfName,
-		ID:        h.ID,
-		Depth:     h.Depth,
-		Cut:       fz.cut,
-		ShardSize: shard,
-		Hashes:    secHashes,
-		Ancestry:  ancestry,
+		Name:       fz.selfName,
+		ID:         h.ID,
+		Depth:      h.Depth,
+		Cut:        fz.cut,
+		ShardSize:  shard,
+		Hashes:     secHashes,
+		Fills:      fillSpans,
+		PluginCuts: fz.cuts,
+		Ancestry:   ancestry,
 	}, nil
+}
+
+// overlapsAny reports whether any of the ascending, disjoint spans
+// overlaps [off, off+n).
+func overlapsAny(spans []addrspace.Span, off, n uint64) bool {
+	i := sort.Search(len(spans), func(i int) bool { return spans[i].Off+spans[i].Len > off })
+	return i < len(spans) && spans[i].Off < off+n
+}
+
+// covers reports whether the ascending, disjoint spans cover every byte
+// of [addr, addr+n).
+func covers(spans []addrspace.Span, addr, n uint64) bool {
+	end := addr + n
+	i := sort.Search(len(spans), func(i int) bool { return spans[i].Off+spans[i].Len > addr })
+	for ; i < len(spans) && addr < end; i++ {
+		if spans[i].Off > addr {
+			return false
+		}
+		addr = spans[i].Off + spans[i].Len
+	}
+	return addr >= end
 }
 
 // Minimum encoded sizes of one table entry (an empty label or name):
 // what expect may count on before the strings have been read.
 const (
-	regionHdrMin  = 8 + 8 + 1 + 2 // start, len, prot, label length
-	sectionHdrMin = 2 + 8 + 1     // name length, size, flags
+	regionHdrMin  = 8 + 8 + 1 + 1 + 2 // start, len, prot, class, label length
+	sectionHdrMin = 2 + 8 + 1         // name length, size, flags
 )
 
 // readHeader parses an image's header from r. expect, when set, learns
@@ -433,14 +494,21 @@ func readHeader(r io.Reader, expect func(int64)) (*header, error) {
 			rd.Len, err = u64()
 		}
 		if err == nil {
-			_, err = io.ReadFull(r, u[:1])
-			rd.Prot = addrspace.Prot(u[0])
+			_, err = io.ReadFull(r, u[:2])
+			rd.Prot, rd.Class = addrspace.Prot(u[0]), PrefetchClass(u[1])
 		}
 		if err != nil {
 			return nil, fmt.Errorf("%w: region %d: %v", ErrBadImage, i, err)
 		}
-		if rd.Len > maxItemBytes {
+		switch {
+		case rd.Len > maxItemBytes:
 			return nil, fmt.Errorf("%w: region %d len %d", ErrBadImage, i, rd.Len)
+		case rd.Class > ClassManaged:
+			return nil, fmt.Errorf("%w: region %d class %d", ErrBadImage, i, rd.Class)
+		case rd.Start+rd.Len < rd.Start:
+			return nil, fmt.Errorf("%w: region %d wraps the address space", ErrBadImage, i)
+		case i > 0 && rd.Start < h.regions[i-1].Start+h.regions[i-1].Len:
+			return nil, fmt.Errorf("%w: region %d not above the one before it", ErrBadImage, i)
 		}
 		if rd.Label, err = readString(r); err != nil {
 			return nil, fmt.Errorf("%w: region %d label: %v", ErrBadImage, i, err)
@@ -470,7 +538,10 @@ func readHeader(r io.Reader, expect func(int64)) (*header, error) {
 		if _, err := io.ReadFull(r, u[:1]); err != nil {
 			return nil, fmt.Errorf("%w: section %d flags: %v", ErrBadImage, i, err)
 		}
-		h.secs = append(h.secs, SectionHdr{Name: name, Size: size, Opaque: u[0]&1 != 0})
+		if u[0] != 0 {
+			return nil, fmt.Errorf("%w: section %d flags %#x", ErrBadImage, i, u[0])
+		}
+		h.secs = append(h.secs, SectionHdr{Name: name, Size: size})
 		h.total += size
 	}
 	if h.total > maxTotalBytes {
@@ -601,7 +672,7 @@ func (m *ImageMeta) flags() byte {
 	} else {
 		f |= flagShardCRC
 	}
-	return f
+	return f | flagSpanClass
 }
 
 // ReadImageMeta parses just the image prologue (magic, flags and the
@@ -637,6 +708,8 @@ func readPrologue(r io.Reader) (ImageMeta, error) {
 		return ImageMeta{}, fmt.Errorf("%w: gzip-encoded shards", ErrUnsupportedVersion)
 	case !m.Unhashed && flags&flagShardCRC == 0:
 		return ImageMeta{}, fmt.Errorf("%w: chain image with FNV-1a shard hashes", ErrUnsupportedVersion)
+	case flags&flagSpanClass == 0:
+		return ImageMeta{}, fmt.Errorf("%w: span table without classes (active-malloc memory in a crac.devmem2 section)", ErrUnsupportedVersion)
 	case m.Unhashed && flags&flagShardCRC != 0:
 		return ImageMeta{}, fmt.Errorf("%w: standalone image claims shard sums", ErrBadImage)
 	}

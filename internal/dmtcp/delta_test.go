@@ -273,12 +273,12 @@ type growingSectionPlugin struct {
 }
 
 func (p *growingSectionPlugin) Name() string { return "grow" }
-func (p *growingSectionPlugin) Freeze(uint64, bool) (EmitFunc, error) {
+func (p *growingSectionPlugin) Freeze(uint64, uint64, bool) (EmitFunc, uint64, error) {
 	data := append([]byte(nil), p.data...)
 	return func(_ context.Context, _ addrspace.View, s *SectionMap) error {
 		s.Add("grow.data", data)
 		return nil
-	}, nil
+	}, 0, nil
 }
 func (p *growingSectionPlugin) Resume() error                                    { return nil }
 func (p *growingSectionPlugin) LazyRestart(context.Context, *LazyRestorer) error { return nil }
@@ -431,13 +431,13 @@ type hookWriter struct {
 }
 
 func (p *hookWriter) Name() string { return "hookwriter" }
-func (p *hookWriter) Freeze(uint64, bool) (EmitFunc, error) {
+func (p *hookWriter) Freeze(uint64, uint64, bool) (EmitFunc, uint64, error) {
 	if p.write {
 		if err := p.space.WriteAt(p.addr, []byte{p.val}); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 	}
-	return func(context.Context, addrspace.View, *SectionMap) error { return nil }, nil
+	return func(context.Context, addrspace.View, *SectionMap) error { return nil }, 0, nil
 }
 func (p *hookWriter) Resume() error                                    { return nil }
 func (p *hookWriter) LazyRestart(context.Context, *LazyRestorer) error { return nil }

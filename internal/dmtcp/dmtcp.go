@@ -6,15 +6,17 @@
 // image back (lazy.go), and a coordinator for multi-rank coordinated
 // checkpoints (the MPI+CUDA proof of principle of Section 6).
 //
-// The image deliberately excludes every lower-half region: the active
+// The image deliberately excludes every lower-half mapping: the active
 // CUDA library and its arenas are *not* checkpointed; a fresh lower half
 // is constructed at restart and brought up to date from the CRAC
-// plugin's sections (paper Section 3.1).
+// plugin's sections (paper Section 3.1), and the memory of the active
+// allocations in it travels as fill-only spans (FillSpan), which the
+// restorer fills but never maps.
 //
 // # Image format
 //
-// One image format exists ("CRACIMG3", delta.go): all region and section
-// headers first, then the payload split into fixed-size shards, each
+// One image format exists ("CRACIMG3", delta.go): the span table (regions
+// and fill-only spans) and the section headers first, then the payload split into fixed-size shards, each
 // framed with its (span, offset) address, and the integrity trailer
 // (trailer.go). Shards are stored raw. Shard boundaries depend only on
 // the shard size, never on the worker count, so an image is
@@ -35,116 +37,55 @@ import (
 	"repro/internal/par"
 )
 
-// SectionMap carries named plugin payloads inside a checkpoint image.
-// A section is a list of pieces: literal bytes, or an address range the
-// checkpoint's view holds. The write pipeline reads a reference piece
-// through the view straight into its shard staging, so a plugin names
-// the memory it saves instead of copying it.
+// SectionMap collects what one checkpoint's plugins emit: named
+// sections of literal bytes, and fill-only spans.
 type SectionMap struct {
-	order  []string
-	m      map[string][]piece
-	opaque map[string]bool
+	order []string
+	m     map[string][]byte
+	fills []FillSpan
 }
 
-// piece is a run of section bytes: data when literal, else the n bytes
-// the view holds at addr.
-type piece struct {
-	data []byte
-	addr uint64
-	n    int
-}
-
-// cut splits p after k bytes.
-func (p piece) cut(k int) (head, tail piece) {
-	if p.data != nil {
-		return piece{data: p.data[:k], n: k}, piece{data: p.data[k:], n: p.n - k}
-	}
-	return piece{addr: p.addr, n: k}, piece{addr: p.addr + uint64(k), n: p.n - k}
+// A FillSpan is an address range of memory the image carries but the
+// restart does not map: the restarted process recreates the memory at
+// the same address itself (CRAC's active mallocs, rebuilt in the lower
+// half's arenas), and the restorer only fills it. It is written,
+// shard-tracked and resolved through a chain by address, exactly like
+// an upper-half region.
+type FillSpan struct {
+	Addr, Len uint64
+	// Class is the span's prefetch class; never ClassRegion.
+	Class PrefetchClass
+	// Touched, when set, reports that [addr, addr+n) changed since the
+	// parent image's cut in a way the view's write stamps do not record
+	// (a managed page the device holds or touched): a delta emits every
+	// shard it reports.
+	Touched func(addr, n uint64) bool
 }
 
 // NewSectionMap returns an empty section map.
 func NewSectionMap() *SectionMap {
-	return &SectionMap{m: make(map[string][]piece), opaque: make(map[string]bool)}
+	return &SectionMap{m: make(map[string][]byte)}
 }
-
-// MarkOpaque declares a section's bytes self-delta-encoded: the
-// delta writer must not apply generic shard-level deduplication to it
-// (the owning plugin already emitted an incremental encoding), and a
-// chain resolves it through the owning plugin (a delta carries it in
-// full) instead of byte-offset inheritance.
-func (s *SectionMap) MarkOpaque(name string) { s.opaque[name] = true }
-
-// Opaque reports whether the section was marked with MarkOpaque.
-func (s *SectionMap) Opaque(name string) bool { return s.opaque[name] }
 
 // Add stores a section of literal bytes, replacing any previous content
 // under name.
 func (s *SectionMap) Add(name string, data []byte) {
-	s.set(name, []piece{{data: data, n: len(data)}})
-}
-
-func (s *SectionMap) set(name string, pieces []piece) {
 	if _, ok := s.m[name]; !ok {
 		s.order = append(s.order, name)
 	}
-	s.m[name] = pieces
+	s.m[name] = data
 }
 
-// size returns a section's length in bytes.
-func (s *SectionMap) size(name string) int {
-	n := 0
-	for _, p := range s.m[name] {
-		n += p.n
-	}
-	return n
-}
+// Fill adds a fill-only span to the image.
+func (s *SectionMap) Fill(sp FillSpan) { s.fills = append(s.fills, sp) }
 
-// Bytes materializes a section: literal pieces copied, reference pieces
-// read through view.
-func (s *SectionMap) Bytes(name string, view addrspace.View) ([]byte, error) {
-	pieces, ok := s.m[name]
+// Bytes returns a section's bytes.
+func (s *SectionMap) Bytes(name string) ([]byte, error) {
+	b, ok := s.m[name]
 	if !ok {
 		return nil, fmt.Errorf("dmtcp: no section %q", name)
 	}
-	b := make([]byte, s.size(name))
-	return b, fill(b, pieces, view)
-}
-
-// fill copies pieces, which cover exactly len(b) bytes, into b.
-func fill(b []byte, pieces []piece, view shardSource) error {
-	off := 0
-	for _, p := range pieces {
-		dst := b[off : off+p.n]
-		if p.data != nil {
-			copy(dst, p.data)
-		} else if err := view.ReadAt(p.addr, dst); err != nil {
-			return fmt.Errorf("dmtcp: reading %#x+%d: %w", p.addr, p.n, err)
-		}
-		off += p.n
-	}
-	return nil
-}
-
-// shards cuts a section's pieces at every shard boundary: out[i] holds
-// the pieces of shard i, clipped to it.
-func shards(pieces []piece, shard int) [][]piece {
-	var out [][]piece
-	var cur []piece
-	room := shard
-	for _, p := range pieces {
-		for p.n > 0 {
-			var head piece
-			head, p = p.cut(min(p.n, room))
-			cur = append(cur, head)
-			if room -= head.n; room == 0 {
-				out, cur, room = append(out, cur), nil, shard
-			}
-		}
-	}
-	if cur != nil {
-		out = append(out, cur)
-	}
-	return out
+	return b, nil
 }
 
 // Names returns section names in insertion order.
@@ -152,18 +93,15 @@ func (s *SectionMap) Names() []string { return append([]string(nil), s.order...)
 
 // SectionWriter streams content into one section; see SectionMap.Writer.
 type SectionWriter struct {
-	sm     *SectionMap
-	name   string
-	buf    []byte
-	mark   int // start of buf's literal run not yet in pieces
-	pieces []piece
+	sm   *SectionMap
+	name string
+	buf  []byte
 }
 
 // Writer returns a streaming writer for the named section. sizeHint
-// preallocates capacity for the literal bytes (0 is fine); the section
-// becomes visible in the map when Close is called. This replaces the
-// bytes.Buffer-then-copy idiom for producers that don't know their
-// final size.
+// preallocates capacity (0 is fine); the section becomes visible in the
+// map when Close is called. This replaces the bytes.Buffer-then-copy
+// idiom for producers that don't know their final size.
 func (s *SectionMap) Writer(name string, sizeHint int) *SectionWriter {
 	return &SectionWriter{sm: s, name: name, buf: make([]byte, 0, sizeHint)}
 }
@@ -174,27 +112,9 @@ func (w *SectionWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// WriteRange appends the n bytes the checkpoint's view holds at addr by
-// reference: the write pipeline reads them when it frames the image.
-func (w *SectionWriter) WriteRange(addr uint64, n int) {
-	w.flush()
-	if n > 0 {
-		w.pieces = append(w.pieces, piece{addr: addr, n: n})
-	}
-}
-
-// flush ends the current literal run.
-func (w *SectionWriter) flush() {
-	if len(w.buf) > w.mark {
-		w.pieces = append(w.pieces, piece{data: w.buf[w.mark:], n: len(w.buf) - w.mark})
-		w.mark = len(w.buf)
-	}
-}
-
-// Close publishes the accumulated pieces as the section content.
+// Close publishes the accumulated bytes as the section content.
 func (w *SectionWriter) Close() error {
-	w.flush()
-	w.sm.set(w.name, w.pieces)
+	w.sm.Add(w.name, w.buf)
 	return nil
 }
 
@@ -207,36 +127,45 @@ type Plugin interface {
 	// Freeze runs inside the stop-the-world window: drain, then capture
 	// every non-memory input of the checkpoint (call-log view, active
 	// sets, epoch cuts) — quickly. The returned EmitFunc produces the
-	// plugin's sections later, from the capture plus the memory view it
-	// is handed. since is the parent checkpoint's epoch cut (0 for a
-	// base — everything is dirty), letting the plugin skip or
-	// delta-encode state it can prove unchanged; chain reports a chain
-	// image, whose skip baseline the plugin stages (false: a standalone
-	// image). The engine never proceeds to the image body after a hook
-	// error.
-	Freeze(since uint64, chain bool) (EmitFunc, error)
+	// plugin's sections and fill-only spans later, from the capture plus
+	// the memory view it is handed. since is the parent checkpoint's
+	// epoch cut (0 for a base — everything is dirty), and prevCut the cut
+	// this plugin's Freeze returned for the parent (0 for a base); chain
+	// reports a chain image (false: a standalone image). The returned cut
+	// travels in the new image's DeltaState to the next delta's Freeze,
+	// so it advances only once the image is durable. The engine never
+	// proceeds to the image body after a hook error.
+	Freeze(since, prevCut uint64, chain bool) (emit EmitFunc, cut uint64, err error)
 	// Resume runs after a successful checkpoint, when the original
 	// process continues.
 	Resume() error
 	// LazyRestart runs in the restarted process after the upper-half
-	// regions are mapped: instead of refilling its state, the plugin
-	// registers fill plans on the restorer (reading small sections
-	// eagerly through it), and the restorer materializes them on first
-	// access or in its background drain.
+	// regions are mapped and every span's fill plan is registered
+	// (MapRegions): the plugin reads the small sections it needs eagerly
+	// through the restorer, and the restorer materializes memory on
+	// first access or in its background drain.
 	LazyRestart(ctx context.Context, r *LazyRestorer) error
 }
 
-// RegionData is one upper-half region as an image's table records it;
-// its bytes are the region's span of shards.
+// RegionData is one entry of an image's span table: an upper-half
+// region (Class ClassRegion), which the restart maps, or a fill-only
+// span (any other class), which it only fills. Its bytes are the span's
+// shards.
 type RegionData struct {
 	Start uint64
 	Len   uint64
 	Prot  addrspace.Prot
 	Label string
+	Class PrefetchClass
 }
+
+// FillOnly reports whether the entry is a fill-only span.
+func (rd RegionData) FillOnly() bool { return rd.Class != ClassRegion }
 
 // Stats describes one checkpoint operation.
 type Stats struct {
+	// Regions and RegionBytes count the upper-half regions, SectionBytes
+	// the plugin sections; PayloadTotal (below) counts every span.
 	Regions      int
 	RegionBytes  uint64
 	SectionBytes uint64
@@ -361,15 +290,16 @@ func (e *Engine) shardSize() int {
 	return e.ShardSize
 }
 
-// shardJob is one unit of the write pipeline: a payload shard to be
-// assembled from its pieces (a region shard is one address range),
+// shardJob is one unit of the write pipeline: a payload shard — a
+// slice of a literal section, or the address range of a span shard —
 // hashed when a chain needs it, and written in index order behind its
 // shard header.
 type shardJob struct {
-	pieces []piece
+	data   []byte // a section shard's bytes; nil: read addr through the view
+	addr   uint64
 	rawLen int
 
-	spanIdx  uint32 // destination span (regions, then sections)
+	spanIdx  uint32 // destination span (the span table, then sections)
 	spanOff  uint64 // offset within the span
 	hash     uint64 // shardSum of the raw bytes; 0 in a standalone image
 	needHash bool   // workers compute hash (else it is precomputed or unwanted)
@@ -380,23 +310,25 @@ type shardJob struct {
 	done   chan struct{}
 }
 
-// shardSource is what the write pipeline reads reference pieces from by
+// shardSource is what the write pipeline reads span shards from by
 // address: an address-space view for a checkpoint, a linked chain of
 // stored images for EncodeBase.
 type shardSource interface {
 	ReadAt(addr uint64, p []byte) error
 }
 
-// stage returns a shard's bytes: the literal bytes themselves when the
-// shard lies inside one literal piece, else a pooled buffer filled from
-// its pieces, which the caller recycles.
-func (b *WorkerBudget) stage(pieces []piece, n, shard int, view shardSource) ([]byte, *[]byte, error) {
-	if len(pieces) == 1 && pieces[0].data != nil {
-		return pieces[0].data, nil, nil
+// stage returns a shard's bytes: a section shard's own bytes, or a
+// pooled buffer filled from view, which the caller recycles.
+func (b *WorkerBudget) stage(j *shardJob, shard int, view shardSource) ([]byte, *[]byte, error) {
+	if j.data != nil {
+		return j.data, nil, nil
 	}
 	bp := b.getShardBuf(shard)
-	raw := (*bp)[:n]
-	return raw, bp, fill(raw, pieces, view)
+	raw := (*bp)[:j.rawLen]
+	if err := view.ReadAt(j.addr, raw); err != nil {
+		return raw, bp, fmt.Errorf("dmtcp: reading %#x+%d: %w", j.addr, j.rawLen, err)
+	}
+	return raw, bp, nil
 }
 
 func (e *Engine) runWritePipeline(ctx context.Context, w io.Writer, view shardSource, jobs []shardJob) error {
@@ -421,7 +353,7 @@ func (e *Engine) runWritePipeline(ctx context.Context, w io.Writer, view shardSo
 			j.err = err
 			return
 		}
-		raw, buf, err := bgt.stage(j.pieces, j.rawLen, shard, view)
+		raw, buf, err := bgt.stage(j, shard, view)
 		j.rawBuf = buf
 		if err != nil {
 			j.err = err
@@ -462,15 +394,11 @@ func (e *Engine) runWritePipeline(ctx context.Context, w io.Writer, view shardSo
 			bgt.putShardBuf(j.rawBuf)
 			j.rawBuf = nil
 		}
-		if err == nil && releaser != nil {
+		if err == nil && releaser != nil && j.data == nil {
 			// The frame is on the wire: the snapshot may drop the
-			// copy-on-write pages wholly inside this shard's ranges. A
+			// copy-on-write pages wholly inside this shard's range. A
 			// page split across two shards stays until Frozen.Release.
-			for _, p := range j.pieces {
-				if p.data == nil {
-					releaser.ReleaseRange(p.addr, uint64(p.n))
-				}
-			}
+			releaser.ReleaseRange(j.addr, uint64(j.rawLen))
 		}
 		return err
 	}

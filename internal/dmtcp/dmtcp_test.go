@@ -22,15 +22,15 @@ type testPlugin struct {
 }
 
 func (p *testPlugin) Name() string { return p.name }
-func (p *testPlugin) Freeze(uint64, bool) (EmitFunc, error) {
+func (p *testPlugin) Freeze(uint64, uint64, bool) (EmitFunc, uint64, error) {
 	p.pre++
 	if p.failPre {
-		return nil, errors.New("boom")
+		return nil, 0, errors.New("boom")
 	}
 	return func(_ context.Context, _ addrspace.View, s *SectionMap) error {
 		s.Add(p.name+".data", []byte("payload-"+p.name))
 		return nil
-	}, nil
+	}, 0, nil
 }
 func (p *testPlugin) Resume() error { p.resume++; return nil }
 func (p *testPlugin) LazyRestart(_ context.Context, r *LazyRestorer) error {
@@ -188,10 +188,10 @@ func TestSectionMapOrder(t *testing.T) {
 	if names := s.Names(); names[0] != "b" || names[1] != "a" || len(names) != 2 {
 		t.Fatalf("names = %v", names)
 	}
-	if v, err := s.Bytes("b", addrspace.New()); err != nil || v[0] != 3 {
+	if v, err := s.Bytes("b"); err != nil || v[0] != 3 {
 		t.Fatalf("get b = %v %v", v, err)
 	}
-	if _, err := s.Bytes("zzz", addrspace.New()); err == nil {
+	if _, err := s.Bytes("zzz"); err == nil {
 		t.Fatal("missing section found")
 	}
 }

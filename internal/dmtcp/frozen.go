@@ -26,10 +26,10 @@ import (
 	"repro/internal/addrspace"
 )
 
-// EmitFunc contributes one plugin's sections to a checkpoint image. It
-// runs outside the stop-the-world window, possibly concurrently with
-// the application, and must read memory only through view — never
-// through the live address space.
+// EmitFunc contributes one plugin's sections and fill-only spans to a
+// checkpoint image. It runs outside the stop-the-world window, possibly
+// concurrently with the application, and must read memory only through
+// view — never through the live address space.
 type EmitFunc func(ctx context.Context, view addrspace.View, sections *SectionMap) error
 
 // Frozen is a checkpoint captured in the stop-the-world window, ready
@@ -46,6 +46,7 @@ type Frozen struct {
 	selfName string
 	chain    bool       // a chain base or delta; false: a standalone image
 	emits    []EmitFunc // one per engine plugin, in registration order
+	cuts     []uint64   // the cut each plugin's Freeze returned
 	start    time.Time
 }
 
@@ -88,15 +89,19 @@ func (e *Engine) freeze(ctx context.Context, space *addrspace.Space, chain bool,
 			fz.since = prev.Cut
 		}
 	}
-	for _, p := range e.plugins {
+	for i, p := range e.plugins {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		emit, err := p.Freeze(fz.since, chain)
+		var prevCut uint64
+		if prev != nil && i < len(prev.PluginCuts) {
+			prevCut = prev.PluginCuts[i]
+		}
+		emit, cut, err := p.Freeze(fz.since, prevCut, chain)
 		if err != nil {
 			return nil, fmt.Errorf("dmtcp: plugin %s freeze: %w", p.Name(), err)
 		}
-		fz.emits = append(fz.emits, emit)
+		fz.emits, fz.cuts = append(fz.emits, emit), append(fz.cuts, cut)
 	}
 	// Arm the snapshot after the drain hooks, so the image includes the
 	// memory effects the drain flushed.

@@ -14,8 +14,9 @@
 // compaction (EncodeBase) and chain verification all read stored bytes
 // through it. Indexes chain like delta images: SetParent links a delta's
 // index to its parent's, and range resolution walks the chain to the
-// nearest ancestor that owns each shard (regions inherit by absolute
-// address, sections by name and offset).
+// nearest ancestor that owns each shard (spans — upper-half regions and
+// fill-only spans alike — inherit by absolute address, sections by name
+// and offset).
 //
 // # LazyRestorer
 //
@@ -61,7 +62,8 @@ type ShardIndex struct {
 	// ImageMeta is the image's prologue: encoding, kind and lineage.
 	ImageMeta
 
-	// Regions holds the region table; Secs the section table.
+	// Regions holds the span table — upper-half regions and fill-only
+	// spans, ascending and disjoint; Secs the section table.
 	Regions []RegionData
 	Secs    []SectionHdr
 
@@ -363,9 +365,7 @@ func (ix *ShardIndex) shardsCovering(span int, off, length uint64) (idxs []int, 
 
 // SectionBytes materializes the named section completely, resolving
 // gaps (clean shards of a delta) through the parent chain by name and
-// offset. Opaque sections are returned as carried by this image (they
-// are always emitted in full); merging across a chain is the owner
-// plugin's business.
+// offset.
 func (ix *ShardIndex) SectionBytes(name string) ([]byte, error) {
 	si := ix.sectionIndex(name)
 	if si < 0 {
@@ -378,9 +378,9 @@ func (ix *ShardIndex) SectionBytes(name string) ([]byte, error) {
 	return out, nil
 }
 
-// shardCache holds the shard a ranged section read decoded last, so a
-// forward walk of small reads (entry headers between payloads) decodes
-// and hash-verifies each shard it touches once.
+// shardCache holds the shard a ranged read decoded last, so a forward
+// walk of reads that each want part of one shard decodes and
+// hash-verifies it once.
 type shardCache struct {
 	ix  *ShardIndex // nil: empty
 	idx int
@@ -402,46 +402,6 @@ func (c *shardCache) shard(ix *ShardIndex, idx int) ([]byte, error) {
 	}
 	c.ix, c.idx = ix, idx
 	return c.buf, nil
-}
-
-// SectionReader reads byte ranges of one section of one image (chain-
-// resolved like SectionBytes). It is an io.ReaderAt for one goroutine:
-// the shard decoded last is kept between calls.
-type SectionReader struct {
-	ix    *ShardIndex
-	name  string
-	size  uint64
-	cache shardCache
-}
-
-// SectionReader opens the named section for ranged reads.
-func (ix *ShardIndex) SectionReader(name string) (*SectionReader, error) {
-	si := ix.sectionIndex(name)
-	if si < 0 {
-		return nil, fmt.Errorf("%w: image has no section %q", ErrBadImage, name)
-	}
-	return &SectionReader{ix: ix, name: name, size: ix.Secs[si].Size}, nil
-}
-
-// Size returns the section's length in bytes.
-func (sr *SectionReader) Size() uint64 { return sr.size }
-
-// ReadAt implements io.ReaderAt over the section's bytes.
-func (sr *SectionReader) ReadAt(p []byte, off int64) (int, error) {
-	if off < 0 || uint64(off) >= sr.size {
-		return 0, io.EOF
-	}
-	short := uint64(len(p)) > sr.size-uint64(off)
-	if short {
-		p = p[:sr.size-uint64(off)]
-	}
-	if err := sr.ix.readSectionRange(sr.name, uint64(off), p, &sr.cache); err != nil {
-		return 0, err
-	}
-	if short {
-		return len(p), io.EOF
-	}
-	return len(p), nil
 }
 
 // readSectionRange fills dst with section bytes [off, off+len(dst)),
@@ -471,16 +431,25 @@ func (ix *ShardIndex) readSectionRange(name string, off uint64, dst []byte, cach
 	})
 }
 
-// readRegionRange fills dst with the region bytes at absolute address
+// ReadAt fills p with the span bytes at absolute address addr, resolved
+// through the linked chain (see readRegionRange). It is safe for
+// concurrent use: compaction's write pipeline reads a chain through it.
+func (ix *ShardIndex) ReadAt(addr uint64, p []byte) error {
+	return ix.readRegionRange(addr, p, new(shardCache))
+}
+
+// readRegionRange fills dst with the span bytes at absolute address
 // addr, resolved as a restart resolves them: ranges this image carries
 // come from its shards, the clean ranges of a delta from the nearest
-// ancestor that carries them. A range outside the image's regions is a
-// lineage hole: new mappings are dirty from birth, so a well-formed
-// chain has none.
+// ancestor that carries them. A range outside the image's span table is
+// a lineage hole: new mappings are dirty from birth, and a delta emits
+// a fill-only shard its parent does not cover, so a well-formed chain
+// has none.
 func (ix *ShardIndex) readRegionRange(addr uint64, dst []byte, cache *shardCache) error {
 	end := addr + uint64(len(dst))
 	at := addr
-	for i, rd := range ix.Regions {
+	for i := ix.firstSpanEndingAfter(addr); i < len(ix.Regions); i++ {
+		rd := ix.Regions[i]
 		lo, hi := max(rd.Start, at), min(rd.Start+rd.Len, end)
 		if lo >= hi {
 			continue
@@ -503,6 +472,12 @@ func (ix *ShardIndex) readRegionRange(addr uint64, dst []byte, cache *shardCache
 		return fmt.Errorf("%w: region bytes %#x+%#x not mapped by image", ErrDeltaChain, at, end-at)
 	}
 	return nil
+}
+
+// firstSpanEndingAfter returns the index of the first span-table entry
+// that ends after addr.
+func (ix *ShardIndex) firstSpanEndingAfter(addr uint64) int {
+	return sort.Search(len(ix.Regions), func(i int) bool { return ix.Regions[i].Start+ix.Regions[i].Len > addr })
 }
 
 // readSpanRange fills dst with bytes [off, off+len(dst)) of span from

@@ -68,9 +68,9 @@ func TestIndexScanReadsHeadersOnly(t *testing.T) {
 }
 
 // TestSectionReaderDecodesEachShardOnce walks a section in small
-// forward reads, the way the devmem2 header walk does: every shard
-// touched is read from the source (and hash-verified) exactly once,
-// untouched shards never, and the bytes are the section's.
+// forward reads through one shard cache: every shard touched is read
+// from the source (and hash-verified) exactly once, untouched shards
+// never, and the bytes are the section's.
 func TestSectionReaderDecodesEachShardOnce(t *testing.T) {
 	const shard = 16 << 10
 	space := lazySpace(t)
@@ -91,32 +91,25 @@ func TestSectionReaderDecodesEachShardOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	src.got = nil
-	sr, err := ix.SectionReader("test.payload")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sr.Size() != uint64(len(want)) {
-		t.Fatalf("Size = %d, want %d", sr.Size(), len(want))
-	}
+	var cache shardCache
 	// Three 17-byte reads inside shard 0, one straddling shards 2|3,
 	// one in the last shard; shard 1 and the rest stay untouched.
 	last := (len(want) - 1) / shard
 	for _, off := range []int{0, 100, shard - 17, 3*shard - 8, last*shard + 5} {
 		got := make([]byte, 17)
-		if n, err := sr.ReadAt(got, int64(off)); n != 17 || err != nil {
-			t.Fatalf("ReadAt(%d) = (%d, %v)", off, n, err)
+		if err := ix.readSectionRange("test.payload", uint64(off), got, &cache); err != nil {
+			t.Fatalf("read at %d: %v", off, err)
 		}
 		if !bytes.Equal(got, want[off:off+17]) {
-			t.Fatalf("ReadAt(%d): wrong bytes", off)
+			t.Fatalf("read at %d: wrong bytes", off)
 		}
 	}
 	if len(src.got) != 4 {
 		t.Fatalf("walk read the source %d times, want one per touched shard (4): %v", len(src.got), src.got)
 	}
-	// A read ending past the section returns what there is, with EOF.
-	tail := make([]byte, 64)
-	if n, err := sr.ReadAt(tail, int64(len(want)-10)); n != 10 || err != io.EOF || !bytes.Equal(tail[:10], want[len(want)-10:]) {
-		t.Fatalf("ReadAt straddling the end = (%d, %v)", n, err)
+	// A read past the section fails.
+	if err := ix.readSectionRange("test.payload", uint64(len(want)-10), make([]byte, 64), &cache); !errors.Is(err, ErrBadImage) {
+		t.Fatalf("read past the end = %v, want ErrBadImage", err)
 	}
 	// A flipped payload byte still fails the shard's hash on this path.
 	bad := append([]byte(nil), buf.Bytes()...)
@@ -126,8 +119,7 @@ func TestSectionReaderDecodesEachShardOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bsr, _ := bix.SectionReader("test.payload")
-	if _, err := bsr.ReadAt(make([]byte, 17), 0); !errors.Is(err, ErrCorruptImage) {
+	if err := bix.readSectionRange("test.payload", 0, make([]byte, 17), new(shardCache)); !errors.Is(err, ErrCorruptImage) {
 		t.Fatalf("ranged read of a corrupt shard: %v, want ErrCorruptImage", err)
 	}
 }

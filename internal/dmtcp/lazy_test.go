@@ -55,7 +55,7 @@ func writeTestImage(t *testing.T, space *addrspace.Space, mut func(e *Engine), c
 type lazyTestPlugin struct{}
 
 func (p *lazyTestPlugin) Name() string { return "lazytest" }
-func (p *lazyTestPlugin) Freeze(uint64, bool) (EmitFunc, error) {
+func (p *lazyTestPlugin) Freeze(uint64, uint64, bool) (EmitFunc, uint64, error) {
 	return func(_ context.Context, _ addrspace.View, sections *SectionMap) error {
 		data := make([]byte, 3*DefaultShardSize/2)
 		for i := range data {
@@ -64,7 +64,7 @@ func (p *lazyTestPlugin) Freeze(uint64, bool) (EmitFunc, error) {
 		sections.Add("test.payload", data)
 		sections.Add("test.small", []byte("hello"))
 		return nil
-	}, nil
+	}, 0, nil
 }
 func (p *lazyTestPlugin) Resume() error                                    { return nil }
 func (p *lazyTestPlugin) LazyRestart(context.Context, *LazyRestorer) error { return nil }

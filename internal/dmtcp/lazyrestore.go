@@ -15,44 +15,30 @@ import (
 	"repro/internal/par"
 )
 
-// PrefetchClass orders the background drain: device memory first (a
-// restarted application's kernels touch it immediately), then pinned,
-// then the upper-half regions, and managed (UVM) memory last — its
-// CPU-resident pages are the coldest state and stay cold the longest,
-// materializing on first touch if the application gets there before
-// the prefetcher.
-type PrefetchClass int
+// PrefetchClass is a span table entry's class, and orders the
+// background drain: device memory first (a restarted application's
+// kernels touch it immediately), then pinned, then the upper-half
+// regions, and managed (UVM) memory last — its CPU-resident pages are
+// the coldest state and stay cold the longest, materializing on first
+// touch if the application gets there before the prefetcher. Every
+// class but ClassRegion marks a fill-only span.
+type PrefetchClass uint8
 
-// Prefetch classes in drain order.
+// Prefetch classes; drainOrder lists them in drain order.
 const (
-	ClassDevice PrefetchClass = iota
+	ClassRegion PrefetchClass = iota
+	ClassDevice
 	ClassPinned
-	ClassRegion
 	ClassManaged
 )
 
-// planSource says where a fill plan's bytes come from.
-type planSource interface{ isPlanSource() }
+var drainOrder = []PrefetchClass{ClassDevice, ClassPinned, ClassRegion, ClassManaged}
 
-// regionSource resolves through the chain's region tables by absolute
-// address: each range from the nearest chain image that carries it.
-type regionSource struct{}
-
-// sectionSource reads [off, off+len) of one image's section payload.
-type sectionSource struct {
-	img  int
-	name string
-	off  uint64
-}
-
-func (regionSource) isPlanSource()  {}
-func (sectionSource) isPlanSource() {}
-
-// fillPlan binds one target address range to its image bytes.
+// fillPlan binds one target address range to the chain's bytes at that
+// address.
 type fillPlan struct {
 	addr, length uint64
 	class        PrefetchClass
-	src          planSource
 }
 
 // shardRef identifies one shard within one chain image.
@@ -66,9 +52,9 @@ type shardCall struct {
 
 // LazyRestorer materializes a checkpoint image into an address space
 // on demand. Build it with NewLazyRestorer, register the fill plans
-// (MapRegions + the plugin's section plans), Seal it, install
-// MaterializeRange as the space's Materializer, and start Prefetch on
-// a background goroutine. Safe for concurrent use after Seal.
+// (MapRegions), Seal it, install MaterializeRange as the space's
+// Materializer, and start Prefetch on a background goroutine. Safe for
+// concurrent use after Seal.
 type LazyRestorer struct {
 	space *addrspace.Space
 	chain []*ShardIndex // [0] = tip; chain[i].parent == chain[i+1]
@@ -82,9 +68,8 @@ type LazyRestorer struct {
 	Workers int
 	Budget  *WorkerBudget
 
-	plans    []fillPlan // sorted by addr once sealed
-	secPlans map[secKey][]int
-	sealed   bool
+	plans  []fillPlan // sorted by addr once sealed
+	sealed bool
 
 	mu    sync.Mutex
 	calls map[shardRef]*shardCall
@@ -96,11 +81,6 @@ type LazyRestorer struct {
 	// where the drain competes with the application for cores, a
 	// restarted request must never queue behind background prefetching.
 	fg atomic.Int64
-}
-
-type secKey struct {
-	img  int
-	name string
 }
 
 // NewLazyRestorer builds a restorer over the linked index chain
@@ -119,78 +99,39 @@ func NewLazyRestorer(space *addrspace.Space, chain []*ShardIndex) (*LazyRestorer
 		return nil, fmt.Errorf("%w: chain ends in a delta (%q unresolved)", ErrDeltaChain, last.Parent)
 	}
 	return &LazyRestorer{
-		space:    space,
-		chain:    chain,
-		secPlans: make(map[secKey][]int),
-		calls:    make(map[shardRef]*shardCall),
+		space: space,
+		chain: chain,
+		calls: make(map[shardRef]*shardCall),
 	}, nil
 }
 
 // Tip returns the chain tip's index (the image being restored).
 func (r *LazyRestorer) Tip() *ShardIndex { return r.chain[0] }
 
-// Chain returns the linked index chain, tip first.
-func (r *LazyRestorer) Chain() []*ShardIndex { return r.chain }
-
 // SectionBytes materializes a tip section completely (chain-resolved).
 func (r *LazyRestorer) SectionBytes(name string) ([]byte, error) {
 	return r.chain[0].SectionBytes(name)
 }
 
-// ImageSectionBytes materializes the named section as carried by chain
-// image img (the plugin uses it to read an ancestor base's call log).
-func (r *LazyRestorer) ImageSectionBytes(img int, name string) ([]byte, error) {
-	if img < 0 || img >= len(r.chain) {
-		return nil, fmt.Errorf("%w: no chain image %d", ErrDeltaChain, img)
-	}
-	return r.chain[img].SectionBytes(name)
-}
-
-// ImageSection opens the named section of chain image img for ranged
-// reads: the plugin walks a delta's devmem2 entry headers through it,
-// decoding only the shards that hold a header.
-func (r *LazyRestorer) ImageSection(img int, name string) (*SectionReader, error) {
-	if img < 0 || img >= len(r.chain) {
-		return nil, fmt.Errorf("%w: no chain image %d", ErrDeltaChain, img)
-	}
-	return r.chain[img].SectionReader(name)
-}
-
 // MapRegions maps every tip region into the space — upper half, at its
 // original address and final protection (fills arrive through the
 // privileged FillCold push, so no write-then-protect dance is needed) —
-// and registers one fill plan per region: the whole upper-half memory
-// restores on demand. A region colliding with an existing mapping fails
-// (MAP_FIXED_NOREPLACE semantics).
+// and registers a fill plan for every entry of the tip's span table,
+// with the entry's class: the whole image restores on demand. A
+// fill-only span is not mapped: the restarted process recreates its
+// memory at the same address before the plans are sealed. A region
+// colliding with an existing mapping fails (MAP_FIXED_NOREPLACE
+// semantics).
 func (r *LazyRestorer) MapRegions() error {
 	for _, rd := range r.chain[0].Regions {
-		if _, err := r.space.MMap(rd.Start, rd.Len, rd.Prot, addrspace.MapFixedNoReplace,
-			addrspace.HalfUpper, rd.Label); err != nil {
-			return fmt.Errorf("dmtcp: restoring region %#x+%d (%s): %w", rd.Start, rd.Len, rd.Label, err)
+		if !rd.FillOnly() {
+			if _, err := r.space.MMap(rd.Start, rd.Len, rd.Prot, addrspace.MapFixedNoReplace,
+				addrspace.HalfUpper, rd.Label); err != nil {
+				return fmt.Errorf("dmtcp: restoring region %#x+%d (%s): %w", rd.Start, rd.Len, rd.Label, err)
+			}
 		}
-		r.addPlan(fillPlan{addr: rd.Start, length: rd.Len, class: ClassRegion, src: regionSource{}})
+		r.addPlan(fillPlan{addr: rd.Start, length: rd.Len, class: rd.Class})
 	}
-	return nil
-}
-
-// PlanSection binds [addr, addr+length) to bytes [off, off+length) of
-// the named section of chain image img.
-func (r *LazyRestorer) PlanSection(addr, length uint64, img int, name string, off uint64, class PrefetchClass) error {
-	if img < 0 || img >= len(r.chain) {
-		return fmt.Errorf("%w: no chain image %d", ErrDeltaChain, img)
-	}
-	ix := r.chain[img]
-	si := ix.sectionIndex(name)
-	if si < 0 {
-		return fmt.Errorf("%w: image %d has no section %q", ErrBadImage, img, name)
-	}
-	if off+length > ix.Secs[si].Size {
-		return fmt.Errorf("%w: section %q plan %d+%d beyond %d", ErrBadImage, name, off, length, ix.Secs[si].Size)
-	}
-	idx := len(r.plans)
-	r.addPlan(fillPlan{addr: addr, length: length, class: class, src: sectionSource{img: img, name: name, off: off}})
-	key := secKey{img: img, name: name}
-	r.secPlans[key] = append(r.secPlans[key], idx)
 	return nil
 }
 
@@ -210,14 +151,6 @@ func (r *LazyRestorer) addPlan(p fillPlan) {
 // application.
 func (r *LazyRestorer) Seal() {
 	sort.Slice(r.plans, func(i, j int) bool { return r.plans[i].addr < r.plans[j].addr })
-	// secPlans holds indices into the pre-sort slice; rebuild.
-	r.secPlans = make(map[secKey][]int)
-	for i, p := range r.plans {
-		if ss, ok := p.src.(sectionSource); ok {
-			key := secKey{img: ss.img, name: ss.name}
-			r.secPlans[key] = append(r.secPlans[key], i)
-		}
-	}
 	r.sealed = true
 	for _, p := range r.plans {
 		r.space.MarkCold(p.addr, p.length)
@@ -259,7 +192,7 @@ func (r *LazyRestorer) resolveRegion(img int, addr, length uint64, refs map[shar
 	ix := r.chain[img]
 	end := addr + length
 	at := addr
-	for _, spanIdx := range r.regionSpansOverlapping(ix, addr, end) {
+	for _, spanIdx := range ix.spansOverlapping(addr, end) {
 		rd := ix.Regions[spanIdx]
 		lo, hi := rd.Start, rd.Start+rd.Len
 		if lo < at {
@@ -312,17 +245,11 @@ func (r *LazyRestorer) regionGap(img int, addr, length uint64, refs map[shardRef
 	return fmt.Errorf("%w: region bytes %#x+%#x not mapped by ancestor image", ErrDeltaChain, addr, length)
 }
 
-// regionSpansOverlapping returns the indices of ix's regions
-// overlapping [addr, end), in address order.
-func (r *LazyRestorer) regionSpansOverlapping(ix *ShardIndex, addr, end uint64) []int {
+// spansOverlapping returns the indices of ix's spans overlapping
+// [addr, end), in address order.
+func (ix *ShardIndex) spansOverlapping(addr, end uint64) []int {
 	var out []int
-	for i, rd := range ix.Regions {
-		if rd.Start+rd.Len <= addr {
-			continue
-		}
-		if rd.Start >= end {
-			break
-		}
+	for i := ix.firstSpanEndingAfter(addr); i < len(ix.Regions) && ix.Regions[i].Start < end; i++ {
 		out = append(out, i)
 	}
 	return out
@@ -341,29 +268,8 @@ func (r *LazyRestorer) MaterializeRange(addr, length uint64) error {
 
 func (r *LazyRestorer) materialize(addr, length uint64) error {
 	refs := make(map[shardRef]struct{})
-	err := r.plansOverlapping(addr, length, func(p *fillPlan, lo, hi uint64) error {
-		switch src := p.src.(type) {
-		case regionSource:
-			return r.resolveRegion(0, lo, hi-lo, refs)
-		case sectionSource:
-			ix := r.chain[src.img]
-			si := ix.sectionIndex(src.name)
-			span := len(ix.Regions) + si
-			secLo := src.off + (lo - p.addr)
-			idxs, gaps := ix.shardsCovering(span, secLo, hi-lo)
-			if len(gaps) > 0 {
-				// Section plans always name the image that owns the
-				// payload (a base's computed layout, or a delta's own
-				// opaque section, which is emitted in full).
-				return fmt.Errorf("%w: section %q bytes %d+%d missing from image %d", ErrDeltaChain, src.name, gaps[0].Off, gaps[0].Len, src.img)
-			}
-			for _, k := range idxs {
-				refs[shardRef{img: src.img, idx: k}] = struct{}{}
-			}
-			return nil
-		default:
-			return fmt.Errorf("dmtcp: unknown plan source %T", src)
-		}
+	err := r.plansOverlapping(addr, length, func(_ *fillPlan, lo, hi uint64) error {
+		return r.resolveRegion(0, lo, hi-lo, refs)
 	})
 	if err != nil {
 		return err
@@ -436,43 +342,22 @@ func (r *LazyRestorer) decodeAndScatter(ref shardRef) error {
 	}
 	r.decoded.Add(1)
 
-	if sh.span < len(ix.Regions) {
-		// Region shard: its absolute range, minus every sub-range a
-		// younger chain image overrides (their shards carry the newer
-		// bytes and are decoded by their own resolution), scatters by
-		// address. FillCold writes only still-cold pages, so ranges the
-		// application already faulted (or that were unmapped since) are
-		// untouched.
-		base := ix.Regions[sh.span].Start + sh.off
-		selected := []addrspace.Span{{Off: base, Len: uint64(sh.rawLen)}}
-		for younger := ref.img - 1; younger >= 0; younger-- {
-			selected = subtractRegionShards(r.chain[younger], selected)
-			if len(selected) == 0 {
-				break
-			}
+	// Only span shards are planned. The shard's absolute range, minus
+	// every sub-range a younger chain image overrides (their shards carry
+	// the newer bytes and are decoded by their own resolution), scatters
+	// by address. FillCold writes only still-cold pages, so ranges the
+	// application already faulted (or that were unmapped since) are
+	// untouched.
+	base := ix.Regions[sh.span].Start + sh.off
+	selected := []addrspace.Span{{Off: base, Len: uint64(sh.rawLen)}}
+	for younger := ref.img - 1; younger >= 0; younger-- {
+		selected = subtractRegionShards(r.chain[younger], selected)
+		if len(selected) == 0 {
+			break
 		}
-		for _, sel := range selected {
-			r.space.FillCold(sel.Off, buf[sel.Off-base:sel.Off-base+sel.Len])
-		}
-		return nil
 	}
-
-	// Section shard: scatter to the plans bound to this image+section.
-	sec := ix.Secs[sh.span-len(ix.Regions)]
-	for _, pi := range r.secPlans[secKey{img: ref.img, name: sec.Name}] {
-		p := &r.plans[pi]
-		ss := p.src.(sectionSource)
-		lo, hi := sh.off, sh.off+uint64(sh.rawLen)
-		if lo < ss.off {
-			lo = ss.off
-		}
-		if e := ss.off + p.length; hi > e {
-			hi = e
-		}
-		if lo >= hi {
-			continue
-		}
-		r.space.FillCold(p.addr+(lo-ss.off), buf[lo-sh.off:hi-sh.off])
+	for _, sel := range selected {
+		r.space.FillCold(sel.Off, buf[sel.Off-base:sel.Off-base+sel.Len])
 	}
 	return nil
 }
@@ -483,10 +368,8 @@ func subtractRegionShards(ix *ShardIndex, spans []addrspace.Span) []addrspace.Sp
 	var out []addrspace.Span
 	for _, sp := range spans {
 		parts := []addrspace.Span{sp}
-		for spanIdx, rd := range ix.Regions {
-			if rd.Start+rd.Len <= sp.Off || rd.Start >= sp.Off+sp.Len {
-				continue
-			}
+		for _, spanIdx := range ix.spansOverlapping(sp.Off, sp.Off+sp.Len) {
+			rd := ix.Regions[spanIdx]
 			var next []addrspace.Span
 			for _, part := range parts {
 				lo, hi := part.Off, part.Off+part.Len
@@ -567,7 +450,7 @@ const PrefetchChunk = 1 << 20
 // materializable on demand — the session stays fully usable.
 func (r *LazyRestorer) Prefetch(ctx context.Context) error {
 	var chunks []addrspace.Span
-	for _, class := range []PrefetchClass{ClassDevice, ClassPinned, ClassRegion, ClassManaged} {
+	for _, class := range drainOrder {
 		for i := range r.plans {
 			p := &r.plans[i]
 			if p.class != class {
@@ -628,9 +511,8 @@ func (r *LazyRestorer) prefetchOne(ctx context.Context, c addrspace.Span) error 
 	return err
 }
 
-// Span overlap note: plans never overlap each other (regions are
-// disjoint mappings; devmem entries are disjoint allocations in the
-// lower half), so a page belongs to at most one plan per byte and
+// Span overlap note: plans never overlap each other (the span table is
+// ascending and disjoint), so a byte belongs to at most one plan and
 // MaterializeRange's per-plan fills are disjoint.
 
 // RunLazyRestartHooks invokes every plugin's LazyRestart hook, in

@@ -69,7 +69,7 @@ func snapshotRegions(t testing.TB, s *addrspace.Space, regions []addrspace.Regio
 type sectionPlugin struct{ sizes []int }
 
 func (p *sectionPlugin) Name() string { return "sections" }
-func (p *sectionPlugin) Freeze(uint64, bool) (EmitFunc, error) {
+func (p *sectionPlugin) Freeze(uint64, uint64, bool) (EmitFunc, uint64, error) {
 	return func(_ context.Context, _ addrspace.View, s *SectionMap) error {
 		for i, n := range p.sizes {
 			b := make([]byte, n)
@@ -77,10 +77,25 @@ func (p *sectionPlugin) Freeze(uint64, bool) (EmitFunc, error) {
 			s.Add(fmt.Sprintf("sec.%d", i), b)
 		}
 		return nil
-	}, nil
+	}, 0, nil
 }
 func (p *sectionPlugin) Resume() error                                    { return nil }
 func (p *sectionPlugin) LazyRestart(context.Context, *LazyRestorer) error { return nil }
+
+// fillPlugin emits its fill-only spans into every checkpoint.
+type fillPlugin struct{ spans []FillSpan }
+
+func (p *fillPlugin) Name() string { return "fills" }
+func (p *fillPlugin) Freeze(uint64, uint64, bool) (EmitFunc, uint64, error) {
+	return func(_ context.Context, _ addrspace.View, s *SectionMap) error {
+		for _, sp := range p.spans {
+			s.Fill(sp)
+		}
+		return nil
+	}, 0, nil
+}
+func (p *fillPlugin) Resume() error                                    { return nil }
+func (p *fillPlugin) LazyRestart(context.Context, *LazyRestorer) error { return nil }
 
 // TestParallelSerialImagesIdentical: a standalone image is byte-identical for
 // any worker count (shard plan depends only on shard size), and the
@@ -361,50 +376,35 @@ func TestStatsDurations(t *testing.T) {
 }
 
 // TestSectionWriterStreams: the streaming section API accumulates writes
-// and publishes on Close; a range written by reference materializes
-// through the view, between the literal bytes around it.
+// and publishes on Close.
 func TestSectionWriterStreams(t *testing.T) {
-	space := addrspace.New()
 	s := NewSectionMap()
 	w := s.Writer("log", 4)
-	if _, err := s.Bytes("log", space); err == nil {
+	if _, err := s.Bytes("log"); err == nil {
 		t.Fatal("section visible before Close")
 	}
 	w.Write([]byte("abc"))
 	w.Write([]byte("defgh"))
 	w.Close()
-	if got, err := s.Bytes("log", space); err != nil || string(got) != "abcdefgh" {
+	if got, err := s.Bytes("log"); err != nil || string(got) != "abcdefgh" {
 		t.Fatalf("section = %q err=%v", got, err)
-	}
-	addr, err := space.MMap(0, addrspace.PageSize, addrspace.ProtRW, 0, addrspace.HalfLower, "dev")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := space.WriteAt(addr+10, []byte("xy")); err != nil {
-		t.Fatal(err)
-	}
-	w = s.Writer("mixed", 0)
-	w.Write([]byte("<"))
-	w.WriteRange(addr+10, 2)
-	w.WriteRange(addr, 0)
-	w.Write([]byte(">"))
-	w.Close()
-	if got, err := s.Bytes("mixed", space); err != nil || string(got) != "<xy>" {
-		t.Fatalf("mixed section = %q err=%v", got, err)
 	}
 }
 
-// fuzzSeeds returns the seeds of the decoder fuzzers: seven images — a
-// standalone image, raw and with the retired gzip bit set; a chain
-// base; a chain delta, raw, gzip-flagged and without flagShardCRC; a
-// standalone image with its trailer cut off — each whole and cut in
-// half.
+// fuzzSeeds returns the seeds of the decoder fuzzers: eight images, each
+// carrying a fill-only span — a standalone image, raw, with the retired
+// gzip bit set and without flagSpanClass (the retired devmem2 format);
+// a chain base; a chain delta, raw, gzip-flagged and without
+// flagShardCRC; a standalone image with its trailer cut off — each
+// whole and cut in half.
 func fuzzSeeds(f *testing.F) [][]byte {
 	space, regions := buildBigSpace(f, 3)
+	lower := space.RegionsIn(addrspace.HalfLower)[0]
 	engine := func() *Engine {
 		e := NewEngine()
 		e.ShardSize = 2 * addrspace.PageSize
 		e.Register(&sectionPlugin{sizes: []int{100, 3000}})
+		e.Register(&fillPlugin{spans: []FillSpan{{Addr: lower.Start + addrspace.PageSize, Len: 2 * addrspace.PageSize, Class: ClassDevice}}})
 		return e
 	}
 	standalone := func() []byte {
@@ -432,7 +432,8 @@ func fuzzSeeds(f *testing.F) [][]byte {
 	raw := standalone()
 	base, delta := chain()
 	var seeds [][]byte
-	for _, img := range [][]byte{raw, gzipFlagged(raw), base, delta, gzipFlagged(delta), fnvHashed(f, delta), raw[:len(raw)-trailerSize]} {
+	classless := reflagged(raw, func(f byte) byte { return f &^ flagSpanClass })
+	for _, img := range [][]byte{raw, gzipFlagged(raw), classless, base, delta, gzipFlagged(delta), fnvHashed(f, delta), raw[:len(raw)-trailerSize]} {
 		seeds = append(seeds, img, img[:len(img)/2])
 	}
 	return seeds
@@ -480,26 +481,32 @@ func FuzzReadImage(f *testing.F) {
 }
 
 // hostileCounts are chain headers whose counts promise far more entries
-// than follow: a base's 2^20 shards after a 50-byte header, 2^20
-// sections after 42 bytes, 2^20 regions after 38, and a delta's 2^20
-// shards after 54 bytes (also committed to the fuzz corpora).
+// than follow, each carrying one fill-only span: a base's 2^20 shards
+// after a 70-byte header, 2^20 sections after 62 bytes, 2^20 regions
+// after 58 (the span one of them), and a delta's 2^20 shards after 74
+// bytes (also committed to the fuzz corpora).
 func hostileCounts() map[string][]byte {
 	le := binary.LittleEndian
 	prologue := func(flags byte, parent string, depth uint32) []byte {
-		b := append(append([]byte(nil), imageMagic[:]...), flags, 0, 0, 0)
+		b := append(append([]byte(nil), imageMagic[:]...), flags|flagSpanClass, 0, 0, 0)
 		b = le.AppendUint16(b, uint16(len(parent)))
 		b = le.AppendUint32(append(b, parent...), depth)
 		return append(b, make([]byte, 16)...)
 	}
-	base := prologue(flagShardCRC, "", 0)
+	// One device fill-only span of a page: start, len, prot, class, label.
+	fill := append(le.AppendUint64(le.AppendUint64(nil, 1<<40), addrspace.PageSize), 0, byte(ClassDevice), 0, 0)
+	spans := func(p []byte, count uint32) []byte {
+		return append(le.AppendUint32(append([]byte(nil), p...), count), fill...)
+	}
+	base := spans(prologue(flagShardCRC, "", 0), 1)
 	shards := func(p []byte) []byte {
-		return le.AppendUint32(le.AppendUint32(append(append([]byte(nil), p...), make([]byte, 8)...), DefaultShardSize), 1<<20)
+		return le.AppendUint32(le.AppendUint32(le.AppendUint32(append([]byte(nil), p...), 0), DefaultShardSize), 1<<20)
 	}
 	return map[string][]byte{
 		"shards":       shards(base),
-		"sections":     le.AppendUint32(le.AppendUint32(append([]byte(nil), base...), 0), 1<<20),
-		"regions":      le.AppendUint32(append([]byte(nil), base...), 1<<20),
-		"delta shards": shards(prologue(flagShardCRC|flagDelta, "base", 1)),
+		"sections":     le.AppendUint32(append([]byte(nil), base...), 1<<20),
+		"regions":      spans(prologue(flagShardCRC, "", 0), 1<<20),
+		"delta shards": shards(spans(prologue(flagShardCRC|flagDelta, "base", 1), 1)),
 	}
 }
 

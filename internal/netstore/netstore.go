@@ -72,11 +72,10 @@ type ReaderAtCloser interface {
 
 // Backend is the store a Handler serves, expressed as plain functions
 // so any image store can plug in without this package importing it.
-// Get, Put, List, and Delete are required; GetAt is optional (without
-// it, Range requests fall back to a full read server-side), as is
-// IsNotFound (without it, every backend error maps to a 500).
+// GetAt, Put, List, and Delete are required; GetAt serves every read —
+// whole images, Range requests and HEAD alike. IsNotFound is optional
+// (without it, every backend error maps to a 500).
 type Backend struct {
-	Get        func(ctx context.Context, name string) (io.ReadCloser, error)
 	GetAt      func(ctx context.Context, name string) (ReaderAtCloser, int64, error)
 	Put        func(ctx context.Context, name string, write func(io.Writer) error) error
 	List       func(ctx context.Context) ([]string, error)
@@ -128,30 +127,16 @@ func (h *handler) list(w http.ResponseWriter, r *http.Request) {
 
 func (h *handler) get(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	if h.b.GetAt != nil {
-		src, size, err := h.b.GetAt(r.Context(), name)
-		if err != nil {
-			h.writeErr(w, err)
-			return
-		}
-		defer src.Close()
-		w.Header().Set("Content-Type", "application/octet-stream")
-		// ServeContent handles HEAD, Range (single and invalid ranges,
-		// 206/416), and Content-Length from the seeker's size.
-		http.ServeContent(w, r, "", time.Time{}, io.NewSectionReader(src, 0, size))
-		return
-	}
-	rc, err := h.b.Get(r.Context(), name)
+	src, size, err := h.b.GetAt(r.Context(), name)
 	if err != nil {
 		h.writeErr(w, err)
 		return
 	}
-	defer rc.Close()
+	defer src.Close()
 	w.Header().Set("Content-Type", "application/octet-stream")
-	if r.Method == http.MethodHead {
-		return
-	}
-	io.Copy(w, rc)
+	// ServeContent handles plain GETs, HEAD, Range (single and invalid
+	// ranges, 206/416), and Content-Length from the seeker's size.
+	http.ServeContent(w, r, "", time.Time{}, io.NewSectionReader(src, 0, size))
 }
 
 // putCopyPool recycles the body-staging buffer of PUT requests. A

@@ -27,15 +27,6 @@ var errMissing = errors.New("missing")
 
 func (b *memBackend) backend() Backend {
 	return Backend{
-		Get: func(ctx context.Context, name string) (io.ReadCloser, error) {
-			b.mu.Lock()
-			defer b.mu.Unlock()
-			data, ok := b.m[name]
-			if !ok {
-				return nil, errMissing
-			}
-			return io.NopCloser(bytes.NewReader(data)), nil
-		},
 		GetAt: func(ctx context.Context, name string) (ReaderAtCloser, int64, error) {
 			b.mu.Lock()
 			defer b.mu.Unlock()

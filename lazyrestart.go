@@ -155,7 +155,7 @@ var lowerWindow = addrspace.Window{Start: addrspace.DefaultLowerStart, End: addr
 // restart is the one restart lifecycle; every entry point supplies
 // only a store, a name, and whether its caller waits for the drain:
 //
-//	open index chain → verify → decode log + layout → guards → lower half → map cold → rebuild → plugin plans → arm gate → drain
+//	open index chain → verify → decode log + layout + fill spans → guards → lower half → map cold → rebuild → plugin hooks → arm gate → drain
 //
 // Everything before the guards only reads the image, so one that fails
 // to open or verify leaves the session untouched. From the
@@ -187,9 +187,9 @@ func (s *Session) restart(ctx context.Context, store Store, name string, wait bo
 	if err != nil {
 		return failOpen(fmt.Errorf("%w: decoding image log: %v", ErrBadImage, err))
 	}
-	// The active set is derived once; the rebuild and the plugin's plans
-	// share it. The layout is checked against it here, so a hostile
-	// section fails before the teardown.
+	// The active set is derived once; the rebuild and the fill-span check
+	// share it. The layout and the image's fill-only spans are checked
+	// against it here, so a hostile image fails before the teardown.
 	active := log.Active()
 	lowerBytes, err := chain[0].SectionBytes(cracplugin.SectionLower)
 	if err != nil {
@@ -198,6 +198,9 @@ func (s *Session) restart(ctx context.Context, store Store, name string, wait bo
 	layout, err := cracplugin.DecodeLowerLayout(lowerBytes, lowerWindow, cracrt.LiveSet(active))
 	if err != nil {
 		return failOpen(fmt.Errorf("%w: %v", ErrBadImage, err))
+	}
+	if err := cracplugin.CheckFills(chain[0].Regions, active); err != nil {
+		return failOpen(err)
 	}
 
 	// A quiesced session cannot restart: the rebuild would block on the
@@ -273,7 +276,8 @@ func (s *Session) restart(ctx context.Context, store Store, name string, wait bo
 		return failOpen(err)
 	}
 
-	// DMTCP maps the upper-half regions first, content cold...
+	// DMTCP maps the upper-half regions first, content cold, and plans
+	// every span's fill...
 	restorer, err := dmtcp.NewLazyRestorer(space, chain)
 	if err != nil {
 		return abort(err)
@@ -291,8 +295,8 @@ func (s *Session) restart(ctx context.Context, store Store, name string, wait bo
 	}
 	// ...then the runtime rebuilds the fresh library from the layout and
 	// the active set, recreating every live allocation at its original
-	// address, and the CRAC plugin binds the active mallocs to their
-	// saved bytes.
+	// address — where its fill-only span's plan fills it — and the CRAC
+	// plugin restores its root blob.
 	if err := s.rt.Rebind(lib, entries, log, active, layout); err != nil {
 		return abort(err)
 	}
@@ -315,7 +319,6 @@ func (s *Session) restart(ctx context.Context, store Store, name string, wait bo
 	s.incr = nil
 	s.lazy = h
 	s.mu.Unlock()
-	s.plugin.ResetIncremental()
 
 	visible := time.Since(start)
 	drain := func() {

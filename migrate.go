@@ -184,8 +184,7 @@ type migImage struct {
 // the migration: checkpoints and restarts report ErrMigrationInFlight.
 // On success the source session is left quiesced at the cut — the
 // caller decides whether to Resume it (the two sessions then diverge)
-// or Close it — and its incremental lineage is rebased —
-// the migration consumed the plugin's dirty baseline, so the next
+// or Close it — and its incremental lineage is rebased, so the next
 // checkpoint after a Resume writes a self-contained base. On failure —
 // context cancellation or a store error in any phase — the migration
 // aborts cleanly: the source resumes executing where it was, every
@@ -219,12 +218,9 @@ func Migrate(ctx context.Context, sess *Session, src, dst Store, opts ...Migrate
 		if dest != nil {
 			dest.Close()
 		}
-		// The migration's rounds advanced the plugin's dirty baseline
-		// past the session's own chain: rebase so the next checkpoint is
-		// a self-contained base instead of a delta against an image that
-		// is about to be deleted.
+		// Rebase so the next checkpoint is a self-contained base instead
+		// of a delta against an image that may be about to be deleted.
 		sess.Rebase()
-		sess.plugin.ResetIncremental()
 		// Roll back even when the failure is the caller's own
 		// cancellation: cleanup uses a detached context.
 		cctx := context.WithoutCancel(ctx)
@@ -345,7 +341,6 @@ func Migrate(ctx context.Context, sess *Session, src, dst Store, opts ...Migrate
 	// The source is no longer the session of record. Its lineage was
 	// consumed by the migration either way.
 	sess.Rebase()
-	sess.plugin.ResetIncremental()
 
 	rep.Duration = time.Since(start)
 	m := &Migration{Dest: dest, Report: rep, done: make(chan struct{})}

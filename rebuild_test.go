@@ -466,10 +466,10 @@ type historyCut struct {
 }
 
 func (p *historyCut) Name() string { return "history-cut" }
-func (p *historyCut) Freeze(uint64, bool) (dmtcp.EmitFunc, error) {
+func (p *historyCut) Freeze(uint64, uint64, bool) (dmtcp.EmitFunc, uint64, error) {
 	p.history = p.h.Entries()
 	p.at = append(p.at, len(p.history))
-	return func(context.Context, addrspace.View, *dmtcp.SectionMap) error { return nil }, nil
+	return func(context.Context, addrspace.View, *dmtcp.SectionMap) error { return nil }, 0, nil
 }
 func (p *historyCut) Resume() error                                          { return nil }
 func (p *historyCut) LazyRestart(context.Context, *dmtcp.LazyRestorer) error { return nil }
@@ -483,13 +483,13 @@ type sectionOverride struct {
 }
 
 func (p *sectionOverride) Name() string { return "section-override" }
-func (p *sectionOverride) Freeze(uint64, bool) (dmtcp.EmitFunc, error) {
+func (p *sectionOverride) Freeze(uint64, uint64, bool) (dmtcp.EmitFunc, uint64, error) {
 	return func(_ context.Context, _ addrspace.View, sm *dmtcp.SectionMap) error {
 		if p.body != nil {
 			sm.Add(p.section, p.body)
 		}
 		return nil
-	}, nil
+	}, 0, nil
 }
 func (p *sectionOverride) Resume() error                                          { return nil }
 func (p *sectionOverride) LazyRestart(context.Context, *dmtcp.LazyRestorer) error { return nil }

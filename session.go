@@ -95,8 +95,8 @@ type Session struct {
 	// migrating marks a live migration in progress (crac.Migrate).
 	// Guarded by mu. While set, only the migration itself may take
 	// checkpoints — an interleaved user checkpoint would entangle its
-	// delta lineage (and the plugin's single dirty baseline) with the
-	// migration's pre-copy chain — and restarts are refused outright.
+	// delta lineage with the migration's pre-copy chain — and restarts
+	// are refused outright.
 	migrating bool
 
 	// qmu serializes Quiesce/Resume; quiesced is the nesting depth.
@@ -223,8 +223,7 @@ func (s *Session) RootBlob() []byte { return s.plugin.RootBlob() }
 // reserveCheckpointSlot claims the session's single checkpoint slot.
 // Every checkpoint holds the slot from before its cut until its image
 // committed or failed, so two checkpoints can never interleave their
-// epoch cuts and plugin staging (which would corrupt the incremental
-// skip baseline). While a migration holds the session, only its own
+// epoch cuts (which would corrupt the incremental lineage). While a migration holds the session, only its own
 // rounds (migration == true) may claim the slot. The returned Pending
 // doubles as the token; releaseCheckpoint gives the slot back.
 func (s *Session) reserveCheckpointSlot(name string, migration bool) (*Pending, error) {
@@ -312,8 +311,7 @@ func toWriter(w io.Writer) putFunc {
 // delta against. The zero value writes a standalone image and leaves
 // the session's chain alone.
 type lineage struct {
-	// incremental writes a chain image and stages the plugin's skip
-	// baseline, which is promoted when the image commits.
+	// incremental writes a chain image.
 	incremental bool
 	// own marks an image of the session's own WithIncremental chain:
 	// the parent is resolved from s.incr under the rotation guards, and
@@ -331,9 +329,9 @@ type lineage struct {
 //	put(WriteFrozen) → Release → commit lineage → free slot ┘ background
 //
 // By the time it returns, the application may run: the image is written
-// from the copy-on-write snapshot. Chain state and the plugin's skip
-// baseline advance only after put reported the image committed; every
-// retained page is released whether it did or not.
+// from the copy-on-write snapshot. Chain state advances only after put
+// reported the image committed; every retained page is released whether
+// it did or not.
 func (s *Session) checkpoint(ctx context.Context, put putFunc, name string, migration bool, lin lineage) (*Pending, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -368,15 +366,11 @@ func (s *Session) checkpoint(ctx context.Context, put putFunc, name string, migr
 		p.st.PauseDuration = pause
 		if err != nil {
 			p.next = nil
-		} else if lin.incremental {
-			// The image is durable: advance the plugin's drain baseline and
-			// the chain together.
-			s.plugin.CommitIncremental()
-			if lin.own {
-				s.mu.Lock()
-				s.incr = p.next
-				s.mu.Unlock()
-			}
+		} else if lin.own {
+			// The image is durable: it becomes the chain tip.
+			s.mu.Lock()
+			s.incr = p.next
+			s.mu.Unlock()
 		}
 		p.err = wrapCancelled(err)
 		s.releaseCheckpoint()
@@ -494,8 +488,7 @@ func (p *Pending) Wait() (Stats, error) {
 // memory during the overlap.
 //
 // With WithIncremental, the checkpoint joins the session's delta chain;
-// the chain state and the plugin's skip baseline advance only when the
-// Put commits.
+// the chain state advances only when the Put commits.
 //
 // Only one checkpoint may be in flight: a second checkpoint (or a
 // restart) while one is pending reports ErrCheckpointInFlight. A failed

@@ -6,9 +6,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
-	"repro/internal/addrspace"
 	"repro/internal/crt"
 	"repro/internal/dmtcp"
 )
@@ -183,10 +183,10 @@ type nopWC struct{ io.Writer }
 func (nopWC) Close() error { return nil }
 
 func TestLowerHalfExcludedFromImage(t *testing.T) {
-	// DESIGN.md invariant 4: no lower-half bytes in the image. The lower
-	// half includes the device arena; fill it with a marker and verify
-	// the marker only appears in the devmem payload section (the drained
-	// active mallocs), never as a region.
+	// DESIGN.md invariant 4: no lower-half mapping enters the image. The
+	// lower half includes the device arena; the drained active malloc
+	// enters only as a fill-only span of exactly its range, never as a
+	// region — and nothing else of the arena enters at all.
 	s, err := New()
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +207,12 @@ func TestLowerHalfExcludedFromImage(t *testing.T) {
 	}
 	lw := s.Space().LowerWindow()
 	uw := s.Space().UpperWindow()
+	var fills []dmtcp.RegionData
 	for _, r := range parsed.Regions {
+		if r.FillOnly() {
+			fills = append(fills, r)
+			continue
+		}
 		if r.Start >= lw.Start && r.Start < lw.End {
 			t.Fatalf("lower-half region %+v leaked into the image", r)
 		}
@@ -215,7 +220,10 @@ func TestLowerHalfExcludedFromImage(t *testing.T) {
 			t.Fatalf("region %+v outside the upper window", r)
 		}
 	}
-	_ = addrspace.HalfUpper
+	want := []dmtcp.RegionData{{Start: d, Len: 4096, Class: dmtcp.ClassDevice}}
+	if !reflect.DeepEqual(fills, want) {
+		t.Fatalf("fill-only spans %+v, want exactly the active malloc %+v", fills, want)
+	}
 }
 
 func TestSwitcherKinds(t *testing.T) {
